@@ -25,6 +25,10 @@ pub struct FeatureSampler {
     timestamps: Vec<Minute>,
     /// Aggregation interval around each sample point.
     interval: Interval,
+    /// Bucket start of each timestamp at `interval` (ascending, repeats
+    /// where samples share a bucket) — computed once per round, read by
+    /// every template's extraction.
+    bucket_starts: Vec<Minute>,
 }
 
 impl FeatureSampler {
@@ -44,7 +48,7 @@ impl FeatureSampler {
             (0..n).map(|_| now - 1 - rng.gen_range(0..window)).collect();
         timestamps.sort_unstable();
         timestamps.dedup();
-        Self { timestamps, interval }
+        Self::over(timestamps, interval)
     }
 
     /// A sampler over evenly spaced timestamps (deterministic; used by tests
@@ -57,7 +61,12 @@ impl FeatureSampler {
             timestamps.push(t);
             t += step;
         }
-        Self { timestamps, interval }
+        Self::over(timestamps, interval)
+    }
+
+    fn over(timestamps: Vec<Minute>, interval: Interval) -> Self {
+        let bucket_starts = timestamps.iter().map(|&t| interval.bucket_start(t)).collect();
+        Self { timestamps, interval, bucket_starts }
     }
 
     /// The sample timestamps (sorted ascending).
@@ -70,9 +79,10 @@ impl FeatureSampler {
         self.timestamps.len()
     }
 
-    /// Extracts the feature vector of one template.
+    /// Extracts the feature vector of one template: the arrivals in each
+    /// sample's bucket, read in one walk of the history per tier.
     pub fn extract(&self, history: &ArrivalHistory, first_seen: Minute) -> TemplateFeature {
-        let values = history.sample_at(&self.timestamps, self.interval);
+        let values = history.bucket_counts(&self.bucket_starts, self.interval);
         // Index of the first sample point at or after the template's first
         // arrival; earlier coordinates are masked out when comparing a new
         // template against long-lived centers.

@@ -382,15 +382,19 @@ impl OnlineClusterer {
                 to_reassign.push(key);
             }
         }
+        // A center is a pure function of its cluster's member order,
+        // features and volumes, all current as of the pass above; from here
+        // on only clusters whose membership changes need a fresh one.
+        let mut losers = BTreeSet::new();
         for key in &to_reassign {
             let cluster_id = self.templates[key].cluster;
             let c = self.clusters.get_mut(&cluster_id).expect("member's cluster exists");
             c.members.retain(|m| m != key);
-            if c.members.is_empty() {
-                self.clusters.remove(&cluster_id);
-            }
+            losers.insert(cluster_id);
         }
-        self.recompute_centers();
+        for cid in losers {
+            self.update_center(cid);
+        }
         report.reassigned = to_reassign.len();
 
         // Step 1: assign new templates and re-assign the step-2 removals.
@@ -399,12 +403,14 @@ impl OnlineClusterer {
         // lets one kd-tree serve the whole step.
         let assign_span = self.metrics.assign_time.start();
         let mut ctx = self.assign_ctx();
+        let mut gainers = BTreeSet::new();
         report.new_templates = new_snaps.len();
         for snap in new_snaps {
             let key = snap.key;
             let (cid, created) =
                 self.assign(snap.key, snap.feature, snap.volume, snap.last_seen, &mut ctx);
             report.clusters_created += usize::from(created);
+            gainers.insert(cid);
             self.trace_assign(key, cid, created, false);
         }
         for key in to_reassign {
@@ -412,18 +418,22 @@ impl OnlineClusterer {
             let (cid, created) =
                 self.assign(key, state.feature, state.volume, state.last_seen, &mut ctx);
             report.clusters_created += usize::from(created);
+            gainers.insert(cid);
             self.trace_assign(key, cid, created, true);
         }
         assign_span.finish();
         // Fold the step's additions into the centers before merging.
-        self.recompute_centers();
+        for cid in gainers {
+            self.update_center(cid);
+        }
 
-        // Step 3: merge clusters whose centers are closer than ρ.
+        // Step 3: merge clusters whose centers are closer than ρ. Each
+        // merge re-centers its destination, so the step leaves every
+        // center current.
         let merge_span = self.metrics.merge_time.start();
         let merges = self.merge_step();
         report.merges = merges.len();
         merge_span.finish();
-        self.recompute_centers();
         if self.tracer.is_enabled() {
             for (dst, src, moved) in merges {
                 let merged = self.tracer.record(
@@ -619,30 +629,29 @@ impl OnlineClusterer {
         best
     }
 
-    /// Recomputes a single cluster's center and volume.
+    /// Recomputes a single cluster's center and volume from its members,
+    /// dropping the cluster if it has none left.
     fn update_center(&mut self, cid: ClusterId) {
-        let Some(cluster) = self.clusters.get(&cid) else { return };
-        let members = cluster.members.clone();
-        if members.is_empty() {
+        let Some(cluster) = self.clusters.get_mut(&cid) else { return };
+        if cluster.members.is_empty() {
             self.clusters.remove(&cid);
             return;
         }
-        let dim = self.templates[&members[0]].feature.values.len();
-        let mut center = vec![0.0; dim];
-        let mut volume = 0.0;
-        for m in &members {
+        let dim = self.templates[&cluster.members[0]].feature.values.len();
+        cluster.center.clear();
+        cluster.center.resize(dim, 0.0);
+        cluster.volume = 0.0;
+        for m in &cluster.members {
             let s = &self.templates[m];
-            for (c, v) in center.iter_mut().zip(&s.feature.values) {
+            for (c, v) in cluster.center.iter_mut().zip(&s.feature.values) {
                 *c += v;
             }
-            volume += s.volume;
+            cluster.volume += s.volume;
         }
-        for c in &mut center {
-            *c /= members.len() as f64;
+        let n = cluster.members.len() as f64;
+        for c in &mut cluster.center {
+            *c /= n;
         }
-        let cluster = self.clusters.get_mut(&cid).expect("checked");
-        cluster.center = center;
-        cluster.volume = volume;
     }
 
     fn recompute_centers(&mut self) {
@@ -1286,6 +1295,88 @@ mod tests {
         // Both merged ids now anchor to the merge event.
         assert_eq!(tracer.anchor(Scope::Cluster, 0), Some(merged));
         assert_eq!(tracer.anchor(Scope::Cluster, 1), Some(merged));
+    }
+
+    /// Only clusters whose membership changed get a fresh center after the
+    /// post-refresh pass. One cycle that evicts, reassigns, admits and
+    /// merges must still leave every center and volume bit-equal to the
+    /// mean computed from scratch over the members in order.
+    #[test]
+    fn centers_match_from_scratch_mean_after_mixed_update() {
+        let cfg = ClustererConfig { eviction_idle: 100, ..ClustererConfig::default() };
+        let mut c = OnlineClusterer::new(cfg);
+        let at = |key, values: &[f64], volume, last_seen| TemplateSnapshot {
+            key,
+            feature: feat(values),
+            volume,
+            last_seen,
+        };
+        // One update per pattern so each founds its own cluster: A = {1,
+        // 2, 3, 4, 9}, B = {11, 12}, and the singletons 5 and 6.
+        for round in [
+            vec![
+                at(1, &[1.0, 2.0, 0.0, 0.0, 0.0, 0.0], 3.0, 0),
+                at(2, &[2.0, 4.1, 0.0, 0.0, 0.0, 0.0], 5.0, 0),
+                at(3, &[1.0, 2.2, 0.0, 0.0, 0.0, 0.0], 7.0, 0),
+                at(4, &[3.0, 6.0, 0.1, 0.0, 0.0, 0.0], 11.0, 0),
+                at(9, &[1.2, 2.4, 0.0, 0.0, 0.0, 0.0], 2.0, 0),
+            ],
+            vec![
+                at(11, &[0.0, 0.0, 5.0, 1.0, 0.0, 0.0], 4.0, 0),
+                at(12, &[0.0, 0.0, 4.0, 1.0, 0.0, 0.0], 6.0, 0),
+            ],
+            vec![at(5, &[0.0, 0.0, 0.0, 0.0, 1.0, 0.0], 13.0, 0)],
+            vec![at(6, &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 17.0, 0)],
+        ] {
+            c.update(round, 0);
+        }
+        assert_eq!(c.num_clusters(), 4);
+        // Template 4 sends no snapshot and ages out of A; 3 flips shape,
+        // leaving A (which gains nothing) for 5's cluster; 5 and 6 converge
+        // and merge; 7 joins B, which is otherwise untouched; 8 founds a
+        // cluster.
+        let r = c.update(
+            vec![
+                at(1, &[1.0, 2.0, 0.0, 0.0, 0.0, 0.3], 3.5, 999),
+                at(2, &[2.0, 4.1, 0.2, 0.0, 0.0, 0.0], 5.5, 999),
+                at(3, &[0.0, 0.1, 0.0, 0.0, 2.0, 2.0], 7.5, 999),
+                at(9, &[1.2, 2.4, 0.0, 0.0, 0.0, 0.0], 2.5, 999),
+                at(11, &[0.0, 0.0, 5.0, 1.0, 0.0, 0.0], 4.5, 999),
+                at(12, &[0.0, 0.0, 4.0, 1.0, 0.1, 0.0], 6.5, 999),
+                at(5, &[0.0, 0.0, 0.0, 0.0, 1.0, 1.1], 13.5, 999),
+                at(6, &[0.0, 0.0, 0.0, 0.0, 1.2, 1.0], 17.5, 999),
+                at(7, &[0.0, 0.0, 2.5, 0.6, 0.0, 0.0], 19.0, 999),
+                at(8, &[9.0, 0.0, 0.0, 0.0, 0.0, 0.0], 23.0, 999),
+            ],
+            1_000,
+        );
+        assert_eq!(
+            r,
+            UpdateReport {
+                new_templates: 2,
+                reassigned: 1,
+                evicted: 1,
+                merges: 1,
+                clusters_created: 1
+            }
+        );
+        assert_eq!(c.cluster_of(7), c.cluster_of(11));
+        assert_eq!(c.cluster_of(3), c.cluster_of(5));
+        assert_eq!(c.cluster_of(5), c.cluster_of(6));
+        for cluster in c.clusters() {
+            let n = cluster.members.len() as f64;
+            let mut center = vec![0.0; 6];
+            let mut volume = 0.0;
+            for m in &cluster.members {
+                let s = &c.templates[m];
+                center.iter_mut().zip(&s.feature.values).for_each(|(c, v)| *c += v);
+                volume += s.volume;
+            }
+            center.iter_mut().for_each(|c| *c /= n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cluster.center), bits(&center), "center of {:?}", cluster.id);
+            assert_eq!(cluster.volume.to_bits(), volume.to_bits(), "volume of {:?}", cluster.id);
+        }
     }
 
     /// Regression for the incremental merge table: after a merge, rows

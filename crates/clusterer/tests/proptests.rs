@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use qb_clusterer::{
-    ClustererConfig, KdTree, OnlineClusterer, SimilarityMetric, TemplateFeature,
+    ClustererConfig, FeatureSampler, KdTree, OnlineClusterer, SimilarityMetric, TemplateFeature,
     TemplateSnapshot,
 };
+use qb_timeseries::{ArrivalHistory, CompactionPolicy, Interval};
 
 fn points(dim: usize) -> impl Strategy<Value = Vec<(Vec<f64>, usize)>> {
     proptest::collection::vec(proptest::collection::vec(-10.0f64..10.0, dim), 1..80)
@@ -13,6 +14,49 @@ fn points(dim: usize) -> impl Strategy<Value = Vec<(Vec<f64>, usize)>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `extract` is, coordinate by coordinate, the arrivals in the sample's
+    /// bucket (`count_range` over `[b, b + interval)`, never clamped to
+    /// the window or to `now`), and `valid_from` is the first sample at or
+    /// after the template's first arrival — on histories with late
+    /// records, with and without a compacted tier.
+    #[test]
+    fn extract_matches_per_point_definition(
+        recs in proptest::collection::vec((0i64..6_000, 1u64..40), 0..150),
+        compact in any::<bool>(),
+        now in 3_000i64..6_500,
+        window in 200i64..5_000,
+        width in prop_oneof![Just(1i64), Just(20), Just(60)],
+        first_seen in 0i64..6_000,
+        seed in any::<u64>(),
+    ) {
+        let mut h = ArrivalHistory::new();
+        for &(t, c) in &recs {
+            h.record(t, c);
+        }
+        if compact {
+            h.compact(&CompactionPolicy { raw_retention: 900, compacted_interval: Interval::HOUR });
+        }
+        let interval = Interval::minutes(width);
+        for sampler in [
+            FeatureSampler::random(now, window, 64, interval, seed),
+            FeatureSampler::even(now - window, now, interval),
+        ] {
+            let f = sampler.extract(&h, first_seen);
+            let want: Vec<u64> = sampler
+                .timestamps()
+                .iter()
+                .map(|&t| {
+                    let b = interval.bucket_start(t);
+                    (h.count_range(b, b + width) as f64).to_bits()
+                })
+                .collect();
+            let got: Vec<u64> = f.values.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+            let masked = sampler.timestamps().iter().filter(|&&t| t < first_seen).count();
+            prop_assert_eq!(f.valid_from, masked);
+        }
+    }
 
     /// kd-tree nearest always matches a linear scan.
     #[test]

@@ -589,7 +589,7 @@ impl ForecastManager {
                 .and_then(|cid| clusters.iter().position(|c| c.id == cid));
             let (origin, values) = match assigned {
                 Some(j) => {
-                    let tv: f64 = pre.template_series(t, start, end, spec.interval).iter().sum();
+                    let tv = entry.history.count_range(start, end) as f64;
                     let cv: f64 =
                         bot.cluster_series(&clusters[j], start, end, spec.interval).iter().sum();
                     let share = if cv > 0.0 { tv / cv } else { 0.0 };

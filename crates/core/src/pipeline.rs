@@ -648,10 +648,7 @@ impl QueryBot5000 {
         let n = interval.buckets_between(start, end);
         let mut out = vec![0.0; n];
         for &m in &cluster.members {
-            let series = self.pre.template_series(m, start, end, interval);
-            for (o, v) in out.iter_mut().zip(series) {
-                *o += v;
-            }
+            self.pre.template(m).history.add_dense_series(start, end, interval, &mut out);
         }
         out
     }
@@ -807,6 +804,46 @@ mod tests {
         assert_eq!(series.len(), 48);
         // Day pattern: hour 12 ≈ (30 + 90)/min × 60; hour 2 ≈ (3+9)×60.
         assert!(series[12] > series[2] * 5.0, "{} vs {}", series[12], series[2]);
+    }
+
+    /// `cluster_series` accumulates members in place; the result must be
+    /// the member-order sum of their `dense_series`, bit for bit — also
+    /// when a member's older records sit in the compacted tier.
+    #[test]
+    fn cluster_series_equals_sum_of_member_series() {
+        let mut cfg = Qb5000Config::default();
+        cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
+            raw_retention: MINUTES_PER_DAY,
+            compacted_interval: Interval::HOUR,
+        };
+        let mut bot = QueryBot5000::new(cfg);
+        feed_cyclic(&mut bot, 3);
+        bot.compact_histories();
+        // One more day of raw records for one member only: its history now
+        // spans both tiers while its cluster-mate's newest day is empty.
+        for minute in 3 * MINUTES_PER_DAY..4 * MINUTES_PER_DAY {
+            bot.ingest_weighted(minute, "SELECT a FROM day_tbl WHERE id = 1", 7).unwrap();
+        }
+        bot.update_clusters(4 * MINUTES_PER_DAY);
+        let largest = bot.tracked_clusters()[0].clone();
+        assert!(largest.members.len() >= 2);
+        let stored = |m| bot.preprocessor().template(m).history.export_state();
+        assert!(largest.members.iter().any(|&m| !stored(m).compacted.is_empty()));
+
+        for (start, end, interval) in [
+            (0, 4 * MINUTES_PER_DAY, Interval::HOUR),
+            (90, 4 * MINUTES_PER_DAY - 45, Interval::minutes(30)),
+            (2 * MINUTES_PER_DAY, 4 * MINUTES_PER_DAY, Interval::DAY),
+        ] {
+            let mut want = vec![0.0; interval.buckets_between(start, end)];
+            for &m in &largest.members {
+                let series = bot.preprocessor().template_series(m, start, end, interval);
+                want.iter_mut().zip(series).for_each(|(w, v)| *w += v);
+            }
+            let got = bot.cluster_series(&largest, start, end, interval);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "[{start}, {end}) at {interval:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-template arrival-rate history with tiered compaction.
 
-use std::collections::BTreeMap;
-
 use crate::{Interval, Minute};
 
 /// How stale records are aggregated into coarser buckets (§4: "the system
@@ -45,18 +43,97 @@ pub struct ArrivalHistoryState {
     pub total: u64,
 }
 
+/// One storage tier: `(minute, count)` pairs sorted by minute, each minute
+/// at most once.
+type Run = Vec<(Minute, u64)>;
+
+/// Adds `count` at minute `t`, keeping `run` sorted and duplicate-free.
+/// In-order arrivals (the live feed) append or bump the last pair; a late
+/// `t` binary-searches for its slot and shifts the tail.
+fn add_to_run(run: &mut Run, t: Minute, count: u64) {
+    match run.last_mut() {
+        Some(last) if last.0 == t => last.1 += count,
+        Some(last) if last.0 > t => match run.binary_search_by_key(&t, |e| e.0) {
+            Ok(i) => run[i].1 += count,
+            Err(i) => run.insert(i, (t, count)),
+        },
+        _ => run.push((t, count)),
+    }
+}
+
+/// The pairs of `run` whose minute lies in `[start, end)` (empty when
+/// `end <= start`).
+fn run_range(run: &[(Minute, u64)], start: Minute, end: Minute) -> &[(Minute, u64)] {
+    let tail = &run[run.partition_point(|e| e.0 < start)..];
+    &tail[..tail.partition_point(|e| e.0 < end)]
+}
+
+/// Sorts `pairs` by minute and folds pairs sharing a minute by summing
+/// (a no-op on an already sorted, duplicate-free run).
+fn normalized(mut pairs: Run) -> Run {
+    pairs.sort_by_key(|e| e.0);
+    pairs.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = kept.1.saturating_add(later.1);
+        }
+        same
+    });
+    pairs
+}
+
+/// Forward cursor over one run answering a sequence of range sums. While
+/// each range starts at or after the previous one's end, the whole
+/// sequence costs one walk of the run; any other range repositions by
+/// binary search.
+struct RunCursor<'a> {
+    run: &'a [(Minute, u64)],
+    /// End of the previous range and the index of the first pair at or
+    /// after it.
+    prev_end: Minute,
+    next: usize,
+}
+
+impl<'a> RunCursor<'a> {
+    fn new(run: &'a [(Minute, u64)]) -> Self {
+        Self { run, prev_end: Minute::MIN, next: 0 }
+    }
+
+    /// Total count in `[start, end)`, for `start <= end`.
+    fn sum(&mut self, start: Minute, end: Minute) -> u64 {
+        let mut i = if start >= self.prev_end {
+            self.next
+        } else {
+            self.run.partition_point(|e| e.0 < start)
+        };
+        while self.run.get(i).is_some_and(|e| e.0 < start) {
+            i += 1;
+        }
+        let mut sum = 0;
+        while let Some(e) = self.run.get(i).filter(|e| e.0 < end) {
+            sum += e.1;
+            i += 1;
+        }
+        self.next = i;
+        self.prev_end = end;
+        sum
+    }
+}
+
 /// The arrival-rate record for one query template.
 ///
 /// Counts are stored sparsely: a minute with no arrivals occupies no space.
-/// Two tiers exist — a raw per-minute map for the recent window, and a
-/// compacted map at [`CompactionPolicy::compacted_interval`] granularity for
-/// older history. Reads transparently merge both tiers.
+/// Two tiers exist — a raw per-minute run for the recent window, and a
+/// compacted run at [`CompactionPolicy::compacted_interval`] granularity for
+/// older history. Each tier is a `Vec` of `(minute, count)` pairs sorted by
+/// minute with no minute repeated, so a range read is two binary searches
+/// and a slice. Reads transparently merge both tiers.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalHistory {
-    /// Recent per-minute counts, keyed by minute.
-    raw: BTreeMap<Minute, u64>,
+    /// Recent per-minute counts.
+    raw: Run,
     /// Compacted counts, keyed by bucket start.
-    compacted: BTreeMap<Minute, u64>,
+    compacted: Run,
     /// Width of compacted buckets (None until first compaction).
     compacted_width: Option<Interval>,
     /// Total arrivals ever recorded.
@@ -69,11 +146,15 @@ impl ArrivalHistory {
     }
 
     /// Records `count` arrivals at minute `t`.
+    ///
+    /// Minutes may arrive in any order. A `t` at or after the newest raw
+    /// record is O(1); a late one costs a binary search plus, for a minute
+    /// not yet stored, shifting the pairs after it.
     pub fn record(&mut self, t: Minute, count: u64) {
         if count == 0 {
             return;
         }
-        *self.raw.entry(t).or_insert(0) += count;
+        add_to_run(&mut self.raw, t, count);
         self.total += count;
     }
 
@@ -84,15 +165,15 @@ impl ArrivalHistory {
 
     /// Timestamp of the most recent arrival (raw or compacted bucket start).
     pub fn last_seen(&self) -> Option<Minute> {
-        let raw_last = self.raw.keys().next_back().copied();
-        let compacted_last = self.compacted.keys().next_back().copied();
+        let raw_last = self.raw.last().map(|e| e.0);
+        let compacted_last = self.compacted.last().map(|e| e.0);
         raw_last.max(compacted_last)
     }
 
     /// Timestamp of the earliest arrival.
     pub fn first_seen(&self) -> Option<Minute> {
-        let raw_first = self.raw.keys().next().copied();
-        let compacted_first = self.compacted.keys().next().copied();
+        let raw_first = self.raw.first().map(|e| e.0);
+        let compacted_first = self.compacted.first().map(|e| e.0);
         match (raw_first, compacted_first) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -115,32 +196,27 @@ impl ArrivalHistory {
     /// since sub-bucket resolution was already discarded.
     pub fn compact(&mut self, policy: &CompactionPolicy) {
         if self.compacted_width.is_some_and(|w| w != policy.compacted_interval) {
-            let old = std::mem::take(&mut self.compacted);
-            for (t, c) in old {
-                let bucket = policy.compacted_interval.bucket_start(t);
-                *self.compacted.entry(bucket).or_insert(0) += c;
+            for (t, c) in std::mem::take(&mut self.compacted) {
+                add_to_run(&mut self.compacted, policy.compacted_interval.bucket_start(t), c);
             }
             self.compacted_width = Some(policy.compacted_interval);
         }
-        let Some(newest) = self.raw.keys().next_back().copied() else { return };
+        let Some(&(newest, _)) = self.raw.last() else { return };
         let cutoff = newest - policy.raw_retention;
         self.compacted_width = Some(policy.compacted_interval);
-        // Split off everything strictly older than the cutoff.
-        let keep = self.raw.split_off(&cutoff);
-        let stale = std::mem::replace(&mut self.raw, keep);
-        for (t, c) in stale {
-            let bucket = policy.compacted_interval.bucket_start(t);
-            *self.compacted.entry(bucket).or_insert(0) += c;
+        // Drain everything strictly older than the cutoff.
+        let stale = self.raw.partition_point(|e| e.0 < cutoff);
+        for (t, c) in self.raw.drain(..stale) {
+            add_to_run(&mut self.compacted, policy.compacted_interval.bucket_start(t), c);
         }
     }
 
     /// Total arrivals in the half-open range `[start, end)`.
     pub fn count_range(&self, start: Minute, end: Minute) -> u64 {
-        let raw: u64 = self.raw.range(start..end).map(|(_, c)| *c).sum();
         // Compacted buckets are attributed entirely to their start minute;
         // after compaction sub-bucket resolution is intentionally lost.
-        let compacted: u64 = self.compacted.range(start..end).map(|(_, c)| *c).sum();
-        raw + compacted
+        let total = |run| run_range(run, start, end).iter().map(|e| e.1).sum::<u64>();
+        total(&self.raw) + total(&self.compacted)
     }
 
     /// Materializes a dense series over `[start, end)` aggregated at
@@ -148,27 +224,39 @@ impl ArrivalHistory {
     ///
     /// This is the input format the Clusterer and Forecaster consume.
     pub fn dense_series(&self, start: Minute, end: Minute, interval: Interval) -> Vec<f64> {
-        let n = interval.buckets_between(start, end);
-        let mut out = vec![0.0; n];
-        let step = interval.as_minutes();
-        for (&t, &c) in self.raw.range(start..end) {
-            let idx = ((t - start) / step) as usize;
-            out[idx] += c as f64;
-        }
-        for (&t, &c) in self.compacted.range(start..end) {
-            let idx = ((t - start) / step) as usize;
-            out[idx] += c as f64;
-        }
+        let mut out = vec![0.0; interval.buckets_between(start, end)];
+        self.add_dense_series(start, end, interval, &mut out);
         out
     }
 
-    /// Exports the full record for durable serialization. Maps become
-    /// sorted `(key, count)` pairs, so identical histories export to
-    /// identical state — the basis of byte-stable snapshots.
+    /// Adds this history's [`ArrivalHistory::dense_series`] over
+    /// `[start, end)` onto `out` in place, so summing many histories (a
+    /// cluster's members) needs no per-history buffer.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `interval.buckets_between(start, end)`.
+    pub fn add_dense_series(
+        &self,
+        start: Minute,
+        end: Minute,
+        interval: Interval,
+        out: &mut [f64],
+    ) {
+        let step = interval.as_minutes();
+        for run in [&self.raw, &self.compacted] {
+            for &(t, c) in run_range(run, start, end) {
+                out[((t - start) / step) as usize] += c as f64;
+            }
+        }
+    }
+
+    /// Exports the full record for durable serialization. Both tiers are
+    /// already sorted `(key, count)` pairs, so identical histories export
+    /// to identical state — the basis of byte-stable snapshots.
     pub fn export_state(&self) -> ArrivalHistoryState {
         ArrivalHistoryState {
-            raw: self.raw.iter().map(|(&t, &c)| (t, c)).collect(),
-            compacted: self.compacted.iter().map(|(&t, &c)| (t, c)).collect(),
+            raw: self.raw.clone(),
+            compacted: self.compacted.clone(),
             compacted_width_minutes: self.compacted_width.map(Interval::as_minutes),
             total: self.total,
         }
@@ -178,10 +266,15 @@ impl ArrivalHistory {
     /// [`ArrivalHistory::export_state`]: the rebuilt record answers every
     /// read identically and continues recording/compacting from the same
     /// point.
+    ///
+    /// The pairs are not trusted to be in the exported order: each tier is
+    /// sorted by minute, and pairs repeating a minute are folded into one
+    /// by summing their counts, so `count_range` over everything still
+    /// equals `total` for a state that counted them separately.
     pub fn from_state(state: ArrivalHistoryState) -> Self {
         Self {
-            raw: state.raw.into_iter().collect(),
-            compacted: state.compacted.into_iter().collect(),
+            raw: normalized(state.raw),
+            compacted: normalized(state.compacted),
             compacted_width: state
                 .compacted_width_minutes
                 .filter(|&m| m > 0)
@@ -194,13 +287,31 @@ impl ArrivalHistory {
     /// around each sample (the Clusterer's feature extraction: "QB5000 takes
     /// the subset of values at those timestamps to form a vector", §5.1).
     pub fn sample_at(&self, timestamps: &[Minute], interval: Interval) -> Vec<f64> {
-        timestamps
-            .iter()
-            .map(|&t| {
-                let b = interval.bucket_start(t);
-                self.count_range(b, b + interval.as_minutes()) as f64
-            })
-            .collect()
+        let starts: Vec<Minute> = timestamps.iter().map(|&t| interval.bucket_start(t)).collect();
+        self.bucket_counts(&starts, interval)
+    }
+
+    /// Total arrivals in `[b, b + interval)` for each `b` in `starts`.
+    ///
+    /// With `starts` ascending and at least `interval` apart (repeats
+    /// allowed — a start equal to its predecessor copies that value) each
+    /// tier is walked once; any other order gives the same answers at the
+    /// cost of a binary search per start that steps backwards or overlaps
+    /// its predecessor.
+    pub fn bucket_counts(&self, starts: &[Minute], interval: Interval) -> Vec<f64> {
+        let width = interval.as_minutes();
+        let mut raw = RunCursor::new(&self.raw);
+        let mut compacted = RunCursor::new(&self.compacted);
+        let mut out: Vec<f64> = Vec::with_capacity(starts.len());
+        for (i, &b) in starts.iter().enumerate() {
+            let value = if i > 0 && starts[i - 1] == b {
+                out[i - 1]
+            } else {
+                (raw.sum(b, b + width) + compacted.sum(b, b + width)) as f64
+            };
+            out.push(value);
+        }
+        out
     }
 }
 
@@ -435,6 +546,31 @@ mod tests {
         let empty = ArrivalHistory::from_state(ArrivalHistory::new().export_state());
         assert_eq!(empty.total(), 0);
         assert_eq!(empty.last_seen(), None);
+    }
+
+    /// `from_state` must not trust its input's order: shuffled pairs are
+    /// sorted, and pairs repeating a minute fold into one by summing, so
+    /// range counts keep agreeing with `total`.
+    #[test]
+    fn from_state_sorts_and_folds_duplicates() {
+        let mut h = ArrivalHistory::new();
+        for (t, c) in [(5, 2), (9, 1), (200, 4), (260, 3), (400, 8)] {
+            h.record(t, c);
+        }
+        h.compact(&CompactionPolicy { raw_retention: 150, compacted_interval: Interval::HOUR });
+        let clean = h.export_state();
+        assert_eq!((clean.raw.len(), clean.compacted.len()), (2, 2));
+
+        // Reverse both tiers and split one pair of each into two.
+        let mut messy = clean.clone();
+        messy.raw = vec![(400, 5), (260, 3), (400, 3)];
+        messy.compacted = vec![(180, 1), (0, 3), (180, 3)];
+        let rebuilt = ArrivalHistory::from_state(messy);
+        assert_eq!(rebuilt.export_state(), clean);
+        assert_eq!(rebuilt.count_range(Minute::MIN, Minute::MAX), rebuilt.total());
+        assert_eq!(rebuilt.first_seen(), Some(0));
+        assert_eq!(rebuilt.last_seen(), Some(400));
+        assert_eq!(rebuilt.sample_at(&[190, 410], Interval::HOUR), vec![4.0, 8.0]);
     }
 
     /// A second compaction with an *older* newest-record does not resurrect

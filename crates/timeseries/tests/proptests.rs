@@ -1,12 +1,205 @@
 //! Property-based tests for arrival-history storage and metrics.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use qb_timeseries::{
-    expm1_series, log1p_series, mse_log_space, ArrivalHistory, CompactionPolicy, Interval,
+    expm1_series, log1p_series, mse_log_space, ArrivalHistory, ArrivalHistoryState,
+    CompactionPolicy, Interval, Minute,
 };
 
 fn records() -> impl Strategy<Value = Vec<(i64, u64)>> {
     proptest::collection::vec((0i64..50_000, 1u64..100), 0..200)
+}
+
+/// The storage oracle: an arrival history over two ordered maps, written
+/// for obviousness — every read is a map range scan, `sample_at` is one
+/// range count per sample point.
+#[derive(Default)]
+struct MapHistory {
+    raw: BTreeMap<Minute, u64>,
+    compacted: BTreeMap<Minute, u64>,
+    width: Option<Interval>,
+    total: u64,
+}
+
+impl MapHistory {
+    fn record(&mut self, t: Minute, count: u64) {
+        if count > 0 {
+            *self.raw.entry(t).or_insert(0) += count;
+            self.total += count;
+        }
+    }
+
+    fn compact(&mut self, policy: &CompactionPolicy) {
+        let bucket = |t| policy.compacted_interval.bucket_start(t);
+        if self.width.is_some_and(|w| w != policy.compacted_interval) {
+            for (t, c) in std::mem::take(&mut self.compacted) {
+                *self.compacted.entry(bucket(t)).or_insert(0) += c;
+            }
+        }
+        let Some(&newest) = self.raw.keys().next_back() else { return };
+        self.width = Some(policy.compacted_interval);
+        let keep = self.raw.split_off(&(newest - policy.raw_retention));
+        for (t, c) in std::mem::replace(&mut self.raw, keep) {
+            *self.compacted.entry(bucket(t)).or_insert(0) += c;
+        }
+    }
+
+    fn first_seen(&self) -> Option<Minute> {
+        self.raw.keys().chain(self.compacted.keys()).min().copied()
+    }
+
+    fn last_seen(&self) -> Option<Minute> {
+        self.raw.keys().chain(self.compacted.keys()).max().copied()
+    }
+
+    fn count_range(&self, start: Minute, end: Minute) -> u64 {
+        let tier = |m: &BTreeMap<Minute, u64>| m.range(start..end).map(|(_, c)| *c).sum::<u64>();
+        tier(&self.raw) + tier(&self.compacted)
+    }
+
+    fn dense_series(&self, start: Minute, end: Minute, interval: Interval) -> Vec<f64> {
+        let step = interval.as_minutes();
+        (0..interval.buckets_between(start, end) as i64)
+            .map(|i| {
+                let from = start + i * step;
+                self.count_range(from, (from + step).min(end)) as f64
+            })
+            .collect()
+    }
+
+    fn sample_at(&self, timestamps: &[Minute], interval: Interval) -> Vec<f64> {
+        timestamps
+            .iter()
+            .map(|&t| {
+                let b = interval.bucket_start(t);
+                self.count_range(b, b + interval.as_minutes()) as f64
+            })
+            .collect()
+    }
+
+    fn export_state(&self) -> ArrivalHistoryState {
+        ArrivalHistoryState {
+            raw: self.raw.iter().map(|(&t, &c)| (t, c)).collect(),
+            compacted: self.compacted.iter().map(|(&t, &c)| (t, c)).collect(),
+            compacted_width_minutes: self.width.map(Interval::as_minutes),
+            total: self.total,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// A record `ahead` minutes past the newest one (0 = the same minute).
+    InOrder { ahead: i64, count: u64 },
+    /// A record `back` minutes before the newest one.
+    Late { back: i64, count: u64 },
+    Compact { retention: i64, width: i64 },
+    /// `export_state` → `from_state`.
+    RoundTrip,
+}
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let count = || 0u64..50;
+    // Widths that both widen and narrow across consecutive compactions.
+    let width = prop_oneof![Just(30i64), Just(60), Just(120), Just(1440)];
+    let op = prop_oneof![
+        (0i64..4, count()).prop_map(|(ahead, count)| Op::InOrder { ahead, count }),
+        (0i64..90, count()).prop_map(|(ahead, count)| Op::InOrder { ahead, count }),
+        (1i64..5_000, count()).prop_map(|(back, count)| Op::Late { back, count }),
+        (10i64..3_000, width).prop_map(|(retention, width)| Op::Compact { retention, width }),
+        Just(Op::RoundTrip),
+    ];
+    proptest::collection::vec(op, 1..80)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Model-based differential: any sequence of in-order, late and
+    /// same-minute records, compactions under changing policies, and state
+    /// round-trips leaves the run storage answering every read exactly as
+    /// the map oracle does.
+    #[test]
+    fn run_storage_matches_map_oracle(
+        ops in ops(),
+        points in proptest::collection::vec(-300i64..9_000, 0..40),
+        sample_width in prop_oneof![Just(1i64), Just(7), Just(60), Just(1440)],
+    ) {
+        let mut h = ArrivalHistory::new();
+        let mut oracle = MapHistory::default();
+        let mut newest: Minute = 2_000;
+        for op in ops {
+            match op {
+                Op::InOrder { ahead, count } => {
+                    newest += ahead;
+                    h.record(newest, count);
+                    oracle.record(newest, count);
+                }
+                Op::Late { back, count } => {
+                    h.record(newest - back, count);
+                    oracle.record(newest - back, count);
+                }
+                Op::Compact { retention, width } => {
+                    let policy = CompactionPolicy {
+                        raw_retention: retention,
+                        compacted_interval: Interval::minutes(width),
+                    };
+                    h.compact(&policy);
+                    oracle.compact(&policy);
+                }
+                Op::RoundTrip => {
+                    let state = h.export_state();
+                    h = ArrivalHistory::from_state(state.clone());
+                    prop_assert_eq!(h.export_state(), state, "round trip changed the state");
+                }
+            }
+
+            let want = oracle.export_state();
+            prop_assert_eq!(h.export_state(), want.clone());
+            prop_assert_eq!(h.first_seen(), oracle.first_seen());
+            prop_assert_eq!(h.last_seen(), oracle.last_seen());
+            prop_assert_eq!(h.stored_entries(), want.raw.len() + want.compacted.len());
+            prop_assert_eq!(h.total(), oracle.total);
+            prop_assert_eq!(h.count_range(Minute::MIN, Minute::MAX), oracle.total);
+            for (start, end) in [(newest - 700, newest - 3), (newest, newest + 1), (0, 9_000), (5, 5)] {
+                prop_assert_eq!(h.count_range(start, end), oracle.count_range(start, end));
+            }
+            for (start, interval) in [(-120, Interval::HOUR), (7, Interval::minutes(13))] {
+                prop_assert_eq!(
+                    bits(&h.dense_series(start, newest + 2, interval)),
+                    bits(&oracle.dense_series(start, newest + 2, interval))
+                );
+            }
+        }
+
+        // Sample points: random ones (sparse enough to leave empty buckets
+        // between them), several inside the newest record's bucket — which
+        // that record straddles — and one past it.
+        let interval = Interval::minutes(sample_width);
+        let mut unsorted = points;
+        unsorted.extend([newest, newest - 1, newest, newest + 1, newest + 2 * sample_width]);
+        let mut sorted = unsorted.clone();
+        sorted.sort_unstable();
+        for timestamps in [&sorted, &unsorted] {
+            prop_assert_eq!(
+                bits(&h.sample_at(timestamps, interval)),
+                bits(&oracle.sample_at(timestamps, interval))
+            );
+            // Taken as bucket starts, the same points are unaligned, so
+            // neighbouring buckets overlap.
+            let want: Vec<f64> = timestamps
+                .iter()
+                .map(|&b| oracle.count_range(b, b + sample_width) as f64)
+                .collect();
+            prop_assert_eq!(bits(&h.bucket_counts(timestamps, interval)), bits(&want));
+        }
+    }
 }
 
 proptest! {
