@@ -1,7 +1,7 @@
 //! Clusterer scalability: the §5.2 complexity claim (O(n log n) in the
 //! number of templates) plus kd-tree nearest-center lookups.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use qb_clusterer::{
     ClustererConfig, KdTree, OnlineClusterer, TemplateFeature, TemplateSnapshot,
 };
@@ -30,6 +30,48 @@ fn snapshots(n: usize, patterns: usize, dim: usize) -> Vec<TemplateSnapshot> {
         .collect()
 }
 
+/// A cold start in two updates: `n` templates first seen with two sampled
+/// arrivals each (a different pair of buckets per template, so each founds
+/// its own cluster), then the same templates once their `families` arrival
+/// shapes show. The second update's merge step takes `n` singletons down to
+/// about `families` clusters.
+fn cold_start_storm(
+    n: usize,
+    families: usize,
+    dim: usize,
+) -> (Vec<TemplateSnapshot>, Vec<TemplateSnapshot>) {
+    let snapshot = |key: usize, values: Vec<f64>| TemplateSnapshot {
+        key: key as u64,
+        feature: TemplateFeature::full(values),
+        volume: 1.0 + (key % 13) as f64,
+        last_seen: 0,
+    };
+    let pairs = (0..dim).flat_map(|p| (p + 1..dim).map(move |q| (p, q)));
+    let sparse = pairs
+        .take(n)
+        .enumerate()
+        .map(|(key, (p, q))| {
+            let mut values = vec![0.0; dim];
+            values[p] = 1.0;
+            values[q] = 1.0;
+            snapshot(key, values)
+        })
+        .collect::<Vec<_>>();
+    assert_eq!(sparse.len(), n, "dim too small for {n} distinct bucket pairs");
+    let shaped = (0..n)
+        .map(|key| {
+            let family = key % families;
+            let mut values = vec![0.0; dim];
+            for b in 0..6 {
+                let wobble = ((key * 7919 + b * 104_729) % 1000) as f64 / 5_000.0;
+                values[(family * 5 + b * 3) % dim] = 2.0 + ((family + b) % 6) as f64 + wobble;
+            }
+            snapshot(key, values)
+        })
+        .collect();
+    (sparse, shaped)
+}
+
 fn bench_online_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("clusterer_update");
     group.sample_size(10);
@@ -54,6 +96,26 @@ fn bench_online_update(c: &mut Criterion) {
             })
         });
     }
+    // The rows above merge almost nothing (their templates join a cluster
+    // in step 1). This one is the merge step's worst case: 800 singleton
+    // clusters whose 24 families show in one update — hundreds of merges.
+    let (sparse, shaped) = cold_start_storm(800, 24, 64);
+    let mut founded = OnlineClusterer::new(ClustererConfig::default());
+    founded.update(sparse, 0);
+    assert_eq!(founded.num_clusters(), 800);
+    let state = founded.export_state();
+    let founded = || OnlineClusterer::restore(ClustererConfig::default(), state.clone());
+    group.bench_function(BenchmarkId::new("cold_start_storm", 800), |b| {
+        b.iter_batched(
+            || (founded(), shaped.clone()),
+            |(mut cl, shaped)| {
+                let report = cl.update(shaped, 0);
+                assert!(report.merges > 700, "{report:?}");
+                cl.num_clusters()
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

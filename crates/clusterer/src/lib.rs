@@ -26,6 +26,7 @@
 
 pub mod feature;
 pub mod kdtree;
+mod merge;
 pub mod online;
 
 pub use feature::{FeatureSampler, TemplateFeature};

@@ -23,6 +23,7 @@ use qb_trace::{EventDraft, EventKind, Scope, Tracer};
 
 use crate::feature::TemplateFeature;
 use crate::kdtree::KdTree;
+use crate::merge::{MergeStats, MergeTable};
 
 /// Opaque template identity (the Pre-Processor's `TemplateId.0`).
 pub type TemplateKey = u64;
@@ -49,14 +50,6 @@ impl SimilarityMetric {
             SimilarityMetric::InverseL2 => {
                 1.0 / (1.0 + qb_linalg::l2_distance(&f.values, center))
             }
-        }
-    }
-
-    /// Similarity between two centers (used by the merge step).
-    fn center_similarity(self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            SimilarityMetric::Cosine => qb_linalg::cosine_similarity(a, b),
-            SimilarityMetric::InverseL2 => 1.0 / (1.0 + qb_linalg::l2_distance(a, b)),
         }
     }
 }
@@ -161,6 +154,10 @@ struct ClusterMetrics {
     reassigned: qb_obs::Counter,
     evicted: qb_obs::Counter,
     merges: qb_obs::Counter,
+    /// Center similarities the merge step computed, and rows of its table
+    /// it scanned again after a merge — the step's cost as counts.
+    merge_pairs_scored: qb_obs::Counter,
+    merge_rows_rescanned: qb_obs::Counter,
     clusters_created: qb_obs::Counter,
     num_clusters: qb_obs::Gauge,
     num_templates: qb_obs::Gauge,
@@ -179,6 +176,8 @@ impl ClusterMetrics {
             reassigned: recorder.counter("clusterer.reassigned"),
             evicted: recorder.counter("clusterer.evicted"),
             merges: recorder.counter("clusterer.merges"),
+            merge_pairs_scored: recorder.counter("clusterer.merge_pairs_scored"),
+            merge_rows_rescanned: recorder.counter("clusterer.merge_rows_rescanned"),
             clusters_created: recorder.counter("clusterer.clusters_created"),
             num_clusters: recorder.gauge("clusterer.num_clusters"),
             num_templates: recorder.gauge("clusterer.num_templates"),
@@ -431,7 +430,7 @@ impl OnlineClusterer {
         // merge re-centers its destination, so the step leaves every
         // center current.
         let merge_span = self.metrics.merge_time.start();
-        let merges = self.merge_step();
+        let (merges, merge_stats) = self.merge_step();
         report.merges = merges.len();
         merge_span.finish();
         if self.tracer.is_enabled() {
@@ -470,6 +469,8 @@ impl OnlineClusterer {
         self.metrics.reassigned.add(report.reassigned as u64);
         self.metrics.evicted.add(report.evicted as u64);
         self.metrics.merges.add(report.merges as u64);
+        self.metrics.merge_pairs_scored.add(merge_stats.scored as u64);
+        self.metrics.merge_rows_rescanned.add(merge_stats.rescanned_rows as u64);
         self.metrics.clusters_created.add(report.clusters_created as u64);
         self.metrics.num_clusters.set(self.clusters.len() as f64);
         self.metrics.num_templates.set(self.templates.len() as f64);
@@ -661,47 +662,42 @@ impl OnlineClusterer {
         }
     }
 
-    /// Merges cluster pairs whose centers exceed ρ similarity. Greedy,
-    /// most-similar pair first, largest clusters absorb smaller ones.
+    /// Merges cluster pairs whose centers exceed ρ similarity, greedily.
     ///
-    /// The pairwise similarity table is computed once up front; after each
-    /// merge only the rows touching the removed source and the moved
-    /// destination center are refreshed. Between merges no other center
-    /// moves, so the table always matches what a full rescan would produce
-    /// — m merges over k clusters cost O((k² + m·k)·d) center comparisons
-    /// instead of the old O(m·k²·d).
+    /// The order of merges is a contract — cluster ids, member order and
+    /// every center bit downstream depend on it:
     ///
-    /// Returns `(dst, src, moved_members)` per merge, in merge order.
-    fn merge_step(&mut self) -> Vec<(ClusterId, ClusterId, usize)> {
-        let ids: Vec<ClusterId> = self.clusters.keys().copied().collect();
-        let mut sims: BTreeMap<(ClusterId, ClusterId), f64> = BTreeMap::new();
-        for i in 0..ids.len() {
-            for j in i + 1..ids.len() {
-                let sim = self.config.metric.center_similarity(
-                    &self.clusters[&ids[i]].center,
-                    &self.clusters[&ids[j]].center,
-                );
-                sims.insert((ids[i], ids[j]), sim);
-            }
-        }
+    /// * the pair with the largest similarity above ρ merges first; among
+    ///   equally similar pairs, the one with the smallest `(a, b)` in id
+    ///   order (`a < b`);
+    /// * the cluster with more members absorbs the other, and on equal
+    ///   sizes the smaller id does (`>=`); the absorbed members are
+    ///   appended in their order and the destination is re-centered;
+    /// * a pair is scored as `(a, b)` in id order up front and as
+    ///   `(dst, other)` after a merge — cosine as `dot / (|a|·|b|)` clamped
+    ///   to [-1, 1] and 0.0 when either norm is zero, inverse-L2 as
+    ///   `1 / (1 + distance)`.
+    ///
+    /// Between merges only the destination's center moves and only the
+    /// source disappears, so a [`MergeTable`] built once per step stays
+    /// equal to a full rescan: `k(k−1)/2` similarities up front, then per
+    /// merge one O(k) pick over the rows' cached partners, one row of at
+    /// most `k` similarities for the moved center, and a rescan of only
+    /// the rows whose cached partner was the source or the destination.
+    /// m merges over k clusters cost O((k² + m·k)·d) arithmetic and touch
+    /// no more than that many cells otherwise; the table (4·k² bytes of
+    /// similarities plus a copy of the centers) is dropped on return.
+    ///
+    /// Returns `(dst, src, moved_members)` per merge, in merge order, and
+    /// the step's work counts.
+    fn merge_step(&mut self) -> (Vec<(ClusterId, ClusterId, usize)>, MergeStats) {
+        let mut table =
+            MergeTable::new(self.config.metric, self.config.rho, self.clusters.values());
         let mut merges = Vec::new();
-        loop {
-            // Ascending key order with strictly-greater replacement picks
-            // the same pair as the old full scan, ties included.
-            let mut best: Option<((ClusterId, ClusterId), f64)> = None;
-            for (&pair, &sim) in &sims {
-                if sim > self.config.rho && best.is_none_or(|(_, b)| sim > b) {
-                    best = Some((pair, sim));
-                }
-            }
-            let Some(((a, b), _)) = best else { break };
+        while let Some((a, b)) = table.pick() {
             // Absorb the smaller into the larger.
-            let (dst, src) = if self.clusters[&a].members.len() >= self.clusters[&b].members.len()
-            {
-                (a, b)
-            } else {
-                (b, a)
-            };
+            let (dst_row, src_row) = if table.size(a) >= table.size(b) { (a, b) } else { (b, a) };
+            let (dst, src) = (table.id(dst_row), table.id(src_row));
             let moved = self.clusters.remove(&src).expect("listed").members;
             for m in &moved {
                 self.templates.get_mut(m).expect("member tracked").cluster = dst;
@@ -709,22 +705,10 @@ impl OnlineClusterer {
             merges.push((dst, src, moved.len()));
             self.clusters.get_mut(&dst).expect("listed").members.extend(moved);
             self.update_center(dst);
-            // Only `dst`'s center changed and `src` is gone: drop both
-            // clusters' rows, then re-derive `dst`'s row from the moved
-            // center.
-            sims.retain(|&(x, y), _| x != src && y != src && x != dst && y != dst);
-            let others: Vec<ClusterId> =
-                self.clusters.keys().copied().filter(|&c| c != dst).collect();
-            for other in others {
-                let sim = self.config.metric.center_similarity(
-                    &self.clusters[&dst].center,
-                    &self.clusters[&other].center,
-                );
-                let key = if other < dst { (other, dst) } else { (dst, other) };
-                sims.insert(key, sim);
-            }
+            let merged = &self.clusters[&dst];
+            table.absorb(dst_row, src_row, &merged.center, merged.members.len());
         }
-        merges
+        (merges, table.stats())
     }
 
     /// All clusters, unordered.
@@ -1235,6 +1219,8 @@ mod tests {
         assert_eq!(s.counters["clusterer.new_templates"], 2);
         assert_eq!(s.counters["clusterer.clusters_created"], 2);
         assert_eq!(s.counters["clusterer.merges"], 0);
+        assert_eq!(s.counters["clusterer.merge_pairs_scored"], 1);
+        assert_eq!(s.counters["clusterer.merge_rows_rescanned"], 0);
         assert_eq!(s.gauges["clusterer.num_clusters"], 2.0);
         assert_eq!(s.gauges["clusterer.num_templates"], 2.0);
         assert_eq!(s.histograms["clusterer.update"].count, 1);

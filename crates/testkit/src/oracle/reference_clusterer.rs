@@ -8,7 +8,8 @@
 //! * nearest-center lookup is an O(k) scan over all clusters in ascending
 //!   id order (no kd-tree, no fresh-cluster split);
 //! * the merge step recomputes the full O(k²) pairwise similarity table
-//!   from scratch on every iteration (no incremental row refresh);
+//!   from scratch on every iteration (no table kept between merges, no
+//!   cached partners, no cached norms);
 //! * similarities are re-derived locally ([`super::cosine`], [`super::l2`])
 //!   rather than borrowed from `qb-linalg`.
 //!
@@ -53,6 +54,7 @@ pub struct ReferenceClusterer {
     templates: BTreeMap<TemplateKey, RefTemplate>,
     clusters: BTreeMap<u64, RefCluster>,
     next_cluster: u64,
+    last_merges: Vec<(u64, u64, usize)>,
 }
 
 impl ReferenceClusterer {
@@ -64,6 +66,7 @@ impl ReferenceClusterer {
             templates: BTreeMap::new(),
             clusters: BTreeMap::new(),
             next_cluster: 0,
+            last_merges: Vec::new(),
         }
     }
 
@@ -167,9 +170,9 @@ impl ReferenceClusterer {
 
     /// Full-rescan merge step: the similarity table is rebuilt from scratch
     /// before every merge decision — the oracle for the optimized
-    /// incremental row-refresh table.
-    fn merge_step(&mut self) -> usize {
-        let mut merges = 0;
+    /// cached-partner table. Returns `(dst, src, moved members)` per merge.
+    fn merge_step(&mut self) -> Vec<(u64, u64, usize)> {
+        let mut merges = Vec::new();
         loop {
             let ids: Vec<u64> = self.clusters.keys().copied().collect();
             let mut best: Option<((u64, u64), f64)> = None;
@@ -194,9 +197,9 @@ impl ReferenceClusterer {
             for m in &moved {
                 self.templates.get_mut(m).expect("member tracked").cluster = dst;
             }
+            merges.push((dst, src, moved.len()));
             self.clusters.get_mut(&dst).expect("listed").members.extend(moved);
             self.recompute_center(dst);
-            merges += 1;
         }
         merges
     }
@@ -277,7 +280,8 @@ impl ReferenceClusterer {
         self.recompute_all_centers();
 
         // Step 3: merge.
-        report.merges = self.merge_step();
+        self.last_merges = self.merge_step();
+        report.merges = self.last_merges.len();
         self.recompute_all_centers();
         report
     }
@@ -294,6 +298,12 @@ impl ReferenceClusterer {
 
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
+    }
+
+    /// The latest update's merges as `(dst, src, moved members)`, in the
+    /// order they were performed.
+    pub fn last_merges(&self) -> &[(u64, u64, usize)] {
+        &self.last_merges
     }
 }
 

@@ -5,7 +5,9 @@
 //! agreement at the contract each pair documents:
 //!
 //! * online clusterer vs. [`ReferenceClusterer`] — **exact** (the update
-//!   rule is deterministic; seeds are printed on failure);
+//!   rule is deterministic; seeds are printed on failure), on random
+//!   rounds and through a cold start's merge storm (merge list, member
+//!   order, centre and volume bits);
 //! * online clusterer vs. batch DBSCAN — exact on well-separated data,
 //!   Rand index ≥ 0.8 on arbitrary data (online assignment is an
 //!   approximation of the batch fixpoint);
@@ -16,8 +18,10 @@
 
 use std::collections::BTreeMap;
 
+use qb5000::{Event, EventKind, Tracer, Value};
 use qb_clusterer::{
     ClustererConfig, OnlineClusterer, SimilarityMetric, TemplateFeature, TemplateSnapshot,
+    UpdateReport,
 };
 use qb_forecast::{Forecaster, LinearRegression, WindowSpec};
 use qb_testkit::corpus;
@@ -86,54 +90,74 @@ fn random_round(
     snaps
 }
 
-fn assert_matches_reference(metric: SimilarityMetric, seed: u64) {
-    let config = ClustererConfig {
-        rho: 0.8,
-        metric,
-        eviction_idle: 5_000,
-        ..ClustererConfig::default()
-    };
-    let mut online = OnlineClusterer::new(config.clone());
-    let mut reference = ReferenceClusterer::new(config.rho, metric, config.eviction_idle);
+/// Feeds one round to both clusterers and compares everything they must
+/// agree on: the update report, the merge list `(dst, src, moved)` in
+/// order, the partition, and every cluster's member order, centre bits and
+/// volume bits. (The reference recomputes every centre and volume from
+/// scratch after each step, the online clusterer only where membership
+/// changed; both are means over the same members in the same order.)
+fn compare_update(
+    online: &mut OnlineClusterer,
+    reference: &mut ReferenceClusterer,
+    snaps: Vec<TemplateSnapshot>,
+    now: i64,
+    context: &str,
+) -> UpdateReport {
+    // The online clusterer reports its merges through the trace.
+    let tracer = Tracer::enabled();
+    online.set_tracer(&tracer);
+    let report = online.update(snaps.clone(), now);
+    assert_eq!(report, reference.update(snaps, now), "update reports diverged ({context})");
 
+    let field = |ev: &Event, name: &str| match ev.payload.iter().find(|(k, _)| *k == name) {
+        Some((_, Value::Uint(v))) => *v,
+        other => panic!("ClusterMerged without {name}: {other:?}"),
+    };
+    let merges: Vec<(u64, u64, usize)> = tracer
+        .view()
+        .of_kind(EventKind::ClusterMerged)
+        .map(|ev| (field(ev, "into"), field(ev, "from"), field(ev, "moved_members") as usize))
+        .collect();
+    assert_eq!(merges, reference.last_merges(), "merge lists diverged ({context})");
+
+    let expected = reference.partition();
+    let got = online_partition(online, expected.keys().copied());
+    assert_eq!(got, expected, "partitions diverged ({context})");
+    assert_eq!(online.num_clusters(), reference.num_clusters(), "cluster counts ({context})");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for cluster in online.clusters() {
+        let rc = &reference.clusters()[&cluster.id.0];
+        assert_eq!(cluster.members, rc.members, "member order of {:?} ({context})", cluster.id);
+        assert_eq!(
+            (bits(&cluster.center), cluster.volume.to_bits()),
+            (bits(&rc.center), rc.volume.to_bits()),
+            "center or volume of {:?} ({context})",
+            cluster.id
+        );
+    }
+    report
+}
+
+fn clusterer_pair(
+    metric: SimilarityMetric,
+    rho: f64,
+    eviction_idle: i64,
+) -> (OnlineClusterer, ReferenceClusterer) {
+    let config = ClustererConfig { rho, metric, eviction_idle, ..ClustererConfig::default() };
+    (OnlineClusterer::new(config), ReferenceClusterer::new(rho, metric, eviction_idle))
+}
+
+fn assert_matches_reference(metric: SimilarityMetric, seed: u64) {
+    let (mut online, mut reference) = clusterer_pair(metric, 0.8, 5_000);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut next_key = 0u64;
     let mut live: Vec<u64> = Vec::new();
     for round in 0..8 {
         let now = (round + 1) * 2_000;
         let snaps = random_round(&mut rng, &mut next_key, &mut live, now);
-
-        let online_report = online.update(snaps.clone(), now);
-        let ref_report = reference.update(snaps, now);
-        assert_eq!(
-            online_report, ref_report,
-            "update reports diverged (seed {seed:#x}, round {round}, metric {metric:?})"
-        );
-
-        let expected = reference.partition();
-        let got = online_partition(&online, expected.keys().copied());
-        assert_eq!(
-            got, expected,
-            "partitions diverged (seed {seed:#x}, round {round}, metric {metric:?})"
-        );
-
-        // The reference recomputes every center and volume from scratch
-        // after each step; the online clusterer only where membership
-        // changed. Both are means over the same members in the same order
-        // — they must agree bit for bit.
-        assert_eq!(online.num_clusters(), reference.num_clusters());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for cluster in online.clusters() {
-            let rc = &reference.clusters()[&cluster.id.0];
-            assert_eq!(
-                (bits(&cluster.center), cluster.volume.to_bits()),
-                (bits(&rc.center), rc.volume.to_bits()),
-                "center or volume of {:?} diverged (seed {seed:#x}, round {round}, metric {metric:?})",
-                cluster.id
-            );
-        }
-
-        live.retain(|k| expected.contains_key(k));
+        let context = format!("seed {seed:#x}, round {round}, metric {metric:?}");
+        compare_update(&mut online, &mut reference, snaps, now, &context);
+        live.retain(|&k| online.cluster_of(k).is_some());
     }
 }
 
@@ -191,6 +215,155 @@ fn clusterer_matches_reference_on_exact_ties() {
     assert_eq!(got, expected, "tie resolved differently from the reference");
     // And the reference itself must put the tied template in cluster 0.
     assert_eq!(expected[&2], 0, "oracle must break ties to the lowest id");
+}
+
+// --- clusterer vs. reference: a cold start's merge storm ---
+
+const STORM_DIM: usize = 32;
+const STORM_TEMPLATES: u64 = 420;
+const STORM_FAMILIES: u64 = 20;
+const STORM_WAVES: u64 = 3;
+
+/// What a template looks like before it has any history worth the name:
+/// two sampled buckets with an arrival each, a different pair per key.
+/// Two such features share at most one coordinate (cosine ≤ 0.5, L2 ≥ √2),
+/// so under either metric every arrival founds its own cluster.
+fn sparse_arrival_feature(key: u64) -> Vec<f64> {
+    let mut left = key;
+    let (mut p, mut row) = (0, STORM_DIM as u64 - 1);
+    while left >= row {
+        left -= row;
+        row -= 1;
+        p += 1;
+    }
+    let mut values = vec![0.0; STORM_DIM];
+    values[p] = 1.0;
+    values[p + 1 + left as usize] = 1.0;
+    values
+}
+
+/// One family's arrival shape: six buckets of the window, rates in [2, 8).
+fn storm_prototypes(rng: &mut SmallRng) -> Vec<Vec<f64>> {
+    (0..STORM_FAMILIES)
+        .map(|_| {
+            let mut proto = vec![0.0; STORM_DIM];
+            for _ in 0..6 {
+                proto[rng.gen_range(0..STORM_DIM)] = rng.gen_range(2.0..8.0f64);
+            }
+            proto
+        })
+        .collect()
+}
+
+/// The features of every key in `0..live` once the families show: the
+/// prototype plus a little noise on its own buckets. In even families keys
+/// come in triples that share one feature bit for bit (many pairs tie on
+/// similarity, and a merged pair's centre ties with the third); a few keys
+/// never record an arrival in any sampled bucket (all-zero: cosine scores
+/// them 0.0 against everything, inverse-L2 scores them 1.0 against each
+/// other).
+fn storm_family_features(rng: &mut SmallRng, protos: &[Vec<f64>], live: u64) -> Vec<Vec<f64>> {
+    let mut features: Vec<Vec<f64>> = Vec::new();
+    for key in 0..live {
+        let family = key % STORM_FAMILIES;
+        let member = key / STORM_FAMILIES;
+        let feature = if key % 83 == 7 {
+            vec![0.0; STORM_DIM]
+        } else if family % 2 == 0 && member % 3 != 0 {
+            features[(key - (member % 3) * STORM_FAMILIES) as usize].clone()
+        } else {
+            protos[family as usize]
+                .iter()
+                .map(|&v| if v > 0.0 { v + rng.gen_range(-0.1..0.1f64) } else { 0.0 })
+                .collect()
+        };
+        features.push(feature);
+    }
+    features
+}
+
+/// [`compare_update`] on one feature per key `0..features.len()`.
+fn update_both(
+    online: &mut OnlineClusterer,
+    reference: &mut ReferenceClusterer,
+    features: Vec<Vec<f64>>,
+    now: i64,
+    context: &str,
+) -> UpdateReport {
+    let snaps = features
+        .into_iter()
+        .enumerate()
+        .map(|(key, values)| TemplateSnapshot {
+            key: key as u64,
+            feature: TemplateFeature::full(values),
+            volume: 1.0 + (key % 13) as f64,
+            last_seen: now,
+        })
+        .collect();
+    compare_update(online, reference, snaps, now, context)
+}
+
+/// Templates arrive in waves as sparse singletons, then their families
+/// show in one update: the merge step goes from ~420 clusters to ~20 in
+/// one call. Returns the largest number of merges one update performed.
+fn assert_storm_matches_reference(metric: SimilarityMetric, rho: f64) -> usize {
+    let (mut online, mut reference) = clusterer_pair(metric, rho, 1_000_000);
+    let mut rng = SmallRng::seed_from_u64(0x5708_0001);
+    let protos = storm_prototypes(&mut rng);
+    let wave = STORM_TEMPLATES / STORM_WAVES;
+
+    let mut most_merges = 0;
+    for round in 0..STORM_WAVES + 3 {
+        // Rounds 0..3 bring a third of the keys each, still sparse; round 3
+        // is the storm (and admits ten late keys straight into it); the
+        // two rounds after it redraw the noise, so members drift, leave
+        // and re-join, and stragglers merge.
+        let features: Vec<Vec<f64>> = if round < STORM_WAVES {
+            (0..(round + 1) * wave).map(sparse_arrival_feature).collect()
+        } else {
+            storm_family_features(&mut rng, &protos, STORM_TEMPLATES + 10)
+        };
+        let context = format!("{metric:?}, round {round}");
+        let report = update_both(&mut online, &mut reference, features, round as i64, &context);
+        if round < STORM_WAVES {
+            assert_eq!(report.merges, 0, "sparse arrivals must stay apart ({context})");
+        }
+        most_merges = most_merges.max(report.merges);
+    }
+    most_merges
+}
+
+#[test]
+fn clusterer_matches_reference_through_cold_start_storm_cosine() {
+    let merges = assert_storm_matches_reference(SimilarityMetric::Cosine, 0.8);
+    assert!(merges >= 300, "the storm update performed only {merges} merges");
+}
+
+#[test]
+fn clusterer_matches_reference_through_cold_start_storm_inverse_l2() {
+    // 1 / (1 + d) > 0.5 ⇔ d < 1: wider than a family's noise, narrower
+    // than the distance between two sparse arrivals.
+    let merges = assert_storm_matches_reference(SimilarityMetric::InverseL2, 0.5);
+    assert!(merges >= 300, "the storm update performed only {merges} merges");
+}
+
+#[test]
+fn merge_tie_between_moved_centre_and_held_partner_goes_to_lowest_id() {
+    // Four singletons, ids 0..4 in key order: X at the origin, P and Q
+    // either side of (-10, 0), J at (10, 0). P and Q merge first (1/3);
+    // their centre lands on (-10, 0), exactly as far from X as J is, so
+    // X's next partner is a bit-for-bit tie between cluster 1 (the merged
+    // P) and cluster 3 (J). The lowest pair wins: X joins P's cluster, not
+    // J. (A table that only lets a moved centre displace a cached partner
+    // when it is strictly better gets this wrong.)
+    let (mut online, mut reference) = clusterer_pair(SimilarityMetric::InverseL2, 0.05, 1_000_000);
+    let apart = (0..4).map(|k| vec![1_000.0 * k as f64, 0.0]).collect();
+    let report = update_both(&mut online, &mut reference, apart, 0, "tie, round 0");
+    assert_eq!((report.clusters_created, report.merges), (4, 0));
+
+    let close = vec![vec![0.0, 0.0], vec![-10.0, 1.0], vec![-10.0, -1.0], vec![10.0, 0.0]];
+    update_both(&mut online, &mut reference, close, 1, "tie, round 1");
+    assert_eq!(reference.last_merges()[..2], [(1, 2, 1), (1, 0, 1)], "oracle breaks the tie low");
 }
 
 // --- clusterer vs. batch DBSCAN ---
