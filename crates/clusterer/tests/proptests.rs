@@ -58,6 +58,57 @@ proptest! {
         }
     }
 
+    /// On whole-hour buckets — the reads `ArrivalHistory` serves from its
+    /// hourly roll-up — `extract` is the recorded arrivals themselves,
+    /// summed here straight from the record list: late records into closed
+    /// and into already compacted hours, a compaction cutoff in mid-hour
+    /// and a state round-trip change nothing.
+    #[test]
+    fn extract_on_whole_hours_matches_recorded_arrivals(
+        recs in proptest::collection::vec((-500i64..6_000, 1u64..40), 0..150),
+        retention in prop_oneof![Just(None), (100i64..3_000).prop_map(Some)],
+        round_trip in any::<bool>(),
+        now in 3_000i64..6_500,
+        window in 200i64..5_000,
+        width in prop_oneof![Just(60i64), Just(120), Just(1440)],
+        seed in any::<u64>(),
+    ) {
+        // The second half is recorded after the compaction, so its older
+        // minutes are late arrivals on both sides of the cutoff.
+        let (early, late) = recs.split_at(recs.len() / 2);
+        let mut h = ArrivalHistory::new();
+        for &(t, c) in early {
+            h.record(t, c);
+        }
+        if let Some(raw_retention) = retention {
+            h.compact(&CompactionPolicy { raw_retention, compacted_interval: Interval::HOUR });
+        }
+        for &(t, c) in late {
+            h.record(t, c);
+        }
+        if round_trip {
+            h = ArrivalHistory::from_state(h.export_state());
+        }
+        let interval = Interval::minutes(width);
+        for sampler in [
+            FeatureSampler::random(now, window, 64, interval, seed),
+            FeatureSampler::even(now - window, now, interval),
+        ] {
+            let want: Vec<u64> = sampler
+                .timestamps()
+                .iter()
+                .map(|&t| {
+                    let b = interval.bucket_start(t);
+                    let arrivals: u64 =
+                        recs.iter().filter(|r| interval.bucket_start(r.0) == b).map(|r| r.1).sum();
+                    (arrivals as f64).to_bits()
+                })
+                .collect();
+            let got: Vec<u64> = sampler.extract(&h, 0).values.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
     /// kd-tree nearest always matches a linear scan.
     #[test]
     fn kdtree_matches_linear_scan(

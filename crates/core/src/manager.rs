@@ -28,7 +28,7 @@ use qb_trace::{EventDraft, EventId, EventKind, LaneBuffer, Scope, Tracer};
 
 use crate::accuracy::{AccuracyTracker, AccuracyTrackerState, DEFAULT_ACCURACY_WINDOW};
 use crate::error::Error;
-use crate::pipeline::{ClusterInfo, ClusterInfoState, JobSpan, QueryBot5000};
+use crate::pipeline::{ClusterInfo, ClusterInfoState, ForecastJob, JobSpan, QueryBot5000};
 use crate::serve::ColdSeed;
 
 /// One prediction horizon the planning module requires.
@@ -302,8 +302,12 @@ impl ForecastManager {
     /// (same cluster ids AND the same member assignments — §3 retrains on
     /// any assignment change, not just on id churn).
     pub fn is_current(&self, bot: &QueryBot5000) -> bool {
-        self.trained_clusters.as_deref() == Some(&Self::cluster_state(bot)[..])
-            && self.models.iter().all(Option::is_some)
+        self.serves(&Self::cluster_state(bot))
+    }
+
+    /// Whether every horizon has a live model keyed on exactly `state`.
+    fn serves(&self, state: &[(ClusterId, Vec<u32>)]) -> bool {
+        self.trained_clusters.as_deref() == Some(state) && self.models.iter().all(Option::is_some)
     }
 
     /// The tracked-cluster identity the models are keyed on: cluster id
@@ -356,7 +360,8 @@ impl ForecastManager {
         if bot.tracked_clusters().is_empty() {
             return Ok(RetrainOutcome::NoClusters);
         }
-        if self.is_current(bot) {
+        let cluster_state = Self::cluster_state(bot);
+        if self.serves(&cluster_state) {
             return Ok(RetrainOutcome::UpToDate);
         }
         if self.backoff_remaining > 0 {
@@ -373,20 +378,10 @@ impl ForecastManager {
         }
         // Gather every horizon's training job up front (cheap series
         // extraction), so the fit fan-out below owns all its inputs.
-        let mut jobs = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let Some(job) = bot.forecast_job_with(
-                now,
-                spec.interval,
-                spec.window,
-                spec.horizon,
-                JobSpan::Steps(spec.train_steps),
-            ) else {
-                // Not enough recorded history for this horizon yet.
-                return Ok(RetrainOutcome::NoClusters);
-            };
-            jobs.push(job);
-        }
+        let Ok(jobs) = Self::training_jobs(&self.specs, bot, bot.tracked_clusters(), now) else {
+            // Not enough recorded history for some horizon yet.
+            return Ok(RetrainOutcome::NoClusters);
+        };
         // Train a complete replacement set before touching the live models,
         // so a mid-round failure can't leave horizons half-updated. Each
         // horizon fits on its own worker; results join in horizon order,
@@ -479,7 +474,7 @@ impl ForecastManager {
         }
         let trained = fresh.len();
         self.models = fresh.into_iter().map(Some).collect();
-        self.trained_clusters = Some(Self::cluster_state(bot));
+        self.trained_clusters = Some(cluster_state);
         self.trained_on = Some(bot.tracked_clusters().to_vec());
         self.last_train_now = Some(now);
         self.retrain_count += 1;
@@ -544,6 +539,34 @@ impl ForecastManager {
         self.backoff_remaining = 0;
         self.last_error = None;
         Ok(RetrainOutcome::Retrained { horizons: trained })
+    }
+
+    /// One training job per spec over `clusters` at `now`, in spec order;
+    /// `Err(i)` when horizon `i` has too little recorded history. Specs
+    /// that train over the same range at the same interval (`hourly(1)`
+    /// and `hourly(12)` do) train on the same cluster series, which are
+    /// built for the first of them and copied for the rest.
+    fn training_jobs(
+        specs: &[HorizonSpec],
+        bot: &QueryBot5000,
+        clusters: &[ClusterInfo],
+        now: Minute,
+    ) -> Result<Vec<ForecastJob>, usize> {
+        let mut jobs: Vec<ForecastJob> = Vec::with_capacity(specs.len());
+        let mut ranges = Vec::with_capacity(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let span = JobSpan::Steps(spec.train_steps);
+            let (start, end) =
+                bot.training_range(clusters, now, spec.interval, spec.window, spec.horizon, span);
+            let range = (spec.interval, start, end);
+            let series = match ranges.iter().position(|built| *built == range) {
+                Some(built) => jobs[built].series.clone(),
+                None => bot.all_cluster_series(clusters, start, end, spec.interval),
+            };
+            jobs.push(ForecastJob::over(series, clusters, spec.window, spec.horizon).ok_or(i)?);
+            ranges.push(range);
+        }
+        Ok(jobs)
     }
 
     /// Cold-start seeds for templates the freshly trained routing does
@@ -688,11 +711,7 @@ impl ForecastManager {
             .expect("ForecastManager::predict before ensure_trained");
         let end = spec.interval.bucket_start(now);
         let start = end - spec.window as i64 * spec.interval.as_minutes();
-        let recent: Vec<Vec<f64>> = clusters
-            .iter()
-            .map(|c| bot.cluster_series(c, start, end, spec.interval))
-            .collect();
-        model.predict(&recent)
+        model.predict(&bot.all_cluster_series(clusters, start, end, spec.interval))
     }
 
     /// [`ForecastManager::predict`] plus accuracy bookkeeping: settles
@@ -790,26 +809,17 @@ impl ForecastManager {
         mgr.last_degradation = last_degradation;
         mgr.last_train_now = state.last_train_now;
         mgr.accuracy = AccuracyTracker::restore(state.accuracy);
-        if let (Some(train_now), Some(clusters)) = (mgr.last_train_now, mgr.trained_on.clone()) {
-            for (i, spec) in mgr.specs.clone().iter().enumerate() {
-                let job = bot
-                    .forecast_job_for(
-                        &clusters,
-                        train_now,
-                        spec.interval,
-                        spec.window,
-                        spec.horizon,
-                        JobSpan::Steps(spec.train_steps),
-                    )
-                    .ok_or_else(|| {
-                        Error::Durability {
-                            detail: format!(
-                                "manager restore: horizon {i} has no training data at \
-                                 minute {train_now}; state and histories disagree"
-                            ),
-                            injected_crash: false,
-                        }
-                    })?;
+        if let (Some(train_now), Some(clusters)) = (mgr.last_train_now, &mgr.trained_on) {
+            let jobs = Self::training_jobs(&mgr.specs, bot, clusters, train_now).map_err(|i| {
+                Error::Durability {
+                    detail: format!(
+                        "manager restore: horizon {i} has no training data at \
+                         minute {train_now}; state and histories disagree"
+                    ),
+                    injected_crash: false,
+                }
+            })?;
+            for (i, job) in jobs.iter().enumerate() {
                 let mut model = (mgr.make_model)();
                 model.fit(&job.series, job.spec)?;
                 mgr.models[i] = Some(model);
@@ -892,6 +902,44 @@ mod tests {
             "noon prediction {} should exceed 1am prediction {}",
             long[0],
             short[0]
+        );
+    }
+
+    /// Horizons that share a training range share one series build; every
+    /// job must still be what `forecast_job_with` pulls for that horizon
+    /// alone, and so must the predictions of the models fitted on them.
+    #[test]
+    fn shared_series_jobs_equal_per_horizon_pulls() {
+        let bot = fed_bot(8);
+        let now = 8 * MINUTES_PER_DAY + 30;
+        // Two specs with one range, one with a shorter range, then the
+        // first range again.
+        let short = HorizonSpec { train_steps: 5 * 24, ..HorizonSpec::hourly(3) };
+        let specs =
+            vec![HorizonSpec::hourly(1), HorizonSpec::hourly(12), short, HorizonSpec::hourly(6)];
+        let jobs =
+            ForecastManager::training_jobs(&specs, &bot, bot.tracked_clusters(), now).unwrap();
+        let mut mgr = ForecastManager::new(specs.clone(), || {
+            Box::new(qb_forecast::LinearRegression::default())
+        });
+        mgr.ensure_trained(&bot, now).unwrap();
+        for (i, spec) in specs.iter().enumerate() {
+            let span = JobSpan::Steps(spec.train_steps);
+            let pull =
+                bot.forecast_job_with(now, spec.interval, spec.window, spec.horizon, span).unwrap();
+            assert_eq!(jobs[i].series, pull.series, "horizon {i}");
+            assert_eq!(jobs[i].spec, pull.spec);
+            let mut lr = qb_forecast::LinearRegression::default();
+            assert_eq!(mgr.predict(&bot, now, i), pull.fit_predict(&mut lr).unwrap());
+        }
+        assert_eq!(jobs[2].series[0].len(), 5 * 24);
+        assert_eq!(jobs[3].series[0].len(), jobs[0].series[0].len());
+        // A horizon the history cannot cover is named by its index.
+        let long = HorizonSpec { window: 24 * 8, ..HorizonSpec::hourly(1) };
+        let too_long = [HorizonSpec::hourly(1), long];
+        assert_eq!(
+            ForecastManager::training_jobs(&too_long, &bot, bot.tracked_clusters(), now).err(),
+            Some(1)
         );
     }
 

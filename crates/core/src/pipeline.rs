@@ -692,36 +692,47 @@ impl QueryBot5000 {
         if clusters.is_empty() {
             return None;
         }
+        let (start, end) = self.training_range(clusters, now, interval, window, horizon, span);
+        let series = self.all_cluster_series(clusters, start, end, interval);
+        ForecastJob::over(series, clusters, window, horizon)
+    }
+
+    /// The `[start, end)` a job built at `now` trains over: `span` steps of
+    /// `interval` back from `now`'s bucket, clamped to the earliest data
+    /// recorded for any member — training on zero-filled pre-ingest
+    /// buckets systematically biases the models low.
+    pub(crate) fn training_range(
+        &self,
+        clusters: &[ClusterInfo],
+        now: Minute,
+        interval: Interval,
+        window: usize,
+        horizon: usize,
+        span: JobSpan,
+    ) -> (Minute, Minute) {
         let end = interval.bucket_start(now);
         let span = span.steps(window, horizon).max(window + horizon + 1) as i64;
-        let mut start = end - span * interval.as_minutes();
-        // Clamp to recorded history: training on zero-filled pre-ingest
-        // buckets systematically biases the models low.
+        let start = end - span * interval.as_minutes();
         let earliest = clusters
             .iter()
             .flat_map(|c| c.members.iter())
             .filter_map(|&m| self.pre.template(m).history.first_seen())
             .min();
-        if let Some(first) = earliest {
-            let first_bucket = interval.bucket_start(first);
-            if first_bucket > start {
-                start = first_bucket;
-            }
-        }
-        let series: Vec<Vec<f64>> = clusters
-            .iter()
-            .map(|c| self.cluster_series(c, start, end, interval))
-            .collect();
-        if series.first().is_some_and(|s| s.len() < window + horizon + 1) {
-            return None;
-        }
-        Some(ForecastJob {
-            series,
-            spec: WindowSpec { window, horizon },
-            clusters: clusters.to_vec(),
-        })
+        let first_bucket = earliest.map_or(start, |first| interval.bucket_start(first));
+        (start.max(first_bucket), end)
     }
 
+    /// [`QueryBot5000::cluster_series`] of every cluster in `clusters`,
+    /// cluster-major.
+    pub(crate) fn all_cluster_series(
+        &self,
+        clusters: &[ClusterInfo],
+        start: Minute,
+        end: Minute,
+        interval: Interval,
+    ) -> Vec<Vec<f64>> {
+        clusters.iter().map(|c| self.cluster_series(c, start, end, interval)).collect()
+    }
 }
 
 /// A ready-to-train forecasting task over the tracked clusters.
@@ -734,6 +745,20 @@ pub struct ForecastJob {
 }
 
 impl ForecastJob {
+    /// A job training on `series` (one row per cluster of `clusters`), or
+    /// `None` when they are shorter than `window + horizon + 1` steps.
+    pub(crate) fn over(
+        series: Vec<Vec<f64>>,
+        clusters: &[ClusterInfo],
+        window: usize,
+        horizon: usize,
+    ) -> Option<Self> {
+        if series.first().is_some_and(|s| s.len() < window + horizon + 1) {
+            return None;
+        }
+        Some(Self { series, spec: WindowSpec { window, horizon }, clusters: clusters.to_vec() })
+    }
+
     /// Fits the model on the job's series and predicts each tracked
     /// cluster's arrival rate `spec.horizon` intervals past the end of the
     /// training data. Training failures surface as [`Error::Forecast`].
@@ -843,6 +868,60 @@ mod tests {
             let got = bot.cluster_series(&largest, start, end, interval);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "[{start}, {end}) at {interval:?}");
+        }
+    }
+
+    /// Hour-aligned cluster series are read from the histories' hourly
+    /// roll-up; they must equal the members' one-minute series (which
+    /// cannot take it) folded into the same buckets, bit for bit — with
+    /// late arrivals into closed hours before and after a compaction whose
+    /// cutoff falls mid-hour, and one minute off alignment at either end.
+    #[test]
+    fn hour_aligned_cluster_series_equals_folded_minute_series() {
+        let mut cfg = Qb5000Config::default();
+        cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
+            raw_retention: MINUTES_PER_DAY + 17,
+            compacted_interval: Interval::HOUR,
+        };
+        let mut bot = QueryBot5000::new(cfg);
+        feed_cyclic(&mut bot, 3);
+        let late = [45, MINUTES_PER_DAY + 59, 2 * MINUTES_PER_DAY - 61, 2 * MINUTES_PER_DAY + 600];
+        for t in late {
+            bot.ingest_weighted(t, "SELECT a FROM day_tbl WHERE id = 1", 11).unwrap();
+        }
+        bot.compact_histories();
+        for t in late {
+            bot.ingest_weighted(t + 1, "SELECT c FROM day_tbl2 WHERE id = 1", 5).unwrap();
+        }
+        bot.update_clusters(3 * MINUTES_PER_DAY);
+        let largest = bot.tracked_clusters()[0].clone();
+        assert!(largest.members.len() >= 2);
+        // The cutoff's hour is split between the tiers.
+        let cutoff = 3 * MINUTES_PER_DAY - 1 - (MINUTES_PER_DAY + 17);
+        assert_ne!(cutoff % 60, 0);
+        let stored = |m| bot.preprocessor().template(m).history.export_state();
+        for &m in &largest.members {
+            let split_hour = Interval::HOUR.bucket_start(cutoff);
+            assert_eq!(stored(m).compacted.last().map(|e| e.0), Some(split_hour));
+            assert!(stored(m).raw.iter().any(|e| e.0 == cutoff));
+        }
+
+        let end = 3 * MINUTES_PER_DAY;
+        for interval in [Interval::HOUR, Interval::TWO_HOURS, Interval::DAY] {
+            for (start, end) in [(0, end), (MINUTES_PER_DAY, end - 60), (1, end), (0, end - 1)] {
+                let mut want = vec![0.0; interval.buckets_between(start, end)];
+                for &m in &largest.members {
+                    let minutes =
+                        bot.preprocessor().template_series(m, start, end, Interval::MINUTE);
+                    let buckets = minutes.chunks(interval.as_minutes() as usize);
+                    for (w, bucket) in want.iter_mut().zip(buckets) {
+                        *w += bucket.iter().sum::<f64>();
+                    }
+                }
+                let got = bot.cluster_series(&largest, start, end, interval);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "[{start}, {end}) at {interval:?}");
+            }
         }
     }
 

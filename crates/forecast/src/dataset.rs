@@ -118,18 +118,23 @@ pub fn sliding_windows(
     let n = len - spec.window - spec.horizon + 1;
     let mut x = Matrix::zeros(n, spec.window * clusters);
     let mut y = Matrix::zeros(n, clusters);
+    // Each value sits in up to `window` rows: transform it once, then copy.
+    let logs = log_series(series);
     for i in 0..n {
         let row = x.row_mut(i);
-        for (c, s) in series.iter().enumerate() {
-            for w in 0..spec.window {
-                row[c * spec.window + w] = s[i + w].max(0.0).ln_1p();
-            }
+        for (c, s) in logs.iter().enumerate() {
+            row[c * spec.window..][..spec.window].copy_from_slice(&s[i..i + spec.window]);
         }
-        for (c, s) in series.iter().enumerate() {
-            y[(i, c)] = s[i + spec.window + spec.horizon - 1].max(0.0).ln_1p();
+        for (c, s) in logs.iter().enumerate() {
+            y[(i, c)] = s[i + spec.window + spec.horizon - 1];
         }
     }
     Ok((x, y))
+}
+
+/// Every cluster's series in log space (`ln(1 + max(x, 0))`, §7.2).
+pub(crate) fn log_series(series: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    series.iter().map(|s| qb_timeseries::log1p_series(s)).collect()
 }
 
 /// Encodes a prediction input (the last `window` steps of each cluster) as
@@ -171,6 +176,30 @@ mod tests {
         assert!((y[(0, 0)] - 2.0f64.ln_1p()).abs() < 1e-12);
         // Last example: inputs [3,4] → target 5.
         assert!((y[(3, 0)] - 5.0f64.ln_1p()).abs() < 1e-12);
+    }
+
+    /// The log transform is applied once per series value and copied into
+    /// the windows; every cell must still be the per-cell definition, bit
+    /// for bit — negatives and NaN (clamped to 0) included.
+    #[test]
+    fn cells_are_the_per_cell_transform_bit_for_bit() {
+        let series = vec![
+            vec![0.0, 3.5, -2.0, f64::NAN, 1e9, 7.0, 0.25, 12.0],
+            vec![5.0, 0.0, 1.0, 2.0, f64::INFINITY, 4.0, 6.0, 8.0],
+        ];
+        let spec = WindowSpec { window: 3, horizon: 2 };
+        let (x, y) = sliding_windows(&series, spec).unwrap();
+        assert_eq!(x.shape(), (4, 6));
+        for i in 0..4 {
+            for (c, s) in series.iter().enumerate() {
+                for w in 0..3 {
+                    let want = s[i + w].max(0.0).ln_1p();
+                    assert_eq!(x[(i, c * 3 + w)].to_bits(), want.to_bits(), "x[{i}, {c}, {w}]");
+                }
+                let want = s[i + 4].max(0.0).ln_1p();
+                assert_eq!(y[(i, c)].to_bits(), want.to_bits(), "y[{i}, {c}]");
+            }
+        }
     }
 
     #[test]

@@ -167,18 +167,15 @@ impl Rnn {
     ) -> (Vec<Vec<Vec<f64>>>, Vec<Vec<f64>>) {
         let len = series[0].len();
         let n = len - spec.window - spec.horizon + 1;
-        let clusters = series.len();
+        // Transform each value once; a step's cluster vector is then the
+        // same in every window it appears in.
+        let logs = crate::dataset::log_series(series);
+        let step = |t: usize| -> Vec<f64> { logs.iter().map(|s| s[t]).collect() };
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
         for i in 0..n {
-            let seq: Vec<Vec<f64>> = (0..spec.window)
-                .map(|w| (0..clusters).map(|c| series[c][i + w].max(0.0).ln_1p()).collect())
-                .collect();
-            let y: Vec<f64> = (0..clusters)
-                .map(|c| series[c][i + spec.window + spec.horizon - 1].max(0.0).ln_1p())
-                .collect();
-            xs.push(seq);
-            ys.push(y);
+            xs.push((i..i + spec.window).map(step).collect());
+            ys.push(step(i + spec.window + spec.horizon - 1));
         }
         (xs, ys)
     }
@@ -342,6 +339,29 @@ mod tests {
         rnn.fit(&[series.clone()], spec).unwrap();
         let mse = crate::evaluate_mse_log(&rnn, &[series], spec, 200);
         assert!(mse < 0.3, "LSTM should track the cycle: {mse}");
+    }
+
+    /// Examples are cut from series transformed once; each cell is still
+    /// the per-cell `ln(1 + max(x, 0))`, bit for bit, in time-major layout.
+    #[test]
+    fn examples_are_the_per_cell_transform_bit_for_bit() {
+        let series = vec![
+            vec![0.0, 3.5, -2.0, f64::NAN, 1e9, 7.0, 0.25],
+            vec![5.0, 0.0, 1.0, 2.0, 9.0, 4.0, 6.0],
+        ];
+        let spec = WindowSpec { window: 3, horizon: 2 };
+        let (xs, ys) = Rnn::make_examples(&series, spec);
+        assert_eq!((xs.len(), ys.len()), (3, 3));
+        let cell = |c: usize, t: usize| series[c][t].max(0.0).ln_1p().to_bits();
+        for i in 0..3 {
+            assert_eq!(xs[i].len(), 3);
+            for w in 0..3 {
+                let got: Vec<u64> = xs[i][w].iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, vec![cell(0, i + w), cell(1, i + w)]);
+            }
+            let got: Vec<u64> = ys[i].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, vec![cell(0, i + 4), cell(1, i + 4)]);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-template arrival-rate history with tiered compaction.
 
-use crate::{Interval, Minute};
+use crate::{Interval, Minute, MINUTES_PER_HOUR};
 
 /// How stale records are aggregated into coarser buckets (§4: "the system
 /// aggregates stale arrival rate records into larger intervals to save
@@ -68,6 +68,11 @@ fn run_range(run: &[(Minute, u64)], start: Minute, end: Minute) -> &[(Minute, u6
     &tail[..tail.partition_point(|e| e.0 < end)]
 }
 
+/// Total count of the pairs of `run` whose minute lies in `[start, end)`.
+fn range_sum(run: &[(Minute, u64)], start: Minute, end: Minute) -> u64 {
+    run_range(run, start, end).iter().map(|e| e.1).sum()
+}
+
 /// Sorts `pairs` by minute and folds pairs sharing a minute by summing
 /// (a no-op on an already sorted, duplicate-free run).
 fn normalized(mut pairs: Run) -> Run {
@@ -128,10 +133,21 @@ impl<'a> RunCursor<'a> {
 /// older history. Each tier is a `Vec` of `(minute, count)` pairs sorted by
 /// minute with no minute repeated, so a range read is two binary searches
 /// and a slice. Reads transparently merge both tiers.
+///
+/// A third run, `hourly`, is derived from `raw` and kept in memory only: a
+/// read whose every boundary is a whole hour (the hourly round's features,
+/// volumes, training series and prediction windows) walks it in place of
+/// `raw` and so touches one pair per hour instead of one per minute. It
+/// returns the same integers; see [`ArrivalHistory::add_dense_series`] for
+/// the one bound under which the `f64` reads are bit-equal as well.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalHistory {
     /// Recent per-minute counts.
     raw: Run,
+    /// Per-hour sums of `raw`, keyed by hour start: `hourly[h]` = Σ `raw` in
+    /// `[h, h + 60)`, and an hour with nothing in `raw` has no pair.
+    /// Derived — never exported, rebuilt by `from_state`.
+    hourly: Run,
     /// Compacted counts, keyed by bucket start.
     compacted: Run,
     /// Width of compacted buckets (None until first compaction).
@@ -155,6 +171,7 @@ impl ArrivalHistory {
             return;
         }
         add_to_run(&mut self.raw, t, count);
+        add_to_run(&mut self.hourly, Interval::HOUR.bucket_start(t), count);
         self.total += count;
     }
 
@@ -180,8 +197,10 @@ impl ArrivalHistory {
         }
     }
 
-    /// Number of stored entries across both tiers (the storage footprint
-    /// measured in Table 4).
+    /// Number of stored entries across both persisted tiers (the storage
+    /// footprint measured in Table 4). The derived hourly roll-up is not
+    /// counted: it is never written anywhere and costs memory only (one
+    /// pair per hour that has a raw record).
     pub fn stored_entries(&self) -> usize {
         self.raw.len() + self.compacted.len()
     }
@@ -209,14 +228,37 @@ impl ArrivalHistory {
         for (t, c) in self.raw.drain(..stale) {
             add_to_run(&mut self.compacted, policy.compacted_interval.bucket_start(t), c);
         }
+        // The drained hours leave the roll-up too; a cutoff inside an hour
+        // leaves that hour with what `raw` still holds of it.
+        let hour = Interval::HOUR.bucket_start(cutoff);
+        let drained = self.hourly.partition_point(|e| e.0 <= hour);
+        self.hourly.drain(..drained);
+        let kept = range_sum(&self.raw, hour, hour + MINUTES_PER_HOUR);
+        if kept > 0 {
+            self.hourly.insert(0, (hour, kept));
+        }
+    }
+
+    /// The run holding the un-compacted counts for a read whose range or
+    /// bucket boundaries are `bounds` and whose buckets are `step` wide:
+    /// the hourly roll-up when all of those are whole hours — every hour
+    /// then falls whole on one side of each boundary, so the read cannot
+    /// tell it from `raw` — and `raw` otherwise.
+    fn recent(&self, bounds: &[Minute], step: i64) -> &[(Minute, u64)] {
+        let whole_hours = |m: &Minute| m % MINUTES_PER_HOUR == 0;
+        if whole_hours(&step) && bounds.iter().all(whole_hours) {
+            &self.hourly
+        } else {
+            &self.raw
+        }
     }
 
     /// Total arrivals in the half-open range `[start, end)`.
     pub fn count_range(&self, start: Minute, end: Minute) -> u64 {
         // Compacted buckets are attributed entirely to their start minute;
         // after compaction sub-bucket resolution is intentionally lost.
-        let total = |run| run_range(run, start, end).iter().map(|e| e.1).sum::<u64>();
-        total(&self.raw) + total(&self.compacted)
+        let recent = self.recent(&[start, end], MINUTES_PER_HOUR);
+        range_sum(recent, start, end) + range_sum(&self.compacted, start, end)
     }
 
     /// Materializes a dense series over `[start, end)` aggregated at
@@ -233,6 +275,13 @@ impl ArrivalHistory {
     /// `[start, end)` onto `out` in place, so summing many histories (a
     /// cluster's members) needs no per-history buffer.
     ///
+    /// When `start`, `end` and `interval` are whole hours each hour's count
+    /// is added once, as `(Σ c) as f64`, rather than minute by minute as
+    /// `c as f64`. Adding integer-valued `f64`s is exact below 2⁵³, so the
+    /// two are bit-equal as long as every bucket of `out` stays under 2⁵³
+    /// (and held an integer to begin with); past that bound either order
+    /// rounds, and they may round differently.
+    ///
     /// # Panics
     /// Panics if `out` is shorter than `interval.buckets_between(start, end)`.
     pub fn add_dense_series(
@@ -243,7 +292,7 @@ impl ArrivalHistory {
         out: &mut [f64],
     ) {
         let step = interval.as_minutes();
-        for run in [&self.raw, &self.compacted] {
+        for run in [self.recent(&[start, end], step), &self.compacted] {
             for &(t, c) in run_range(run, start, end) {
                 out[((t - start) / step) as usize] += c as f64;
             }
@@ -272,8 +321,11 @@ impl ArrivalHistory {
     /// by summing their counts, so `count_range` over everything still
     /// equals `total` for a state that counted them separately.
     pub fn from_state(state: ArrivalHistoryState) -> Self {
+        let raw = normalized(state.raw);
+        let hour_of = |&(t, c): &(Minute, u64)| (Interval::HOUR.bucket_start(t), c);
         Self {
-            raw: normalized(state.raw),
+            hourly: normalized(raw.iter().map(hour_of).collect()),
+            raw,
             compacted: normalized(state.compacted),
             compacted_width: state
                 .compacted_width_minutes
@@ -297,17 +349,24 @@ impl ArrivalHistory {
     /// allowed — a start equal to its predecessor copies that value) each
     /// tier is walked once; any other order gives the same answers at the
     /// cost of a binary search per start that steps backwards or overlaps
-    /// its predecessor.
+    /// its predecessor. A bucket that ends at or before the first stored
+    /// minute, or starts after the last, is zero without a look at either
+    /// tier.
     pub fn bucket_counts(&self, starts: &[Minute], interval: Interval) -> Vec<f64> {
         let width = interval.as_minutes();
-        let mut raw = RunCursor::new(&self.raw);
+        let mut recent = RunCursor::new(self.recent(starts, width));
         let mut compacted = RunCursor::new(&self.compacted);
+        // An empty history stores nothing anywhere: every bucket is "before".
+        let first = self.first_seen().unwrap_or(Minute::MAX);
+        let last = self.last_seen().unwrap_or(Minute::MIN);
         let mut out: Vec<f64> = Vec::with_capacity(starts.len());
         for (i, &b) in starts.iter().enumerate() {
             let value = if i > 0 && starts[i - 1] == b {
                 out[i - 1]
+            } else if b + width <= first || b > last {
+                0.0
             } else {
-                (raw.sum(b, b + width) + compacted.sum(b, b + width)) as f64
+                (recent.sum(b, b + width) + compacted.sum(b, b + width)) as f64
             };
             out.push(value);
         }
@@ -571,6 +630,85 @@ mod tests {
         assert_eq!(rebuilt.first_seen(), Some(0));
         assert_eq!(rebuilt.last_seen(), Some(400));
         assert_eq!(rebuilt.sample_at(&[190, 410], Interval::HOUR), vec![4.0, 8.0]);
+    }
+
+    /// Hour-aligned reads recomputed from one-minute-step reads, which the
+    /// hourly roll-up cannot serve.
+    fn hours_from_minutes(h: &ArrivalHistory, start: Minute, end: Minute) -> Vec<f64> {
+        h.dense_series(start, end, Interval::MINUTE).chunks(60).map(|c| c.iter().sum()).collect()
+    }
+
+    /// The roll-up follows `raw` through everything that changes it: a late
+    /// record into a closed hour, a compaction whose cutoff falls inside an
+    /// hour, a rebuild from exported state — and is no part of that state.
+    #[test]
+    fn hourly_rollup_tracks_raw_through_late_records_compaction_and_rebuild() {
+        let mut h = ArrivalHistory::new();
+        for t in (-90..400).step_by(7) {
+            h.record(t, 2);
+        }
+        h.record(-75, 5); // late, two closed hours back, at a negative minute
+        h.record(61, 1); // late, at a minute not stored yet
+        let check = |h: &ArrivalHistory| {
+            assert_eq!(h.dense_series(-120, 420, Interval::HOUR), hours_from_minutes(h, -120, 420));
+            assert_eq!(h.count_range(-60, 360), h.count_range(-60, 359) + h.count_range(359, 360));
+            let starts: Vec<Minute> = (-180..480).step_by(60).collect();
+            assert_eq!(h.bucket_counts(&starts, Interval::HOUR), h.dense_series(-180, 480, Interval::HOUR));
+        };
+        check(&h);
+        // Newest record is minute 393: the cutoff, 158, is 38 minutes into
+        // the hour starting at 120.
+        h.compact(&CompactionPolicy { raw_retention: 235, compacted_interval: Interval::HOUR });
+        assert_eq!(h.export_state().raw.first().map(|e| e.0), Some(162));
+        check(&h);
+        let rebuilt = ArrivalHistory::from_state(h.export_state());
+        check(&rebuilt);
+        assert_eq!(rebuilt.dense_series(-120, 420, Interval::HOUR), h.dense_series(-120, 420, Interval::HOUR));
+        assert_eq!(rebuilt.export_state(), h.export_state());
+        assert_eq!(h.stored_entries(), h.export_state().raw.len() + h.export_state().compacted.len());
+    }
+
+    /// `bucket_counts` answers buckets that end at or before the first
+    /// stored minute, or start after the last, without reading a tier: the
+    /// buckets that touch those minutes by one must still count them.
+    #[test]
+    fn bucket_counts_outside_the_stored_span_are_zero_and_the_edges_are_not() {
+        let mut h = ArrivalHistory::new();
+        h.record(119, 4);
+        h.record(300, 9);
+        assert_eq!(
+            h.bucket_counts(&[0, 60, 120, 240, 300, 360], Interval::HOUR),
+            vec![0.0, 4.0, 0.0, 0.0, 9.0, 0.0]
+        );
+        assert_eq!(
+            h.bucket_counts(&[59, 60, 119, 120, 299, 300, 301], Interval::minutes(60)),
+            vec![0.0, 4.0, 4.0, 0.0, 9.0, 9.0, 0.0]
+        );
+        assert_eq!(ArrivalHistory::new().bucket_counts(&[0, 60], Interval::HOUR), vec![0.0, 0.0]);
+    }
+
+    /// The exactness contract of the hourly read path, at its bound: below
+    /// 2⁵³ per bucket, adding an hour's integer sum once is bit-equal to
+    /// adding its minutes one by one; past it the minute-by-minute `f64`
+    /// sum is the one that loses arrivals.
+    #[test]
+    fn hour_aligned_dense_series_is_bit_equal_to_minute_sums_below_two_pow_53() {
+        const BOUND: u64 = 1 << 53;
+        let mut under = ArrivalHistory::new();
+        under.record(3, BOUND - 2);
+        under.record(40, 1);
+        let hourly = under.dense_series(0, 60, Interval::HOUR);
+        assert_eq!(hourly, vec![(BOUND - 1) as f64]);
+        assert_eq!(hourly[0].to_bits(), hours_from_minutes(&under, 0, 60)[0].to_bits());
+
+        let mut over = ArrivalHistory::new();
+        over.record(3, BOUND);
+        over.record(40, 1);
+        over.record(41, 1);
+        // 2⁵³ + 1 is not an f64: each single arrival is rounded away.
+        assert_eq!(hours_from_minutes(&over, 0, 60), vec![BOUND as f64]);
+        assert_eq!(over.dense_series(0, 60, Interval::HOUR), vec![(BOUND + 2) as f64]);
+        assert_eq!(over.count_range(0, 60), BOUND + 2);
     }
 
     /// A second compaction with an *older* newest-record does not resurrect

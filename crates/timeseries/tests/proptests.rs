@@ -118,22 +118,67 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Every read of `h` that has a range, over windows that cut through the
+/// stored minutes, with both ends on the hour (the reads the hourly roll-up
+/// answers) and with either end one minute off it (the reads it must not).
+fn check_range_reads(
+    h: &ArrivalHistory,
+    oracle: &MapHistory,
+    newest: Minute,
+) -> Result<(), TestCaseError> {
+    let hour = |t| Interval::HOUR.bucket_start(t);
+    let oldest = oracle.first_seen().unwrap_or(newest);
+    let windows = [
+        (hour(oldest) - 120, hour(newest) + 120),
+        (hour(newest - 700), hour(newest)),
+        (hour(oldest) + 60, hour(newest) - 60),
+        (hour(newest) - 60, hour(newest) + 60),
+    ];
+    for (from, to) in windows {
+        for (d_start, d_end) in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1)] {
+            let (start, end) = (from + d_start, (to + d_end).max(from + d_start));
+            prop_assert_eq!(
+                h.count_range(start, end),
+                oracle.count_range(start, end),
+                "count_range({}, {})", start, end
+            );
+            for interval in [Interval::HOUR, Interval::TWO_HOURS, Interval::DAY] {
+                let want = oracle.dense_series(start, end, interval);
+                prop_assert_eq!(
+                    bits(&h.dense_series(start, end, interval)),
+                    bits(&want),
+                    "dense_series({}, {}, {:?})", start, end, interval
+                );
+                // Onto a buffer that already holds other members' counts.
+                let mut got = vec![3.0; want.len()];
+                h.add_dense_series(start, end, interval, &mut got);
+                let want: Vec<f64> = want.iter().map(|v| 3.0 + v).collect();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Model-based differential: any sequence of in-order, late and
-    /// same-minute records, compactions under changing policies, and state
-    /// round-trips leaves the run storage answering every read exactly as
-    /// the map oracle does.
+    /// same-minute records (late ones landing in hours long closed, some at
+    /// negative minutes), compactions under changing policies whose cutoff
+    /// falls anywhere inside an hour, and state round-trips leaves the run
+    /// storage — the derived hourly roll-up included — answering every read
+    /// exactly as the map oracle does, on the hour and one minute off it.
     #[test]
     fn run_storage_matches_map_oracle(
         ops in ops(),
+        origin in prop_oneof![Just(2_000i64), Just(-1_500)],
         points in proptest::collection::vec(-300i64..9_000, 0..40),
-        sample_width in prop_oneof![Just(1i64), Just(7), Just(60), Just(1440)],
+        sample_width in prop_oneof![Just(1i64), Just(7), Just(60), Just(120), Just(1440)],
     ) {
         let mut h = ArrivalHistory::new();
         let mut oracle = MapHistory::default();
-        let mut newest: Minute = 2_000;
+        let mut newest: Minute = origin;
         for op in ops {
             match op {
                 Op::InOrder { ahead, count } => {
@@ -171,33 +216,52 @@ proptest! {
                 prop_assert_eq!(h.count_range(start, end), oracle.count_range(start, end));
             }
             for (start, interval) in [(-120, Interval::HOUR), (7, Interval::minutes(13))] {
+                let end = (newest + 2).max(start);
                 prop_assert_eq!(
-                    bits(&h.dense_series(start, newest + 2, interval)),
-                    bits(&oracle.dense_series(start, newest + 2, interval))
+                    bits(&h.dense_series(start, end, interval)),
+                    bits(&oracle.dense_series(start, end, interval))
                 );
             }
+            check_range_reads(&h, &oracle, newest)?;
         }
 
         // Sample points: random ones (sparse enough to leave empty buckets
         // between them), several inside the newest record's bucket — which
-        // that record straddles — and one past it.
+        // that record straddles — one past it, and the buckets that just
+        // touch and just miss the first and last stored pairs.
         let interval = Interval::minutes(sample_width);
+        let first = oracle.first_seen().unwrap_or(newest);
+        let last = oracle.last_seen().unwrap_or(newest);
         let mut unsorted = points;
         unsorted.extend([newest, newest - 1, newest, newest + 1, newest + 2 * sample_width]);
+        unsorted.extend([first - sample_width, first - sample_width + 1, first, last, last + 1]);
         let mut sorted = unsorted.clone();
         sorted.sort_unstable();
-        for timestamps in [&sorted, &unsorted] {
+        // The same walks with nothing stored under them.
+        let before_first: Vec<Minute> =
+            sorted.iter().map(|t| t - (sorted[sorted.len() - 1] - first) - 2 * sample_width).collect();
+        let after_last: Vec<Minute> =
+            sorted.iter().map(|t| t - sorted[0] + last + sample_width).collect();
+        for timestamps in [&sorted, &unsorted, &before_first, &after_last] {
             prop_assert_eq!(
                 bits(&h.sample_at(timestamps, interval)),
                 bits(&oracle.sample_at(timestamps, interval))
             );
             // Taken as bucket starts, the same points are unaligned, so
-            // neighbouring buckets overlap.
-            let want: Vec<f64> = timestamps
-                .iter()
-                .map(|&b| oracle.count_range(b, b + sample_width) as f64)
-                .collect();
-            prop_assert_eq!(bits(&h.bucket_counts(timestamps, interval)), bits(&want));
+            // neighbouring buckets overlap; floored to the hour they are
+            // aligned and (for widths past an hour) still overlap.
+            let hours: Vec<Minute> =
+                timestamps.iter().map(|&t| Interval::HOUR.bucket_start(t)).collect();
+            for starts in [timestamps, &hours] {
+                let want: Vec<f64> = starts
+                    .iter()
+                    .map(|&b| oracle.count_range(b, b + sample_width) as f64)
+                    .collect();
+                prop_assert_eq!(bits(&h.bucket_counts(starts, interval)), bits(&want));
+            }
+        }
+        for empty in [&before_first, &after_last] {
+            prop_assert!(oracle.sample_at(empty, interval).iter().all(|&v| v == 0.0));
         }
     }
 }
