@@ -359,14 +359,16 @@ impl QueryBot5000 {
     }
 
     /// Ingests a tick's worth of statements through the sharded batch
-    /// engine, on a worker pool sized from the environment
-    /// (`QB_THREADS`). See [`QueryBot5000::ingest_batch_with`].
+    /// engine. Small ticks run on the calling thread; larger ones fan out
+    /// on a worker pool sized from the environment (`QB_THREADS`). See
+    /// [`QueryBot5000::ingest_batch_with`].
     pub fn ingest_batch(&mut self, batch: &[BatchItem<'_>]) -> BatchReport {
         self.ingest_batch_with(&ThreadPool::default(), batch)
     }
 
     /// Ingests a tick's worth of statements through the sharded batch
-    /// engine on an explicit worker pool.
+    /// engine on an explicit worker pool, which a tick below the engine's
+    /// fan-out floor does not use.
     ///
     /// State-equivalent to calling [`QueryBot5000::ingest_weighted`] per
     /// item in order — and bit-identical across pool widths and batch

@@ -30,11 +30,11 @@ enum Mode {
 
 /// LR + RNN averaged with equal weights.
 ///
-/// Members fit (and predict) concurrently when [`Parallelism`] allows:
-/// each member is self-contained and seeded independently, and their
-/// `Result`s are joined in fixed member order (LR, then RNN), so the
-/// degradation chain — and every output bit — is identical to a
-/// sequential run.
+/// Members fit concurrently when [`Parallelism`] allows: each member is
+/// self-contained and seeded independently, and their `Result`s are joined
+/// in fixed member order (LR, then RNN), so the degradation chain — and
+/// every output bit — is identical to a sequential run. Prediction calls
+/// the members in that order on the caller.
 pub struct Ensemble {
     lr: LinearRegression,
     rnn: Rnn,
@@ -76,6 +76,10 @@ impl Ensemble {
 
     /// Overrides the environment-derived member parallelism (the
     /// determinism suite pins both a sequential and a 4-thread instance).
+    ///
+    /// It governs `fit` only, where each member trains for up to seconds.
+    /// `predict` always calls LR then RNN on the calling thread: one
+    /// forward pass each costs less than spawning a thread for it.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
     }
@@ -157,9 +161,7 @@ impl Forecaster for Ensemble {
     fn predict(&self, recent: &[Vec<f64>]) -> Vec<f64> {
         match self.mode {
             Mode::Both => {
-                let (a, b) = self
-                    .par
-                    .join(|| self.lr.predict(recent), || self.rnn.predict(recent));
+                let (a, b) = (self.lr.predict(recent), self.rnn.predict(recent));
                 a.iter().zip(&b).map(|(x, y)| 0.5 * (x + y)).collect()
             }
             Mode::LrOnly => self.lr.predict(recent),

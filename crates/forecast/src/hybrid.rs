@@ -49,8 +49,8 @@ pub struct Hybrid {
     ensemble: Ensemble,
     kr: KernelRegression,
     /// Member-level parallelism: the ensemble and the KR corrector fit
-    /// (and predict) concurrently; results join in fixed member order so
-    /// the PR-1 degradation chain is evaluated exactly as sequentially.
+    /// concurrently; results join in fixed member order so the degradation
+    /// chain is evaluated exactly as sequentially.
     par: Parallelism,
     /// `Some` only while the KR member is trained and serving.
     kr_spec: Option<WindowSpec>,
@@ -90,6 +90,10 @@ impl Hybrid {
 
     /// Overrides the environment-derived parallelism for this model and
     /// its ensemble member.
+    ///
+    /// It governs `fit` only, where the members train for up to seconds.
+    /// `predict` always calls the ensemble then KR on the calling thread:
+    /// their forward passes cost less than spawning a thread for one.
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
         self.ensemble.set_parallelism(par);
@@ -177,10 +181,7 @@ impl Forecaster for Hybrid {
             self.last_overrides.set(0);
             return self.ensemble.predict(recent);
         }
-        // Borrow the members individually: the surrounding `Hybrid` holds
-        // a (non-Sync) override counter the closures must not capture.
-        let (ensemble, kr) = (&self.ensemble, &self.kr);
-        let (e, k) = self.par.join(|| ensemble.predict(recent), || kr.predict(recent));
+        let (e, k) = (self.ensemble.predict(recent), self.kr.predict(recent));
         let mut overrides = 0;
         let out = e
             .iter()

@@ -3,12 +3,13 @@
 //! [`PreProcessor::ingest_batch`] processes a tick's worth of statements in
 //! two phases:
 //!
-//! 1. **Shard phase** (parallel) — statements are routed to a fixed number
-//!    of logical shards by a content hash of the raw SQL text. Each shard
-//!    owns a private raw-string cache and resolves as much as it can
-//!    against it plus *immutable* views of the shared template table,
-//!    emitting per-shard outputs: coalesced arrival-history deltas for
-//!    known templates, pending templates for texts it has never seen,
+//! 1. **Shard phase** (on the pool at or above `FANOUT_MIN_STATEMENTS`
+//!    statements, on the calling thread below it) — statements are routed
+//!    to a fixed number of logical shards by a content hash of the raw SQL
+//!    text. Each shard owns a private raw-string cache and resolves as much
+//!    as it can against it plus *immutable* views of the shared template
+//!    table, emitting per-shard outputs: coalesced arrival-history deltas
+//!    for known templates, pending templates for texts it has never seen,
 //!    reservoir offers, and quarantine candidates.
 //! 2. **Merge phase** (sequential, deterministic) — pending templates are
 //!    interned in global first-sighting order, deltas and offers are
@@ -20,8 +21,9 @@
 //!   bytes — never a `RandomState` hash — so a statement lands on the same
 //!   shard in every process, at every pool width.
 //! * **Shard count is config, not width.** `ingest_shards` fixes the
-//!   logical decomposition; the worker pool merely executes shards. Widths
-//!   1 and N produce byte-identical state.
+//!   logical decomposition; the worker pool (or, for a small batch, the
+//!   calling thread) merely executes shards. Widths 1 and N produce
+//!   byte-identical state.
 //! * **Merge order is sighting order.** New templates intern sorted by the
 //!   global batch index of their first sighting, which makes template-id
 //!   assignment (and the seed chain feeding each reservoir RNG) identical
@@ -81,6 +83,20 @@ pub struct BatchReport {
     /// sighting. This is the clusterer's observation feed.
     pub sighted: Vec<TemplateId>,
 }
+
+/// Batches shorter than this run the shard phase on the calling thread;
+/// longer ones fan out on the pool.
+///
+/// A fan-out spawns and joins one scoped thread per worker, which costs
+/// more than a small tick's whole shard phase: on 2 vCPUs at width 2 the
+/// bare engine took 20.5 µs per statement against 7.6 µs at width 1 on
+/// bus-sized ticks. The floor sits between the tick sizes the
+/// `qb_e2e` workloads produce: `durable_bus` ticks average 8.6 statements
+/// and gained 31–33 % in `ingest_stmts_per_s` from staying on the caller
+/// (median of ten pairs, seeds 11 and 37), while `wide_churn`'s per-minute
+/// ticks hold 55–115 statements and lost 21 % when they never fanned out. The decision only picks who runs the
+/// shards, so state is bit-identical on either side of it.
+const FANOUT_MIN_STATEMENTS: usize = 32;
 
 /// Routes raw SQL to a logical shard. FNV-1a over the raw bytes: cheap,
 /// process-stable, and independent of `HashMap`'s per-process `RandomState`
@@ -336,11 +352,13 @@ impl PreProcessor {
     /// [`ingest_weighted`](PreProcessor::ingest_weighted) for each item in
     /// order — template ids, arrival histories, ingest stats, and the
     /// quarantine come out identical — but statements fan out across
-    /// `ingest_shards` logical shards executed on `pool`, and history
-    /// updates coalesce per tick instead of landing one by one. The result
-    /// is bit-identical for any pool width (including 1) and for any way
-    /// of splitting the same stream into batches; see the module docs for
-    /// the invariants that guarantee it.
+    /// `ingest_shards` logical shards, and history updates coalesce per
+    /// tick instead of landing one by one. The shards run on `pool` when
+    /// the batch holds at least `FANOUT_MIN_STATEMENTS` statements and on
+    /// the calling thread otherwise, where a thread hand-off would cost
+    /// more than the work. The result is bit-identical for any pool width
+    /// (including 1) and for any way of splitting the same stream into
+    /// batches; see the module docs for the invariants that guarantee it.
     ///
     /// The only sequential divergence is which arrivals refresh the
     /// parameter reservoirs (per-slot instead of global re-parse cadence)
@@ -356,11 +374,15 @@ impl PreProcessor {
         }
 
         // Shard phase: mutable over shard-local state, immutable over the
-        // shared template tables.
+        // shared template tables. Small batches run it on the caller, in
+        // shard order, exactly as a width-1 pool would.
         let distinct_texts = &self.distinct_texts;
-        let mut outputs = pool.map_mut(&mut self.shards, |i, sh| {
-            sh.run_batch(batch, &routed[i], distinct_texts)
-        });
+        let run = |i: usize, sh: &mut Shard| sh.run_batch(batch, &routed[i], distinct_texts);
+        let mut outputs: Vec<ShardOutput> = if batch.len() < FANOUT_MIN_STATEMENTS {
+            self.shards.iter_mut().enumerate().map(|(i, sh)| run(i, sh)).collect()
+        } else {
+            pool.map_mut(&mut self.shards, run)
+        };
 
         // Merge phase, step 1: intern pending templates in global
         // first-sighting order, so id assignment and the reservoir seed
@@ -512,11 +534,15 @@ mod tests {
     }
 
     fn run_batched(stream: &[(Minute, String, u64)], width: usize, splits: usize) -> PreProcessor {
+        run_chunked(stream, width, stream.len().div_ceil(splits))
+    }
+
+    /// Ingests `stream` in batches of `chunk` statements (the last one
+    /// shorter) on a pool of `width`.
+    fn run_chunked(stream: &[(Minute, String, u64)], width: usize, chunk: usize) -> PreProcessor {
         let mut pp = PreProcessor::new(PreProcessorConfig::default());
         let pool = ThreadPool::new(width);
-        let items = batch_of(stream);
-        let chunk = items.len().div_ceil(splits);
-        for b in items.chunks(chunk.max(1)) {
+        for b in batch_of(stream).chunks(chunk.max(1)) {
             pp.ingest_batch(&pool, b);
         }
         pp
@@ -552,6 +578,41 @@ mod tests {
             let other = run_batched(&stream, width, splits).export_state();
             assert_eq!(base, other, "width={width} splits={splits} must be bit-identical");
         }
+    }
+
+    #[test]
+    fn state_is_identical_on_both_sides_of_the_fanout_floor() {
+        let stream = mixed_stream();
+        assert!(stream.len() > 2 * FANOUT_MIN_STATEMENTS, "the stream must reach the floor");
+        let base = run_chunked(&stream, 1, stream.len()).export_state();
+        let chunks = [
+            FANOUT_MIN_STATEMENTS - 1,
+            FANOUT_MIN_STATEMENTS,
+            FANOUT_MIN_STATEMENTS + 1,
+            stream.len(),
+        ];
+        for width in [1, 2, 4] {
+            for chunk in chunks {
+                let other = run_chunked(&stream, width, chunk).export_state();
+                assert_eq!(base, other, "width={width} chunk={chunk} must be bit-identical");
+            }
+        }
+    }
+
+    #[test]
+    fn only_batches_at_the_floor_reach_the_pool() {
+        let stream = mixed_stream();
+        let items = batch_of(&stream);
+        let rec = qb_obs::Recorder::new();
+        let pool = ThreadPool::new(4).instrumented(&rec);
+        let fan_outs = || rec.snapshot().histograms.get("parallel.map").map_or(0, |h| h.count);
+        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+
+        let (below, rest) = items.split_at(FANOUT_MIN_STATEMENTS - 1);
+        pp.ingest_batch(&pool, below);
+        assert_eq!(fan_outs(), 0, "a batch below the floor must run on the caller");
+        pp.ingest_batch(&pool, &rest[..FANOUT_MIN_STATEMENTS]);
+        assert_eq!(fan_outs(), 1, "a batch at the floor must fan out exactly once");
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! includes [`repro_command`] — a copy-pasteable `cargo test` invocation
 //! that replays exactly this case via the `single_seed_repro` test.
 
+use std::ops::Range;
+
 use qb5000::{
     AlertCondition, AlertRule, BatchItem, EventKind, ForecastManager, ForecastQuery,
     ForecastService, HorizonSpec, Monitor, MonitorConfig, Qb5000Config, QueryBot5000, Recorder,
@@ -272,12 +274,31 @@ pub fn run_case(
     })
 }
 
+/// Splits `events` into consecutive runs of equal `key`. Keying on runs
+/// (not a global group-by) preserves delivery order even when the fault
+/// plan reorders events.
+fn runs_by(events: &[QueryEvent], key: impl Fn(&QueryEvent) -> i64) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for i in 1..=events.len() {
+        if i == events.len() || key(&events[i]) != key(&events[start]) {
+            runs.push(start..i);
+            start = i;
+        }
+    }
+    runs
+}
+
 /// Invariant 7 — batched-ingest determinism. Replays `case` through the
-/// sharded batch engine (one tick per consecutive same-minute run of
-/// delivered events) at every pool width and checks:
+/// sharded batch engine at every pool width, on two schedules — one tick
+/// per consecutive same-minute run of delivered events, and one batch per
+/// consecutive same-hour run — and checks:
 ///
-/// * the exported pipeline state and every forecast are bit-identical
-///   across widths;
+/// * on each schedule, the exported pipeline state and every forecast are
+///   bit-identical across widths;
+/// * the comparison is not vacuous: at least one compared batch was large
+///   enough for the engine to fan its shards out on the pool (per-minute
+///   ticks of the paper workloads mostly run on the caller);
 /// * splitting each tick in half leaves the Pre-Processor's counted
 ///   state (templates, histories, caches, quarantine) unchanged;
 /// * per-template texts, arrival histories, accounting stats, quarantine
@@ -298,23 +319,16 @@ pub fn run_batched(
         FaultPlan::with_intensity(case.seed, case.fault_intensity)
     };
     let events: Vec<QueryEvent> = plan.inject(case.workload.generator(trace)).collect();
-    // Consecutive same-minute runs become the ticks; keying on runs (not a
-    // global group-by) preserves delivery order even when the fault plan
-    // reorders events.
-    let mut ticks: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut start = 0;
-    for i in 1..=events.len() {
-        if i == events.len() || events[i].minute != events[start].minute {
-            ticks.push(start..i);
-            start = i;
-        }
-    }
+    let ticks = runs_by(&events, |ev| ev.minute);
+    let hours = runs_by(&events, |ev| ev.minute.div_euclid(60));
     let now = case.days as i64 * MINUTES_PER_DAY;
+    // Counts the batches that reached the pool (`parallel.map`).
+    let fan_outs = Recorder::new();
 
-    let run_one = |width: usize, halve_ticks: bool| {
-        let pool = ThreadPool::new(width);
+    let run_one = |width: usize, schedule: &[Range<usize>], halve_ticks: bool| {
+        let pool = ThreadPool::new(width).instrumented(&fan_outs);
         let mut bot = QueryBot5000::new(Qb5000Config::default());
-        for tick in &ticks {
+        for tick in schedule {
             let batch: Vec<BatchItem<'_>> = events[tick.clone()]
                 .iter()
                 .map(|ev| BatchItem { minute: ev.minute, sql: &ev.sql, count: ev.count })
@@ -341,49 +355,65 @@ pub fn run_batched(
         })
         .collect();
 
-    let mut reference: Option<(qb5000::PipelineState, Vec<Vec<u64>>)> = None;
-    for &w in widths {
-        let bot = run_one(w, false);
-        if bot.tracked_clusters().is_empty() {
-            return Err(fail(case, "no clusters tracked after a batched trace".into()));
-        }
-        let mut mgr =
-            ForecastManager::new(specs.clone(), || Box::new(LinearRegression::default()));
-        mgr.set_threads(w);
-        mgr.ensure_trained(&bot, now)
-            .map_err(|e| fail(case, format!("batched training failed at width {w}: {e}")))?;
-        let bits: Vec<Vec<u64>> = (0..horizons.len())
-            .map(|h| mgr.predict(&bot, now, h).iter().map(|v| v.to_bits()).collect())
-            .collect();
-        let state = bot.export_state();
-        match &reference {
-            None => reference = Some((state, bits)),
-            Some((ref_state, ref_bits)) => {
-                if &state != ref_state {
-                    return Err(fail(
-                        case,
-                        format!(
-                            "batched pipeline state diverged between widths {} and {w}",
-                            widths[0]
-                        ),
-                    ));
-                }
-                if &bits != ref_bits {
-                    return Err(fail(
-                        case,
-                        format!(
-                            "batched forecasts diverged between widths {} and {w}",
-                            widths[0]
-                        ),
-                    ));
+    let mut schedule_states: Vec<qb5000::PipelineState> = Vec::new();
+    for (name, schedule) in [("minute", &ticks), ("hour", &hours)] {
+        let mut reference: Option<(qb5000::PipelineState, Vec<Vec<u64>>)> = None;
+        for &w in widths {
+            let bot = run_one(w, schedule, false);
+            if bot.tracked_clusters().is_empty() {
+                return Err(fail(case, "no clusters tracked after a batched trace".into()));
+            }
+            let mut mgr =
+                ForecastManager::new(specs.clone(), || Box::new(LinearRegression::default()));
+            mgr.set_threads(w);
+            mgr.ensure_trained(&bot, now)
+                .map_err(|e| fail(case, format!("batched training failed at width {w}: {e}")))?;
+            let bits: Vec<Vec<u64>> = (0..horizons.len())
+                .map(|h| mgr.predict(&bot, now, h).iter().map(|v| v.to_bits()).collect())
+                .collect();
+            let state = bot.export_state();
+            match &reference {
+                None => reference = Some((state, bits)),
+                Some((ref_state, ref_bits)) => {
+                    if &state != ref_state {
+                        return Err(fail(
+                            case,
+                            format!(
+                                "batched pipeline state diverged between widths {} and {w} \
+                                 on {name} batches",
+                                widths[0]
+                            ),
+                        ));
+                    }
+                    if &bits != ref_bits {
+                        return Err(fail(
+                            case,
+                            format!(
+                                "batched forecasts diverged between widths {} and {w} \
+                                 on {name} batches",
+                                widths[0]
+                            ),
+                        ));
+                    }
                 }
             }
         }
+        schedule_states.push(reference.expect("at least one width ran").0);
     }
-    let (ref_state, _) = reference.expect("at least one width ran");
+    let ref_state = &schedule_states[0];
+    // Hour batches are a coarser split of the same stream.
+    if schedule_states[1].pre != ref_state.pre {
+        return Err(fail(case, "hour-sized batches changed the Pre-Processor state".into()));
+    }
+    if fan_outs.snapshot().histograms.get("parallel.map").map_or(0, |h| h.count) == 0 {
+        return Err(fail(
+            case,
+            "no compared batch reached the pool: the width comparison is vacuous".into(),
+        ));
+    }
 
     // Splitting every tick must not change any counted state.
-    let halved = run_one(widths[0], true).export_state();
+    let halved = run_one(widths[0], &ticks, true).export_state();
     if halved.pre != ref_state.pre {
         return Err(fail(case, "tick splitting changed the Pre-Processor state".into()));
     }
@@ -735,27 +765,16 @@ pub fn run_monitored(
         let tracer = Tracer::disabled();
         let pool = ThreadPool::new(w);
 
-        // Consecutive same-minute runs become the ingest ticks (the
-        // run_batched convention, preserving fault-plan delivery order).
-        let mut ticks: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut start = 0;
-        for i in 1..=events.len() {
-            if i == events.len() || events[i].minute != events[start].minute {
-                ticks.push(start..i);
-                start = i;
-            }
-        }
-
         let mut round = 0u64;
         let mut next_round = ROUND_MINUTES;
-        for tick in &ticks {
+        for tick in runs_by(&events, |ev| ev.minute) {
             while events[tick.start].minute >= next_round {
                 round += 1;
                 bot.update_clusters(next_round);
                 monitor.observe_round(round, &recorder.snapshot(), &[], &tracer);
                 next_round += ROUND_MINUTES;
             }
-            let batch: Vec<BatchItem<'_>> = events[tick.clone()]
+            let batch: Vec<BatchItem<'_>> = events[tick]
                 .iter()
                 .map(|ev| BatchItem { minute: ev.minute, sql: &ev.sql, count: ev.count })
                 .collect();
