@@ -16,8 +16,13 @@
 //! The snapshot payload is `[u16 STATE_VERSION]` followed by the
 //! [`FullState`] encoding; every record type is hand-encoded in this
 //! module against [`qb_durable::Enc`]/[`qb_durable::Dec`] so the on-disk
-//! layout is auditable line by line. Version bumps are append-only: a
-//! build refuses payload versions it does not know rather than guessing.
+//! layout is auditable line by line. Version 4, the only one written,
+//! stores each history tier as zigzag-varint minute deltas with varint
+//! counts and front-codes the three sorted string tables (template texts,
+//! raw-SQL cache, shard slots); every other field is fixed-width, as in
+//! version 3. Version 3 payloads still decode, through a read-only path
+//! that differs only in those fields. A build refuses every other payload
+//! version rather than guessing.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
 //! the dispatch tag ([`KIND_INGEST`], [`KIND_CLUSTER_UPDATE`],
@@ -61,10 +66,16 @@ use crate::pipeline::{
     ClusterInfoState, PipelineHealth, PipelineState, Qb5000Config, QueryBot5000,
 };
 
-/// Version of the snapshot payload this build reads and writes. Bump when
-/// the [`FullState`] encoding changes shape; old versions are refused, not
-/// guessed at.
-pub const STATE_VERSION: u16 = 3;
+/// Version of the snapshot payload this build writes. Bump when the
+/// [`FullState`] encoding changes shape. Version 4 delta-varint codes the
+/// arrival histories and front-codes the sorted string tables; version 3
+/// payloads (fixed-width pairs, whole strings) still decode, read-only.
+/// Every other version is refused, not guessed at.
+pub const STATE_VERSION: u16 = 4;
+
+/// The older payload version [`decode_full_state`] still reads. Nothing
+/// writes it: the first snapshot after a version 3 recovery is version 4.
+const STATE_VERSION_V3: u16 = 3;
 
 /// WAL frame kind: one weighted template sighting.
 pub const KIND_INGEST: u8 = 1;
@@ -208,28 +219,91 @@ pub fn decode_literal(d: &mut Dec) -> Result<Literal, CodecError> {
     })
 }
 
-/// Encodes one [`ArrivalHistoryState`].
+/// Encodes one [`ArrivalHistoryState`]: each tier as a varint pair count,
+/// then per pair a zigzag-varint minute delta and a varint count; then the
+/// compaction width and total as fixed-width fields.
 pub fn encode_history(e: &mut Enc, h: &ArrivalHistoryState) {
-    e.seq(&h.raw, |e, (m, c)| {
-        e.i64(*m);
-        e.u64(*c);
-    });
-    e.seq(&h.compacted, |e, (m, c)| {
-        e.i64(*m);
-        e.u64(*c);
-    });
+    encode_tier(e, &h.raw);
+    encode_tier(e, &h.compacted);
     e.option(h.compacted_width_minutes.as_ref(), |e, w| e.i64(*w));
     e.u64(h.total);
 }
 
+/// One history tier: a varint pair count, then per pair the zigzag-varint
+/// minute delta from the previous pair (the first from minute 0) and the
+/// varint count. A sorted run of busy minutes costs two bytes a pair.
+/// Deltas wrap, so any sequence of minutes round-trips, sorted or not.
+fn encode_tier(e: &mut Enc, tier: &[(Minute, u64)]) {
+    let mut prev: Minute = 0;
+    e.var_seq(tier, |e, &(minute, count)| {
+        e.var_i64(minute.wrapping_sub(prev));
+        e.var_u64(count);
+        prev = minute;
+    });
+}
+
+/// Inverse of [`encode_tier`]; version 3 wrote fixed-width pairs.
+fn decode_tier(d: &mut Dec, version: u16) -> Result<Vec<(Minute, u64)>, CodecError> {
+    if version == STATE_VERSION_V3 {
+        return d.seq(|d| Ok((d.i64()?, d.u64()?)));
+    }
+    let mut prev: Minute = 0;
+    d.var_seq(|d| {
+        prev = prev.wrapping_add(d.var_i64()?);
+        Ok((prev, d.var_u64()?))
+    })
+}
+
 /// Inverse of [`encode_history`].
 pub fn decode_history(d: &mut Dec) -> Result<ArrivalHistoryState, CodecError> {
+    decode_history_at(d, STATE_VERSION)
+}
+
+fn decode_history_at(d: &mut Dec, version: u16) -> Result<ArrivalHistoryState, CodecError> {
     Ok(ArrivalHistoryState {
-        raw: d.seq(|d| Ok((d.i64()?, d.u64()?)))?,
-        compacted: d.seq(|d| Ok((d.i64()?, d.u64()?)))?,
+        raw: decode_tier(d, version)?,
+        compacted: decode_tier(d, version)?,
         compacted_width_minutes: d.option(Dec::i64)?,
         total: d.u64()?,
     })
+}
+
+/// A table sorted by its text, front-coded row to row: a varint row count,
+/// then per row its text against the previous row's ([`Enc::front_str`])
+/// and the row's other fields, written by `rest`.
+fn encode_text_table<T>(
+    e: &mut Enc,
+    rows: &[T],
+    text: impl Fn(&T) -> &str,
+    rest: impl Fn(&mut Enc, &T),
+) {
+    e.var_u64(rows.len() as u64);
+    let mut prev = "";
+    for row in rows {
+        e.front_str(prev, text(row));
+        rest(e, row);
+        prev = text(row);
+    }
+}
+
+/// Inverse of [`encode_text_table`]; `rest` reads a row's other fields
+/// and assembles it around its text.
+fn decode_text_table<T>(
+    d: &mut Dec,
+    mut rest: impl FnMut(&mut Dec, String) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut prev = String::new();
+    d.var_seq(|d| {
+        let text = d.front_str(&prev)?;
+        prev.clone_from(&text);
+        rest(d, text)
+    })
+}
+
+/// A template id written as a varint.
+fn decode_var_id(d: &mut Dec) -> Result<u32, CodecError> {
+    let v = d.var_u64()?;
+    u32::try_from(v).map_err(|_| CodecError::ImplausibleLength { what: "template id", len: v })
 }
 
 fn encode_quarantine(e: &mut Enc, q: &QuarantineState) {
@@ -264,10 +338,10 @@ fn encode_entry(e: &mut Enc, t: &TemplateEntryState) {
     }
 }
 
-fn decode_entry(d: &mut Dec) -> Result<TemplateEntryState, CodecError> {
+fn decode_entry(d: &mut Dec, version: u16) -> Result<TemplateEntryState, CodecError> {
     Ok(TemplateEntryState {
         text: d.str()?,
-        history: decode_history(d)?,
+        history: decode_history_at(d, version)?,
         params_seen: d.u64()?,
         params_items: d.seq(|d| d.seq(decode_literal))?,
         params_rng: [d.u64()?, d.u64()?, d.u64()?, d.u64()?],
@@ -277,19 +351,18 @@ fn decode_entry(d: &mut Dec) -> Result<TemplateEntryState, CodecError> {
 /// Encodes one [`PreProcessorState`].
 pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
     e.seq(&s.entries, encode_entry);
-    e.seq(&s.distinct_texts, |e, (text, id)| {
-        e.str(text);
-        e.u32(*id);
-    });
-    e.seq(&s.raw_cache, |e, (text, id)| {
-        e.str(text);
-        e.u32(*id);
-    });
-    e.seq(&s.shard_slots, |e, (text, id, hits)| {
-        e.str(text);
-        e.u32(*id);
-        e.u64(*hits);
-    });
+    for table in [&s.distinct_texts, &s.raw_cache] {
+        encode_text_table(e, table, |(text, _)| text, |e, (_, id)| e.var_u64(u64::from(*id)));
+    }
+    encode_text_table(
+        e,
+        &s.shard_slots,
+        |(text, _, _)| text,
+        |e, (_, id, hits)| {
+            e.var_u64(u64::from(*id));
+            e.var_u64(*hits);
+        },
+    );
     e.u64(s.cache_hits);
     e.u64(s.next_seed);
     e.u64(s.stats.total_queries);
@@ -302,11 +375,33 @@ pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
 
 /// Inverse of [`encode_preprocessor_state`].
 pub fn decode_preprocessor_state(d: &mut Dec) -> Result<PreProcessorState, CodecError> {
+    decode_preprocessor_state_at(d, STATE_VERSION)
+}
+
+fn decode_preprocessor_state_at(
+    d: &mut Dec,
+    version: u16,
+) -> Result<PreProcessorState, CodecError> {
+    let entries = d.seq(|d| decode_entry(d, version))?;
+    // Version 3 wrote every text whole and the ids and hits fixed-width.
+    let (distinct_texts, raw_cache, shard_slots) = if version == STATE_VERSION_V3 {
+        (
+            d.seq(|d| Ok((d.str()?, d.u32()?)))?,
+            d.seq(|d| Ok((d.str()?, d.u32()?)))?,
+            d.seq(|d| Ok((d.str()?, d.u32()?, d.u64()?)))?,
+        )
+    } else {
+        (
+            decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?,
+            decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?,
+            decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?, d.var_u64()?)))?,
+        )
+    };
     Ok(PreProcessorState {
-        entries: d.seq(decode_entry)?,
-        distinct_texts: d.seq(|d| Ok((d.str()?, d.u32()?)))?,
-        raw_cache: d.seq(|d| Ok((d.str()?, d.u32()?)))?,
-        shard_slots: d.seq(|d| Ok((d.str()?, d.u32()?, d.u64()?)))?,
+        entries,
+        distinct_texts,
+        raw_cache,
+        shard_slots,
         cache_hits: d.u64()?,
         next_seed: d.u64()?,
         stats: IngestStats {
@@ -400,8 +495,12 @@ pub fn encode_pipeline_state(e: &mut Enc, s: &PipelineState) {
 
 /// Inverse of [`encode_pipeline_state`].
 pub fn decode_pipeline_state(d: &mut Dec) -> Result<PipelineState, CodecError> {
+    decode_pipeline_state_at(d, STATE_VERSION)
+}
+
+fn decode_pipeline_state_at(d: &mut Dec, version: u16) -> Result<PipelineState, CodecError> {
     Ok(PipelineState {
-        pre: decode_preprocessor_state(d)?,
+        pre: decode_preprocessor_state_at(d, version)?,
         clusterer: decode_clusterer_state(d)?,
         tracked: d.seq(decode_cluster_info)?,
         last_update: d.option(Dec::i64)?,
@@ -646,16 +745,18 @@ pub fn encode_full_state(s: &FullState) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_full_state`]: verifies the version prefix and that
-/// every byte is consumed.
+/// every byte is consumed. Reads [`STATE_VERSION`] and, read-only, version
+/// 3; refuses every other version.
 pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
     let mut d = Dec::new(bytes);
     let version = d.u16().map_err(DurabilityError::Codec)?;
-    if version != STATE_VERSION {
+    if version != STATE_VERSION && version != STATE_VERSION_V3 {
         return Err(DurabilityError::Corrupt(format!(
-            "snapshot payload version {version}; this build reads version {STATE_VERSION}"
+            "snapshot payload version {version}; this build reads versions \
+             {STATE_VERSION_V3} and {STATE_VERSION}"
         )));
     }
-    let pipeline = decode_pipeline_state(&mut d)?;
+    let pipeline = decode_pipeline_state_at(&mut d, version)?;
     let manager = d.option(decode_manager_state)?;
     let tracer = d.option(decode_tracer_state)?;
     d.finish()?;
@@ -677,15 +778,25 @@ pub fn encode_wal_record(rec: &WalRecord) -> (u8, Vec<u8>) {
             (KIND_CLUSTER_UPDATE, e.finish())
         }
         WalRecord::Compact => (KIND_COMPACT, e.finish()),
-        WalRecord::IngestBatch { items } => {
-            e.seq(items, |e, (minute, count, sql)| {
-                e.i64(*minute);
-                e.u64(*count);
-                e.str(sql);
-            });
-            (KIND_INGEST_BATCH, e.finish())
-        }
+        WalRecord::IngestBatch { items } => (
+            KIND_INGEST_BATCH,
+            encode_batch_items(items.iter().map(|(minute, count, sql)| (*minute, *count, &**sql))),
+        ),
     }
+}
+
+/// The [`KIND_INGEST_BATCH`] payload: a fixed-width item count, then per
+/// item its minute, count and SQL. Takes borrowed items so
+/// [`DurablePipeline::ingest_batch`] frames a tick without copying it.
+fn encode_batch_items<'a>(items: impl ExactSizeIterator<Item = (Minute, u64, &'a str)>) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.usize(items.len());
+    for (minute, count, sql) in items {
+        e.i64(minute);
+        e.u64(count);
+        e.str(sql);
+    }
+    e.finish()
 }
 
 /// Inverse of [`encode_wal_record`].
@@ -846,8 +957,12 @@ impl DurablePipeline {
 
     fn append(&mut self, rec: &WalRecord) -> Result<(), Error> {
         let (kind, payload) = encode_wal_record(rec);
+        self.append_frame(kind, &payload)
+    }
+
+    fn append_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), Error> {
         let seq = self.seq + 1;
-        self.store.append(seq, kind, &payload)?;
+        self.store.append(seq, kind, payload)?;
         self.seq = seq;
         self.wal_appends.inc();
         Ok(())
@@ -883,9 +998,8 @@ impl DurablePipeline {
     /// through the sharded engine and re-derives identical state,
     /// including the shard caches.
     pub fn ingest_batch(&mut self, batch: &[BatchItem<'_>]) -> Result<BatchReport, Error> {
-        let items: Vec<(Minute, u64, String)> =
-            batch.iter().map(|it| (it.minute, it.count, it.sql.to_string())).collect();
-        self.append(&WalRecord::IngestBatch { items })?;
+        let payload = encode_batch_items(batch.iter().map(|it| (it.minute, it.count, it.sql)));
+        self.append_frame(KIND_INGEST_BATCH, &payload)?;
         Ok(self.bot.ingest_batch(batch))
     }
 
@@ -1100,6 +1214,130 @@ mod tests {
             assert_eq!(decode_wal_record(kind, &payload).unwrap(), rec);
         }
         assert!(decode_wal_record(99, &[]).is_err());
+    }
+
+    #[test]
+    fn batch_frame_from_borrowed_items_equals_the_owned_record() {
+        let dir = tmp_dir("batch-frame");
+        let batches: [Vec<(Minute, u64, String)>; 2] = [
+            vec![],
+            vec![
+                (0, 3, "SELECT 1".into()),
+                (-7, 1, String::new()),
+                (1440, 5, "SELEC broken é".into()),
+            ],
+        ];
+        {
+            let (mut p, _) = DurablePipeline::open(durable_config(&dir)).unwrap();
+            for items in &batches {
+                let batch: Vec<BatchItem<'_>> = items
+                    .iter()
+                    .map(|(minute, count, sql)| BatchItem { minute: *minute, sql, count: *count })
+                    .collect();
+                p.ingest_batch(&batch).unwrap();
+            }
+        }
+        let (_, recovered) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+        assert_eq!(recovered.frames.len(), batches.len());
+        for (frame, items) in recovered.frames.iter().zip(batches) {
+            let (kind, payload) = encode_wal_record(&WalRecord::IngestBatch { items });
+            assert_eq!(frame.kind, kind);
+            assert_eq!(frame.payload, payload, "same bytes as the owned record");
+        }
+    }
+
+    /// Guards against a regression to fixed width: a run of busy
+    /// consecutive minutes costs at most 3 bytes a pair (v3: 16), and a
+    /// sorted table of one template's raw SQL costs well under its text.
+    #[test]
+    fn v4_tiers_and_text_tables_stay_small() {
+        let tier: Vec<(Minute, u64)> =
+            (0..10_000).map(|k| (40 * MINUTES_PER_DAY + k, 1 + (k as u64 * 37) % 900)).collect();
+        let mut e = Enc::new();
+        encode_tier(&mut e, &tier);
+        assert!(e.len() <= 3 * tier.len(), "{} bytes for {} pairs", e.len(), tier.len());
+        let bytes = e.finish();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(decode_tier(&mut d, STATE_VERSION).unwrap(), tier);
+        d.finish().unwrap();
+
+        let mut slots: Vec<(String, u32, u64)> = (0..1_000u64)
+            .map(|k| {
+                let sql = format!(
+                    "SELECT arrival FROM stop_times WHERE stop_id = {} AND route = {}",
+                    k * 7919 % 100_000,
+                    k % 40
+                );
+                (sql, 3, k % 64)
+            })
+            .collect();
+        slots.sort();
+        let text_bytes: usize = slots.iter().map(|(sql, _, _)| sql.len()).sum();
+        let encoded = |s: &PreProcessorState| {
+            let mut e = Enc::new();
+            encode_preprocessor_state(&mut e, s);
+            e.finish()
+        };
+        let state = PreProcessorState { shard_slots: slots, ..PreProcessorState::default() };
+        let bytes = encoded(&state);
+        let table_bytes = bytes.len() - encoded(&PreProcessorState::default()).len();
+        assert!(table_bytes * 3 < text_bytes, "{table_bytes} bytes for {text_bytes} of text");
+        let mut d = Dec::new(&bytes);
+        assert_eq!(decode_preprocessor_state(&mut d).unwrap(), state);
+        d.finish().unwrap();
+    }
+
+    /// Hostile input never panics: every truncation of a v4 payload is an
+    /// error, and every single-bit flip is either an error or a different
+    /// state (a flipped float or counter bit is a valid value; the snapshot
+    /// file's CRC-32 rejects those before the payload is decoded).
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_v4_payload_fails_cleanly() {
+        let mut cfg = Qb5000Config::default();
+        cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
+            raw_retention: 90,
+            compacted_interval: qb_timeseries::Interval::HOUR,
+        };
+        let mut bot = QueryBot5000::new(cfg);
+        for minute in (0..400).step_by(7) {
+            let batch = [
+                BatchItem { minute, sql: "SELECT a FROM t WHERE id = 1", count: 3 },
+                BatchItem { minute, sql: "SELECT a FROM t WHERE id = 12", count: 200 },
+                BatchItem { minute: minute + 1, sql: "SELECT b FROM u WHERE v = 'é'", count: 1 },
+            ];
+            bot.ingest_batch(&batch);
+            if minute % 49 == 0 {
+                let _ = bot.ingest_weighted(minute - 150, "DELETE FROM u WHERE id = 4", 2);
+                let _ = bot.ingest_weighted(minute, "SELEC broken (", 1);
+            }
+            if minute % 140 == 0 {
+                bot.compact_histories();
+            }
+        }
+        let full = FullState { pipeline: bot.export_state(), manager: None, tracer: None };
+        let pre = &full.pipeline.pre;
+        assert!(!pre.shard_slots.is_empty() && !pre.raw_cache.is_empty());
+        assert!(pre.entries.iter().all(|e| !e.history.compacted.is_empty()));
+        assert!(pre.quarantine.rejected_statements > 0);
+        let bytes = encode_full_state(&full);
+
+        for cut in 0..bytes.len() {
+            assert!(decode_full_state(&bytes[..cut]).is_err(), "truncated at {cut}");
+        }
+        let mut flipped = bytes.clone();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                // Compared as bytes: `==` on floats cannot tell -0.0 from 0.0.
+                if let Ok(back) = decode_full_state(&flipped) {
+                    assert!(
+                        encode_full_state(&back) != bytes,
+                        "byte {i} bit {bit} decoded to the same state"
+                    );
+                }
+                flipped[i] ^= 1 << bit;
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,16 @@
 //! IEEE-754 bits ([`Enc::f64`]), so NaN payloads and negative zero
 //! round-trip bit-exactly — required for the pipeline's bit-identical
 //! recovery contract.
+//!
+//! Beside the fixed-width primitives there are three compact forms for
+//! the bulk of a snapshot: LEB128 varints ([`Enc::var_u64`], and
+//! [`Enc::var_i64`] with zigzag so small negatives stay short),
+//! varint-prefixed sequences ([`Enc::var_seq`]), and strings front-coded
+//! against the previous entry of a sorted table ([`Enc::front_str`]). Their
+//! decoders treat the input as hostile: an over-long varint, a length past
+//! the end of the input, a shared prefix longer than the previous entry or
+//! invalid UTF-8 is a [`CodecError`], never a panic or an allocation sized
+//! by an unchecked prefix.
 
 use std::collections::BTreeMap;
 
@@ -23,6 +33,8 @@ pub enum CodecError {
     BadUtf8,
     /// Trailing bytes remained after the final field.
     TrailingBytes(usize),
+    /// A varint ran past 10 bytes or set bits beyond the 64th.
+    BadVarint,
 }
 
 impl std::fmt::Display for CodecError {
@@ -37,6 +49,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "bad tag {tag} for {what}"),
             CodecError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after final field"),
+            CodecError::BadVarint => write!(f, "varint longer than 10 bytes or above u64::MAX"),
         }
     }
 }
@@ -143,6 +156,39 @@ impl Enc {
         for (k, v) in m {
             f(self, k, v);
         }
+    }
+
+    /// LEB128: seven bits per byte, low group first, the high bit set on
+    /// every byte but the last. One byte below 128, ten for `u64::MAX`.
+    pub fn var_u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Zigzag (`0, -1, 1, -2, …` → `0, 1, 2, 3, …`), then LEB128.
+    pub fn var_i64(&mut self, v: i64) {
+        self.var_u64(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Sequence with a varint length prefix.
+    pub fn var_seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
+        self.var_u64(items.len() as u64);
+        for item in items {
+            f(self, item);
+        }
+    }
+
+    /// `v` front-coded against `prev`: varint length of the byte prefix
+    /// the two share, varint length of the rest of `v`, the rest's bytes.
+    pub fn front_str(&mut self, prev: &str, v: &str) {
+        let shared = prev.bytes().zip(v.bytes()).take_while(|(a, b)| a == b).count();
+        let rest = &v.as_bytes()[shared..];
+        self.var_u64(shared as u64);
+        self.var_u64(rest.len() as u64);
+        self.buf.extend_from_slice(rest);
     }
 }
 
@@ -257,6 +303,66 @@ impl<'a> Dec<'a> {
             out.push(f(self)?);
         }
         Ok(out)
+    }
+
+    /// Inverse of [`Enc::var_u64`]. The tenth byte may only carry bit 63,
+    /// so a varint never runs longer or overflows.
+    pub fn var_u64(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                return Err(CodecError::BadVarint);
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(CodecError::BadVarint)
+    }
+
+    /// Inverse of [`Enc::var_i64`].
+    pub fn var_i64(&mut self) -> Result<i64, CodecError> {
+        let u = self.var_u64()?;
+        Ok((u >> 1) as i64 ^ -((u & 1) as i64))
+    }
+
+    /// A varint length, refused when it promises more items than bytes
+    /// remain (every item costs at least one byte).
+    fn var_len(&mut self, what: &'static str) -> Result<usize, CodecError> {
+        let n = self.var_u64()?;
+        if n > self.remaining() as u64 {
+            return Err(CodecError::ImplausibleLength { what, len: n });
+        }
+        Ok(n as usize)
+    }
+
+    /// Inverse of [`Enc::var_seq`].
+    pub fn var_seq<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let n = self.var_len("var_seq")?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(f(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Inverse of [`Enc::front_str`] against the same `prev`.
+    pub fn front_str(&mut self, prev: &str) -> Result<String, CodecError> {
+        let shared = self.var_u64()?;
+        if shared > prev.len() as u64 {
+            return Err(CodecError::ImplausibleLength { what: "front-coded prefix", len: shared });
+        }
+        let rest = self.var_len("front-coded suffix")?;
+        let rest = self.take(rest)?;
+        let mut bytes = Vec::with_capacity(shared as usize + rest.len());
+        bytes.extend_from_slice(&prev.as_bytes()[..shared as usize]);
+        bytes.extend_from_slice(rest);
+        String::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)
     }
 }
 
@@ -375,6 +481,203 @@ mod tests {
         let mut d = Dec::new(&bytes);
         d.u8().unwrap();
         assert_eq!(d.finish(), Err(CodecError::TrailingBytes(1)));
+    }
+
+    fn var_u64_bytes(v: u64) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.var_u64(v);
+        e.finish()
+    }
+
+    #[test]
+    fn varint_lengths_at_the_group_edges() {
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u64::MAX, 10)] {
+            assert_eq!(var_u64_bytes(v).len(), len, "{v}");
+        }
+        assert_eq!(var_u64_bytes(300), vec![0xAC, 0x02]);
+        let mut e = Enc::new();
+        for v in [0i64, -1, 1, -64, 63, -65] {
+            e.var_i64(v);
+        }
+        // Zigzag keeps small magnitudes of either sign in one byte.
+        assert_eq!(e.finish(), vec![0, 1, 2, 127, 126, 0x81, 0x01]);
+    }
+
+    #[test]
+    fn hostile_varints_are_errors() {
+        // Eleven bytes: ten continuation bytes, then a terminator.
+        let mut long = vec![0x80; 10];
+        long.push(0x00);
+        assert_eq!(Dec::new(&long).var_u64(), Err(CodecError::BadVarint));
+        // Ten bytes whose last sets bit 64.
+        let mut over = vec![0xFF; 9];
+        over.push(0x02);
+        assert_eq!(Dec::new(&over).var_u64(), Err(CodecError::BadVarint));
+        over[9] = 0x01;
+        assert_eq!(Dec::new(&over).var_u64(), Ok(u64::MAX));
+        // Truncated: the continuation bit promises a byte that is not there.
+        for bytes in [&[][..], &[0x80u8][..], &[0xFF, 0xFF][..]] {
+            assert!(matches!(Dec::new(bytes).var_u64(), Err(CodecError::UnexpectedEnd { .. })));
+            assert!(Dec::new(bytes).var_i64().is_err());
+        }
+    }
+
+    #[test]
+    fn hostile_counts_and_front_codes_are_errors() {
+        // A varint count larger than the bytes left is refused before
+        // anything is allocated.
+        let mut e = Enc::new();
+        e.var_u64(1_000_000);
+        e.u8(0);
+        let bytes = e.finish();
+        assert!(matches!(
+            Dec::new(&bytes).var_seq(Dec::u8),
+            Err(CodecError::ImplausibleLength { what: "var_seq", len: 1_000_000 })
+        ));
+        // The shared prefix cannot be longer than the previous entry.
+        let mut e = Enc::new();
+        e.var_u64(4);
+        e.var_u64(0);
+        let bytes = e.finish();
+        assert!(matches!(
+            Dec::new(&bytes).front_str("abc"),
+            Err(CodecError::ImplausibleLength { what: "front-coded prefix", len: 4 })
+        ));
+        assert_eq!(Dec::new(&bytes).front_str("abcd").unwrap(), "abcd");
+        // A suffix length past the end of the input.
+        let mut e = Enc::new();
+        e.var_u64(0);
+        e.var_u64(9);
+        e.u8(b'x');
+        let bytes = e.finish();
+        assert!(matches!(
+            Dec::new(&bytes).front_str(""),
+            Err(CodecError::ImplausibleLength { what: "front-coded suffix", .. })
+        ));
+        // A prefix cut inside a multi-byte character, completed by bytes
+        // that do not continue it, is invalid UTF-8.
+        let mut e = Enc::new();
+        e.var_u64(1);
+        e.var_u64(1);
+        e.u8(b'x');
+        let bytes = e.finish();
+        assert_eq!(Dec::new(&bytes).front_str("é"), Err(CodecError::BadUtf8));
+        // Every truncation of a valid front-coded entry is an error.
+        let mut e = Enc::new();
+        e.front_str("SELECT a FROM t", "SELECT b FROM t");
+        let bytes = e.finish();
+        for cut in 0..bytes.len() {
+            assert!(Dec::new(&bytes[..cut]).front_str("SELECT a FROM t").is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn front_coding_shares_sorted_prefixes() {
+        let table = ["SELECT * FROM stops WHERE id = 1", "SELECT * FROM stops WHERE id = 17"];
+        let mut e = Enc::new();
+        e.front_str("", table[0]);
+        let first = e.len();
+        e.front_str(table[0], table[1]);
+        // Shared 32 bytes, 1-byte suffix: three bytes for the second row.
+        assert_eq!(e.len() - first, 3);
+        let bytes = e.finish();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.front_str("").unwrap(), table[0]);
+        assert_eq!(d.front_str(table[0]).unwrap(), table[1]);
+        d.finish().unwrap();
+    }
+
+    mod props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        fn edge_u64() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                Just(0u64),
+                Just(127),
+                Just(128),
+                Just(16_383),
+                Just(16_384),
+                Just(u64::MAX),
+                Just(u64::MAX - 1),
+                0u64..300,
+                any::<u64>(),
+            ]
+        }
+
+        fn edge_i64() -> impl Strategy<Value = i64> {
+            prop_oneof![
+                Just(0i64),
+                Just(-1),
+                Just(1),
+                Just(-64),
+                Just(-65),
+                Just(i64::MIN),
+                Just(i64::MAX),
+                -300i64..300,
+                any::<i64>(),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256 })]
+
+            /// Varints round-trip whatever the values, and the minute
+            /// deltas a history writes round-trip in any order — negative,
+            /// unsorted and wrapping past either end of `i64`.
+            #[test]
+            fn varints_and_deltas_round_trip(
+                us in proptest::collection::vec(edge_u64(), 0..24),
+                is in proptest::collection::vec(edge_i64(), 0..24),
+            ) {
+                let mut e = Enc::new();
+                e.var_seq(&us, |e, v| e.var_u64(*v));
+                e.var_seq(&is, |e, v| e.var_i64(*v));
+                let mut prev = 0i64;
+                for &m in &is {
+                    e.var_i64(m.wrapping_sub(prev));
+                    prev = m;
+                }
+                let bytes = e.finish();
+                let mut d = Dec::new(&bytes);
+                prop_assert_eq!(d.var_seq(Dec::var_u64).unwrap(), us);
+                prop_assert_eq!(d.var_seq(Dec::var_i64).unwrap(), is.clone());
+                let mut prev = 0i64;
+                for &m in &is {
+                    prev = prev.wrapping_add(d.var_i64().unwrap());
+                    prop_assert_eq!(prev, m);
+                }
+                prop_assert!(d.finish().is_ok());
+            }
+
+            /// Front-coded tables round-trip sorted or not, including
+            /// shared prefixes that end inside a multi-byte character.
+            #[test]
+            fn front_coded_tables_round_trip(
+                rows in proptest::collection::vec("[ab]{0,3}.{0,6}", 0..16),
+                sorted in any::<bool>(),
+            ) {
+                let mut rows = rows;
+                if sorted {
+                    rows.sort();
+                }
+                let mut e = Enc::new();
+                let mut prev = "";
+                for row in &rows {
+                    e.front_str(prev, row);
+                    prev = row;
+                }
+                let bytes = e.finish();
+                let mut d = Dec::new(&bytes);
+                let mut prev = String::new();
+                for row in &rows {
+                    let back = d.front_str(&prev).unwrap();
+                    prop_assert_eq!(&back, row);
+                    prev = back;
+                }
+                prop_assert!(d.finish().is_ok());
+            }
+        }
     }
 
     #[test]

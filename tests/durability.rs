@@ -1,6 +1,6 @@
 //! Durability integration suite (ISSUE 6).
 //!
-//! Three layers of evidence that crash-restart is invisible:
+//! Four layers of evidence that crash-restart is invisible:
 //!
 //! * **Codec round-trips** — proptest drives every versioned record type
 //!   through `encode → decode` and demands equality, both on synthetic
@@ -19,6 +19,10 @@
 //!   [`PipelineState`], `PipelineHealth`, forecasts (raw bits), and the
 //!   deterministic trace stream. Failures print a `QB_CRASH_HOOK=…` repro
 //!   command that `crash_point_repro` below replays.
+//! * **Cross-version recovery** — a store directory written by a
+//!   `STATE_VERSION` 3 build (`crates/testkit/fixtures/v3_store`) recovers
+//!   to the state and prediction bits that build printed, and re-snapshots
+//!   as version 4; versions other than 3 and 4 are refused.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -30,12 +34,13 @@ use qb5000::{
     Qb5000Config, QueryBot5000, Tracer,
 };
 use qb_forecast::LinearRegression;
+use qb_preprocessor::BatchItem;
 use qb_sqlparse::Literal;
 use qb_testkit::crash::{
     hook_from_label, materialize_ops, reference_run, run_crash_matrix, run_with_crash, CrashCase,
     DurableOp,
 };
-use qb_timeseries::ArrivalHistoryState;
+use qb_timeseries::{ArrivalHistoryState, MINUTES_PER_DAY};
 use qb_workloads::{StorageFaultKind, StorageFaultPlan, Workload};
 
 use std::path::PathBuf;
@@ -353,6 +358,208 @@ fn quarantine_accounting_survives_crash_restart() {
             "{label}: rejection accounting must not double-count across restart"
         );
         assert_eq!(recovered.state, reference.state, "{label}: full state must match");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-version recovery: a checked-in version 3 store
+// ---------------------------------------------------------------------------
+
+/// Store directory written by a version 3 build from [`run_v3_script`]:
+/// one snapshot (`STATE_VERSION` 3) and the WAL tail after it, plus the
+/// fallback generation's segment.
+const V3_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v3_store");
+
+/// What the version 3 build printed after recovering [`V3_FIXTURE`] and
+/// rebuilding the forecast manager from it: FNV-1a of the `Debug` text of
+/// the recovered `PipelineState` and `ManagerState`, and the raw bits of
+/// the manager's prediction at [`V3_END`].
+const V3_STATE_FNV: u64 = 0xff08_13db_875f_17cd;
+const V3_MANAGER_FNV: u64 = 0x6b7e_4eaa_1d2c_ee92;
+const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
+
+const V3_SQL: [&str; 5] = [
+    "SELECT a FROM t WHERE id = 1",
+    "SELECT a FROM t WHERE id = 27",
+    "SELECT b, c FROM u WHERE x = 'k' AND y > 2",
+    "INSERT INTO t VALUES (3, 'x')",
+    "SELEC broken (",
+];
+/// Snapshot instant of the script, and the end of its WAL tail.
+const V3_SNAPSHOT_HOUR: i64 = 72;
+const V3_END: i64 = 75 * 60;
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn v3_config(dir: &std::path::Path) -> Qb5000Config {
+    let mut cfg = Qb5000Config::builder()
+        .durability(DurabilityConfig::new(dir).snapshot_every_rounds(u64::MAX))
+        .build()
+        .expect("fixture config is valid");
+    // A day and a bit of raw minutes, so the script's compactions fill the
+    // compacted tier and cut their hours mid-way.
+    cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
+        raw_retention: MINUTES_PER_DAY + 17,
+        compacted_interval: qb_timeseries::Interval::HOUR,
+    };
+    cfg
+}
+
+fn v3_manager() -> ForecastManager {
+    ForecastManager::new(vec![HorizonSpec::hourly(1)], || Box::new(LinearRegression::default()))
+}
+
+/// One scripted hour: a batch through the sharded engine (shard slots),
+/// every sixth hour a late per-event sighting two hours back (raw cache,
+/// out-of-order minutes) and a quarantined one.
+fn v3_hour(p: &mut DurablePipeline, hour: i64) {
+    let base = hour * 60;
+    let busy = (8..20).contains(&(hour % 24));
+    let owned = [
+        (base + 5, V3_SQL[0], if busy { 30 } else { 3 }),
+        (base + 5, V3_SQL[1], 2),
+        (base + 31, V3_SQL[2], if busy { 4 } else { 20 }),
+        (base + 47, V3_SQL[0], 7 + (hour as u64 % 5)),
+    ];
+    let batch: Vec<BatchItem<'_>> =
+        owned.iter().map(|&(minute, sql, count)| BatchItem { minute, sql, count }).collect();
+    p.ingest_batch(&batch).expect("fixture batch");
+    if hour % 6 == 5 {
+        p.ingest_weighted(base - 113, V3_SQL[3], 1 + hour as u64 % 3).expect("late sighting");
+        assert!(p.ingest_weighted(base, V3_SQL[4], 1).is_err(), "quarantined");
+    }
+    if hour % 12 == 11 {
+        p.update_clusters(base + 60).expect("fixture round");
+    }
+}
+
+/// The scripted run the version 3 fixture was written from: 72 hours with
+/// rounds and a compaction, then a forecast manager trained, predicting,
+/// and snapshotted with the pipeline; then a WAL tail of three more hours
+/// with a compaction and a round. Returns the open pipeline.
+fn run_v3_script(dir: &std::path::Path) -> DurablePipeline {
+    let (mut p, report) = DurablePipeline::open(v3_config(dir)).expect("fresh fixture dir");
+    assert!(!report.recovered());
+    for hour in 0..V3_SNAPSHOT_HOUR {
+        v3_hour(&mut p, hour);
+        if hour == 53 {
+            p.compact_histories().expect("fixture compaction");
+        }
+    }
+    let now = V3_SNAPSHOT_HOUR * 60;
+    p.attach_manager(v3_manager());
+    p.ensure_trained(now).expect("fixture training");
+    p.predict_tracked(now, 0);
+    p.snapshot().expect("fixture snapshot");
+    for hour in V3_SNAPSHOT_HOUR..V3_END / 60 {
+        v3_hour(&mut p, hour);
+    }
+    p.compact_histories().expect("tail compaction");
+    p.update_clusters(V3_END).expect("tail round");
+    p
+}
+
+/// Recovers `dir`, rebuilds the manager from the recovered state, and
+/// returns the pipeline with the recovered manager state and predictions.
+fn recover_v3(dir: &std::path::Path) -> (DurablePipeline, qb5000::ManagerState, Vec<u64>) {
+    let (mut p, report) = DurablePipeline::open(v3_config(dir)).expect("fixture recovers");
+    let mstate = report.manager.expect("the fixture snapshot carries manager state");
+    let mgr = ForecastManager::restore(
+        vec![HorizonSpec::hourly(1)],
+        || Box::new(LinearRegression::default()),
+        mstate.clone(),
+        p.bot(),
+    )
+    .expect("manager restores");
+    p.attach_manager(mgr);
+    let bits = p
+        .manager()
+        .expect("attached")
+        .predict(p.bot(), V3_END, 0)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    (p, mstate, bits)
+}
+
+fn copy_dir(from: &str, to: &std::path::Path) {
+    std::fs::create_dir_all(to).expect("scratch dir");
+    for entry in std::fs::read_dir(from).expect("fixture dir listable") {
+        let path = entry.expect("fixture entry").path();
+        std::fs::copy(&path, to.join(path.file_name().expect("file name"))).expect("copy");
+    }
+}
+
+/// `STATE_VERSION` of the newest snapshot in `dir` (the payload's first
+/// two bytes, after the 22-byte file header).
+fn newest_snapshot_version(dir: &std::path::Path) -> u16 {
+    let newest = std::fs::read_dir(dir)
+        .expect("store dir listable")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "qbs"))
+        .max()
+        .expect("a snapshot");
+    let bytes = std::fs::read(newest).expect("snapshot readable");
+    u16::from_le_bytes([bytes[22], bytes[23]])
+}
+
+/// A version 3 store recovers under this build to the state and
+/// prediction bits the version 3 build printed, and to the state a run of
+/// the same script reaches here. The next snapshot is version 4 and
+/// recovers to the same state again.
+#[test]
+fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v4() {
+    let dir = tmp_dir("v3-fixture");
+    copy_dir(V3_FIXTURE, &dir);
+    assert_eq!(newest_snapshot_version(&dir), 3, "the fixture is a version 3 store");
+
+    let (mut p, mstate, bits) = recover_v3(&dir);
+    let state = p.bot().export_state();
+    assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as v3 recovered it");
+    assert_eq!(fnv1a(&format!("{mstate:?}")), V3_MANAGER_FNV, "ManagerState as v3 recovered it");
+    assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as v3 recovered them");
+    assert!(!state.pre.shard_slots.is_empty() && !state.pre.raw_cache.is_empty());
+    assert!(state.pre.entries.iter().any(|e| !e.history.compacted.is_empty()));
+
+    // The same script under this build reaches the same state.
+    let live_dir = tmp_dir("v3-fixture-live");
+    let live = run_v3_script(&live_dir);
+    assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
+    drop(live);
+    let _ = std::fs::remove_dir_all(&live_dir);
+
+    // Snapshot again: written as version 4, recovered to the same state.
+    p.snapshot().expect("re-snapshot");
+    drop(p);
+    assert_eq!(newest_snapshot_version(&dir), qb5000::STATE_VERSION);
+    assert_eq!(qb5000::STATE_VERSION, 4);
+    let (p, mstate_v4, bits_v4) = recover_v3(&dir);
+    assert_eq!(p.bot().export_state(), state, "v4 re-snapshot recovers the same state");
+    assert_eq!(mstate_v4, mstate);
+    assert_eq!(bits_v4, bits);
+    drop(p);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Versions 3 and 4 decode; 2 and 5 are refused before any field is read.
+#[test]
+fn payload_versions_other_than_3_and_4_are_refused() {
+    let full = FullState {
+        pipeline: QueryBot5000::new(Qb5000Config::default()).export_state(),
+        manager: None,
+        tracer: None,
+    };
+    let bytes = encode_full_state(&full);
+    assert_eq!(bytes[..2], 4u16.to_le_bytes());
+    assert_eq!(decode_full_state(&bytes).expect("v4 decodes"), full);
+    for version in [2u16, 5] {
+        let mut refused = bytes.clone();
+        refused[..2].copy_from_slice(&version.to_le_bytes());
+        let err = decode_full_state(&refused).expect_err("unknown version");
+        assert!(err.to_string().contains(&format!("version {version}")), "{err}");
     }
 }
 
