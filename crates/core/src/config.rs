@@ -104,16 +104,16 @@ impl Qb5000ConfigBuilder {
         self
     }
 
-    /// Logical shard count for the batched ingest engine (must be ≥ 1).
-    /// Routing is content-addressed, so this changes throughput, never
-    /// results.
+    /// Logical shard count for the ingest engine (must be ≥ 1). Routing is
+    /// content-addressed, so this changes throughput, never results.
     pub fn ingest_shards(mut self, shards: usize) -> Self {
         self.cfg.preprocessor.ingest_shards = shards;
         self
     }
 
-    /// Raw-SQL cache capacity before a generational reset (must be ≥ 1).
-    /// Size it above the distinct-statement working set to keep the
+    /// Raw-SQL capacity of the ingest shard caches, split evenly between
+    /// them; a shard at its share takes a generational reset (must be
+    /// ≥ 1). Size it above the distinct-statement working set to keep the
     /// repeat-arrival fast path hot.
     pub fn raw_cache_limit(mut self, limit: usize) -> Self {
         self.cfg.preprocessor.raw_cache_limit = limit;
@@ -351,14 +351,6 @@ impl ControllerConfigBuilder {
     /// positive weights and non-zero horizons.
     pub fn forecast_horizons(mut self, horizons: Vec<(usize, f64)>) -> Self {
         self.cfg.forecast_horizons = horizons;
-        self
-    }
-
-    /// Drive ingest through the sharded batch engine, one tick per
-    /// simulated minute. Results are unchanged; defaults to `false` (the
-    /// sequential path is the golden-trace reference).
-    pub fn batch_ingest(mut self, on: bool) -> Self {
-        self.cfg.batch_ingest = on;
         self
     }
 

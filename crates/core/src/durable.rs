@@ -18,15 +18,17 @@
 //! module against [`qb_durable::Enc`]/[`qb_durable::Dec`] so the on-disk
 //! layout is auditable line by line. Version 4, the only one written,
 //! stores each history tier as zigzag-varint minute deltas with varint
-//! counts and front-codes the three sorted string tables (template texts,
-//! raw-SQL cache, shard slots); every other field is fixed-width, as in
-//! version 3. Version 3 payloads still decode, through a read-only path
-//! that differs only in those fields. A build refuses every other payload
-//! version rather than guessing.
+//! counts and front-codes the sorted string tables (template texts, shard
+//! slots, and the raw-SQL cache older builds kept, now written empty);
+//! every other field is fixed-width, as in version 3. Version 3 payloads
+//! still decode, through a read-only path that differs only in those
+//! fields. A build refuses every other payload version rather than
+//! guessing.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
-//! the dispatch tag ([`KIND_INGEST`], [`KIND_CLUSTER_UPDATE`],
-//! [`KIND_COMPACT`], [`KIND_INGEST_BATCH`]).
+//! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],
+//! [`KIND_COMPACT`]; [`KIND_INGEST`] frames of older builds are read,
+//! never written).
 //!
 //! ## Recovery invariants
 //!
@@ -41,7 +43,7 @@
 //!    rejected statements live inside the snapshot's quarantine ring and
 //!    their WAL frames are sequence-skipped, never replayed on top.
 //! 3. **Replay is the ingest path.** Recovery calls the same
-//!    `ingest_weighted` / `update_clusters` the live pipeline uses, so a
+//!    `ingest_batch` / `update_clusters` the live pipeline uses, so a
 //!    recovered process continues the exact event stream — forecasts,
 //!    [`crate::PipelineHealth`], and `qb-trace` output are bit-identical
 //!    to an uninterrupted run.
@@ -77,15 +79,17 @@ pub const STATE_VERSION: u16 = 4;
 /// writes it: the first snapshot after a version 3 recovery is version 4.
 const STATE_VERSION_V3: u16 = 3;
 
-/// WAL frame kind: one weighted template sighting.
+/// WAL frame kind: one weighted template sighting, as older builds framed
+/// each `ingest_weighted` call. Read, never written: it decodes to a
+/// one-item [`WalRecord::IngestBatch`].
 pub const KIND_INGEST: u8 = 1;
 /// WAL frame kind: an explicit cluster-update instant.
 pub const KIND_CLUSTER_UPDATE: u8 = 2;
 /// WAL frame kind: an arrival-history compaction point.
 pub const KIND_COMPACT: u8 = 3;
-/// WAL frame kind: a tick's worth of sightings ingested through the
-/// sharded batch engine. Replay routes the batch back through the same
-/// engine, so shard-cache state re-derives identically.
+/// WAL frame kind: the sightings of one ingest call — a tick, or a single
+/// statement. Replay routes them back through the same engine, so
+/// shard-cache state re-derives identically.
 pub const KIND_INGEST_BATCH: u8 = 4;
 
 /// Durable-state policy for a pipeline: where state lives, how often a
@@ -136,14 +140,12 @@ pub struct FullState {
 /// One decoded WAL frame payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A weighted template sighting (the `ingest_weighted` arguments).
-    Ingest { minute: Minute, count: u64, sql: String },
     /// An explicit cluster rebuild at `now`.
     ClusterUpdate { now: Minute },
     /// An arrival-history compaction point.
     Compact,
-    /// A batch of weighted sightings ingested through the sharded engine
-    /// (`(minute, count, sql)` per statement, in arrival order).
+    /// The weighted sightings of one ingest call (`(minute, count, sql)`
+    /// per statement, in arrival order).
     IngestBatch { items: Vec<(Minute, u64, String)> },
 }
 
@@ -348,10 +350,12 @@ fn decode_entry(d: &mut Dec, version: u16) -> Result<TemplateEntryState, CodecEr
     })
 }
 
-/// Encodes one [`PreProcessorState`].
+/// Encodes one [`PreProcessorState`]. The raw-SQL cache table and its
+/// re-parse hit counter, which older builds kept beside the shard caches,
+/// keep their places written empty and zero; the decoder drops them.
 pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
     e.seq(&s.entries, encode_entry);
-    for table in [&s.distinct_texts, &s.raw_cache] {
+    for table in [&s.distinct_texts, &Vec::new()] {
         encode_text_table(e, table, |(text, _)| text, |e, (_, id)| e.var_u64(u64::from(*id)));
     }
     encode_text_table(
@@ -363,7 +367,7 @@ pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
             e.var_u64(*hits);
         },
     );
-    e.u64(s.cache_hits);
+    e.u64(0);
     e.u64(s.next_seed);
     e.u64(s.stats.total_queries);
     e.u64(s.stats.selects);
@@ -384,7 +388,9 @@ fn decode_preprocessor_state_at(
 ) -> Result<PreProcessorState, CodecError> {
     let entries = d.seq(|d| decode_entry(d, version))?;
     // Version 3 wrote every text whole and the ids and hits fixed-width.
-    let (distinct_texts, raw_cache, shard_slots) = if version == STATE_VERSION_V3 {
+    // The raw-SQL cache of older builds and its hit counter are read and
+    // dropped.
+    let (distinct_texts, _raw_cache, shard_slots) = if version == STATE_VERSION_V3 {
         (
             d.seq(|d| Ok((d.str()?, d.u32()?)))?,
             d.seq(|d| Ok((d.str()?, d.u32()?)))?,
@@ -397,12 +403,11 @@ fn decode_preprocessor_state_at(
             decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?, d.var_u64()?)))?,
         )
     };
+    let _cache_hits = d.u64()?;
     Ok(PreProcessorState {
         entries,
         distinct_texts,
-        raw_cache,
         shard_slots,
-        cache_hits: d.u64()?,
         next_seed: d.u64()?,
         stats: IngestStats {
             total_queries: d.u64()?,
@@ -767,12 +772,6 @@ pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
 pub fn encode_wal_record(rec: &WalRecord) -> (u8, Vec<u8>) {
     let mut e = Enc::new();
     match rec {
-        WalRecord::Ingest { minute, count, sql } => {
-            e.i64(*minute);
-            e.u64(*count);
-            e.str(sql);
-            (KIND_INGEST, e.finish())
-        }
         WalRecord::ClusterUpdate { now } => {
             e.i64(*now);
             (KIND_CLUSTER_UPDATE, e.finish())
@@ -786,8 +785,8 @@ pub fn encode_wal_record(rec: &WalRecord) -> (u8, Vec<u8>) {
 }
 
 /// The [`KIND_INGEST_BATCH`] payload: a fixed-width item count, then per
-/// item its minute, count and SQL. Takes borrowed items so
-/// [`DurablePipeline::ingest_batch`] frames a tick without copying it.
+/// item its minute, count and SQL. Takes borrowed items so the durable
+/// ingest calls frame their statements without copying them.
 fn encode_batch_items<'a>(items: impl ExactSizeIterator<Item = (Minute, u64, &'a str)>) -> Vec<u8> {
     let mut e = Enc::new();
     e.usize(items.len());
@@ -803,9 +802,7 @@ fn encode_batch_items<'a>(items: impl ExactSizeIterator<Item = (Minute, u64, &'a
 pub fn decode_wal_record(kind: u8, payload: &[u8]) -> Result<WalRecord, DurabilityError> {
     let mut d = Dec::new(payload);
     let rec = match kind {
-        KIND_INGEST => {
-            WalRecord::Ingest { minute: d.i64()?, count: d.u64()?, sql: d.str()? }
-        }
+        KIND_INGEST => WalRecord::IngestBatch { items: vec![(d.i64()?, d.u64()?, d.str()?)] },
         KIND_CLUSTER_UPDATE => WalRecord::ClusterUpdate { now: d.i64()? },
         KIND_COMPACT => WalRecord::Compact,
         KIND_INGEST_BATCH => WalRecord::IngestBatch {
@@ -896,10 +893,6 @@ impl DurablePipeline {
         let mut rounds_since_snapshot = 0u64;
         for frame in &recovered.frames {
             match decode_wal_record(frame.kind, &frame.payload)? {
-                WalRecord::Ingest { minute, count, sql } => {
-                    statements_replayed += 1;
-                    let _ = bot.ingest_weighted(minute, &sql, count);
-                }
                 WalRecord::ClusterUpdate { now } => {
                     bot.update_clusters(now);
                     rounds_since_snapshot += 1;
@@ -974,7 +967,9 @@ impl DurablePipeline {
         self.ingest_weighted(t, sql, 1)
     }
 
-    /// Durable [`QueryBot5000::ingest_weighted`] (append-then-apply).
+    /// Durable [`QueryBot5000::ingest_weighted`] (append-then-apply): the
+    /// sighting is framed as a one-item batch, which replays exactly as the
+    /// live call applied it.
     ///
     /// A quarantine rejection returns the Pre-Processor's `Err` exactly as
     /// the in-memory pipeline would — the frame stays in the WAL and the
@@ -987,7 +982,7 @@ impl DurablePipeline {
         sql: &str,
         count: u64,
     ) -> Result<TemplateId, Error> {
-        self.append(&WalRecord::Ingest { minute: t, count, sql: sql.to_string() })?;
+        self.append_frame(KIND_INGEST_BATCH, &encode_batch_items(std::iter::once((t, count, sql))))?;
         self.bot.ingest_weighted(t, sql, count)
     }
 
@@ -1198,7 +1193,6 @@ mod tests {
     #[test]
     fn wal_records_round_trip() {
         for rec in [
-            WalRecord::Ingest { minute: -5, count: 42, sql: "SELECT 1".into() },
             WalRecord::ClusterUpdate { now: 1440 },
             WalRecord::Compact,
             WalRecord::IngestBatch { items: vec![] },
@@ -1213,6 +1207,15 @@ mod tests {
             let (kind, payload) = encode_wal_record(&rec);
             assert_eq!(decode_wal_record(kind, &payload).unwrap(), rec);
         }
+        // Older builds' per-sighting frames decode to one-item batches.
+        let mut e = Enc::new();
+        e.i64(-5);
+        e.u64(42);
+        e.str("SELECT 1");
+        assert_eq!(
+            decode_wal_record(KIND_INGEST, &e.finish()).unwrap(),
+            WalRecord::IngestBatch { items: vec![(-5, 42, "SELECT 1".into())] }
+        );
         assert!(decode_wal_record(99, &[]).is_err());
     }
 
@@ -1290,7 +1293,9 @@ mod tests {
     /// Hostile input never panics: every truncation of a v4 payload is an
     /// error, and every single-bit flip is either an error or a different
     /// state (a flipped float or counter bit is a valid value; the snapshot
-    /// file's CRC-32 rejects those before the payload is decoded).
+    /// file's CRC-32 rejects those before the payload is decoded) — except
+    /// in the eight bytes of the dropped raw-cache hit counter, which
+    /// decode to the same state.
     #[test]
     fn every_truncation_and_bit_flip_of_a_v4_payload_fails_cleanly() {
         let mut cfg = Qb5000Config::default();
@@ -1316,10 +1321,16 @@ mod tests {
         }
         let full = FullState { pipeline: bot.export_state(), manager: None, tracer: None };
         let pre = &full.pipeline.pre;
-        assert!(!pre.shard_slots.is_empty() && !pre.raw_cache.is_empty());
+        assert!(pre.shard_slots.len() > 3, "per-event and batch rows share the shard slots");
         assert!(pre.entries.iter().all(|e| !e.history.compacted.is_empty()));
         assert!(pre.quarantine.rejected_statements > 0);
         let bytes = encode_full_state(&full);
+        // The dropped hit counter is the eight bytes before `next_seed`.
+        let mut nudged = full.clone();
+        nudged.pipeline.pre.next_seed ^= 1;
+        let next_seed_at =
+            bytes.iter().zip(encode_full_state(&nudged)).position(|(a, b)| *a != b).unwrap();
+        let dropped = next_seed_at - 8..next_seed_at;
 
         for cut in 0..bytes.len() {
             assert!(decode_full_state(&bytes[..cut]).is_err(), "truncated at {cut}");
@@ -1330,9 +1341,10 @@ mod tests {
                 flipped[i] ^= 1 << bit;
                 // Compared as bytes: `==` on floats cannot tell -0.0 from 0.0.
                 if let Ok(back) = decode_full_state(&flipped) {
-                    assert!(
-                        encode_full_state(&back) != bytes,
-                        "byte {i} bit {bit} decoded to the same state"
+                    assert_eq!(
+                        encode_full_state(&back) == bytes,
+                        dropped.contains(&i),
+                        "byte {i} bit {bit}: only the dropped counter decodes to the same state"
                     );
                 }
                 flipped[i] ^= 1 << bit;

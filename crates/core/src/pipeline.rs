@@ -211,8 +211,9 @@ pub struct PipelineHealth {
     pub reordered: u64,
     /// Per-stage last error as `(stage, message)`, most recent per stage.
     pub last_errors: Vec<(&'static str, String)>,
-    /// Worker threads the training/scoring engine runs with (from
-    /// `QB_THREADS` / `ControllerConfig::threads`; 1 = sequential).
+    /// Worker threads the pipeline runs with (the ingest and feature pool
+    /// resolved from `QB_THREADS` at assembly; a controller run reports
+    /// `ControllerConfig::threads`; 1 = sequential).
     pub threads_used: usize,
     /// Rolling forecast-accuracy rows, one per tracked horizon. Empty
     /// unless an [`crate::AccuracyTracker`] scores this pipeline's
@@ -261,6 +262,11 @@ pub struct QueryBot5000 {
     /// Early re-clusterings (`pipeline.shift_triggers`), mirroring
     /// [`QueryBot5000::shift_triggers`] onto the recorder.
     shift_trigger_metric: qb_obs::Counter,
+    /// Worker pool for ingest ticks and feature extraction, sized from
+    /// `QB_THREADS` once at assembly: resolving it reads the cgroup CPU
+    /// quota when the variable is unset, which costs more than a small
+    /// tick's whole ingest.
+    pool: ThreadPool,
 }
 
 impl QueryBot5000 {
@@ -296,6 +302,7 @@ impl QueryBot5000 {
             last_ingest_event: None,
             update_time,
             shift_trigger_metric,
+            pool: ThreadPool::default(),
         }
     }
 
@@ -335,95 +342,78 @@ impl QueryBot5000 {
         sql: &str,
         count: u64,
     ) -> Result<TemplateId, Error> {
-        // Delivery-order accounting (observability only — histories are
-        // time-keyed and absorb duplicates and reordering either way).
-        if self.last_ingest_minute.is_some_and(|prev| t < prev) {
-            self.reordered += 1;
-        }
-        self.last_ingest_minute = Some(t);
-        let event = (t, Self::sql_fingerprint(sql));
-        if self.last_ingest_event == Some(event) {
-            self.deduplicated += 1;
-        }
-        self.last_ingest_event = Some(event);
-
+        self.note_delivery(t, sql);
         let id = self.pre.ingest_weighted(t, sql, count)?;
         self.ingested_statements += 1;
         self.ingested_arrivals += count;
-        if self.clusterer.observe(id.0 as u64) {
-            self.shift_triggers += 1;
-            self.shift_trigger_metric.inc();
-            self.update_clusters(t);
-        }
+        self.observe(&[u64::from(id.0)], t);
         Ok(id)
     }
 
-    /// Ingests a tick's worth of statements through the sharded batch
-    /// engine. Small ticks run on the calling thread; larger ones fan out
-    /// on a worker pool sized from the environment (`QB_THREADS`). See
+    /// Ingests a tick's worth of statements on the pipeline's worker pool
+    /// (sized from `QB_THREADS` at assembly). See
     /// [`QueryBot5000::ingest_batch_with`].
     pub fn ingest_batch(&mut self, batch: &[BatchItem<'_>]) -> BatchReport {
-        self.ingest_batch_with(&ThreadPool::default(), batch)
+        let pool = self.pool.clone();
+        self.ingest_batch_with(&pool, batch)
     }
 
-    /// Ingests a tick's worth of statements through the sharded batch
-    /// engine on an explicit worker pool, which a tick below the engine's
-    /// fan-out floor does not use.
+    /// Ingests a tick's worth of statements on an explicit worker pool,
+    /// which a tick below the engine's fan-out floor does not use.
     ///
     /// State-equivalent to calling [`QueryBot5000::ingest_weighted`] per
     /// item in order — and bit-identical across pool widths and batch
-    /// splits (see [`PreProcessor::ingest_batch`]) — but statements fan
-    /// out across the Pre-Processor's logical shards, history updates
-    /// coalesce per tick, and the clusterer consumes one deduplicated
-    /// sighting feed instead of a per-statement call. The workload-shift
-    /// trigger (§5.2) is evaluated once per batch; when it fires, clusters
-    /// rebuild at the batch's final arrival minute.
+    /// splits (see [`PreProcessor::ingest_batch`]) — except that the
+    /// clusterer consumes the tick's deduplicated sighting feed at once:
+    /// the workload-shift trigger (§5.2) is evaluated once per batch, and
+    /// when it fires, clusters rebuild at the batch's final arrival minute.
     ///
-    /// Rejected statements are quarantined and counted exactly as on the
-    /// sequential path; the returned [`BatchReport`] carries the batch's
-    /// accounting.
+    /// Rejected statements are quarantined and counted exactly as one at a
+    /// time; the returned [`BatchReport`] carries the batch's accounting.
     pub fn ingest_batch_with(
         &mut self,
         pool: &ThreadPool,
         batch: &[BatchItem<'_>],
     ) -> BatchReport {
-        if batch.is_empty() {
+        let Some(last) = batch.last() else {
             return BatchReport::default();
-        }
-        // Delivery-order accounting, identical to the sequential path
-        // (observability only — histories absorb duplicates and
-        // reordering either way).
+        };
         for item in batch {
-            if self.last_ingest_minute.is_some_and(|prev| item.minute < prev) {
-                self.reordered += 1;
-            }
-            self.last_ingest_minute = Some(item.minute);
-            let event = (item.minute, Self::sql_fingerprint(item.sql));
-            if self.last_ingest_event == Some(event) {
-                self.deduplicated += 1;
-            }
-            self.last_ingest_event = Some(event);
+            self.note_delivery(item.minute, item.sql);
         }
-
         let report = self.pre.ingest_batch(pool, batch);
         self.ingested_statements += report.statements;
         self.ingested_arrivals += report.arrivals;
-
-        let keys: Vec<u64> = report.sighted.iter().map(|id| id.0 as u64).collect();
-        if self.clusterer.observe_batch(&keys) {
-            self.shift_triggers += 1;
-            self.shift_trigger_metric.inc();
-            let now = batch.last().expect("batch checked non-empty").minute;
-            self.update_clusters(now);
-        }
+        let keys: Vec<u64> = report.sighted.iter().map(|id| u64::from(id.0)).collect();
+        self.observe(&keys, last.minute);
         report
     }
 
-    fn sql_fingerprint(sql: &str) -> u64 {
+    /// Delivery-order accounting (observability only — histories are
+    /// time-keyed and absorb duplicates and reordering either way).
+    fn note_delivery(&mut self, t: Minute, sql: &str) {
         use std::hash::{Hash, Hasher};
+        if self.last_ingest_minute.is_some_and(|prev| t < prev) {
+            self.reordered += 1;
+        }
+        self.last_ingest_minute = Some(t);
         let mut h = std::collections::hash_map::DefaultHasher::new();
         sql.hash(&mut h);
-        h.finish()
+        let event = (t, h.finish());
+        if self.last_ingest_event == Some(event) {
+            self.deduplicated += 1;
+        }
+        self.last_ingest_event = Some(event);
+    }
+
+    /// Feeds sighted templates to the clusterer and rebuilds the clusters
+    /// at `now` when the unseen-template burst trips the shift trigger.
+    fn observe(&mut self, keys: &[u64], now: Minute) {
+        if self.clusterer.observe_batch(keys) {
+            self.shift_triggers += 1;
+            self.shift_trigger_metric.inc();
+            self.update_clusters(now);
+        }
     }
 
     /// Exports the complete mutable pipeline state as plain data (durable
@@ -490,7 +480,7 @@ impl QueryBot5000 {
             deduplicated: self.deduplicated,
             reordered: self.reordered,
             last_errors,
-            threads_used: qb_parallel::configured_threads(),
+            threads_used: self.pool.threads(),
             forecast_accuracy: Vec::new(),
             trace_dumps: self.config.tracer.dumps(),
             serve_epoch: self.config.serve.as_ref().map(|s| s.epoch()),
@@ -522,11 +512,11 @@ impl QueryBot5000 {
         // preserves input order, so any pool width yields the same
         // snapshot vector bit for bit.
         const SNAPSHOT_CHUNK: usize = 256;
-        let pool = ThreadPool::default();
         let chunks: Vec<&[qb_preprocessor::TemplateEntry]> =
             self.pre.templates().chunks(SNAPSHOT_CHUNK).collect();
         let sampler = &sampler;
-        let snapshots: Vec<TemplateSnapshot> = pool
+        let snapshots: Vec<TemplateSnapshot> = self
+            .pool
             .map(chunks, |_, chunk| {
                 chunk
                     .iter()

@@ -14,7 +14,9 @@
 //! 5. keeps a reservoir sample of each template's original parameters for
 //!    the planning module (Vitter's Algorithm R).
 //!
-//! The entry point is [`PreProcessor::ingest`].
+//! The entry points are [`PreProcessor::ingest`] for one statement and
+//! [`PreProcessor::ingest_batch`] for a tick's worth; both run the one
+//! sharded engine in [`shard`].
 
 pub mod fingerprint;
 pub mod logical;
@@ -206,17 +208,18 @@ pub struct PreProcessorConfig {
     pub semantic_folding: bool,
     /// Seed for the reservoir's RNG (deterministic sampling).
     pub seed: u64,
-    /// Upper bound on cached raw SQL strings (exact-repeat parser bypass).
-    /// When the bound is reached the cache takes a generational reset —
-    /// it is cleared and refills with whatever is hot *now* — so template
+    /// Upper bound on raw SQL strings cached across the ingest shards (the
+    /// exact-repeat parser bypass), split evenly between them. When a
+    /// shard's share is reached its cache takes a generational reset — it
+    /// is cleared and refills with whatever is hot *now* — so template
     /// churn cannot freeze it on a stale working set. Size it at or above
     /// the expected distinct-statement working set for sustained ingest.
     pub raw_cache_limit: usize,
-    /// Logical shard count for the batched ingest engine
-    /// ([`PreProcessor::ingest_batch`]). Content routing (raw-text hash →
-    /// shard) and the merged output depend on this number but **not** on
-    /// the worker-pool width, so any `QB_THREADS` value replays the same
-    /// state. Fix it per deployment like any other config knob.
+    /// Logical shard count for the ingest engine ([`shard`]). Content
+    /// routing (raw-text hash → shard) and the resulting state depend on
+    /// this number but **not** on the worker-pool width, so any
+    /// `QB_THREADS` value replays the same state. Fix it per deployment
+    /// like any other config knob.
     pub ingest_shards: usize,
 }
 
@@ -271,17 +274,17 @@ pub struct PreProcessor {
     distinct_texts: HashMap<String, TemplateId>,
     entries: Vec<TemplateEntry>,
     stats: IngestStats,
-    /// Cache: raw SQL string → template id. Real applications repeat the
-    /// same literal strings constantly; this short-circuits the parser for
-    /// exact repeats without affecting correctness.
-    raw_cache: HashMap<String, TemplateId>,
-    cache_hits: u64,
     next_seed: u64,
     quarantine: Quarantine,
     tracer: Tracer,
-    /// Shard-local caches for the batched ingest engine; empty until the
-    /// first [`PreProcessor::ingest_batch`] call.
+    /// Shard-local raw-SQL caches of the ingest engine. Real applications
+    /// repeat the same literal strings constantly; the caches
+    /// short-circuit the parser for exact repeats. Empty until the first
+    /// ingest call.
     shards: Vec<shard::Shard>,
+    /// Ingest calls so far (each is one batch); dedups each shard slot's
+    /// sightings to one per batch. Not persisted.
+    tick: u64,
 }
 
 impl PreProcessor {
@@ -294,12 +297,11 @@ impl PreProcessor {
             distinct_texts: HashMap::new(),
             entries: Vec::new(),
             stats: IngestStats::default(),
-            raw_cache: HashMap::new(),
-            cache_hits: 0,
             next_seed,
             quarantine: Quarantine::default(),
             tracer: Tracer::disabled(),
             shards: Vec::new(),
+            tick: 0,
         }
     }
 
@@ -327,9 +329,10 @@ impl PreProcessor {
 
     /// Ingests `count` identical arrivals of `sql` at minute `t`.
     ///
-    /// The batched form is how the trace generators replay high-volume
-    /// workloads without materializing duplicate strings; the templating
-    /// path is identical to [`PreProcessor::ingest`].
+    /// The weighted form is how the trace generators replay high-volume
+    /// workloads without materializing duplicate strings. It is a batch of
+    /// one through the sharded engine, run on the calling thread, so it
+    /// leaves exactly the state [`PreProcessor::ingest_batch`] would.
     pub fn ingest_weighted(
         &mut self,
         t: Minute,
@@ -337,90 +340,24 @@ impl PreProcessor {
         count: u64,
     ) -> Result<TemplateId, PreProcessError> {
         let _span = self.metrics.ingest_time.start();
-        if let Some(&id) = self.raw_cache.get(sql) {
-            // Re-parse one in 64 cache hits so repeated identical strings
-            // still feed the parameter reservoir (a permanent bypass would
-            // starve it of exactly the hottest queries). Both branches are
-            // cache hits — the reparse is a reservoir refresh, not a miss —
-            // so the hit counter increments before the cadence split.
-            self.cache_hits = self.cache_hits.wrapping_add(1);
-            self.metrics.cache_hits.inc();
-            if !self.cache_hits.is_multiple_of(64) {
-                self.metrics.ingested_statements.inc();
-                self.metrics.ingested_arrivals.add(count);
-                self.bump(id, t, count, None);
-                return Ok(id);
-            }
-        }
-
-        let stmt = match parse_statement(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                let err = PreProcessError::Parse(e);
-                self.quarantine.admit(t, sql, count, &err);
-                self.metrics.quarantined_statements.inc();
-                self.metrics.quarantined_arrivals.add(count);
-                if self.tracer.is_enabled() {
-                    let msg: String = err.to_string().chars().take(120).collect();
-                    self.tracer.record(
-                        EventDraft::new(EventKind::QueryQuarantined)
-                            .int("minute", t)
-                            .uint("count", count)
-                            .text("error", &msg),
-                    );
-                }
-                return Err(err);
-            }
-        };
-        let templatized = templatize(&stmt);
-        let before = self.entries.len();
-        let TemplatizedQuery { template, text, params, .. } = templatized;
-        let id = self.intern_owned(template, text);
-        if self.entries.len() > before {
-            self.trace_new_template(t, id);
-        }
-        self.bump(id, t, count, Some(params));
-        self.metrics.ingested_statements.inc();
-        self.metrics.ingested_arrivals.add(count);
-        self.cache_insert(sql, id);
-        Ok(id)
+        self.begin_batch();
+        let mut report = BatchReport::default();
+        let outcome = self.ingest_on_caller(&BatchItem { minute: t, sql, count }, &mut report);
+        self.publish_metrics(&report);
+        outcome.map(|(id, _)| id)
     }
 
-    /// Ingests an already-parsed statement (used by dbsim replay, which
-    /// parses once and executes many times).
-    pub fn ingest_statement(&mut self, t: Minute, stmt: &Statement, count: u64) -> TemplateId {
-        let _span = self.metrics.ingest_time.start();
-        let templatized = templatize(stmt);
-        let before = self.entries.len();
-        let TemplatizedQuery { template, text, params, .. } = templatized;
-        let id = self.intern_owned(template, text);
-        if self.entries.len() > before {
-            self.trace_new_template(t, id);
-        }
-        self.bump(id, t, count, Some(params));
-        self.metrics.ingested_statements.inc();
-        self.metrics.ingested_arrivals.add(count);
-        id
-    }
-
-    /// Inserts into the raw-string cache under the generational-reset
-    /// eviction policy: at `raw_cache_limit` the whole cache is dropped and
-    /// refills with the current working set. Under template churn the hit
-    /// rate dips for one generation and recovers, instead of freezing on
-    /// whatever filled the cache first. The reset point is a pure function
-    /// of the insertion sequence, so it replays identically from a
-    /// snapshot.
-    fn cache_insert(&mut self, sql: &str, id: TemplateId) {
-        if self.raw_cache.len() >= self.config.raw_cache_limit {
-            self.raw_cache.clear();
-        }
-        self.raw_cache.insert(sql.to_string(), id);
-    }
-
-    /// Interns a templated statement, taking ownership of the canonical
-    /// text and AST so the fresh-template path stores them without cloning
-    /// (the dedup-map key is the one remaining copy).
-    fn intern_owned(&mut self, template: Statement, text: String) -> TemplateId {
+    /// Interns a templated statement first seen at minute `t`, taking
+    /// ownership of the canonical text and AST so the fresh-template path
+    /// stores them without cloning (the dedup-map key is the one remaining
+    /// copy). A fresh template is traced and counted in `report`.
+    fn intern(
+        &mut self,
+        template: Statement,
+        text: String,
+        t: Minute,
+        report: &mut BatchReport,
+    ) -> TemplateId {
         if let Some(&id) = self.distinct_texts.get(&text) {
             return id;
         }
@@ -451,7 +388,8 @@ impl PreProcessor {
         // mapping — a restore that re-enables folding would otherwise fold
         // onto whichever template happened to be interned last.
         self.by_fingerprint.entry(fp).or_insert(id);
-        self.metrics.templates.set(self.entries.len() as f64);
+        self.trace_new_template(t, id);
+        report.new_templates += 1;
         id
     }
 
@@ -478,12 +416,27 @@ impl PreProcessor {
         }
     }
 
-    fn bump(&mut self, id: TemplateId, t: Minute, count: u64, params: Option<Vec<Literal>>) {
+    /// Quarantines a statement the parser refused.
+    fn reject(&mut self, item: &BatchItem<'_>, err: &PreProcessError, report: &mut BatchReport) {
+        self.quarantine.admit(item.minute, item.sql, item.count, err);
+        report.quarantined_statements += 1;
+        report.quarantined_arrivals += item.count;
+        if self.tracer.is_enabled() {
+            let msg: String = err.to_string().chars().take(120).collect();
+            self.tracer.record(
+                EventDraft::new(EventKind::QueryQuarantined)
+                    .int("minute", item.minute)
+                    .uint("count", item.count)
+                    .text("error", &msg),
+            );
+        }
+    }
+
+    /// Records `count` arrivals of template `id` at minute `t`: its
+    /// history and the per-verb stats.
+    fn record(&mut self, id: TemplateId, t: Minute, count: u64) {
         let entry = &mut self.entries[id.0 as usize];
         entry.history.record(t, count);
-        if let Some(p) = params {
-            entry.params.offer(p);
-        }
         self.stats.total_queries += count;
         match entry.kind {
             "SELECT" => self.stats.selects += count,
@@ -545,17 +498,14 @@ impl PreProcessor {
 
     /// Exports the complete mutable state as plain data (durable-snapshot
     /// support). Everything needed to continue ingesting with *identical*
-    /// behavior is captured: template table, folding/dedup maps, raw-string
-    /// cache and its re-parse cadence counter, reservoir RNG states, ingest
-    /// stats, and the quarantine. Map contents are emitted in sorted order
-    /// so the export is byte-stable across runs.
+    /// behavior is captured: template table, folding/dedup maps, shard
+    /// caches with their per-slot re-parse counters, reservoir RNG states,
+    /// ingest stats, and the quarantine. Map contents are emitted in sorted
+    /// order so the export is byte-stable across runs.
     pub fn export_state(&self) -> PreProcessorState {
         let mut distinct_texts: Vec<(String, u32)> =
             self.distinct_texts.iter().map(|(t, id)| (t.clone(), id.0)).collect();
         distinct_texts.sort();
-        let mut raw_cache: Vec<(String, u32)> =
-            self.raw_cache.iter().map(|(t, id)| (t.clone(), id.0)).collect();
-        raw_cache.sort();
         PreProcessorState {
             entries: self
                 .entries
@@ -569,7 +519,6 @@ impl PreProcessor {
                 })
                 .collect(),
             distinct_texts,
-            raw_cache,
             shard_slots: {
                 let mut slots: Vec<(String, u32, u64)> = self
                     .shards
@@ -580,7 +529,6 @@ impl PreProcessor {
                 slots.sort();
                 slots
             },
-            cache_hits: self.cache_hits,
             next_seed: self.next_seed,
             stats: self.stats,
             quarantine: self.quarantine.export_state(),
@@ -627,7 +575,6 @@ impl PreProcessor {
         }
         pp.distinct_texts =
             state.distinct_texts.into_iter().map(|(t, id)| (t, TemplateId(id))).collect();
-        pp.raw_cache = state.raw_cache.into_iter().map(|(t, id)| (t, TemplateId(id))).collect();
         if !state.shard_slots.is_empty() {
             pp.ensure_shards();
             for (sql, id, hits) in state.shard_slots {
@@ -635,7 +582,6 @@ impl PreProcessor {
                 pp.shards[shard::route(&sql, n)].restore_slot(sql, TemplateId(id), hits);
             }
         }
-        pp.cache_hits = state.cache_hits;
         pp.next_seed = state.next_seed;
         pp.stats = state.stats;
         pp.quarantine = Quarantine::from_state(state.quarantine);
@@ -664,14 +610,12 @@ pub struct TemplateEntryState {
 pub struct PreProcessorState {
     pub entries: Vec<TemplateEntryState>,
     pub distinct_texts: Vec<(String, u32)>,
-    pub raw_cache: Vec<(String, u32)>,
-    /// Shard-cache slots from the batched ingest engine, sorted by SQL
-    /// text: `(raw sql, template id, per-slot hit count)`. Pending slots
-    /// never appear here — every batch resolves its pendings before
-    /// returning. Batch ticks restart at zero after a restore, which only
-    /// resets the once-per-batch sighting dedup, not any counted state.
+    /// Shard-cache slots of the ingest engine, sorted by SQL text:
+    /// `(raw sql, template id, per-slot hit count)`. Pending slots never
+    /// appear here — every batch resolves its pendings before returning.
+    /// The batch tick restarts at zero after a restore, which only resets
+    /// the once-per-batch sighting dedup, not any counted state.
     pub shard_slots: Vec<(String, u32, u64)>,
-    pub cache_hits: u64,
     pub next_seed: u64,
     pub stats: IngestStats,
     pub quarantine: QuarantineState,
@@ -810,7 +754,7 @@ mod tests {
         let mut p = pp();
         p.set_recorder(&rec);
         p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
-        p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // raw-cache hit
+        p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // shard-cache hit
         let _ = p.ingest_weighted(1, "BROKEN ((", 3);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["preprocessor.ingested_statements"], 2);
@@ -844,7 +788,7 @@ mod tests {
     fn state_round_trip_continues_identically() {
         let mut live = pp();
         // Exercise every stateful path: folding, quarantine, weighted
-        // arrivals, and enough raw-cache repeats to cross the re-parse
+        // arrivals, and enough shard-cache repeats to cross the re-parse
         // cadence boundary.
         live.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
         live.ingest(0, "INSERT INTO t (a) VALUES (1)").unwrap();
@@ -891,7 +835,7 @@ mod tests {
     fn cache_hit_counter_identity_across_fast_and_reparse_paths() {
         // Regression: the 1-in-64 reservoir-refresh re-parse used to skip
         // `cache_hits.inc()`, undercounting the hit rate. Both branches of
-        // a raw-cache hit are hits; only the first sighting is a miss.
+        // a slot hit are hits; only the first sighting is a miss.
         let rec = Recorder::new();
         let mut p = pp();
         p.set_recorder(&rec);
@@ -908,37 +852,6 @@ mod tests {
         // The re-parse branch really ran: the reservoir saw the initial
         // parse plus two refreshes.
         assert_eq!(p.template(TemplateId(0)).params.seen(), 3);
-    }
-
-    #[test]
-    fn raw_cache_recovers_hit_rate_after_churn() {
-        // Regression: the cache used to fill once and never evict, so a
-        // shifted working set re-parsed forever. The generational reset
-        // clears at the bound and refills with the current working set.
-        let rec = Recorder::new();
-        let mut p = PreProcessor::new(PreProcessorConfig {
-            raw_cache_limit: 8,
-            ..PreProcessorConfig::default()
-        });
-        p.set_recorder(&rec);
-        let gen1: Vec<String> =
-            (0..8).map(|i| format!("SELECT x FROM t WHERE id = {i}")).collect();
-        let gen2: Vec<String> =
-            (0..8).map(|i| format!("SELECT x FROM t WHERE id = {}", 100 + i)).collect();
-        for sql in &gen1 {
-            p.ingest(0, sql).unwrap();
-        }
-        // Churn to a new working set (first insert past the bound resets),
-        // then repeat it: every repeat must be a cache hit.
-        for sql in &gen2 {
-            p.ingest(1, sql).unwrap();
-        }
-        let before = rec.snapshot().counters["preprocessor.cache_hits"];
-        for sql in &gen2 {
-            p.ingest(2, sql).unwrap();
-        }
-        let after = rec.snapshot().counters["preprocessor.cache_hits"];
-        assert_eq!(after - before, 8, "post-churn working set must be fully cached");
     }
 
     #[test]
@@ -997,15 +910,13 @@ mod accounting_proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// One ingest call, in any of the three entry-point flavors.
+    /// One ingest call, in either entry-point flavor.
     #[derive(Debug, Clone)]
     enum Op {
         /// `ingest` (weight 1).
         Plain { sql: usize, minute: Minute },
         /// `ingest_weighted` at an arbitrary weight.
         Weighted { sql: usize, minute: Minute, count: u64 },
-        /// `ingest_statement` with a pre-parsed statement.
-        Statement { sql: usize, minute: Minute, count: u64 },
     }
 
     /// A small pool mixing hot repeats (cache-hit + re-parse cadence),
@@ -1030,10 +941,8 @@ mod accounting_proptests {
         let count = 1u64..1_000;
         prop_oneof![
             (sql.clone(), minute.clone()).prop_map(|(sql, minute)| Op::Plain { sql, minute }),
-            (sql.clone(), minute.clone(), count.clone())
-                .prop_map(|(sql, minute, count)| Op::Weighted { sql, minute, count }),
             (sql, minute, count)
-                .prop_map(|(sql, minute, count)| Op::Statement { sql, minute, count }),
+                .prop_map(|(sql, minute, count)| Op::Weighted { sql, minute, count }),
         ]
     }
 
@@ -1058,17 +967,6 @@ mod accounting_proptests {
                     Op::Weighted { sql, minute, count } => {
                         offered += count;
                         let _ = p.ingest_weighted(minute, POOL[sql], count);
-                    }
-                    Op::Statement { sql, minute, count } => {
-                        // `ingest_statement` takes a pre-parsed statement;
-                        // unparseable pool entries can't take this path.
-                        match parse_statement(POOL[sql]) {
-                            Ok(stmt) => {
-                                offered += count;
-                                p.ingest_statement(minute, &stmt, count);
-                            }
-                            Err(_) => {}
-                        }
                     }
                 }
             }

@@ -1,56 +1,56 @@
-//! Sharded, batched ingest: the sustained-traffic front end.
+//! The ingest engine: every statement the Pre-Processor takes goes through
+//! the shard caches here.
 //!
-//! [`PreProcessor::ingest_batch`] processes a tick's worth of statements in
-//! two phases:
+//! A statement is routed to one of a fixed number of logical shards by a
+//! content hash of its raw SQL text. Each shard owns a private raw-string
+//! cache, and one per-statement kernel resolves a statement against it
+//! (`Shard::touch`; on a miss `parse`, then `Shard::settle`): a slot hit
+//! maps the text straight to its template, every 64th hit of a slot
+//! re-parses it, and a miss parses and templatizes. Two drivers run that
+//! kernel, split by `FANOUT_MIN_STATEMENTS`:
 //!
-//! 1. **Shard phase** (on the pool at or above `FANOUT_MIN_STATEMENTS`
-//!    statements, on the calling thread below it) — statements are routed
-//!    to a fixed number of logical shards by a content hash of the raw SQL
-//!    text. Each shard owns a private raw-string cache and resolves as much
-//!    as it can against it plus *immutable* views of the shared template
-//!    table, emitting per-shard outputs: coalesced arrival-history deltas
-//!    for known templates, pending templates for texts it has never seen,
-//!    reservoir offers, and quarantine candidates.
-//! 2. **Merge phase** (sequential, deterministic) — pending templates are
-//!    interned in global first-sighting order, deltas and offers are
-//!    applied, and quarantine admissions replay in arrival order.
+//! * **On the calling thread** (smaller batches, and every
+//!   [`PreProcessor::ingest_weighted`] call, which is a batch of one) each
+//!   statement is interned and applied — history, stats, reservoir offer,
+//!   quarantine admission — before the next one is looked at, in arrival
+//!   order.
+//! * **Fanned out on the pool** (larger batches) the shards resolve their
+//!   statements against an *immutable* view of the template table and emit
+//!   coalesced history deltas, pending templates, reservoir offers and
+//!   quarantine candidates. A sequential merge then interns the pendings in
+//!   global first-sighting order, applies the deltas, and replays offers
+//!   and admissions in arrival order.
 //!
 //! # Determinism invariants
 //!
-//! * **Routing is content-addressed.** `route` is FNV-1a over the raw
+//! * **Routing is content-addressed.** `route` is a fixed hash of the raw
 //!   bytes — never a `RandomState` hash — so a statement lands on the same
 //!   shard in every process, at every pool width.
 //! * **Shard count is config, not width.** `ingest_shards` fixes the
-//!   logical decomposition; the worker pool (or, for a small batch, the
-//!   calling thread) merely executes shards. Widths 1 and N produce
-//!   byte-identical state.
-//! * **Merge order is sighting order.** New templates intern sorted by the
-//!   global batch index of their first sighting, which makes template-id
-//!   assignment (and the seed chain feeding each reservoir RNG) identical
-//!   to sequential ingest of the same stream. Offers and quarantine
-//!   admissions replay sorted by batch index.
+//!   logical decomposition; the worker pool merely executes shards. Widths
+//!   1 and N produce byte-identical state.
+//! * **Interning order is sighting order.** The caller interns in arrival
+//!   order; the merge interns pendings sorted by the global batch index of
+//!   their first sighting. Template ids and the seed chain feeding each
+//!   reservoir RNG therefore do not depend on the side of the floor, the
+//!   pool width, or how a stream is cut into batches. Offers and quarantine
+//!   admissions land in arrival order on both sides.
 //! * **Re-parse cadence is per-slot.** Each shard slot re-parses its 64th,
-//!   128th, … hit based on its own counter, so the cadence is a function
-//!   of the statement stream alone — splitting one batch into many, or
+//!   128th, … hit based on its own counter, so the cadence is a function of
+//!   the statement stream alone — splitting one batch into many, or
 //!   changing the pool width, never shifts it.
 //!
-//! The one sequential divergence is deliberate: the single-threaded path
-//! derives its re-parse cadence from a *global* hit counter, the sharded
-//! path from per-slot counters, so the two paths may refresh parameter
-//! reservoirs on different arrivals. Everything else — template ids,
-//! histories, stats, quarantine — matches the sequential path bit for bit
-//! (the differential tests in this module pin that).
+//! The differential tests in this module pin all four: whole exports —
+//! reservoirs and shard slots included — agree across widths, batch
+//! splits, both sides of the floor, and statement-at-a-time ingest.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use qb_parallel::ThreadPool;
 use qb_sqlparse::{parse_statement, Literal};
 use qb_timeseries::Minute;
-use qb_trace::{EventDraft, EventKind};
 
-use crate::{
-    templatize, PreProcessError, PreProcessor, TemplateId, TemplatizedQuery,
-};
+use crate::{templatize, PreProcessError, PreProcessor, TemplateId, TemplatizedQuery};
 
 /// One statement in an ingest batch. Borrows the raw SQL so replay loops
 /// can batch without cloning strings.
@@ -84,8 +84,8 @@ pub struct BatchReport {
     pub sighted: Vec<TemplateId>,
 }
 
-/// Batches shorter than this run the shard phase on the calling thread;
-/// longer ones fan out on the pool.
+/// Batches shorter than this run on the calling thread; longer ones fan
+/// their shards out on the pool.
 ///
 /// A fan-out spawns and joins one scoped thread per worker, which costs
 /// more than a small tick's whole shard phase: on 2 vCPUs at width 2 the
@@ -94,25 +94,35 @@ pub struct BatchReport {
 /// `qb_e2e` workloads produce: `durable_bus` ticks average 8.6 statements
 /// and gained 31–33 % in `ingest_stmts_per_s` from staying on the caller
 /// (median of ten pairs, seeds 11 and 37), while `wide_churn`'s per-minute
-/// ticks hold 55–115 statements and lost 21 % when they never fanned out. The decision only picks who runs the
-/// shards, so state is bit-identical on either side of it.
+/// ticks hold 55–115 statements and lost 21 % when they never fanned out.
+/// State is bit-identical on either side of it.
 const FANOUT_MIN_STATEMENTS: usize = 32;
 
-/// Routes raw SQL to a logical shard. FNV-1a over the raw bytes: cheap,
-/// process-stable, and independent of `HashMap`'s per-process `RandomState`
-/// — the routing decision is part of the durable-state contract.
+/// Routes raw SQL to a logical shard: a multiplicative hash taking eight
+/// bytes a step (the tail zero-padded), finished with MurmurHash3's 64-bit
+/// mixer. Process-stable and independent of `HashMap`'s per-process
+/// `RandomState` — the routing decision is part of the durable-state
+/// contract — and cheap, because every statement pays it: on 111-byte
+/// BusTracker statements it takes 24 ns, where byte-at-a-time FNV-1a (one
+/// dependent multiply per byte) took 100–125 ns.
 pub(crate) fn route(sql: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in sql.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let words = sql.as_bytes().chunks_exact(8);
+    let tail = words.remainder();
+    let mut h = words.fold(0, |h, w| step(h, u64::from_le_bytes(w.try_into().expect("8 bytes"))));
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
     }
-    (h % shards as u64) as usize
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    ((h ^ (h >> 33)) % shards as u64) as usize
 }
 
-/// Where a shard-cache slot points.
+/// Where a shard-cache slot, or a statement of a fanned-out batch, points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotTarget {
+enum Target {
     /// A template already in the global table.
     Known(TemplateId),
     /// The `n`-th template this shard has ever proposed; resolves through
@@ -120,25 +130,33 @@ enum SlotTarget {
     Pending(u32),
 }
 
-/// A template reference inside one batch's shard output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    Known(TemplateId),
-    /// Absolute pending index in the emitting shard.
-    Pending(u32),
-}
-
 #[derive(Debug)]
 struct Slot {
-    target: SlotTarget,
+    target: Target,
     /// Touches of this slot; drives the 1-in-64 re-parse cadence.
     hits: u64,
     /// Batch tick of the most recent touch (once-per-batch sighting dedup).
     last_tick: u64,
 }
 
-/// A template text this shard saw for the first time, carried to the merge
-/// phase by value so interning never re-parses.
+/// What [`Shard::touch`] decided for one statement.
+enum Touch {
+    /// The slot's target, resolved without parsing; `first` when this is
+    /// the slot's first touch this batch.
+    Cached { target: Target, first: bool },
+    /// The statement must be parsed: a cache miss, or (`hit`) the slot's
+    /// re-parse touch. [`Shard::settle`] then points the slot at the
+    /// template.
+    Parse { hit: bool },
+}
+
+/// The kernel's slow half: parse and templatize.
+fn parse(sql: &str) -> Result<TemplatizedQuery, PreProcessError> {
+    Ok(templatize(&parse_statement(sql)?))
+}
+
+/// A template text a fanned-out shard saw for the first time, carried to
+/// the merge by value so interning never re-parses.
 #[derive(Debug)]
 struct PendingTemplate {
     /// Global batch index of the first sighting.
@@ -149,7 +167,7 @@ struct PendingTemplate {
     template: qb_sqlparse::Statement,
 }
 
-/// Everything one shard produced for one batch.
+/// Everything one fanned-out shard produced for one batch.
 #[derive(Debug, Default)]
 struct ShardOutput {
     pendings: Vec<PendingTemplate>,
@@ -178,9 +196,6 @@ pub(crate) struct Shard {
     /// Pending index → interned id, appended at every merge. Slots holding
     /// `Pending` targets rewrite themselves lazily on their next touch.
     resolved: Vec<TemplateId>,
-    /// Monotonic batch counter; bumped at the start of every batch so
-    /// `Slot::last_tick` dedups sightings without a per-batch sweep.
-    tick: u64,
     /// Generational-reset bound for `map` (the shard's share of
     /// `raw_cache_limit`).
     limit: usize,
@@ -188,7 +203,7 @@ pub(crate) struct Shard {
 
 impl Shard {
     pub(crate) fn new(limit: usize) -> Self {
-        Self { map: HashMap::new(), resolved: Vec::new(), tick: 0, limit: limit.max(1) }
+        Self { map: HashMap::new(), resolved: Vec::new(), limit: limit.max(1) }
     }
 
     /// Slots as plain data, pendings resolved. Only callable between
@@ -196,30 +211,70 @@ impl Shard {
     pub(crate) fn export_slots(&self) -> Vec<(String, TemplateId, u64)> {
         self.map
             .iter()
-            .map(|(sql, slot)| {
-                let id = match slot.target {
-                    SlotTarget::Known(id) => id,
-                    SlotTarget::Pending(p) => self.resolved[p as usize],
-                };
-                (sql.clone(), id, slot.hits)
-            })
+            .map(|(sql, slot)| (sql.clone(), self.resolve(slot.target), slot.hits))
             .collect()
     }
 
-    /// Reinstalls one exported slot. Ticks restart at zero, which only
-    /// resets the once-per-batch sighting dedup.
+    /// Reinstalls one exported slot. The batch tick restarts at zero, which
+    /// only resets the once-per-batch sighting dedup.
     pub(crate) fn restore_slot(&mut self, sql: String, id: TemplateId, hits: u64) {
-        self.map.insert(sql, Slot { target: SlotTarget::Known(id), hits, last_tick: 0 });
+        self.map.insert(sql, Slot { target: Target::Known(id), hits, last_tick: 0 });
     }
 
+    /// The kernel's fast half: counts a touch of `sql`'s slot and returns
+    /// its target — unless the statement is a miss, or this is the slot's
+    /// 64th, 128th, … touch, whose re-parse keeps the parameter reservoir
+    /// fed with exactly the hottest strings (a permanent bypass would
+    /// starve it).
+    fn touch(&mut self, sql: &str, tick: u64) -> Touch {
+        let Some(slot) = self.map.get_mut(sql) else {
+            return Touch::Parse { hit: false };
+        };
+        if let Target::Pending(p) = slot.target {
+            if let Some(&id) = self.resolved.get(p as usize) {
+                slot.target = Target::Known(id);
+            }
+        }
+        slot.hits += 1;
+        if slot.hits.is_multiple_of(64) {
+            return Touch::Parse { hit: true };
+        }
+        // Fast path: no allocation, one hash lookup.
+        let first = std::mem::replace(&mut slot.last_tick, tick) != tick;
+        Touch::Cached { target: slot.target, first }
+    }
+
+    /// Points `sql`'s slot at the template a parse resolved it to —
+    /// retargeting the slot a re-parse (`hit`) came from, normally a no-op,
+    /// or inserting a fresh one on a miss — and returns whether this is the
+    /// slot's first touch this batch.
+    fn settle(&mut self, sql: &str, target: Target, tick: u64, hit: bool) -> bool {
+        if hit {
+            let slot = self.map.get_mut(sql).expect("a re-parse touch has a slot");
+            slot.target = target;
+            return std::mem::replace(&mut slot.last_tick, tick) != tick;
+        }
+        // Generational reset: at the shard's bound the whole cache is
+        // dropped and refills with what is hot now, so template churn
+        // cannot freeze it on a stale working set. The reset point is a
+        // function of the insertion sequence, so it replays identically.
+        if self.map.len() >= self.limit {
+            self.map.clear();
+        }
+        self.map.insert(sql.to_string(), Slot { target, hits: 0, last_tick: tick });
+        true
+    }
+
+    /// The fanned-out shard phase: resolves this shard's statements of
+    /// `batch` (`idxs`, in arrival order) against the immutable template
+    /// table, proposing pending templates for texts nobody has interned.
     fn run_batch(
         &mut self,
         batch: &[BatchItem<'_>],
         idxs: &[usize],
         distinct_texts: &HashMap<String, TemplateId>,
+        tick: u64,
     ) -> ShardOutput {
-        self.tick += 1;
-        let tick = self.tick;
         let mut out = ShardOutput::default();
         // Template text → absolute pending index, for texts first proposed
         // by this very batch (not evicted with the slot cache).
@@ -227,95 +282,53 @@ impl Shard {
 
         for &idx in idxs {
             let item = &batch[idx];
-            let hit = if let Some(slot) = self.map.get_mut(item.sql) {
-                if let SlotTarget::Pending(p) = slot.target {
-                    if (p as usize) < self.resolved.len() {
-                        slot.target = SlotTarget::Known(self.resolved[p as usize]);
-                    }
-                }
-                slot.hits += 1;
-                out.cache_hits += 1;
-                // Fast path: 63 of 64 touches bypass the parser entirely —
-                // no allocation, one hash lookup, one delta record.
-                if !slot.hits.is_multiple_of(64) {
-                    let target = match slot.target {
-                        SlotTarget::Known(id) => Target::Known(id),
-                        SlotTarget::Pending(p) => Target::Pending(p),
-                    };
-                    out.statements += 1;
-                    out.arrivals += item.count;
-                    push_delta(&mut out.deltas, target, item.minute, item.count);
-                    if slot.last_tick != tick {
-                        slot.last_tick = tick;
+            let target = match self.touch(item.sql, tick) {
+                Touch::Cached { target, first } => {
+                    out.cache_hits += 1;
+                    if first {
                         out.sighted.push((idx, target));
                     }
-                    continue;
+                    target
                 }
-                true
-            } else {
-                false
-            };
-
-            // Slow path: either a cache miss or a slot's 64th touch (the
-            // reservoir-refresh re-parse, mirroring the sequential path).
-            let stmt = match parse_statement(item.sql) {
-                Ok(s) => s,
-                Err(e) => {
-                    out.quarantined.push((idx, PreProcessError::Parse(e)));
-                    continue;
+                Touch::Parse { hit } => {
+                    out.cache_hits += u64::from(hit);
+                    let TemplatizedQuery { template, text, params, .. } = match parse(item.sql) {
+                        Ok(query) => query,
+                        Err(err) => {
+                            out.quarantined.push((idx, err));
+                            continue;
+                        }
+                    };
+                    let target = if let Some(&id) = distinct_texts.get(&text) {
+                        Target::Known(id)
+                    } else if let Some(&p) = local_texts.get(&text) {
+                        Target::Pending(p)
+                    } else {
+                        let p = (self.resolved.len() + out.pendings.len()) as u32;
+                        local_texts.insert(text.clone(), p);
+                        out.pendings.push(PendingTemplate {
+                            first_idx: idx,
+                            first_minute: item.minute,
+                            text,
+                            template,
+                        });
+                        Target::Pending(p)
+                    };
+                    out.offers.push((idx, target, params));
+                    if self.settle(item.sql, target, tick, hit) {
+                        out.sighted.push((idx, target));
+                    }
+                    target
                 }
-            };
-            let TemplatizedQuery { template, text, params, .. } = templatize(&stmt);
-            let target = if let Some(&id) = distinct_texts.get(&text) {
-                Target::Known(id)
-            } else if let Some(&p) = local_texts.get(&text) {
-                Target::Pending(p)
-            } else {
-                let p = (self.resolved.len() + out.pendings.len()) as u32;
-                local_texts.insert(text.clone(), p);
-                out.pendings.push(PendingTemplate {
-                    first_idx: idx,
-                    first_minute: item.minute,
-                    text,
-                    template,
-                });
-                Target::Pending(p)
             };
             out.statements += 1;
             out.arrivals += item.count;
-            out.offers.push((idx, target, params));
             push_delta(&mut out.deltas, target, item.minute, item.count);
-
-            let slot_target = match target {
-                Target::Known(id) => SlotTarget::Known(id),
-                Target::Pending(p) => SlotTarget::Pending(p),
-            };
-            if hit {
-                // Re-parse of an existing slot: retarget (normally a
-                // no-op) and keep the hit counter running.
-                let slot = self.map.get_mut(item.sql).expect("slot existed on the hit path");
-                slot.target = slot_target;
-                if slot.last_tick != tick {
-                    slot.last_tick = tick;
-                    out.sighted.push((idx, target));
-                }
-            } else {
-                // Generational reset, same policy as the sequential
-                // raw-string cache but bounded per shard.
-                if self.map.len() >= self.limit {
-                    self.map.clear();
-                }
-                self.map.insert(
-                    item.sql.to_string(),
-                    Slot { target: slot_target, hits: 0, last_tick: tick },
-                );
-                out.sighted.push((idx, target));
-            }
         }
         out
     }
 
-    /// Resolves a batch-output target against this shard's tables.
+    /// Resolves a target against this shard's tables.
     fn resolve(&self, target: Target) -> TemplateId {
         match target {
             Target::Known(id) => id,
@@ -346,75 +359,117 @@ impl PreProcessor {
         }
     }
 
+    /// Starts a batch: materializes the shards on first use and advances
+    /// the tick that dedups each slot's sightings to one per batch.
+    pub(crate) fn begin_batch(&mut self) {
+        self.ensure_shards();
+        self.tick += 1;
+    }
+
     /// Ingests a batch of statements through the sharded engine.
     ///
-    /// Semantically equivalent to calling
+    /// Equivalent to calling
     /// [`ingest_weighted`](PreProcessor::ingest_weighted) for each item in
-    /// order — template ids, arrival histories, ingest stats, and the
-    /// quarantine come out identical — but statements fan out across
-    /// `ingest_shards` logical shards, and history updates coalesce per
-    /// tick instead of landing one by one. The shards run on `pool` when
-    /// the batch holds at least `FANOUT_MIN_STATEMENTS` statements and on
-    /// the calling thread otherwise, where a thread hand-off would cost
-    /// more than the work. The result is bit-identical for any pool width
-    /// (including 1) and for any way of splitting the same stream into
-    /// batches; see the module docs for the invariants that guarantee it.
-    ///
-    /// The only sequential divergence is which arrivals refresh the
-    /// parameter reservoirs (per-slot instead of global re-parse cadence)
-    /// and the raw-string cache contents (sharded instead of unified).
+    /// order: template ids, arrival histories, parameter reservoirs, shard
+    /// caches, ingest stats and the quarantine come out identical. A batch
+    /// of at least `FANOUT_MIN_STATEMENTS` statements fans out across the
+    /// `ingest_shards` logical shards on `pool`, with history updates
+    /// coalesced per tick; a smaller one runs on the calling thread, where
+    /// a thread hand-off would cost more than the work. The result is
+    /// bit-identical for any pool width (including 1) and for any way of
+    /// splitting the same stream into batches; see the module docs for the
+    /// invariants that guarantee it.
     pub fn ingest_batch(&mut self, pool: &ThreadPool, batch: &[BatchItem<'_>]) -> BatchReport {
         let _span = self.metrics.ingest_time.start();
-        self.ensure_shards();
-        let nshards = self.shards.len();
+        self.begin_batch();
+        let mut report = BatchReport::default();
+        if batch.len() < FANOUT_MIN_STATEMENTS {
+            for item in batch {
+                if let Ok((id, true)) = self.ingest_on_caller(item, &mut report) {
+                    // Two raw spellings of one template may both be first
+                    // touches of their slots.
+                    if !report.sighted.contains(&id) {
+                        report.sighted.push(id);
+                    }
+                }
+            }
+        } else {
+            self.fan_out(pool, batch, &mut report);
+        }
+        self.publish_metrics(&report);
+        report
+    }
 
+    /// The calling-thread driver, one statement: resolves it through its
+    /// shard, interns it and applies it before the next statement is looked
+    /// at. Returns the template and whether this was its slot's first touch
+    /// this batch.
+    pub(crate) fn ingest_on_caller(
+        &mut self,
+        item: &BatchItem<'_>,
+        report: &mut BatchReport,
+    ) -> Result<(TemplateId, bool), PreProcessError> {
+        let s = route(item.sql, self.shards.len());
+        let tick = self.tick;
+        let (id, first) = match self.shards[s].touch(item.sql, tick) {
+            Touch::Cached { target, first } => {
+                report.cache_hits += 1;
+                let id = self.shards[s].resolve(target);
+                self.record(id, item.minute, item.count);
+                (id, first)
+            }
+            Touch::Parse { hit } => {
+                report.cache_hits += u64::from(hit);
+                let TemplatizedQuery { template, text, params, .. } = match parse(item.sql) {
+                    Ok(query) => query,
+                    Err(err) => {
+                        self.reject(item, &err, report);
+                        return Err(err);
+                    }
+                };
+                let id = self.intern(template, text, item.minute, report);
+                self.record(id, item.minute, item.count);
+                self.entries[id.0 as usize].params.offer(params);
+                (id, self.shards[s].settle(item.sql, Target::Known(id), tick, hit))
+            }
+        };
+        report.statements += 1;
+        report.arrivals += item.count;
+        Ok((id, first))
+    }
+
+    /// The fanned-out driver: the shard phase on `pool`, then the
+    /// sequential merge.
+    fn fan_out(&mut self, pool: &ThreadPool, batch: &[BatchItem<'_>], report: &mut BatchReport) {
+        let nshards = self.shards.len();
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); nshards];
         for (idx, item) in batch.iter().enumerate() {
             routed[route(item.sql, nshards)].push(idx);
         }
 
         // Shard phase: mutable over shard-local state, immutable over the
-        // shared template tables. Small batches run it on the caller, in
-        // shard order, exactly as a width-1 pool would.
+        // shared template tables.
         let distinct_texts = &self.distinct_texts;
-        let run = |i: usize, sh: &mut Shard| sh.run_batch(batch, &routed[i], distinct_texts);
-        let mut outputs: Vec<ShardOutput> = if batch.len() < FANOUT_MIN_STATEMENTS {
-            self.shards.iter_mut().enumerate().map(|(i, sh)| run(i, sh)).collect()
-        } else {
-            pool.map_mut(&mut self.shards, run)
-        };
+        let tick = self.tick;
+        let mut outputs: Vec<ShardOutput> = pool.map_mut(&mut self.shards, |i, sh| {
+            sh.run_batch(batch, &routed[i], distinct_texts, tick)
+        });
 
-        // Merge phase, step 1: intern pending templates in global
-        // first-sighting order, so id assignment and the reservoir seed
-        // chain match sequential ingest exactly.
-        let mut report = BatchReport::default();
-        let mut pending_order: Vec<(usize, usize, usize)> = Vec::new();
-        for (s, out) in outputs.iter().enumerate() {
-            for (local, p) in out.pendings.iter().enumerate() {
-                pending_order.push((p.first_idx, s, local));
-            }
-        }
-        pending_order.sort_unstable();
-        let mut pending_pool: Vec<Vec<Option<PendingTemplate>>> = outputs
-            .iter_mut()
-            .map(|o| std::mem::take(&mut o.pendings).into_iter().map(Some).collect())
-            .collect();
+        // Merge, step 1: intern pending templates in global first-sighting
+        // order, so id assignment and the reservoir seed chain match
+        // statement-at-a-time ingest exactly.
         let mut interned: Vec<Vec<Option<TemplateId>>> =
-            pending_pool.iter().map(|p| vec![None; p.len()]).collect();
-        for &(_, s, local) in &pending_order {
-            let p = pending_pool[s][local].take().expect("each pending interns once");
-            let before = self.entries.len();
-            let id = self.intern_owned(p.template, p.text);
-            if self.entries.len() > before {
-                self.trace_new_template(p.first_minute, id);
-                report.new_templates += 1;
-            }
-            interned[s][local] = Some(id);
+            outputs.iter().map(|o| vec![None; o.pendings.len()]).collect();
+        let mut pendings: Vec<(usize, usize, PendingTemplate)> = Vec::new();
+        for (s, out) in outputs.iter_mut().enumerate() {
+            pendings.extend(out.pendings.drain(..).enumerate().map(|(local, p)| (s, local, p)));
         }
-        for (s, ids) in interned.into_iter().enumerate() {
-            self.shards[s]
-                .resolved
-                .extend(ids.into_iter().map(|id| id.expect("every pending interned")));
+        pendings.sort_unstable_by_key(|(_, _, p)| p.first_idx);
+        for (s, local, p) in pendings {
+            interned[s][local] = Some(self.intern(p.template, p.text, p.first_minute, report));
+        }
+        for (shard, ids) in self.shards.iter_mut().zip(interned) {
+            shard.resolved.extend(ids.into_iter().map(|id| id.expect("every pending interned")));
         }
 
         // Step 2: history deltas and kind stats. History record order is
@@ -423,16 +478,7 @@ impl PreProcessor {
         for (s, out) in outputs.iter().enumerate() {
             for &(target, minute, count) in &out.deltas {
                 let id = self.shards[s].resolve(target);
-                let entry = &mut self.entries[id.0 as usize];
-                entry.history.record(minute, count);
-                self.stats.total_queries += count;
-                match entry.kind {
-                    "SELECT" => self.stats.selects += count,
-                    "INSERT" => self.stats.inserts += count,
-                    "UPDATE" => self.stats.updates += count,
-                    "DELETE" => self.stats.deletes += count,
-                    _ => unreachable!("kind is one of the four DML verbs"),
-                }
+                self.record(id, minute, count);
             }
             report.statements += out.statements;
             report.arrivals += out.arrivals;
@@ -442,9 +488,7 @@ impl PreProcessor {
         // Step 3: reservoir offers in arrival order across all shards.
         let mut offers: Vec<(usize, usize, Target, Vec<Literal>)> = Vec::new();
         for (s, out) in outputs.iter_mut().enumerate() {
-            for (idx, target, params) in out.offers.drain(..) {
-                offers.push((idx, s, target, params));
-            }
+            offers.extend(out.offers.drain(..).map(|(idx, target, offer)| (idx, s, target, offer)));
         }
         offers.sort_unstable_by_key(|&(idx, s, ..)| (idx, s));
         for (_, s, target, params) in offers {
@@ -453,51 +497,37 @@ impl PreProcessor {
         }
 
         // Step 4: quarantine admissions in arrival order.
-        let mut quarantined: Vec<(usize, PreProcessError)> = Vec::new();
-        for out in &mut outputs {
-            quarantined.append(&mut out.quarantined);
-        }
+        let mut quarantined: Vec<(usize, PreProcessError)> =
+            outputs.iter_mut().flat_map(|o| o.quarantined.drain(..)).collect();
         quarantined.sort_unstable_by_key(|&(idx, _)| idx);
         for (idx, err) in &quarantined {
-            let item = &batch[*idx];
-            self.quarantine.admit(item.minute, item.sql, item.count, err);
-            report.quarantined_statements += 1;
-            report.quarantined_arrivals += item.count;
-            if self.tracer.is_enabled() {
-                let msg: String = err.to_string().chars().take(120).collect();
-                self.tracer.record(
-                    EventDraft::new(EventKind::QueryQuarantined)
-                        .int("minute", item.minute)
-                        .uint("count", item.count)
-                        .text("error", &msg),
-                );
-            }
+            self.reject(&batch[*idx], err, report);
         }
 
         // Step 5: the sighting feed, deduped by template in first-sighting
         // order (two raw spellings of one template may both fire).
         let mut sighted: Vec<(usize, usize, Target)> = Vec::new();
         for (s, out) in outputs.iter().enumerate() {
-            for &(idx, target) in &out.sighted {
-                sighted.push((idx, s, target));
-            }
+            sighted.extend(out.sighted.iter().map(|&(idx, target)| (idx, s, target)));
         }
         sighted.sort_unstable_by_key(|&(idx, s, _)| (idx, s));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for (_, s, target) in sighted {
             let id = self.shards[s].resolve(target);
             if seen.insert(id) {
                 report.sighted.push(id);
             }
         }
+    }
 
+    /// Adds one call's accounting to the installed recorder.
+    pub(crate) fn publish_metrics(&self, report: &BatchReport) {
         self.metrics.ingested_statements.add(report.statements);
         self.metrics.ingested_arrivals.add(report.arrivals);
         self.metrics.quarantined_statements.add(report.quarantined_statements);
         self.metrics.quarantined_arrivals.add(report.quarantined_arrivals);
         self.metrics.cache_hits.add(report.cache_hits);
         self.metrics.templates.set(self.entries.len() as f64);
-        report
     }
 }
 
@@ -507,11 +537,17 @@ mod tests {
     use crate::{PreProcessor, PreProcessorConfig};
 
     /// A stream exercising every path: folding spellings, repeats,
-    /// weighted arrivals, cross-shard duplicates, and quarantine.
+    /// weighted arrivals, cross-shard duplicates, quarantine, and one
+    /// string repeated 200 times so its slot's re-parse cadence fires
+    /// (touches 64, 128 and 192). Counted over all slots instead, the
+    /// 128th touch would be a `u4` repeat.
     fn mixed_stream() -> Vec<(Minute, String, u64)> {
         let mut stream = Vec::new();
         for i in 0..40i64 {
             stream.push((i % 7, format!("SELECT x FROM t WHERE id = {i}"), 1 + (i as u64 % 5)));
+            for k in 0..5 {
+                stream.push((i % 7 + k, "SELECT y FROM hot WHERE k = 'z'".to_string(), 1));
+            }
             stream.push((i % 7, format!("SELECT x FROM u{} WHERE id = 1", i % 9), 2));
             if i % 4 == 0 {
                 stream.push((i % 7, format!("INSERT INTO t (a) VALUES ({i})"), 1));
@@ -538,12 +574,24 @@ mod tests {
     }
 
     /// Ingests `stream` in batches of `chunk` statements (the last one
-    /// shorter) on a pool of `width`.
+    /// shorter) on a pool of `width`, checking every batch's sighting feed
+    /// against its definition: the distinct templates the batch's accepted
+    /// statements map to, in first-sighting order.
     fn run_chunked(stream: &[(Minute, String, u64)], width: usize, chunk: usize) -> PreProcessor {
         let mut pp = PreProcessor::new(PreProcessorConfig::default());
         let pool = ThreadPool::new(width);
         for b in batch_of(stream).chunks(chunk.max(1)) {
-            pp.ingest_batch(&pool, b);
+            let report = pp.ingest_batch(&pool, b);
+            let mut want: Vec<TemplateId> = Vec::new();
+            for item in b {
+                if let Ok(stmt) = parse_statement(item.sql) {
+                    let id = pp.distinct_texts[&templatize(&stmt).text];
+                    if !want.contains(&id) {
+                        want.push(id);
+                    }
+                }
+            }
+            assert_eq!(report.sighted, want, "width={width} chunk={chunk}: sighting feed");
         }
         pp
     }
@@ -556,18 +604,11 @@ mod tests {
             let _ = seq.ingest_weighted(*m, s, *c);
         }
         let batched = run_batched(&stream, 4, 1);
-
-        // The entire template table — ids, texts, histories, reservoir
-        // contents and RNG states — must match the sequential path (no
-        // string in this stream repeats often enough to hit a re-parse
-        // cadence, so even the reservoirs agree).
-        let a = seq.export_state();
-        let b = batched.export_state();
-        assert_eq!(a.entries, b.entries);
-        assert_eq!(a.distinct_texts, b.distinct_texts);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.quarantine, b.quarantine);
-        assert_eq!(a.next_seed, b.next_seed);
+        // The whole export — ids, texts, histories, reservoir contents and
+        // RNG states, shard slots and their hit counts — must match
+        // statement-at-a-time ingest, re-parse cadence included.
+        assert!(seq.templates().iter().any(|e| e.params.seen() >= 3), "the cadence must fire");
+        assert_eq!(seq.export_state(), batched.export_state());
     }
 
     #[test]
@@ -586,6 +627,7 @@ mod tests {
         assert!(stream.len() > 2 * FANOUT_MIN_STATEMENTS, "the stream must reach the floor");
         let base = run_chunked(&stream, 1, stream.len()).export_state();
         let chunks = [
+            1,
             FANOUT_MIN_STATEMENTS - 1,
             FANOUT_MIN_STATEMENTS,
             FANOUT_MIN_STATEMENTS + 1,

@@ -24,8 +24,8 @@
 //!    recorder dumps are byte-identical across all requested widths.
 //! 7. **Batched-ingest determinism** ([`run_batched`]) — the sharded
 //!    batch engine yields bit-identical pipeline state and forecasts at
-//!    every width, is invariant to tick splitting, and matches the
-//!    sequential path template-for-template.
+//!    every width, is invariant to tick splitting, and leaves exactly the
+//!    Pre-Processor state per-event ingest does.
 //! 8. **Serving determinism** ([`run_served`]) — with the lock-free
 //!    serving layer enabled, reader answers at the final published epoch
 //!    (per-cluster curves and top-K rankings) are bit-identical across
@@ -301,11 +301,10 @@ fn runs_by(events: &[QueryEvent], key: impl Fn(&QueryEvent) -> i64) -> Vec<Range
 ///   ticks of the paper workloads mostly run on the caller);
 /// * splitting each tick in half leaves the Pre-Processor's counted
 ///   state (templates, histories, caches, quarantine) unchanged;
-/// * per-template texts, arrival histories, accounting stats, quarantine
-///   contents, and the seed chain agree exactly with a sequential
-///   `ingest_weighted` replay of the same stream. (Parameter reservoirs
-///   are excluded: the batch engine's reparse cadence is per-slot rather
-///   than global, a documented divergence on `qb_preprocessor::shard`.)
+/// * the whole Pre-Processor state — templates, histories, parameter
+///   reservoirs, shard slots, accounting stats, quarantine and the seed
+///   chain — equals that of a per-event `ingest_weighted` replay of the
+///   same stream.
 pub fn run_batched(
     case: &SimCase,
     horizons: &[usize],
@@ -418,33 +417,15 @@ pub fn run_batched(
         return Err(fail(case, "tick splitting changed the Pre-Processor state".into()));
     }
 
-    // Differential oracle: the sequential path over the same stream.
-    let mut seq = QueryBot5000::new(Qb5000Config::default());
+    // Differential oracle: per-event ingest of the same stream.
+    let mut per_event = QueryBot5000::new(Qb5000Config::default());
     for ev in &events {
-        let _ = seq.ingest_weighted(ev.minute, &ev.sql, ev.count);
+        let _ = per_event.ingest_weighted(ev.minute, &ev.sql, ev.count);
     }
-    let seq_pre = seq.export_state().pre;
-    let batched_pre = &ref_state.pre;
-    if seq_pre.entries.len() != batched_pre.entries.len()
-        || seq_pre
-            .entries
-            .iter()
-            .zip(&batched_pre.entries)
-            .any(|(a, b)| a.text != b.text || a.history != b.history)
-    {
+    if per_event.export_state().pre != ref_state.pre {
         return Err(fail(
             case,
-            "batched templates/histories diverged from the sequential reference".into(),
-        ));
-    }
-    if seq_pre.distinct_texts != batched_pre.distinct_texts
-        || seq_pre.stats != batched_pre.stats
-        || seq_pre.quarantine != batched_pre.quarantine
-        || seq_pre.next_seed != batched_pre.next_seed
-    {
-        return Err(fail(
-            case,
-            "batched accounting diverged from the sequential reference".into(),
+            "per-minute ticks diverged from per-event ingest in the Pre-Processor state".into(),
         ));
     }
     Ok(())

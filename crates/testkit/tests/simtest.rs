@@ -47,10 +47,10 @@ fn simulation_matrix() {
 
 /// The batched-ingest determinism matrix (invariant 7): every workload at
 /// both fault intensities runs through the sharded batch engine, checking
-/// width bit-identity, tick-split invariance, and agreement with the
-/// sequential ingest path. One seed per cell — each case replays the
-/// trace four times (two widths, one halved-tick pass, one sequential
-/// reference), so this matrix costs ~2× `simulation_matrix` per seed.
+/// width bit-identity, tick-split invariance, and agreement with
+/// per-event ingest. One seed per cell — each case replays the trace four
+/// times (two widths, one halved-tick pass, one per-event reference), so
+/// this matrix costs ~2× `simulation_matrix` per seed.
 #[test]
 fn batched_ingest_matrix() {
     for workload in [Workload::Admissions, Workload::BusTracker, Workload::Mooc] {

@@ -22,7 +22,9 @@
 //! * **Cross-version recovery** — a store directory written by a
 //!   `STATE_VERSION` 3 build (`crates/testkit/fixtures/v3_store`) recovers
 //!   to the state and prediction bits that build printed, and re-snapshots
-//!   as version 4; versions other than 3 and 4 are refused.
+//!   as version 4; its WAL alone, per-sighting frames included, replays to
+//!   the state the same script reaches now; versions other than 3 and 4
+//!   are refused.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -86,8 +88,8 @@ fn history_strategy() -> impl Strategy<Value = ArrivalHistoryState> {
 
 fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
-        (any::<i64>(), any::<u64>(), ".{0,60}")
-            .prop_map(|(minute, count, sql)| WalRecord::Ingest { minute, count, sql }),
+        proptest::collection::vec((any::<i64>(), any::<u64>(), ".{0,60}"), 0..4)
+            .prop_map(|items| WalRecord::IngestBatch { items }),
         any::<i64>().prop_map(|now| WalRecord::ClusterUpdate { now }),
         Just(WalRecord::Compact),
     ]
@@ -123,6 +125,24 @@ proptest! {
         let (kind, payload) = encode_wal_record(&rec);
         let back = decode_wal_record(kind, &payload).expect("decode what we encoded");
         prop_assert_eq!(back, rec);
+    }
+
+    /// Older builds framed each `ingest_weighted` call as a `KIND_INGEST`
+    /// frame (minute, count, SQL); nothing writes one now, and it decodes
+    /// to a one-item batch.
+    #[test]
+    fn per_sighting_frame_decodes_as_a_one_item_batch(
+        minute in any::<i64>(),
+        count in any::<u64>(),
+        sql in ".{0,60}",
+    ) {
+        let mut e = Enc::new();
+        e.i64(minute);
+        e.u64(count);
+        e.str(&sql);
+        let back = decode_wal_record(qb5000::durable::KIND_INGEST, &e.finish())
+            .expect("a per-sighting frame decodes");
+        prop_assert_eq!(back, WalRecord::IngestBatch { items: vec![(minute, count, sql)] });
     }
 }
 
@@ -374,7 +394,14 @@ const V3_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v3_store
 /// rebuilding the forecast manager from it: FNV-1a of the `Debug` text of
 /// the recovered `PipelineState` and `ManagerState`, and the raw bits of
 /// the manager's prediction at [`V3_END`].
-const V3_STATE_FNV: u64 = 0xff08_13db_875f_17cd;
+///
+/// `V3_STATE_FNV` is the one value re-derived since: `PreProcessorState`
+/// lost its `raw_cache` and `cache_hits` fields with the raw-SQL cache
+/// (every statement now goes through the shard caches). That removes
+/// their two entries from the `Debug` text — one cached statement and a
+/// hit count of 11 — and changes no other line (the version 3 build
+/// printed `0xff08_13db_875f_17cd`).
+const V3_STATE_FNV: u64 = 0xe06a_a152_acd2_9269;
 const V3_MANAGER_FNV: u64 = 0x6b7e_4eaa_1d2c_ee92;
 const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
@@ -412,9 +439,10 @@ fn v3_manager() -> ForecastManager {
     ForecastManager::new(vec![HorizonSpec::hourly(1)], || Box::new(LinearRegression::default()))
 }
 
-/// One scripted hour: a batch through the sharded engine (shard slots),
-/// every sixth hour a late per-event sighting two hours back (raw cache,
-/// out-of-order minutes) and a quarantined one.
+/// One scripted hour: a batch (shard slots), and every sixth hour a late
+/// per-event sighting two hours back (out-of-order minutes; the version 3
+/// build cached it in its raw-SQL cache and framed it as `KIND_INGEST`)
+/// and a quarantined one.
 fn v3_hour(p: &mut DurablePipeline, hour: i64) {
     let base = hour * 60;
     let busy = (8..20).contains(&(hour % 24));
@@ -508,8 +536,8 @@ fn newest_snapshot_version(dir: &std::path::Path) -> u16 {
 
 /// A version 3 store recovers under this build to the state and
 /// prediction bits the version 3 build printed, and to the state a run of
-/// the same script reaches here. The next snapshot is version 4 and
-/// recovers to the same state again.
+/// the same script reaches here but for one shard slot. The next snapshot
+/// is version 4 and recovers to the same state again.
 #[test]
 fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v4() {
     let dir = tmp_dir("v3-fixture");
@@ -521,13 +549,22 @@ fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v4() {
     assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as v3 recovered it");
     assert_eq!(fnv1a(&format!("{mstate:?}")), V3_MANAGER_FNV, "ManagerState as v3 recovered it");
     assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as v3 recovered them");
-    assert!(!state.pre.shard_slots.is_empty() && !state.pre.raw_cache.is_empty());
+    assert!(!state.pre.shard_slots.is_empty());
     assert!(state.pre.entries.iter().any(|e| !e.history.compacted.is_empty()));
 
-    // The same script under this build reaches the same state.
+    // The same script under this build reaches the same state, but for the
+    // shard slot of `V3_SQL[3]`, the late per-event sighting: the version 3
+    // build cached it in its raw-SQL cache, which recovery drops (no tail
+    // hour re-sights it), while this build caches it in a shard slot.
     let live_dir = tmp_dir("v3-fixture-live");
     let live = run_v3_script(&live_dir);
-    assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
+    let mut live_state = live.bot().export_state();
+    let slot_of = |s: &qb5000::PipelineState| {
+        s.pre.shard_slots.iter().position(|(sql, ..)| sql == V3_SQL[3])
+    };
+    assert_eq!(slot_of(&state), None, "the raw-cached statement has no recovered slot");
+    live_state.pre.shard_slots.remove(slot_of(&live_state).expect("a live slot"));
+    assert_eq!(live_state, state, "recovered == the script's own end state, but for that slot");
     drop(live);
     let _ = std::fs::remove_dir_all(&live_dir);
 
@@ -542,6 +579,35 @@ fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v4() {
     assert_eq!(bits_v4, bits);
     drop(p);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The version 3 store without its snapshot: every frame replays, the
+/// version 3 build's per-sighting `KIND_INGEST` frames (the late and the
+/// quarantined `ingest_weighted` calls of every sixth hour) as batches of
+/// one, to exactly the state the same script reaches under this build.
+#[test]
+fn v3_wal_replays_per_sighting_frames_as_batches_of_one() {
+    let dir = tmp_dir("v3-wal-only");
+    copy_dir(V3_FIXTURE, &dir);
+    for entry in std::fs::read_dir(&dir).expect("store dir listable") {
+        let path = entry.expect("store entry").path();
+        if path.extension().is_some_and(|x| x == "qbs") {
+            std::fs::remove_file(path).expect("snapshot removable");
+        }
+    }
+    let (p, report) = DurablePipeline::open(v3_config(&dir)).expect("the WAL alone recovers");
+    assert_eq!(report.snapshot_seq, None);
+    assert_eq!(report.frames_replayed, p.durable_seq(), "every frame replays");
+    // 75 hourly batches of four, plus two per-sighting frames in each of
+    // the twelve sixth hours before the snapshot.
+    assert_eq!(report.statements_replayed, 75 * 4 + 12 * 2);
+
+    let live_dir = tmp_dir("v3-wal-only-live");
+    let live = run_v3_script(&live_dir);
+    assert_eq!(p.bot().export_state(), live.bot().export_state());
+    drop((p, live));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&live_dir);
 }
 
 /// Versions 3 and 4 decode; 2 and 5 are refused before any field is read.
