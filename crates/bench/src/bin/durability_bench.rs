@@ -19,6 +19,8 @@
 //! cargo run --release -p qb-bench --bin durability_bench
 //! ```
 
+#![forbid(unsafe_code)]
+
 use qb5000::{DurabilityConfig, DurablePipeline, Qb5000Config};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{TraceConfig, Workload};

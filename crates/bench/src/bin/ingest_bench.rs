@@ -21,6 +21,8 @@
 //! cargo run --release -p qb-bench --bin ingest_bench
 //! ```
 
+#![forbid(unsafe_code)]
+
 use qb_parallel::ThreadPool;
 use qb_preprocessor::{BatchItem, PreProcessor, PreProcessorConfig};
 use std::time::Instant;

@@ -12,6 +12,8 @@
 //! cargo run --release -p qb-bench --bin monitor_overhead
 //! ```
 
+#![forbid(unsafe_code)]
+
 use qb5000::{ControllerConfig, IndexSelectionExperiment, MonitorConfig, Recorder, Strategy};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};

@@ -12,6 +12,8 @@
 //! Default effort is quick (shrunk traces / epochs, minutes of runtime);
 //! `--full` uses paper-faithful settings.
 
+#![forbid(unsafe_code)]
+
 use qb_bench::{exp_ablations, exp_clustering, exp_forecast, exp_index, exp_tables, Effort};
 
 const ARTIFACTS: &[&str] = &[

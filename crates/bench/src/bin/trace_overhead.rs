@@ -10,6 +10,8 @@
 //! cargo run --release -p qb-bench --bin trace_overhead
 //! ```
 
+#![forbid(unsafe_code)]
+
 use qb5000::{ForecastManager, HorizonSpec, QueryBot5000, RetrainOutcome, Tracer};
 use qb_bench::pipeline_run::{run_pipeline, PipelineRun, RunOptions};
 use qb_forecast::LinearRegression;

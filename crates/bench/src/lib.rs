@@ -11,6 +11,8 @@
 //! scales with cluster count, where AUTO overtakes STATIC, and so on.
 //! EXPERIMENTS.md records paper-vs-measured values side by side.
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod exp_ablations;
 pub mod exp_clustering;

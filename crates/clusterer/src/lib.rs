@@ -24,6 +24,8 @@
 //! Template identity is an opaque `u64` key so the crate stays independent
 //! of the Pre-Processor; `qb5000` wires the two together.
 
+#![forbid(unsafe_code)]
+
 pub mod feature;
 pub mod kdtree;
 mod merge;

@@ -192,11 +192,13 @@ impl Qb5000ConfigBuilder {
         self
     }
 
-    /// Lock-free forecast serving: every cluster update and forecast fit
-    /// publishes an immutable [`crate::ForecastSnapshot`] through the
-    /// service's epoch-swapped slot, so [`crate::ForecastReader`] handles
-    /// query concurrently without blocking the pipeline. Defaults to `None`
-    /// (no serving layer, publication costs nothing).
+    /// Forecast serving: every cluster update and forecast fit publishes
+    /// an immutable [`crate::ForecastSnapshot`] through the service's
+    /// epoch-swapped slot, so [`crate::ForecastReader`] handles query
+    /// concurrently without blocking the pipeline (steady-state reads take
+    /// no lock; the first read after a publish takes the slot mutex for
+    /// one `Arc` clone). Defaults to `None` (no serving layer, publication
+    /// costs nothing).
     pub fn serve(mut self, service: crate::ForecastService) -> Self {
         self.cfg.serve = Some(service);
         self
@@ -378,7 +380,7 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Lock-free forecast serving for the controller's pipeline: cluster
+    /// Forecast serving for the controller's pipeline: cluster
     /// updates and each build round's blended forecasts are published
     /// through the service so reader threads can query while the
     /// experiment runs. The service's horizon slots should cover the

@@ -62,6 +62,8 @@
 //! per-stage errors ([`PreProcessError`], [`ForecastError`], and
 //! [`ConfigError`]) convert into it with `?`.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod config;
 pub mod controller;
@@ -91,7 +93,7 @@ pub use pipeline::{
 };
 pub use serve::{ColdSeed, ForecastService};
 
-// The lock-free serving surface (`Qb5000Config::serve`,
+// The serving surface (`Qb5000Config::serve`,
 // `ForecastService::reader`): the typed query/answer pair, reader handle,
 // and snapshot model, re-exported so consumers query forecasts without
 // depending on `qb-serve` directly.

@@ -488,7 +488,7 @@ impl ForecastManager {
         }
         self.observe_degradation();
         // With serving on, push this round's fresh predictions into the
-        // lock-free snapshot: one curve per (cluster, horizon slot),
+        // served snapshot: one curve per (cluster, horizon slot),
         // parented on the fits that produced them, plus the accuracy/
         // degradation summary. Horizons the service doesn't carry a
         // matching slot for are skipped — the snapshot only ever serves

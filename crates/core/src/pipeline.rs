@@ -66,11 +66,12 @@ pub struct Qb5000Config {
     /// snapshot + WAL lineage under the configured directory and recover
     /// from it bit-identically.
     pub durability: Option<DurabilityConfig>,
-    /// Lock-free forecast serving. `None` (the default) keeps serving
-    /// off; `Some` makes every cluster update publish a membership patch
-    /// (and [`crate::ForecastManager::ensure_trained`] publish fresh
-    /// curves) into the service's epoch-swapped snapshot, which any
-    /// number of [`crate::ForecastReader`] handles query concurrently.
+    /// Forecast serving. `None` (the default) keeps serving off; `Some`
+    /// makes every cluster update publish a membership patch (and
+    /// [`crate::ForecastManager::ensure_trained`] publish fresh curves)
+    /// into the service's epoch-swapped snapshot, which any number of
+    /// [`crate::ForecastReader`] handles query concurrently; their
+    /// steady-state reads take no lock.
     pub serve: Option<crate::serve::ForecastService>,
     /// Cold-start forecasting for templates outside the trained cluster
     /// set. `false` (the default) serves such templates the classic
@@ -591,7 +592,7 @@ impl QueryBot5000 {
 
     /// The forecast-serving service the pipeline publishes into, when the
     /// config enabled one ([`Qb5000Config::serve`]). Use it to create
-    /// lock-free [`crate::ForecastReader`] handles.
+    /// [`crate::ForecastReader`] handles.
     pub fn serve(&self) -> Option<&crate::serve::ForecastService> {
         self.config.serve.as_ref()
     }

@@ -47,7 +47,7 @@ pub struct ColdSeed {
     pub values: Vec<(usize, f64)>,
 }
 
-/// The pipeline-facing handle over the lock-free serving layer.
+/// The pipeline-facing handle over the serving layer.
 ///
 /// Cloning shares the underlying swap slot and epoch sequence; the
 /// pipeline keeps one clone per publication point and the caller keeps
@@ -127,8 +127,8 @@ impl ForecastService {
         self.tracer = tracer.clone();
     }
 
-    /// A new lock-free reader over this service's snapshots. Cheap;
-    /// clone one per consumer thread.
+    /// A new reader over this service's snapshots; its steady-state reads
+    /// take no lock. Cheap; clone one per consumer thread.
     pub fn reader(&self) -> ForecastReader {
         self.readers_gauge.set(self.server.reader_count() as f64 + 1.0);
         self.server.reader()

@@ -17,6 +17,8 @@
 //! none of which §7.6 exercises (it replays a single-stream workload and
 //! measures how well the chosen index set fits future queries).
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod catalog;
 pub mod cost;

@@ -30,6 +30,8 @@
 //!   with [`DurabilityError::InjectedCrash`] leaving the file exactly as
 //!   built so far (e.g. [`IoPoint::WalFrameHalf`] leaves a torn frame).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod fault;
 pub mod snapshot;

@@ -27,6 +27,8 @@
 //! All models train in `ln(1+x)` space and report linear-space rates
 //! (§7.2); accuracy is measured with [`qb_timeseries::mse_log_space`].
 
+#![forbid(unsafe_code)]
+
 pub mod arma;
 pub mod dataset;
 pub mod ensemble;

@@ -20,6 +20,8 @@
 //! All routines are deterministic; randomized initialization helpers take an
 //! explicit RNG.
 
+#![forbid(unsafe_code)]
+
 pub mod eigen;
 pub mod matrix;
 pub mod pca;

@@ -4,8 +4,8 @@
 //! One thread accepts connections and answers `GET /metrics`,
 //! `GET /health`, `GET /alerts`, and `GET /dashboard` from the most
 //! recently published [`MonitorState`]. Publication reuses the qb-serve
-//! epoch-pin swap: the monitor publishes an immutable state per round and
-//! the serving thread pins whichever state is current for exactly the
+//! [`Swap`]: the monitor publishes an immutable state per round and the
+//! serving thread holds whichever state is current for exactly the
 //! duration of one response — a scrape can never observe a half-written
 //! snapshot, and a long slow scrape never blocks the pipeline's next
 //! publication.

@@ -19,15 +19,17 @@
 //!    alert back to the forecasts that tripped it.
 //! 3. **Exposition** ([`exposition_text`], [`render_dashboard`],
 //!    [`MonitorServer`]): each round publishes one immutable
-//!    [`MonitorState`] through the qb-serve epoch-pin swap; a blocking
-//!    HTTP thread serves `/metrics` (Prometheus text with estimated
-//!    quantile gauges), `/health`, `/alerts`, and `/dashboard` from the
-//!    pinned state — scrapes are tear-free and never block the pipeline.
+//!    [`MonitorState`] through the qb-serve [`Swap`]; a blocking HTTP
+//!    thread serves `/metrics` (Prometheus text with estimated quantile
+//!    gauges), `/health`, `/alerts`, and `/dashboard` from the state it
+//!    holds — scrapes are tear-free and never wait for a round's work.
 //!
 //! Everything except wall-time latency observations is deterministic:
 //! two runs of the same workload produce bit-identical alert transition
 //! streams regardless of `QB_THREADS`, which the simulation harness
 //! enforces as invariant 9.
+
+#![forbid(unsafe_code)]
 
 pub mod expose;
 pub mod history;
@@ -38,6 +40,7 @@ pub mod rules;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+use qb_obs::snapshot::json_f64;
 use qb_obs::MetricsSnapshot;
 use qb_serve::Swap;
 use qb_trace::{EventId, Tracer};
@@ -314,14 +317,6 @@ fn alerts_json(alerts: &[ActiveAlert]) -> String {
     }
     out.push(']');
     out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

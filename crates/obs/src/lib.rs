@@ -39,6 +39,8 @@
 //! assert_eq!(snap.histograms["preprocessor.ingest"].count, 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod rolling;
 pub mod snapshot;
 

@@ -326,7 +326,7 @@ fn json_escape_into(out: &mut String, s: &str) {
 
 /// JSON has no NaN/∞ literals; map them to null so the output stays
 /// parseable even if a gauge goes non-finite.
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

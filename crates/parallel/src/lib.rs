@@ -29,6 +29,8 @@
 //! thread — not a one-worker pool), which is what CI's `QB_THREADS=1` leg
 //! exercises.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

@@ -18,6 +18,8 @@
 //! [`PreProcessor::ingest_batch`] for a tick's worth; both run the one
 //! sharded engine in [`shard`].
 
+#![forbid(unsafe_code)]
+
 pub mod fingerprint;
 pub mod logical;
 pub mod reservoir;

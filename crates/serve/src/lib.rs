@@ -1,18 +1,20 @@
-//! # qb-serve — lock-free forecast serving
+//! # qb-serve — forecast serving
 //!
 //! The serving layer that makes QB5000's forecasts consumable *on the
 //! query path* of a self-driving DBMS: an immutable, epoch-numbered
-//! [`ForecastSnapshot`] published through a hand-rolled atomic `Arc`
-//! swap, so any number of [`ForecastReader`] handles answer typed
-//! [`ForecastQuery`]s lock-free at sub-microsecond latency while the
-//! pipeline keeps ingesting, re-clustering, and retraining.
+//! [`ForecastSnapshot`] published through a single-slot `Arc` store, so
+//! any number of [`ForecastReader`] handles answer typed
+//! [`ForecastQuery`]s at sub-microsecond latency while the pipeline keeps
+//! ingesting, re-clustering, and retraining. Steady-state reads take no
+//! lock; the first read after a publish takes the slot mutex for one
+//! `Arc` clone.
 //!
 //! ## Shape
 //!
-//! * [`swap`] — the concurrency primitive: [`Swap`] (an `AtomicPtr`
-//!   slot owning one `Arc` strong count, with a pin-counted grace
-//!   period for reclamation) and [`ReadHandle`] (a per-thread handle
-//!   whose steady-state read is a single atomic version load).
+//! * [`swap`] — the concurrency primitive: [`Swap`] (a `Mutex<Arc<T>>`
+//!   slot with an atomic version mirror, never locked while the next
+//!   value is built) and [`ReadHandle`] (a per-thread handle whose
+//!   steady-state read is a single atomic version load).
 //! * [`snapshot`] — the data model: [`ForecastSnapshot`],
 //!   [`ClusterForecast`], [`Curve`], and the structural-sharing
 //!   [`SnapshotBuilder`] (an incremental patch reallocates only the
@@ -49,11 +51,13 @@
 //!         .set_curve(7, 0, Curve { start: 660, interval_minutes: 60, values: vec![5.5] })
 //! });
 //!
-//! // Reader side: lock-free, epoch-stamped.
+//! // Reader side: epoch-stamped, no lock once the handle is current.
 //! let answer = reader.answer(&ForecastQuery::template(3, 0));
 //! assert_eq!(answer.epoch, 1);
 //! assert_eq!(answer.curve().unwrap().values, vec![5.5]);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod query;
 pub mod snapshot;
@@ -101,7 +105,8 @@ impl ForecastServer {
         })
     }
 
-    /// A new lock-free reader over this server's snapshots.
+    /// A new reader over this server's snapshots; its steady-state reads
+    /// take no lock.
     pub fn reader(&self) -> ForecastReader {
         ForecastReader { handle: ReadHandle::new(Arc::clone(&self.swap)) }
     }
@@ -123,12 +128,13 @@ impl ForecastServer {
     }
 }
 
-/// A per-thread, lock-free reader over a [`ForecastServer`]'s snapshots.
+/// A per-thread reader over a [`ForecastServer`]'s snapshots.
 ///
 /// `Send` but not `Sync`: clone one per thread. The steady-state
 /// [`ForecastReader::answer`] is a single atomic epoch load plus the
 /// lookup — no locks, no shared-cache-line writes, no allocation on the
-/// curve path (answers share the snapshot's curves by `Arc`).
+/// curve path (answers share the snapshot's curves by `Arc`). The first
+/// read after a publish takes the slot mutex for one `Arc` clone.
 #[derive(Debug, Clone)]
 pub struct ForecastReader {
     handle: ReadHandle<ForecastSnapshot>,

@@ -1,57 +1,31 @@
-//! The hand-rolled atomic `Arc` swap behind the serving layer.
+//! The single-slot `Arc` store behind the serving layer.
 //!
-//! [`Swap<T>`] holds one strong reference to the current value through an
-//! [`AtomicPtr`] whose payload is `Arc::into_raw`. Readers acquire their
-//! own strong reference without ever taking a lock; publishers install a
-//! replacement with a single pointer swap and then retire the previous
-//! value once no acquisition can still be touching it.
+//! [`Swap<T>`] keeps the current value in a `Mutex<Arc<T>>` and mirrors
+//! its version in an [`AtomicU64`]. [`Swap::load`] locks the slot just
+//! long enough to clone the `Arc`; a publisher builds the next value
+//! *outside* the slot lock and takes it only to replace the `Arc`, so a
+//! reader never waits for a build.
 //!
-//! ## Why not just `AtomicPtr` + `Arc::increment_strong_count`?
-//!
-//! The naive protocol — load the pointer, bump the count — races with a
-//! publisher that swaps and drops the old `Arc` between the reader's two
-//! steps: the bump then lands on freed memory. The classic fixes are
-//! hazard pointers or epoch reclamation; both are overkill for a slot
-//! that changes a few times per minute. This module uses the smallest
-//! correct protocol instead, a **pin-counted grace period**:
-//!
-//! * A reader acquiring a fresh `Arc` first increments the shared `pins`
-//!   counter (SeqCst), *then* loads the pointer, bumps the strong count,
-//!   and decrements `pins`. The pinned window is three atomic ops long.
-//! * A publisher swaps the pointer first (SeqCst), then spins until it
-//!   observes `pins == 0` before reconstituting and dropping the old
-//!   `Arc`. SeqCst ordering makes the argument airtight: if the publisher
-//!   reads `pins == 0` *after* a reader's increment, it would have seen
-//!   the pin — so any reader it does not see must start its pointer load
-//!   after the swap, and can only ever observe the *new* value. Readers
-//!   seen pinned are waited out; either way no strong-count bump can land
-//!   on a retired allocation.
-//!
-//! Publishers serialize among themselves with a mutex (publication is
-//! rare and already does real work building the new value); readers never
-//! touch it. On top of the raw swap, [`ReadHandle`] caches the acquired
-//! `Arc` per handle and revalidates it with one relaxed epoch load, so
-//! the steady-state read path — the one a query-path caller hits millions
-//! of times a second — is a single atomic load plus a branch, with zero
-//! shared-cache-line writes.
+//! [`ReadHandle`] caches the acquired `Arc` per handle and revalidates it
+//! with one version load, so the steady-state read — the one a query-path
+//! caller hits millions of times a second — takes no lock and writes no
+//! shared cache line. Only the first read after a publish takes the slot
+//! lock, for one `Arc` clone.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A lock-free single-slot `Arc` store: any number of readers, rare
-/// publishers, no external dependencies.
+/// A single-slot `Arc` store: any number of readers, rare publishers.
 ///
 /// The value must carry its own version for [`ReadHandle`] caching to
 /// work; [`Versioned`] exposes it.
 #[derive(Debug)]
 pub struct Swap<T: Versioned> {
-    /// `Arc::into_raw` of the current value; never null after `new`.
-    current: AtomicPtr<T>,
-    /// Mirror of the current value's version, so readers can revalidate
-    /// a cached `Arc` without dereferencing the shared pointer.
+    /// The current value; locked only to clone or replace the `Arc`.
+    current: Mutex<Arc<T>>,
+    /// Mirror of the current value's version, stored after the slot is
+    /// replaced, so readers can revalidate a cached `Arc` without locking.
     version: AtomicU64,
-    /// Readers mid-acquisition (between pin and unpin).
-    pins: AtomicUsize,
     /// Serializes publishers; readers never touch it.
     publish_lock: Mutex<()>,
     /// Live reader handles (observability only).
@@ -69,41 +43,24 @@ pub trait Versioned {
 impl<T: Versioned> Swap<T> {
     /// A swap slot holding `initial`.
     pub fn new(initial: Arc<T>) -> Self {
-        let version = initial.version();
         Self {
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
-            version: AtomicU64::new(version),
-            pins: AtomicUsize::new(0),
+            version: AtomicU64::new(initial.version()),
+            current: Mutex::new(initial),
             publish_lock: Mutex::new(()),
             readers: AtomicUsize::new(0),
         }
     }
 
-    /// The current version — one relaxed load, the cheapest possible
+    /// The current version — one atomic load, the cheapest possible
     /// staleness probe.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Acquires a strong reference to the current value. Lock-free: the
-    /// pinned window is three atomic operations and publishers wait for
-    /// readers, never the reverse.
+    /// Acquires a strong reference to the current value: the slot lock is
+    /// held for one `Arc` clone, never while a publisher builds.
     pub fn load(&self) -> Arc<T> {
-        // Pin BEFORE loading the pointer: a publisher that swapped before
-        // our pin either sees the pin (and waits to retire the old value)
-        // or read `pins == 0` after its swap, in which case SeqCst total
-        // order puts our pointer load after the swap and we see the new
-        // value. Either way the pointer we bump is alive.
-        self.pins.fetch_add(1, Ordering::SeqCst);
-        let ptr = self.current.load(Ordering::SeqCst);
-        // SAFETY: `ptr` came from `Arc::into_raw` and — per the pin
-        // protocol above — its strong count cannot have reached zero.
-        let arc = unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        };
-        self.pins.fetch_sub(1, Ordering::SeqCst);
-        arc
+        Arc::clone(&self.current.lock().expect("swap slot lock poisoned"))
     }
 
     /// Installs `next` as the current value and retires the previous one.
@@ -120,44 +77,28 @@ impl<T: Versioned> Swap<T> {
     /// lock and installs it — the shape compare-and-publish needs: `f`
     /// sees a current value that cannot change underneath it, so derived
     /// versions (epoch = current + 1) stay monotone even with racing
-    /// publishers. Returns the version just published.
+    /// publishers. Readers keep loading the current value while `f` runs.
+    /// Returns the version just published.
     ///
     /// # Panics
     /// Panics if `f` returns a value whose version does not exceed the
-    /// current one.
+    /// current one; the current value stays installed.
     pub fn publish_with(&self, f: impl FnOnce(&T) -> Arc<T>) -> u64 {
         let guard = self.publish_lock.lock().expect("swap publish lock poisoned");
-        // SAFETY: we hold the publish lock, so no publisher can swap (and
-        // retire) the pointer while we borrow it; readers only ever bump
-        // strong counts. The pointer came from `Arc::into_raw` and the
-        // slot still owns its strong reference.
-        let current = unsafe { &*self.current.load(Ordering::SeqCst) };
-        let next = f(current);
+        let current = self.load();
+        let next = f(&current);
         let version = next.version();
         assert!(
-            version > self.version.load(Ordering::Acquire),
+            version > current.version(),
             "Swap::publish_with: version must increase (have {}, got {version})",
-            self.version.load(Ordering::Acquire)
+            current.version()
         );
-        let old = self.current.swap(Arc::into_raw(next).cast_mut(), Ordering::SeqCst);
+        let old =
+            std::mem::replace(&mut *self.current.lock().expect("swap slot lock poisoned"), next);
         self.version.store(version, Ordering::Release);
-        // Grace period: wait out readers pinned during the swap. The
-        // pinned window is three atomic ops long, so a bounded spin
-        // suffices; yield if a reader got preempted mid-acquisition.
-        let mut spins = 0u32;
-        while self.pins.load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins > 1_000 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // SAFETY: `old` came from `Arc::into_raw` in `new` or a previous
-        // publish; the slot's strong reference is ours to drop, and no
-        // reader can be mid-bump on it after the grace period.
-        drop(unsafe { Arc::from_raw(old) });
+        // Retire the old value outside both locks.
         drop(guard);
+        drop((old, current));
         version
     }
 
@@ -177,24 +118,13 @@ impl<T: Versioned> Swap<T> {
     }
 }
 
-impl<T: Versioned> Drop for Swap<T> {
-    fn drop(&mut self) {
-        // `&mut self`: no readers or publishers remain; reclaim the slot's
-        // strong reference.
-        let ptr = *self.current.get_mut();
-        // SAFETY: the pointer was produced by `Arc::into_raw` and the
-        // slot still owns its strong count.
-        drop(unsafe { Arc::from_raw(ptr) });
-    }
-}
-
 /// A per-thread read handle over a [`Swap`], caching the last acquired
 /// `Arc` so the hot path never writes shared state.
 ///
 /// `ReadHandle` is `Send` but deliberately not `Sync`: each thread clones
 /// its own handle, and [`ReadHandle::current`] revalidates the cache with
 /// a single atomic version load — the sub-microsecond path. Only when the
-/// version moved (a publish happened) does it fall back to the pinned
+/// version moved (a publish happened) does it fall back to
 /// [`Swap::load`].
 #[derive(Debug)]
 pub struct ReadHandle<T: Versioned> {
@@ -216,15 +146,10 @@ impl<T: Versioned> ReadHandle<T> {
         }
     }
 
-    /// The current value. One relaxed-ordered atomic load when nothing
-    /// was published since the last call; the pinned slow path otherwise.
+    /// The current value. One atomic load when nothing was published
+    /// since the last call; one [`Swap::load`] otherwise.
     pub fn current(&self) -> Arc<T> {
-        let live = self.swap.version();
-        if live != self.cached_version.get() {
-            let fresh = self.swap.load();
-            self.cached_version.set(fresh.version());
-            *self.cached.borrow_mut() = fresh;
-        }
+        self.refresh();
         Arc::clone(&self.cached.borrow())
     }
 
@@ -232,13 +157,17 @@ impl<T: Versioned> ReadHandle<T> {
     /// the cheapest read shape (no refcount traffic at all on the fast
     /// path).
     pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let live = self.swap.version();
-        if live != self.cached_version.get() {
+        self.refresh();
+        f(&self.cached.borrow())
+    }
+
+    /// Re-acquires the cached value if a publish moved the version.
+    fn refresh(&self) {
+        if self.swap.version() != self.cached_version.get() {
             let fresh = self.swap.load();
             self.cached_version.set(fresh.version());
             *self.cached.borrow_mut() = fresh;
         }
-        f(&self.cached.borrow())
     }
 
     /// The underlying slot's published version (may be newer than the
@@ -264,6 +193,7 @@ impl<T: Versioned> Drop for ReadHandle<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     #[derive(Debug)]
     struct V(u64, Vec<u64>);
@@ -282,11 +212,50 @@ mod tests {
         assert_eq!(swap.version(), 2);
     }
 
+    /// A rejected publish leaves the old value served: after the panic,
+    /// `load` and a fresh handle still see version 5. The panic is then
+    /// re-raised so the expected message is checked too.
     #[test]
     #[should_panic(expected = "version must increase")]
     fn non_monotone_publish_panics() {
-        let swap = Swap::new(Arc::new(V(5, vec![])));
-        swap.publish(Arc::new(V(5, vec![])));
+        let swap = Arc::new(Swap::new(Arc::new(V(5, vec![5]))));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            swap.publish(Arc::new(V(5, vec![])));
+        }))
+        .expect_err("equal version must be rejected");
+        assert_eq!(swap.load().1, vec![5]);
+        assert_eq!(swap.version(), 5);
+        let handle = ReadHandle::new(Arc::clone(&swap));
+        assert_eq!(handle.current().0, 5);
+        std::panic::resume_unwind(err);
+    }
+
+    /// The slot lock is never held while `f` builds the next value: a
+    /// reader on another thread, including a brand-new handle, gets the
+    /// pre-publish value while the publisher is still inside `f`. The
+    /// reader is joined only after the publish returns (not in a
+    /// `thread::scope` inside `f`), so a regression fails the timeout
+    /// instead of deadlocking the test.
+    #[test]
+    fn a_reader_does_not_wait_for_a_publisher_building_the_next_value() {
+        let swap = Arc::new(Swap::new(Arc::new(V(1, vec![]))));
+        let mut seen = None;
+        let mut reader = None;
+        swap.publish_with(|current| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader_swap = Arc::clone(&swap);
+            reader = Some(std::thread::spawn(move || {
+                let loaded = reader_swap.load().version();
+                let handle = ReadHandle::new(reader_swap);
+                tx.send((loaded, handle.current().version())).expect("publisher waits");
+            }));
+            seen = rx.recv_timeout(Duration::from_secs(5)).ok();
+            Arc::new(V(current.version() + 1, vec![]))
+        });
+        let reader = reader.expect("publish ran the closure");
+        assert_eq!(seen, Some((1, 1)), "reader blocked behind the build");
+        reader.join().expect("reader thread panicked");
+        assert_eq!(swap.load().0, 2);
     }
 
     #[test]

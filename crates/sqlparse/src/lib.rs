@@ -18,6 +18,8 @@
 //! mirroring how QB5000 skips statements its template extractor cannot
 //! understand.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod format;
 pub mod lexer;

@@ -36,6 +36,8 @@
 //! [`corpus`] provides the seeded SQL corpus generator shared by the
 //! templatizer oracle tests (the Table 1 SELECT/INSERT/UPDATE/DELETE mix).
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod crash;
 pub mod golden;

@@ -26,8 +26,8 @@
 //!    batch engine yields bit-identical pipeline state and forecasts at
 //!    every width, is invariant to tick splitting, and leaves exactly the
 //!    Pre-Processor state per-event ingest does.
-//! 8. **Serving determinism** ([`run_served`]) — with the lock-free
-//!    serving layer enabled, reader answers at the final published epoch
+//! 8. **Serving determinism** ([`run_served`]) — with the serving layer
+//!    enabled, reader answers at the final published epoch
 //!    (per-cluster curves and top-K rankings) are bit-identical across
 //!    all widths, and the served curves equal the manager's synchronous
 //!    predictions bit-for-bit.
@@ -432,7 +432,7 @@ pub fn run_batched(
 }
 
 /// Invariant 8 — serving determinism. Replays `case` once per width with a
-/// **fresh** pipeline whose config enables the lock-free serving layer,
+/// **fresh** pipeline whose config enables the serving layer,
 /// trains a manager (publishing per-horizon curves), then answers every
 /// reader query shape at the final epoch and checks:
 ///

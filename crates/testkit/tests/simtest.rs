@@ -64,7 +64,7 @@ fn batched_ingest_matrix() {
 }
 
 /// The serving determinism matrix (invariant 8): every workload at both
-/// fault intensities replays with the lock-free serving layer enabled,
+/// fault intensities replays with the serving layer enabled,
 /// checking that reader answers at the final published epoch — curves and
 /// top-K rankings — are bit-identical across widths and equal the
 /// manager's synchronous predictions bit-for-bit. One seed per cell, like

@@ -15,6 +15,8 @@
 //! the simulation epoch. Real deployments would anchor this to wall-clock
 //! time; the synthetic traces define their own epoch.
 
+#![forbid(unsafe_code)]
+
 pub mod history;
 pub mod metrics;
 

@@ -45,6 +45,8 @@
 //! assert!(view.explain(tpl).contains("QuerySeen"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod view;
 

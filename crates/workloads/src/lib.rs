@@ -27,6 +27,8 @@
 //! independent of the `scale` knob that keeps experiment runtimes sane
 //! (DESIGN.md, "Scaled volumes").
 
+#![forbid(unsafe_code)]
+
 pub mod admissions;
 pub mod bustracker;
 pub mod churn;

@@ -1,4 +1,5 @@
-//! Integration tests for the lock-free forecast serving layer.
+//! Integration tests for the forecast serving layer, whose steady-state
+//! reads take no lock.
 //!
 //! The contracts under test:
 //!
