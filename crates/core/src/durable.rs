@@ -35,7 +35,10 @@
 //! 1. **Append-then-apply.** Every mutating [`DurablePipeline`] call
 //!    appends its WAL frame *before* touching the in-memory pipeline, so a
 //!    crash at any I/O boundary loses at most operations the caller never
-//!    saw complete.
+//!    saw complete. A failed append fails the WAL segment: every later
+//!    append and snapshot returns an `Err` without writing or applying
+//!    until the directory is reopened, so no acknowledged frame can sit
+//!    behind a torn one or reuse a failed frame's sequence number.
 //! 2. **Sequence numbers dedup replay.** Frames at or below the loaded
 //!    snapshot's sequence are skipped by `qb-durable`, so a crash between
 //!    snapshot rename and WAL rotation cannot double-apply a sighting —
@@ -828,7 +831,10 @@ pub fn decode_wal_record(kind: u8, payload: &[u8]) -> Result<WalRecord, Durabili
 /// any call therefore means the operation is *not* reflected in memory; an
 /// injected-crash error ([`Error::is_injected_crash`]) additionally means
 /// "the process died at this I/O boundary" to test harnesses, which drop
-/// the instance and re-[`open`](DurablePipeline::open).
+/// the instance and re-[`open`](DurablePipeline::open). After a failed WAL
+/// append every later ingest, cluster update, compaction and
+/// [`snapshot`](DurablePipeline::snapshot) fails too, until the directory
+/// is re-opened.
 pub struct DurablePipeline {
     bot: QueryBot5000,
     store: DurableStore,
@@ -840,6 +846,7 @@ pub struct DurablePipeline {
     snapshot_time: qb_obs::Histogram,
     snapshot_bytes: qb_obs::Gauge,
     wal_appends: qb_obs::Counter,
+    wal_bytes: qb_obs::Counter,
     snapshots_metric: qb_obs::Counter,
 }
 
@@ -943,6 +950,7 @@ impl DurablePipeline {
             snapshot_time: rec.histogram("durability.snapshot"),
             snapshot_bytes: rec.gauge("durability.snapshot_bytes"),
             wal_appends: rec.counter("durability.wal_appends"),
+            wal_bytes: rec.counter("durability.wal_bytes"),
             snapshots_metric: rec.counter("durability.snapshots"),
         };
         Ok((pipeline, report))
@@ -955,9 +963,10 @@ impl DurablePipeline {
 
     fn append_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), Error> {
         let seq = self.seq + 1;
-        self.store.append(seq, kind, payload)?;
+        let bytes = self.store.append(seq, kind, payload)?;
         self.seq = seq;
         self.wal_appends.inc();
+        self.wal_bytes.add(bytes);
         Ok(())
     }
 
@@ -1462,6 +1471,38 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_append_refuses_later_ingests_until_reopen() {
+        let dir = tmp_dir("failed-append");
+        let sql = "SELECT a FROM t WHERE id = 1";
+        let before = {
+            let (mut p, _) = DurablePipeline::open(durable_config(&dir)).unwrap();
+            for minute in 0..30 {
+                p.ingest_weighted(minute, sql, 2).unwrap();
+            }
+            p.set_fault_hook(FaultHook::crash_at_point(IoPoint::WalFrameHalf));
+            assert!(p.ingest_weighted(30, sql, 9).unwrap_err().is_injected_crash());
+            let before = p.bot().export_state();
+            p.set_fault_hook(FaultHook::none());
+            let batch = [BatchItem { minute: 31, sql, count: 4 }];
+            let err = p.ingest_batch(&batch).unwrap_err();
+            assert_eq!(err.stage(), "durability");
+            assert!(!err.is_injected_crash());
+            assert!(p.update_clusters(60).is_err());
+            assert_eq!(p.snapshot().unwrap_err().stage(), "durability");
+            assert_eq!(p.store_stats().snapshots_written, 0);
+            assert_eq!(p.bot().export_state(), before, "refused calls change nothing");
+            assert_eq!(p.durable_seq(), 30);
+            before
+        };
+        // Reopening truncates the torn frame and accepts appends again.
+        let (mut p, report) = DurablePipeline::open(durable_config(&dir)).unwrap();
+        assert_eq!(report.frames_replayed, 30);
+        assert_eq!(p.bot().export_state(), before);
+        p.ingest_weighted(31, sql, 4).unwrap();
+        assert_eq!(p.durable_seq(), 31);
+    }
+
+    #[test]
     fn manager_state_travels_through_snapshot() {
         let dir = tmp_dir("manager");
         let now = 6 * MINUTES_PER_DAY;
@@ -1533,6 +1574,8 @@ mod tests {
         assert_eq!(snap.counters["durability.fresh_starts"], 1);
         assert_eq!(snap.counters["durability.snapshots"], 1);
         assert!(snap.counters["durability.wal_appends"] > 0);
+        assert_eq!(snap.counters["durability.wal_bytes"], p.store_stats().wal_bytes);
+        assert!(p.store_stats().wal_bytes > 2 * MINUTES_PER_DAY as u64 * (8 + 9));
         assert!(snap.gauges["durability.snapshot_bytes"] > 0.0);
         assert_eq!(snap.histograms["durability.snapshot"].count, 1);
         assert!(p.store_stats().last_snapshot_bytes > 0);

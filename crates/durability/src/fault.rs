@@ -4,7 +4,8 @@
 //! each physical step named by an [`IoPoint`]. Returning `true` means
 //! "the process crashed here": the operation aborts with
 //! [`crate::DurabilityError::InjectedCrash`], leaving the files exactly as
-//! the completed steps built them — a torn frame after
+//! the completed steps built them — a zero-filled segment tail after
+//! [`IoPoint::WalGrown`], a torn frame after
 //! [`IoPoint::WalFrameHalf`], an unsynced frame after
 //! [`IoPoint::WalFrameFull`], an orphaned temp file after
 //! [`IoPoint::SnapshotTempWritten`], and so on. Recovery code then gets
@@ -17,6 +18,9 @@ use std::sync::Arc;
 /// consulted *after* the named step completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IoPoint {
+    /// A WAL segment grew: the zero chunk the next frame lands on is
+    /// written and synced, the frame is not written yet.
+    WalGrown,
     /// A WAL append is about to write its frame (nothing written yet).
     WalAppendStart,
     /// Half of a WAL frame's bytes are on disk — the torn-write state.
@@ -44,7 +48,8 @@ pub enum IoPoint {
 impl IoPoint {
     /// Every injectable point, in the order one snapshot-plus-append cycle
     /// visits them. Test matrices iterate this.
-    pub const ALL: [IoPoint; 11] = [
+    pub const ALL: [IoPoint; 12] = [
+        IoPoint::WalGrown,
         IoPoint::WalAppendStart,
         IoPoint::WalFrameHalf,
         IoPoint::WalFrameFull,

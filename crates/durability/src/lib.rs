@@ -15,6 +15,18 @@
 //!   existing file and keeps exactly the prefix of valid frames; a torn or
 //!   bit-flipped tail (crash mid-append, corrupted sector) is cut off at
 //!   the last valid frame boundary.
+//! * **Appends overwrite, they do not extend.** A WAL segment is its
+//!   frames followed by zeros that were written and synced beforehand; a
+//!   frame that would cross the end first grows the segment by a fixed
+//!   chunk of zeros. The per-frame `fdatasync` then commits no file-size
+//!   change. A zero header ends the log, and [`Wal::open`] keeps an
+//!   all-zero tail as capacity instead of truncating it.
+//! * **A failed append fails the handle.** After any `Err` from
+//!   [`Wal::append`] the bytes past the last good frame are unknown, so
+//!   every later append and snapshot is refused
+//!   ([`DurabilityError::WalFailed`]) until the store is reopened and its
+//!   tail truncated; a frame acknowledged after a torn one would otherwise
+//!   be lost to recovery.
 //! * **Snapshots rotate atomically.** [`write_snapshot`] writes to a
 //!   temp file, fsyncs it, renames it into place, and fsyncs the
 //!   directory — a crash at any point leaves either the old snapshot or
@@ -57,6 +69,9 @@ pub enum DurabilityError {
     /// A [`FaultHook`] demanded a crash at this I/O boundary. The on-disk
     /// state is exactly what the completed steps before the boundary left.
     InjectedCrash(IoPoint),
+    /// An earlier append to this WAL segment failed; the store refuses
+    /// appends and snapshots until it is reopened.
+    WalFailed(std::path::PathBuf),
 }
 
 impl std::fmt::Display for DurabilityError {
@@ -66,6 +81,11 @@ impl std::fmt::Display for DurabilityError {
             DurabilityError::Corrupt(msg) => write!(f, "corrupt durable state: {msg}"),
             DurabilityError::Codec(e) => write!(f, "payload decode failed: {e}"),
             DurabilityError::InjectedCrash(p) => write!(f, "injected crash at {p:?}"),
+            DurabilityError::WalFailed(path) => write!(
+                f,
+                "an earlier append to {} failed; reopen it to append again",
+                path.display()
+            ),
         }
     }
 }

@@ -5,8 +5,13 @@
 //! ```text
 //! snap-<seq>.qbs       versioned snapshot, atomic (newest + one fallback)
 //! snap-<seq>.qbs.tmp   orphaned interrupted write (ignored, overwritten)
-//! wal-<base>.qbw       WAL segment holding frames appended after seq <base>
+//! wal-<base>.qbw       WAL segment holding frames appended after seq <base>,
+//!                      then zeros preallocated for the next frames
 //! ```
+//!
+//! A segment file is longer than its log: frames overwrite zero fill that
+//! was synced before them, so file sizes count allocated bytes and
+//! [`StoreStats::wal_bytes`] counts the framed bytes.
 //!
 //! The WAL rotates on snapshot success: a snapshot at sequence `S` opens a
 //! fresh `wal-<S>.qbw` and removes segments that even the *fallback*
@@ -60,6 +65,9 @@ pub struct StoreStats {
     pub last_snapshot_bytes: u64,
     /// Frames appended through this handle.
     pub frames_appended: u64,
+    /// Framed bytes (headers included, zero fill not) appended through
+    /// this handle.
+    pub wal_bytes: u64,
     /// Snapshots written through this handle.
     pub snapshots_written: u64,
 }
@@ -168,17 +176,28 @@ impl DurableStore {
         self.hook = hook;
     }
 
-    /// Appends one fsynced frame to the current WAL segment.
-    pub fn append(&mut self, seq: u64, kind: u8, payload: &[u8]) -> Result<(), DurabilityError> {
-        self.wal.append(seq, kind, payload, &self.hook)?;
+    /// Appends one fsynced frame to the current WAL segment and returns
+    /// its length in bytes. After a failed append the store refuses
+    /// appends (see [`Wal::append`]) and snapshots until it is reopened.
+    pub fn append(&mut self, seq: u64, kind: u8, payload: &[u8]) -> Result<u64, DurabilityError> {
+        let bytes = self.wal.append(seq, kind, payload, &self.hook)?;
         self.stats.frames_appended += 1;
-        Ok(())
+        self.stats.wal_bytes += bytes;
+        Ok(bytes)
     }
 
     /// Writes a snapshot covering everything up to and including `seq`,
     /// rotates the WAL onto a fresh segment, and prunes state older than
     /// the fallback snapshot.
+    ///
+    /// Refused with [`DurabilityError::WalFailed`] after a failed append:
+    /// the failed frame may be whole on disk under the sequence number the
+    /// next append reuses, and only a reopen truncates or replays it
+    /// before that number is handed out again.
     pub fn snapshot(&mut self, seq: u64, payload: &[u8]) -> Result<(), DurabilityError> {
+        if self.wal.failed() {
+            return Err(DurabilityError::WalFailed(self.wal.path().to_path_buf()));
+        }
         write_snapshot(&self.dir, seq, payload, &self.hook)?;
         self.stats.last_snapshot_bytes = payload.len() as u64;
         self.stats.snapshots_written += 1;
@@ -300,6 +319,63 @@ mod tests {
         assert_eq!(rec.corrupt_snapshots_skipped, 1);
         let seqs: Vec<u64> = rec.frames.iter().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn a_snapshot_after_a_failed_append_is_refused_until_reopen() {
+        // At `WalFrameHalf` the failed frame is torn; at `WalFsync` it is
+        // whole and synced under seq 2, the number the next append would
+        // reuse. Either way nothing may be written until a reopen has
+        // truncated or recovered it.
+        for (point, recovered) in [
+            (IoPoint::WalFrameHalf, &[(1, &b"a"[..])][..]),
+            (IoPoint::WalFsync, &[(1, &b"a"[..]), (2, &b"failed"[..])][..]),
+        ] {
+            let dir = tmp_dir(&format!("failed-then-snapshot-{point:?}"));
+            {
+                let (mut store, _) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+                store.append(1, 0, b"a").unwrap();
+                store.set_hook(FaultHook::crash_at_point(point));
+                assert!(store.append(2, 0, b"failed").unwrap_err().is_injected_crash());
+                store.set_hook(FaultHook::none());
+                let err = store.snapshot(1, b"state@1").unwrap_err();
+                assert!(matches!(err, DurabilityError::WalFailed(_)), "{point:?}: {err:?}");
+                let err = store.append(2, 0, b"b").unwrap_err();
+                assert!(matches!(err, DurabilityError::WalFailed(_)), "{point:?}: {err:?}");
+                assert_eq!(store.stats().snapshots_written, 0);
+            }
+            let (mut store, rec) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+            assert_eq!(rec.snapshot, None, "{point:?}");
+            let frames: Vec<(u64, &[u8])> =
+                rec.frames.iter().map(|f| (f.seq, &f.payload[..])).collect();
+            assert_eq!(frames, recovered, "{point:?}");
+            // After the reopen the store snapshots and appends again.
+            let seq = rec.durable_seq();
+            store.snapshot(seq, b"state").unwrap();
+            store.append(seq + 1, 0, b"next").unwrap();
+            drop(store);
+            let (_, rec) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+            assert_eq!(rec.snapshot.unwrap().seq, seq, "{point:?}");
+            assert_eq!(rec.frames.iter().map(|f| f.seq).collect::<Vec<_>>(), [seq + 1]);
+        }
+    }
+
+    #[test]
+    fn wal_bytes_count_frames_not_zero_fill() {
+        let dir = tmp_dir("wal-bytes");
+        let (mut store, _) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+        let first = store.append(1, 0, b"abc").unwrap();
+        assert_eq!(first, 8 + 9 + 3);
+        store.snapshot(1, b"state@1").unwrap();
+        store.append(2, 0, b"").unwrap();
+        assert_eq!(store.stats().wal_bytes, first + 8 + 9);
+        let on_disk: u64 = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| parse_wal_name(&e.file_name().to_string_lossy()).is_some())
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        assert!(on_disk > store.stats().wal_bytes, "segment files hold zero fill too");
     }
 
     #[test]

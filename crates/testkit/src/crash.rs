@@ -303,20 +303,22 @@ pub fn crash_hooks(total_io_points: u64, samples: u64) -> Vec<String> {
 
 /// Runs one labeled crash hook: replay until the hook kills the process,
 /// recover from the directory, resume at `ops[durable_seq..]`, finish,
-/// and fingerprint. A hook that never fires yields a clean run, which
-/// must also match the reference.
+/// and fingerprint. Returns the fingerprint and whether the hook fired: a
+/// hook that never fires yields a clean run, which must also match the
+/// reference.
 pub fn run_with_crash(
     case: &CrashCase,
     ops: &[DurableOp],
     label: &str,
     horizons: &[usize],
     widths: &[usize],
-) -> RunFingerprint {
+) -> (RunFingerprint, bool) {
     let dir = unique_dir(case, label);
     let (mut p, _) = DurablePipeline::open(pipeline_config(case, &dir, hook_from_label(label)))
         .expect("fresh crash-run directory opens");
     let crashed_at = apply_ops(&mut p, ops);
-    if crashed_at < ops.len() {
+    let fired = crashed_at < ops.len();
+    if fired {
         // The "process" died at an I/O boundary inside ops[crashed_at].
         drop(p);
         let (recovered, _report) =
@@ -336,7 +338,16 @@ pub fn run_with_crash(
     let fp = fingerprint(case, &p, horizons, widths);
     drop(p);
     let _ = std::fs::remove_dir_all(&dir);
-    fp
+    (fp, fired)
+}
+
+/// What a [`run_crash_matrix`] sweep ran.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatrixRun {
+    /// Every hook label swept.
+    pub hooks: Vec<String>,
+    /// The labels whose hook fired; the others ran clean.
+    pub fired: Vec<String>,
 }
 
 /// The full sweep: reference, then every hook from [`crash_hooks`], each
@@ -346,18 +357,21 @@ pub fn run_crash_matrix(
     horizons: &[usize],
     widths: &[usize],
     nth_samples: u64,
-) -> Result<u64, CrashFailure> {
+) -> Result<MatrixRun, CrashFailure> {
     let ops = materialize_ops(case);
     let (reference, total_io) = reference_run(case, &ops, horizons, widths);
-    let labels = crash_hooks(total_io, nth_samples);
-    let count = labels.len() as u64;
-    for label in labels {
-        let fp = run_with_crash(case, &ops, &label, horizons, widths);
+    let hooks = crash_hooks(total_io, nth_samples);
+    let mut fired = Vec::new();
+    for label in &hooks {
+        let (fp, crashed) = run_with_crash(case, &ops, label, horizons, widths);
         if let Err(detail) = diff(&reference, &fp) {
-            return Err(CrashFailure { case: case.clone(), hook: label, detail });
+            return Err(CrashFailure { case: case.clone(), hook: label.clone(), detail });
+        }
+        if crashed {
+            fired.push(label.clone());
         }
     }
-    Ok(count)
+    Ok(MatrixRun { hooks, fired })
 }
 
 /// First divergence between two fingerprints, described for a human.
@@ -424,6 +438,7 @@ mod tests {
         let labels = crash_hooks(1000, 5);
         assert_eq!(labels.len(), IoPoint::ALL.len() + 5);
         assert!(labels.iter().any(|l| l == "point:WalFrameHalf"));
+        assert_eq!(labels[0], "point:WalGrown", "a first append grows before it writes");
         assert!(labels.iter().filter(|l| l.starts_with("nth:")).count() == 5);
     }
 }

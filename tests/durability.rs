@@ -40,7 +40,7 @@ use qb_preprocessor::BatchItem;
 use qb_sqlparse::Literal;
 use qb_testkit::crash::{
     hook_from_label, materialize_ops, reference_run, run_crash_matrix, run_with_crash, CrashCase,
-    DurableOp,
+    DurableOp, MatrixRun,
 };
 use qb_timeseries::{ArrivalHistoryState, MINUTES_PER_DAY};
 use qb_workloads::{StorageFaultKind, StorageFaultPlan, Workload};
@@ -232,9 +232,11 @@ fn plain_durable_config(dir: &PathBuf) -> Qb5000Config {
 }
 
 /// Damages a finished WAL segment with every [`StorageFaultKind`] at
-/// several seeded split points. Recovery must (a) open cleanly, (b) keep
-/// only a prefix of the op list, and (c) after resuming the rest of the
-/// ops, match the never-corrupted final state bit for bit.
+/// several seeded split points inside its frames. Every image is tried
+/// twice: alone, and followed by the segment's zero fill, as a crash
+/// inside preallocated space leaves it. Recovery must (a) open cleanly,
+/// (b) keep only a prefix of the op list, and (c) after resuming the rest
+/// of the ops, match the never-corrupted final state bit for bit.
 #[test]
 fn wal_corruption_recovers_to_last_valid_frame() {
     let ops: Vec<(i64, &str, u64)> = (0..40)
@@ -252,54 +254,61 @@ fn wal_corruption_recovers_to_last_valid_frame() {
         let _ = clean.ingest_weighted(*minute, sql, *count);
     }
     let clean_state = clean.bot().export_state();
+    let framed = clean.store_stats().wal_bytes as usize;
     drop(clean);
     let wal_file = std::fs::read_dir(&clean_dir)
         .expect("durable dir listable")
         .filter_map(|e| e.ok().map(|e| e.path()))
         .find(|p| p.extension().is_some_and(|x| x == "qbw"))
         .expect("exactly one WAL segment after a snapshot-free run");
-    let pristine = std::fs::read(&wal_file).expect("WAL readable");
+    let file = std::fs::read(&wal_file).expect("WAL readable");
+    // The segment is its frames, then zero fill: cut at the last frame.
+    let (pristine, zero_fill) = file.split_at(framed);
     assert!(!pristine.is_empty(), "40 ingests must have produced WAL frames");
+    assert!(!zero_fill.is_empty() && zero_fill.iter().all(|&b| b == 0), "preallocated zeros");
 
     for kind in StorageFaultKind::ALL {
         for seed in 0..4u64 {
             let mut plan = StorageFaultPlan::new(seed);
-            // Model the crash as interrupting the last portion of the file:
+            // Model the crash as interrupting the last portion of the log:
             // everything before `split` had been fsynced, the rest was the
             // in-flight write the fault mangles.
             let split = pristine.len() * (1 + seed as usize % 3) / 4;
-            let image = plan.apply(kind, &pristine[..split], &pristine[split..]);
+            let damaged = plan.apply(kind, &pristine[..split], &pristine[split..]);
+            for tail in [&[][..], zero_fill] {
+                let image = [&damaged[..], tail].concat();
+                let case = format!("{kind:?}/{seed}/{} zero bytes", tail.len());
+                let dir = tmp_dir(&format!("walfuzz-{kind:?}-{seed}-{}", tail.len()));
+                std::fs::create_dir_all(&dir).expect("fuzz dir creatable");
+                std::fs::write(dir.join(wal_file.file_name().expect("wal name")), &image)
+                    .expect("corrupted WAL writable");
 
-            let dir = tmp_dir(&format!("walfuzz-{kind:?}-{seed}"));
-            std::fs::create_dir_all(&dir).expect("fuzz dir creatable");
-            std::fs::write(dir.join(wal_file.file_name().expect("wal name")), &image)
-                .expect("corrupted WAL writable");
-
-            let (mut p, report) = DurablePipeline::open(plain_durable_config(&dir))
-                .unwrap_or_else(|e| panic!("recovery must absorb {kind:?} (seed {seed}): {e}"));
-            let resume = p.durable_seq() as usize;
-            assert!(
-                resume <= ops.len(),
-                "{kind:?}/{seed}: recovery cannot invent frames ({resume} > {})",
-                ops.len()
-            );
-            if kind == StorageFaultKind::CrashAfterFsync {
-                assert_eq!(resume, ops.len(), "a fully-fsynced image loses nothing");
+                let (mut p, report) = DurablePipeline::open(plain_durable_config(&dir))
+                    .unwrap_or_else(|e| panic!("recovery must absorb {case}: {e}"));
+                let resume = p.durable_seq() as usize;
+                assert!(
+                    resume <= ops.len(),
+                    "{case}: recovery cannot invent frames ({resume} > {})",
+                    ops.len()
+                );
+                if kind == StorageFaultKind::CrashAfterFsync {
+                    assert_eq!(resume, ops.len(), "{case}: a fully-fsynced image loses nothing");
+                }
+                assert_eq!(
+                    report.frames_replayed, resume as u64,
+                    "{case}: every surviving frame replays"
+                );
+                for (minute, sql, count) in &ops[resume..] {
+                    let _ = p.ingest_weighted(*minute, sql, *count);
+                }
+                assert_eq!(
+                    p.bot().export_state(),
+                    clean_state,
+                    "{case}: resumed state must be bit-identical to the clean run"
+                );
+                drop(p);
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            assert_eq!(
-                report.frames_replayed, resume as u64,
-                "{kind:?}/{seed}: every surviving frame replays"
-            );
-            for (minute, sql, count) in &ops[resume..] {
-                let _ = p.ingest_weighted(*minute, sql, *count);
-            }
-            assert_eq!(
-                p.bot().export_state(),
-                clean_state,
-                "{kind:?}/{seed}: resumed state must be bit-identical to the clean run"
-            );
-            drop(p);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
     let _ = std::fs::remove_dir_all(&clean_dir);
@@ -317,9 +326,18 @@ fn crash_matrix_bustracker_traced() {
     case.days = 2;
     case.scale = 0.004;
     case.traced = true;
-    let hooks = run_crash_matrix(&case, &[1, 8], &[1, 4], 4)
+    let run = run_crash_matrix(&case, &[1, 8], &[1, 4], 4)
         .unwrap_or_else(|failure| panic!("{failure}"));
-    assert!(hooks > qb5000::IoPoint::ALL.len() as u64, "nth samples must extend the sweep");
+    assert!(run.hooks.len() > qb5000::IoPoint::ALL.len(), "nth samples must extend the sweep");
+    assert_every_point_fires(&run);
+}
+
+/// A `point:` hook that never fires is a clean run, not a crash test.
+fn assert_every_point_fires(run: &MatrixRun) {
+    assert!(run.fired.iter().any(|l| l == "point:WalGrown"), "a segment grow must be crashed");
+    for label in run.hooks.iter().filter(|l| l.starts_with("point:")) {
+        assert!(run.fired.contains(label), "{label} never fired: {run:?}");
+    }
 }
 
 /// MOOC (evolving template population), untraced, snapshot every 2 rounds
@@ -331,7 +349,9 @@ fn crash_matrix_mooc_multi_round_snapshots() {
     case.scale = 0.004;
     case.update_every = 8 * 60;
     case.snapshot_every_rounds = 2;
-    run_crash_matrix(&case, &[1], &[1, 4], 3).unwrap_or_else(|failure| panic!("{failure}"));
+    let run =
+        run_crash_matrix(&case, &[1], &[1, 4], 3).unwrap_or_else(|failure| panic!("{failure}"));
+    assert_every_point_fires(&run);
 }
 
 /// Satellite 2 pinned down explicitly: a stream salted with
@@ -372,7 +392,8 @@ fn quarantine_accounting_survives_crash_restart() {
         "the salted stream must actually exercise the quarantine"
     );
     for label in ["point:WalFsync", "point:SnapshotTempSynced", "point:WalRotated", "nth:40"] {
-        let recovered = run_with_crash(&case, &ops, label, &horizons, &widths);
+        let (recovered, fired) = run_with_crash(&case, &ops, label, &horizons, &widths);
+        assert!(fired, "{label} must crash the run");
         assert_eq!(
             recovered.health, reference.health,
             "{label}: rejection accounting must not double-count across restart"
@@ -657,9 +678,10 @@ fn crash_point_repro() {
     let horizons = [1, 8];
     let widths = [1, 4];
     let (reference, _) = reference_run(&case, &ops, &horizons, &widths);
-    let recovered = run_with_crash(&case, &ops, &hook, &horizons, &widths);
+    let (recovered, fired) = run_with_crash(&case, &ops, &hook, &horizons, &widths);
     if let Err(detail) = qb_testkit::crash::diff(&reference, &recovered) {
         panic!("repro confirms divergence under {hook}: {detail}");
     }
-    eprintln!("hook {hook}: recovery is bit-identical");
+    let run = if fired { "crashed and recovered" } else { "never fired: a clean run" };
+    eprintln!("hook {hook} {run}; the result is bit-identical");
 }
