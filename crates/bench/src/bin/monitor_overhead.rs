@@ -14,7 +14,9 @@
 
 #![forbid(unsafe_code)]
 
-use qb5000::{ControllerConfig, IndexSelectionExperiment, MonitorConfig, Recorder, Strategy};
+use qb5000::{
+    ControllerConfig, IndexSelectionExperiment, MonitorConfig, Qb5000Config, Recorder, Strategy,
+};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};
 use std::time::{Duration, Instant};
@@ -38,7 +40,7 @@ fn experiment_cfg(monitored: bool) -> ControllerConfig {
         .fault_plan(FaultPlan::with_intensity(0xBE7C, 1.0))
         // Both modes pay for metrics, so the measured delta is the
         // monitor itself rather than the recorder it forces on.
-        .recorder(Recorder::new());
+        .pipeline(Qb5000Config { recorder: Recorder::new(), ..Qb5000Config::default() });
     if monitored {
         // The stock rule set, no HTTP endpoint: the guard times the
         // per-round observe path, not socket accept latency.

@@ -1,7 +1,7 @@
 //! Figures 11 & 12 — the automatic index-selection experiment (§7.6) and
 //! the AUTO-LOGICAL ablation (§7.7).
 
-use qb5000::{ControllerConfig, IndexSelectionExperiment, Recorder, Strategy};
+use qb5000::{ControllerConfig, IndexSelectionExperiment, Qb5000Config, Recorder, Strategy};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
@@ -32,7 +32,7 @@ fn config(workload: Workload, strategy: Strategy, effort: Effort) -> ControllerC
         .threads(qb_parallel::configured_threads())
         // Each strategy run gets its own recorder so the three parallel
         // experiments don't interleave their stage metrics.
-        .recorder(Recorder::new())
+        .pipeline(Qb5000Config { recorder: Recorder::new(), ..Qb5000Config::default() })
         .build()
         .expect("bench controller config is valid by construction")
 }

@@ -231,6 +231,7 @@ impl ControllerConfig {
     /// Checks the invariants the experiment driver assumes;
     /// [`ControllerConfigBuilder::build`] calls this.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.pipeline.validate()?;
         check_scale("db_scale", self.db_scale)?;
         check_scale("trace_scale", self.trace_scale)?;
         if self.history_days == 0 {
@@ -356,39 +357,14 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Observability recorder shared by the controller loop and the
-    /// pipeline it drives. Defaults to [`Recorder::disabled`].
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.cfg.recorder = recorder;
-        self
-    }
-
-    /// Structured tracer shared by the controller loop and the pipeline
-    /// it drives, capturing the forecast → index-build decision lineage.
-    /// Defaults to [`Tracer::disabled`].
-    pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.cfg.tracer = tracer;
-        self
-    }
-
-    /// Durable-state policy for the pipeline the controller drives: every
-    /// ingest and cluster update is write-ahead logged and snapshotted so
-    /// a crashed experiment recovers bit-identically. Defaults to `None`
-    /// (fully in-memory).
-    pub fn durability(mut self, policy: DurabilityConfig) -> Self {
-        self.cfg.durability = Some(policy);
-        self
-    }
-
-    /// Forecast serving for the controller's pipeline: cluster
-    /// updates and each build round's blended forecasts are published
-    /// through the service so reader threads can query while the
-    /// experiment runs. The service's horizon slots should cover the
+    /// The pipeline the controller drives (recorder, tracer, durability,
+    /// serving, clusterer settings); see [`ControllerConfig::pipeline`]
+    /// for what the controller overrides. Serving slots should cover the
     /// configured `forecast_horizons` (use
     /// [`crate::ForecastService::hourly`]); unmatched horizons are simply
-    /// not published. Defaults to `None`.
-    pub fn serve(mut self, service: crate::ForecastService) -> Self {
-        self.cfg.serve = Some(service);
+    /// not published. Defaults to [`Qb5000Config::default`].
+    pub fn pipeline(mut self, pipeline: Qb5000Config) -> Self {
+        self.cfg.pipeline = pipeline;
         self
     }
 

@@ -50,6 +50,12 @@
 //!    recovered process continues the exact event stream — forecasts,
 //!    [`crate::PipelineHealth`], and `qb-trace` output are bit-identical
 //!    to an uninterrupted run.
+//! 4. **The serve epoch and alert hysteresis restart.** [`FullState`]
+//!    holds the pipeline, the manager and the tracer's ring, nothing else.
+//!    A recovered process starts its `ForecastService` at epoch 0 and its
+//!    `Monitor` windows empty; served curves are still bit-identical, but
+//!    epoch numbers, alert transitions and the trace events recording
+//!    them start over.
 
 use std::path::PathBuf;
 

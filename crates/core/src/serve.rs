@@ -11,7 +11,7 @@
 //!
 //! Wiring: hand a service to
 //! [`Qb5000Config::builder().serve(...)`](crate::Qb5000ConfigBuilder::serve)
-//! or [`ControllerConfig::builder().serve(...)`](crate::ControllerConfigBuilder::serve)
+//! (or [`ControllerConfig::builder().pipeline(...)`](crate::ControllerConfigBuilder::pipeline))
 //! and keep a clone for [`ForecastService::reader`] handles. The pipeline
 //! then publishes at three points: cluster updates (membership patches),
 //! [`crate::ForecastManager::ensure_trained`] retrains (per-horizon curve

@@ -11,7 +11,7 @@
 //! If either law breaks, AutoAdmin's greedy subset selection can oscillate
 //! or pick an index set whose "benefit" is an artifact of the cost model.
 
-use qb_dbsim::{ColumnDef, ColumnType, CostModel, Database, IndexCandidate, TableSchema, Value};
+use qb_dbsim::{ColumnDef, ColumnType, CostModel, Database, IndexCandidate, TableSchema};
 use qb_sqlparse::parse_statement;
 
 const ROWS: i64 = 2_000;

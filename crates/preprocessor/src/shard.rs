@@ -569,7 +569,7 @@ mod tests {
         stream.iter().map(|(m, s, c)| BatchItem { minute: *m, sql: s, count: *c }).collect()
     }
 
-    fn run_batched(stream: &[(Minute, String, u64)], width: usize, splits: usize) -> PreProcessor {
+    fn ingest_batched(stream: &[(Minute, String, u64)], width: usize, splits: usize) -> PreProcessor {
         run_chunked(stream, width, stream.len().div_ceil(splits))
     }
 
@@ -603,7 +603,7 @@ mod tests {
         for (m, s, c) in &stream {
             let _ = seq.ingest_weighted(*m, s, *c);
         }
-        let batched = run_batched(&stream, 4, 1);
+        let batched = ingest_batched(&stream, 4, 1);
         // The whole export — ids, texts, histories, reservoir contents and
         // RNG states, shard slots and their hit counts — must match
         // statement-at-a-time ingest, re-parse cadence included.
@@ -614,9 +614,9 @@ mod tests {
     #[test]
     fn batch_state_is_width_and_split_invariant() {
         let stream = mixed_stream();
-        let base = run_batched(&stream, 1, 1).export_state();
+        let base = ingest_batched(&stream, 1, 1).export_state();
         for (width, splits) in [(4, 1), (1, 3), (4, 3), (3, 5), (2, 17)] {
-            let other = run_batched(&stream, width, splits).export_state();
+            let other = ingest_batched(&stream, width, splits).export_state();
             assert_eq!(base, other, "width={width} splits={splits} must be bit-identical");
         }
     }
@@ -701,15 +701,15 @@ mod tests {
     fn batch_splitting_does_not_shift_the_cadence() {
         let stream: Vec<(Minute, String, u64)> =
             (0..130).map(|_| (0, "SELECT x FROM t WHERE id = 1".to_string(), 1)).collect();
-        let one = run_batched(&stream, 1, 1).export_state();
-        let many = run_batched(&stream, 4, 13).export_state();
+        let one = ingest_batched(&stream, 1, 1).export_state();
+        let many = ingest_batched(&stream, 4, 13).export_state();
         assert_eq!(one, many);
     }
 
     #[test]
     fn shard_cache_survives_restore() {
         let stream = mixed_stream();
-        let mut live = run_batched(&stream, 4, 2);
+        let mut live = ingest_batched(&stream, 4, 2);
         let exported = live.export_state();
         assert!(!exported.shard_slots.is_empty(), "batches must populate shard caches");
         let mut restored =

@@ -17,11 +17,13 @@
 //!   documented tolerance where the online variant is an approximation.
 //! * [`sim`] — a **deterministic simulation runner** that drives the full
 //!   pipeline (generator → fault injector → pre-processor → clusterer →
-//!   forecaster) for one seeded case and checks end-to-end invariants:
-//!   exact ingest accounting, a quarantine bound derived from the fault
-//!   plan's own statistics, finite forecasts, and bit-identical predictions
-//!   across thread-pool widths. On failure it reports a copy-pasteable
-//!   single-seed repro command.
+//!   forecaster) for one seeded case, with any valid subset of the
+//!   optional features (tick batches, serving, cold start, tracing,
+//!   self-monitoring, durable state with a mid-run crash), and checks
+//!   end-to-end invariants: exact ingest accounting, a quarantine bound
+//!   derived from the fault plan's own statistics, finite forecasts, and
+//!   bit-identical results across thread-pool widths and reruns. On
+//!   failure it reports a copy-pasteable single-seed repro command.
 //! * [`golden`] — **golden-trace fixtures**: captured summaries of mini
 //!   workload runs (template counts, cluster membership, per-horizon
 //!   log-space MSE) diffed byte-for-byte against checked-in JSON, blessed

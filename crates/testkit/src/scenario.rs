@@ -41,13 +41,15 @@
 
 use qb5000::{
     AccuracyTracker, ColdStartOrigin, ForecastManager, ForecastQuery, ForecastService,
-    HorizonSpec, Qb5000Config, QueryBot5000, RetrainOutcome,
+    Qb5000Config, QueryBot5000, RetrainOutcome,
 };
 use qb_clusterer::ClusterId;
 use qb_forecast::{DegradationLevel, LinearRegression};
 use qb_preprocessor::TemplateId;
 use qb_timeseries::{Interval, MINUTES_PER_DAY};
-use qb_workloads::{ChurnScenario, FaultPlan, QueryEvent, TraceConfig};
+use qb_workloads::{ChurnScenario, TraceConfig};
+
+use crate::sim::{check_accounting, deliver, hourly_specs};
 
 /// One fully-seeded evolving-workload case.
 #[derive(Debug, Clone)]
@@ -119,13 +121,7 @@ pub fn scenario_repro_command(case: &ScenarioCase) -> String {
 /// `sim::case_from_env` for the knobs both harnesses have.
 pub fn scenario_from_env() -> ScenarioCase {
     let mut case = ScenarioCase::new(ChurnScenario::FeatureLaunch, 1.0, 0.0, 0x5EED);
-    if let Ok(s) = std::env::var("QB_SIM_SEED") {
-        let s: String = s.trim().chars().filter(|&c| c != '_').collect();
-        case.seed = s
-            .strip_prefix("0x")
-            .map(|h| u64::from_str_radix(h, 16).expect("hex QB_SIM_SEED"))
-            .unwrap_or_else(|| s.parse().expect("numeric QB_SIM_SEED"));
-    }
+    case.seed = crate::sim::seed_from_env().unwrap_or(case.seed);
     if let Ok(name) = std::env::var("QB_SCENARIO") {
         case.scenario = ChurnScenario::parse(&name)
             .unwrap_or_else(|| panic!("unknown QB_SCENARIO {name:?}"));
@@ -171,15 +167,8 @@ pub fn run_scenario(
 ) -> Result<ScenarioOutcome, ScenarioFailure> {
     assert!(!horizons.is_empty() && !widths.is_empty(), "empty sweep");
     let trace = TraceConfig { start: 0, days: case.days, scale: case.scale, seed: case.seed };
-    let plan = if case.fault_intensity == 0.0 {
-        FaultPlan::none(case.seed)
-    } else {
-        FaultPlan::with_intensity(case.seed, case.fault_intensity)
-    };
-    let mut injector = plan.inject(case.scenario.generator(trace, case.intensity));
-    let events: Vec<QueryEvent> = injector.by_ref().collect();
-    let stats = injector.stats().clone();
-    let delivered = events.len() as u64;
+    let generator = case.scenario.generator(trace, case.intensity);
+    let (events, stats) = deliver(generator, case.fault_intensity, case.seed);
 
     let end = case.days as i64 * MINUTES_PER_DAY;
     let span = end; // traces start at 0
@@ -189,15 +178,7 @@ pub fn run_scenario(
     let cluster_cut = span / 2;
     let train_cut = span * 3 / 4;
 
-    let specs: Vec<HorizonSpec> = horizons
-        .iter()
-        .map(|&h| HorizonSpec {
-            interval: Interval::HOUR,
-            window: 24,
-            horizon: h,
-            train_steps: (case.days as usize - 1) * 24,
-        })
-        .collect();
+    let specs = hourly_specs(case.days, horizons);
 
     let mut reference: Option<WidthBits> = None;
     let mut outcome: Option<ScenarioOutcome> = None;
@@ -286,30 +267,8 @@ pub fn run_scenario(
         base_tracker.settle(&bot, end);
 
         // Invariant 1: the chaos accounting identity survives churn.
-        let health = bot.health();
-        if stats.events_out != delivered
-            || health.ingested_statements + health.rejected_statements != delivered
-        {
-            return Err(fail(
-                case,
-                format!(
-                    "accounting identity broken at width {w}: delivered {delivered}, injector \
-                     says {}, ingested {} + rejected {}",
-                    stats.events_out, health.ingested_statements, health.rejected_statements
-                ),
-            ));
-        }
-        if health.rejected_statements > stats.max_possible_rejections() {
-            return Err(fail(
-                case,
-                format!(
-                    "quarantine dropped more than the fault plan injected at width {w}: \
-                     rejected {} > corrupted {}",
-                    health.rejected_statements,
-                    stats.max_possible_rejections()
-                ),
-            ));
-        }
+        check_accounting(&bot.health(), events.len(), &stats)
+            .map_err(|e| fail(case, format!("{e} (width {w})")))?;
 
         let mse_row = |tr: &AccuracyTracker| -> Vec<Option<f64>> {
             (0..horizons.len()).map(|i| tr.rolling_mse(i)).collect()

@@ -1,672 +1,412 @@
 //! Deterministic end-to-end simulation runner.
 //!
-//! One [`SimCase`] fully determines a pipeline run: workload generator,
-//! fault intensity, trace seed, and length. [`run_case`] replays the case
-//! through generator → fault injector → pre-processor → clusterer →
-//! forecaster at every requested thread-pool width and checks the
-//! resilience layer's end-to-end invariants:
+//! One [`SimCase`] fully determines a pipeline run: event source (paper
+//! workload or churn scenario), fault intensity, seed, length, horizons
+//! and model factory. [`run`] replays it through generator → fault
+//! injector → pre-processor → clusterer → forecaster with any valid
+//! subset of the optional [`Features`]. Each pool width replays the case
+//! into a fresh pipeline (a cluster-update round every six simulated
+//! hours, training at the end) and yields one [`Fingerprint`]. Every
+//! invariant that applies to the enabled features is checked:
 //!
 //! 1. **Accounting identity** — every delivered event is either ingested
 //!    or quarantined (`ingested + rejected == events_out`).
 //! 2. **Quarantine bound** — the pipeline never rejects more statements
 //!    than the fault plan corrupted
-//!    ([`FaultStats::max_possible_rejections`]); with no faults, nothing
-//!    is rejected.
-//! 3. **No NaN leaves a model** — every forecast at every horizon is
-//!    finite and non-negative.
-//! 4. **Degradation chain** — each model's reported level is on the
-//!    documented `Full → Ensemble → Single → LastValue` chain, and a
-//!    fault-free LR run stays at `Full`.
-//! 5. **Thread-width determinism** — forecasts are bit-identical across
-//!    all requested pool widths.
-//! 6. **Trace determinism** ([`run_traced`]) — with an enabled tracer,
-//!    the deterministic event stream, decision lineage, and flight
-//!    recorder dumps are byte-identical across all requested widths.
-//! 7. **Batched-ingest determinism** ([`run_batched`]) — the sharded
-//!    batch engine yields bit-identical pipeline state and forecasts at
-//!    every width, is invariant to tick splitting, and leaves exactly the
-//!    Pre-Processor state per-event ingest does.
-//! 8. **Serving determinism** ([`run_served`]) — with the serving layer
-//!    enabled, reader answers at the final published epoch
-//!    (per-cluster curves and top-K rankings) are bit-identical across
-//!    all widths, and the served curves equal the manager's synchronous
-//!    predictions bit-for-bit.
-//! 9. **Alert-stream determinism** ([`run_monitored`]) — with the
-//!    self-monitoring layer folding per-round metric deltas and
-//!    evaluating deterministic SLO rules under template churn plus fault
-//!    injection, the alert firing/resolved transition log is
-//!    bit-identical across all widths and byte-stable across same-seed
-//!    reruns.
+//!    ([`FaultStats::max_possible_rejections`]).
+//! 3. **No NaN leaves a model** — every forecast is finite and
+//!    non-negative.
+//! 4. **Degradation chain** — each level is on the documented
+//!    `Full → Ensemble → Single → LastValue` chain; plain LR stays `Full`.
+//! 5. **Determinism** — fingerprints are bit-identical across widths and
+//!    to a same-seed rerun.
+//! 6. **Trace** (`trace`) — the deterministic stream, the model-fit
+//!    lineage and the flight-recorder dumps join the fingerprint.
+//! 7. **Batched ingest** (`ticks`) — one batch per same-minute run.
+//!    Hour-sized batches are bit-identical across widths too, at least one
+//!    compared batch fans out on the pool, and hour batches, halved ticks
+//!    and per-event ingest leave the same Pre-Processor state and delivery
+//!    accounting.
+//! 8. **Serving** (`serve`, `cold_start`) — curves, top-K and cold-start
+//!    entries at the final epoch join the fingerprint, and every served
+//!    curve equals [`ForecastManager::predict`] bit for bit.
+//! 9. **Alerts** (`monitor`) — the transition log and active set join the
+//!    fingerprint, and a faulted replay must trip the quarantine rule.
 //!
-//! On violation the harness returns a [`SimFailure`] whose `Display`
-//! includes [`repro_command`] — a copy-pasteable `cargo test` invocation
-//! that replays exactly this case via the `single_seed_repro` test.
+//! With `durable` the [`DurablePipeline`] is dropped at the middle round
+//! and reopened from its directory with a fresh recorder, service and
+//! monitor, as a new process would. It must then match the run without
+//! `durable` on everything the recovery contract persists: state,
+//! forecasts, served answers and the trace. The serve epoch and the alert
+//! windows restart, so they — and the trace events recording them — are
+//! compared only across widths and reruns.
+//!
+//! A [`SimFailure`] prints [`repro_command`], a `cargo test` line that
+//! replays the case and features via `single_seed_repro`.
 
 use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use qb5000::{
-    AlertCondition, AlertRule, BatchItem, EventKind, ForecastManager, ForecastQuery,
-    ForecastService, HorizonSpec, Monitor, MonitorConfig, Qb5000Config, QueryBot5000, Recorder,
+    ActiveAlert, AlertCondition, AlertRule, BatchItem, DurabilityConfig, DurablePipeline,
+    EventKind, ForecastManager, ForecastQuery, ForecastService, HorizonSpec, Monitor,
+    MonitorConfig, PipelineHealth, PipelineState, Qb5000Config, QueryBot5000, Recorder,
     RetrainOutcome, Severity, TraceDump, TraceView, Tracer,
 };
 use qb_forecast::{DegradationLevel, Forecaster, LinearRegression};
 use qb_parallel::ThreadPool;
-use qb_timeseries::{Interval, MINUTES_PER_DAY};
-use qb_workloads::{ChurnScenario, FaultPlan, FaultStats, QueryEvent, TraceConfig, Workload};
+use qb_timeseries::{Interval, Minute, MINUTES_PER_DAY};
+use qb_workloads::{
+    ChurnScenario, FaultPlan, FaultStats, QueryEvent, TraceConfig, TraceGenerator, Workload,
+};
+
+/// Minutes between cluster-update rounds.
+const ROUND_MINUTES: Minute = 6 * 60;
+/// Snapshot policy of durable replays: with rounds every six hours, the
+/// middle-round drop of a three-day case recovers a snapshot plus a WAL
+/// tail.
+const SNAPSHOT_EVERY_ROUNDS: u64 = 4;
+/// Churn intensity of [`Source::Churn`] traces.
+const CHURN_INTENSITY: f64 = 1.5;
+
+/// Where a case's events come from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Source {
+    Paper(Workload),
+    Churn(ChurnScenario),
+}
+
+impl Source {
+    fn name(self) -> &'static str {
+        match self {
+            Source::Paper(w) => w.name(),
+            Source::Churn(s) => s.name(),
+        }
+    }
+
+    /// Inverse of [`Source::name`], case-insensitive.
+    fn parse(name: &str) -> Option<Source> {
+        let paper = [Workload::Admissions, Workload::BusTracker, Workload::Mooc];
+        paper
+            .into_iter()
+            .find(|w| w.name().eq_ignore_ascii_case(name))
+            .map(Source::Paper)
+            .or_else(|| ChurnScenario::parse(name).map(Source::Churn))
+    }
+}
+
+/// Builds one fresh forecasting model per horizon per retrain.
+#[derive(Clone)]
+pub struct ModelFactory(pub Arc<dyn Fn() -> Box<dyn Forecaster> + Send + Sync>);
+
+impl std::fmt::Debug for ModelFactory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ModelFactory({})", (self.0)().name())
+    }
+}
 
 /// One fully-seeded simulation case.
 #[derive(Debug, Clone)]
 pub struct SimCase {
-    pub workload: Workload,
+    pub source: Source,
     /// `FaultPlan::with_intensity` knob; 0.0 runs a clean passthrough.
     pub fault_intensity: f64,
     /// Seeds the trace generator *and* the fault plan.
     pub seed: u64,
     pub days: u32,
     pub scale: f64,
+    /// Forecast offsets in hours (hourly interval, 24-step window).
+    pub horizons: Vec<usize>,
+    pub model: ModelFactory,
 }
 
 impl SimCase {
+    /// A paper-workload case: three days at scale 0.02, horizons {1, 6},
+    /// linear regression.
     pub fn new(workload: Workload, fault_intensity: f64, seed: u64) -> Self {
-        Self { workload, fault_intensity, seed, days: 3, scale: 0.02 }
+        Self {
+            source: Source::Paper(workload),
+            fault_intensity,
+            seed,
+            days: 3,
+            scale: 0.02,
+            horizons: vec![1, 6],
+            model: ModelFactory(Arc::new(|| Box::new(LinearRegression::default()))),
+        }
+    }
+
+    /// The same defaults over a churn scenario's evolving template mix.
+    pub fn churn(scenario: ChurnScenario, fault_intensity: f64, seed: u64) -> Self {
+        Self {
+            source: Source::Churn(scenario),
+            ..Self::new(Workload::Admissions, fault_intensity, seed)
+        }
+    }
+
+    fn stream(&self) -> (Vec<QueryEvent>, FaultStats) {
+        let trace = TraceConfig { start: 0, days: self.days, scale: self.scale, seed: self.seed };
+        let generator = match self.source {
+            Source::Paper(w) => w.generator(trace),
+            Source::Churn(s) => s.generator(trace, CHURN_INTENSITY),
+        };
+        deliver(generator, self.fault_intensity, self.seed)
     }
 }
 
-/// What a successful case run produced (for golden-style inspection).
-#[derive(Debug)]
-pub struct SimOutcome {
-    pub stats: FaultStats,
-    pub num_templates: usize,
-    pub num_clusters: usize,
-    /// Per-horizon forecasts from the first thread width.
-    pub forecasts: Vec<Vec<f64>>,
+/// Hourly specs with a 24-step window, trained on all but the first day.
+pub(crate) fn hourly_specs(days: u32, horizons: &[usize]) -> Vec<HorizonSpec> {
+    let train_steps = (days as usize - 1) * 24;
+    let spec = |horizon| HorizonSpec { interval: Interval::HOUR, window: 24, horizon, train_steps };
+    horizons.iter().map(|&h| spec(h)).collect()
+}
+
+/// The stream `generator` delivers through a fault plan seeded with
+/// `seed` (0.0 intensity: a clean passthrough), and the plan's statistics.
+pub(crate) fn deliver(
+    generator: TraceGenerator,
+    fault_intensity: f64,
+    seed: u64,
+) -> (Vec<QueryEvent>, FaultStats) {
+    let plan = if fault_intensity == 0.0 {
+        FaultPlan::none(seed)
+    } else {
+        FaultPlan::with_intensity(seed, fault_intensity)
+    };
+    let mut injector = plan.inject(generator);
+    let events = injector.by_ref().collect();
+    (events, injector.stats().clone())
+}
+
+/// Invariants 1 and 2: exact accounting and a quarantine bounded by what
+/// the fault plan corrupted.
+pub(crate) fn check_accounting(
+    health: &PipelineHealth,
+    delivered: usize,
+    stats: &FaultStats,
+) -> Result<(), String> {
+    let (ingested, rejected) = (health.ingested_statements, health.rejected_statements);
+    if stats.events_out != delivered as u64 || ingested + rejected != delivered as u64 {
+        return Err(format!(
+            "accounting identity broken: delivered {delivered}, injector says {}, \
+             ingested {ingested} + rejected {rejected}",
+            stats.events_out
+        ));
+    }
+    if rejected > stats.max_possible_rejections() {
+        return Err(format!(
+            "quarantine dropped more than the fault plan injected: rejected {rejected} > \
+             malformed {} + truncated {} + duplicated {}",
+            stats.malformed, stats.truncated, stats.duplicated
+        ));
+    }
+    Ok(())
+}
+
+/// The optional pipeline features a [`run`] switches on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Features {
+    /// Ingest per-minute batches through the sharded engine instead of
+    /// one event at a time.
+    pub ticks: bool,
+    pub serve: bool,
+    /// Only valid together with `serve`.
+    pub cold_start: bool,
+    pub trace: bool,
+    pub monitor: bool,
+    pub durable: bool,
+}
+
+impl Features {
+    const NAMES: [&'static str; 6] =
+        ["ticks", "serve", "cold_start", "trace", "monitor", "durable"];
+
+    fn flags(self) -> [bool; 6] {
+        [self.ticks, self.serve, self.cold_start, self.trace, self.monitor, self.durable]
+    }
+
+    fn from_flags(f: [bool; 6]) -> Self {
+        let [ticks, serve, cold_start, trace, monitor, durable] = f;
+        Self { ticks, serve, cold_start, trace, monitor, durable }
+    }
+
+    fn is_valid(self) -> bool {
+        self.serve || !self.cold_start
+    }
+
+    /// Every valid subset: 48 of the 64.
+    pub fn all_valid() -> Vec<Features> {
+        (0..64u32)
+            .map(|bits| Self::from_flags(std::array::from_fn(|i| bits >> i & 1 == 1)))
+            .filter(|f| f.is_valid())
+            .collect()
+    }
+
+    /// Parses the comma list `Display` prints (`none` or empty for no
+    /// features).
+    fn parse(list: &str) -> Features {
+        let mut flags = [false; 6];
+        for name in list.split(',').map(str::trim).filter(|n| !n.is_empty() && *n != "none") {
+            let i = Self::NAMES.iter().position(|&n| n == name);
+            flags[i.unwrap_or_else(|| panic!("unknown feature {name:?}"))] = true;
+        }
+        Self::from_flags(flags)
+    }
+}
+
+impl std::fmt::Display for Features {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let on: Vec<&str> =
+            Self::NAMES.iter().zip(self.flags()).filter(|(_, on)| *on).map(|(n, _)| *n).collect();
+        f.write_str(if on.is_empty() { "none".into() } else { on.join(",") }.as_str())
+    }
+}
+
+/// Reader answers at the final epoch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Served {
+    pub epoch: u64,
+    /// Per horizon, per serving cluster: the curve's first value bits.
+    pub curves: Vec<Vec<u64>>,
+    /// Per horizon: the top-K ranking as (cluster, total bits).
+    pub top_k: Vec<Option<Vec<(u64, u64)>>>,
+    /// `Debug` of the cold-start entries (float `Debug` round-trips).
+    pub cold: String,
+}
+
+/// The retained trace after training.
+#[derive(Debug, Clone)]
+pub struct Traced {
+    pub view: TraceView,
+    /// [`TraceView::deterministic_stream`]: no wall-clock timestamps.
+    pub stream: String,
+    /// `explain()` of the latest model fit.
+    pub fit_lineage: String,
+    pub dumps: Vec<TraceDump>,
+}
+
+impl Traced {
+    /// Stream, lineage and dumps as one string; `mask_epochs` blanks the
+    /// serve epochs a recovered process restarts.
+    fn render(&self, mask_epochs: bool) -> String {
+        let text = format!("{}\n{}\n{:?}", self.stream, self.fit_lineage, self.dumps);
+        if !mask_epochs {
+            return text;
+        }
+        let parts = text.split(" epoch=").enumerate();
+        let parts =
+            parts.map(|(i, p)| if i == 0 { p } else { p.trim_start_matches(char::is_numeric) });
+        parts.collect::<Vec<_>>().join(" epoch=_")
+    }
+}
+
+/// The monitor's view after the last round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Alerts {
+    pub log: Vec<String>,
+    pub active: Vec<ActiveAlert>,
+}
+
+/// Everything one replay is judged by.
+#[derive(Debug, Clone)]
+pub struct Fingerprint {
+    pub width: usize,
+    pub state: PipelineState,
+    /// Per horizon: the synchronous predictions' bits.
+    pub forecasts: Vec<Vec<u64>>,
+    pub served: Option<Served>,
+    pub trace: Option<Traced>,
+    pub alerts: Option<Alerts>,
+}
+
+/// Names the first part of `b` that differs from `a`. Across a recovery
+/// only what the recovery contract persists is compared.
+fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'static str> {
+    let served = |f: &Fingerprint| {
+        f.served.as_ref().map(|s| (s.curves.clone(), s.top_k.clone(), s.cold.clone()))
+    };
+    let epoch = |f: &Fingerprint| f.served.as_ref().map(|s| s.epoch);
+    let trace = |f: &Fingerprint| f.trace.as_ref().map(|t| t.render(recovery));
+    [
+        ("pipeline state", a.state == b.state),
+        ("forecasts", a.forecasts == b.forecasts),
+        ("served curves, top-K or cold-start entries", served(a) == served(b)),
+        ("serve epoch", recovery || epoch(a) == epoch(b)),
+        // Alert transitions record trace events, so a recovered monitor's
+        // fresh windows shift the trace too.
+        (
+            "trace stream, fit lineage or dumps",
+            recovery && a.alerts.is_some() || trace(a) == trace(b),
+        ),
+        ("alert log or active set", recovery || a.alerts == b.alerts),
+    ]
+    .into_iter()
+    .find(|&(_, same)| !same)
+    .map(|(what, _)| what)
 }
 
 /// An invariant violation, carrying the repro command.
 #[derive(Debug)]
 pub struct SimFailure {
     pub case: SimCase,
+    pub features: Features,
     pub invariant: String,
 }
 
 impl std::fmt::Display for SimFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "simulation invariant violated: {}", self.invariant)?;
-        writeln!(f, "  case: {:?}", self.case)?;
-        write!(f, "  reproduce with:\n    {}", repro_command(&self.case))
+        writeln!(f, "  case: {:?}, features: {}", self.case, self.features)?;
+        write!(f, "  reproduce with:\n    {}", repro_command(&self.case, self.features))
     }
 }
 
-/// The copy-pasteable single-case repro line printed on failure.
-pub fn repro_command(case: &SimCase) -> String {
+/// The copy-pasteable single-case repro line printed on failure. It
+/// replays with the default horizons and model factory.
+pub fn repro_command(case: &SimCase, features: Features) -> String {
     format!(
         "QB_SIM_SEED={:#x} QB_SIM_WORKLOAD={} QB_SIM_INTENSITY={} QB_SIM_DAYS={} \
+         QB_SIM_FEATURES={features} \
          cargo test -p qb-testkit --test simtest single_seed_repro -- --nocapture",
         case.seed,
-        case.workload.name(),
+        case.source.name(),
         case.fault_intensity,
         case.days,
     )
 }
 
-/// Parses `QB_SIM_*` environment overrides onto a default case — the
-/// receiving end of [`repro_command`].
-pub fn case_from_env() -> SimCase {
-    let mut case = SimCase::new(Workload::Admissions, 1.0, 0x5EED);
-    if let Ok(s) = std::env::var("QB_SIM_SEED") {
-        // `_` separators are accepted so seeds can be pasted from source.
-        let s: String = s.trim().chars().filter(|&c| c != '_').collect();
-        case.seed = s
-            .strip_prefix("0x")
-            .map(|h| u64::from_str_radix(h, 16).expect("hex QB_SIM_SEED"))
-            .unwrap_or_else(|| s.parse().expect("numeric QB_SIM_SEED"));
-    }
-    if let Ok(w) = std::env::var("QB_SIM_WORKLOAD") {
-        case.workload = match w.to_ascii_lowercase().as_str() {
-            "admissions" => Workload::Admissions,
-            "bustracker" => Workload::BusTracker,
-            "mooc" => Workload::Mooc,
-            other => panic!("unknown QB_SIM_WORKLOAD {other:?}"),
-        };
-    }
-    if let Ok(i) = std::env::var("QB_SIM_INTENSITY") {
-        case.fault_intensity = i.parse().expect("numeric QB_SIM_INTENSITY");
-    }
-    if let Ok(d) = std::env::var("QB_SIM_DAYS") {
-        case.days = d.parse().expect("numeric QB_SIM_DAYS");
-    }
-    case
-}
-
-fn fail(case: &SimCase, invariant: String) -> SimFailure {
-    SimFailure { case: case.clone(), invariant }
-}
-
-/// Replays one case at every thread width and checks invariants 1–5.
-///
-/// `horizons` are forecast offsets in hours (hourly interval, 24-step
-/// window); `widths` are the thread-pool sizes to sweep — forecasts must
-/// be bit-identical across all of them.
-pub fn run_case(
-    case: &SimCase,
-    horizons: &[usize],
-    widths: &[usize],
-) -> Result<SimOutcome, SimFailure> {
-    assert!(!horizons.is_empty() && !widths.is_empty(), "empty sweep");
-    let trace = TraceConfig { start: 0, days: case.days, scale: case.scale, seed: case.seed };
-    let plan = if case.fault_intensity == 0.0 {
-        FaultPlan::none(case.seed)
-    } else {
-        FaultPlan::with_intensity(case.seed, case.fault_intensity)
-    };
-    let mut events = plan.inject(case.workload.generator(trace));
-    let mut bot = QueryBot5000::new(Qb5000Config::default());
-    let mut delivered = 0u64;
-    for ev in events.by_ref() {
-        delivered += 1;
-        let _ = bot.ingest_weighted(ev.minute, &ev.sql, ev.count);
-    }
-    let stats = events.stats().clone();
-    let health = bot.health();
-
-    // Invariant 1: exact accounting.
-    if stats.events_out != delivered
-        || health.ingested_statements + health.rejected_statements != delivered
-    {
-        return Err(fail(
-            case,
-            format!(
-                "accounting identity broken: delivered {delivered}, injector says {}, \
-                 ingested {} + rejected {}",
-                stats.events_out, health.ingested_statements, health.rejected_statements
-            ),
-        ));
-    }
-    // Invariant 2: quarantine bounded by what the plan corrupted.
-    if health.rejected_statements > stats.max_possible_rejections() {
-        return Err(fail(
-            case,
-            format!(
-                "quarantine dropped more than the fault plan injected: rejected {} > \
-                 malformed {} + truncated {} + duplicated {}",
-                health.rejected_statements, stats.malformed, stats.truncated, stats.duplicated
-            ),
-        ));
-    }
-
-    let now = case.days as i64 * MINUTES_PER_DAY;
-    bot.update_clusters(now);
-    if bot.tracked_clusters().is_empty() {
-        return Err(fail(case, "no clusters tracked after a full trace".into()));
-    }
-
-    let specs: Vec<HorizonSpec> = horizons
-        .iter()
-        .map(|&h| HorizonSpec {
-            interval: Interval::HOUR,
-            window: 24,
-            horizon: h,
-            train_steps: (case.days as usize - 1) * 24,
-        })
-        .collect();
-
-    let mut per_width: Vec<Vec<Vec<u64>>> = Vec::new();
-    let mut first_forecasts: Vec<Vec<f64>> = Vec::new();
-    for &w in widths {
-        let mut mgr =
-            ForecastManager::new(specs.clone(), || Box::new(LinearRegression::default()));
-        mgr.set_threads(w);
-        let outcome = mgr
-            .ensure_trained(&bot, now)
-            .map_err(|e| fail(case, format!("training failed at width {w}: {e}")))?;
-        if !matches!(outcome, RetrainOutcome::Retrained { .. }) {
-            return Err(fail(case, format!("expected a retrain at width {w}, got {outcome:?}")));
-        }
-        let mut bits = Vec::new();
-        for (h, _) in horizons.iter().enumerate() {
-            let pred = mgr.predict(&bot, now, h);
-            // Invariant 3: no NaN leaves a model.
-            if pred.iter().any(|v| !v.is_finite() || *v < 0.0) {
-                return Err(fail(
-                    case,
-                    format!("non-finite or negative forecast at width {w}, horizon {h}: {pred:?}"),
-                ));
-            }
-            // Invariant 4: the degradation level is on the documented
-            // chain, and a plain LR model never degrades.
-            match mgr.degradation(h) {
-                Some(
-                    DegradationLevel::Full
-                    | DegradationLevel::Ensemble
-                    | DegradationLevel::Single
-                    | DegradationLevel::LastValue,
-                ) => {}
-                None => return Err(fail(case, format!("horizon {h} lost its model"))),
-            }
-            if mgr.degradation(h) != Some(DegradationLevel::Full) {
-                return Err(fail(
-                    case,
-                    format!("LR degraded at width {w}, horizon {h}: {:?}", mgr.degradation(h)),
-                ));
-            }
-            if w == widths[0] {
-                first_forecasts.push(pred.clone());
-            }
-            bits.push(pred.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
-        }
-        per_width.push(bits);
-    }
-    // Invariant 5: bit-identical forecasts across widths.
-    for (i, bits) in per_width.iter().enumerate().skip(1) {
-        if bits != &per_width[0] {
-            return Err(fail(
-                case,
-                format!("forecasts diverged between widths {} and {}", widths[0], widths[i]),
-            ));
-        }
-    }
-
-    Ok(SimOutcome {
-        stats,
-        num_templates: bot.preprocessor().num_templates(),
-        num_clusters: bot.tracked_clusters().len(),
-        forecasts: first_forecasts,
+/// `QB_SIM_SEED`, hex with a `0x` prefix or decimal. `_` separators are
+/// accepted so seeds can be pasted from source.
+pub fn seed_from_env() -> Option<u64> {
+    let s: String =
+        std::env::var("QB_SIM_SEED").ok()?.trim().chars().filter(|&c| c != '_').collect();
+    Some(match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).expect("hex QB_SIM_SEED"),
+        None => s.parse().expect("numeric QB_SIM_SEED"),
     })
 }
 
-/// Splits `events` into consecutive runs of equal `key`. Keying on runs
-/// (not a global group-by) preserves delivery order even when the fault
-/// plan reorders events.
-fn runs_by(events: &[QueryEvent], key: impl Fn(&QueryEvent) -> i64) -> Vec<Range<usize>> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for i in 1..=events.len() {
-        if i == events.len() || key(&events[i]) != key(&events[start]) {
-            runs.push(start..i);
-            start = i;
-        }
+/// Parses `QB_SIM_*` environment overrides onto a default case and
+/// feature set: the receiving end of [`repro_command`].
+pub fn case_from_env() -> (SimCase, Features) {
+    let var = |name| std::env::var(name).ok();
+    let mut case = SimCase::new(Workload::Admissions, 1.0, 0x5EED);
+    case.seed = seed_from_env().unwrap_or(case.seed);
+    if let Some(w) = var("QB_SIM_WORKLOAD") {
+        case.source = Source::parse(&w).unwrap_or_else(|| panic!("unknown QB_SIM_WORKLOAD {w:?}"));
     }
-    runs
+    if let Some(i) = var("QB_SIM_INTENSITY") {
+        case.fault_intensity = i.parse().expect("numeric QB_SIM_INTENSITY");
+    }
+    if let Some(d) = var("QB_SIM_DAYS") {
+        case.days = d.parse().expect("numeric QB_SIM_DAYS");
+    }
+    (case, var("QB_SIM_FEATURES").map_or(Features::default(), |f| Features::parse(&f)))
 }
 
-/// Invariant 7 — batched-ingest determinism. Replays `case` through the
-/// sharded batch engine at every pool width, on two schedules — one tick
-/// per consecutive same-minute run of delivered events, and one batch per
-/// consecutive same-hour run — and checks:
-///
-/// * on each schedule, the exported pipeline state and every forecast are
-///   bit-identical across widths;
-/// * the comparison is not vacuous: at least one compared batch was large
-///   enough for the engine to fan its shards out on the pool (per-minute
-///   ticks of the paper workloads mostly run on the caller);
-/// * splitting each tick in half leaves the Pre-Processor's counted
-///   state (templates, histories, caches, quarantine) unchanged;
-/// * the whole Pre-Processor state — templates, histories, parameter
-///   reservoirs, shard slots, accounting stats, quarantine and the seed
-///   chain — equals that of a per-event `ingest_weighted` replay of the
-///   same stream.
-pub fn run_batched(
-    case: &SimCase,
-    horizons: &[usize],
-    widths: &[usize],
-) -> Result<(), SimFailure> {
-    assert!(!horizons.is_empty() && !widths.is_empty(), "empty sweep");
-    let trace = TraceConfig { start: 0, days: case.days, scale: case.scale, seed: case.seed };
-    let plan = if case.fault_intensity == 0.0 {
-        FaultPlan::none(case.seed)
-    } else {
-        FaultPlan::with_intensity(case.seed, case.fault_intensity)
-    };
-    let events: Vec<QueryEvent> = plan.inject(case.workload.generator(trace)).collect();
-    let ticks = runs_by(&events, |ev| ev.minute);
-    let hours = runs_by(&events, |ev| ev.minute.div_euclid(60));
-    let now = case.days as i64 * MINUTES_PER_DAY;
-    // Counts the batches that reached the pool (`parallel.map`).
-    let fan_outs = Recorder::new();
-
-    let run_one = |width: usize, schedule: &[Range<usize>], halve_ticks: bool| {
-        let pool = ThreadPool::new(width).instrumented(&fan_outs);
-        let mut bot = QueryBot5000::new(Qb5000Config::default());
-        for tick in schedule {
-            let batch: Vec<BatchItem<'_>> = events[tick.clone()]
-                .iter()
-                .map(|ev| BatchItem { minute: ev.minute, sql: &ev.sql, count: ev.count })
-                .collect();
-            if halve_ticks && batch.len() > 1 {
-                let mid = batch.len() / 2;
-                bot.ingest_batch_with(&pool, &batch[..mid]);
-                bot.ingest_batch_with(&pool, &batch[mid..]);
-            } else {
-                bot.ingest_batch_with(&pool, &batch);
-            }
-        }
-        bot.update_clusters(now);
-        bot
-    };
-
-    let specs: Vec<HorizonSpec> = horizons
-        .iter()
-        .map(|&h| HorizonSpec {
-            interval: Interval::HOUR,
-            window: 24,
-            horizon: h,
-            train_steps: (case.days as usize - 1) * 24,
-        })
-        .collect();
-
-    let mut schedule_states: Vec<qb5000::PipelineState> = Vec::new();
-    for (name, schedule) in [("minute", &ticks), ("hour", &hours)] {
-        let mut reference: Option<(qb5000::PipelineState, Vec<Vec<u64>>)> = None;
-        for &w in widths {
-            let bot = run_one(w, schedule, false);
-            if bot.tracked_clusters().is_empty() {
-                return Err(fail(case, "no clusters tracked after a batched trace".into()));
-            }
-            let mut mgr =
-                ForecastManager::new(specs.clone(), || Box::new(LinearRegression::default()));
-            mgr.set_threads(w);
-            mgr.ensure_trained(&bot, now)
-                .map_err(|e| fail(case, format!("batched training failed at width {w}: {e}")))?;
-            let bits: Vec<Vec<u64>> = (0..horizons.len())
-                .map(|h| mgr.predict(&bot, now, h).iter().map(|v| v.to_bits()).collect())
-                .collect();
-            let state = bot.export_state();
-            match &reference {
-                None => reference = Some((state, bits)),
-                Some((ref_state, ref_bits)) => {
-                    if &state != ref_state {
-                        return Err(fail(
-                            case,
-                            format!(
-                                "batched pipeline state diverged between widths {} and {w} \
-                                 on {name} batches",
-                                widths[0]
-                            ),
-                        ));
-                    }
-                    if &bits != ref_bits {
-                        return Err(fail(
-                            case,
-                            format!(
-                                "batched forecasts diverged between widths {} and {w} \
-                                 on {name} batches",
-                                widths[0]
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        schedule_states.push(reference.expect("at least one width ran").0);
-    }
-    let ref_state = &schedule_states[0];
-    // Hour batches are a coarser split of the same stream.
-    if schedule_states[1].pre != ref_state.pre {
-        return Err(fail(case, "hour-sized batches changed the Pre-Processor state".into()));
-    }
-    if fan_outs.snapshot().histograms.get("parallel.map").map_or(0, |h| h.count) == 0 {
-        return Err(fail(
-            case,
-            "no compared batch reached the pool: the width comparison is vacuous".into(),
-        ));
-    }
-
-    // Splitting every tick must not change any counted state.
-    let halved = run_one(widths[0], &ticks, true).export_state();
-    if halved.pre != ref_state.pre {
-        return Err(fail(case, "tick splitting changed the Pre-Processor state".into()));
-    }
-
-    // Differential oracle: per-event ingest of the same stream.
-    let mut per_event = QueryBot5000::new(Qb5000Config::default());
-    for ev in &events {
-        let _ = per_event.ingest_weighted(ev.minute, &ev.sql, ev.count);
-    }
-    if per_event.export_state().pre != ref_state.pre {
-        return Err(fail(
-            case,
-            "per-minute ticks diverged from per-event ingest in the Pre-Processor state".into(),
-        ));
-    }
-    Ok(())
-}
-
-/// Invariant 8 — serving determinism. Replays `case` once per width with a
-/// **fresh** pipeline whose config enables the serving layer,
-/// trains a manager (publishing per-horizon curves), then answers every
-/// reader query shape at the final epoch and checks:
-///
-/// * the published epoch is identical at every width (the publication
-///   schedule is part of the deterministic contract);
-/// * per-cluster curve answers and the top-K ranking are bit-identical
-///   across widths;
-/// * every served curve equals the manager's synchronous
-///   [`ForecastManager::predict`] output bit-for-bit — a reader pulling
-///   from the snapshot and a caller pulling from the manager can never
-///   disagree at the same epoch.
-pub fn run_served(
-    case: &SimCase,
-    horizons: &[usize],
-    widths: &[usize],
-) -> Result<(), SimFailure> {
-    assert!(!horizons.is_empty() && !widths.is_empty(), "empty sweep");
-    let specs: Vec<HorizonSpec> = horizons
-        .iter()
-        .map(|&h| HorizonSpec {
-            interval: Interval::HOUR,
-            window: 24,
-            horizon: h,
-            train_steps: (case.days as usize - 1) * 24,
-        })
-        .collect();
-
-    // (epoch, per-horizon per-cluster curve bits, per-horizon top-k bits)
-    type ServedBits = (u64, Vec<Vec<u64>>, Vec<Vec<(u64, u64)>>);
-    let mut reference: Option<ServedBits> = None;
-    for &w in widths {
-        let service = ForecastService::for_specs(&specs);
-        let config = Qb5000Config::builder()
-            .serve(service.clone())
-            .build()
-            .expect("default served config is valid");
-        let mut bot = QueryBot5000::new(config);
-        let trace = TraceConfig { start: 0, days: case.days, scale: case.scale, seed: case.seed };
-        let plan = if case.fault_intensity == 0.0 {
-            FaultPlan::none(case.seed)
-        } else {
-            FaultPlan::with_intensity(case.seed, case.fault_intensity)
-        };
-        for ev in plan.inject(case.workload.generator(trace)) {
-            let _ = bot.ingest_weighted(ev.minute, &ev.sql, ev.count);
-        }
-        let now = case.days as i64 * MINUTES_PER_DAY;
-        bot.update_clusters(now);
-        if bot.tracked_clusters().is_empty() {
-            return Err(fail(case, "no clusters tracked after a served trace".into()));
-        }
-        let mut mgr =
-            ForecastManager::new(specs.clone(), || Box::new(LinearRegression::default()));
-        mgr.set_threads(w);
-        mgr.ensure_trained(&bot, now)
-            .map_err(|e| fail(case, format!("served training failed at width {w}: {e}")))?;
-
-        let reader = service.reader();
-        let epoch = service.epoch();
-        let clusters = mgr.serving_clusters().to_vec();
-        let mut curve_bits: Vec<Vec<u64>> = Vec::new();
-        let mut topk_bits: Vec<Vec<(u64, u64)>> = Vec::new();
-        for (h, _) in horizons.iter().enumerate() {
-            let synchronous = mgr.predict(&bot, now, h);
-            let mut row = Vec::new();
-            for (ci, cluster) in clusters.iter().enumerate() {
-                let answer = reader.answer(&ForecastQuery::cluster(cluster.id.0, h));
-                if answer.epoch != epoch {
-                    return Err(fail(
-                        case,
-                        format!("reader at width {w} answered epoch {} != {epoch}", answer.epoch),
-                    ));
-                }
-                let Some(curve) = answer.curve() else {
-                    return Err(fail(
-                        case,
-                        format!("cluster {} horizon {h} unserved at width {w}", cluster.id.0),
-                    ));
-                };
-                if curve.values[0].to_bits() != synchronous[ci].to_bits() {
-                    return Err(fail(
-                        case,
-                        format!(
-                            "served curve diverged from the synchronous prediction at \
-                             width {w}, cluster {}, horizon {h}",
-                            cluster.id.0
-                        ),
-                    ));
-                }
-                row.push(curve.values[0].to_bits());
-            }
-            curve_bits.push(row);
-            let ranking = reader
-                .answer(&ForecastQuery::top_k(clusters.len(), h))
-                .ranking()
-                .map(|r| r.iter().map(|&(c, v)| (c, v.to_bits())).collect::<Vec<_>>())
-                .unwrap_or_default();
-            topk_bits.push(ranking);
-        }
-        let bits = (epoch, curve_bits, topk_bits);
-        match &reference {
-            None => reference = Some(bits),
-            Some(ref_bits) => {
-                if &bits != ref_bits {
-                    return Err(fail(
-                        case,
-                        format!(
-                            "served answers diverged between widths {} and {w}",
-                            widths[0]
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Everything one traced replay retained, for lineage inspection.
-#[derive(Debug)]
-pub struct TracedOutcome {
-    /// Thread-pool width this replay ran at.
-    pub width: usize,
-    /// Snapshot of the flight recorder after training.
-    pub view: TraceView,
-    /// [`TraceView::deterministic_stream`] — no wall-clock timestamps.
-    pub stream: String,
-    /// `explain()` of the latest per-horizon model fit.
-    pub fit_lineage: String,
-    /// Flight-recorder dumps captured during the replay.
-    pub dumps: Vec<TraceDump>,
-}
-
-/// Invariant 6 — trace determinism. Replays `case` once per width with a
-/// **fresh** pipeline and an enabled [`Tracer`] (unlike [`run_case`],
-/// which shares one bot, tracing must re-ingest per width so the whole
-/// event stream is comparable), then checks that the deterministic stream,
-/// the model-fit lineage, and the dump log are byte-identical across
-/// widths. Returns one [`TracedOutcome`] per width, in `widths` order.
-pub fn run_traced(
-    case: &SimCase,
-    horizons: &[usize],
-    widths: &[usize],
-    make_model: impl Fn() -> Box<dyn Forecaster> + Send + Sync + Clone + 'static,
-) -> Result<Vec<TracedOutcome>, SimFailure> {
-    assert!(!horizons.is_empty() && !widths.is_empty(), "empty sweep");
-    let specs: Vec<HorizonSpec> = horizons
-        .iter()
-        .map(|&h| HorizonSpec {
-            interval: Interval::HOUR,
-            window: 24,
-            horizon: h,
-            train_steps: (case.days as usize - 1) * 24,
-        })
-        .collect();
-
-    let mut outcomes: Vec<TracedOutcome> = Vec::new();
-    for &w in widths {
-        let tracer = Tracer::enabled();
-        let config = Qb5000Config::builder()
-            .trace(tracer.clone())
-            .build()
-            .expect("default traced config is valid");
-        let mut bot = QueryBot5000::new(config);
-        let trace = TraceConfig { start: 0, days: case.days, scale: case.scale, seed: case.seed };
-        let plan = if case.fault_intensity == 0.0 {
-            FaultPlan::none(case.seed)
-        } else {
-            FaultPlan::with_intensity(case.seed, case.fault_intensity)
-        };
-        for ev in plan.inject(case.workload.generator(trace)) {
-            let _ = bot.ingest_weighted(ev.minute, &ev.sql, ev.count);
-        }
-        let now = case.days as i64 * MINUTES_PER_DAY;
-        bot.update_clusters(now);
-        if bot.tracked_clusters().is_empty() {
-            return Err(fail(case, "no clusters tracked after a full trace".into()));
-        }
-        let mut mgr = ForecastManager::new(specs.clone(), make_model.clone());
-        mgr.set_threads(w);
-        mgr.set_tracer(bot.tracer());
-        mgr.ensure_trained(&bot, now)
-            .map_err(|e| fail(case, format!("training failed at width {w}: {e}")))?;
-        let view = tracer.view();
-        let fit = view
-            .latest(EventKind::ModelFit)
-            .ok_or_else(|| fail(case, format!("no ModelFit event traced at width {w}")))?;
-        let fit_lineage = view.explain(fit.id);
-        outcomes.push(TracedOutcome {
-            width: w,
-            stream: view.deterministic_stream(),
-            fit_lineage,
-            dumps: tracer.dumps(),
-            view,
-        });
-    }
-
-    // Invariant 6: the whole retained trace is byte-identical per width.
-    let first = &outcomes[0];
-    for other in outcomes.iter().skip(1) {
-        if other.stream != first.stream {
-            return Err(fail(
-                case,
-                format!("trace stream diverged between widths {} and {}", first.width, other.width),
-            ));
-        }
-        if other.fit_lineage != first.fit_lineage {
-            return Err(fail(
-                case,
-                format!(
-                    "model-fit lineage diverged between widths {} and {}",
-                    first.width, other.width
-                ),
-            ));
-        }
-        let render = |dumps: &[TraceDump]| {
-            dumps
-                .iter()
-                .map(|d| format!("{} @r{}\n{}\n{}", d.reason, d.round, d.lineage, d.recent))
-                .collect::<Vec<_>>()
-                .join("\n---\n")
-        };
-        if render(&other.dumps) != render(&first.dumps) {
-            return Err(fail(
-                case,
-                format!("dump log diverged between widths {} and {}", first.width, other.width),
-            ));
-        }
-    }
-    Ok(outcomes)
-}
-
-/// Deterministic SLO rules for the monitored harness: counters and gauges
-/// only — no wall-time quantiles — so every probe folds the same numbers
+/// Deterministic SLO rules for monitored replays: counters and gauges
+/// only, no wall-time quantiles, so every probe folds the same numbers
 /// at every pool width.
 fn sim_rules() -> Vec<AlertRule> {
     vec![
@@ -699,103 +439,357 @@ fn sim_rules() -> Vec<AlertRule> {
         AlertRule::new(
             "sim-ingest-stalled",
             Severity::Critical,
-            AlertCondition::Absent { counter: "preprocessor.ingested_statements".into(), window: 2 },
+            AlertCondition::Absent {
+                counter: "preprocessor.ingested_statements".into(),
+                window: 2,
+            },
         ),
     ]
 }
 
-/// Invariant 9 — alert-stream determinism. Replays `case`'s fault plan
-/// over a churn scenario's evolving template mix through the sharded
-/// batch-ingest engine at every width, refreshing clusters and folding a
-/// metrics snapshot into a [`Monitor`] every six simulated hours, and
-/// checks:
-///
-/// * the alert firing/resolved transition log is byte-identical across
-///   all requested widths;
-/// * the typed active-alert set at end of run is identical across widths;
-/// * a same-seed re-run at the first width reproduces the log byte for
-///   byte;
-/// * with a non-zero fault intensity the stream is non-vacuous (the
-///   quarantine-share rule must have fired at least once).
-///
-/// Returns the (shared) transition log for golden-style inspection.
-pub fn run_monitored(
-    case: &SimCase,
-    scenario: ChurnScenario,
-    widths: &[usize],
-) -> Result<Vec<String>, SimFailure> {
-    assert!(!widths.is_empty(), "empty sweep");
-    const ROUND_MINUTES: i64 = 6 * 60;
+/// How a replay groups the delivered stream into ingest calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    PerEvent,
+    Minutes,
+    Hours,
+    /// Minute ticks, each split in two.
+    HalvedMinutes,
+}
 
-    let run_one = |w: usize| -> Result<(Vec<String>, Vec<qb5000::ActiveAlert>), SimFailure> {
-        let trace = TraceConfig { start: 0, days: case.days, scale: case.scale, seed: case.seed };
-        let plan = if case.fault_intensity == 0.0 {
-            FaultPlan::none(case.seed)
-        } else {
-            FaultPlan::with_intensity(case.seed, case.fault_intensity)
-        };
-        let events: Vec<QueryEvent> = plan.inject(scenario.generator(trace, 1.5)).collect();
-        let recorder = Recorder::new();
-        let config = Qb5000Config::builder()
-            .recorder(recorder.clone())
-            .build()
-            .expect("default monitored config is valid");
-        let mut bot = QueryBot5000::new(config);
-        let mut monitor = Monitor::new(MonitorConfig::default().rules(sim_rules()))
-            .map_err(|e| fail(case, format!("monitor setup failed at width {w}: {e}")))?;
-        let tracer = Tracer::disabled();
-        let pool = ThreadPool::new(w);
-
-        let mut round = 0u64;
-        let mut next_round = ROUND_MINUTES;
-        for tick in runs_by(&events, |ev| ev.minute) {
-            while events[tick.start].minute >= next_round {
-                round += 1;
-                bot.update_clusters(next_round);
-                monitor.observe_round(round, &recorder.snapshot(), &[], &tracer);
-                next_round += ROUND_MINUTES;
-            }
-            let batch: Vec<BatchItem<'_>> = events[tick]
-                .iter()
-                .map(|ev| BatchItem { minute: ev.minute, sql: &ev.sql, count: ev.count })
-                .collect();
-            bot.ingest_batch_with(&pool, &batch);
+/// Splits `events` into consecutive runs of equal `key`. Keying on runs
+/// (not a global group-by) preserves delivery order even when the fault
+/// plan reorders events.
+fn runs_by(events: &[QueryEvent], key: impl Fn(&QueryEvent) -> i64) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for i in 1..=events.len() {
+        if i == events.len() || key(&events[i]) != key(&events[start]) {
+            runs.push(start..i);
+            start = i;
         }
-        // Settle the tail of the trace into one final round.
-        round += 1;
-        bot.update_clusters(case.days as i64 * MINUTES_PER_DAY);
-        monitor.observe_round(round, &recorder.snapshot(), &[], &tracer);
-        Ok((monitor.transition_log().to_vec(), monitor.active_alerts()))
+    }
+    runs
+}
+
+/// What one process holds: the pipeline and the handles a restart
+/// replaces.
+struct Process {
+    bot: Bot,
+    recorder: Recorder,
+    service: Option<ForecastService>,
+    monitor: Option<Monitor>,
+}
+
+enum Bot {
+    Plain(QueryBot5000),
+    Durable(DurablePipeline),
+}
+
+/// Quarantine rejections are stream content; a durability error is not.
+fn durable_ok<T>(result: Result<T, qb5000::Error>) {
+    if let Err(e) = result {
+        assert!(e.stage() != "durability", "unexpected durability error: {e}");
+    }
+}
+
+impl Process {
+    /// Starts a process, recovering from `dir` when it holds state.
+    fn open(case: &SimCase, f: Features, dir: Option<&Path>) -> Self {
+        let recorder = if f.monitor { Recorder::new() } else { Recorder::disabled() };
+        let service =
+            f.serve.then(|| ForecastService::for_specs(&hourly_specs(case.days, &case.horizons)));
+        let mut config =
+            Qb5000Config::builder().recorder(recorder.clone()).cold_start(f.cold_start);
+        if f.trace {
+            config = config.trace(Tracer::enabled());
+        }
+        if let Some(service) = &service {
+            config = config.serve(service.clone());
+        }
+        let bot = match dir {
+            Some(dir) => {
+                let policy =
+                    DurabilityConfig::new(dir).snapshot_every_rounds(SNAPSHOT_EVERY_ROUNDS);
+                let config =
+                    config.durability(policy).build().expect("durable sim config is valid");
+                Bot::Durable(DurablePipeline::open(config).expect("durable sim directory opens").0)
+            }
+            None => Bot::Plain(QueryBot5000::new(config.build().expect("sim config is valid"))),
+        };
+        let monitor = f.monitor.then(|| {
+            Monitor::new(MonitorConfig::default().rules(sim_rules()))
+                .expect("monitor without a port")
+        });
+        Self { bot, recorder, service, monitor }
+    }
+
+    fn bot(&self) -> &QueryBot5000 {
+        match &self.bot {
+            Bot::Plain(bot) => bot,
+            Bot::Durable(p) => p.bot(),
+        }
+    }
+
+    /// A durable pipeline ingests on its own pool (sized by `QB_THREADS`).
+    fn ingest(&mut self, pool: &ThreadPool, batch: &[BatchItem<'_>], per_event: bool) {
+        match &mut self.bot {
+            Bot::Plain(bot) if per_event => {
+                drop(bot.ingest_weighted(batch[0].minute, batch[0].sql, batch[0].count))
+            }
+            Bot::Plain(bot) => drop(bot.ingest_batch_with(pool, batch)),
+            Bot::Durable(p) if per_event => {
+                durable_ok(p.ingest_weighted(batch[0].minute, batch[0].sql, batch[0].count))
+            }
+            Bot::Durable(p) => durable_ok(p.ingest_batch(batch)),
+        }
+    }
+
+    fn round(&mut self, round: u64, now: Minute) {
+        match &mut self.bot {
+            Bot::Plain(bot) => drop(bot.update_clusters(now)),
+            Bot::Durable(p) => drop(p.update_clusters(now).expect("durable cluster update")),
+        }
+        let tracer = self.bot().tracer().clone();
+        if let Some(monitor) = &mut self.monitor {
+            monitor.observe_round(round, &self.recorder.snapshot(), &[], &tracer);
+        }
+    }
+}
+
+static DIRS: AtomicU64 = AtomicU64::new(0);
+
+/// Replays the case into a fresh pipeline at one pool width and
+/// fingerprints it, checking invariants 1–4 and 8 on the way.
+fn replay(
+    case: &SimCase,
+    (events, stats): &(Vec<QueryEvent>, FaultStats),
+    f: Features,
+    width: usize,
+    schedule: Schedule,
+    fan_outs: &Recorder,
+) -> Result<Fingerprint, String> {
+    let pool = ThreadPool::new(width).instrumented(fan_outs);
+    let dir: Option<PathBuf> = f.durable.then(|| {
+        let n = DIRS.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("qb-sim-{}-{:x}-{n}", std::process::id(), case.seed));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    });
+    let mut process = Process::open(case, f, dir.as_deref());
+    let batches = match schedule {
+        Schedule::PerEvent => (0..events.len()).map(|i| i..i + 1).collect(),
+        Schedule::Minutes => runs_by(events, |ev| ev.minute),
+        Schedule::Hours => runs_by(events, |ev| ev.minute.div_euclid(60)),
+        Schedule::HalvedMinutes => runs_by(events, |ev| ev.minute)
+            .into_iter()
+            .flat_map(|r| [r.start..r.start + r.len() / 2, r.start + r.len() / 2..r.end])
+            .filter(|r| !r.is_empty())
+            .collect(),
+    };
+    let end = case.days as i64 * MINUTES_PER_DAY;
+    let rounds = (end / ROUND_MINUTES) as u64;
+    let mut round = 0u64;
+    let next_round = |process: &mut Process, round: &mut u64| {
+        *round += 1;
+        process.round(*round, *round as i64 * ROUND_MINUTES);
+        if f.durable && *round == rounds / 2 {
+            // The process dies here; a new one recovers from the directory.
+            *process = Process::open(case, f, dir.as_deref());
+        }
+    };
+    for batch in batches {
+        while round < rounds && events[batch.start].minute >= (round as i64 + 1) * ROUND_MINUTES {
+            next_round(&mut process, &mut round);
+        }
+        let items: Vec<BatchItem<'_>> = events[batch]
+            .iter()
+            .map(|ev| BatchItem { minute: ev.minute, sql: &ev.sql, count: ev.count })
+            .collect();
+        process.ingest(&pool, &items, schedule == Schedule::PerEvent);
+    }
+    while round < rounds {
+        next_round(&mut process, &mut round);
+    }
+
+    let bot = process.bot();
+    check_accounting(&bot.health(), events.len(), stats)?;
+    if bot.tracked_clusters().is_empty() {
+        return Err("no clusters tracked after a full trace".into());
+    }
+
+    let factory = case.model.0.clone();
+    let mut mgr = ForecastManager::new(hourly_specs(case.days, &case.horizons), move || factory());
+    mgr.set_threads(width);
+    mgr.set_recorder(&process.recorder);
+    mgr.set_tracer(bot.tracer());
+    match mgr.ensure_trained(bot, end) {
+        Ok(RetrainOutcome::Retrained { .. }) => {}
+        other => return Err(format!("expected a retrain, got {other:?}")),
+    }
+    let mut forecasts = Vec::new();
+    for h in 0..case.horizons.len() {
+        let pred = mgr.predict(bot, end, h);
+        // Invariant 3: no NaN leaves a model.
+        if pred.iter().any(|v| !v.is_finite() || *v < 0.0) {
+            return Err(format!("non-finite or negative forecast at horizon {h}: {pred:?}"));
+        }
+        // Invariant 4: the level is on the chain, and plain LR never degrades.
+        let level = mgr.degradation(h).ok_or(format!("horizon {h} lost its model"))?;
+        if (case.model.0)().name() == "LR" && level != DegradationLevel::Full {
+            return Err(format!("LR degraded at horizon {h}: {level:?}"));
+        }
+        forecasts.push(pred.iter().map(|v| v.to_bits()).collect());
+    }
+
+    let served = match &process.service {
+        None => None,
+        Some(service) => Some(served(service, &mgr, &forecasts)?),
+    };
+    let trace = match f.trace {
+        false => None,
+        true => {
+            let view = bot.tracer().view();
+            let fit = view.latest(EventKind::ModelFit).ok_or("no ModelFit event traced")?;
+            let fit_lineage = view.explain(fit.id);
+            Some(Traced {
+                stream: view.deterministic_stream(),
+                fit_lineage,
+                dumps: bot.tracer().dumps(),
+                view,
+            })
+        }
+    };
+    let alerts = process
+        .monitor
+        .as_ref()
+        .map(|m| Alerts { log: m.transition_log().to_vec(), active: m.active_alerts() });
+    let state = bot.export_state();
+    drop(process);
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    Ok(Fingerprint { width, state, forecasts, served, trace, alerts })
+}
+
+/// Invariant 8: reads every answer at the final epoch and checks each
+/// served curve against the synchronous prediction.
+fn served(
+    service: &ForecastService,
+    mgr: &ForecastManager,
+    forecasts: &[Vec<u64>],
+) -> Result<Served, String> {
+    let reader = service.reader();
+    let epoch = service.epoch();
+    let clusters = mgr.serving_clusters();
+    let (mut curves, mut top_k) = (Vec::new(), Vec::new());
+    for (h, synchronous) in forecasts.iter().enumerate() {
+        let mut row = Vec::new();
+        for (cluster, &expected) in clusters.iter().zip(synchronous) {
+            let answer = reader.answer(&ForecastQuery::cluster(cluster.id.0, h));
+            if answer.epoch != epoch {
+                return Err(format!("reader answered epoch {} != {epoch}", answer.epoch));
+            }
+            let curve =
+                answer.curve().ok_or(format!("cluster {} horizon {h} unserved", cluster.id.0))?;
+            if curve.values[0].to_bits() != expected {
+                return Err(format!(
+                    "served curve diverged from the synchronous prediction at cluster {}, horizon {h}",
+                    cluster.id.0
+                ));
+            }
+            row.push(expected);
+        }
+        curves.push(row);
+        let ranking = reader.answer(&ForecastQuery::top_k(clusters.len(), h));
+        top_k.push(ranking.ranking().map(|r| r.iter().map(|&(c, v)| (c, v.to_bits())).collect()));
+    }
+    let cold = format!("{:?}", service.snapshot().cold_starts());
+    Ok(Served { epoch, curves, top_k, cold })
+}
+
+/// Replays `case` with `features` at every width and checks every
+/// invariant that applies (see the module docs). Returns one fingerprint
+/// per width, in `widths` order.
+pub fn run(
+    case: &SimCase,
+    features: Features,
+    widths: &[usize],
+) -> Result<Vec<Fingerprint>, SimFailure> {
+    assert!(!widths.is_empty() && !case.horizons.is_empty(), "empty sweep");
+    assert!(features.is_valid(), "cold_start needs serve: {features}");
+    let fail = |invariant: String| SimFailure { case: case.clone(), features, invariant };
+    let stream = case.stream();
+    // Counts the batches that reached a pool (`parallel.map`).
+    let fan_outs = Recorder::new();
+    let replay = |f: Features, width, schedule| {
+        replay(case, &stream, f, width, schedule, &fan_outs)
+            .map_err(|e| fail(format!("{e} (width {width})")))
+    };
+    let schedule = if features.ticks { Schedule::Minutes } else { Schedule::PerEvent };
+    let all_widths = |f: Features, schedule| {
+        widths.iter().map(|&w| replay(f, w, schedule)).collect::<Result<Vec<_>, _>>()
+    };
+    let same = |a: &Fingerprint, b: &Fingerprint, what: &str| match divergence(a, b, false) {
+        Some(d) => {
+            Err(fail(format!("{d} diverged between widths {} and {}{what}", a.width, b.width)))
+        }
+        None => Ok(()),
     };
 
-    let (first_log, first_active) = run_one(widths[0])?;
-    if case.fault_intensity > 0.0
-        && !first_log.iter().any(|l| l.contains("fired rule=sim-quarantine-share"))
-    {
-        return Err(fail(
-            case,
-            format!("faulted replay never tripped the quarantine rule: {first_log:?}"),
-        ));
-    }
-    for &w in &widths[1..] {
-        let (log, active) = run_one(w)?;
-        if log != first_log {
-            return Err(fail(
-                case,
-                format!("alert transition log diverged between widths {} and {w}", widths[0]),
-            ));
-        }
-        if active != first_active {
-            return Err(fail(
-                case,
-                format!("active-alert set diverged between widths {} and {w}", widths[0]),
-            ));
+    // Invariants 5, 6, 8 and 9: every fingerprint part agrees across
+    // widths and with a same-seed rerun.
+    let fps = all_widths(features, schedule)?;
+    let first = &fps[0];
+    fps.iter().try_for_each(|fp| same(first, fp, ""))?;
+    same(first, &replay(features, widths[0], schedule)?, " on a same-seed rerun")?;
+    if let Some(alerts) = &first.alerts {
+        if case.fault_intensity > 0.0
+            && !alerts.log.iter().any(|l| l.contains("fired rule=sim-quarantine-share"))
+        {
+            return Err(fail(format!(
+                "faulted replay never tripped the quarantine rule: {:?}",
+                alerts.log
+            )));
         }
     }
-    // Byte-stability: a same-seed re-run reproduces the exact log.
-    let (again, _) = run_one(widths[0])?;
-    if again != first_log {
-        return Err(fail(case, "same-seed monitored re-run changed the alert log".into()));
+
+    if features.durable {
+        let uninterrupted = replay(Features { durable: false, ..features }, widths[0], schedule)?;
+        if let Some(d) = divergence(&uninterrupted, first, true) {
+            return Err(fail(format!("{d} after recovery differs from the uninterrupted run")));
+        }
+    } else if features.ticks {
+        // Invariant 7: hour batches fan out and still agree across widths.
+        // The clusterer sees one sighting feed per batch, so its shift
+        // trigger may fire elsewhere, but every schedule leaves the
+        // Pre-Processor state and delivery accounting the minute ticks do.
+        let ingest = |s: &PipelineState| {
+            let counts = [s.ingested_statements, s.ingested_arrivals, s.deduplicated, s.reordered];
+            (counts, s.last_ingest_minute, s.last_ingest_event)
+        };
+        let hours = all_widths(features, Schedule::Hours)?;
+        hours.iter().try_for_each(|fp| same(&hours[0], fp, " on hour-sized batches"))?;
+        let halved = replay(features, widths[0], Schedule::HalvedMinutes)?;
+        let per_event =
+            replay(Features { ticks: false, ..features }, widths[0], Schedule::PerEvent)?;
+        for (fp, what) in [
+            (&hours[0], "hour-sized batches"),
+            (&halved, "tick splitting"),
+            (&per_event, "per-event ingest"),
+        ] {
+            if fp.state.pre != first.state.pre || ingest(&fp.state) != ingest(&first.state) {
+                return Err(fail(format!(
+                    "{what} changed the Pre-Processor state or delivery accounting"
+                )));
+            }
+        }
+        if fan_outs.snapshot().histograms.get("parallel.map").map_or(0, |h| h.count) == 0 {
+            return Err(fail(
+                "no compared batch reached the pool: the width comparison is vacuous".into(),
+            ));
+        }
     }
-    Ok(first_log)
+    Ok(fps)
 }

@@ -269,7 +269,7 @@ fn storm_family_features(rng: &mut SmallRng, protos: &[Vec<f64>], live: u64) -> 
         let member = key / STORM_FAMILIES;
         let feature = if key % 83 == 7 {
             vec![0.0; STORM_DIM]
-        } else if family % 2 == 0 && member % 3 != 0 {
+        } else if family.is_multiple_of(2) && !member.is_multiple_of(3) {
             features[(key - (member % 3) * STORM_FAMILIES) as usize].clone()
         } else {
             protos[family as usize]

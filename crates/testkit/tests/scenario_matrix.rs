@@ -26,7 +26,7 @@ const HORIZONS: &[usize] = &[1, 6];
 const WIDTHS: &[usize] = &[1, 4];
 
 /// The checked-in seed list (also the CI matrix).
-const SEEDS: &[u64] = &[0x5EED_CAFE, 0x0DDB_A11];
+const SEEDS: &[u64] = &[0x5EED_CAFE, 0x00DD_BA11];
 
 #[test]
 fn scenario_matrix() {

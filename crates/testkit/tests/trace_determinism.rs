@@ -4,14 +4,19 @@
 //! bit-identical across thread-pool widths 1 and 4, and the Chrome trace
 //! export is valid JSON with at least one complete span per stage.
 
-use qb5000::{ControllerConfig, EventKind, IndexSelectionExperiment, Strategy, Tracer};
+use std::sync::Arc;
+
+use qb5000::{
+    ControllerConfig, EventKind, IndexSelectionExperiment, Qb5000Config, Strategy, Tracer,
+};
 use qb_forecast::{DegradationLevel, ForecastError, Forecaster, LinearRegression, WindowSpec};
-use qb_testkit::sim::{run_traced, SimCase};
+use qb_testkit::sim::{run, Features, ModelFactory, SimCase};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
-fn lr() -> Box<dyn Forecaster> {
-    Box::new(LinearRegression::default())
+/// Tracing on, every other feature off.
+fn traced() -> Features {
+    Features { trace: true, ..Features::default() }
 }
 
 /// Sim stream + fit lineage + dumps are byte-identical at widths 1 and 4,
@@ -19,10 +24,13 @@ fn lr() -> Box<dyn Forecaster> {
 #[test]
 fn traced_stream_bit_identical_across_widths() {
     for intensity in [0.0, 1.0] {
-        let case = SimCase::new(Workload::Admissions, intensity, 0x5EED_CAFE);
-        let outcomes = run_traced(&case, &[1, 12], &[1, 4], lr).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(outcomes.len(), 2);
-        let first = &outcomes[0];
+        let case = SimCase {
+            horizons: vec![1, 12],
+            ..SimCase::new(Workload::Admissions, intensity, 0x5EED_CAFE)
+        };
+        let fps = run(&case, traced(), &[1, 4]).unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(fps.len(), 2);
+        let first = fps[0].trace.as_ref().expect("traced");
         assert!(first.stream.contains("ModelFit"), "no fit in stream:\n{}", first.stream);
         assert!(
             first.fit_lineage.contains("ClustersUpdated"),
@@ -32,15 +40,16 @@ fn traced_stream_bit_identical_across_widths() {
     }
 }
 
-/// Same seed, same case, two independent replays: `explain()` and the
+/// Same seed, same case, two independent runs: `explain()` and the
 /// deterministic stream are byte-stable across runs.
 #[test]
 fn explain_is_byte_stable_across_runs_with_same_seed() {
-    let case = SimCase::new(Workload::Mooc, 0.5, 0xB5EED);
-    let a = run_traced(&case, &[1], &[2], lr).unwrap_or_else(|f| panic!("{f}"));
-    let b = run_traced(&case, &[1], &[2], lr).unwrap_or_else(|f| panic!("{f}"));
-    assert_eq!(a[0].stream, b[0].stream, "stream not byte-stable across runs");
-    assert_eq!(a[0].fit_lineage, b[0].fit_lineage, "explain() not byte-stable across runs");
+    let case = SimCase { horizons: vec![1], ..SimCase::new(Workload::Mooc, 0.5, 0xB5EED) };
+    let a = run(&case, traced(), &[2]).unwrap_or_else(|f| panic!("{f}"));
+    let b = run(&case, traced(), &[2]).unwrap_or_else(|f| panic!("{f}"));
+    let (a, b) = (a[0].trace.as_ref().expect("traced"), b[0].trace.as_ref().expect("traced"));
+    assert_eq!(a.stream, b.stream, "stream not byte-stable across runs");
+    assert_eq!(a.fit_lineage, b.fit_lineage, "explain() not byte-stable across runs");
 }
 
 /// A model that fits fine but reports the degradation level a shared
@@ -66,18 +75,20 @@ impl Forecaster for ReportsSingle {
 /// across widths, and the downgrade snapshots a "degraded" dump.
 #[test]
 fn degradation_lineage_bit_identical_across_widths() {
-    let case = SimCase::new(Workload::BusTracker, 0.0, 0xD00DAD);
-    let outcomes = run_traced(&case, &[1], &[1, 4], || {
-        Box::new(ReportsSingle(LinearRegression::default())) as Box<dyn Forecaster>
-    })
-    .unwrap_or_else(|f| panic!("{f}"));
+    let case = SimCase {
+        horizons: vec![1],
+        model: ModelFactory(Arc::new(|| Box::new(ReportsSingle(LinearRegression::default())))),
+        ..SimCase::new(Workload::BusTracker, 0.0, 0xD00DAD)
+    };
+    let fps = run(&case, traced(), &[1, 4]).unwrap_or_else(|f| panic!("{f}"));
 
     let mut lineages = Vec::new();
-    for out in &outcomes {
+    for fp in &fps {
+        let out = fp.trace.as_ref().expect("traced");
         let transition = out
             .view
             .latest(EventKind::DegradationTransition)
-            .unwrap_or_else(|| panic!("no transition at width {}:\n{}", out.width, out.stream));
+            .unwrap_or_else(|| panic!("no transition at width {}:\n{}", fp.width, out.stream));
         let lineage = out.view.explain(transition.id);
         for needed in ["DegradationTransition", "ModelFit", "ClustersUpdated"] {
             assert!(lineage.contains(needed), "{needed} missing from lineage:\n{lineage}");
@@ -85,7 +96,7 @@ fn degradation_lineage_bit_identical_across_widths() {
         assert!(
             out.dumps.iter().any(|d| d.reason == "degraded"),
             "downgrade did not snapshot a dump at width {}",
-            out.width
+            fp.width
         );
         lineages.push(lineage);
     }
@@ -106,7 +117,7 @@ fn experiment_config(threads: usize, tracer: Tracer) -> ControllerConfig {
         .run_start(7 * MINUTES_PER_DAY)
         .seed(9)
         .threads(threads)
-        .trace(tracer)
+        .pipeline(Qb5000Config { tracer, ..Qb5000Config::default() })
         .build()
         .expect("experiment config is valid")
 }

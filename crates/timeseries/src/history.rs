@@ -534,7 +534,7 @@ mod tests {
         let span = 2 * crate::MINUTES_PER_DAY;
         for t in 0..span {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if x % 5 == 0 {
+            if x.is_multiple_of(5) {
                 h.record(t, x % 7 + 1);
             }
         }

@@ -116,7 +116,7 @@ mod tests {
         // finitely — this is why the transform is ln(1+x), not ln(x).
         let zeros = vec![0.0; 24];
         assert_eq!(mse_log_space(&zeros, &zeros), 0.0);
-        let m = mse_log_space(&zeros, &[1.0; 24].to_vec());
+        let m = mse_log_space(&zeros, &[1.0; 24]);
         assert!(m.is_finite() && m > 0.0);
         // And a model predicting zero against real traffic is also finite.
         assert!(mse_log_space(&[100.0; 24], &zeros).is_finite());

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use qb5000::{
     check_prometheus, AlertChange, ControllerConfig, IndexSelectionExperiment, MonitorConfig,
-    Strategy, Tracer,
+    Qb5000Config, Strategy, Tracer,
 };
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};
@@ -78,7 +78,7 @@ fn main() {
         .seed(0xE2E)
         .threads(qb_parallel::configured_threads())
         .fault_plan(faults)
-        .trace(tracer.clone())
+        .pipeline(Qb5000Config { tracer: tracer.clone(), ..Qb5000Config::default() })
         .monitor(MonitorConfig::with_default_slos(2, 0.5).http_port(port))
         .build()
         .expect("example config is valid");

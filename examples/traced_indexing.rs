@@ -9,7 +9,9 @@
 //! cargo run --release --example traced_indexing [trace.json]
 //! ```
 
-use qb5000::{ControllerConfig, EventKind, IndexSelectionExperiment, Strategy, Tracer};
+use qb5000::{
+    ControllerConfig, EventKind, IndexSelectionExperiment, Qb5000Config, Strategy, Tracer,
+};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
@@ -28,7 +30,7 @@ fn main() {
         .run_start(7 * MINUTES_PER_DAY)
         .seed(9)
         .threads(qb_parallel::configured_threads())
-        .trace(tracer.clone())
+        .pipeline(Qb5000Config { tracer: tracer.clone(), ..Qb5000Config::default() })
         .build()
         .expect("example config is valid");
 

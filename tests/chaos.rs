@@ -16,7 +16,7 @@ use qb5000::{
 };
 use qb_forecast::{DegradationLevel, Ensemble, RnnConfig};
 use qb_timeseries::{Interval, MINUTES_PER_DAY};
-use qb_workloads::{ChurnScenario, FaultPlan, FaultStats, TraceConfig, Workload, CHURN_SCENARIOS};
+use qb_workloads::{FaultPlan, FaultStats, TraceConfig, Workload, CHURN_SCENARIOS};
 
 fn bus_trace(days: u32) -> TraceConfig {
     TraceConfig { start: 0, days, scale: 0.02, seed: 0xB5 }

@@ -657,12 +657,7 @@ fn payload_versions_other_than_3_and_4_are_refused() {
 fn crash_point_repro() {
     let hook = std::env::var("QB_CRASH_HOOK").expect("set QB_CRASH_HOOK=point:<IoPoint>|nth:<k>");
     hook_from_label(&hook); // validate early, with a clear panic
-    let seed = std::env::var("QB_SIM_SEED")
-        .map(|s| {
-            let s = s.trim_start_matches("0x");
-            u64::from_str_radix(s, 16).or_else(|_| s.parse()).expect("QB_SIM_SEED parses")
-        })
-        .unwrap_or(0xB05_7EC);
+    let seed = qb_testkit::sim::seed_from_env().unwrap_or(0xB05_7EC);
     let workload = match std::env::var("QB_SIM_WORKLOAD").as_deref() {
         Ok("Admissions") => Workload::Admissions,
         Ok("MOOC") => Workload::Mooc,

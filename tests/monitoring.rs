@@ -4,7 +4,7 @@
 
 use qb5000::{
     AlertChange, AlertCondition, AlertRule, ControllerConfig, IndexSelectionExperiment,
-    MonitorConfig, Severity, Strategy, Tracer,
+    MonitorConfig, Qb5000Config, Severity, Strategy, Tracer,
 };
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};
@@ -31,7 +31,7 @@ fn monitored_cfg(
         .run_start(14 * MINUTES_PER_DAY + 7 * 60)
         .seed(0xE2E)
         .threads(threads)
-        .trace(tracer)
+        .pipeline(Qb5000Config { tracer, ..Qb5000Config::default() })
         .monitor(monitor);
     if let Some(plan) = fault {
         b = b.fault_plan(plan);
