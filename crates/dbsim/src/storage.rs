@@ -86,11 +86,6 @@ impl Index {
         }
         out
     }
-
-    /// Number of distinct keys (index cardinality, used by the cost model).
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// A heap table plus its secondary indexes.

@@ -35,7 +35,6 @@ pub mod ensemble;
 pub mod fallback;
 pub mod fnn;
 pub mod hybrid;
-pub mod interval;
 pub mod kr;
 pub mod lr;
 pub mod nn;
@@ -51,7 +50,6 @@ pub use ensemble::Ensemble;
 pub use fallback::Persistence;
 pub use fnn::Fnn;
 pub use hybrid::{Hybrid, HybridConfig};
-pub use interval::{select_interval, IntervalReport, IntervalSelection};
 pub use kr::KernelRegression;
 pub use lr::LinearRegression;
 pub use properties::{model_properties, ModelProperties};

@@ -130,16 +130,6 @@ impl MetricsHistory {
         Some(series.iter().sum::<f64>() / series.len() as f64)
     }
 
-    /// Largest gauge level in the newest `window` rounds.
-    pub fn gauge_max(&self, gauge: &str, window: usize) -> Option<f64> {
-        self.gauge_series(gauge, window).into_iter().reduce(f64::max)
-    }
-
-    /// The gauge's most recent level.
-    pub fn gauge_last(&self, gauge: &str) -> Option<f64> {
-        self.latest.as_ref().and_then(|s| s.gauges.get(gauge).copied())
-    }
-
     /// Absolute change of the gauge between the oldest and newest levels
     /// inside the window (`None` with fewer than two observations).
     pub fn gauge_change(&self, gauge: &str, window: usize) -> Option<f64> {
@@ -216,8 +206,6 @@ mod tests {
         assert_eq!(h.counter_increase("hits", 100), 40);
         assert_eq!(h.counter_rate("hits", 4), Some(10.0));
         assert_eq!(h.gauge_mean("level", 2), Some(3.5));
-        assert_eq!(h.gauge_max("level", 4), Some(4.0));
-        assert_eq!(h.gauge_last("level"), Some(4.0));
         assert_eq!(h.gauge_change("level", 3), Some(2.0));
         assert_eq!(h.gauge_mean("missing", 4), None);
         assert_eq!(h.counter_increase("missing", 4), 0);

@@ -143,12 +143,6 @@ impl Recorder {
         }
     }
 
-    /// Labeled variant of [`Recorder::gauge`]; see
-    /// [`Recorder::counter_labeled`] for the key scheme.
-    pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.gauge(&labeled_name(name, labels))
-    }
-
     /// Resolves (registering on first use) a fixed-bucket duration
     /// histogram with the default decade bounds.
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -444,11 +438,9 @@ mod tests {
         let rec = Recorder::new();
         rec.counter_labeled("dumps", &[("reason", "diverged")]).inc();
         rec.counter_labeled("dumps", &[("reason", "degraded")]).add(2);
-        rec.gauge_labeled("depth", &[("lane", "0")]).set(4.0);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["dumps{reason=\"diverged\"}"], 1);
         assert_eq!(snap.counters["dumps{reason=\"degraded\"}"], 2);
-        assert_eq!(snap.gauges["depth{lane=\"0\"}"], 4.0);
     }
 
     #[test]

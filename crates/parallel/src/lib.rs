@@ -12,9 +12,9 @@
 //!   owns its outputs; no task observes another task's side effects;
 //! * results are written to per-task slots and reduced in **fixed task
 //!   order**, never in completion order;
-//! * tasks needing randomness derive their own seed from
-//!   `(base seed, task index)` via [`derive_seed`] instead of sharing a
-//!   generator, so the stream a task sees is independent of scheduling.
+//! * tasks needing randomness seed their own generator from their inputs
+//!   instead of sharing one, so the stream a task sees is independent of
+//!   scheduling.
 //!
 //! Under this contract the only thing the thread count changes is
 //! wall-clock time. The determinism suite (`tests/determinism.rs` in
@@ -52,16 +52,6 @@ pub fn configured_threads() -> usize {
 
 fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Derives a per-task seed from a base seed and the task's index
-/// (SplitMix64 finalizer — full avalanche, so adjacent indices yield
-/// uncorrelated streams).
-pub fn derive_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A degree of parallelism: how many OS threads a component may use.
@@ -425,18 +415,6 @@ mod tests {
         assert_eq!((a, b), ("slow", "fast"));
         let (a, b) = Parallelism::sequential().join(|| 1, || 2);
         assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn derive_seed_is_stable_and_spread() {
-        // Stability: the derivation is part of the determinism contract —
-        // changing it silently would change every seeded parallel task.
-        assert_eq!(derive_seed(0xDEAD, 0), derive_seed(0xDEAD, 0));
-        assert_ne!(derive_seed(0xDEAD, 0), derive_seed(0xDEAD, 1));
-        assert_ne!(derive_seed(0xDEAD, 1), derive_seed(0xBEEF, 1));
-        // Adjacent indices should differ in many bits, not just the low ones.
-        let x = derive_seed(7, 100) ^ derive_seed(7, 101);
-        assert!(x.count_ones() > 16, "weak avalanche: {x:b}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Durability integration suite (ISSUE 6).
 //!
-//! Four layers of evidence that crash-restart is invisible:
+//! Four layers of evidence that crash-restart is invisible, plus a bound
+//! on what it costs in snapshot bytes:
 //!
 //! * **Codec round-trips** — proptest drives every versioned record type
 //!   through `encode → decode` and demands equality, both on synthetic
@@ -25,6 +26,8 @@
 //!   as version 4; its WAL alone, per-sighting frames included, replays to
 //!   the state the same script reaches now; versions other than 3 and 4
 //!   are refused.
+//! * **Snapshot size** — the snapshot of three BusTracker days stays at or
+//!   under 250 000 bytes.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -400,6 +403,56 @@ fn quarantine_accounting_survives_crash_restart() {
         );
         assert_eq!(recovered.state, reference.state, "{label}: full state must match");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot size guard
+// ---------------------------------------------------------------------------
+
+/// Upper bound on the snapshot of [`snapshot_of_three_bustracker_days_stays_compact`].
+/// The payload is deterministic: 223 637 bytes at `STATE_VERSION` 4 (476 725
+/// with version 3's fixed-width pairs), so a regression back to fixed width
+/// fails here.
+const SNAPSHOT_BYTES_BOUND: u64 = 250_000;
+
+/// Three days of BusTracker at scale 0.02 (3 136 statements), ingested per
+/// event and snapshotted once after a cluster update. The snapshot stays
+/// under [`SNAPSHOT_BYTES_BOUND`], a reopen loads it without replaying a
+/// frame, and a 2 000-frame WAL tail written after it replays in full.
+#[test]
+fn snapshot_of_three_bustracker_days_stays_compact() {
+    const DAYS: u32 = 3;
+    const TAIL_FRAMES: usize = 2_000;
+    let trace = qb_workloads::TraceConfig { start: 0, days: DAYS, scale: 0.02, seed: 0xD07A61 };
+    let events: Vec<_> = Workload::BusTracker.generator(trace).collect();
+    let dir = tmp_dir("snapshot-size");
+
+    let (mut p, _) = DurablePipeline::open(plain_durable_config(&dir)).expect("fresh open");
+    for ev in &events {
+        let _ = p.ingest_weighted(ev.minute, &ev.sql, ev.count);
+    }
+    p.update_clusters(i64::from(DAYS) * MINUTES_PER_DAY).expect("cluster update");
+    p.snapshot().expect("snapshot succeeds");
+    let bytes = p.store_stats().last_snapshot_bytes;
+    assert!(
+        bytes <= SNAPSHOT_BYTES_BOUND,
+        "snapshot is {bytes} bytes, over the {SNAPSHOT_BYTES_BOUND}-byte bound"
+    );
+    let durable_seq = p.durable_seq();
+    drop(p);
+
+    let (mut p, report) =
+        DurablePipeline::open(plain_durable_config(&dir)).expect("snapshot-only recovery");
+    assert_eq!(report.frames_replayed, 0, "the WAL tail is empty after a snapshot");
+    assert_eq!(p.durable_seq(), durable_seq, "recovery lands on the durable seq");
+
+    for ev in events.iter().cycle().take(TAIL_FRAMES) {
+        let _ = p.ingest_weighted(ev.minute, &ev.sql, ev.count);
+    }
+    drop(p);
+    let (_, report) = DurablePipeline::open(plain_durable_config(&dir)).expect("tail recovery");
+    assert_eq!(report.frames_replayed, TAIL_FRAMES as u64, "the whole tail replays");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
