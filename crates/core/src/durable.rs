@@ -16,14 +16,15 @@
 //! The snapshot payload is `[u16 STATE_VERSION]` followed by the
 //! [`FullState`] encoding; every record type is hand-encoded in this
 //! module against [`qb_durable::Enc`]/[`qb_durable::Dec`] so the on-disk
-//! layout is auditable line by line. Version 4, the only one written,
+//! layout is auditable line by line. Version 5, the only one written,
 //! stores each history tier as zigzag-varint minute deltas with varint
-//! counts and front-codes the sorted string tables (template texts, shard
-//! slots, and the raw-SQL cache older builds kept, now written empty);
-//! every other field is fixed-width, as in version 3. Version 3 payloads
-//! still decode, through a read-only path that differs only in those
-//! fields. A build refuses every other payload version rather than
-//! guessing.
+//! counts and front-codes the sorted template-text table; every other
+//! field is fixed-width. Version 3 and 4 payloads still decode, through a
+//! read-only path. Version 4 differs only in three fields version 5
+//! dropped, which it reads and discards: the raw-SQL cache older builds
+//! kept (written empty), the shard-cache slots and the raw cache's hit
+//! counter. Version 3 also wrote tiers and tables fixed-width and whole.
+//! A build refuses every other payload version rather than guessing.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
 //! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],
@@ -78,15 +79,16 @@ use crate::pipeline::{
 };
 
 /// Version of the snapshot payload this build writes. Bump when the
-/// [`FullState`] encoding changes shape. Version 4 delta-varint codes the
-/// arrival histories and front-codes the sorted string tables; version 3
-/// payloads (fixed-width pairs, whole strings) still decode, read-only.
-/// Every other version is refused, not guessed at.
-pub const STATE_VERSION: u16 = 4;
+/// [`FullState`] encoding changes shape. Version 5 writes no shard-cache
+/// state; versions 4 (which wrote the cache tables) and 3 (fixed-width
+/// pairs, whole strings) still decode, read-only. Every other version is
+/// refused, not guessed at.
+pub const STATE_VERSION: u16 = 5;
 
-/// The older payload version [`decode_full_state`] still reads. Nothing
-/// writes it: the first snapshot after a version 3 recovery is version 4.
+/// The older payload versions [`decode_full_state`] still reads. Nothing
+/// writes them: the first snapshot after their recovery is version 5.
 const STATE_VERSION_V3: u16 = 3;
+const STATE_VERSION_V4: u16 = 4;
 
 /// WAL frame kind: one weighted template sighting, as older builds framed
 /// each `ingest_weighted` call. Read, never written: it decodes to a
@@ -97,8 +99,8 @@ pub const KIND_CLUSTER_UPDATE: u8 = 2;
 /// WAL frame kind: an arrival-history compaction point.
 pub const KIND_COMPACT: u8 = 3;
 /// WAL frame kind: the sightings of one ingest call — a tick, or a single
-/// statement. Replay routes them back through the same engine, so
-/// shard-cache state re-derives identically.
+/// statement. Replay routes them back through the same engine, so state
+/// re-derives identically.
 pub const KIND_INGEST_BATCH: u8 = 4;
 
 /// Durable-state policy for a pipeline: where state lives, how often a
@@ -359,24 +361,15 @@ fn decode_entry(d: &mut Dec, version: u16) -> Result<TemplateEntryState, CodecEr
     })
 }
 
-/// Encodes one [`PreProcessorState`]. The raw-SQL cache table and its
-/// re-parse hit counter, which older builds kept beside the shard caches,
-/// keep their places written empty and zero; the decoder drops them.
+/// Encodes one [`PreProcessorState`].
 pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
     e.seq(&s.entries, encode_entry);
-    for table in [&s.distinct_texts, &Vec::new()] {
-        encode_text_table(e, table, |(text, _)| text, |e, (_, id)| e.var_u64(u64::from(*id)));
-    }
     encode_text_table(
         e,
-        &s.shard_slots,
-        |(text, _, _)| text,
-        |e, (_, id, hits)| {
-            e.var_u64(u64::from(*id));
-            e.var_u64(*hits);
-        },
+        &s.distinct_texts,
+        |(text, _)| text,
+        |e, (_, id)| e.var_u64(u64::from(*id)),
     );
-    e.u64(0);
     e.u64(s.next_seed);
     e.u64(s.stats.total_queries);
     e.u64(s.stats.selects);
@@ -396,27 +389,26 @@ fn decode_preprocessor_state_at(
     version: u16,
 ) -> Result<PreProcessorState, CodecError> {
     let entries = d.seq(|d| decode_entry(d, version))?;
-    // Version 3 wrote every text whole and the ids and hits fixed-width.
-    // The raw-SQL cache of older builds and its hit counter are read and
-    // dropped.
-    let (distinct_texts, _raw_cache, shard_slots) = if version == STATE_VERSION_V3 {
-        (
-            d.seq(|d| Ok((d.str()?, d.u32()?)))?,
-            d.seq(|d| Ok((d.str()?, d.u32()?)))?,
-            d.seq(|d| Ok((d.str()?, d.u32()?, d.u64()?)))?,
-        )
+    // Version 3 wrote every text whole and every id and count fixed-width.
+    let distinct_texts = if version == STATE_VERSION_V3 {
+        d.seq(|d| Ok((d.str()?, d.u32()?)))?
     } else {
-        (
-            decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?,
-            decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?,
-            decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?, d.var_u64()?)))?,
-        )
+        decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?
     };
-    let _cache_hits = d.u64()?;
+    // Versions 3 and 4 go on with the raw-SQL cache of older builds, the
+    // shard-cache slots and the raw cache's hit counter: read and dropped.
+    if version == STATE_VERSION_V3 {
+        d.seq(|d| Ok((d.str()?, d.u32()?)))?;
+        d.seq(|d| Ok((d.str()?, d.u32()?, d.u64()?)))?;
+        d.u64()?;
+    } else if version == STATE_VERSION_V4 {
+        decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?;
+        decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?, d.var_u64()?)))?;
+        d.u64()?;
+    }
     Ok(PreProcessorState {
         entries,
         distinct_texts,
-        shard_slots,
         next_seed: d.u64()?,
         stats: IngestStats {
             total_queries: d.u64()?,
@@ -759,15 +751,15 @@ pub fn encode_full_state(s: &FullState) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_full_state`]: verifies the version prefix and that
-/// every byte is consumed. Reads [`STATE_VERSION`] and, read-only, version
-/// 3; refuses every other version.
+/// every byte is consumed. Reads [`STATE_VERSION`] and, read-only,
+/// versions 3 and 4; refuses every other version.
 pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
     let mut d = Dec::new(bytes);
     let version = d.u16().map_err(DurabilityError::Codec)?;
-    if version != STATE_VERSION && version != STATE_VERSION_V3 {
+    if !(STATE_VERSION_V3..=STATE_VERSION).contains(&version) {
         return Err(DurabilityError::Corrupt(format!(
             "snapshot payload version {version}; this build reads versions \
-             {STATE_VERSION_V3} and {STATE_VERSION}"
+             {STATE_VERSION_V3} to {STATE_VERSION}"
         )));
     }
     let pipeline = decode_pipeline_state_at(&mut d, version)?;
@@ -1005,8 +997,7 @@ impl DurablePipeline {
     ///
     /// The whole batch travels in one WAL frame, so a crash either loses
     /// the entire tick or none of it — replay routes the frame back
-    /// through the sharded engine and re-derives identical state,
-    /// including the shard caches.
+    /// through the sharded engine and re-derives identical state.
     pub fn ingest_batch(&mut self, batch: &[BatchItem<'_>]) -> Result<BatchReport, Error> {
         let payload = encode_batch_items(batch.iter().map(|it| (it.minute, it.count, it.sql)));
         self.append_frame(KIND_INGEST_BATCH, &payload)?;
@@ -1266,7 +1257,7 @@ mod tests {
 
     /// Guards against a regression to fixed width: a run of busy
     /// consecutive minutes costs at most 3 bytes a pair (v3: 16), and a
-    /// sorted table of one template's raw SQL costs well under its text.
+    /// sorted table of template texts costs well under its text.
     #[test]
     fn v4_tiers_and_text_tables_stay_small() {
         let tier: Vec<(Minute, u64)> =
@@ -1279,24 +1270,23 @@ mod tests {
         assert_eq!(decode_tier(&mut d, STATE_VERSION).unwrap(), tier);
         d.finish().unwrap();
 
-        let mut slots: Vec<(String, u32, u64)> = (0..1_000u64)
+        let mut texts: Vec<(String, u32)> = (0..1_000u32)
             .map(|k| {
-                let sql = format!(
-                    "SELECT arrival FROM stop_times WHERE stop_id = {} AND route = {}",
-                    k * 7919 % 100_000,
-                    k % 40
+                let text = format!(
+                    "SELECT arrival FROM stop_times WHERE stop_id = ? AND route = ? AND c{} = ?",
+                    k * 7919 % 100_000
                 );
-                (sql, 3, k % 64)
+                (text, k)
             })
             .collect();
-        slots.sort();
-        let text_bytes: usize = slots.iter().map(|(sql, _, _)| sql.len()).sum();
+        texts.sort();
+        let text_bytes: usize = texts.iter().map(|(text, _)| text.len()).sum();
         let encoded = |s: &PreProcessorState| {
             let mut e = Enc::new();
             encode_preprocessor_state(&mut e, s);
             e.finish()
         };
-        let state = PreProcessorState { shard_slots: slots, ..PreProcessorState::default() };
+        let state = PreProcessorState { distinct_texts: texts, ..PreProcessorState::default() };
         let bytes = encoded(&state);
         let table_bytes = bytes.len() - encoded(&PreProcessorState::default()).len();
         assert!(table_bytes * 3 < text_bytes, "{table_bytes} bytes for {text_bytes} of text");
@@ -1305,14 +1295,13 @@ mod tests {
         d.finish().unwrap();
     }
 
-    /// Hostile input never panics: every truncation of a v4 payload is an
+    /// Hostile input never panics: every truncation of a v5 payload is an
     /// error, and every single-bit flip is either an error or a different
     /// state (a flipped float or counter bit is a valid value; the snapshot
-    /// file's CRC-32 rejects those before the payload is decoded) — except
-    /// in the eight bytes of the dropped raw-cache hit counter, which
-    /// decode to the same state.
+    /// file's CRC-32 rejects those before the payload is decoded). No byte
+    /// is dead: none decodes to the same state when flipped.
     #[test]
-    fn every_truncation_and_bit_flip_of_a_v4_payload_fails_cleanly() {
+    fn every_truncation_and_bit_flip_of_a_v5_payload_fails_cleanly() {
         let mut cfg = Qb5000Config::default();
         cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
             raw_retention: 90,
@@ -1336,16 +1325,10 @@ mod tests {
         }
         let full = FullState { pipeline: bot.export_state(), manager: None, tracer: None };
         let pre = &full.pipeline.pre;
-        assert!(pre.shard_slots.len() > 3, "per-event and batch rows share the shard slots");
+        assert_eq!(pre.distinct_texts.len(), 3, "per-event and batch rows share the text table");
         assert!(pre.entries.iter().all(|e| !e.history.compacted.is_empty()));
         assert!(pre.quarantine.rejected_statements > 0);
         let bytes = encode_full_state(&full);
-        // The dropped hit counter is the eight bytes before `next_seed`.
-        let mut nudged = full.clone();
-        nudged.pipeline.pre.next_seed ^= 1;
-        let next_seed_at =
-            bytes.iter().zip(encode_full_state(&nudged)).position(|(a, b)| *a != b).unwrap();
-        let dropped = next_seed_at - 8..next_seed_at;
 
         for cut in 0..bytes.len() {
             assert!(decode_full_state(&bytes[..cut]).is_err(), "truncated at {cut}");
@@ -1356,11 +1339,7 @@ mod tests {
                 flipped[i] ^= 1 << bit;
                 // Compared as bytes: `==` on floats cannot tell -0.0 from 0.0.
                 if let Ok(back) = decode_full_state(&flipped) {
-                    assert_eq!(
-                        encode_full_state(&back) == bytes,
-                        dropped.contains(&i),
-                        "byte {i} bit {bit}: only the dropped counter decodes to the same state"
-                    );
+                    assert!(encode_full_state(&back) != bytes, "byte {i} bit {bit} is dead");
                 }
                 flipped[i] ^= 1 << bit;
             }
@@ -1391,7 +1370,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_ingest_recovers_bit_identically_including_shard_caches() {
+    fn batched_ingest_recovers_bit_identically() {
         let dir = tmp_dir("recover-batch");
         let batch_at = |m: Minute| {
             vec![
@@ -1420,17 +1399,13 @@ mod tests {
             }
             (p.bot().export_state(), p.health(), p.durable_seq())
         };
-        assert!(
-            !reference.0.pre.shard_slots.is_empty(),
-            "batched ingest must populate the shard caches"
-        );
         let (p2, report) = DurablePipeline::open(durable_config(&dir)).unwrap();
         assert!(report.recovered());
         assert_eq!(report.statements_replayed, 15 * 3);
         assert_eq!(
             p2.bot().export_state(),
             reference.0,
-            "batched replay re-derives identical state, shard caches included"
+            "batched replay through cold shard caches re-derives identical state"
         );
         assert_eq!(p2.health(), reference.1);
         assert_eq!(p2.durable_seq(), reference.2);

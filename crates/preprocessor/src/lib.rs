@@ -214,14 +214,14 @@ pub struct PreProcessorConfig {
     /// exact-repeat parser bypass), split evenly between them. When a
     /// shard's share is reached its cache takes a generational reset — it
     /// is cleared and refills with whatever is hot *now* — so template
-    /// churn cannot freeze it on a stale working set. Size it at or above
-    /// the expected distinct-statement working set for sustained ingest.
+    /// churn cannot freeze it on a stale working set. It bounds memory and
+    /// throughput only: exported state never depends on it.
     pub raw_cache_limit: usize,
-    /// Logical shard count for the ingest engine ([`shard`]). Content
-    /// routing (raw-text hash → shard) and the resulting state depend on
-    /// this number but **not** on the worker-pool width, so any
-    /// `QB_THREADS` value replays the same state. Fix it per deployment
-    /// like any other config knob.
+    /// Logical shard count for the ingest engine ([`shard`]): content
+    /// routing hashes raw text to one of this many shards, which the
+    /// worker pool executes. Like `raw_cache_limit` it bounds memory and
+    /// throughput only: exported state depends on neither it nor the pool
+    /// width.
     pub ingest_shards: usize,
 }
 
@@ -282,7 +282,7 @@ pub struct PreProcessor {
     /// Shard-local raw-SQL caches of the ingest engine. Real applications
     /// repeat the same literal strings constantly; the caches
     /// short-circuit the parser for exact repeats. Empty until the first
-    /// ingest call.
+    /// ingest call, and never exported.
     shards: Vec<shard::Shard>,
     /// Ingest calls so far (each is one batch); dedups each shard slot's
     /// sightings to one per batch. Not persisted.
@@ -500,10 +500,10 @@ impl PreProcessor {
 
     /// Exports the complete mutable state as plain data (durable-snapshot
     /// support). Everything needed to continue ingesting with *identical*
-    /// behavior is captured: template table, folding/dedup maps, shard
-    /// caches with their per-slot re-parse counters, reservoir RNG states,
-    /// ingest stats, and the quarantine. Map contents are emitted in sorted
-    /// order so the export is byte-stable across runs.
+    /// behavior is captured: template table, folding/dedup maps, reservoir
+    /// RNG states, ingest stats, and the quarantine. The shard caches are
+    /// not: they change no exported state. Map contents are emitted in
+    /// sorted order so the export is byte-stable across runs.
     pub fn export_state(&self) -> PreProcessorState {
         let mut distinct_texts: Vec<(String, u32)> =
             self.distinct_texts.iter().map(|(t, id)| (t.clone(), id.0)).collect();
@@ -521,16 +521,6 @@ impl PreProcessor {
                 })
                 .collect(),
             distinct_texts,
-            shard_slots: {
-                let mut slots: Vec<(String, u32, u64)> = self
-                    .shards
-                    .iter()
-                    .flat_map(|s| s.export_slots())
-                    .map(|(sql, id, hits)| (sql, id.0, hits))
-                    .collect();
-                slots.sort();
-                slots
-            },
             next_seed: self.next_seed,
             stats: self.stats,
             quarantine: self.quarantine.export_state(),
@@ -544,7 +534,8 @@ impl PreProcessor {
     /// Template ASTs, verbs, table lists, logical features, and semantic
     /// fingerprints are reconstructed by re-parsing each entry's canonical
     /// text — templatizing canonical text is idempotent, so the rebuilt
-    /// table is equivalent to the one that was exported.
+    /// table is equivalent to the one that was exported. The shard caches
+    /// start cold.
     pub fn restore(
         config: PreProcessorConfig,
         state: PreProcessorState,
@@ -577,13 +568,6 @@ impl PreProcessor {
         }
         pp.distinct_texts =
             state.distinct_texts.into_iter().map(|(t, id)| (t, TemplateId(id))).collect();
-        if !state.shard_slots.is_empty() {
-            pp.ensure_shards();
-            for (sql, id, hits) in state.shard_slots {
-                let n = pp.shards.len();
-                pp.shards[shard::route(&sql, n)].restore_slot(sql, TemplateId(id), hits);
-            }
-        }
         pp.next_seed = state.next_seed;
         pp.stats = state.stats;
         pp.quarantine = Quarantine::from_state(state.quarantine);
@@ -612,12 +596,6 @@ pub struct TemplateEntryState {
 pub struct PreProcessorState {
     pub entries: Vec<TemplateEntryState>,
     pub distinct_texts: Vec<(String, u32)>,
-    /// Shard-cache slots of the ingest engine, sorted by SQL text:
-    /// `(raw sql, template id, per-slot hit count)`. Pending slots never
-    /// appear here — every batch resolves its pendings before returning.
-    /// The batch tick restarts at zero after a restore, which only resets
-    /// the once-per-batch sighting dedup, not any counted state.
-    pub shard_slots: Vec<(String, u32, u64)>,
     pub next_seed: u64,
     pub stats: IngestStats,
     pub quarantine: QuarantineState,
@@ -790,8 +768,7 @@ mod tests {
     fn state_round_trip_continues_identically() {
         let mut live = pp();
         // Exercise every stateful path: folding, quarantine, weighted
-        // arrivals, and enough shard-cache repeats to cross the re-parse
-        // cadence boundary.
+        // arrivals, and shard-cache repeats the reservoir keeps.
         live.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
         live.ingest(0, "INSERT INTO t (a) VALUES (1)").unwrap();
         live.ingest_weighted(1, "UPDATE t SET a = 2 WHERE id = 3", 40).unwrap();
@@ -813,8 +790,9 @@ mod tests {
             live.quarantine().rejected_arrivals()
         );
 
-        // Both instances must behave identically from here on — same ids,
-        // same reservoir decisions, same cache cadence.
+        // Both instances must behave identically from here on — same ids
+        // and same reservoir decisions, though only the live instance's
+        // cache is warm.
         let follow_up = [
             "SELECT x FROM t WHERE id = 1",
             "SELECT x FROM t WHERE id = 9",
@@ -835,9 +813,8 @@ mod tests {
 
     #[test]
     fn cache_hit_counter_identity_across_fast_and_reparse_paths() {
-        // Regression: the 1-in-64 reservoir-refresh re-parse used to skip
-        // `cache_hits.inc()`, undercounting the hit rate. Both branches of
-        // a slot hit are hits; only the first sighting is a miss.
+        // A slot hit is a hit whether the reservoir keeps it (and it
+        // re-parses) or not; only the first sighting is a miss.
         let rec = Recorder::new();
         let mut p = pp();
         p.set_recorder(&rec);
@@ -845,15 +822,14 @@ mod tests {
             p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
         }
         let snap = rec.snapshot();
-        // 129 ingests = 1 miss + 128 hits (two of which — the 64th and
-        // 128th — took the re-parse branch). Every one was ingested.
+        // 129 ingests = 1 miss + 128 hits. Every one was ingested.
         assert_eq!(snap.counters["preprocessor.cache_hits"], 128);
         assert_eq!(snap.counters["preprocessor.ingested_statements"], 129);
         assert_eq!(snap.counters["preprocessor.ingested_arrivals"], 129);
         assert_eq!(p.template(TemplateId(0)).history.total(), 129);
-        // The re-parse branch really ran: the reservoir saw the initial
-        // parse plus two refreshes.
-        assert_eq!(p.template(TemplateId(0)).params.seen(), 3);
+        // Every statement reached the reservoir: the miss, the hits it
+        // kept while filling (re-parsed), and the hits it drew on after.
+        assert_eq!(p.template(TemplateId(0)).params.seen(), 129);
     }
 
     #[test]
@@ -921,7 +897,7 @@ mod accounting_proptests {
         Weighted { sql: usize, minute: Minute, count: u64 },
     }
 
-    /// A small pool mixing hot repeats (cache-hit + re-parse cadence),
+    /// A small pool mixing hot repeats (cache hits, each offered),
     /// distinct constants (fresh templates), folding spellings, and
     /// garbage (quarantine).
     const POOL: &[&str] = &[
@@ -1005,10 +981,12 @@ mod accounting_proptests {
                 .collect();
             let chunk = items.len().div_ceil(splits).max(1);
             let mut accepted = 0u64;
+            let mut accepted_statements = 0u64;
             let mut quarantined = 0u64;
             for b in items.chunks(chunk) {
                 let report = p.ingest_batch(&pool, b);
                 accepted += report.arrivals;
+                accepted_statements += report.statements;
                 quarantined += report.quarantined_arrivals;
             }
             let offered: u64 = ops.iter().map(|&(_, _, c)| c).sum();
@@ -1017,6 +995,9 @@ mod accounting_proptests {
             prop_assert_eq!(history_total, p.stats().total_queries);
             prop_assert_eq!(accepted + quarantined, offered);
             prop_assert_eq!(p.quarantine().rejected_arrivals(), quarantined);
+            // Every accepted statement, hit or miss, was offered once.
+            let offered_params: u64 = p.templates().iter().map(|e| e.params.seen()).sum();
+            prop_assert_eq!(offered_params, accepted_statements);
         }
     }
 }

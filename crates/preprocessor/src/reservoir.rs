@@ -12,7 +12,9 @@ use rand::{Rng, SeedableRng};
 ///
 /// After `n` calls to [`Reservoir::offer`], every offered item has
 /// probability `min(1, capacity/n)` of being present — the classic
-/// Algorithm R guarantee.
+/// Algorithm R guarantee. The Pre-Processor offers every statement it
+/// accepts, cache hit or miss, once per call whatever its weight, so a
+/// template's sample is uniform over its accepted statements.
 #[derive(Debug, Clone)]
 pub struct Reservoir<T> {
     capacity: usize,
@@ -31,16 +33,17 @@ impl<T> Reservoir<T> {
         Self { capacity, seen: 0, items: Vec::new(), rng: SmallRng::seed_from_u64(seed) }
     }
 
-    /// Offers one item from the stream.
-    pub fn offer(&mut self, item: T) {
+    /// Offers one item from the stream. `item` builds it, and runs only
+    /// when the sample keeps it; the random draws are the same either way.
+    pub fn offer(&mut self, item: impl FnOnce() -> T) {
         self.seen += 1;
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            self.items.push(item());
         } else {
             // Replace a random slot with probability capacity/seen.
             let j = self.rng.gen_range(0..self.seen);
             if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
+                self.items[j as usize] = item();
             }
         }
     }
@@ -96,7 +99,7 @@ mod tests {
     fn fills_to_capacity_then_stops_growing() {
         let mut r = Reservoir::new(3, 1);
         for i in 0..10 {
-            r.offer(i);
+            r.offer(|| i);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.seen(), 10);
@@ -106,7 +109,7 @@ mod tests {
     fn short_stream_kept_verbatim() {
         let mut r = Reservoir::new(10, 1);
         for i in 0..4 {
-            r.offer(i);
+            r.offer(|| i);
         }
         assert_eq!(r.items(), &[0, 1, 2, 3]);
     }
@@ -115,7 +118,7 @@ mod tests {
     fn sample_is_subset_of_stream() {
         let mut r = Reservoir::new(5, 42);
         for i in 0..1000 {
-            r.offer(i);
+            r.offer(|| i);
         }
         for &x in r.items() {
             assert!((0..1000).contains(&x));
@@ -132,7 +135,7 @@ mod tests {
         for t in 0..trials {
             let mut r = Reservoir::new(10, t as u64);
             for i in 0..100 {
-                r.offer(i);
+                r.offer(|| i);
             }
             for &x in r.items() {
                 hits[x as usize] += 1;
@@ -149,11 +152,26 @@ mod tests {
         let run = |seed| {
             let mut r = Reservoir::new(4, seed);
             for i in 0..100 {
-                r.offer(i);
+                r.offer(|| i);
             }
             r.items().to_vec()
         };
         assert_eq!(run(7), run(7));
+    }
+
+    #[test]
+    fn offer_builds_only_the_items_it_keeps() {
+        let mut r = Reservoir::new(4, 7);
+        let (mut built, mut kept) = (0, 0);
+        for i in 0..100 {
+            r.offer(|| {
+                built += 1;
+                i
+            });
+            kept += usize::from(r.items().contains(&i));
+        }
+        assert_eq!(built, kept);
+        assert!(kept > 4 && kept < 100, "{kept}");
     }
 
     #[test]
@@ -166,7 +184,7 @@ mod tests {
     fn parts_round_trip_continues_exact_stream() {
         let mut live = Reservoir::new(4, 99);
         for i in 0..50 {
-            live.offer(i);
+            live.offer(|| i);
         }
         let mut restored = Reservoir::from_parts(
             live.capacity(),
@@ -176,8 +194,8 @@ mod tests {
         );
         // Both samplers must make identical decisions from here on.
         for i in 50..500 {
-            live.offer(i);
-            restored.offer(i);
+            live.offer(|| i);
+            restored.offer(|| i);
         }
         assert_eq!(live.items(), restored.items());
         assert_eq!(live.seen(), restored.seen());

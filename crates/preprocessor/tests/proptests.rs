@@ -177,7 +177,7 @@ proptest! {
     fn reservoir_invariants(cap in 1usize..20, n in 0usize..200, seed in any::<u64>()) {
         let mut r = Reservoir::new(cap, seed);
         for i in 0..n {
-            r.offer(i);
+            r.offer(|| i);
         }
         prop_assert_eq!(r.len(), cap.min(n));
         prop_assert_eq!(r.seen(), n as u64);

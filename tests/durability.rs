@@ -20,14 +20,16 @@
 //!   [`PipelineState`], `PipelineHealth`, forecasts (raw bits), and the
 //!   deterministic trace stream. Failures print a `QB_CRASH_HOOK=…` repro
 //!   command that `crash_point_repro` below replays.
-//! * **Cross-version recovery** — a store directory written by a
-//!   `STATE_VERSION` 3 build (`crates/testkit/fixtures/v3_store`) recovers
-//!   to the state and prediction bits that build printed, and re-snapshots
-//!   as version 4; its WAL alone, per-sighting frames included, replays to
-//!   the state the same script reaches now; versions other than 3 and 4
-//!   are refused.
+//! * **Cross-version recovery** — store directories written by
+//!   `STATE_VERSION` 3 and 4 builds (`crates/testkit/fixtures/v3_store`,
+//!   `v4_store`) recover to the manager state and prediction bits those
+//!   builds printed and to the state the same script reaches now, but for
+//!   the parameter reservoirs the older builds sampled, and re-snapshot as
+//!   version 5; the version 3 WAL alone, per-sighting frames included,
+//!   replays to exactly the state the script reaches now; versions other
+//!   than 3 to 5 are refused.
 //! * **Snapshot size** — the snapshot of three BusTracker days stays at or
-//!   under 250 000 bytes.
+//!   under 140 000 bytes.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -410,10 +412,11 @@ fn quarantine_accounting_survives_crash_restart() {
 // ---------------------------------------------------------------------------
 
 /// Upper bound on the snapshot of [`snapshot_of_three_bustracker_days_stays_compact`].
-/// The payload is deterministic: 223 637 bytes at `STATE_VERSION` 4 (476 725
-/// with version 3's fixed-width pairs), so a regression back to fixed width
+/// The payload is deterministic: 125 830 bytes at `STATE_VERSION` 5, about
+/// 10 % under the bound. Version 4 wrote 223 637 (its shard-cache slots)
+/// and version 3 476 725 (fixed-width pairs), so a regression to either
 /// fails here.
-const SNAPSHOT_BYTES_BOUND: u64 = 250_000;
+const SNAPSHOT_BYTES_BOUND: u64 = 140_000;
 
 /// Three days of BusTracker at scale 0.02 (3 136 statements), ingested per
 /// event and snapshotted once after a cluster update. The snapshot stays
@@ -464,18 +467,31 @@ fn snapshot_of_three_bustracker_days_stays_compact() {
 /// fallback generation's segment.
 const V3_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v3_store");
 
+/// The same, written by a version 4 build. Its WAL segments end at their
+/// last frame: the zero fill that build preallocated after it is trimmed.
+const V4_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v4_store");
+
 /// What the version 3 build printed after recovering [`V3_FIXTURE`] and
 /// rebuilding the forecast manager from it: FNV-1a of the `Debug` text of
 /// the recovered `PipelineState` and `ManagerState`, and the raw bits of
-/// the manager's prediction at [`V3_END`].
+/// the manager's prediction at [`V3_END`]. The version 4 build printed the
+/// same manager hash and bits for [`V4_FIXTURE`], and both stores recover
+/// to the same `PipelineState` under this build.
 ///
-/// `V3_STATE_FNV` is the one value re-derived since: `PreProcessorState`
-/// lost its `raw_cache` and `cache_hits` fields with the raw-SQL cache
-/// (every statement now goes through the shard caches). That removes
-/// their two entries from the `Debug` text — one cached statement and a
-/// hit count of 11 — and changes no other line (the version 3 build
-/// printed `0xff08_13db_875f_17cd`).
-const V3_STATE_FNV: u64 = 0xe06a_a152_acd2_9269;
+/// `V3_STATE_FNV` has been re-derived twice. First, `PreProcessorState`
+/// lost its `raw_cache` and `cache_hits` fields with the raw-SQL cache,
+/// which removed one cached statement and a hit count of 11 from the
+/// `Debug` text and changed no other line (the version 3 build printed
+/// `0xff08_13db_875f_17cd`; the version 4 build `0xe06a_a152_acd2_9269`).
+/// Second, the shard caches left exported state and every statement began
+/// to feed its reservoir. The version 4 build's text for either store,
+/// with its field of shard-cache slots cut out, hashes to
+/// `0x1301_dde9_43ba_6170`. It differs from this build's only in the
+/// reservoirs of templates 0 and 1: this build offers them the WAL tail's
+/// nine and three statements (`params_seen` 5 → 14 and 2 → 5, each
+/// appended to a reservoir that is not full), which the slots restored by
+/// the version 4 build made hits that were not offered.
+const V3_STATE_FNV: u64 = 0xf557_3f06_d3ff_98eb;
 const V3_MANAGER_FNV: u64 = 0x6b7e_4eaa_1d2c_ee92;
 const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
@@ -513,7 +529,7 @@ fn v3_manager() -> ForecastManager {
     ForecastManager::new(vec![HorizonSpec::hourly(1)], || Box::new(LinearRegression::default()))
 }
 
-/// One scripted hour: a batch (shard slots), and every sixth hour a late
+/// One scripted hour: a batch, and every sixth hour a late
 /// per-event sighting two hours back (out-of-order minutes; the version 3
 /// build cached it in its raw-SQL cache and framed it as `KIND_INGEST`)
 /// and a quarantined one.
@@ -538,7 +554,7 @@ fn v3_hour(p: &mut DurablePipeline, hour: i64) {
     }
 }
 
-/// The scripted run the version 3 fixture was written from: 72 hours with
+/// The scripted run the store fixtures were written from: 72 hours with
 /// rounds and a compaction, then a forecast manager trained, predicting,
 /// and snapshotted with the pipeline; then a WAL tail of three more hours
 /// with a compaction and a round. Returns the open pipeline.
@@ -608,51 +624,73 @@ fn newest_snapshot_version(dir: &std::path::Path) -> u16 {
     u16::from_le_bytes([bytes[22], bytes[23]])
 }
 
-/// A version 3 store recovers under this build to the state and
-/// prediction bits the version 3 build printed, and to the state a run of
-/// the same script reaches here but for one shard slot. The next snapshot
-/// is version 4 and recovers to the same state again.
-#[test]
-fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v4() {
-    let dir = tmp_dir("v3-fixture");
-    copy_dir(V3_FIXTURE, &dir);
-    assert_eq!(newest_snapshot_version(&dir), 3, "the fixture is a version 3 store");
+/// `state` with every template's parameter reservoir emptied. A store
+/// written by an older build holds the reservoirs that build sampled, and
+/// it offered a statement only on a cache miss or on a slot's 64th hit;
+/// this build offers every statement. A recovered store therefore matches
+/// a live run of its script in everything but the reservoirs.
+fn without_reservoirs(mut state: qb5000::PipelineState) -> qb5000::PipelineState {
+    for entry in &mut state.pre.entries {
+        entry.params_seen = 0;
+        entry.params_items.clear();
+        entry.params_rng = [0; 4];
+    }
+    state
+}
+
+/// Recovers a copy of `fixture`, a `version` store written from
+/// [`run_v3_script`], and checks it: the pinned state, manager state and
+/// prediction bits, and the state a run of the same script reaches under
+/// this build but for the reservoirs. Then snapshots it again, as
+/// [`qb5000::STATE_VERSION`], and checks that the new snapshot recovers to
+/// the same state.
+fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
+    let dir = tmp_dir(name);
+    copy_dir(fixture, &dir);
+    assert_eq!(newest_snapshot_version(&dir), version, "the fixture is a version {version} store");
 
     let (mut p, mstate, bits) = recover_v3(&dir);
     let state = p.bot().export_state();
-    assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as v3 recovered it");
-    assert_eq!(fnv1a(&format!("{mstate:?}")), V3_MANAGER_FNV, "ManagerState as v3 recovered it");
-    assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as v3 recovered them");
-    assert!(!state.pre.shard_slots.is_empty());
+    assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as recovered before");
+    assert_eq!(fnv1a(&format!("{mstate:?}")), V3_MANAGER_FNV, "ManagerState as recovered before");
+    assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as recovered before");
     assert!(state.pre.entries.iter().any(|e| !e.history.compacted.is_empty()));
 
-    // The same script under this build reaches the same state, but for the
-    // shard slot of `V3_SQL[3]`, the late per-event sighting: the version 3
-    // build cached it in its raw-SQL cache, which recovery drops (no tail
-    // hour re-sights it), while this build caches it in a shard slot.
-    let live_dir = tmp_dir("v3-fixture-live");
+    let live_dir = tmp_dir(&format!("{name}-live"));
     let live = run_v3_script(&live_dir);
-    let mut live_state = live.bot().export_state();
-    let slot_of = |s: &qb5000::PipelineState| {
-        s.pre.shard_slots.iter().position(|(sql, ..)| sql == V3_SQL[3])
-    };
-    assert_eq!(slot_of(&state), None, "the raw-cached statement has no recovered slot");
-    live_state.pre.shard_slots.remove(slot_of(&live_state).expect("a live slot"));
-    assert_eq!(live_state, state, "recovered == the script's own end state, but for that slot");
+    assert_eq!(
+        without_reservoirs(live.bot().export_state()),
+        without_reservoirs(state.clone()),
+        "recovered == the script's own end state, but for the reservoirs"
+    );
     drop(live);
     let _ = std::fs::remove_dir_all(&live_dir);
 
-    // Snapshot again: written as version 4, recovered to the same state.
     p.snapshot().expect("re-snapshot");
     drop(p);
     assert_eq!(newest_snapshot_version(&dir), qb5000::STATE_VERSION);
-    assert_eq!(qb5000::STATE_VERSION, 4);
-    let (p, mstate_v4, bits_v4) = recover_v3(&dir);
-    assert_eq!(p.bot().export_state(), state, "v4 re-snapshot recovers the same state");
-    assert_eq!(mstate_v4, mstate);
-    assert_eq!(bits_v4, bits);
+    let (p, mstate_again, bits_again) = recover_v3(&dir);
+    assert_eq!(p.bot().export_state(), state, "the new snapshot recovers the same state");
+    assert_eq!(mstate_again, mstate);
+    assert_eq!(bits_again, bits);
     drop(p);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version 3 store passes [`recover_store_fixture`]'s checks; the next
+/// snapshot is version 5.
+#[test]
+fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v5() {
+    assert_eq!(qb5000::STATE_VERSION, 5);
+    recover_store_fixture(V3_FIXTURE, 3, "v3-fixture");
+}
+
+/// A version 4 store, which holds shard-cache slots and the two dead
+/// fields of the raw-SQL cache, passes the same checks: the read-only
+/// version 4 decoder drops them. The next snapshot is version 5.
+#[test]
+fn v4_store_fixture_recovers_bit_identically_and_resnapshots_as_v5() {
+    recover_store_fixture(V4_FIXTURE, 4, "v4-fixture");
 }
 
 /// The version 3 store without its snapshot: every frame replays, the
@@ -684,18 +722,19 @@ fn v3_wal_replays_per_sighting_frames_as_batches_of_one() {
     let _ = std::fs::remove_dir_all(&live_dir);
 }
 
-/// Versions 3 and 4 decode; 2 and 5 are refused before any field is read.
+/// Version 5 decodes (3 and 4 are the fixtures'); 2 and 6 are refused
+/// before any field is read.
 #[test]
-fn payload_versions_other_than_3_and_4_are_refused() {
+fn payload_versions_other_than_3_to_5_are_refused() {
     let full = FullState {
         pipeline: QueryBot5000::new(Qb5000Config::default()).export_state(),
         manager: None,
         tracer: None,
     };
     let bytes = encode_full_state(&full);
-    assert_eq!(bytes[..2], 4u16.to_le_bytes());
-    assert_eq!(decode_full_state(&bytes).expect("v4 decodes"), full);
-    for version in [2u16, 5] {
+    assert_eq!(bytes[..2], 5u16.to_le_bytes());
+    assert_eq!(decode_full_state(&bytes).expect("v5 decodes"), full);
+    for version in [2u16, 6] {
         let mut refused = bytes.clone();
         refused[..2].copy_from_slice(&version.to_le_bytes());
         let err = decode_full_state(&refused).expect_err("unknown version");
