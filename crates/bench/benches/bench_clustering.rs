@@ -100,12 +100,39 @@ fn bench_online_update(c: &mut Criterion) {
     // in step 1). This one is the merge step's worst case: 800 singleton
     // clusters whose 24 families show in one update — hundreds of merges.
     let (sparse, shaped) = cold_start_storm(800, 24, 64);
+    bench_storm(&mut group, "cold_start_storm", sparse.clone(), shaped.clone());
+    // The same storm as a cold start's features are laid out: a month of
+    // hourly samples sorted in time, every template younger than the last
+    // 64 hours and so zero on the 436 coordinates before them.
+    let lattice = |snaps: Vec<TemplateSnapshot>| -> Vec<TemplateSnapshot> {
+        snaps
+            .into_iter()
+            .map(|mut s| {
+                let mut values = vec![0.0; 500 - s.feature.values.len()];
+                values.append(&mut s.feature.values);
+                s.feature = TemplateFeature::full(values);
+                s
+            })
+            .collect()
+    };
+    bench_storm(&mut group, "cold_start_storm_lattice", lattice(sparse), lattice(shaped));
+    group.finish();
+}
+
+/// One update that merges 800 singletons, founded from `sparse`, as their
+/// `shaped` features show.
+fn bench_storm(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    sparse: Vec<TemplateSnapshot>,
+    shaped: Vec<TemplateSnapshot>,
+) {
     let mut founded = OnlineClusterer::new(ClustererConfig::default());
     founded.update(sparse, 0);
     assert_eq!(founded.num_clusters(), 800);
     let state = founded.export_state();
     let founded = || OnlineClusterer::restore(ClustererConfig::default(), state.clone());
-    group.bench_function(BenchmarkId::new("cold_start_storm", 800), |b| {
+    group.bench_function(BenchmarkId::new(name, 800), |b| {
         b.iter_batched(
             || (founded(), shaped.clone()),
             |(mut cl, shaped)| {
@@ -116,7 +143,6 @@ fn bench_online_update(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    group.finish();
 }
 
 fn bench_kdtree(c: &mut Criterion) {

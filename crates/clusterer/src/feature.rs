@@ -100,6 +100,26 @@ pub struct TemplateFeature {
     pub valid_from: usize,
 }
 
+/// The number of leading coordinates of `values` that are exactly zero
+/// (`values.len()` for an all-zero vector).
+///
+/// A feature is read over timestamps sorted in time, so a template first
+/// seen `h` hours ago is zero on every earlier coordinate: in a deployment
+/// younger than the feature window that lead is most of the vector. A sum
+/// of products that starts at the lead instead of at 0 skips only exact
+/// zeros, which is how the merge step keeps its cells and centres bit for
+/// bit while walking only what history there is.
+pub(crate) fn zero_lead(values: &[f64]) -> usize {
+    // Eight coordinates per test, branch-free within a block (`x == 0.0`
+    // for both zeros is `x.to_bits() << 1 == 0`), so the scan vectorises.
+    let zero_blocks = values
+        .chunks_exact(8)
+        .take_while(|block| block.iter().fold(0u64, |any, x| any | x.to_bits() << 1) == 0)
+        .count();
+    let from = zero_blocks * 8;
+    values[from..].iter().position(|&x| x != 0.0).map_or(values.len(), |i| from + i)
+}
+
 impl TemplateFeature {
     /// Creates a feature with every coordinate valid.
     pub fn full(values: Vec<f64>) -> Self {
@@ -169,6 +189,21 @@ mod tests {
         let s = FeatureSampler::even(0, 240, Interval::HOUR);
         let f = s.extract(&h, 120);
         assert_eq!(f.valid_from, 2, "first two sample points predate the template");
+    }
+
+    #[test]
+    fn zero_lead_counts_leading_zeros_of_either_sign() {
+        assert_eq!(zero_lead(&[]), 0);
+        for len in [1, 7, 8, 9, 17, 40] {
+            assert_eq!(zero_lead(&vec![0.0; len]), len);
+            for at in 0..len {
+                let mut v = vec![0.0; len];
+                v[..at].iter_mut().step_by(3).for_each(|x| *x = -0.0);
+                v[at] = if at % 2 == 0 { 1e-300 } else { -2.0 };
+                v[len - 1] = if at == len - 1 { v[at] } else { 5.0 };
+                assert_eq!(zero_lead(&v), at, "len {len}, first nonzero at {at}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use qb_obs::Recorder;
 use qb_trace::{EventDraft, EventKind, Scope, Tracer};
 
-use crate::feature::TemplateFeature;
+use crate::feature::{zero_lead, TemplateFeature};
 use crate::kdtree::KdTree;
 use crate::merge::{MergeStats, MergeTable};
 
@@ -103,9 +103,19 @@ pub struct Cluster {
 #[derive(Debug, Clone)]
 struct TemplateState {
     feature: TemplateFeature,
+    /// Leading exact zeros of `feature.values`: derived, so set wherever
+    /// the feature is, and never exported.
+    lead: usize,
     volume: f64,
     last_seen: i64,
     cluster: ClusterId,
+}
+
+impl TemplateState {
+    fn new(feature: TemplateFeature, volume: f64, last_seen: i64, cluster: ClusterId) -> Self {
+        let lead = zero_lead(&feature.values);
+        Self { feature, lead, volume, last_seen, cluster }
+    }
 }
 
 /// What changed during one update cycle.
@@ -154,10 +164,12 @@ struct ClusterMetrics {
     reassigned: qb_obs::Counter,
     evicted: qb_obs::Counter,
     merges: qb_obs::Counter,
-    /// Center similarities the merge step computed, and rows of its table
-    /// it scanned again after a merge — the step's cost as counts.
+    /// Center similarities the merge step computed, rows of its table it
+    /// scanned again after a merge, and coordinates its passes over the
+    /// centres walked — the step's cost as counts.
     merge_pairs_scored: qb_obs::Counter,
     merge_rows_rescanned: qb_obs::Counter,
+    merge_coords_read: qb_obs::Counter,
     clusters_created: qb_obs::Counter,
     num_clusters: qb_obs::Gauge,
     num_templates: qb_obs::Gauge,
@@ -178,6 +190,7 @@ impl ClusterMetrics {
             merges: recorder.counter("clusterer.merges"),
             merge_pairs_scored: recorder.counter("clusterer.merge_pairs_scored"),
             merge_rows_rescanned: recorder.counter("clusterer.merge_rows_rescanned"),
+            merge_coords_read: recorder.counter("clusterer.merge_coords_read"),
             clusters_created: recorder.counter("clusterer.clusters_created"),
             num_clusters: recorder.gauge("clusterer.num_clusters"),
             num_templates: recorder.gauge("clusterer.num_templates"),
@@ -329,6 +342,7 @@ impl OnlineClusterer {
         for snap in snapshots {
             match self.templates.get_mut(&snap.key) {
                 Some(state) => {
+                    state.lead = zero_lead(&snap.feature.values);
                     state.feature = snap.feature;
                     state.volume = snap.volume;
                     state.last_seen = snap.last_seen;
@@ -471,6 +485,7 @@ impl OnlineClusterer {
         self.metrics.merges.add(report.merges as u64);
         self.metrics.merge_pairs_scored.add(merge_stats.scored as u64);
         self.metrics.merge_rows_rescanned.add(merge_stats.rescanned_rows as u64);
+        self.metrics.merge_coords_read.add(merge_stats.coords_read as u64);
         self.metrics.clusters_created.add(report.clusters_created as u64);
         self.metrics.num_clusters.set(self.clusters.len() as f64);
         self.metrics.num_templates.set(self.templates.len() as f64);
@@ -521,8 +536,7 @@ impl OnlineClusterer {
             Some((cid, sim)) if sim > self.config.rho => {
                 let cluster = self.clusters.get_mut(&cid).expect("lookup hit a live cluster");
                 cluster.members.push(key);
-                self.templates
-                    .insert(key, TemplateState { feature, volume, last_seen, cluster: cid });
+                self.templates.insert(key, TemplateState::new(feature, volume, last_seen, cid));
                 (cid, false)
             }
             _ => {
@@ -537,8 +551,7 @@ impl OnlineClusterer {
                         volume,
                     },
                 );
-                self.templates
-                    .insert(key, TemplateState { feature, volume, last_seen, cluster: cid });
+                self.templates.insert(key, TemplateState::new(feature, volume, last_seen, cid));
                 ctx.fresh.push(cid);
                 (cid, true)
             }
@@ -586,8 +599,9 @@ impl OnlineClusterer {
         match self.config.metric {
             // Masked features compare on a suffix; the kd-tree indexes
             // full vectors, so it only answers exactly for unmasked
-            // features. Masked (new-template) lookups fall back to a
-            // scan — they are rare relative to steady-state lookups.
+            // features. Masked lookups fall back to a scan. A template is
+            // masked until it is older than the feature window, so in a
+            // deployment younger than the window every lookup scans.
             SimilarityMetric::Cosine if feature.valid_from == 0 => {
                 let qn = qb_linalg::norm(&feature.values);
                 if qn == 0.0 {
@@ -632,6 +646,11 @@ impl OnlineClusterer {
 
     /// Recomputes a single cluster's center and volume from its members,
     /// dropping the cluster if it has none left.
+    ///
+    /// Each member is added from its zero lead on, and only the suffix from
+    /// the smallest lead is divided: a coordinate starts at `+0.0`, and
+    /// adding an exact zero to it, or dividing `+0.0` by the member count,
+    /// leaves its bits as they were. The cost is O(members · (d − lead)).
     fn update_center(&mut self, cid: ClusterId) {
         let Some(cluster) = self.clusters.get_mut(&cid) else { return };
         if cluster.members.is_empty() {
@@ -642,15 +661,18 @@ impl OnlineClusterer {
         cluster.center.clear();
         cluster.center.resize(dim, 0.0);
         cluster.volume = 0.0;
+        let mut from = dim;
         for m in &cluster.members {
             let s = &self.templates[m];
-            for (c, v) in cluster.center.iter_mut().zip(&s.feature.values) {
+            let lead = s.lead.min(dim);
+            for (c, v) in cluster.center[lead..].iter_mut().zip(&s.feature.values[lead..]) {
                 *c += v;
             }
+            from = from.min(lead);
             cluster.volume += s.volume;
         }
         let n = cluster.members.len() as f64;
-        for c in &mut cluster.center {
+        for c in &mut cluster.center[from..] {
             *c /= n;
         }
     }
@@ -684,8 +706,14 @@ impl OnlineClusterer {
     /// merge one O(k) pick over the rows' cached partners, one row of at
     /// most `k` similarities for the moved center, and a rescan of only
     /// the rows whose cached partner was the source or the destination.
-    /// m merges over k clusters cost O((k² + m·k)·d) arithmetic and touch
-    /// no more than that many cells otherwise; the table (4·k² bytes of
+    /// Each merge also re-centers its destination, which adds every member
+    /// once. Every one of these passes starts at the vector's zero lead
+    /// (see `update_center` and the `merge` module docs), so
+    /// with `s` the longest suffix `d − lead` a pass walks, m merges over
+    /// k clusters cost O((k² + m·k)·s + Σ members·s) arithmetic, where the
+    /// sum runs over each merge's destination, and touch no more than
+    /// that many cells otherwise; `s` reaches `d` only once some template
+    /// is older than the feature window. The table (4·k² bytes of
     /// similarities plus a copy of the centers) is dropped on return.
     ///
     /// Returns `(dst, src, moved_members)` per merge, in merge order, and
@@ -795,15 +823,15 @@ impl OnlineClusterer {
             .map(|t| {
                 (
                     t.key,
-                    TemplateState {
-                        feature: TemplateFeature {
+                    TemplateState::new(
+                        TemplateFeature {
                             values: t.feature_values,
                             valid_from: t.feature_valid_from,
                         },
-                        volume: t.volume,
-                        last_seen: t.last_seen,
-                        cluster: ClusterId(t.cluster),
-                    },
+                        t.volume,
+                        t.last_seen,
+                        ClusterId(t.cluster),
+                    ),
                 )
             })
             .collect();

@@ -347,6 +347,101 @@ fn clusterer_matches_reference_through_cold_start_storm_inverse_l2() {
     assert!(merges >= 300, "the storm update performed only {merges} merges");
 }
 
+// --- clusterer vs. reference: a cold start on a time-sorted lattice ---
+
+const LATTICE_DIM: usize = 48;
+const LATTICE_RESIDENTS: u64 = 40;
+const LATTICE_WAVE: u64 = 340;
+const LATTICE_LATE: u64 = 60;
+const LATTICE_FAMILIES: u64 = 12;
+
+/// The feature of `key` at update `round` of a cold start whose features
+/// are read over time-sorted hourly samples, the last coordinate being
+/// the latest hour. A key is exactly zero before the coordinate of its
+/// first arrival, so the corpus is mostly zero leads, which the merge
+/// step skips:
+///
+/// * residents (from round 0) have ≤ 8 zeros and a six-hour cycle in one
+///   of four phases;
+/// * the wave (round 1) and the late keys (round 3) first show as one
+///   arrival in the latest hour, distinct per key, after the latest
+///   sampled timestamp (`valid_from` = d, so step 1 founds a singleton for
+///   each). Any two one-coordinate suffixes have cosine 1, so under cosine
+///   the whole arrival merges in that update;
+/// * from the update after its arrival a key's suffix grows by one
+///   coordinate per update, alternating its family's two rates, and only
+///   that suffix is valid: under cosine, step 2's masked re-check splits
+///   the merged arrival by family; under inverse-L2 the distinct
+///   singletons storm into their families. One key in 83 never records an
+///   arrival in any sampled bucket (all-zero).
+fn lattice_feature(rng: &mut SmallRng, key: u64, round: u64) -> TemplateFeature {
+    let d = LATTICE_DIM;
+    let mut values = vec![0.0; d];
+    if key < LATTICE_RESIDENTS {
+        let lead = (key % 8) as usize;
+        for (t, v) in values.iter_mut().enumerate().skip(lead) {
+            let peak = (t + key as usize % 4) % 6 < 2;
+            *v = if peak { 4.0 } else { 1.0 } + rng.gen_range(0.0..0.3f64);
+        }
+        return TemplateFeature { values, valid_from: lead };
+    }
+    let arrival = if key < LATTICE_RESIDENTS + LATTICE_WAVE { 1 } else { 3 };
+    if round == arrival {
+        values[d - 1] = 1.0 + 2.0 * (key - LATTICE_RESIDENTS) as f64;
+        return TemplateFeature { values, valid_from: d };
+    }
+    let lead = d - 1 - (round - arrival) as usize;
+    if key % 83 != 7 {
+        let family = key % LATTICE_FAMILIES;
+        let rates = [1.0 + family as f64, 12.0 - family as f64];
+        for (t, v) in values.iter_mut().enumerate().skip(lead) {
+            *v = rates[(t - lead) % 2] + rng.gen_range(-0.1..0.1f64);
+        }
+    }
+    TemplateFeature { values, valid_from: lead }
+}
+
+/// Residents, then a 340-key arrival, then the update that splits it (or,
+/// under inverse-L2, storms it), a 60-key late arrival, and one more
+/// update. Returns the largest number of merges one update performed.
+fn assert_lattice_storm_matches_reference(metric: SimilarityMetric, rho: f64) -> usize {
+    let (mut online, mut reference) = clusterer_pair(metric, rho, 1_000_000);
+    let mut rng = SmallRng::seed_from_u64(0x1A77_1CE0);
+    let mut most_merges = 0;
+    for round in 0..5u64 {
+        let live = match round {
+            0 => LATTICE_RESIDENTS,
+            1 | 2 => LATTICE_RESIDENTS + LATTICE_WAVE,
+            _ => LATTICE_RESIDENTS + LATTICE_WAVE + LATTICE_LATE,
+        };
+        let now = round as i64;
+        let snaps = (0..live)
+            .map(|key| TemplateSnapshot {
+                key,
+                feature: lattice_feature(&mut rng, key, round),
+                volume: 1.0 + (key % 13) as f64,
+                last_seen: now,
+            })
+            .collect();
+        let context = format!("lattice, {metric:?}, round {round}");
+        let report = compare_update(&mut online, &mut reference, snaps, now, &context);
+        most_merges = most_merges.max(report.merges);
+    }
+    most_merges
+}
+
+#[test]
+fn clusterer_matches_reference_through_lattice_storm_cosine() {
+    let merges = assert_lattice_storm_matches_reference(SimilarityMetric::Cosine, 0.8);
+    assert!(merges >= 300, "the storm update performed only {merges} merges");
+}
+
+#[test]
+fn clusterer_matches_reference_through_lattice_storm_inverse_l2() {
+    let merges = assert_lattice_storm_matches_reference(SimilarityMetric::InverseL2, 0.5);
+    assert!(merges >= 300, "the storm update performed only {merges} merges");
+}
+
 #[test]
 fn merge_tie_between_moved_centre_and_held_partner_goes_to_lowest_id() {
     // Four singletons, ids 0..4 in key order: X at the origin, P and Q
