@@ -113,8 +113,10 @@ impl Qb5000ConfigBuilder {
 
     /// Raw-SQL capacity of the ingest shard caches, split evenly between
     /// them; a shard at its share takes a generational reset (must be
-    /// ≥ 1). Size it above the distinct-statement working set to keep the
-    /// repeat-arrival fast path hot.
+    /// ≥ 1). A text is cached on its second miss, so size it above the
+    /// working set of texts that repeat to keep the repeat-arrival fast
+    /// path hot. It also sizes each shard's admission doorkeeper, at 8 B
+    /// a slot.
     pub fn raw_cache_limit(mut self, limit: usize) -> Self {
         self.cfg.preprocessor.raw_cache_limit = limit;
         self

@@ -34,7 +34,12 @@ pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     if b.len() != n {
         return Err(LinalgError::ShapeMismatch { expected: (n, 1), got: (b.len(), 1) });
     }
-    let l = cholesky_factor(a)?;
+    Ok(cholesky_substitute(&cholesky_factor(a)?, b))
+}
+
+/// Solves `L Lᵀ x = b` given the lower Cholesky factor `L`.
+fn cholesky_substitute(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = l.rows();
     // Forward substitution: L y = b.
     let mut y = vec![0.0; n];
     for i in 0..n {
@@ -47,7 +52,7 @@ pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let s: f64 = (i + 1..n).map(|j| l[(j, i)] * x[j]).sum();
         x[i] = (y[i] - s) / l[(i, i)];
     }
-    Ok(x)
+    x
 }
 
 /// Computes the lower Cholesky factor `L` of an SPD matrix.
@@ -126,8 +131,9 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 ///
 /// This is the closed-form solution `(XᵀX + λI)⁻¹ XᵀY` used by QB5000's LR
 /// model (§6.1): one multi-output linear map trained jointly over all
-/// clusters. Cholesky is attempted first (the regularized Gram matrix is SPD
-/// for λ > 0) with an LU fallback for numerically difficult inputs.
+/// clusters. The regularized Gram matrix is SPD for λ > 0, so it is
+/// Cholesky-factored once and every target column is substituted through
+/// the one factor; if factoring fails each column falls back to LU.
 pub fn ridge_regression(x: &Matrix, y: &Matrix, lambda: f64) -> Result<Matrix, LinalgError> {
     if x.rows() != y.rows() {
         return Err(LinalgError::ShapeMismatch { expected: (x.rows(), y.cols()), got: y.shape() });
@@ -137,11 +143,12 @@ pub fn ridge_regression(x: &Matrix, y: &Matrix, lambda: f64) -> Result<Matrix, L
         gram[(i, i)] += lambda;
     }
     let xty = x.transpose().matmul(y);
+    let factor = cholesky_factor(&gram);
     let mut w = Matrix::zeros(x.cols(), y.cols());
     for t in 0..y.cols() {
         let rhs = xty.col(t);
-        let col = match cholesky_solve(&gram, &rhs) {
-            Ok(c) => c,
+        let col = match &factor {
+            Ok(l) => cholesky_substitute(l, &rhs),
             Err(_) => lu_solve(&gram, &rhs)?,
         };
         for (i, v) in col.into_iter().enumerate() {
@@ -226,6 +233,58 @@ mod tests {
         assert!((w[(0, 0)] - 5.0).abs() < 1e-5);
         assert!((w[(0, 1)] + 1.0).abs() < 1e-5);
         assert!((w[(1, 1)] - 7.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn ridge_factors_once_and_matches_per_column_solves_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x51d9e);
+        let mut fallbacks = 0;
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        // λ = 0 with more features than rows leaves the Gram matrix
+        // singular, so the LU fallback is compared too.
+        for &(rows, features) in &[(1, 1), (7, 3), (30, 12), (5, 9), (60, 41)] {
+            for targets in [1, 3, 5] {
+                for lambda in [0.0, 1e-9, 0.5, 1e3] {
+                    let x = Matrix::from_rows(
+                        &(0..rows)
+                            .map(|_| (0..features).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                            .collect::<Vec<Vec<f64>>>(),
+                    );
+                    let y = Matrix::from_rows(
+                        &(0..rows)
+                            .map(|_| (0..targets).map(|_| rng.gen_range(-50.0..50.0)).collect())
+                            .collect::<Vec<Vec<f64>>>(),
+                    );
+                    let mut gram = x.gram();
+                    for i in 0..features {
+                        gram[(i, i)] += lambda;
+                    }
+                    let xty = x.transpose().matmul(&y);
+                    fallbacks += usize::from(cholesky_solve(&gram, &xty.col(0)).is_err());
+                    let want: Result<Vec<Vec<f64>>, LinalgError> = (0..targets)
+                        .map(|t| {
+                            let rhs = xty.col(t);
+                            cholesky_solve(&gram, &rhs).or_else(|_| lu_solve(&gram, &rhs))
+                        })
+                        .collect();
+                    let got = ridge_regression(&x, &y, lambda);
+                    let case = format!("{rows}x{features} targets={targets} λ={lambda}");
+                    match (want, got) {
+                        (Ok(cols), Ok(w)) => {
+                            for (t, col) in cols.iter().enumerate() {
+                                assert_eq!(bits(&w.col(t)), bits(col), "{case} column {t}");
+                            }
+                        }
+                        (Err(a), Err(b)) => assert_eq!(a, b, "{case}"),
+                        (want, got) => panic!("{case}: {want:?} vs {got:?}"),
+                    }
+                }
+            }
+        }
+        assert!(fallbacks > 0, "some case must take the LU fallback");
     }
 
     #[test]

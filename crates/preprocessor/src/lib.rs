@@ -211,11 +211,14 @@ pub struct PreProcessorConfig {
     /// Seed for the reservoir's RNG (deterministic sampling).
     pub seed: u64,
     /// Upper bound on raw SQL strings cached across the ingest shards (the
-    /// exact-repeat parser bypass), split evenly between them. When a
-    /// shard's share is reached its cache takes a generational reset — it
-    /// is cleared and refills with whatever is hot *now* — so template
-    /// churn cannot freeze it on a stale working set. It bounds memory and
-    /// throughput only: exported state never depends on it.
+    /// exact-repeat parser bypass), split evenly between them. A text is
+    /// cached on its second miss; each shard's admission doorkeeper holds
+    /// one 8-byte fingerprint per slot of its share, rounded up to a power
+    /// of two. When a shard's share is reached its cache takes a
+    /// generational reset — it is cleared and refills with whatever is hot
+    /// *now* — so template churn cannot freeze it on a stale working set.
+    /// It bounds memory and throughput only: exported state never depends
+    /// on it.
     pub raw_cache_limit: usize,
     /// Logical shard count for the ingest engine ([`shard`]): content
     /// routing hashes raw text to one of this many shards, which the
@@ -734,16 +737,17 @@ mod tests {
         let mut p = pp();
         p.set_recorder(&rec);
         p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
+        p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // second miss: cached
         p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // shard-cache hit
         let _ = p.ingest_weighted(1, "BROKEN ((", 3);
         let snap = rec.snapshot();
-        assert_eq!(snap.counters["preprocessor.ingested_statements"], 2);
-        assert_eq!(snap.counters["preprocessor.ingested_arrivals"], 2);
+        assert_eq!(snap.counters["preprocessor.ingested_statements"], 3);
+        assert_eq!(snap.counters["preprocessor.ingested_arrivals"], 3);
         assert_eq!(snap.counters["preprocessor.quarantined_statements"], 1);
         assert_eq!(snap.counters["preprocessor.quarantined_arrivals"], 3);
         assert_eq!(snap.counters["preprocessor.cache_hits"], 1);
         assert_eq!(snap.gauges["preprocessor.templates"], 1.0);
-        assert_eq!(snap.histograms["preprocessor.ingest"].count, 3);
+        assert_eq!(snap.histograms["preprocessor.ingest"].count, 4);
     }
 
     #[test]
@@ -814,7 +818,8 @@ mod tests {
     #[test]
     fn cache_hit_counter_identity_across_fast_and_reparse_paths() {
         // A slot hit is a hit whether the reservoir keeps it (and it
-        // re-parses) or not; only the first sighting is a miss.
+        // re-parses) or not; only the first two sightings miss, the second
+        // admitting the text to the cache.
         let rec = Recorder::new();
         let mut p = pp();
         p.set_recorder(&rec);
@@ -822,8 +827,8 @@ mod tests {
             p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
         }
         let snap = rec.snapshot();
-        // 129 ingests = 1 miss + 128 hits. Every one was ingested.
-        assert_eq!(snap.counters["preprocessor.cache_hits"], 128);
+        // 129 ingests = 2 misses + 127 hits. Every one was ingested.
+        assert_eq!(snap.counters["preprocessor.cache_hits"], 127);
         assert_eq!(snap.counters["preprocessor.ingested_statements"], 129);
         assert_eq!(snap.counters["preprocessor.ingested_arrivals"], 129);
         assert_eq!(p.template(TemplateId(0)).history.total(), 129);
