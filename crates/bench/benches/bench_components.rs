@@ -35,7 +35,7 @@ fn bench_preprocessor(c: &mut Criterion) {
         )
     });
 
-    // Repeated queries (shard-cache hit: the steady-state OLTP path).
+    // Repeated queries (memo hit: the steady-state OLTP path).
     let hot: Vec<&String> = queries.iter().cycle().take(4096).collect();
     group.bench_function("ingest_hot", |b| {
         let mut pre = PreProcessor::new(PreProcessorConfig::default());

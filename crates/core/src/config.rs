@@ -74,12 +74,6 @@ impl Qb5000Config {
             return Err(ConfigError::ZeroCount { field: "max_clusters" });
         }
         check_ratio("coverage_target", self.coverage_target)?;
-        if self.preprocessor.ingest_shards == 0 {
-            return Err(ConfigError::ZeroCount { field: "preprocessor.ingest_shards" });
-        }
-        if self.preprocessor.raw_cache_limit == 0 {
-            return Err(ConfigError::ZeroCount { field: "preprocessor.raw_cache_limit" });
-        }
         Ok(())
     }
 }
@@ -101,24 +95,6 @@ impl Qb5000ConfigBuilder {
     /// Clusterer settings (ρ, metric, eviction, shift trigger).
     pub fn clusterer(mut self, clusterer: ClustererConfig) -> Self {
         self.cfg.clusterer = clusterer;
-        self
-    }
-
-    /// Logical shard count for the ingest engine (must be ≥ 1). Routing is
-    /// content-addressed, so this changes throughput, never results.
-    pub fn ingest_shards(mut self, shards: usize) -> Self {
-        self.cfg.preprocessor.ingest_shards = shards;
-        self
-    }
-
-    /// Raw-SQL capacity of the ingest shard caches, split evenly between
-    /// them; a shard at its share takes a generational reset (must be
-    /// ≥ 1). A text is cached on its second miss, so size it above the
-    /// working set of texts that repeat to keep the repeat-arrival fast
-    /// path hot. It also sizes each shard's admission doorkeeper, at 8 B
-    /// a slot.
-    pub fn raw_cache_limit(mut self, limit: usize) -> Self {
-        self.cfg.preprocessor.raw_cache_limit = limit;
         self
     }
 

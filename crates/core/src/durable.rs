@@ -997,7 +997,7 @@ impl DurablePipeline {
     ///
     /// The whole batch travels in one WAL frame, so a crash either loses
     /// the entire tick or none of it — replay routes the frame back
-    /// through the sharded engine and re-derives identical state.
+    /// through the ingest engine and re-derives identical state.
     pub fn ingest_batch(&mut self, batch: &[BatchItem<'_>]) -> Result<BatchReport, Error> {
         let payload = encode_batch_items(batch.iter().map(|it| (it.minute, it.count, it.sql)));
         self.append_frame(KIND_INGEST_BATCH, &payload)?;
@@ -1405,7 +1405,7 @@ mod tests {
         assert_eq!(
             p2.bot().export_state(),
             reference.0,
-            "batched replay through cold shard caches re-derives identical state"
+            "batched replay through a cold memo re-derives identical state"
         );
         assert_eq!(p2.health(), reference.1);
         assert_eq!(p2.durable_seq(), reference.2);

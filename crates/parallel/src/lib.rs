@@ -2,7 +2,8 @@
 //!
 //! A small, from-scratch scoped worker pool (std::thread only) for QB5000's
 //! independent-work hot paths: per-horizon model training, ensemble member
-//! fits, and the bench harness's experiment fan-out.
+//! fits, the ingest engine's resolve phase, and the bench harness's
+//! experiment fan-out.
 //!
 //! ## Determinism contract
 //!
@@ -164,65 +165,6 @@ impl ThreadPool {
         self.par.threads()
     }
 
-    /// Applies `f(index, &mut item)` to every element of a borrowed slice
-    /// and returns the results in **input order** — the in-place sibling of
-    /// [`ThreadPool::map`] for stateful per-slot work (e.g. the ingest
-    /// engine's shards), where moving the items through a `Vec` would force
-    /// a take-and-rebuild dance on every call.
-    ///
-    /// Each element is wrapped in a `Mutex<&mut T>` slot claimed exactly
-    /// once via the shared index counter, so workers get disjoint exclusive
-    /// access without `unsafe`. The determinism contract is the same as
-    /// [`ThreadPool::map`]: `f` must not observe any other slot's effects.
-    ///
-    /// # Panics
-    /// A panicking task propagates to the caller once all workers join.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        let n = items.len();
-        let _span = self.map_time.start();
-        self.tasks.add(n as u64);
-        if !self.par.is_parallel() || n <= 1 {
-            return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.par.threads().min(n);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut guard = slots[i].lock().expect("task slot poisoned");
-                        let r = f(i, &mut guard);
-                        *results[i].lock().expect("result slot poisoned") = Some(r);
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(p) = h.join() {
-                    std::panic::resume_unwind(p);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
-    }
-
     /// Applies `f(index, item)` to every item and returns the results in
     /// **input order**, regardless of which worker finished first.
     ///
@@ -327,50 +269,6 @@ mod tests {
         let seq_bits: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
         let par_bits: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
         assert_eq!(seq_bits, par_bits);
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_preserving_order() {
-        let mut items: Vec<u64> = (0..64).collect();
-        let out = ThreadPool::new(4).map_mut(&mut items, |i, x| {
-            if i < 4 {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            *x += 100;
-            *x
-        });
-        assert_eq!(out, (100..164).collect::<Vec<u64>>());
-        assert_eq!(items, (100..164).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn map_mut_matches_sequential_bitwise() {
-        let work = |i: usize, x: &mut f64| -> f64 {
-            for k in 0..100 {
-                *x = *x * 1.000001 + (i as f64) * 0.1 + (k as f64) * 1e-7;
-            }
-            *x
-        };
-        let mut a: Vec<f64> = (0..50).map(|i| i as f64 * 0.37).collect();
-        let mut b = a.clone();
-        let seq = ThreadPool::new(1).map_mut(&mut a, work);
-        let par = ThreadPool::new(8).map_mut(&mut b, work);
-        assert_eq!(
-            seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            par.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "slot 5 exploded")]
-    fn map_mut_panic_propagates() {
-        let mut items = vec![0u8; 8];
-        ThreadPool::new(2).map_mut(&mut items, |i, _| {
-            if i == 5 {
-                panic!("slot 5 exploded");
-            }
-        });
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!    the planning module (Vitter's Algorithm R).
 //!
 //! The entry points are [`PreProcessor::ingest`] for one statement and
-//! [`PreProcessor::ingest_batch`] for a tick's worth; both run the one
-//! sharded engine in [`shard`].
+//! [`PreProcessor::ingest_batch`] for a tick's worth. Both run the one
+//! ingest engine in [`shard`]: a read-only resolve step (memo lookup, else
+//! parse and templatize), on the pool for large batches, then one
+//! sequential apply per statement in arrival order.
 
 #![forbid(unsafe_code)]
 
@@ -210,22 +212,6 @@ pub struct PreProcessorConfig {
     pub semantic_folding: bool,
     /// Seed for the reservoir's RNG (deterministic sampling).
     pub seed: u64,
-    /// Upper bound on raw SQL strings cached across the ingest shards (the
-    /// exact-repeat parser bypass), split evenly between them. A text is
-    /// cached on its second miss; each shard's admission doorkeeper holds
-    /// one 8-byte fingerprint per slot of its share, rounded up to a power
-    /// of two. When a shard's share is reached its cache takes a
-    /// generational reset — it is cleared and refills with whatever is hot
-    /// *now* — so template churn cannot freeze it on a stale working set.
-    /// It bounds memory and throughput only: exported state never depends
-    /// on it.
-    pub raw_cache_limit: usize,
-    /// Logical shard count for the ingest engine ([`shard`]): content
-    /// routing hashes raw text to one of this many shards, which the
-    /// worker pool executes. Like `raw_cache_limit` it bounds memory and
-    /// throughput only: exported state depends on neither it nor the pool
-    /// width.
-    pub ingest_shards: usize,
 }
 
 impl Default for PreProcessorConfig {
@@ -235,8 +221,6 @@ impl Default for PreProcessorConfig {
             compaction: CompactionPolicy::default(),
             semantic_folding: true,
             seed: 0x5000,
-            raw_cache_limit: 65_536,
-            ingest_shards: 8,
         }
     }
 }
@@ -282,14 +266,10 @@ pub struct PreProcessor {
     next_seed: u64,
     quarantine: Quarantine,
     tracer: Tracer,
-    /// Shard-local raw-SQL caches of the ingest engine. Real applications
-    /// repeat the same literal strings constantly; the caches
-    /// short-circuit the parser for exact repeats. Empty until the first
-    /// ingest call, and never exported.
-    shards: Vec<shard::Shard>,
-    /// Ingest calls so far (each is one batch); dedups each shard slot's
-    /// sightings to one per batch. Not persisted.
-    tick: u64,
+    /// The ingest engine's raw-SQL memo. Real applications repeat the same
+    /// literal strings; the memo short-circuits the parser for exact
+    /// repeats. Never exported.
+    memo: shard::Memo,
 }
 
 impl PreProcessor {
@@ -305,8 +285,7 @@ impl PreProcessor {
             next_seed,
             quarantine: Quarantine::default(),
             tracer: Tracer::disabled(),
-            shards: Vec::new(),
-            tick: 0,
+            memo: shard::Memo::default(),
         }
     }
 
@@ -336,7 +315,7 @@ impl PreProcessor {
     ///
     /// The weighted form is how the trace generators replay high-volume
     /// workloads without materializing duplicate strings. It is a batch of
-    /// one through the sharded engine, run on the calling thread, so it
+    /// one through the ingest engine, run on the calling thread, so it
     /// leaves exactly the state [`PreProcessor::ingest_batch`] would.
     pub fn ingest_weighted(
         &mut self,
@@ -345,11 +324,10 @@ impl PreProcessor {
         count: u64,
     ) -> Result<TemplateId, PreProcessError> {
         let _span = self.metrics.ingest_time.start();
-        self.begin_batch();
         let mut report = BatchReport::default();
-        let outcome = self.ingest_on_caller(&BatchItem { minute: t, sql, count }, &mut report);
+        let outcome = self.ingest_one(&BatchItem { minute: t, sql, count }, &mut report);
         self.publish_metrics(&report);
-        outcome.map(|(id, _)| id)
+        outcome
     }
 
     /// Interns a templated statement first seen at minute `t`, taking
@@ -504,8 +482,8 @@ impl PreProcessor {
     /// Exports the complete mutable state as plain data (durable-snapshot
     /// support). Everything needed to continue ingesting with *identical*
     /// behavior is captured: template table, folding/dedup maps, reservoir
-    /// RNG states, ingest stats, and the quarantine. The shard caches are
-    /// not: they change no exported state. Map contents are emitted in
+    /// RNG states, ingest stats, and the quarantine. The ingest memo is
+    /// not: it changes no exported state. Map contents are emitted in
     /// sorted order so the export is byte-stable across runs.
     pub fn export_state(&self) -> PreProcessorState {
         let mut distinct_texts: Vec<(String, u32)> =
@@ -537,8 +515,8 @@ impl PreProcessor {
     /// Template ASTs, verbs, table lists, logical features, and semantic
     /// fingerprints are reconstructed by re-parsing each entry's canonical
     /// text — templatizing canonical text is idempotent, so the rebuilt
-    /// table is equivalent to the one that was exported. The shard caches
-    /// start cold.
+    /// table is equivalent to the one that was exported. The ingest memo
+    /// starts cold.
     pub fn restore(
         config: PreProcessorConfig,
         state: PreProcessorState,
@@ -738,7 +716,7 @@ mod tests {
         p.set_recorder(&rec);
         p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
         p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // second miss: cached
-        p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // shard-cache hit
+        p.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap(); // memo hit
         let _ = p.ingest_weighted(1, "BROKEN ((", 3);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["preprocessor.ingested_statements"], 3);
@@ -772,7 +750,7 @@ mod tests {
     fn state_round_trip_continues_identically() {
         let mut live = pp();
         // Exercise every stateful path: folding, quarantine, weighted
-        // arrivals, and shard-cache repeats the reservoir keeps.
+        // arrivals, and memo hits the reservoir keeps.
         live.ingest(0, "SELECT x FROM t WHERE id = 1").unwrap();
         live.ingest(0, "INSERT INTO t (a) VALUES (1)").unwrap();
         live.ingest_weighted(1, "UPDATE t SET a = 2 WHERE id = 3", 40).unwrap();
@@ -964,7 +942,7 @@ mod accounting_proptests {
             prop_assert_eq!(s.selects + s.inserts + s.updates + s.deletes, s.total_queries);
         }
 
-        /// The same identity holds for the sharded batch path, and the
+        /// The same identity holds for the batch path, and the
         /// batch report agrees with the state it produced.
         #[test]
         fn batch_ingest_upholds_the_accounting_identity(

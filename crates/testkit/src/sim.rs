@@ -207,7 +207,7 @@ pub(crate) fn check_accounting(
 /// The optional pipeline features a [`run`] switches on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Features {
-    /// Ingest per-minute batches through the sharded engine instead of
+    /// Ingest per-minute batches through the batch engine instead of
     /// one event at a time.
     pub ticks: bool,
     pub serve: bool,

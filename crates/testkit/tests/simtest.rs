@@ -44,7 +44,7 @@ fn simulation_matrix() {
     paper_matrix(Features::default());
 }
 
-/// Per-minute ticks through the sharded batch engine (invariant 7).
+/// Per-minute ticks through the batch ingest engine (invariant 7).
 #[test]
 fn batched_ingest_matrix() {
     paper_matrix(Features { ticks: true, ..Features::default() });
