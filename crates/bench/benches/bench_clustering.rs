@@ -103,14 +103,14 @@ fn bench_online_update(c: &mut Criterion) {
     bench_storm(&mut group, "cold_start_storm", sparse.clone(), shaped.clone());
     // The same storm as a cold start's features are laid out: a month of
     // hourly samples sorted in time, every template younger than the last
-    // 64 hours and so zero on the 436 coordinates before them.
+    // 64 hours and so zero on the 436 coordinates before them. Each
+    // feature is built as that lead and its suffix, never padded.
     let lattice = |snaps: Vec<TemplateSnapshot>| -> Vec<TemplateSnapshot> {
         snaps
             .into_iter()
             .map(|mut s| {
-                let mut values = vec![0.0; 500 - s.feature.values.len()];
-                values.append(&mut s.feature.values);
-                s.feature = TemplateFeature::full(values);
+                let lead = 500 - s.feature.dim() + s.feature.lead();
+                s.feature = TemplateFeature::from_suffix(lead, s.feature.suffix().to_vec(), 0);
                 s
             })
             .collect()
@@ -120,7 +120,9 @@ fn bench_online_update(c: &mut Criterion) {
 }
 
 /// One update that merges 800 singletons, founded from `sparse`, as their
-/// `shaped` features show.
+/// `shaped` features show. Before timing it, one such update checks that
+/// the clusterer stores only the features' suffixes: the
+/// `clusterer.feature_coords` gauge is the sum of `dim − lead`.
 fn bench_storm(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
@@ -132,6 +134,12 @@ fn bench_storm(
     assert_eq!(founded.num_clusters(), 800);
     let state = founded.export_state();
     let founded = || OnlineClusterer::restore(ClustererConfig::default(), state.clone());
+    let recorder = Recorder::new();
+    let mut checked = founded();
+    checked.set_recorder(&recorder);
+    checked.update(shaped.clone(), 0);
+    let stored: usize = shaped.iter().map(|s| s.feature.dim() - s.feature.lead()).sum();
+    assert_eq!(recorder.snapshot().gauges["clusterer.feature_coords"], stored as f64, "{name}");
     group.bench_function(BenchmarkId::new(name, 800), |b| {
         b.iter_batched(
             || (founded(), shaped.clone()),

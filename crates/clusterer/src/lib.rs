@@ -8,7 +8,8 @@
 //!
 //! * [`FeatureSampler`] — turns a template's arrival history into a feature
 //!   vector by sampling its counts at randomly chosen timestamps in a
-//!   trailing window (§5.1);
+//!   trailing window (§5.1); a [`TemplateFeature`] stores the vector as
+//!   its zero lead and the suffix after it, the history the template has;
 //! * [`KdTree`] — nearest-center search in the (unit-normalized) feature
 //!   space. Cosine similarity over unit vectors is a monotone transform of
 //!   Euclidean distance, so a standard kd-tree finds the most-similar

@@ -438,6 +438,37 @@ mod tests {
         }
     }
 
+    /// A feature stores the history it has: through the lattice storm's
+    /// update, the clusterer's `clusterer.feature_coords` gauge is the sum
+    /// of `dim − lead` over its 480 templates, each lead counted here as
+    /// the position of the first nonzero — under a tenth of the dense
+    /// `480 · d` coordinates.
+    #[test]
+    fn lattice_storm_stores_only_each_features_suffix() {
+        use crate::{OnlineClusterer, TemplateFeature, TemplateSnapshot};
+        let clusters = lattice_storm(480);
+        let want: usize = clusters
+            .iter()
+            .map(|c| LATTICE_DIM - c.center.iter().position(|&x| x != 0.0).unwrap_or(LATTICE_DIM))
+            .sum();
+        let snaps = clusters
+            .iter()
+            .map(|c| TemplateSnapshot {
+                key: c.id.0,
+                feature: TemplateFeature::full(c.center.clone()),
+                volume: 1.0,
+                last_seen: 0,
+            })
+            .collect();
+        let recorder = qb_obs::Recorder::new();
+        let mut clusterer = OnlineClusterer::new(crate::ClustererConfig::default());
+        clusterer.set_recorder(&recorder);
+        let report = clusterer.update(snaps, 0);
+        assert_eq!(report.new_templates, 480);
+        assert_eq!(recorder.snapshot().gauges["clusterer.feature_coords"], want as f64);
+        assert!(want * 10 <= 480 * LATTICE_DIM, "{want} stored coordinates");
+    }
+
     /// Cached norms and zero leads change where a sum starts, not what it
     /// comes to: every cell equals the `qb-linalg` full-vector similarity
     /// bit for bit, in either argument order (the metrics are symmetric

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use qb_obs::Recorder;
 use qb_trace::{EventDraft, EventKind, Scope, Tracer};
 
-use crate::feature::{zero_lead, TemplateFeature};
+use crate::feature::TemplateFeature;
 use crate::kdtree::KdTree;
 use crate::merge::{MergeStats, MergeTable};
 
@@ -47,9 +47,7 @@ impl SimilarityMetric {
     fn similarity(self, f: &TemplateFeature, center: &[f64]) -> f64 {
         match self {
             SimilarityMetric::Cosine => f.similarity(center, 0),
-            SimilarityMetric::InverseL2 => {
-                1.0 / (1.0 + qb_linalg::l2_distance(&f.values, center))
-            }
+            SimilarityMetric::InverseL2 => f.inverse_l2(center),
         }
     }
 }
@@ -103,19 +101,9 @@ pub struct Cluster {
 #[derive(Debug, Clone)]
 struct TemplateState {
     feature: TemplateFeature,
-    /// Leading exact zeros of `feature.values`: derived, so set wherever
-    /// the feature is, and never exported.
-    lead: usize,
     volume: f64,
     last_seen: i64,
     cluster: ClusterId,
-}
-
-impl TemplateState {
-    fn new(feature: TemplateFeature, volume: f64, last_seen: i64, cluster: ClusterId) -> Self {
-        let lead = zero_lead(&feature.values);
-        Self { feature, lead, volume, last_seen, cluster }
-    }
 }
 
 /// What changed during one update cycle.
@@ -173,6 +161,9 @@ struct ClusterMetrics {
     clusters_created: qb_obs::Counter,
     num_clusters: qb_obs::Gauge,
     num_templates: qb_obs::Gauge,
+    /// Coordinates the tracked templates' features store: the sum of
+    /// their suffix lengths, `dim − lead` each.
+    feature_coords: qb_obs::Gauge,
     /// Unseen-template ratio of the period each update cycle closed.
     unseen_ratio: qb_obs::Gauge,
 }
@@ -194,6 +185,7 @@ impl ClusterMetrics {
             clusters_created: recorder.counter("clusterer.clusters_created"),
             num_clusters: recorder.gauge("clusterer.num_clusters"),
             num_templates: recorder.gauge("clusterer.num_templates"),
+            feature_coords: recorder.gauge("clusterer.feature_coords"),
             unseen_ratio: recorder.gauge("clusterer.unseen_ratio"),
         }
     }
@@ -342,7 +334,6 @@ impl OnlineClusterer {
         for snap in snapshots {
             match self.templates.get_mut(&snap.key) {
                 Some(state) => {
-                    state.lead = zero_lead(&snap.feature.values);
                     state.feature = snap.feature;
                     state.volume = snap.volume;
                     state.last_seen = snap.last_seen;
@@ -489,6 +480,8 @@ impl OnlineClusterer {
         self.metrics.clusters_created.add(report.clusters_created as u64);
         self.metrics.num_clusters.set(self.clusters.len() as f64);
         self.metrics.num_templates.set(self.templates.len() as f64);
+        let coords: usize = self.templates.values().map(|s| s.feature.suffix().len()).sum();
+        self.metrics.feature_coords.set(coords as f64);
         report
     }
 
@@ -536,7 +529,8 @@ impl OnlineClusterer {
             Some((cid, sim)) if sim > self.config.rho => {
                 let cluster = self.clusters.get_mut(&cid).expect("lookup hit a live cluster");
                 cluster.members.push(key);
-                self.templates.insert(key, TemplateState::new(feature, volume, last_seen, cid));
+                self.templates
+                    .insert(key, TemplateState { feature, volume, last_seen, cluster: cid });
                 (cid, false)
             }
             _ => {
@@ -547,11 +541,12 @@ impl OnlineClusterer {
                     Cluster {
                         id: cid,
                         members: vec![key],
-                        center: feature.values.clone(),
+                        center: feature.to_dense(),
                         volume,
                     },
                 );
-                self.templates.insert(key, TemplateState::new(feature, volume, last_seen, cid));
+                self.templates
+                    .insert(key, TemplateState { feature, volume, last_seen, cluster: cid });
                 ctx.fresh.push(cid);
                 (cid, true)
             }
@@ -603,13 +598,15 @@ impl OnlineClusterer {
             // masked until it is older than the feature window, so in a
             // deployment younger than the window every lookup scans.
             SimilarityMetric::Cosine if feature.valid_from == 0 => {
-                let qn = qb_linalg::norm(&feature.values);
+                let qn = qb_linalg::norm(feature.suffix());
                 if qn == 0.0 {
                     return None;
                 }
                 let mut best: Option<(ClusterId, f64)> = None;
                 if let Some(tree) = &ctx.tree {
-                    let q: Vec<f64> = feature.values.iter().map(|x| x / qn).collect();
+                    // The query is densified: its lead is `+0.0 / qn`.
+                    let mut q = vec![0.0; feature.lead()];
+                    q.extend(feature.suffix().iter().map(|x| x / qn));
                     if let Some((&cid, _)) = tree.nearest(&q) {
                         let sim =
                             self.config.metric.similarity(feature, &self.clusters[&cid].center);
@@ -657,15 +654,15 @@ impl OnlineClusterer {
             self.clusters.remove(&cid);
             return;
         }
-        let dim = self.templates[&cluster.members[0]].feature.values.len();
+        let dim = self.templates[&cluster.members[0]].feature.dim();
         cluster.center.clear();
         cluster.center.resize(dim, 0.0);
         cluster.volume = 0.0;
         let mut from = dim;
         for m in &cluster.members {
             let s = &self.templates[m];
-            let lead = s.lead.min(dim);
-            for (c, v) in cluster.center[lead..].iter_mut().zip(&s.feature.values[lead..]) {
+            let lead = s.feature.lead().min(dim);
+            for (c, v) in cluster.center[lead..].iter_mut().zip(s.feature.suffix()) {
                 *c += v;
             }
             from = from.min(lead);
@@ -789,8 +786,7 @@ impl OnlineClusterer {
                 .iter()
                 .map(|(&key, s)| TemplateRecord {
                     key,
-                    feature_values: s.feature.values.clone(),
-                    feature_valid_from: s.feature.valid_from,
+                    feature: s.feature.clone(),
                     volume: s.volume,
                     last_seen: s.last_seen,
                     cluster: s.cluster.0,
@@ -823,15 +819,12 @@ impl OnlineClusterer {
             .map(|t| {
                 (
                     t.key,
-                    TemplateState::new(
-                        TemplateFeature {
-                            values: t.feature_values,
-                            valid_from: t.feature_valid_from,
-                        },
-                        t.volume,
-                        t.last_seen,
-                        ClusterId(t.cluster),
-                    ),
+                    TemplateState {
+                        feature: t.feature,
+                        volume: t.volume,
+                        last_seen: t.last_seen,
+                        cluster: ClusterId(t.cluster),
+                    },
                 )
             })
             .collect();
@@ -862,8 +855,7 @@ impl OnlineClusterer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplateRecord {
     pub key: TemplateKey,
-    pub feature_values: Vec<f64>,
-    pub feature_valid_from: usize,
+    pub feature: TemplateFeature,
     pub volume: f64,
     pub last_seen: i64,
     pub cluster: u64,
@@ -1002,10 +994,8 @@ mod tests {
                 continue;
             }
             for &m in &cluster.members {
-                let f = feat(
-                    &c.templates[&m].feature.values,
-                );
-                let sim = SimilarityMetric::Cosine.similarity(&f, &cluster.center);
+                let sim =
+                    SimilarityMetric::Cosine.similarity(&c.templates[&m].feature, &cluster.center);
                 assert!(sim > 0.8, "member {m} sim {sim} below rho");
             }
         }
@@ -1383,7 +1373,7 @@ mod tests {
             let mut volume = 0.0;
             for m in &cluster.members {
                 let s = &c.templates[m];
-                center.iter_mut().zip(&s.feature.values).for_each(|(c, v)| *c += v);
+                center.iter_mut().zip(s.feature.to_dense()).for_each(|(c, v)| *c += v);
                 volume += s.volume;
             }
             center.iter_mut().for_each(|c| *c /= n);

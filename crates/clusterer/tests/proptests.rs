@@ -19,7 +19,11 @@ proptest! {
     /// bucket (`count_range` over `[b, b + interval)`, never clamped to
     /// the window or to `now`), and `valid_from` is the first sample at or
     /// after the template's first arrival — on histories with late
-    /// records, with and without a compacted tier.
+    /// records, with and without a compacted tier, and for a `first_seen`
+    /// that is the history's own or any other minute. The feature stores
+    /// that vector as its maximal zero lead and the suffix after it: the
+    /// stored lead is the expansion's count of leading zeros, and the
+    /// suffix is empty or starts with a nonzero.
     #[test]
     fn extract_matches_per_point_definition(
         recs in proptest::collection::vec((0i64..6_000, 1u64..40), 0..150),
@@ -28,6 +32,7 @@ proptest! {
         window in 200i64..5_000,
         width in prop_oneof![Just(1i64), Just(20), Just(60)],
         first_seen in 0i64..6_000,
+        own_first_seen in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let mut h = ArrivalHistory::new();
@@ -37,6 +42,10 @@ proptest! {
         if compact {
             h.compact(&CompactionPolicy { raw_retention: 900, compacted_interval: Interval::HOUR });
         }
+        let first_seen = match h.first_seen() {
+            Some(first) if own_first_seen => first,
+            _ => first_seen,
+        };
         let interval = Interval::minutes(width);
         for sampler in [
             FeatureSampler::random(now, window, 64, interval, seed),
@@ -51,8 +60,14 @@ proptest! {
                     (h.count_range(b, b + width) as f64).to_bits()
                 })
                 .collect();
-            let got: Vec<u64> = f.values.iter().map(|v| v.to_bits()).collect();
+            let dense = f.to_dense();
+            let got: Vec<u64> = dense.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got, want);
+            prop_assert_eq!(f.dim(), sampler.dim());
+            let zeros = dense.iter().position(|&v| v != 0.0).unwrap_or(dense.len());
+            prop_assert_eq!(f.lead(), zeros);
+            prop_assert_eq!(f.suffix(), &dense[zeros..]);
+            prop_assert!(f.suffix().first().is_none_or(|&v| v != 0.0));
             let masked = sampler.timestamps().iter().filter(|&&t| t < first_seen).count();
             prop_assert_eq!(f.valid_from, masked);
         }
@@ -104,7 +119,8 @@ proptest! {
                     (arrivals as f64).to_bits()
                 })
                 .collect();
-            let got: Vec<u64> = sampler.extract(&h, 0).values.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> =
+                sampler.extract(&h, 0).to_dense().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(got, want);
         }
     }

@@ -16,15 +16,18 @@
 //! The snapshot payload is `[u16 STATE_VERSION]` followed by the
 //! [`FullState`] encoding; every record type is hand-encoded in this
 //! module against [`qb_durable::Enc`]/[`qb_durable::Dec`] so the on-disk
-//! layout is auditable line by line. Version 5, the only one written,
+//! layout is auditable line by line. Version 6, the only one written,
 //! stores each history tier as zigzag-varint minute deltas with varint
-//! counts and front-codes the sorted template-text table; every other
-//! field is fixed-width. Version 3 and 4 payloads still decode, through a
-//! read-only path. Version 4 differs only in three fields version 5
-//! dropped, which it reads and discards: the raw-SQL cache older builds
-//! kept (written empty), the shard-cache slots and the raw cache's hit
-//! counter. Version 3 also wrote tiers and tables fixed-width and whole.
-//! A build refuses every other payload version rather than guessing.
+//! counts, front-codes the sorted template-text table and writes each
+//! clusterer feature as its dimension, its zero lead and the coordinates
+//! after the lead; every other field is fixed-width. Version 3, 4 and 5
+//! payloads still decode, through a read-only path. Version 5 differs only
+//! in the features, which it wrote whole. Version 4 also holds three fields
+//! version 5 dropped, which it reads and discards: the raw-SQL cache older
+//! builds kept (written empty), the shard-cache slots and the raw cache's
+//! hit counter. Version 3 also wrote tiers and tables fixed-width and
+//! whole. A build refuses every other payload version rather than
+//! guessing.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
 //! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],
@@ -60,7 +63,7 @@
 
 use std::path::PathBuf;
 
-use qb_clusterer::{ClusterRecord, ClustererState, TemplateRecord, UpdateReport};
+use qb_clusterer::{ClusterRecord, ClustererState, TemplateFeature, TemplateRecord, UpdateReport};
 use qb_durable::{CodecError, Dec, DurabilityError, DurableStore, Enc, FaultHook, StoreStats};
 use qb_forecast::DegradationLevel;
 use qb_preprocessor::{
@@ -79,16 +82,18 @@ use crate::pipeline::{
 };
 
 /// Version of the snapshot payload this build writes. Bump when the
-/// [`FullState`] encoding changes shape. Version 5 writes no shard-cache
-/// state; versions 4 (which wrote the cache tables) and 3 (fixed-width
+/// [`FullState`] encoding changes shape. Version 6 writes each clusterer
+/// feature as its zero lead and the suffix after it; versions 5 (every
+/// coordinate), 4 (which wrote the cache tables) and 3 (fixed-width
 /// pairs, whole strings) still decode, read-only. Every other version is
 /// refused, not guessed at.
-pub const STATE_VERSION: u16 = 5;
+pub const STATE_VERSION: u16 = 6;
 
 /// The older payload versions [`decode_full_state`] still reads. Nothing
-/// writes them: the first snapshot after their recovery is version 5.
+/// writes them: the first snapshot after their recovery is version 6.
 const STATE_VERSION_V3: u16 = 3;
 const STATE_VERSION_V4: u16 = 4;
+const STATE_VERSION_V5: u16 = 5;
 
 /// WAL frame kind: one weighted template sighting, as older builds framed
 /// each `ingest_weighted` call. Read, never written: it decodes to a
@@ -421,12 +426,17 @@ fn decode_preprocessor_state_at(
     })
 }
 
-/// Encodes one [`ClustererState`].
+/// Encodes one [`ClustererState`]. Each template's feature is its
+/// dimension, its zero lead and the `dim − lead` coordinates after it.
 pub fn encode_clusterer_state(e: &mut Enc, s: &ClustererState) {
     e.seq(&s.templates, |e, t| {
         e.u64(t.key);
-        e.seq(&t.feature_values, |e, v| e.f64(*v));
-        e.usize(t.feature_valid_from);
+        e.usize(t.feature.dim());
+        e.usize(t.feature.lead());
+        for v in t.feature.suffix() {
+            e.f64(*v);
+        }
+        e.usize(t.feature.valid_from);
         e.f64(t.volume);
         e.i64(t.last_seen);
         e.u64(t.cluster);
@@ -445,12 +455,38 @@ pub fn encode_clusterer_state(e: &mut Enc, s: &ClustererState) {
 
 /// Inverse of [`encode_clusterer_state`].
 pub fn decode_clusterer_state(d: &mut Dec) -> Result<ClustererState, CodecError> {
+    decode_clusterer_state_at(d, STATE_VERSION)
+}
+
+/// One feature as [`encode_clusterer_state`] writes it. A lead past the
+/// dimension, or a suffix longer than the bytes left, is refused before
+/// anything is allocated.
+fn decode_feature(d: &mut Dec) -> Result<TemplateFeature, CodecError> {
+    let dim = d.usize()?;
+    let lead = d.usize()?;
+    if lead > dim {
+        return Err(CodecError::ImplausibleLength { what: "feature lead", len: lead as u64 });
+    }
+    let n = dim - lead;
+    if n > d.remaining() / 8 {
+        return Err(CodecError::ImplausibleLength { what: "feature suffix", len: n as u64 });
+    }
+    let suffix = (0..n).map(|_| d.f64()).collect::<Result<Vec<_>, _>>()?;
+    Ok(TemplateFeature::from_suffix(lead, suffix, d.usize()?))
+}
+
+fn decode_clusterer_state_at(d: &mut Dec, version: u16) -> Result<ClustererState, CodecError> {
     Ok(ClustererState {
         templates: d.seq(|d| {
             Ok(TemplateRecord {
                 key: d.u64()?,
-                feature_values: d.seq(Dec::f64)?,
-                feature_valid_from: d.usize()?,
+                // Versions 3 to 5 wrote every coordinate.
+                feature: if version <= STATE_VERSION_V5 {
+                    let values = d.seq(Dec::f64)?;
+                    TemplateFeature::dense(values, d.usize()?)
+                } else {
+                    decode_feature(d)?
+                },
                 volume: d.f64()?,
                 last_seen: d.i64()?,
                 cluster: d.u64()?,
@@ -507,7 +543,7 @@ pub fn decode_pipeline_state(d: &mut Dec) -> Result<PipelineState, CodecError> {
 fn decode_pipeline_state_at(d: &mut Dec, version: u16) -> Result<PipelineState, CodecError> {
     Ok(PipelineState {
         pre: decode_preprocessor_state_at(d, version)?,
-        clusterer: decode_clusterer_state(d)?,
+        clusterer: decode_clusterer_state_at(d, version)?,
         tracked: d.seq(decode_cluster_info)?,
         last_update: d.option(Dec::i64)?,
         shift_triggers: d.u64()?,
@@ -752,7 +788,7 @@ pub fn encode_full_state(s: &FullState) -> Vec<u8> {
 
 /// Inverse of [`encode_full_state`]: verifies the version prefix and that
 /// every byte is consumed. Reads [`STATE_VERSION`] and, read-only,
-/// versions 3 and 4; refuses every other version.
+/// versions 3 to 5; refuses every other version.
 pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
     let mut d = Dec::new(bytes);
     let version = d.u16().map_err(DurabilityError::Codec)?;
@@ -1295,18 +1331,21 @@ mod tests {
         d.finish().unwrap();
     }
 
-    /// Hostile input never panics: every truncation of a v5 payload is an
+    /// Hostile input never panics: every truncation of a v6 payload is an
     /// error, and every single-bit flip is either an error or a different
     /// state (a flipped float or counter bit is a valid value; the snapshot
     /// file's CRC-32 rejects those before the payload is decoded). No byte
-    /// is dead: none decodes to the same state when flipped.
+    /// is dead: none decodes to the same state when flipped. The payload
+    /// holds clusterer features with a zero lead and a suffix.
     #[test]
-    fn every_truncation_and_bit_flip_of_a_v5_payload_fails_cleanly() {
+    fn every_truncation_and_bit_flip_of_a_v6_payload_fails_cleanly() {
         let mut cfg = Qb5000Config::default();
         cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
             raw_retention: 90,
             compacted_interval: qb_timeseries::Interval::HOUR,
         };
+        cfg.feature_points = 12;
+        cfg.feature_window = 600;
         let mut bot = QueryBot5000::new(cfg);
         for minute in (0..400).step_by(7) {
             let batch = [
@@ -1323,11 +1362,14 @@ mod tests {
                 bot.compact_histories();
             }
         }
+        bot.update_clusters(420);
         let full = FullState { pipeline: bot.export_state(), manager: None, tracer: None };
         let pre = &full.pipeline.pre;
         assert_eq!(pre.distinct_texts.len(), 3, "per-event and batch rows share the text table");
         assert!(pre.entries.iter().all(|e| !e.history.compacted.is_empty()));
         assert!(pre.quarantine.rejected_statements > 0);
+        let templates = &full.pipeline.clusterer.templates;
+        assert!(templates.iter().any(|t| t.feature.lead() > 0 && !t.feature.suffix().is_empty()));
         let bytes = encode_full_state(&full);
 
         for cut in 0..bytes.len() {

@@ -23,8 +23,7 @@
 use std::collections::BTreeMap;
 
 use qb_clusterer::{
-    ClusterId, OnlineClusterer, SimilarityMetric, TemplateFeature, TemplateKey, TemplateSnapshot,
-    UpdateReport,
+    ClusterId, OnlineClusterer, SimilarityMetric, TemplateKey, TemplateSnapshot, UpdateReport,
 };
 
 /// One reference cluster: member list in insertion order plus the
@@ -36,9 +35,17 @@ pub struct RefCluster {
     pub volume: f64,
 }
 
+/// A template's feature, dense: the oracle keeps every coordinate,
+/// zeros included, where the clusterer stores the suffix after the lead.
+#[derive(Debug, Clone)]
+struct RefFeature {
+    values: Vec<f64>,
+    valid_from: usize,
+}
+
 #[derive(Debug, Clone)]
 struct RefTemplate {
-    feature: TemplateFeature,
+    feature: RefFeature,
     volume: f64,
     last_seen: i64,
     cluster: u64,
@@ -73,7 +80,7 @@ impl ReferenceClusterer {
     /// Masked similarity of a template feature against a center — the same
     /// rule as `TemplateFeature::similarity` (coordinates before
     /// `valid_from` are excluded), re-derived naively.
-    fn similarity(&self, f: &TemplateFeature, center: &[f64]) -> f64 {
+    fn similarity(&self, f: &RefFeature, center: &[f64]) -> f64 {
         match self.metric {
             SimilarityMetric::Cosine => {
                 let from = f.valid_from;
@@ -96,7 +103,7 @@ impl ReferenceClusterer {
     /// O(k) nearest-center scan in ascending id order; ties keep the first
     /// (lowest-id) maximum. A zero-norm unmasked cosine query matches
     /// nothing, mirroring the optimized path's normalization guard.
-    fn nearest(&self, f: &TemplateFeature) -> Option<(u64, f64)> {
+    fn nearest(&self, f: &RefFeature) -> Option<(u64, f64)> {
         if self.clusters.is_empty() {
             return None;
         }
@@ -148,7 +155,7 @@ impl ReferenceClusterer {
         }
     }
 
-    fn assign(&mut self, key: TemplateKey, feature: TemplateFeature, volume: f64, last_seen: i64) -> bool {
+    fn assign(&mut self, key: TemplateKey, feature: RefFeature, volume: f64, last_seen: i64) -> bool {
         match self.nearest(&feature) {
             Some((cid, sim)) if sim > self.rho => {
                 self.clusters.get_mut(&cid).expect("live cluster").members.push(key);
@@ -214,7 +221,7 @@ impl ReferenceClusterer {
         for snap in snapshots {
             match self.templates.get_mut(&snap.key) {
                 Some(state) => {
-                    state.feature = snap.feature;
+                    state.feature = dense(&snap);
                     state.volume = snap.volume;
                     state.last_seen = snap.last_seen;
                 }
@@ -269,7 +276,7 @@ impl ReferenceClusterer {
         // their founder's feature as center).
         report.new_templates = new_snaps.len();
         for snap in new_snaps {
-            let created = self.assign(snap.key, snap.feature, snap.volume, snap.last_seen);
+            let created = self.assign(snap.key, dense(&snap), snap.volume, snap.last_seen);
             report.clusters_created += usize::from(created);
         }
         for key in to_reassign {
@@ -305,6 +312,11 @@ impl ReferenceClusterer {
     pub fn last_merges(&self) -> &[(u64, u64, usize)] {
         &self.last_merges
     }
+}
+
+/// A snapshot's feature expanded to every coordinate.
+fn dense(snap: &TemplateSnapshot) -> RefFeature {
+    RefFeature { values: snap.feature.to_dense(), valid_from: snap.feature.valid_from }
 }
 
 /// Extracts the optimized clusterer's partition over `keys` in the same

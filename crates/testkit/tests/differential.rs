@@ -383,12 +383,12 @@ fn lattice_feature(rng: &mut SmallRng, key: u64, round: u64) -> TemplateFeature 
             let peak = (t + key as usize % 4) % 6 < 2;
             *v = if peak { 4.0 } else { 1.0 } + rng.gen_range(0.0..0.3f64);
         }
-        return TemplateFeature { values, valid_from: lead };
+        return TemplateFeature::dense(values, lead);
     }
     let arrival = if key < LATTICE_RESIDENTS + LATTICE_WAVE { 1 } else { 3 };
     if round == arrival {
         values[d - 1] = 1.0 + 2.0 * (key - LATTICE_RESIDENTS) as f64;
-        return TemplateFeature { values, valid_from: d };
+        return TemplateFeature::dense(values, d);
     }
     let lead = d - 1 - (round - arrival) as usize;
     if key % 83 != 7 {
@@ -398,7 +398,7 @@ fn lattice_feature(rng: &mut SmallRng, key: u64, round: u64) -> TemplateFeature 
             *v = rates[(t - lead) % 2] + rng.gen_range(-0.1..0.1f64);
         }
     }
-    TemplateFeature { values, valid_from: lead }
+    TemplateFeature::dense(values, lead)
 }
 
 /// Residents, then a 340-key arrival, then the update that splits it (or,

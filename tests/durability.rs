@@ -21,15 +21,15 @@
 //!   deterministic trace stream. Failures print a `QB_CRASH_HOOK=…` repro
 //!   command that `crash_point_repro` below replays.
 //! * **Cross-version recovery** — store directories written by
-//!   `STATE_VERSION` 3 and 4 builds (`crates/testkit/fixtures/v3_store`,
-//!   `v4_store`) recover to the manager state and prediction bits those
-//!   builds printed and to the state the same script reaches now, but for
-//!   the parameter reservoirs the older builds sampled, and re-snapshot as
-//!   version 5; the version 3 WAL alone, per-sighting frames included,
-//!   replays to exactly the state the script reaches now; versions other
-//!   than 3 to 5 are refused.
+//!   `STATE_VERSION` 3, 4 and 5 builds (`crates/testkit/fixtures/v3_store`,
+//!   `v4_store`, `v5_store`) recover to the manager state and prediction
+//!   bits those builds printed and to the state the same script reaches
+//!   now (for versions 3 and 4, but for the parameter reservoirs they
+//!   sampled), and re-snapshot as version 6; the version 3 WAL alone,
+//!   per-sighting frames included, replays to exactly the state the script
+//!   reaches now; versions other than 3 to 6 are refused.
 //! * **Snapshot size** — the snapshot of three BusTracker days stays at or
-//!   under 140 000 bytes.
+//!   under 80 800 bytes.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -412,11 +412,11 @@ fn quarantine_accounting_survives_crash_restart() {
 // ---------------------------------------------------------------------------
 
 /// Upper bound on the snapshot of [`snapshot_of_three_bustracker_days_stays_compact`].
-/// The payload is deterministic: 125 830 bytes at `STATE_VERSION` 5, about
-/// 10 % under the bound. Version 4 wrote 223 637 (its shard-cache slots)
-/// and version 3 476 725 (fixed-width pairs), so a regression to either
-/// fails here.
-const SNAPSHOT_BYTES_BOUND: u64 = 140_000;
+/// The payload is deterministic: 72 630 bytes at `STATE_VERSION` 6, about
+/// 10 % under the bound. Version 5 wrote 125 830 (every feature
+/// coordinate), version 4 223 637 (its shard-cache slots) and version 3
+/// 476 725 (fixed-width pairs), so a regression to any of them fails here.
+const SNAPSHOT_BYTES_BOUND: u64 = 80_800;
 
 /// Three days of BusTracker at scale 0.02 (3 136 statements), ingested per
 /// event and snapshotted once after a cluster update. The snapshot stays
@@ -471,6 +471,10 @@ const V3_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v3_store
 /// last frame: the zero fill that build preallocated after it is trimmed.
 const V4_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v4_store");
 
+/// The same again, written and trimmed likewise by a version 5 build, which
+/// stored every clusterer feature whole.
+const V5_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v5_store");
+
 /// What the version 3 build printed after recovering [`V3_FIXTURE`] and
 /// rebuilding the forecast manager from it: FNV-1a of the `Debug` text of
 /// the recovered `PipelineState` and `ManagerState`, and the raw bits of
@@ -490,8 +494,13 @@ const V4_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v4_store
 /// reservoirs of templates 0 and 1: this build offers them the WAL tail's
 /// nine and three statements (`params_seen` 5 → 14 and 2 → 5, each
 /// appended to a reservoir that is not full), which the slots restored by
-/// the version 4 build made hits that were not offered.
-const V3_STATE_FNV: u64 = 0xf557_3f06_d3ff_98eb;
+/// the version 4 build made hits that were not offered. Third,
+/// `TemplateRecord` holds its feature as a `TemplateFeature` (zero lead and
+/// suffix) instead of the `feature_values` and `feature_valid_from`
+/// fields. Rendered with those two fields, the dense coordinates and the
+/// mask, this build's text for either store hashes to the previous value,
+/// `0xf557_3f06_d3ff_98eb`.
+const V3_STATE_FNV: u64 = 0x5e10_df32_c60f_db43;
 const V3_MANAGER_FNV: u64 = 0x6b7e_4eaa_1d2c_ee92;
 const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
@@ -639,11 +648,13 @@ fn without_reservoirs(mut state: qb5000::PipelineState) -> qb5000::PipelineState
 }
 
 /// Recovers a copy of `fixture`, a `version` store written from
-/// [`run_v3_script`], and checks it: the pinned state, manager state and
+/// [`run_v3_script`], and checks it: the pinned manager state and
 /// prediction bits, and the state a run of the same script reaches under
-/// this build but for the reservoirs. Then snapshots it again, as
-/// [`qb5000::STATE_VERSION`], and checks that the new snapshot recovers to
-/// the same state.
+/// this build — exactly for a version 5 store, and for older ones, which
+/// hold reservoirs sampled under an older policy, but for the reservoirs
+/// and with the recovered state pinned by hash. Then snapshots it again,
+/// as [`qb5000::STATE_VERSION`], and checks that the new snapshot recovers
+/// to the same state.
 fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
     let dir = tmp_dir(name);
     copy_dir(fixture, &dir);
@@ -651,18 +662,22 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
 
     let (mut p, mstate, bits) = recover_v3(&dir);
     let state = p.bot().export_state();
-    assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as recovered before");
     assert_eq!(fnv1a(&format!("{mstate:?}")), V3_MANAGER_FNV, "ManagerState as recovered before");
     assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as recovered before");
     assert!(state.pre.entries.iter().any(|e| !e.history.compacted.is_empty()));
 
     let live_dir = tmp_dir(&format!("{name}-live"));
     let live = run_v3_script(&live_dir);
-    assert_eq!(
-        without_reservoirs(live.bot().export_state()),
-        without_reservoirs(state.clone()),
-        "recovered == the script's own end state, but for the reservoirs"
-    );
+    if version >= 5 {
+        assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
+    } else {
+        assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as recovered before");
+        assert_eq!(
+            without_reservoirs(live.bot().export_state()),
+            without_reservoirs(state.clone()),
+            "recovered == the script's own end state, but for the reservoirs"
+        );
+    }
     drop(live);
     let _ = std::fs::remove_dir_all(&live_dir);
 
@@ -678,19 +693,28 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
 }
 
 /// A version 3 store passes [`recover_store_fixture`]'s checks; the next
-/// snapshot is version 5.
+/// snapshot is version 6.
 #[test]
-fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v5() {
-    assert_eq!(qb5000::STATE_VERSION, 5);
+fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v6() {
+    assert_eq!(qb5000::STATE_VERSION, 6);
     recover_store_fixture(V3_FIXTURE, 3, "v3-fixture");
 }
 
 /// A version 4 store, which holds shard-cache slots and the two dead
 /// fields of the raw-SQL cache, passes the same checks: the read-only
-/// version 4 decoder drops them. The next snapshot is version 5.
+/// version 4 decoder drops them. The next snapshot is version 6.
 #[test]
-fn v4_store_fixture_recovers_bit_identically_and_resnapshots_as_v5() {
+fn v4_store_fixture_recovers_bit_identically_and_resnapshots_as_v6() {
     recover_store_fixture(V4_FIXTURE, 4, "v4-fixture");
+}
+
+/// A version 5 store, whose features are stored whole, recovers to exactly
+/// the state the script reaches under this build: the read-only version 5
+/// decoder splits each feature's zero lead off. The next snapshot is
+/// version 6.
+#[test]
+fn v5_store_fixture_recovers_bit_identically_and_resnapshots_as_v6() {
+    recover_store_fixture(V5_FIXTURE, 5, "v5-fixture");
 }
 
 /// The version 3 store without its snapshot: every frame replays, the
@@ -722,19 +746,19 @@ fn v3_wal_replays_per_sighting_frames_as_batches_of_one() {
     let _ = std::fs::remove_dir_all(&live_dir);
 }
 
-/// Version 5 decodes (3 and 4 are the fixtures'); 2 and 6 are refused
+/// Version 6 decodes (3 to 5 are the fixtures'); 2 and 7 are refused
 /// before any field is read.
 #[test]
-fn payload_versions_other_than_3_to_5_are_refused() {
+fn payload_versions_other_than_3_to_6_are_refused() {
     let full = FullState {
         pipeline: QueryBot5000::new(Qb5000Config::default()).export_state(),
         manager: None,
         tracer: None,
     };
     let bytes = encode_full_state(&full);
-    assert_eq!(bytes[..2], 5u16.to_le_bytes());
-    assert_eq!(decode_full_state(&bytes).expect("v5 decodes"), full);
-    for version in [2u16, 6] {
+    assert_eq!(bytes[..2], 6u16.to_le_bytes());
+    assert_eq!(decode_full_state(&bytes).expect("v6 decodes"), full);
+    for version in [2u16, 7] {
         let mut refused = bytes.clone();
         refused[..2].copy_from_slice(&version.to_le_bytes());
         let err = decode_full_state(&refused).expect_err("unknown version");
