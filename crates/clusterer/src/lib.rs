@@ -36,5 +36,6 @@ pub use feature::{FeatureSampler, TemplateFeature};
 pub use kdtree::KdTree;
 pub use online::{
     Cluster, ClusterId, ClusterRecord, ClustererConfig, ClustererState, OnlineClusterer,
-    SimilarityMetric, TemplateKey, TemplateRecord, TemplateSnapshot, UpdateReport,
+    SimilarityMetric, TemplateKey, TemplateRecord, TemplateSnapshot, UpdateReport, EVICTION_IDLE,
+    NEW_TEMPLATE_TRIGGER,
 };

@@ -52,6 +52,18 @@ impl SimilarityMetric {
     }
 }
 
+/// Minutes without an arrival after which a template leaves the
+/// clusterer: a week, longer than the quiet stretches of daily and weekly
+/// cycles (nights, weekends), so only templates the application stopped
+/// issuing are evicted.
+pub const EVICTION_IDLE: i64 = 7 * qb_timeseries::MINUTES_PER_DAY;
+
+/// Fraction of previously-unseen templates since the last update that
+/// triggers an early update (§5.2's shift detection). It is also the floor
+/// of the adaptive trigger, which raises the bar for applications that
+/// churn templates all the time.
+pub const NEW_TEMPLATE_TRIGGER: f64 = 0.2;
+
 /// Clusterer configuration.
 #[derive(Debug, Clone)]
 pub struct ClustererConfig {
@@ -59,11 +71,6 @@ pub struct ClustererConfig {
     pub rho: f64,
     /// Metric (cosine for arrival-rate features, inverse-L2 for logical).
     pub metric: SimilarityMetric,
-    /// Evict a template after this many minutes without an arrival.
-    pub eviction_idle: i64,
-    /// Trigger an early update when the fraction of previously-unseen
-    /// templates since the last update exceeds this (§5.2).
-    pub new_template_trigger: f64,
     /// Adapt the trigger to the workload's baseline churn instead of using
     /// the fixed threshold. §5.2 defers threshold selection as future
     /// work ("Setting this threshold properly is dependent on the
@@ -80,8 +87,6 @@ impl Default for ClustererConfig {
         Self {
             rho: 0.8,
             metric: SimilarityMetric::Cosine,
-            eviction_idle: 7 * qb_timeseries::MINUTES_PER_DAY,
-            new_template_trigger: 0.2,
             adaptive_trigger: false,
         }
     }
@@ -259,16 +264,14 @@ impl OnlineClusterer {
         self.tracer = tracer.clone();
     }
 
-    /// The trigger threshold currently in force: the configured constant,
+    /// The trigger threshold currently in force: [`NEW_TEMPLATE_TRIGGER`],
     /// or — with `adaptive_trigger` — a margin above the learned baseline
     /// churn, clamped so a total template swap always fires.
     pub fn effective_trigger(&self) -> f64 {
         if self.config.adaptive_trigger {
-            (3.0 * self.baseline_unseen_ratio + 0.1)
-                .max(self.config.new_template_trigger)
-                .min(0.9)
+            (3.0 * self.baseline_unseen_ratio + 0.1).clamp(NEW_TEMPLATE_TRIGGER, 0.9)
         } else {
-            self.config.new_template_trigger
+            NEW_TEMPLATE_TRIGGER
         }
     }
 
@@ -343,7 +346,7 @@ impl OnlineClusterer {
         }
 
         // Eviction: drop templates idle beyond the window.
-        let cutoff = now - self.config.eviction_idle;
+        let cutoff = now - EVICTION_IDLE;
         let evicted: Vec<TemplateKey> = self
             .templates
             .iter()
@@ -1003,11 +1006,12 @@ mod tests {
 
     #[test]
     fn eviction_removes_idle_templates() {
-        let cfg = ClustererConfig { eviction_idle: 100, ..ClustererConfig::default() };
-        let mut c = OnlineClusterer::new(cfg);
+        let mut c = clusterer();
         c.update(vec![snap(1, &[1.0, 2.0], 5.0)], 0);
         assert_eq!(c.num_templates(), 1);
-        let r = c.update(vec![], 1000);
+        // Idle exactly the eviction window: still held.
+        assert_eq!(c.update(vec![], EVICTION_IDLE).evicted, 0);
+        let r = c.update(vec![], 10 * EVICTION_IDLE);
         assert_eq!(r.evicted, 1);
         assert_eq!(c.num_templates(), 0);
         assert_eq!(c.num_clusters(), 0);
@@ -1277,8 +1281,7 @@ mod tests {
     #[test]
     fn tracer_captures_merges_and_evictions() {
         let tracer = Tracer::enabled();
-        let cfg = ClustererConfig { eviction_idle: 100, ..ClustererConfig::default() };
-        let mut c = OnlineClusterer::new(cfg);
+        let mut c = clusterer();
         c.set_tracer(&tracer);
         c.update(vec![snap(1, &[1.0, 0.0, 0.0, 0.1], 1.0)], 0);
         c.update(vec![snap(2, &[0.0, 0.0, 1.0, 0.1], 1.0)], 0);
@@ -1291,7 +1294,7 @@ mod tests {
             0,
         );
         // Then both go idle long enough to evict.
-        c.update(vec![], 1_000);
+        c.update(vec![], 10 * EVICTION_IDLE);
         let view = tracer.view();
         assert_eq!(view.of_kind(EventKind::ClusterMerged).count(), 1);
         assert_eq!(view.of_kind(EventKind::ClusterEvicted).count(), 2);
@@ -1307,8 +1310,8 @@ mod tests {
     /// mean computed from scratch over the members in order.
     #[test]
     fn centers_match_from_scratch_mean_after_mixed_update() {
-        let cfg = ClustererConfig { eviction_idle: 100, ..ClustererConfig::default() };
-        let mut c = OnlineClusterer::new(cfg);
+        let mut c = clusterer();
+        let now = 10 * EVICTION_IDLE;
         let at = |key, values: &[f64], volume, last_seen| TemplateSnapshot {
             key,
             feature: feat(values),
@@ -1341,18 +1344,18 @@ mod tests {
         // cluster.
         let r = c.update(
             vec![
-                at(1, &[1.0, 2.0, 0.0, 0.0, 0.0, 0.3], 3.5, 999),
-                at(2, &[2.0, 4.1, 0.2, 0.0, 0.0, 0.0], 5.5, 999),
-                at(3, &[0.0, 0.1, 0.0, 0.0, 2.0, 2.0], 7.5, 999),
-                at(9, &[1.2, 2.4, 0.0, 0.0, 0.0, 0.0], 2.5, 999),
-                at(11, &[0.0, 0.0, 5.0, 1.0, 0.0, 0.0], 4.5, 999),
-                at(12, &[0.0, 0.0, 4.0, 1.0, 0.1, 0.0], 6.5, 999),
-                at(5, &[0.0, 0.0, 0.0, 0.0, 1.0, 1.1], 13.5, 999),
-                at(6, &[0.0, 0.0, 0.0, 0.0, 1.2, 1.0], 17.5, 999),
-                at(7, &[0.0, 0.0, 2.5, 0.6, 0.0, 0.0], 19.0, 999),
-                at(8, &[9.0, 0.0, 0.0, 0.0, 0.0, 0.0], 23.0, 999),
+                at(1, &[1.0, 2.0, 0.0, 0.0, 0.0, 0.3], 3.5, now - 1),
+                at(2, &[2.0, 4.1, 0.2, 0.0, 0.0, 0.0], 5.5, now - 1),
+                at(3, &[0.0, 0.1, 0.0, 0.0, 2.0, 2.0], 7.5, now - 1),
+                at(9, &[1.2, 2.4, 0.0, 0.0, 0.0, 0.0], 2.5, now - 1),
+                at(11, &[0.0, 0.0, 5.0, 1.0, 0.0, 0.0], 4.5, now - 1),
+                at(12, &[0.0, 0.0, 4.0, 1.0, 0.1, 0.0], 6.5, now - 1),
+                at(5, &[0.0, 0.0, 0.0, 0.0, 1.0, 1.1], 13.5, now - 1),
+                at(6, &[0.0, 0.0, 0.0, 0.0, 1.2, 1.0], 17.5, now - 1),
+                at(7, &[0.0, 0.0, 2.5, 0.6, 0.0, 0.0], 19.0, now - 1),
+                at(8, &[9.0, 0.0, 0.0, 0.0, 0.0, 0.0], 23.0, now - 1),
             ],
-            1_000,
+            now,
         );
         assert_eq!(
             r,
@@ -1467,11 +1470,7 @@ mod adaptive_trigger_tests {
 
     #[test]
     fn fixed_trigger_fires_constantly_on_churny_workload() {
-        let mut cl = OnlineClusterer::new(ClustererConfig {
-            new_template_trigger: 0.2,
-            adaptive_trigger: false,
-            ..ClustererConfig::default()
-        });
+        let mut cl = OnlineClusterer::new(ClustererConfig::default());
         let mut kb = 0;
         // 40% steady churn: the fixed 0.2 threshold fires every period.
         let fires = run_periods(&mut cl, 6, 40, 0.4, &mut kb);
@@ -1481,7 +1480,6 @@ mod adaptive_trigger_tests {
     #[test]
     fn adaptive_trigger_learns_baseline_churn_but_fires_on_phase_switch() {
         let mut cl = OnlineClusterer::new(ClustererConfig {
-            new_template_trigger: 0.2,
             adaptive_trigger: true,
             ..ClustererConfig::default()
         });
@@ -1507,12 +1505,11 @@ mod adaptive_trigger_tests {
     #[test]
     fn adaptive_floor_is_configured_trigger() {
         let cl = OnlineClusterer::new(ClustererConfig {
-            new_template_trigger: 0.3,
             adaptive_trigger: true,
             ..ClustererConfig::default()
         });
-        // With no learned baseline the effective trigger is at least the
-        // configured constant.
-        assert!(cl.effective_trigger() >= 0.3);
+        // With no learned baseline the margin (0.1) is below the floor, so
+        // the effective trigger is the fixed one.
+        assert_eq!(cl.effective_trigger(), NEW_TEMPLATE_TRIGGER);
     }
 }

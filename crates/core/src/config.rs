@@ -2,9 +2,9 @@
 //!
 //! The structs themselves ([`Qb5000Config`], [`ControllerConfig`]) keep
 //! public fields and a `Default` impl for struct-update syntax, but a
-//! nonsense value (ρ outside `(0, 1]`, a zero interval, an empty horizon
-//! list) only surfaces deep inside the pipeline — as a wrong clustering, a
-//! panic, or a silent no-op. The builders reject those values at
+//! nonsense value (ρ outside `(0, 1]`, a zero cluster count, an empty
+//! horizon list) only surfaces deep inside the pipeline — as a wrong
+//! clustering, a panic, or a silent no-op. The builders reject those values at
 //! construction time with a [`ConfigError`] naming the offending field.
 //!
 //! ```
@@ -19,7 +19,7 @@
 use qb_clusterer::ClustererConfig;
 use qb_obs::Recorder;
 use qb_preprocessor::PreProcessorConfig;
-use qb_timeseries::{Interval, Minute};
+use qb_timeseries::Minute;
 use qb_trace::Tracer;
 use qb_workloads::{FaultPlan, Workload};
 
@@ -27,15 +27,6 @@ use crate::controller::{ControllerConfig, Strategy};
 use crate::durable::DurabilityConfig;
 use crate::error::ConfigError;
 use crate::pipeline::{FeatureMode, Qb5000Config};
-
-/// Shared ratio check: finite and in `(0, 1]`.
-fn check_ratio(field: &'static str, value: f64) -> Result<(), ConfigError> {
-    if value.is_finite() && value > 0.0 && value <= 1.0 {
-        Ok(())
-    } else {
-        Err(ConfigError::RatioOutOfRange { field, value })
-    }
-}
 
 /// Shared scale check: finite and strictly positive.
 fn check_scale(field: &'static str, value: f64) -> Result<(), ConfigError> {
@@ -60,20 +51,13 @@ impl Qb5000Config {
         if !(rho.is_finite() && rho > 0.0 && rho <= 1.0) {
             return Err(ConfigError::RhoOutOfRange { value: rho });
         }
-        check_ratio("clusterer.new_template_trigger", self.clusterer.new_template_trigger)?;
-        if self.feature_points == 0 {
-            return Err(ConfigError::ZeroCount { field: "feature_points" });
-        }
-        if self.feature_window <= 0 {
-            return Err(ConfigError::ZeroInterval { field: "feature_window" });
-        }
-        if self.feature_interval.as_minutes() <= 0 {
-            return Err(ConfigError::ZeroInterval { field: "feature_interval" });
-        }
         if self.max_clusters == 0 {
             return Err(ConfigError::ZeroCount { field: "max_clusters" });
         }
-        check_ratio("coverage_target", self.coverage_target)?;
+        let target = self.coverage_target;
+        if !(target.is_finite() && target > 0.0 && target <= 1.0) {
+            return Err(ConfigError::RatioOutOfRange { field: "coverage_target", value: target });
+        }
         Ok(())
     }
 }
@@ -92,7 +76,7 @@ impl Qb5000ConfigBuilder {
         self
     }
 
-    /// Clusterer settings (ρ, metric, eviction, shift trigger).
+    /// Clusterer settings (ρ, metric, adaptive shift trigger).
     pub fn clusterer(mut self, clusterer: ClustererConfig) -> Self {
         self.cfg.clusterer = clusterer;
         self
@@ -110,24 +94,6 @@ impl Qb5000ConfigBuilder {
         self
     }
 
-    /// Sampled timestamps per clustering feature vector (must be ≥ 1).
-    pub fn feature_points(mut self, points: usize) -> Self {
-        self.cfg.feature_points = points;
-        self
-    }
-
-    /// Feature window length in minutes (must be positive).
-    pub fn feature_window(mut self, minutes: Minute) -> Self {
-        self.cfg.feature_window = minutes;
-        self
-    }
-
-    /// Aggregation interval around each sampled timestamp.
-    pub fn feature_interval(mut self, interval: Interval) -> Self {
-        self.cfg.feature_interval = interval;
-        self
-    }
-
     /// Maximum clusters the Forecaster models (must be ≥ 1).
     pub fn max_clusters(mut self, n: usize) -> Self {
         self.cfg.max_clusters = n;
@@ -137,12 +103,6 @@ impl Qb5000ConfigBuilder {
     /// Volume-coverage stop target in `(0, 1]`.
     pub fn coverage_target(mut self, target: f64) -> Self {
         self.cfg.coverage_target = target;
-        self
-    }
-
-    /// Seed for feature-timestamp sampling.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -383,22 +343,16 @@ mod tests {
         let rec = Recorder::new();
         let cfg = Qb5000Config::builder()
             .feature_mode(FeatureMode::Logical)
-            .feature_points(100)
-            .feature_window(7 * qb_timeseries::MINUTES_PER_DAY)
-            .feature_interval(Interval::MINUTE)
             .max_clusters(4)
             .coverage_target(0.9)
-            .seed(42)
             .rho(0.5)
             .recorder(rec.clone())
             .trace(Tracer::enabled())
             .build()
             .unwrap();
         assert_eq!(cfg.feature_mode, FeatureMode::Logical);
-        assert_eq!(cfg.feature_points, 100);
         assert_eq!(cfg.max_clusters, 4);
         assert_eq!(cfg.coverage_target, 0.9);
-        assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.clusterer.rho, 0.5);
         assert!(cfg.recorder.is_enabled());
         assert!(cfg.tracer.is_enabled());
@@ -419,14 +373,6 @@ mod tests {
 
     #[test]
     fn zero_counts_and_intervals_rejected() {
-        assert_eq!(
-            Qb5000Config::builder().feature_points(0).build().unwrap_err(),
-            ConfigError::ZeroCount { field: "feature_points" }
-        );
-        assert_eq!(
-            Qb5000Config::builder().feature_window(0).build().unwrap_err(),
-            ConfigError::ZeroInterval { field: "feature_window" }
-        );
         assert_eq!(
             Qb5000Config::builder().max_clusters(0).build().unwrap_err(),
             ConfigError::ZeroCount { field: "max_clusters" }

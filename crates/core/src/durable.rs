@@ -453,11 +453,6 @@ pub fn encode_clusterer_state(e: &mut Enc, s: &ClustererState) {
     e.f64(s.baseline_unseen_ratio);
 }
 
-/// Inverse of [`encode_clusterer_state`].
-pub fn decode_clusterer_state(d: &mut Dec) -> Result<ClustererState, CodecError> {
-    decode_clusterer_state_at(d, STATE_VERSION)
-}
-
 /// One feature as [`encode_clusterer_state`] writes it. A lead past the
 /// dimension, or a suffix longer than the bytes left, is refused before
 /// anything is allocated.
@@ -533,11 +528,6 @@ pub fn encode_pipeline_state(e: &mut Enc, s: &PipelineState) {
         e.i64(*m);
         e.u64(*fp);
     });
-}
-
-/// Inverse of [`encode_pipeline_state`].
-pub fn decode_pipeline_state(d: &mut Dec) -> Result<PipelineState, CodecError> {
-    decode_pipeline_state_at(d, STATE_VERSION)
 }
 
 fn decode_pipeline_state_at(d: &mut Dec, version: u16) -> Result<PipelineState, CodecError> {
@@ -916,10 +906,8 @@ impl DurablePipeline {
                 let full = decode_full_state(&snap.payload)?;
                 // Restore the tracer's ring first so replayed operations
                 // append to the recovered event stream, not a fresh one.
-                if let (Some(tstate), Some(settings)) =
-                    (full.tracer, config.tracer.settings())
-                {
-                    config.tracer = Tracer::restore(settings, tstate);
+                if let Some(tstate) = full.tracer.filter(|_| config.tracer.is_enabled()) {
+                    config.tracer = Tracer::restore(tstate);
                 }
                 manager_state = full.manager;
                 QueryBot5000::restore(config, full.pipeline)?
@@ -1344,8 +1332,6 @@ mod tests {
             raw_retention: 90,
             compacted_interval: qb_timeseries::Interval::HOUR,
         };
-        cfg.feature_points = 12;
-        cfg.feature_window = 600;
         let mut bot = QueryBot5000::new(cfg);
         for minute in (0..400).step_by(7) {
             let batch = [
@@ -1559,11 +1545,10 @@ mod tests {
 
     #[test]
     fn tracer_stream_survives_recovery() {
-        use qb_trace::TraceSettings;
         let dir = tmp_dir("tracer");
         let now = MINUTES_PER_DAY;
         let make_cfg = |dir: &Path| Qb5000Config {
-            tracer: qb_trace::Tracer::new(TraceSettings::default()),
+            tracer: qb_trace::Tracer::enabled(),
             durability: Some(DurabilityConfig::new(dir)),
             ..Qb5000Config::default()
         };

@@ -212,8 +212,8 @@ mod tests {
     fn display_names_the_offending_field() {
         let msgs = [
             ConfigError::RhoOutOfRange { value: 1.5 }.to_string(),
-            ConfigError::ZeroInterval { field: "feature_interval" }.to_string(),
-            ConfigError::ZeroCount { field: "feature_points" }.to_string(),
+            ConfigError::ZeroInterval { field: "build_period" }.to_string(),
+            ConfigError::ZeroCount { field: "max_clusters" }.to_string(),
             ConfigError::EmptyHorizons.to_string(),
             ConfigError::BadHorizonWeight { horizon_hours: 12, weight: -0.3 }.to_string(),
             ConfigError::RatioOutOfRange { field: "coverage_target", value: 0.0 }.to_string(),
@@ -222,7 +222,7 @@ mod tests {
         for m in &msgs {
             assert!(!m.is_empty());
         }
-        assert!(msgs[1].contains("feature_interval"));
+        assert!(msgs[1].contains("build_period"));
         assert!(msgs[5].contains("coverage_target"));
     }
 }

@@ -89,7 +89,8 @@ pub use error::{ConfigError, Error};
 pub use manager::{ForecastHealth, ForecastManager, HorizonSpec, ManagerState, RetrainOutcome};
 pub use pipeline::{
     ClusterInfo, ClusterInfoState, FeatureMode, ForecastJob, JobSpan, PipelineHealth,
-    PipelineState, Qb5000Config, QueryBot5000,
+    PipelineState, Qb5000Config, QueryBot5000, FEATURE_INTERVAL, FEATURE_POINTS, FEATURE_SEED,
+    FEATURE_WINDOW,
 };
 pub use serve::{ColdSeed, ForecastService};
 
@@ -127,7 +128,7 @@ pub use qb_obs::{MetricsSnapshot, Recorder};
 // `PipelineHealth::trace_dumps`) and the query/export types needed to
 // consume a captured trace.
 pub use qb_trace::{
-    parse_json, Event, EventId, EventKind, Json, Scope, TraceDump, TraceSettings, TraceView,
+    parse_json, Event, EventId, EventKind, Json, Scope, TraceDump, TraceView,
     Tracer, Value,
 };
 

@@ -26,10 +26,32 @@ pub enum FeatureMode {
     Logical,
 }
 
+/// Sampled timestamps in each template's clustering feature (§5.1). The
+/// paper samples 10 000 over a month of full-scale traffic; the
+/// scaled-down traces here need proportionally fewer, and feature cost
+/// grows linearly with the count.
+pub const FEATURE_POINTS: usize = 500;
+
+/// The trailing window, in minutes, that features are sampled from and
+/// cluster volumes are summed over: one month, as in §5.1. It equals the
+/// default compaction policy's raw retention, so features read exact
+/// per-minute counts.
+pub const FEATURE_WINDOW: Minute = 31 * MINUTES_PER_DAY;
+
+/// Aggregation interval around each sampled timestamp: an hour, the
+/// interval the forecasts are made at, so templates are grouped by the
+/// hourly shape the forecaster models.
+pub const FEATURE_INTERVAL: Interval = Interval::HOUR;
+
+/// Seed of the feature-timestamp sampler; each update mixes in its own
+/// time. Fixed so that any two runs over the same statements cluster
+/// alike.
+pub const FEATURE_SEED: u64 = 0x5000;
+
 /// Framework configuration.
 ///
 /// Construct via the validating [`Qb5000Config::builder`] (rejects ρ
-/// outside `(0, 1]`, zero intervals/counts, non-ratio coverage targets) or
+/// outside `(0, 1]`, a zero cluster count, non-ratio coverage targets) or
 /// struct-update syntax on [`Qb5000Config::default`] for trusted values.
 #[derive(Debug, Clone)]
 pub struct Qb5000Config {
@@ -37,22 +59,12 @@ pub struct Qb5000Config {
     pub clusterer: ClustererConfig,
     /// Clustering feature (arrival-rate vs. logical ablation).
     pub feature_mode: FeatureMode,
-    /// Number of sampled timestamps forming the clustering feature vector.
-    /// The paper uses 10 000 over the trailing month; scaled-down traces
-    /// need proportionally fewer.
-    pub feature_points: usize,
-    /// Feature window length in minutes (paper: one month).
-    pub feature_window: i64,
-    /// Aggregation interval around each sampled timestamp.
-    pub feature_interval: Interval,
     /// How many highest-volume clusters the Forecaster models (§5.3; the
     /// paper models enough clusters to cover ≥95 % of the volume, which is
     /// 3–5 on its traces).
     pub max_clusters: usize,
     /// Volume-coverage target that can stop earlier than `max_clusters`.
     pub coverage_target: f64,
-    /// Seed for feature-timestamp sampling.
-    pub seed: u64,
     /// Observability recorder handed to every stage at construction.
     /// Defaults to [`Recorder::disabled`], which makes every metric
     /// operation a no-op.
@@ -90,12 +102,8 @@ impl Default for Qb5000Config {
             preprocessor: PreProcessorConfig::default(),
             clusterer: ClustererConfig::default(),
             feature_mode: FeatureMode::ArrivalRate,
-            feature_points: 500,
-            feature_window: 31 * MINUTES_PER_DAY,
-            feature_interval: Interval::HOUR,
             max_clusters: 5,
             coverage_target: 0.95,
-            seed: 0x5000,
             recorder: Recorder::disabled(),
             tracer: Tracer::disabled(),
             durability: None,
@@ -499,14 +507,14 @@ impl QueryBot5000 {
         let _stage = self.config.tracer.stage("pipeline.update_clusters");
         let sampler = FeatureSampler::random(
             now,
-            self.config.feature_window,
-            self.config.feature_points,
-            self.config.feature_interval,
+            FEATURE_WINDOW,
+            FEATURE_POINTS,
+            FEATURE_INTERVAL,
             // Derive the sampler seed from the update time so features stay
             // comparable within one update but refresh across updates.
-            self.config.seed ^ (now as u64).rotate_left(17),
+            FEATURE_SEED ^ (now as u64).rotate_left(17),
         );
-        let window_start = now - self.config.feature_window;
+        let window_start = now - FEATURE_WINDOW;
         let feature_mode = self.config.feature_mode;
         // Feature extraction fans out over fixed-size template chunks:
         // chunk boundaries depend only on the template count, and the map
@@ -610,9 +618,9 @@ impl QueryBot5000 {
     }
 
     /// The trailing window (minutes) over which cluster volumes and
-    /// features are computed.
+    /// features are computed: [`FEATURE_WINDOW`].
     pub fn feature_window(&self) -> i64 {
-        self.config.feature_window
+        FEATURE_WINDOW
     }
 
     /// Rolls stale per-minute arrival records into coarser buckets (§4's
@@ -978,12 +986,8 @@ mod tests {
 
     #[test]
     fn tracer_reaches_every_stage_and_dumps_surface_in_health() {
-        use qb_trace::{EventKind, TraceSettings, Tracer};
-        let tracer = Tracer::new(TraceSettings {
-            // A tiny spike threshold so hostile input trips the recorder.
-            quarantine_spike: 3,
-            ..TraceSettings::default()
-        });
+        use qb_trace::{EventKind, Tracer, QUARANTINE_SPIKE};
+        let tracer = Tracer::enabled();
         let cfg = Qb5000Config::builder().trace(tracer.clone()).build().unwrap();
         let mut bot = QueryBot5000::new(cfg);
         feed_cyclic(&mut bot, 2);
@@ -997,7 +1001,7 @@ mod tests {
         assert!(view.explain(created.id).contains("QuerySeen"));
         // A burst of malformed statements crosses the spike threshold and
         // the automatic dump lands in the health report.
-        for k in 0..4 {
+        for k in 0..=QUARANTINE_SPIKE as i64 {
             let _ = bot.ingest_weighted(2 * MINUTES_PER_DAY + k, "SELEC nope", 1);
         }
         let h = bot.health();

@@ -8,17 +8,17 @@ use qb_obs::MetricsSnapshot;
 use crate::history::MetricsHistory;
 use crate::rules::ActiveAlert;
 
+/// Quantiles estimated per histogram in `/metrics`: the median and two
+/// tails, so each histogram family adds three gauges to a scrape.
+pub const QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
+
 /// The `/metrics` payload: the snapshot's full Prometheus exposition
 /// (counters, gauges, cumulative histogram `_bucket`/`_sum`/`_count`
 /// series) plus one estimated-quantile gauge family per unlabeled
-/// histogram — `<family>_quantile_seconds{quantile="0.99"} …` — and an
-/// `alerts_firing{severity=…}` gauge family so a scraper sees SLO state
-/// without a second endpoint.
-pub fn exposition_text(
-    snapshot: &MetricsSnapshot,
-    quantiles: &[f64],
-    alerts: &[ActiveAlert],
-) -> String {
+/// histogram — `<family>_quantile_seconds{quantile="0.99"} …`, one line
+/// per [`QUANTILES`] entry — and an `alerts_firing{severity=…}` gauge
+/// family so a scraper sees SLO state without a second endpoint.
+pub fn exposition_text(snapshot: &MetricsSnapshot, alerts: &[ActiveAlert]) -> String {
     let mut out = snapshot.to_prometheus();
     for (key, hist) in &snapshot.histograms {
         // Labeled histograms would need per-series quantile labels merged
@@ -29,7 +29,7 @@ pub fn exposition_text(
         }
         let family = prom_family(key);
         let mut lines = String::new();
-        for &q in quantiles {
+        for q in QUANTILES {
             let Some(nanos) = hist.quantile_nanos(q) else { continue };
             let _ = writeln!(
                 lines,
@@ -143,14 +143,12 @@ mod tests {
         for micros in [10, 20, 500] {
             h.record(Duration::from_micros(micros));
         }
-        let text = exposition_text(
-            &rec.snapshot(),
-            &[0.5, 0.99],
-            &[alert("mse-band", Severity::Critical)],
-        );
+        let text = exposition_text(&rec.snapshot(), &[alert("mse-band", Severity::Critical)]);
         assert!(text.contains("# TYPE serve_publish_quantile_seconds gauge"), "{text}");
-        assert!(text.contains("serve_publish_quantile_seconds{quantile=\"0.5\"}"), "{text}");
-        assert!(text.contains("serve_publish_quantile_seconds{quantile=\"0.99\"}"), "{text}");
+        for q in ["0.5", "0.95", "0.99"] {
+            let line = format!("serve_publish_quantile_seconds{{quantile=\"{q}\"}}");
+            assert!(text.contains(&line), "{text}");
+        }
         assert!(text.contains("alerts_firing{severity=\"critical\"} 1"), "{text}");
         assert!(text.contains("alerts_firing{severity=\"warning\"} 0"), "{text}");
         assert_eq!(check_prometheus(&text), Vec::<String>::new());

@@ -45,35 +45,25 @@ use qb_obs::MetricsSnapshot;
 use qb_serve::Swap;
 use qb_trace::{EventId, Tracer};
 
-pub use expose::{exposition_text, render_dashboard};
+pub use expose::{exposition_text, render_dashboard, QUANTILES};
 pub use history::{MetricsHistory, RoundDelta};
 pub use http::{MonitorServer, MonitorState};
 pub use promcheck::check_prometheus;
 pub use rules::{ActiveAlert, AlertChange, AlertEngine, AlertRule, Condition, Severity};
 
+/// Rounds of per-round metric deltas a [`Monitor`] retains. The stock
+/// rules look back at most 8 rounds; the rest is the dashboard's and the
+/// operator's history, bounded whatever the run length.
+pub const HISTORY_ROUNDS: usize = 256;
+
 /// Configuration for a [`Monitor`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MonitorConfig {
-    /// Rounds of per-round metric deltas retained (min 1).
-    pub history_rounds: usize,
     /// SLO rules, evaluated in declaration order each round.
     pub rules: Vec<AlertRule>,
-    /// Quantiles estimated per histogram in `/metrics` exposition.
-    pub quantiles: Vec<f64>,
     /// `Some(port)` serves the scrape endpoint on `127.0.0.1:port`
     /// (0 picks an ephemeral port); `None` disables HTTP entirely.
     pub http_port: Option<u16>,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            history_rounds: 256,
-            rules: Vec::new(),
-            quantiles: vec![0.5, 0.95, 0.99],
-            http_port: None,
-        }
-    }
 }
 
 impl MonitorConfig {
@@ -175,12 +165,6 @@ impl MonitorConfig {
         self
     }
 
-    /// Sets the retention window in rounds.
-    pub fn history_rounds(mut self, rounds: usize) -> Self {
-        self.history_rounds = rounds.max(1);
-        self
-    }
-
     /// Enables the HTTP scrape endpoint on `127.0.0.1:port`.
     pub fn http_port(mut self, port: u16) -> Self {
         self.http_port = Some(port);
@@ -195,7 +179,6 @@ impl MonitorConfig {
 pub struct Monitor {
     history: MetricsHistory,
     engine: AlertEngine,
-    quantiles: Vec<f64>,
     state: Arc<Swap<MonitorState>>,
     server: Option<MonitorServer>,
     epoch: u64,
@@ -211,9 +194,8 @@ impl Monitor {
             None => None,
         };
         Ok(Self {
-            history: MetricsHistory::new(config.history_rounds),
+            history: MetricsHistory::new(HISTORY_ROUNDS),
             engine: AlertEngine::new(config.rules),
-            quantiles: config.quantiles,
             state,
             server,
             epoch: 0,
@@ -239,7 +221,7 @@ impl Monitor {
         self.state.publish(Arc::new(MonitorState {
             epoch: self.epoch,
             round,
-            metrics: exposition_text(snapshot, &self.quantiles, &alerts),
+            metrics: exposition_text(snapshot, &alerts),
             health: health_json(round, self.epoch, &alerts),
             alerts: alerts_json(&alerts),
             dashboard: render_dashboard(&self.history, &alerts),

@@ -29,9 +29,9 @@
 //!
 //! let rec = Recorder::new();
 //! let ingested = rec.counter("preprocessor.ingested");
-//! let span = rec.histogram("preprocessor.ingest");
+//! let ingest_time = rec.histogram("preprocessor.ingest");
 //! for _ in 0..3 {
-//!     let _timer = span.start(); // records its duration on drop
+//!     let _timer = ingest_time.start(); // records its duration on drop
 //!     ingested.inc();
 //! }
 //! let snap = rec.snapshot();
@@ -164,13 +164,6 @@ impl Recorder {
                 )
             }),
         }
-    }
-
-    /// One-shot span timer: resolves the histogram and starts a guard that
-    /// records its lifetime on drop. For hot paths, cache the
-    /// [`Histogram`] handle and call [`Histogram::start`] instead.
-    pub fn span(&self, name: &str) -> SpanTimer {
-        self.histogram(name).start()
     }
 
     /// A point-in-time, sorted snapshot of every registered metric.

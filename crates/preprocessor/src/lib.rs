@@ -199,29 +199,31 @@ pub struct IngestStats {
     pub deletes: u64,
 }
 
+/// How many parameter vectors each template keeps (§4's parameter
+/// samples, drawn by reservoir sampling). A fixed bound keeps a
+/// template's memory flat whatever its volume; snapshots store the
+/// reservoirs and recovery rebuilds them at this capacity.
+pub const RESERVOIR_CAPACITY: usize = 100;
+
+/// Start of the chain that seeds each template's reservoir RNG. A fixed
+/// seed makes parameter sampling deterministic: two runs over the same
+/// statements hold the same samples.
+pub const RESERVOIR_SEED: u64 = 0x5000;
+
 /// Configuration knobs for the Pre-Processor.
 #[derive(Debug, Clone)]
 pub struct PreProcessorConfig {
-    /// How many parameter vectors to keep per template.
-    pub reservoir_capacity: usize,
     /// Stale-record compaction policy for arrival histories.
     pub compaction: CompactionPolicy,
     /// Fold semantically equivalent templates together (§4's final step).
     /// Disable only for the ablation that measures how much the heuristic
     /// equivalence reduces template counts.
     pub semantic_folding: bool,
-    /// Seed for the reservoir's RNG (deterministic sampling).
-    pub seed: u64,
 }
 
 impl Default for PreProcessorConfig {
     fn default() -> Self {
-        Self {
-            reservoir_capacity: 100,
-            compaction: CompactionPolicy::default(),
-            semantic_folding: true,
-            seed: 0x5000,
-        }
+        Self { compaction: CompactionPolicy::default(), semantic_folding: true }
     }
 }
 
@@ -274,7 +276,6 @@ pub struct PreProcessor {
 
 impl PreProcessor {
     pub fn new(config: PreProcessorConfig) -> Self {
-        let next_seed = config.seed;
         Self {
             config,
             metrics: PreMetrics::default(),
@@ -282,7 +283,7 @@ impl PreProcessor {
             distinct_texts: HashMap::new(),
             entries: Vec::new(),
             stats: IngestStats::default(),
-            next_seed,
+            next_seed: RESERVOIR_SEED,
             quarantine: Quarantine::default(),
             tracer: Tracer::disabled(),
             memo: shard::Memo::default(),
@@ -362,7 +363,7 @@ impl PreProcessor {
             tables: template.tables(),
             logical: LogicalFeatures::extract(&template),
             history: ArrivalHistory::new(),
-            params: Reservoir::new(self.config.reservoir_capacity, self.next_seed),
+            params: Reservoir::new(RESERVOIR_CAPACITY, self.next_seed),
             statement: template,
             text,
         });
@@ -511,7 +512,7 @@ impl PreProcessor {
     /// Rebuilds a Pre-Processor from exported state.
     ///
     /// `config` must match the configuration of the exporting instance
-    /// (reservoir capacity and folding mode shape the stored state).
+    /// (its folding mode shapes the stored state).
     /// Template ASTs, verbs, table lists, logical features, and semantic
     /// fingerprints are reconstructed by re-parsing each entry's canonical
     /// text — templatizing canonical text is idempotent, so the rebuilt
@@ -539,7 +540,7 @@ impl PreProcessor {
                 logical: LogicalFeatures::extract(&tq.template),
                 history: ArrivalHistory::from_state(es.history),
                 params: Reservoir::from_parts(
-                    pp.config.reservoir_capacity,
+                    RESERVOIR_CAPACITY,
                     es.params_seen,
                     es.params_items,
                     es.params_rng,

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 
 use qb_clusterer::{
     ClusterId, OnlineClusterer, SimilarityMetric, TemplateKey, TemplateSnapshot, UpdateReport,
+    EVICTION_IDLE,
 };
 
 /// One reference cluster: member list in insertion order plus the
@@ -51,13 +52,12 @@ struct RefTemplate {
     cluster: u64,
 }
 
-/// The naive clusterer. Construct with the same ρ / metric / eviction
-/// window as the `OnlineClusterer` under test and feed both the same
-/// snapshot stream.
+/// The naive clusterer. Construct with the same ρ / metric as the
+/// `OnlineClusterer` under test and feed both the same snapshot stream;
+/// both evict after [`EVICTION_IDLE`] idle minutes.
 pub struct ReferenceClusterer {
     rho: f64,
     metric: SimilarityMetric,
-    eviction_idle: i64,
     templates: BTreeMap<TemplateKey, RefTemplate>,
     clusters: BTreeMap<u64, RefCluster>,
     next_cluster: u64,
@@ -65,11 +65,10 @@ pub struct ReferenceClusterer {
 }
 
 impl ReferenceClusterer {
-    pub fn new(rho: f64, metric: SimilarityMetric, eviction_idle: i64) -> Self {
+    pub fn new(rho: f64, metric: SimilarityMetric) -> Self {
         Self {
             rho,
             metric,
-            eviction_idle,
             templates: BTreeMap::new(),
             clusters: BTreeMap::new(),
             next_cluster: 0,
@@ -230,7 +229,7 @@ impl ReferenceClusterer {
         }
 
         // Eviction.
-        let cutoff = now - self.eviction_idle;
+        let cutoff = now - EVICTION_IDLE;
         let evicted: Vec<TemplateKey> = self
             .templates
             .iter()

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use qb5000::{Event, EventKind, Tracer, Value};
 use qb_clusterer::{
     ClustererConfig, OnlineClusterer, SimilarityMetric, TemplateFeature, TemplateSnapshot,
-    UpdateReport,
+    UpdateReport, EVICTION_IDLE,
 };
 use qb_forecast::{Forecaster, LinearRegression, WindowSpec};
 use qb_testkit::corpus;
@@ -35,6 +35,11 @@ use rand::{Rng, SeedableRng};
 // --- clusterer vs. reference ---
 
 const DIM: usize = 8;
+
+/// Minutes between two random rounds: 0.4 of the eviction window, so a
+/// template idle for two windows is evicted in the round it goes quiet
+/// and an active one never is.
+const ROUND_MINUTES: i64 = 2 * EVICTION_IDLE / 5;
 
 /// Draws one arrival-rate-like feature: a scaled copy of one of a few
 /// prototype patterns plus noise, so clusters, reassignments, and merges
@@ -67,7 +72,7 @@ fn random_round(
     for &key in live.iter() {
         // Most templates keep arriving; ~1 in 6 goes quiet (stale
         // last_seen => eventual eviction).
-        let last_seen = if rng.gen_range(0..6u32) == 0 { now - 10_000 } else { now - 1 };
+        let last_seen = if rng.gen_range(0..6u32) == 0 { now - 2 * EVICTION_IDLE } else { now - 1 };
         snaps.push(TemplateSnapshot {
             key,
             feature: TemplateFeature::full(random_feature(rng)),
@@ -81,9 +86,19 @@ fn random_round(
         live.push(key);
         let mut feature = TemplateFeature::full(random_feature(rng));
         // A third of new templates are young: mask their older coordinates
-        // (the §5.1 "available timestamps" rule).
+        // (the §5.1 "available timestamps" rule). Half of those recorded no
+        // arrival in their first sampled buckets, so their zero lead runs
+        // past the mask, as `FeatureSampler::extract` returns them: cosine
+        // must still take the centre's norm from the mask on.
         if rng.gen_range(0..3u32) == 0 {
-            feature.valid_from = rng.gen_range(1..DIM / 2);
+            let valid_from = rng.gen_range(1..DIM / 2);
+            if rng.gen_range(0..2u32) == 0 {
+                let mut values = feature.to_dense();
+                values[..rng.gen_range(DIM / 2..DIM)].fill(0.0);
+                feature = TemplateFeature::dense(values, valid_from);
+                assert!(feature.lead() > feature.valid_from);
+            }
+            feature.valid_from = valid_from;
         }
         snaps.push(TemplateSnapshot { key, feature, volume: rng.gen_range(1.0..100.0f64), last_seen: now - 1 });
     }
@@ -138,22 +153,18 @@ fn compare_update(
     report
 }
 
-fn clusterer_pair(
-    metric: SimilarityMetric,
-    rho: f64,
-    eviction_idle: i64,
-) -> (OnlineClusterer, ReferenceClusterer) {
-    let config = ClustererConfig { rho, metric, eviction_idle, ..ClustererConfig::default() };
-    (OnlineClusterer::new(config), ReferenceClusterer::new(rho, metric, eviction_idle))
+fn clusterer_pair(metric: SimilarityMetric, rho: f64) -> (OnlineClusterer, ReferenceClusterer) {
+    let config = ClustererConfig { rho, metric, ..ClustererConfig::default() };
+    (OnlineClusterer::new(config), ReferenceClusterer::new(rho, metric))
 }
 
 fn assert_matches_reference(metric: SimilarityMetric, seed: u64) {
-    let (mut online, mut reference) = clusterer_pair(metric, 0.8, 5_000);
+    let (mut online, mut reference) = clusterer_pair(metric, 0.8);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut next_key = 0u64;
     let mut live: Vec<u64> = Vec::new();
     for round in 0..8 {
-        let now = (round + 1) * 2_000;
+        let now = (round + 1) * ROUND_MINUTES;
         let snaps = random_round(&mut rng, &mut next_key, &mut live, now);
         let context = format!("seed {seed:#x}, round {round}, metric {metric:?}");
         compare_update(&mut online, &mut reference, snaps, now, &context);
@@ -187,14 +198,7 @@ fn clusterer_matches_reference_on_exact_ties() {
     // template at 0.5 sees 1/1.5 ≈ 0.667 > ρ to *both*; after it joins
     // cluster 0, the moved center (0.25) is 0.75 from the other founder —
     // 1/1.75 ≈ 0.571 < ρ, so no merge hides the decision.
-    let config = ClustererConfig {
-        rho: 0.6,
-        metric: SimilarityMetric::InverseL2,
-        eviction_idle: 1_000_000,
-        ..ClustererConfig::default()
-    };
-    let mut online = OnlineClusterer::new(config.clone());
-    let mut reference = ReferenceClusterer::new(config.rho, config.metric, config.eviction_idle);
+    let (mut online, mut reference) = clusterer_pair(SimilarityMetric::InverseL2, 0.6);
 
     let snap = |key: u64, values: Vec<f64>| TemplateSnapshot {
         key,
@@ -307,7 +311,7 @@ fn update_both(
 /// show in one update: the merge step goes from ~420 clusters to ~20 in
 /// one call. Returns the largest number of merges one update performed.
 fn assert_storm_matches_reference(metric: SimilarityMetric, rho: f64) -> usize {
-    let (mut online, mut reference) = clusterer_pair(metric, rho, 1_000_000);
+    let (mut online, mut reference) = clusterer_pair(metric, rho);
     let mut rng = SmallRng::seed_from_u64(0x5708_0001);
     let protos = storm_prototypes(&mut rng);
     let wave = STORM_TEMPLATES / STORM_WAVES;
@@ -405,7 +409,7 @@ fn lattice_feature(rng: &mut SmallRng, key: u64, round: u64) -> TemplateFeature 
 /// under inverse-L2, storms it), a 60-key late arrival, and one more
 /// update. Returns the largest number of merges one update performed.
 fn assert_lattice_storm_matches_reference(metric: SimilarityMetric, rho: f64) -> usize {
-    let (mut online, mut reference) = clusterer_pair(metric, rho, 1_000_000);
+    let (mut online, mut reference) = clusterer_pair(metric, rho);
     let mut rng = SmallRng::seed_from_u64(0x1A77_1CE0);
     let mut most_merges = 0;
     for round in 0..5u64 {
@@ -451,7 +455,7 @@ fn merge_tie_between_moved_centre_and_held_partner_goes_to_lowest_id() {
     // P) and cluster 3 (J). The lowest pair wins: X joins P's cluster, not
     // J. (A table that only lets a moved centre displace a cached partner
     // when it is strictly better gets this wrong.)
-    let (mut online, mut reference) = clusterer_pair(SimilarityMetric::InverseL2, 0.05, 1_000_000);
+    let (mut online, mut reference) = clusterer_pair(SimilarityMetric::InverseL2, 0.05);
     let apart = (0..4).map(|k| vec![1_000.0 * k as f64, 0.0]).collect();
     let report = update_both(&mut online, &mut reference, apart, 0, "tie, round 0");
     assert_eq!((report.clusters_created, report.merges), (4, 0));

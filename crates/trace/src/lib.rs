@@ -19,18 +19,20 @@
 //!   id → its `TemplateCreated` event, …) so later stages can link to
 //!   causes they never saw directly. [`TraceView::explain`] walks the
 //!   links and reconstructs the full "why" path for any decision.
-//! * **Bounded memory.** Events live in a fixed-capacity ring. Eviction is
-//!   counted (surfaced as the `trace.ring_evictions` gauge once a
-//!   [`Recorder`] is bound) and lineage survives it: whenever an event is
-//!   linked as a parent/ref or anchored, the linked event is *pinned* into
-//!   a bounded side map at link time, so `explain` never dangles.
+//! * **Bounded memory.** Events live in a ring of [`RING_CAPACITY`].
+//!   Eviction is counted (surfaced as the `trace.ring_evictions` gauge once
+//!   a [`Recorder`] is bound) and lineage survives it: whenever an event is
+//!   linked as a parent/ref or anchored, the linked event is *pinned* at
+//!   link time into a side map bounded by [`PIN_CAPACITY`], so `explain`
+//!   never dangles.
 //! * **Deterministic parallelism.** Worker closures emit into per-task
 //!   [`LaneBuffer`]s; [`Tracer::merge_lanes`] assigns ids in input-lane
 //!   order after the join, mirroring `qb-parallel`'s ordering guarantee.
 //! * **Flight-recorder dumps.** [`Tracer::trigger_dump`] (called by the
 //!   pipeline on forecast divergence, degradation downgrades, and —
-//!   internally — quarantine spikes) snapshots the last N events plus the
-//!   lineage slice of the triggering decision into a [`TraceDump`].
+//!   internally — [`QUARANTINE_SPIKE`] quarantines in a round) snapshots
+//!   the last [`DUMP_EVENTS`] events plus the lineage slice of the
+//!   triggering decision into a [`TraceDump`].
 //!
 //! ```
 //! use qb_trace::{EventDraft, EventKind, Tracer};
@@ -392,25 +394,23 @@ impl EventDraft {
     }
 }
 
-/// Flight-recorder configuration (see `Qb5000Config::builder().trace(…)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSettings {
-    /// Ring-buffer capacity in events.
-    pub capacity: usize,
-    /// Bound on the pinned-lineage side map.
-    pub pin_capacity: usize,
-    /// How many trailing events a dump snapshots.
-    pub dump_events: usize,
-    /// Quarantine admissions within one round that trigger an automatic
-    /// `QuarantineSpike` dump (0 disables the trigger).
-    pub quarantine_spike: u64,
-}
+/// Ring-buffer capacity in events. A fixed bound keeps the recorder's
+/// memory flat whatever the run length; lineage reaching past it survives
+/// through pins.
+pub const RING_CAPACITY: usize = 4096;
 
-impl Default for TraceSettings {
-    fn default() -> Self {
-        Self { capacity: 4096, pin_capacity: 4096, dump_events: 48, quarantine_spike: 64 }
-    }
-}
+/// Bound on the pinned-lineage side map, as large as the ring: a linked
+/// event outlives ring eviction until this many newer events are pinned.
+pub const PIN_CAPACITY: usize = 4096;
+
+/// Trailing events a dump snapshots: context around the trigger that a
+/// health report can carry, without copying the whole ring into each dump.
+pub const DUMP_EVENTS: usize = 48;
+
+/// Quarantine admissions within one round that trigger an automatic
+/// `QuarantineSpike` dump. A malformed burst of this size in one round is
+/// an incident worth a dump; a stray bad statement is not.
+pub const QUARANTINE_SPIKE: u64 = 64;
 
 /// One flight-recorder dump: the trailing event window plus the lineage
 /// slice of the decision that triggered it, both in the deterministic
@@ -460,15 +460,15 @@ impl RecState {
     }
 
     /// Copies a live event into the pinned map so ring eviction cannot
-    /// orphan a lineage link. FIFO-bounded by `pin_capacity`.
-    fn pin(&mut self, id: EventId, pin_capacity: usize) {
+    /// orphan a lineage link. FIFO-bounded by [`PIN_CAPACITY`].
+    fn pin(&mut self, id: EventId) {
         if self.pinned.contains_key(&id.0) {
             return;
         }
         let Some(ev) = self.get(id).cloned() else { return };
         self.pinned.insert(id.0, ev);
         self.pin_order.push_back(id.0);
-        while self.pin_order.len() > pin_capacity {
+        while self.pin_order.len() > PIN_CAPACITY {
             if let Some(old) = self.pin_order.pop_front() {
                 self.pinned.remove(&old);
             }
@@ -491,7 +491,6 @@ impl RecState {
 #[derive(Debug)]
 struct TraceCore {
     state: Mutex<RecState>,
-    settings: TraceSettings,
     epoch: Instant,
 }
 
@@ -505,21 +504,15 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// An enabled tracer with explicit settings.
-    pub fn new(settings: TraceSettings) -> Self {
-        assert!(settings.capacity > 0, "trace ring capacity must be positive");
+    /// An enabled tracer: a [`RING_CAPACITY`]-event ring, lineage pinned
+    /// up to [`PIN_CAPACITY`] events.
+    pub fn enabled() -> Self {
         Self {
             inner: Some(Arc::new(TraceCore {
                 state: Mutex::new(RecState::default()),
-                settings,
                 epoch: Instant::now(),
             })),
         }
-    }
-
-    /// An enabled tracer with [`TraceSettings::default`].
-    pub fn enabled() -> Self {
-        Self::new(TraceSettings::default())
     }
 
     /// The no-op tracer (the `Default`).
@@ -530,11 +523,6 @@ impl Tracer {
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The settings this tracer was built with (`None` when disabled).
-    pub fn settings(&self) -> Option<TraceSettings> {
-        self.inner.as_ref().map(|c| c.settings)
     }
 
     /// Installs qb-obs hooks: ring evictions surface as the
@@ -586,24 +574,22 @@ impl Tracer {
         });
         let kind = draft.kind;
         let mut st = core.state.lock().expect("trace state poisoned");
-        let id = commit_locked(&mut st, &core.settings, draft, lane, wall);
+        let id = commit_locked(&mut st, draft, lane, wall);
         // Spike detection is internal to the recorder: QueryQuarantined
         // emissions are counted per round, and crossing the threshold
         // fires exactly one dump for the round.
         if kind == EventKind::QueryQuarantined {
             st.round_rejects += 1;
-            let threshold = core.settings.quarantine_spike;
-            if threshold > 0 && st.round_rejects == threshold {
+            if st.round_rejects == QUARANTINE_SPIKE {
                 let spike = commit_locked(
                     &mut st,
-                    &core.settings,
                     EventDraft::new(EventKind::QuarantineSpike)
                         .parent(id)
-                        .uint("rejected_this_round", threshold),
+                        .uint("rejected_this_round", QUARANTINE_SPIKE),
                     lane,
                     None,
                 );
-                dump_locked(&mut st, &core.settings, "quarantine_spike", Some(spike));
+                dump_locked(&mut st, "quarantine_spike", Some(spike));
             }
         }
         Some(id)
@@ -614,7 +600,7 @@ impl Tracer {
     pub fn set_anchor(&self, scope: Scope, key: u64, id: EventId) {
         if let Some(core) = &self.inner {
             let mut st = core.state.lock().expect("trace state poisoned");
-            st.pin(id, core.settings.pin_capacity);
+            st.pin(id);
             st.anchors.insert((scope, key), id);
         }
     }
@@ -662,7 +648,7 @@ impl Tracer {
                     refs: draft.refs.iter().map(|&r| resolve(r, &ids)).collect(),
                     payload: draft.payload,
                 };
-                let id = commit_locked(&mut st, &core.settings, draft, lane_buf.lane, wall);
+                let id = commit_locked(&mut st, draft, lane_buf.lane, wall);
                 ids.push(id);
             }
             out.push(ids);
@@ -676,7 +662,7 @@ impl Tracer {
     pub fn trigger_dump(&self, reason: &str, focus: Option<EventId>) {
         if let Some(core) = &self.inner {
             let mut st = core.state.lock().expect("trace state poisoned");
-            dump_locked(&mut st, &core.settings, reason, focus);
+            dump_locked(&mut st, reason, focus);
         }
     }
 
@@ -739,10 +725,10 @@ impl Tracer {
     /// carry no wall spans ([`Event::render`] and the deterministic stream
     /// never read them); the logical clock, ring, pinned lineage, anchors,
     /// and dumps continue exactly where the export left off.
-    pub fn restore(settings: TraceSettings, state: TracerState) -> Self {
-        let tracer = Tracer::new(settings);
+    pub fn restore(state: TracerState) -> Self {
+        let tracer = Tracer::enabled();
         {
-            let core = tracer.inner.as_ref().expect("Tracer::new is enabled");
+            let core = tracer.inner.as_ref().expect("an enabled tracer");
             let mut st = core.state.lock().expect("trace state poisoned");
             st.next_id = state.next_id;
             st.round = state.round;
@@ -825,7 +811,6 @@ pub struct TracerState {
 /// assigns `(id, round, seq)`, and evicts the ring tail past capacity.
 fn commit_locked(
     st: &mut RecState,
-    settings: &TraceSettings,
     draft: EventDraft,
     lane: u32,
     wall: Option<WallSpan>,
@@ -848,7 +833,7 @@ fn commit_locked(
     // Pin at link time: anything this event points at must survive ring
     // eviction for `explain` to stay complete.
     for target in parent.iter().chain(refs.iter()) {
-        st.pin(*target, settings.pin_capacity);
+        st.pin(*target);
     }
     let ev = Event {
         id,
@@ -865,7 +850,7 @@ fn commit_locked(
         st.front_id = id.0;
     }
     st.ring.push_back(ev);
-    while st.ring.len() > settings.capacity {
+    while st.ring.len() > RING_CAPACITY {
         st.ring.pop_front();
         st.front_id += 1;
         st.evictions += 1;
@@ -874,10 +859,10 @@ fn commit_locked(
     id
 }
 
-fn dump_locked(st: &mut RecState, settings: &TraceSettings, reason: &str, focus: Option<EventId>) {
+fn dump_locked(st: &mut RecState, reason: &str, focus: Option<EventId>) {
     let view = TraceView::from_events(st.all_events());
     let events = view.events();
-    let tail_start = events.len().saturating_sub(settings.dump_events);
+    let tail_start = events.len().saturating_sub(DUMP_EVENTS);
     let mut recent = String::new();
     for ev in &events[tail_start..] {
         recent.push_str(&ev.render());
@@ -984,28 +969,27 @@ mod tests {
 
     #[test]
     fn ring_wraps_exactly_at_capacity() {
-        let settings = TraceSettings { capacity: 4, ..TraceSettings::default() };
-        let t = Tracer::new(settings);
-        for _ in 0..4 {
+        let t = Tracer::enabled();
+        for _ in 0..RING_CAPACITY {
             t.record(EventDraft::new(EventKind::QuerySeen));
         }
         // Exactly at capacity: nothing evicted yet.
         assert_eq!(t.evictions(), 0);
-        assert_eq!(t.view().events().len(), 4);
+        assert_eq!(t.view().events().len(), RING_CAPACITY);
         // Capacity + 1: the oldest event leaves and is counted.
         t.record(EventDraft::new(EventKind::QuerySeen));
         assert_eq!(t.evictions(), 1);
         let view = t.view();
-        assert_eq!(view.events().len(), 4);
+        assert_eq!(view.events().len(), RING_CAPACITY);
         assert_eq!(view.events()[0].id, EventId(1));
     }
 
     #[test]
     fn evictions_surface_as_gauge_when_recorder_bound() {
         let rec = Recorder::new();
-        let t = Tracer::new(TraceSettings { capacity: 2, ..TraceSettings::default() });
+        let t = Tracer::enabled();
         t.bind_recorder(&rec);
-        for _ in 0..5 {
+        for _ in 0..RING_CAPACITY + 3 {
             t.record(EventDraft::new(EventKind::QuerySeen));
         }
         assert_eq!(rec.snapshot().gauges["trace.ring_evictions"], 3.0);
@@ -1013,15 +997,16 @@ mod tests {
 
     #[test]
     fn linked_events_survive_eviction() {
-        let t = Tracer::new(TraceSettings { capacity: 2, ..TraceSettings::default() });
+        let t = Tracer::enabled();
         let seen = t.record(EventDraft::new(EventKind::QuerySeen).uint("len", 9)).unwrap();
         let tpl =
             t.record(EventDraft::new(EventKind::TemplateCreated).parent(seen).uint("template", 3)).unwrap();
         t.set_anchor(Scope::Template, 3, tpl);
         // Push both originals out of the ring.
-        for _ in 0..8 {
-            t.record(EventDraft::new(EventKind::QueryQuarantined));
+        for _ in 0..RING_CAPACITY {
+            t.record(EventDraft::new(EventKind::QuerySeen));
         }
+        assert_eq!(t.evictions(), 2, "both originals left the ring");
         let assigned = t
             .record(
                 EventDraft::new(EventKind::ClusterAssigned)
@@ -1036,12 +1021,35 @@ mod tests {
     }
 
     #[test]
+    fn pins_past_capacity_drop_the_oldest() {
+        let t = Tracer::enabled();
+        let pinned: Vec<EventId> = (0..=PIN_CAPACITY as u64)
+            .map(|key| {
+                let id = t.record(EventDraft::new(EventKind::TemplateCreated)).unwrap();
+                t.set_anchor(Scope::Template, key, id);
+                id
+            })
+            .collect();
+        // Push every pinned event out of the ring: only the pins remain.
+        for _ in 0..RING_CAPACITY {
+            t.record(EventDraft::new(EventKind::QuerySeen));
+        }
+        let view = t.view();
+        assert!(view.get(pinned[0]).is_none(), "the oldest pin is evicted");
+        assert!(pinned[1..].iter().all(|&id| view.get(id).is_some()));
+    }
+
+    #[test]
     fn quarantine_spike_fires_one_dump_per_round() {
         let rec = Recorder::new();
-        let t = Tracer::new(TraceSettings { quarantine_spike: 3, ..TraceSettings::default() });
+        let t = Tracer::enabled();
         t.bind_recorder(&rec);
         t.begin_round(0);
-        for _ in 0..5 {
+        for _ in 0..QUARANTINE_SPIKE - 1 {
+            t.record(EventDraft::new(EventKind::QueryQuarantined));
+        }
+        assert!(t.dumps().is_empty(), "one admission short of the spike");
+        for _ in 0..3 {
             t.record(EventDraft::new(EventKind::QueryQuarantined));
         }
         let dumps = t.dumps();
@@ -1051,7 +1059,7 @@ mod tests {
         assert_eq!(rec.snapshot().counters["trace.dumps{reason=\"quarantine_spike\"}"], 1);
         // A fresh round re-arms the trigger.
         t.begin_round(60);
-        for _ in 0..3 {
+        for _ in 0..QUARANTINE_SPIKE {
             t.record(EventDraft::new(EventKind::QueryQuarantined));
         }
         assert_eq!(t.dumps().len(), 2);
@@ -1105,8 +1113,7 @@ mod tests {
 
     #[test]
     fn state_round_trip_continues_identical_stream() {
-        let settings = TraceSettings { capacity: 8, ..TraceSettings::default() };
-        let live = Tracer::new(settings);
+        let live = Tracer::enabled();
         live.begin_round(0);
         let seen = live.record(EventDraft::new(EventKind::QuerySeen).uint("len", 9)).unwrap();
         let tpl = live
@@ -1114,13 +1121,14 @@ mod tests {
             .unwrap();
         live.set_anchor(Scope::Template, 3, tpl);
         // Evict the originals so the pinned map carries real weight.
-        for _ in 0..10 {
+        for _ in 0..RING_CAPACITY {
             live.record(EventDraft::new(EventKind::QueryQuarantined));
         }
+        assert!(live.evictions() > 0);
         live.trigger_dump("diverged", Some(tpl));
 
         let exported = live.export_state().unwrap();
-        let restored = Tracer::restore(settings, exported.clone());
+        let restored = Tracer::restore(exported.clone());
         assert_eq!(restored.export_state().unwrap(), exported, "restore must be lossless");
         assert_eq!(
             restored.view().deterministic_stream(),
@@ -1151,13 +1159,21 @@ mod tests {
 
     #[test]
     fn dump_snapshots_tail_and_lineage() {
-        let t = Tracer::new(TraceSettings { dump_events: 2, ..TraceSettings::default() });
+        let t = Tracer::enabled();
+        let first = t.record(EventDraft::new(EventKind::QuerySeen)).unwrap();
+        for _ in 0..DUMP_EVENTS {
+            t.record(EventDraft::new(EventKind::QuerySeen));
+        }
         let a = t.record(EventDraft::new(EventKind::ModelFit).uint("horizon", 0)).unwrap();
         let b = t.record(EventDraft::new(EventKind::DivergenceGuard).parent(a)).unwrap();
         t.trigger_dump("diverged", Some(b));
         let dumps = t.dumps();
         assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].recent.lines().count(), 2);
+        let recent: Vec<&str> = dumps[0].recent.lines().collect();
+        assert_eq!(recent.len(), DUMP_EVENTS);
+        let view = t.view();
+        assert_eq!(recent[0], view.get(EventId(first.0 + 3)).unwrap().render());
+        assert_eq!(recent[DUMP_EVENTS - 1], view.get(b).unwrap().render());
         assert!(dumps[0].lineage.contains("DivergenceGuard"));
         assert!(dumps[0].lineage.contains("ModelFit"));
     }

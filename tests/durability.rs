@@ -34,7 +34,8 @@
 use proptest::prelude::*;
 use qb5000::durable::{
     decode_full_state, decode_history, decode_literal, decode_wal_record, encode_full_state,
-    encode_history, encode_literal, encode_wal_record, FullState, WalRecord,
+    encode_history, encode_literal, encode_manager_state, encode_pipeline_state,
+    encode_wal_record, FullState, WalRecord,
 };
 use qb5000::{
     Dec, DurabilityConfig, DurablePipeline, Enc, ForecastManager, HorizonSpec,
@@ -475,33 +476,26 @@ const V4_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v4_store
 /// stored every clusterer feature whole.
 const V5_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v5_store");
 
-/// What the version 3 build printed after recovering [`V3_FIXTURE`] and
-/// rebuilding the forecast manager from it: FNV-1a of the `Debug` text of
-/// the recovered `PipelineState` and `ManagerState`, and the raw bits of
-/// the manager's prediction at [`V3_END`]. The version 4 build printed the
-/// same manager hash and bits for [`V4_FIXTURE`], and both stores recover
-/// to the same `PipelineState` under this build.
+/// The recovered state of [`V3_FIXTURE`] and [`V4_FIXTURE`], pinned as
+/// FNV-1a of the bytes `encode_pipeline_state` and `encode_manager_state`
+/// write for it, and the raw bits of the manager's prediction at
+/// [`V3_END`]. Both stores recover to the same state; the manager state
+/// and bits are the ones the version 3 and 4 builds printed after
+/// recovering them.
 ///
-/// `V3_STATE_FNV` has been re-derived twice. First, `PreProcessorState`
-/// lost its `raw_cache` and `cache_hits` fields with the raw-SQL cache,
-/// which removed one cached statement and a hit count of 11 from the
-/// `Debug` text and changed no other line (the version 3 build printed
-/// `0xff08_13db_875f_17cd`; the version 4 build `0xe06a_a152_acd2_9269`).
-/// Second, the shard caches left exported state and every statement began
-/// to feed its reservoir. The version 4 build's text for either store,
-/// with its field of shard-cache slots cut out, hashes to
-/// `0x1301_dde9_43ba_6170`. It differs from this build's only in the
-/// reservoirs of templates 0 and 1: this build offers them the WAL tail's
-/// nine and three statements (`params_seen` 5 → 14 and 2 → 5, each
-/// appended to a reservoir that is not full), which the slots restored by
-/// the version 4 build made hits that were not offered. Third,
-/// `TemplateRecord` holds its feature as a `TemplateFeature` (zero lead and
-/// suffix) instead of the `feature_values` and `feature_valid_from`
-/// fields. Rendered with those two fields, the dense coordinates and the
-/// mask, this build's text for either store hashes to the previous value,
-/// `0xf557_3f06_d3ff_98eb`.
-const V3_STATE_FNV: u64 = 0x5e10_df32_c60f_db43;
-const V3_MANAGER_FNV: u64 = 0x6b7e_4eaa_1d2c_ee92;
+/// The pins hash encoded bytes, not `Debug` text, so renaming a field of
+/// either state type does not move them; a change to what the state holds
+/// or to its encoding does. They replaced `Debug`-text pins, which the
+/// recovered states matched in the same run: `0x5e10_df32_c60f_db43`
+/// (`PipelineState`) and `0x6b7e_4eaa_1d2c_ee92` (`ManagerState`, also
+/// what the version 3 build printed). The pipeline state differs from the
+/// one the version 3 build recovered in two ways. It holds no raw-SQL
+/// cache (that build's held one statement with 11 hits). And this build
+/// offers every statement of the WAL tail to its template's reservoir
+/// (`params_seen` of templates 0 and 1: 5 → 14 and 2 → 5), where the older
+/// builds' caches turned some into hits that were not offered.
+const V3_STATE_BYTES_FNV: u64 = 0xd11e_88d2_4d1d_c867;
+const V3_MANAGER_BYTES_FNV: u64 = 0x95f7_c208_390b_f16d;
 const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
 const V3_SQL: [&str; 5] = [
@@ -515,9 +509,13 @@ const V3_SQL: [&str; 5] = [
 const V3_SNAPSHOT_HOUR: i64 = 72;
 const V3_END: i64 = 75 * 60;
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+/// FNV-1a of the bytes `encode` writes.
+fn encoded_fnv(encode: impl FnOnce(&mut Enc)) -> u64 {
+    let mut e = Enc::new();
+    encode(&mut e);
+    e.finish()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 fn v3_config(dir: &std::path::Path) -> Qb5000Config {
@@ -662,7 +660,11 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
 
     let (mut p, mstate, bits) = recover_v3(&dir);
     let state = p.bot().export_state();
-    assert_eq!(fnv1a(&format!("{mstate:?}")), V3_MANAGER_FNV, "ManagerState as recovered before");
+    assert_eq!(
+        encoded_fnv(|e| encode_manager_state(e, &mstate)),
+        V3_MANAGER_BYTES_FNV,
+        "ManagerState as recovered before"
+    );
     assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as recovered before");
     assert!(state.pre.entries.iter().any(|e| !e.history.compacted.is_empty()));
 
@@ -671,7 +673,11 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
     if version >= 5 {
         assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
     } else {
-        assert_eq!(fnv1a(&format!("{state:?}")), V3_STATE_FNV, "PipelineState as recovered before");
+        assert_eq!(
+            encoded_fnv(|e| encode_pipeline_state(e, &state)),
+            V3_STATE_BYTES_FNV,
+            "PipelineState as recovered before"
+        );
         assert_eq!(
             without_reservoirs(live.bot().export_state()),
             without_reservoirs(state.clone()),
