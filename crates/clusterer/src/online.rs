@@ -778,10 +778,11 @@ impl OnlineClusterer {
         self.templates.len()
     }
 
-    /// Exports the complete mutable state as plain data (durable-snapshot
-    /// support). Templates and clusters are emitted in key order; member
-    /// lists keep their insertion order, which step-1 assignment depends
-    /// on for tie-breaking.
+    /// Exports the mutable state as plain data (durable-snapshot support),
+    /// less what [`OnlineClusterer::restore`] recomputes: cluster centres
+    /// and volumes. Templates and clusters are emitted in key order;
+    /// member lists keep their insertion order, which step-1 assignment
+    /// and every centre bit depend on.
     pub fn export_state(&self) -> ClustererState {
         ClustererState {
             templates: self
@@ -798,12 +799,7 @@ impl OnlineClusterer {
             clusters: self
                 .clusters
                 .values()
-                .map(|c| ClusterRecord {
-                    id: c.id.0,
-                    members: c.members.clone(),
-                    center: c.center.clone(),
-                    volume: c.volume,
-                })
+                .map(|c| ClusterRecord { id: c.id.0, members: c.members.clone() })
                 .collect(),
             next_cluster: self.next_cluster,
             seen_since_update: self.seen_since_update.iter().copied().collect(),
@@ -813,7 +809,9 @@ impl OnlineClusterer {
     }
 
     /// Rebuilds a clusterer from exported state. `config` must match the
-    /// configuration of the exporting instance.
+    /// configuration of the exporting instance. Each centre and volume is
+    /// recomputed from the members in order, as `update` leaves it, so it
+    /// comes back bit-equal to the exporter's.
     pub fn restore(config: ClustererConfig, state: ClustererState) -> Self {
         let mut c = OnlineClusterer::new(config);
         c.templates = state
@@ -835,21 +833,15 @@ impl OnlineClusterer {
             .clusters
             .into_iter()
             .map(|r| {
-                (
-                    ClusterId(r.id),
-                    Cluster {
-                        id: ClusterId(r.id),
-                        members: r.members,
-                        center: r.center,
-                        volume: r.volume,
-                    },
-                )
+                let id = ClusterId(r.id);
+                (id, Cluster { id, members: r.members, center: Vec::new(), volume: 0.0 })
             })
             .collect();
         c.next_cluster = state.next_cluster;
         c.seen_since_update = state.seen_since_update.into_iter().collect();
         c.unseen_since_update = state.unseen_since_update as usize;
         c.baseline_unseen_ratio = state.baseline_unseen_ratio;
+        c.recompute_centers();
         c
     }
 }
@@ -864,14 +856,14 @@ pub struct TemplateRecord {
     pub cluster: u64,
 }
 
-/// Plain-data snapshot of one cluster.
+/// Plain-data snapshot of one cluster. Its centre and volume are not
+/// part of it: [`OnlineClusterer::restore`] recomputes them from the
+/// members.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterRecord {
     pub id: u64,
     /// Members in insertion order (assignment tie-breaking depends on it).
     pub members: Vec<TemplateKey>,
-    pub center: Vec<f64>,
-    pub volume: f64,
 }
 
 /// Plain-data snapshot of an [`OnlineClusterer`] (durable-state export).
@@ -1188,47 +1180,50 @@ mod tests {
 
     #[test]
     fn state_round_trip_continues_identically() {
-        let mut live = OnlineClusterer::new(ClustererConfig {
-            adaptive_trigger: true,
-            ..ClustererConfig::default()
-        });
-        // Build up clusters, churn baseline, and mid-period observations.
-        live.update(
-            vec![
-                snap(1, &[1.0, 0.0, 0.0], 5.0),
-                snap(2, &[0.0, 1.0, 0.0], 3.0),
-                snap(3, &[2.0, 0.1, 0.0], 2.0),
-            ],
-            0,
-        );
-        for k in [1, 2, 3, 40, 41] {
-            live.observe(k);
-        }
-        let exported = live.export_state();
-        let mut restored =
-            OnlineClusterer::restore(ClustererConfig { adaptive_trigger: true, ..ClustererConfig::default() }, exported.clone());
-        assert_eq!(restored.export_state(), exported, "restore must be lossless");
-        assert_eq!(restored.num_clusters(), live.num_clusters());
-        assert_eq!(restored.num_templates(), live.num_templates());
-        assert_eq!(restored.effective_trigger(), live.effective_trigger());
+        // Inverse-L2 at ρ = 0.5 joins and merges below distance 1.
+        for (metric, rho) in [(SimilarityMetric::Cosine, 0.8), (SimilarityMetric::InverseL2, 0.5)] {
+            let config = ClustererConfig { rho, metric, adaptive_trigger: true };
+            // Clusters built by merges, an eviction and features with a
+            // zero lead; then churn baseline and mid-period observations.
+            let (mut live, _, report) = after_mixed_update(config.clone());
+            assert!(report.merges > 0 && report.evicted > 0, "{metric:?}: {report:?}");
+            assert!(live.templates.values().any(|s| s.feature.lead() > 0));
+            for k in [1, 2, 3, 40, 41] {
+                live.observe(k);
+            }
+            let exported = live.export_state();
+            let mut restored = OnlineClusterer::restore(config.clone(), exported.clone());
+            // Recomputed, not stored: every centre and volume comes back
+            // bit-equal before any update.
+            assert_eq!(center_bits(&restored), center_bits(&live), "{metric:?}");
+            assert_eq!(restored.export_state(), exported, "restore must be lossless");
+            assert_eq!(restored.num_clusters(), live.num_clusters());
+            assert_eq!(restored.num_templates(), live.num_templates());
+            assert_eq!(restored.effective_trigger(), live.effective_trigger());
 
-        // Identical behavior from here on: same trigger decisions, same
-        // update reports, same resulting state.
-        for k in 50..80 {
-            assert_eq!(live.observe(k), restored.observe(k));
+            // Identical behavior from here on: same trigger decisions, same
+            // update reports, same resulting state.
+            for k in 50..80 {
+                assert_eq!(live.observe(k), restored.observe(k));
+            }
+            let now = 10 * EVICTION_IDLE + 60;
+            let snaps = || {
+                vec![
+                    snap(1, &[1.0, 2.0, 0.0, 0.0, 0.0, 0.1], 5.0),
+                    snap(2, &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3.0),
+                    snap(11, &[0.0, 0.0, 5.0, 1.1, 0.0, 0.0], 2.0),
+                    snap(60, &[0.0, 0.0, 0.0, 0.5, 0.5, 0.5], 1.0),
+                ]
+                .into_iter()
+                .map(|s| TemplateSnapshot { last_seen: now, ..s })
+                .collect()
+            };
+            let ra = live.update(snaps(), now);
+            let rb = restored.update(snaps(), now);
+            assert_eq!(ra, rb);
+            assert_eq!(live.export_state(), restored.export_state());
+            assert_eq!(center_bits(&restored), center_bits(&live));
         }
-        let snaps = |off: u64| {
-            vec![
-                snap(1, &[1.0, 0.0, 0.1], 5.0),
-                snap(2, &[0.0, 1.0, 0.0], 3.0),
-                snap(3, &[2.0, 0.0, 0.0], 2.0),
-                snap(60 + off, &[0.5, 0.5, 0.5], 1.0),
-            ]
-        };
-        let ra = live.update(snaps(0), 10);
-        let rb = restored.update(snaps(0), 10);
-        assert_eq!(ra, rb);
-        assert_eq!(live.export_state(), restored.export_state());
     }
 
     #[test]
@@ -1304,13 +1299,19 @@ mod tests {
         assert_eq!(tracer.anchor(Scope::Cluster, 1), Some(merged));
     }
 
-    /// Only clusters whose membership changed get a fresh center after the
-    /// post-refresh pass. One cycle that evicts, reassigns, admits and
-    /// merges must still leave every center and volume bit-equal to the
-    /// mean computed from scratch over the members in order.
-    #[test]
-    fn centers_match_from_scratch_mean_after_mixed_update() {
-        let mut c = clusterer();
+    /// Centre and volume bits of every cluster, in id order.
+    fn center_bits(c: &OnlineClusterer) -> Vec<(ClusterId, Vec<u64>, u64)> {
+        c.clusters()
+            .map(|k| (k.id, k.center.iter().map(|x| x.to_bits()).collect(), k.volume.to_bits()))
+            .collect()
+    }
+
+    /// A clusterer under `config` after four founding cycles and one mixed
+    /// cycle that evicts, reassigns, admits and merges, with that cycle's
+    /// report and the number of clusters the founding cycles left. Most
+    /// features have a zero lead.
+    fn after_mixed_update(config: ClustererConfig) -> (OnlineClusterer, usize, UpdateReport) {
+        let mut c = OnlineClusterer::new(config);
         let now = 10 * EVICTION_IDLE;
         let at = |key, values: &[f64], volume, last_seen| TemplateSnapshot {
             key,
@@ -1337,11 +1338,11 @@ mod tests {
         ] {
             c.update(round, 0);
         }
-        assert_eq!(c.num_clusters(), 4);
+        let founded = c.num_clusters();
         // Template 4 sends no snapshot and ages out of A; 3 flips shape,
         // leaving A (which gains nothing) for 5's cluster; 5 and 6 converge
         // and merge; 7 joins B, which is otherwise untouched; 8 founds a
-        // cluster.
+        // cluster (so it goes under the cosine metric).
         let r = c.update(
             vec![
                 at(1, &[1.0, 2.0, 0.0, 0.0, 0.0, 0.3], 3.5, now - 1),
@@ -1357,6 +1358,17 @@ mod tests {
             ],
             now,
         );
+        (c, founded, r)
+    }
+
+    /// Only clusters whose membership changed get a fresh center after the
+    /// post-refresh pass. One cycle that evicts, reassigns, admits and
+    /// merges must still leave every center and volume bit-equal to the
+    /// mean computed from scratch over the members in order.
+    #[test]
+    fn centers_match_from_scratch_mean_after_mixed_update() {
+        let (c, founded, r) = after_mixed_update(ClustererConfig::default());
+        assert_eq!(founded, 4);
         assert_eq!(
             r,
             UpdateReport {

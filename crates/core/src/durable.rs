@@ -16,18 +16,16 @@
 //! The snapshot payload is `[u16 STATE_VERSION]` followed by the
 //! [`FullState`] encoding; every record type is hand-encoded in this
 //! module against [`qb_durable::Enc`]/[`qb_durable::Dec`] so the on-disk
-//! layout is auditable line by line. Version 6, the only one written,
+//! layout is auditable line by line. Version 7, the only one written,
 //! stores each history tier as zigzag-varint minute deltas with varint
 //! counts, front-codes the sorted template-text table and writes each
 //! clusterer feature as its dimension, its zero lead and the coordinates
-//! after the lead; every other field is fixed-width. Version 3, 4 and 5
-//! payloads still decode, through a read-only path. Version 5 differs only
-//! in the features, which it wrote whole. Version 4 also holds three fields
-//! version 5 dropped, which it reads and discards: the raw-SQL cache older
-//! builds kept (written empty), the shard-cache slots and the raw cache's
-//! hit counter. Version 3 also wrote tiers and tables fixed-width and
-//! whole. A build refuses every other payload version rather than
-//! guessing.
+//! after the lead; every other field is fixed-width. It holds no value
+//! restore recomputes (cluster centres and volumes, the tracked clusters,
+//! the manager's cluster key). Versions 3 to 6 decode through a read-only
+//! path that reads and drops what later versions left out; DESIGN.md
+//! ("Durability & recovery") tables every version. A build refuses every
+//! other payload version rather than guessing.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
 //! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],
@@ -82,18 +80,16 @@ use crate::pipeline::{
 };
 
 /// Version of the snapshot payload this build writes. Bump when the
-/// [`FullState`] encoding changes shape. Version 6 writes each clusterer
-/// feature as its zero lead and the suffix after it; versions 5 (every
-/// coordinate), 4 (which wrote the cache tables) and 3 (fixed-width
-/// pairs, whole strings) still decode, read-only. Every other version is
-/// refused, not guessed at.
-pub const STATE_VERSION: u16 = 6;
+/// [`FullState`] encoding changes shape. Versions 3 to 6 still decode,
+/// read-only; every other version is refused, not guessed at.
+pub const STATE_VERSION: u16 = 7;
 
 /// The older payload versions [`decode_full_state`] still reads. Nothing
-/// writes them: the first snapshot after their recovery is version 6.
+/// writes them: the first snapshot after their recovery is version 7.
 const STATE_VERSION_V3: u16 = 3;
 const STATE_VERSION_V4: u16 = 4;
 const STATE_VERSION_V5: u16 = 5;
+const STATE_VERSION_V6: u16 = 6;
 
 /// WAL frame kind: one weighted template sighting, as older builds framed
 /// each `ingest_weighted` call. Read, never written: it decodes to a
@@ -367,7 +363,7 @@ fn decode_entry(d: &mut Dec, version: u16) -> Result<TemplateEntryState, CodecEr
 }
 
 /// Encodes one [`PreProcessorState`].
-pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
+fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
     e.seq(&s.entries, encode_entry);
     encode_text_table(
         e,
@@ -384,11 +380,7 @@ pub fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
     encode_quarantine(e, &s.quarantine);
 }
 
-/// Inverse of [`encode_preprocessor_state`].
-pub fn decode_preprocessor_state(d: &mut Dec) -> Result<PreProcessorState, CodecError> {
-    decode_preprocessor_state_at(d, STATE_VERSION)
-}
-
+/// Inverse of [`encode_preprocessor_state`] for a `version` payload.
 fn decode_preprocessor_state_at(
     d: &mut Dec,
     version: u16,
@@ -428,7 +420,7 @@ fn decode_preprocessor_state_at(
 
 /// Encodes one [`ClustererState`]. Each template's feature is its
 /// dimension, its zero lead and the `dim − lead` coordinates after it.
-pub fn encode_clusterer_state(e: &mut Enc, s: &ClustererState) {
+fn encode_clusterer_state(e: &mut Enc, s: &ClustererState) {
     e.seq(&s.templates, |e, t| {
         e.u64(t.key);
         e.usize(t.feature.dim());
@@ -444,8 +436,6 @@ pub fn encode_clusterer_state(e: &mut Enc, s: &ClustererState) {
     e.seq(&s.clusters, |e, c| {
         e.u64(c.id);
         e.seq(&c.members, |e, m| e.u64(*m));
-        e.seq(&c.center, |e, v| e.f64(*v));
-        e.f64(c.volume);
     });
     e.u64(s.next_cluster);
     e.seq(&s.seen_since_update, |e, k| e.u64(*k));
@@ -488,12 +478,13 @@ fn decode_clusterer_state_at(d: &mut Dec, version: u16) -> Result<ClustererState
             })
         })?,
         clusters: d.seq(|d| {
-            Ok(ClusterRecord {
-                id: d.u64()?,
-                members: d.seq(Dec::u64)?,
-                center: d.seq(Dec::f64)?,
-                volume: d.f64()?,
-            })
+            let record = ClusterRecord { id: d.u64()?, members: d.seq(Dec::u64)? };
+            // Versions 3 to 6 went on with the centre and volume: dropped.
+            if version <= STATE_VERSION_V6 {
+                d.seq(Dec::f64)?;
+                d.f64()?;
+            }
+            Ok(record)
         })?,
         next_cluster: d.u64()?,
         seen_since_update: d.seq(Dec::u64)?,
@@ -516,7 +507,6 @@ fn decode_cluster_info(d: &mut Dec) -> Result<ClusterInfoState, CodecError> {
 pub fn encode_pipeline_state(e: &mut Enc, s: &PipelineState) {
     encode_preprocessor_state(e, &s.pre);
     encode_clusterer_state(e, &s.clusterer);
-    e.seq(&s.tracked, encode_cluster_info);
     e.option(s.last_update.as_ref(), |e, m| e.i64(*m));
     e.u64(s.shift_triggers);
     e.u64(s.ingested_statements);
@@ -534,8 +524,13 @@ fn decode_pipeline_state_at(d: &mut Dec, version: u16) -> Result<PipelineState, 
     Ok(PipelineState {
         pre: decode_preprocessor_state_at(d, version)?,
         clusterer: decode_clusterer_state_at(d, version)?,
-        tracked: d.seq(decode_cluster_info)?,
-        last_update: d.option(Dec::i64)?,
+        last_update: {
+            // Versions 3 to 6 wrote the tracked clusters first: dropped.
+            if version <= STATE_VERSION_V6 {
+                d.seq(decode_cluster_info)?;
+            }
+            d.option(Dec::i64)?
+        },
         shift_triggers: d.u64()?,
         ingested_statements: d.u64()?,
         ingested_arrivals: d.u64()?,
@@ -563,7 +558,7 @@ fn decode_rolling_mean(d: &mut Dec) -> Result<RollingMeanState, CodecError> {
 }
 
 /// Encodes one [`AccuracyTrackerState`].
-pub fn encode_accuracy_state(e: &mut Enc, s: &AccuracyTrackerState) {
+fn encode_accuracy_state(e: &mut Enc, s: &AccuracyTrackerState) {
     e.usize(s.horizons);
     e.usize(s.window);
     e.seq(&s.pending, |e, p| {
@@ -583,7 +578,7 @@ pub fn encode_accuracy_state(e: &mut Enc, s: &AccuracyTrackerState) {
 }
 
 /// Inverse of [`encode_accuracy_state`].
-pub fn decode_accuracy_state(d: &mut Dec) -> Result<AccuracyTrackerState, CodecError> {
+fn decode_accuracy_state(d: &mut Dec) -> Result<AccuracyTrackerState, CodecError> {
     Ok(AccuracyTrackerState {
         horizons: d.usize()?,
         window: d.usize()?,
@@ -620,29 +615,28 @@ pub fn encode_manager_state(e: &mut Enc, s: &ManagerState) {
     e.u64(s.backoff_remaining);
     e.u64(s.rollbacks);
     e.option(s.last_error.as_ref(), |e, msg| e.str(msg));
-    e.option(s.trained_clusters.as_ref(), |e, tc| {
-        e.seq(tc, |e, (id, members)| {
-            e.u64(*id);
-            e.seq(members, |e, m| e.u32(*m));
-        });
-    });
     e.option(s.trained_on.as_ref(), |e, on| e.seq(on, encode_cluster_info));
     e.seq(&s.last_degradation, encode_degradation);
     e.option(s.last_train_now.as_ref(), |e, m| e.i64(*m));
     encode_accuracy_state(e, &s.accuracy);
 }
 
-/// Inverse of [`encode_manager_state`].
-pub fn decode_manager_state(d: &mut Dec) -> Result<ManagerState, CodecError> {
+/// Inverse of [`encode_manager_state`] for a `version` payload.
+fn decode_manager_state_at(d: &mut Dec, version: u16) -> Result<ManagerState, CodecError> {
     Ok(ManagerState {
         retrain_count: d.u64()?,
         consecutive_failures: d.u32()?,
         backoff_remaining: d.u64()?,
         rollbacks: d.u64()?,
         last_error: d.option(Dec::str)?,
-        trained_clusters: d
-            .option(|d| d.seq(|d| Ok((d.u64()?, d.seq(Dec::u32)?))))?,
-        trained_on: d.option(|d| d.seq(decode_cluster_info))?,
+        trained_on: {
+            // Versions 3 to 6 wrote the cluster key (ids, sorted members)
+            // first: dropped.
+            if version <= STATE_VERSION_V6 {
+                d.option(|d| d.seq(|d| Ok((d.u64()?, d.seq(Dec::u32)?))))?;
+            }
+            d.option(|d| d.seq(decode_cluster_info))?
+        },
         last_degradation: d.seq(decode_degradation)?,
         last_train_now: d.option(Dec::i64)?,
         accuracy: decode_accuracy_state(d)?,
@@ -727,7 +721,7 @@ fn decode_dump(d: &mut Dec) -> Result<TraceDump, CodecError> {
 }
 
 /// Encodes one [`TracerState`].
-pub fn encode_tracer_state(e: &mut Enc, s: &TracerState) {
+fn encode_tracer_state(e: &mut Enc, s: &TracerState) {
     e.u64(s.next_id);
     e.u64(s.round);
     e.u64(s.seq);
@@ -746,7 +740,7 @@ pub fn encode_tracer_state(e: &mut Enc, s: &TracerState) {
 }
 
 /// Inverse of [`encode_tracer_state`].
-pub fn decode_tracer_state(d: &mut Dec) -> Result<TracerState, CodecError> {
+fn decode_tracer_state(d: &mut Dec) -> Result<TracerState, CodecError> {
     Ok(TracerState {
         next_id: d.u64()?,
         round: d.u64()?,
@@ -778,7 +772,7 @@ pub fn encode_full_state(s: &FullState) -> Vec<u8> {
 
 /// Inverse of [`encode_full_state`]: verifies the version prefix and that
 /// every byte is consumed. Reads [`STATE_VERSION`] and, read-only,
-/// versions 3 to 5; refuses every other version.
+/// versions 3 to 6; refuses every other version.
 pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
     let mut d = Dec::new(bytes);
     let version = d.u16().map_err(DurabilityError::Codec)?;
@@ -789,7 +783,7 @@ pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
         )));
     }
     let pipeline = decode_pipeline_state_at(&mut d, version)?;
-    let manager = d.option(decode_manager_state)?;
+    let manager = d.option(|d| decode_manager_state_at(d, version))?;
     let tracer = d.option(decode_tracer_state)?;
     d.finish()?;
     Ok(FullState { pipeline, manager, tracer })
@@ -1162,6 +1156,14 @@ mod tests {
         }
     }
 
+    /// Each tracked cluster's id, volume bits and members in order.
+    fn tracked_bits(bot: &QueryBot5000) -> Vec<(u64, u64, Vec<u32>)> {
+        bot.tracked_clusters()
+            .iter()
+            .map(|c| (c.id.0, c.volume.to_bits(), c.members.iter().map(|m| m.0).collect()))
+            .collect()
+    }
+
     fn feed(p: &mut DurablePipeline, days: i64) {
         for minute in 0..days * MINUTES_PER_DAY {
             let hour = (minute / 60) % 24;
@@ -1315,18 +1317,18 @@ mod tests {
         let table_bytes = bytes.len() - encoded(&PreProcessorState::default()).len();
         assert!(table_bytes * 3 < text_bytes, "{table_bytes} bytes for {text_bytes} of text");
         let mut d = Dec::new(&bytes);
-        assert_eq!(decode_preprocessor_state(&mut d).unwrap(), state);
+        assert_eq!(decode_preprocessor_state_at(&mut d, STATE_VERSION).unwrap(), state);
         d.finish().unwrap();
     }
 
-    /// Hostile input never panics: every truncation of a v6 payload is an
+    /// Hostile input never panics: every truncation of a v7 payload is an
     /// error, and every single-bit flip is either an error or a different
     /// state (a flipped float or counter bit is a valid value; the snapshot
     /// file's CRC-32 rejects those before the payload is decoded). No byte
     /// is dead: none decodes to the same state when flipped. The payload
     /// holds clusterer features with a zero lead and a suffix.
     #[test]
-    fn every_truncation_and_bit_flip_of_a_v6_payload_fails_cleanly() {
+    fn every_truncation_and_bit_flip_of_a_v7_payload_fails_cleanly() {
         let mut cfg = Qb5000Config::default();
         cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
             raw_retention: 90,
@@ -1386,8 +1388,9 @@ mod tests {
             for minute in now..now + 120 {
                 p.ingest_weighted(minute, "SELECT a FROM t WHERE id = 1", 7).unwrap();
             }
-            (p.bot().export_state(), p.health(), p.durable_seq())
+            (p.bot().export_state(), p.health(), p.durable_seq(), tracked_bits(p.bot()))
         };
+        assert!(!reference.3.is_empty());
         let (p2, report) = DurablePipeline::open(durable_config(&dir)).unwrap();
         assert!(report.recovered());
         assert_eq!(report.snapshot_seq, Some(reference.2 - 120));
@@ -1395,6 +1398,7 @@ mod tests {
         assert_eq!(p2.bot().export_state(), reference.0, "state replays bit-identically");
         assert_eq!(p2.health(), reference.1);
         assert_eq!(p2.durable_seq(), reference.2);
+        assert_eq!(tracked_bits(p2.bot()), reference.3, "tracked clusters selected again");
     }
 
     #[test]

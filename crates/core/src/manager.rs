@@ -126,10 +126,8 @@ pub struct ManagerState {
     pub rollbacks: u64,
     /// Message of the most recent training failure.
     pub last_error: Option<String>,
-    /// Cluster identity (id + sorted members) the live models were keyed
-    /// on, for the staleness check.
-    pub trained_clusters: Option<Vec<(u64, Vec<u32>)>>,
-    /// The full cluster set the live models were trained on.
+    /// The full cluster set the live models were trained on; the
+    /// staleness check keys on its ids and sorted members.
     pub trained_on: Option<Vec<ClusterInfoState>>,
     /// Last observed degradation level per horizon.
     pub last_degradation: Vec<Option<DegradationLevel>>,
@@ -144,11 +142,11 @@ pub struct ForecastManager {
     specs: Vec<HorizonSpec>,
     make_model: Box<dyn Fn() -> Box<dyn Forecaster> + Send + Sync>,
     models: Vec<Option<Box<dyn Forecaster>>>,
-    /// The cluster state (ids + member sets) each live model was trained on.
-    trained_clusters: Option<Vec<(ClusterId, Vec<u32>)>>,
     /// The full cluster set the live models were trained on; prediction
     /// rebuilds its input series from these (not the bot's current
-    /// clusters), so a stale snapshot still knows what to predict.
+    /// clusters), so a stale snapshot still knows what to predict, and
+    /// [`ForecastManager::is_current`] compares their identity with the
+    /// bot's.
     trained_on: Option<Vec<ClusterInfo>>,
     /// Number of retrain rounds performed (observability).
     pub retrain_count: u64,
@@ -224,7 +222,6 @@ impl ForecastManager {
             specs,
             make_model: Box::new(make_model),
             models,
-            trained_clusters: None,
             trained_on: None,
             retrain_count: 0,
             consecutive_failures: 0,
@@ -302,18 +299,15 @@ impl ForecastManager {
     /// (same cluster ids AND the same member assignments — §3 retrains on
     /// any assignment change, not just on id churn).
     pub fn is_current(&self, bot: &QueryBot5000) -> bool {
-        self.serves(&Self::cluster_state(bot))
+        self.trained_on.as_deref().is_some_and(|on| {
+            Self::cluster_state(on) == Self::cluster_state(bot.tracked_clusters())
+        }) && self.models.iter().all(Option::is_some)
     }
 
-    /// Whether every horizon has a live model keyed on exactly `state`.
-    fn serves(&self, state: &[(ClusterId, Vec<u32>)]) -> bool {
-        self.trained_clusters.as_deref() == Some(state) && self.models.iter().all(Option::is_some)
-    }
-
-    /// The tracked-cluster identity the models are keyed on: cluster id
-    /// plus its (sorted) member template ids.
-    fn cluster_state(bot: &QueryBot5000) -> Vec<(ClusterId, Vec<u32>)> {
-        bot.tracked_clusters()
+    /// The cluster identity models are keyed on: cluster id plus its
+    /// (sorted) member template ids.
+    fn cluster_state(clusters: &[ClusterInfo]) -> Vec<(ClusterId, Vec<u32>)> {
+        clusters
             .iter()
             .map(|c| {
                 let mut members: Vec<u32> = c.members.iter().map(|m| m.0).collect();
@@ -360,8 +354,7 @@ impl ForecastManager {
         if bot.tracked_clusters().is_empty() {
             return Ok(RetrainOutcome::NoClusters);
         }
-        let cluster_state = Self::cluster_state(bot);
-        if self.serves(&cluster_state) {
+        if self.is_current(bot) {
             return Ok(RetrainOutcome::UpToDate);
         }
         if self.backoff_remaining > 0 {
@@ -474,7 +467,6 @@ impl ForecastManager {
         }
         let trained = fresh.len();
         self.models = fresh.into_iter().map(Some).collect();
-        self.trained_clusters = Some(cluster_state);
         self.trained_on = Some(bot.tracked_clusters().to_vec());
         self.last_train_now = Some(now);
         self.retrain_count += 1;
@@ -762,10 +754,6 @@ impl ForecastManager {
             backoff_remaining: self.backoff_remaining,
             rollbacks: self.rollbacks,
             last_error: self.last_error.clone(),
-            trained_clusters: self
-                .trained_clusters
-                .as_ref()
-                .map(|tc| tc.iter().map(|(id, m)| (id.0, m.clone())).collect()),
             trained_on: self
                 .trained_on
                 .as_ref()
@@ -799,9 +787,6 @@ impl ForecastManager {
         mgr.backoff_remaining = state.backoff_remaining;
         mgr.rollbacks = state.rollbacks;
         mgr.last_error = state.last_error;
-        mgr.trained_clusters = state
-            .trained_clusters
-            .map(|tc| tc.into_iter().map(|(id, m)| (ClusterId(id), m)).collect());
         mgr.trained_on =
             state.trained_on.map(|on| on.into_iter().map(ClusterInfo::from_state).collect());
         let mut last_degradation = state.last_degradation;
@@ -1319,24 +1304,32 @@ mod tests {
         assert_eq!(state.retrain_count, 1);
         assert!(state.last_train_now.is_some());
 
+        // The pipeline restarts too: its tracked clusters, which the
+        // staleness check compares with the models' key, are selected
+        // again rather than read from the state.
+        let restored_bot =
+            QueryBot5000::restore(Qb5000Config::default(), bot.export_state()).unwrap();
         let mut restored = ForecastManager::restore(
             vec![HorizonSpec::hourly(1), HorizonSpec::hourly(12)],
             || Box::new(qb_forecast::LinearRegression::default()),
             state.clone(),
-            &bot,
+            &restored_bot,
         )
         .unwrap();
         assert_eq!(restored.export_state(), state, "state survives the round trip");
         // Deterministic re-fit: bit-identical predictions at both horizons,
         // and the staleness check still says "current".
         let later = now + 121;
-        assert_eq!(restored.predict(&bot, later, 0), mgr.predict(&bot, later, 0));
-        assert_eq!(restored.predict(&bot, later, 1), mgr.predict(&bot, later, 1));
-        assert!(restored.is_current(&bot));
-        assert_eq!(restored.ensure_trained(&bot, later).unwrap(), RetrainOutcome::UpToDate);
+        assert_eq!(restored.predict(&restored_bot, later, 0), mgr.predict(&bot, later, 0));
+        assert_eq!(restored.predict(&restored_bot, later, 1), mgr.predict(&bot, later, 1));
+        assert!(restored.is_current(&restored_bot));
+        assert_eq!(
+            restored.ensure_trained(&restored_bot, later).unwrap(),
+            RetrainOutcome::UpToDate
+        );
         // Pending accuracy claims settle identically after the restart.
         assert_eq!(
-            restored.predict_tracked(&bot, later, 0),
+            restored.predict_tracked(&restored_bot, later, 0),
             mgr.predict_tracked(&bot, later, 0)
         );
         assert_eq!(restored.accuracy().settled_total(), mgr.accuracy().settled_total());

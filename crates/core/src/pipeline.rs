@@ -175,14 +175,14 @@ impl ClusterInfo {
 
 /// Plain-data snapshot of a [`QueryBot5000`]: the Pre-Processor's template
 /// table, the Clusterer's assignment state, and the pipeline-level
-/// bookkeeping (tracked clusters, ingest accounting, order detectors).
-/// Everything needed to continue ingesting with identical behavior — the
-/// durable snapshot payload minus the forecaster and tracer sections.
+/// bookkeeping (ingest accounting, order detectors). Everything needed to
+/// continue ingesting with identical behavior — the durable snapshot
+/// payload minus the forecaster and tracer sections. The tracked clusters
+/// are not part of it: [`QueryBot5000::restore`] selects them again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineState {
     pub pre: PreProcessorState,
     pub clusterer: ClustererState,
-    pub tracked: Vec<ClusterInfoState>,
     pub last_update: Option<Minute>,
     pub shift_triggers: u64,
     pub ingested_statements: u64,
@@ -432,7 +432,6 @@ impl QueryBot5000 {
         PipelineState {
             pre: self.pre.export_state(),
             clusterer: self.clusterer.export_state(),
-            tracked: self.tracked.iter().map(ClusterInfo::export_state).collect(),
             last_update: self.last_update,
             shift_triggers: self.shift_triggers,
             ingested_statements: self.ingested_statements,
@@ -447,7 +446,9 @@ impl QueryBot5000 {
     /// Rebuilds a pipeline from exported state. `config` must match the
     /// exporting instance's configuration; the configured recorder and
     /// tracer are installed into the restored stages exactly as
-    /// [`QueryBot5000::new`] would.
+    /// [`QueryBot5000::new`] would. The clusterer recomputes its centres and
+    /// volumes, and the tracked clusters are selected from them again under
+    /// `config`'s `max_clusters` and `coverage_target`.
     pub fn restore(config: Qb5000Config, state: PipelineState) -> Result<Self, Error> {
         let mut bot = QueryBot5000::new(config);
         let mut pre = PreProcessor::restore(bot.config.preprocessor.clone(), state.pre)?;
@@ -459,7 +460,7 @@ impl QueryBot5000 {
         clusterer.set_recorder(&bot.config.recorder);
         clusterer.set_tracer(&bot.config.tracer);
         bot.clusterer = clusterer;
-        bot.tracked = state.tracked.into_iter().map(ClusterInfo::from_state).collect();
+        bot.refresh_tracked();
         bot.last_update = state.last_update;
         bot.shift_triggers = state.shift_triggers;
         bot.ingested_statements = state.ingested_statements;

@@ -46,7 +46,7 @@ const FRAME_HEADER: usize = 8;
 /// KiB on ext4 over a virtio disk). 256 KiB costs a long segment about
 /// what 1 MiB does, and bounds the waste of a segment that rotates after
 /// a single round (`snapshot_every_rounds = 1`). DESIGN.md, "Segment
-/// preallocation", has the measurements.
+/// preallocation", links the measurements.
 const GROW_CHUNK: u64 = 256 * 1024;
 
 /// Source of the zeros a grow writes.

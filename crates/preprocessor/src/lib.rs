@@ -459,12 +459,12 @@ impl PreProcessor {
         self.distinct_texts.len()
     }
 
-    /// Ingest counters.
     /// The rejected-statement record.
     pub fn quarantine(&self) -> &Quarantine {
         &self.quarantine
     }
 
+    /// Ingest counters.
     pub fn stats(&self) -> IngestStats {
         self.stats
     }

@@ -25,7 +25,8 @@ use std::path::PathBuf;
 
 use qb5000::{
     DurabilityConfig, DurablePipeline, FaultHook, ForecastManager, HorizonSpec, IoPoint,
-    PipelineHealth, PipelineState, Qb5000Config, Qb5000ConfigBuilder, RetrainOutcome, Tracer,
+    PipelineHealth, PipelineState, Qb5000Config, Qb5000ConfigBuilder, QueryBot5000,
+    RetrainOutcome, Tracer,
 };
 use qb_forecast::LinearRegression;
 use qb_timeseries::{Interval, Minute, MINUTES_PER_DAY};
@@ -102,6 +103,7 @@ pub fn materialize_ops(case: &CrashCase) -> Vec<DurableOp> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunFingerprint {
     pub state: PipelineState,
+    pub derived: Derived,
     pub health: PipelineHealth,
     /// `forecasts[width_idx][horizon_idx]` as raw f64 bits — bit-identical
     /// means equal here.
@@ -204,9 +206,26 @@ fn apply_ops(p: &mut DurablePipeline, ops: &[DurableOp]) -> usize {
     ops.len()
 }
 
-/// Fingerprints a finished pipeline: exported state, health, a fresh
-/// forecast manager's predictions per thread width (raw bits), and the
-/// deterministic trace stream when tracing is on.
+/// What restore recomputes rather than reads from a snapshot, as bits: each
+/// live cluster's id, centre and volume in id order, then each tracked
+/// cluster's id, volume and members, largest first.
+pub type Derived = (Vec<(u64, Vec<u64>, u64)>, Vec<(u64, u64, Vec<u32>)>);
+
+/// [`Derived`] of `bot`.
+pub fn derived(bot: &QueryBot5000) -> Derived {
+    let clusters = bot.clusterer().clusters();
+    let tracked = bot.tracked_clusters().iter();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    let ids = |m: &[qb_preprocessor::TemplateId]| m.iter().map(|m| m.0).collect();
+    (
+        clusters.map(|c| (c.id.0, bits(&c.center), c.volume.to_bits())).collect(),
+        tracked.map(|c| (c.id.0, c.volume.to_bits(), ids(&c.members))).collect(),
+    )
+}
+
+/// Fingerprints a finished pipeline: exported state, [`derived`] values,
+/// health, a fresh forecast manager's predictions per thread width (raw
+/// bits), and the deterministic trace stream when tracing is on.
 fn fingerprint(
     case: &CrashCase,
     p: &DurablePipeline,
@@ -245,6 +264,7 @@ fn fingerprint(
         .collect();
     RunFingerprint {
         state: bot.export_state(),
+        derived: derived(bot),
         health: p.health(),
         forecasts,
         trace_stream: if case.traced {
@@ -378,6 +398,9 @@ pub fn run_crash_matrix(
 pub fn diff(reference: &RunFingerprint, recovered: &RunFingerprint) -> Result<(), String> {
     if recovered.state != reference.state {
         return Err("recovered PipelineState differs from the uninterrupted run".into());
+    }
+    if recovered.derived != reference.derived {
+        return Err("recovered centres, volumes or tracked clusters are not bit-identical".into());
     }
     if recovered.health != reference.health {
         return Err(format!(

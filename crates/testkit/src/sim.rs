@@ -313,6 +313,7 @@ pub struct Alerts {
 pub struct Fingerprint {
     pub width: usize,
     pub state: PipelineState,
+    pub derived: crate::crash::Derived,
     /// Per horizon: the synchronous predictions' bits.
     pub forecasts: Vec<Vec<u64>>,
     pub served: Option<Served>,
@@ -330,6 +331,7 @@ fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'stat
     let trace = |f: &Fingerprint| f.trace.as_ref().map(|t| t.render(recovery));
     [
         ("pipeline state", a.state == b.state),
+        ("cluster centres, volumes or tracked clusters", a.derived == b.derived),
         ("forecasts", a.forecasts == b.forecasts),
         ("served curves, top-K or cold-start entries", served(a) == served(b)),
         ("serve epoch", recovery || epoch(a) == epoch(b)),
@@ -666,11 +668,12 @@ fn replay(
         .as_ref()
         .map(|m| Alerts { log: m.transition_log().to_vec(), active: m.active_alerts() });
     let state = bot.export_state();
+    let derived = crate::crash::derived(bot);
     drop(process);
     if let Some(dir) = dir {
         let _ = std::fs::remove_dir_all(dir);
     }
-    Ok(Fingerprint { width, state, forecasts, served, trace, alerts })
+    Ok(Fingerprint { width, state, derived, forecasts, served, trace, alerts })
 }
 
 /// Invariant 8: reads every answer at the final epoch and checks each

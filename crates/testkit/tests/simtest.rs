@@ -100,7 +100,7 @@ fn single_seed_repro() {
         Ok(fps) => println!(
             "case {case:?} with {features}: {} templates, {} clusters",
             fps[0].state.pre.entries.len(),
-            fps[0].state.tracked.len()
+            fps[0].derived.1.len()
         ),
         Err(failure) => panic!("{failure}"),
     }

@@ -21,15 +21,16 @@
 //!   deterministic trace stream. Failures print a `QB_CRASH_HOOK=…` repro
 //!   command that `crash_point_repro` below replays.
 //! * **Cross-version recovery** — store directories written by
-//!   `STATE_VERSION` 3, 4 and 5 builds (`crates/testkit/fixtures/v3_store`,
-//!   `v4_store`, `v5_store`) recover to the manager state and prediction
-//!   bits those builds printed and to the state the same script reaches
-//!   now (for versions 3 and 4, but for the parameter reservoirs they
-//!   sampled), and re-snapshot as version 6; the version 3 WAL alone,
-//!   per-sighting frames included, replays to exactly the state the script
-//!   reaches now; versions other than 3 to 6 are refused.
+//!   `STATE_VERSION` 3, 4, 5 and 6 builds
+//!   (`crates/testkit/fixtures/v3_store`, `v4_store`, `v5_store`,
+//!   `v6_store`) recover to the manager state and prediction bits those
+//!   builds printed and to the state the same script reaches now (for
+//!   versions 3 and 4, but for the parameter reservoirs they sampled), and
+//!   re-snapshot as version 7; the version 3 WAL alone, per-sighting
+//!   frames included, replays to exactly the state the script reaches now;
+//!   versions other than 3 to 7 are refused.
 //! * **Snapshot size** — the snapshot of three BusTracker days stays at or
-//!   under 80 800 bytes.
+//!   under 49 700 bytes.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -45,8 +46,8 @@ use qb_forecast::LinearRegression;
 use qb_preprocessor::BatchItem;
 use qb_sqlparse::Literal;
 use qb_testkit::crash::{
-    hook_from_label, materialize_ops, reference_run, run_crash_matrix, run_with_crash, CrashCase,
-    DurableOp, MatrixRun,
+    derived, hook_from_label, materialize_ops, reference_run, run_crash_matrix, run_with_crash,
+    CrashCase, DurableOp, MatrixRun,
 };
 use qb_timeseries::{ArrivalHistoryState, MINUTES_PER_DAY};
 use qb_workloads::{StorageFaultKind, StorageFaultPlan, Workload};
@@ -413,11 +414,12 @@ fn quarantine_accounting_survives_crash_restart() {
 // ---------------------------------------------------------------------------
 
 /// Upper bound on the snapshot of [`snapshot_of_three_bustracker_days_stays_compact`].
-/// The payload is deterministic: 72 630 bytes at `STATE_VERSION` 6, about
-/// 10 % under the bound. Version 5 wrote 125 830 (every feature
-/// coordinate), version 4 223 637 (its shard-cache slots) and version 3
-/// 476 725 (fixed-width pairs), so a regression to any of them fails here.
-const SNAPSHOT_BYTES_BOUND: u64 = 80_800;
+/// The payload is deterministic: 44 730 bytes at `STATE_VERSION` 7, about
+/// 10 % under the bound. Version 6 wrote 72 630 (every cluster centre and
+/// volume), version 5 125 830 (every feature coordinate), version 4
+/// 223 637 (its shard-cache slots) and version 3 476 725 (fixed-width
+/// pairs), so a regression to any of them fails here.
+const SNAPSHOT_BYTES_BOUND: u64 = 49_700;
 
 /// Three days of BusTracker at scale 0.02 (3 136 statements), ingested per
 /// event and snapshotted once after a cluster update. The snapshot stays
@@ -476,6 +478,11 @@ const V4_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v4_store
 /// stored every clusterer feature whole.
 const V5_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v5_store");
 
+/// The same again, written and trimmed likewise by a version 6 build, which
+/// stored every cluster centre and volume, the tracked clusters and the
+/// manager's cluster key.
+const V6_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v6_store");
+
 /// The recovered state of [`V3_FIXTURE`] and [`V4_FIXTURE`], pinned as
 /// FNV-1a of the bytes `encode_pipeline_state` and `encode_manager_state`
 /// write for it, and the raw bits of the manager's prediction at
@@ -494,8 +501,15 @@ const V5_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v5_store
 /// offers every statement of the WAL tail to its template's reservoir
 /// (`params_seen` of templates 0 and 1: 5 → 14 and 2 → 5), where the older
 /// builds' caches turned some into hits that were not offered.
-const V3_STATE_BYTES_FNV: u64 = 0xd11e_88d2_4d1d_c867;
-const V3_MANAGER_BYTES_FNV: u64 = 0x95f7_c208_390b_f16d;
+///
+/// `STATE_VERSION` 7 moved both pins: the state no longer holds centres,
+/// volumes, tracked clusters or the manager's cluster key. Written in the
+/// version 6 layout, with those values taken from the recovered pipeline
+/// and the key rebuilt from `trained_on`, the same recovered states hash
+/// to the version 6 pins, `0xd11e_88d2_4d1d_c867` and
+/// `0x95f7_c208_390b_f16d`.
+const V3_STATE_BYTES_FNV: u64 = 0x1e63_5207_45db_341c;
+const V3_MANAGER_BYTES_FNV: u64 = 0x54c8_a964_21d7_1e38;
 const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
 const V3_SQL: [&str; 5] = [
@@ -647,8 +661,9 @@ fn without_reservoirs(mut state: qb5000::PipelineState) -> qb5000::PipelineState
 
 /// Recovers a copy of `fixture`, a `version` store written from
 /// [`run_v3_script`], and checks it: the pinned manager state and
-/// prediction bits, and the state a run of the same script reaches under
-/// this build — exactly for a version 5 store, and for older ones, which
+/// prediction bits, the centres, volumes and tracked clusters restore
+/// recomputes, and the state a run of the same script reaches under this
+/// build — exactly for a version 5 or 6 store, and for older ones, which
 /// hold reservoirs sampled under an older policy, but for the reservoirs
 /// and with the recovered state pinned by hash. Then snapshots it again,
 /// as [`qb5000::STATE_VERSION`], and checks that the new snapshot recovers
@@ -660,6 +675,7 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
 
     let (mut p, mstate, bits) = recover_v3(&dir);
     let state = p.bot().export_state();
+    let recomputed = derived(p.bot());
     assert_eq!(
         encoded_fnv(|e| encode_manager_state(e, &mstate)),
         V3_MANAGER_BYTES_FNV,
@@ -670,6 +686,7 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
 
     let live_dir = tmp_dir(&format!("{name}-live"));
     let live = run_v3_script(&live_dir);
+    assert_eq!(derived(live.bot()), recomputed, "recomputed values == the script's own");
     if version >= 5 {
         assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
     } else {
@@ -692,6 +709,7 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
     assert_eq!(newest_snapshot_version(&dir), qb5000::STATE_VERSION);
     let (p, mstate_again, bits_again) = recover_v3(&dir);
     assert_eq!(p.bot().export_state(), state, "the new snapshot recovers the same state");
+    assert_eq!(derived(p.bot()), recomputed);
     assert_eq!(mstate_again, mstate);
     assert_eq!(bits_again, bits);
     drop(p);
@@ -699,28 +717,38 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
 }
 
 /// A version 3 store passes [`recover_store_fixture`]'s checks; the next
-/// snapshot is version 6.
+/// snapshot is version 7.
 #[test]
-fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v6() {
-    assert_eq!(qb5000::STATE_VERSION, 6);
+fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
+    assert_eq!(qb5000::STATE_VERSION, 7);
     recover_store_fixture(V3_FIXTURE, 3, "v3-fixture");
 }
 
 /// A version 4 store, which holds shard-cache slots and the two dead
 /// fields of the raw-SQL cache, passes the same checks: the read-only
-/// version 4 decoder drops them. The next snapshot is version 6.
+/// version 4 decoder drops them. The next snapshot is version 7.
 #[test]
-fn v4_store_fixture_recovers_bit_identically_and_resnapshots_as_v6() {
+fn v4_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
     recover_store_fixture(V4_FIXTURE, 4, "v4-fixture");
 }
 
 /// A version 5 store, whose features are stored whole, recovers to exactly
 /// the state the script reaches under this build: the read-only version 5
 /// decoder splits each feature's zero lead off. The next snapshot is
-/// version 6.
+/// version 7.
 #[test]
-fn v5_store_fixture_recovers_bit_identically_and_resnapshots_as_v6() {
+fn v5_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
     recover_store_fixture(V5_FIXTURE, 5, "v5-fixture");
+}
+
+/// A version 6 store, which holds every cluster centre and volume, the
+/// tracked clusters and the manager's cluster key, recovers to exactly the
+/// state the script reaches under this build: the read-only version 6
+/// decoder drops those values and restore recomputes them. The next
+/// snapshot is version 7.
+#[test]
+fn v6_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
+    recover_store_fixture(V6_FIXTURE, 6, "v6-fixture");
 }
 
 /// The version 3 store without its snapshot: every frame replays, the
@@ -752,19 +780,19 @@ fn v3_wal_replays_per_sighting_frames_as_batches_of_one() {
     let _ = std::fs::remove_dir_all(&live_dir);
 }
 
-/// Version 6 decodes (3 to 5 are the fixtures'); 2 and 7 are refused
+/// Version 7 decodes (3 to 6 are the fixtures'); 2 and 8 are refused
 /// before any field is read.
 #[test]
-fn payload_versions_other_than_3_to_6_are_refused() {
+fn payload_versions_other_than_3_to_7_are_refused() {
     let full = FullState {
         pipeline: QueryBot5000::new(Qb5000Config::default()).export_state(),
         manager: None,
         tracer: None,
     };
     let bytes = encode_full_state(&full);
-    assert_eq!(bytes[..2], 6u16.to_le_bytes());
-    assert_eq!(decode_full_state(&bytes).expect("v6 decodes"), full);
-    for version in [2u16, 7] {
+    assert_eq!(bytes[..2], 7u16.to_le_bytes());
+    assert_eq!(decode_full_state(&bytes).expect("v7 decodes"), full);
+    for version in [2u16, 8] {
         let mut refused = bytes.clone();
         refused[..2].copy_from_slice(&version.to_le_bytes());
         let err = decode_full_state(&refused).expect_err("unknown version");
