@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the QB5000 paper.
 //!
 //! ```text
-//! repro [--full] <artifact>...
+//! repro [--full] [--seeds N] <artifact>...
 //! repro --full all
 //! ```
 //!
@@ -11,6 +11,9 @@
 //!
 //! Default effort is quick (shrunk traces / epochs, minutes of runtime);
 //! `--full` uses paper-faithful settings.
+//!
+//! `--seeds N` runs `fig11`/`fig12` on seed `0x1D7` and seeds 1 … N−1; the
+//! process exits 1 when AUTO's median realised cost exceeds STATIC's.
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +24,8 @@ const ARTIFACTS: &[&str] = &[
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig17", "ablations",
 ];
 
-fn run(artifact: &str, effort: Effort) -> Option<String> {
+/// The artifact's report and whether its gate held (`fig11`, `fig12`).
+fn run(artifact: &str, effort: Effort, seeds: usize) -> Option<(String, bool)> {
     let out = match artifact {
         "table1" => exp_tables::table1(effort),
         "table2" => exp_tables::table2(effort),
@@ -35,38 +39,49 @@ fn run(artifact: &str, effort: Effort) -> Option<String> {
         "fig8" => exp_forecast::fig8(effort),
         "fig9" | "fig16" => exp_forecast::fig9_16(effort),
         "fig10" => exp_forecast::fig10(effort),
-        "fig11" => exp_index::fig11(effort),
-        "fig12" => exp_index::fig12(effort),
+        "fig11" => return Some(exp_index::fig11(effort, seeds)),
+        "fig12" => return Some(exp_index::fig12(effort, seeds)),
         "fig13" | "fig14" => exp_clustering::fig13_14(effort),
         "fig15" => exp_forecast::fig15(effort),
         "fig17" => exp_forecast::fig17(effort),
         "ablations" => exp_ablations::ablations(effort),
         _ => return None,
     };
-    Some(out)
+    Some((out, true))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut effort = Effort::Quick;
+    let mut seeds = 1usize;
     let mut targets: Vec<String> = Vec::new();
-    for a in &args {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--full" => effort = Effort::Full,
             "--quick" => effort = Effort::Quick,
+            "--seeds" => match args.next().and_then(|n| n.parse().ok()).filter(|&n| n > 0) {
+                Some(n) => seeds = n,
+                None => {
+                    eprintln!("--seeds takes a positive seed count");
+                    std::process::exit(2);
+                }
+            },
             "all" => targets.extend(ARTIFACTS.iter().map(|s| s.to_string())),
             other => targets.push(other.to_string()),
         }
     }
     if targets.is_empty() {
-        eprintln!("usage: repro [--full] <artifact>... | all");
+        eprintln!("usage: repro [--full] [--seeds N] <artifact>... | all");
         eprintln!("artifacts: {}", ARTIFACTS.join(" "));
         std::process::exit(2);
     }
+    let mut failed = false;
     for t in targets {
         let t0 = std::time::Instant::now();
-        match run(&t, effort) {
-            Some(out) => {
+        match run(&t, effort, seeds) {
+            Some((out, passed)) => {
+                failed |= !passed;
                 // Write via the fallible API: a closed pipe (`repro ... |
                 // head`) ends the program quietly instead of panicking.
                 use std::io::Write;
@@ -82,5 +97,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -1,13 +1,29 @@
 //! Figures 11 & 12 — the automatic index-selection experiment (§7.6) and
 //! the AUTO-LOGICAL ablation (§7.7).
+//!
+//! A figure's gate holds when AUTO's median realised cost
+//! ([`qb5000::ExperimentResult::realised_cost_s`]) over the seeds is at
+//! most STATIC's: §7.6 claims forecasts pick indexes at least as good as
+//! a fixed history sample.
 
-use qb5000::{ControllerConfig, IndexSelectionExperiment, Qb5000Config, Recorder, Strategy};
+use qb5000::{
+    ControllerConfig, ExperimentResult, IndexSelectionExperiment, Qb5000Config, Recorder,
+    Strategy,
+};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
 use crate::{write_csv, Effort};
 
-fn config(workload: Workload, strategy: Strategy, effort: Effort) -> ControllerConfig {
+/// The seed the figures' time series and metrics are printed for.
+const FIGURE_SEED: u64 = 0x1D7;
+
+/// The seeds a `seeds`-seed run covers: [`FIGURE_SEED`], then 1, 2, ….
+fn seed_list(seeds: usize) -> Vec<u64> {
+    std::iter::once(FIGURE_SEED).chain(1..seeds.max(1) as u64).collect()
+}
+
+fn config(workload: Workload, strategy: Strategy, effort: Effort, seed: u64) -> ControllerConfig {
     let quick = effort.is_quick();
     ControllerConfig::builder()
         .workload(workload)
@@ -28,7 +44,7 @@ fn config(workload: Workload, strategy: Strategy, effort: Effort) -> ControllerC
             Workload::Admissions => 348 * MINUTES_PER_DAY + 18 * 60,
             _ => 21 * MINUTES_PER_DAY + 7 * 60,
         })
-        .seed(0x1D7)
+        .seed(seed)
         .threads(qb_parallel::configured_threads())
         // Each strategy run gets its own recorder so the three parallel
         // experiments don't interleave their stage metrics.
@@ -37,8 +53,19 @@ fn config(workload: Workload, strategy: Strategy, effort: Effort) -> ControllerC
         .expect("bench controller config is valid by construction")
 }
 
-/// Runs one workload under all three strategies and renders the figure.
-fn run_figure(figure: &str, workload: Workload, effort: Effort) -> String {
+/// Median (mean of the middle pair when even), minimum and maximum.
+fn spread(values: impl Iterator<Item = f64>) -> (f64, f64, f64) {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    ((v[(n - 1) / 2] + v[n / 2]) / 2.0, v[0], v[n - 1])
+}
+
+/// Runs one workload under all three strategies on each seed and renders
+/// the figure: seed 0x1D7's series, metrics and accuracy rows, then every
+/// seed's scores and index lists and their median and range. Returns the
+/// report and whether AUTO's median realised cost is at most STATIC's.
+fn run_figure(figure: &str, workload: Workload, effort: Effort, seeds: usize) -> (String, bool) {
     let mut out = String::new();
     out.push_str(&format!(
         "{figure}: Index Selection ({}; simulated engine — see DESIGN.md)\n",
@@ -48,18 +75,20 @@ fn run_figure(figure: &str, workload: Workload, effort: Effort) -> String {
     let mut header = String::from("minute");
     let mut final_lines = Vec::new();
 
-    // The three strategies are independent end-to-end runs: fan them out
-    // across the worker pool and collect in the fixed strategy order.
+    // Every (seed, strategy) run is independent end to end: fan them out
+    // across the worker pool and collect seed-major in strategy order.
     let strategies = [Strategy::Static, Strategy::Auto, Strategy::AutoLogical];
-    let all = qb_parallel::ThreadPool::default().map(strategies.to_vec(), |_, strategy| {
-        IndexSelectionExperiment::new(config(workload, strategy, effort)).run()
+    let seeds = seed_list(seeds);
+    let jobs: Vec<(u64, Strategy)> =
+        seeds.iter().flat_map(|&seed| strategies.map(|strategy| (seed, strategy))).collect();
+    let runs = qb_parallel::ThreadPool::default().map(jobs, |_, (seed, strategy)| {
+        IndexSelectionExperiment::new(config(workload, strategy, effort, seed)).run()
     });
-    for (strategy, result) in strategies.iter().zip(&all) {
-        header.push_str(&format!(
-            ",{}_qps,{}_p99ms",
-            strategy.name().to_lowercase().replace('-', "_"),
-            strategy.name().to_lowercase().replace('-', "_")
-        ));
+    let per_seed: Vec<&[ExperimentResult]> = runs.chunks(strategies.len()).collect();
+    let all = per_seed[0];
+    for (strategy, result) in strategies.iter().zip(all) {
+        let column = strategy.name().to_lowercase().replace('-', "_");
+        header.push_str(&format!(",{column}_qps,{column}_p99ms"));
         final_lines.push(format!(
             "  {:<13} final throughput {:>10.0} qps | final p99 {:>7.3} ms | {} indexes | {} queries",
             strategy.name(),
@@ -73,7 +102,7 @@ fn run_figure(figure: &str, workload: Workload, effort: Effort) -> String {
     let n = all.iter().map(|r| r.samples.len()).min().unwrap_or(0);
     for i in 0..n {
         let mut line = format!("{}", all[0].samples[i].minute);
-        for r in &all {
+        for r in all {
             let s = &r.samples[i];
             line.push_str(&format!(",{:.0},{:.3}", s.throughput_qps, s.p99_latency_ms));
         }
@@ -113,17 +142,55 @@ fn run_figure(figure: &str, workload: Workload, effort: Effort) -> String {
             acc.samples,
         ));
     }
-    out
+
+    // Per seed, each strategy's realised cost, final throughput and
+    // indexes; then their median and range over the seeds.
+    out.push_str("  per seed: realised cost (simulated s, run's second half) | final throughput | indexes\n");
+    for (seed, results) in seeds.iter().zip(&per_seed) {
+        for (strategy, r) in strategies.iter().zip(results.iter()) {
+            let indexes: Vec<&str> = r.indexes.iter().map(|(_, ix)| ix.as_str()).collect();
+            out.push_str(&format!(
+                "    seed {seed:#x} {:<13} {:>9.3} s | {:>10.0} qps | {}\n",
+                strategy.name(),
+                r.realised_cost_s(),
+                r.final_throughput(),
+                indexes.join(" "),
+            ));
+        }
+    }
+    out.push_str(&format!("  over {} seeds, median [min … max]:\n", seeds.len()));
+    let cost = |i: usize| spread(per_seed.iter().map(|r| r[i].realised_cost_s()));
+    for (i, strategy) in strategies.iter().enumerate() {
+        let (c, q) = (cost(i), spread(per_seed.iter().map(|r| r[i].final_throughput())));
+        out.push_str(&format!(
+            "    {:<13} realised cost {:.3} [{:.3} … {:.3}] s | final throughput {:.0} [{:.0} … {:.0}] qps\n",
+            strategy.name(), c.0, c.1, c.2, q.0, q.1, q.2,
+        ));
+    }
+    let ratio = spread(per_seed.iter().map(|r| r[1].realised_cost_s() / r[0].realised_cost_s()));
+    out.push_str(&format!(
+        "    AUTO/STATIC realised cost {:.3} [{:.3} … {:.3}]\n",
+        ratio.0, ratio.1, ratio.2
+    ));
+    let (auto, fixed) = (cost(1).0, cost(0).0);
+    let passed = auto <= fixed;
+    out.push_str(&format!(
+        "  gate: AUTO median realised cost {auto:.3} s {} STATIC's {fixed:.3} s — {}\n",
+        if passed { "<=" } else { ">" },
+        if passed { "pass" } else { "FAIL" },
+    ));
+    (out, passed)
 }
 
-/// Figure 11 — Admissions (the paper's MySQL host).
-pub fn fig11(effort: Effort) -> String {
-    run_figure("Figure 11", Workload::Admissions, effort)
+/// Figure 11 — Admissions (the paper's MySQL host), over `seeds` seeds.
+pub fn fig11(effort: Effort, seeds: usize) -> (String, bool) {
+    run_figure("Figure 11", Workload::Admissions, effort, seeds)
 }
 
-/// Figure 12 — BusTracker (the paper's PostgreSQL host).
-pub fn fig12(effort: Effort) -> String {
-    run_figure("Figure 12", Workload::BusTracker, effort)
+/// Figure 12 — BusTracker (the paper's PostgreSQL host), over `seeds`
+/// seeds.
+pub fn fig12(effort: Effort, seeds: usize) -> (String, bool) {
+    run_figure("Figure 12", Workload::BusTracker, effort, seeds)
 }
 
 #[cfg(test)]
@@ -132,9 +199,22 @@ mod tests {
 
     #[test]
     fn config_respects_effort() {
-        let q = config(Workload::BusTracker, Strategy::Auto, Effort::Quick);
-        let f = config(Workload::BusTracker, Strategy::Auto, Effort::Full);
+        let q = config(Workload::BusTracker, Strategy::Auto, Effort::Quick, FIGURE_SEED);
+        let f = config(Workload::BusTracker, Strategy::Auto, Effort::Full, FIGURE_SEED);
         assert!(q.run_hours < f.run_hours);
         assert!(q.index_budget < f.index_budget);
+    }
+
+    #[test]
+    fn seed_list_leads_with_the_figure_seed() {
+        assert_eq!(seed_list(0), vec![FIGURE_SEED]);
+        assert_eq!(seed_list(1), vec![FIGURE_SEED]);
+        assert_eq!(seed_list(4), vec![FIGURE_SEED, 1, 2, 3]);
+    }
+
+    #[test]
+    fn spread_is_median_min_max() {
+        assert_eq!(spread([7.0, 1.0, 2.0].into_iter()), (2.0, 1.0, 7.0));
+        assert_eq!(spread([7.0, 1.0, 4.0, 2.0].into_iter()), (3.0, 1.0, 7.0));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The structs themselves ([`Qb5000Config`], [`ControllerConfig`]) keep
 //! public fields and a `Default` impl for struct-update syntax, but a
-//! nonsense value (ρ outside `(0, 1]`, a zero cluster count, an empty
-//! horizon list) only surfaces deep inside the pipeline — as a wrong
+//! nonsense value (ρ outside `(0, 1]`, a zero cluster count, a zero
+//! build period) only surfaces deep inside the pipeline — as a wrong
 //! clustering, a panic, or a silent no-op. The builders reject those values at
 //! construction time with a [`ConfigError`] naming the offending field.
 //!
@@ -184,17 +184,6 @@ impl ControllerConfig {
         if self.report_window <= 0 {
             return Err(ConfigError::ZeroInterval { field: "report_window" });
         }
-        if self.forecast_horizons.is_empty() {
-            return Err(ConfigError::EmptyHorizons);
-        }
-        for &(hours, weight) in &self.forecast_horizons {
-            if hours == 0 {
-                return Err(ConfigError::ZeroInterval { field: "forecast_horizons" });
-            }
-            if !(weight.is_finite() && weight > 0.0) {
-                return Err(ConfigError::BadHorizonWeight { horizon_hours: hours, weight });
-            }
-        }
         Ok(())
     }
 }
@@ -286,19 +275,10 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Hourly prediction horizons the controller blends, as
-    /// `(hours, weight)` pairs — the paper uses 1 h and 12 h with the
-    /// 1-hour horizon weighted higher. Must be non-empty with finite
-    /// positive weights and non-zero horizons.
-    pub fn forecast_horizons(mut self, horizons: Vec<(usize, f64)>) -> Self {
-        self.cfg.forecast_horizons = horizons;
-        self
-    }
-
     /// The pipeline the controller drives (recorder, tracer, durability,
     /// serving, clusterer settings); see [`ControllerConfig::pipeline`]
     /// for what the controller overrides. Serving slots should cover the
-    /// configured `forecast_horizons` (use
+    /// [`crate::FORECAST_BLEND`] horizons (use
     /// [`crate::ForecastService::hourly`]); unmatched horizons are simply
     /// not published. Defaults to [`Qb5000Config::default`].
     pub fn pipeline(mut self, pipeline: Qb5000Config) -> Self {
@@ -409,30 +389,6 @@ mod tests {
             assert!(matches!(
                 ControllerConfig::builder().db_scale(bad).build().unwrap_err(),
                 ConfigError::BadScale { field: "db_scale", .. }
-            ));
-        }
-    }
-
-    #[test]
-    fn controller_rejects_bad_horizons() {
-        assert_eq!(
-            ControllerConfig::builder().forecast_horizons(vec![]).build().unwrap_err(),
-            ConfigError::EmptyHorizons
-        );
-        assert_eq!(
-            ControllerConfig::builder()
-                .forecast_horizons(vec![(0, 1.0)])
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroInterval { field: "forecast_horizons" }
-        );
-        for bad in [0.0, -0.7, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                ControllerConfig::builder()
-                    .forecast_horizons(vec![(1, 0.7), (12, bad)])
-                    .build()
-                    .unwrap_err(),
-                ConfigError::BadHorizonWeight { horizon_hours: 12, .. }
             ));
         }
     }

@@ -1101,6 +1101,15 @@ impl DurablePipeline {
         mgr.predict_tracked(&self.bot, now, horizon_idx)
     }
 
+    /// [`ForecastManager::settle`] against this pipeline.
+    ///
+    /// # Panics
+    /// Panics if no manager is attached.
+    pub fn settle(&mut self, now: Minute) -> usize {
+        let mgr = self.manager.as_mut().expect("DurablePipeline::settle: attach_manager first");
+        mgr.settle(&self.bot, now)
+    }
+
     /// The wrapped pipeline, read-only. Mutations must go through the
     /// durable methods so they hit the WAL.
     pub fn bot(&self) -> &QueryBot5000 {

@@ -30,10 +30,6 @@ pub enum ConfigError {
     ZeroInterval { field: &'static str },
     /// A count field that must be strictly positive was zero.
     ZeroCount { field: &'static str },
-    /// The controller was given no forecast horizons to blend.
-    EmptyHorizons,
-    /// A horizon blend weight that is not finite and positive.
-    BadHorizonWeight { horizon_hours: usize, weight: f64 },
     /// A ratio field outside `(0, 1]` (or not finite).
     RatioOutOfRange { field: &'static str, value: f64 },
     /// A scale factor that must be finite and strictly positive.
@@ -51,16 +47,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroCount { field } => {
                 write!(f, "{field} must be at least 1")
-            }
-            ConfigError::EmptyHorizons => {
-                write!(f, "forecast_horizons must name at least one horizon")
-            }
-            ConfigError::BadHorizonWeight { horizon_hours, weight } => {
-                write!(
-                    f,
-                    "forecast horizon {horizon_hours}h has weight {weight}; \
-                     weights must be finite and > 0"
-                )
             }
             ConfigError::RatioOutOfRange { field, value } => {
                 write!(f, "{field} must be in (0, 1], got {value}")
@@ -190,7 +176,7 @@ mod tests {
         assert_eq!(e.stage(), "forecaster");
         assert!(e.is_model_failure());
 
-        let ce = ConfigError::EmptyHorizons;
+        let ce = ConfigError::ZeroCount { field: "max_clusters" };
         let e: Error = ce.clone().into();
         assert_eq!(e, Error::Config(ce));
         assert_eq!(e.stage(), "config");
@@ -214,8 +200,6 @@ mod tests {
             ConfigError::RhoOutOfRange { value: 1.5 }.to_string(),
             ConfigError::ZeroInterval { field: "build_period" }.to_string(),
             ConfigError::ZeroCount { field: "max_clusters" }.to_string(),
-            ConfigError::EmptyHorizons.to_string(),
-            ConfigError::BadHorizonWeight { horizon_hours: 12, weight: -0.3 }.to_string(),
             ConfigError::RatioOutOfRange { field: "coverage_target", value: 0.0 }.to_string(),
             ConfigError::BadScale { field: "db_scale", value: f64::NAN }.to_string(),
         ];
@@ -223,6 +207,6 @@ mod tests {
             assert!(!m.is_empty());
         }
         assert!(msgs[1].contains("build_period"));
-        assert!(msgs[5].contains("coverage_target"));
+        assert!(msgs[3].contains("coverage_target"));
     }
 }

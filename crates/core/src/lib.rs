@@ -81,6 +81,7 @@ pub use accuracy::{
 pub use config::{ControllerConfigBuilder, Qb5000ConfigBuilder};
 pub use controller::{
     ControllerConfig, ExperimentResult, IndexSelectionExperiment, PerfSample, Strategy,
+    FORECAST_BLEND,
 };
 pub use durable::{
     DurabilityConfig, DurablePipeline, FullState, RecoveryReport, WalRecord, STATE_VERSION,

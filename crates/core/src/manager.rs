@@ -739,6 +739,14 @@ impl ForecastManager {
         predictions
     }
 
+    /// Settles the accuracy claims that have matured by `now` without
+    /// predicting — what [`ForecastManager::predict_tracked`] does first —
+    /// so the end of a run can score its last rounds' claims. Returns how
+    /// many settled.
+    pub fn settle(&mut self, bot: &QueryBot5000, now: Minute) -> usize {
+        self.accuracy.settle(bot, now)
+    }
+
     /// The rolling prediction-accuracy scorer fed by
     /// [`ForecastManager::predict_tracked`].
     pub fn accuracy(&self) -> &AccuracyTracker {

@@ -85,9 +85,9 @@ impl ForecastService {
         )
     }
 
-    /// A service with one hourly slot per horizon (24-step window — the
-    /// controller's per-round fit shape). Pair with
-    /// [`crate::ControllerConfig::forecast_horizons`] hours.
+    /// A service with one hourly slot per horizon (24-step window, the
+    /// shape of [`HorizonSpec::hourly`]). Pair with
+    /// [`crate::FORECAST_BLEND`] hours to serve the controller's forecasts.
     pub fn hourly(horizon_hours: &[usize]) -> Self {
         Self::with_horizons(
             horizon_hours
@@ -157,16 +157,6 @@ impl ForecastService {
                 && m.window == spec.window
                 && m.horizon == spec.horizon
         })
-    }
-
-    /// The slot index for an hourly 24-window horizon of `hours` steps —
-    /// the controller's per-round fit shape.
-    pub fn hourly_slot(&self, hours: usize) -> Option<usize> {
-        self.server
-            .current()
-            .horizons
-            .iter()
-            .position(|m| m.interval_minutes == 60 && m.window == 24 && m.horizon == hours)
     }
 
     /// Publishes a membership-only patch: the tracked-cluster set changed
@@ -489,8 +479,6 @@ mod tests {
         let specs = vec![HorizonSpec::hourly(1), HorizonSpec::hourly(12)];
         let svc = ForecastService::for_specs(&specs);
         assert_eq!(svc.slot_for(&specs[1]), Some(1));
-        assert_eq!(svc.hourly_slot(12), Some(1));
-        assert_eq!(svc.hourly_slot(6), None);
         let mut other = HorizonSpec::hourly(1);
         other.window = 48;
         assert_eq!(svc.slot_for(&other), None, "window shape is part of the slot identity");

@@ -18,8 +18,9 @@
 //!    hook ([`crash_hooks`] covers every [`IoPoint`] plus evenly-spaced
 //!    nth-I/O samples), kills the pipeline where the hook fires, recovers
 //!    from disk, resumes at `ops[durable_seq..]`, and diffs the final
-//!    fingerprint against the reference. Any divergence is a
-//!    [`CrashFailure`] carrying a copy-pasteable repro command.
+//!    fingerprint, and [`derived`] right after recovery, against the
+//!    reference. Any divergence is a [`CrashFailure`] carrying a
+//!    copy-pasteable repro command.
 
 use std::path::PathBuf;
 
@@ -111,6 +112,11 @@ pub struct RunFingerprint {
     /// [`qb5000::TraceView::deterministic_stream`] when the case is
     /// traced; empty otherwise.
     pub trace_stream: String,
+    /// [`derived`] keyed by the count of operations applied: in a reference
+    /// run at the start and after each operation that changes it (a round,
+    /// or a sighting whose shift trigger re-clusters); in a crashed run
+    /// once, right after recovery, before a round could recompute it.
+    pub derived_at: Vec<(usize, Derived)>,
 }
 
 /// A divergence between a crashed-and-recovered run and the reference.
@@ -272,6 +278,7 @@ fn fingerprint(
         } else {
             String::new()
         },
+        derived_at: Vec::new(),
     }
 }
 
@@ -294,9 +301,16 @@ pub fn reference_run(
     let (mut p, report) = DurablePipeline::open(pipeline_config(case, &dir, counting_hook))
         .expect("fresh reference directory opens");
     assert!(!report.recovered(), "reference run must start fresh");
-    let applied = apply_ops(&mut p, ops);
-    assert_eq!(applied, ops.len(), "reference run must not crash");
-    let fp = fingerprint(case, &p, horizons, widths);
+    let mut derived_at = vec![(0, derived(p.bot()))];
+    for (i, op) in ops.iter().enumerate() {
+        assert_eq!(apply_ops(&mut p, std::slice::from_ref(op)), 1, "reference run must not crash");
+        let now = derived(p.bot());
+        if derived_at.last().is_none_or(|(_, last)| *last != now) {
+            derived_at.push((i + 1, now));
+        }
+    }
+    let mut fp = fingerprint(case, &p, horizons, widths);
+    fp.derived_at = derived_at;
     drop(p);
     let _ = std::fs::remove_dir_all(&dir);
     (fp, io_points.load(std::sync::atomic::Ordering::Relaxed))
@@ -322,10 +336,10 @@ pub fn crash_hooks(total_io_points: u64, samples: u64) -> Vec<String> {
 }
 
 /// Runs one labeled crash hook: replay until the hook kills the process,
-/// recover from the directory, resume at `ops[durable_seq..]`, finish,
-/// and fingerprint. Returns the fingerprint and whether the hook fired: a
-/// hook that never fires yields a clean run, which must also match the
-/// reference.
+/// recover from the directory, take [`derived`], resume at
+/// `ops[durable_seq..]`, finish, and fingerprint. Returns the fingerprint
+/// and whether the hook fired: a hook that never fires yields a clean
+/// run, which must also match the reference.
 pub fn run_with_crash(
     case: &CrashCase,
     ops: &[DurableOp],
@@ -338,6 +352,7 @@ pub fn run_with_crash(
         .expect("fresh crash-run directory opens");
     let crashed_at = apply_ops(&mut p, ops);
     let fired = crashed_at < ops.len();
+    let mut derived_at = Vec::new();
     if fired {
         // The "process" died at an I/O boundary inside ops[crashed_at].
         drop(p);
@@ -352,10 +367,12 @@ pub fn run_with_crash(
             "recovery cannot know about operations the caller never completed: \
              resume {resume}, crashed at {crashed_at}"
         );
+        derived_at.push((resume, derived(p.bot())));
         let finished = apply_ops(&mut p, &ops[resume..]);
         assert_eq!(finished, ops.len() - resume, "resumed run must not crash again");
     }
-    let fp = fingerprint(case, &p, horizons, widths);
+    let mut fp = fingerprint(case, &p, horizons, widths);
+    fp.derived_at = derived_at;
     drop(p);
     let _ = std::fs::remove_dir_all(&dir);
     (fp, fired)
@@ -413,6 +430,16 @@ pub fn diff(reference: &RunFingerprint, recovered: &RunFingerprint) -> Result<()
     }
     if recovered.trace_stream != reference.trace_stream {
         return Err("recovered trace stream is not byte-identical".into());
+    }
+    for (applied, got) in &recovered.derived_at {
+        // The reference's value once `applied` operations were applied.
+        let want = reference.derived_at.iter().rev().find(|(k, _)| k <= applied);
+        if want.is_some_and(|(_, want)| want != got) {
+            return Err(format!(
+                "centres, volumes or tracked clusters right after recovery (at operation \
+                 {applied}) are not bit-identical to the uninterrupted run's"
+            ));
+        }
     }
     Ok(())
 }

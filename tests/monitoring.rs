@@ -68,8 +68,8 @@ fn regression_rules() -> Vec<AlertRule> {
         AlertRule::new(
             "forecast-quality-h0",
             Severity::Critical,
-            // Calibrated between the clean run's rolling MSE (≈0.21 by
-            // run end) and the spiked run's (≈0.99).
+            // Calibrated between the clean run's rolling MSE (≈0.17 by
+            // run end) and the spiked run's (≈0.98).
             AlertCondition::GaugeAbove {
                 gauge: "forecast.mse.h0".into(),
                 above: 0.5,
