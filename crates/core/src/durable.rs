@@ -22,15 +22,14 @@
 //! clusterer feature as its dimension, its zero lead and the coordinates
 //! after the lead; every other field is fixed-width. It holds no value
 //! restore recomputes (cluster centres and volumes, the tracked clusters,
-//! the manager's cluster key). Versions 3 to 6 decode through a read-only
-//! path that reads and drops what later versions left out; DESIGN.md
-//! ("Durability & recovery") tables every version. A build refuses every
-//! other payload version rather than guessing.
+//! the manager's cluster key). A build reads its own version and the one
+//! before it: version 6 decodes through a read-only path that reads and
+//! drops those values. Every other payload version is refused rather than
+//! guessed at; DESIGN.md ("Durability & recovery") tables both versions.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
 //! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],
-//! [`KIND_COMPACT`]; [`KIND_INGEST`] frames of older builds are read,
-//! never written).
+//! [`KIND_COMPACT`]). A frame of any other kind refuses recovery.
 //!
 //! ## Recovery invariants
 //!
@@ -80,21 +79,15 @@ use crate::pipeline::{
 };
 
 /// Version of the snapshot payload this build writes. Bump when the
-/// [`FullState`] encoding changes shape. Versions 3 to 6 still decode,
-/// read-only; every other version is refused, not guessed at.
+/// [`FullState`] encoding changes shape. A build decodes its own version
+/// and the one before it, read-only; every other version is refused, not
+/// guessed at.
 pub const STATE_VERSION: u16 = 7;
 
-/// The older payload versions [`decode_full_state`] still reads. Nothing
-/// writes them: the first snapshot after their recovery is version 7.
-const STATE_VERSION_V3: u16 = 3;
-const STATE_VERSION_V4: u16 = 4;
-const STATE_VERSION_V5: u16 = 5;
+/// The previous payload version, which [`decode_full_state`] still reads.
+/// Nothing writes it: the first snapshot after its recovery is version 7.
 const STATE_VERSION_V6: u16 = 6;
 
-/// WAL frame kind: one weighted template sighting, as older builds framed
-/// each `ingest_weighted` call. Read, never written: it decodes to a
-/// one-item [`WalRecord::IngestBatch`].
-pub const KIND_INGEST: u8 = 1;
 /// WAL frame kind: an explicit cluster-update instant.
 pub const KIND_CLUSTER_UPDATE: u8 = 2;
 /// WAL frame kind: an arrival-history compaction point.
@@ -256,11 +249,8 @@ fn encode_tier(e: &mut Enc, tier: &[(Minute, u64)]) {
     });
 }
 
-/// Inverse of [`encode_tier`]; version 3 wrote fixed-width pairs.
-fn decode_tier(d: &mut Dec, version: u16) -> Result<Vec<(Minute, u64)>, CodecError> {
-    if version == STATE_VERSION_V3 {
-        return d.seq(|d| Ok((d.i64()?, d.u64()?)));
-    }
+/// Inverse of [`encode_tier`].
+fn decode_tier(d: &mut Dec) -> Result<Vec<(Minute, u64)>, CodecError> {
     let mut prev: Minute = 0;
     d.var_seq(|d| {
         prev = prev.wrapping_add(d.var_i64()?);
@@ -270,13 +260,9 @@ fn decode_tier(d: &mut Dec, version: u16) -> Result<Vec<(Minute, u64)>, CodecErr
 
 /// Inverse of [`encode_history`].
 pub fn decode_history(d: &mut Dec) -> Result<ArrivalHistoryState, CodecError> {
-    decode_history_at(d, STATE_VERSION)
-}
-
-fn decode_history_at(d: &mut Dec, version: u16) -> Result<ArrivalHistoryState, CodecError> {
     Ok(ArrivalHistoryState {
-        raw: decode_tier(d, version)?,
-        compacted: decode_tier(d, version)?,
+        raw: decode_tier(d)?,
+        compacted: decode_tier(d)?,
         compacted_width_minutes: d.option(Dec::i64)?,
         total: d.u64()?,
     })
@@ -352,10 +338,10 @@ fn encode_entry(e: &mut Enc, t: &TemplateEntryState) {
     }
 }
 
-fn decode_entry(d: &mut Dec, version: u16) -> Result<TemplateEntryState, CodecError> {
+fn decode_entry(d: &mut Dec) -> Result<TemplateEntryState, CodecError> {
     Ok(TemplateEntryState {
         text: d.str()?,
-        history: decode_history_at(d, version)?,
+        history: decode_history(d)?,
         params_seen: d.u64()?,
         params_items: d.seq(|d| d.seq(decode_literal))?,
         params_rng: [d.u64()?, d.u64()?, d.u64()?, d.u64()?],
@@ -380,32 +366,11 @@ fn encode_preprocessor_state(e: &mut Enc, s: &PreProcessorState) {
     encode_quarantine(e, &s.quarantine);
 }
 
-/// Inverse of [`encode_preprocessor_state`] for a `version` payload.
-fn decode_preprocessor_state_at(
-    d: &mut Dec,
-    version: u16,
-) -> Result<PreProcessorState, CodecError> {
-    let entries = d.seq(|d| decode_entry(d, version))?;
-    // Version 3 wrote every text whole and every id and count fixed-width.
-    let distinct_texts = if version == STATE_VERSION_V3 {
-        d.seq(|d| Ok((d.str()?, d.u32()?)))?
-    } else {
-        decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?
-    };
-    // Versions 3 and 4 go on with the raw-SQL cache of older builds, the
-    // shard-cache slots and the raw cache's hit counter: read and dropped.
-    if version == STATE_VERSION_V3 {
-        d.seq(|d| Ok((d.str()?, d.u32()?)))?;
-        d.seq(|d| Ok((d.str()?, d.u32()?, d.u64()?)))?;
-        d.u64()?;
-    } else if version == STATE_VERSION_V4 {
-        decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?;
-        decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?, d.var_u64()?)))?;
-        d.u64()?;
-    }
+/// Inverse of [`encode_preprocessor_state`].
+fn decode_preprocessor_state(d: &mut Dec) -> Result<PreProcessorState, CodecError> {
     Ok(PreProcessorState {
-        entries,
-        distinct_texts,
+        entries: d.seq(decode_entry)?,
+        distinct_texts: decode_text_table(d, |d, text| Ok((text, decode_var_id(d)?)))?,
         next_seed: d.u64()?,
         stats: IngestStats {
             total_queries: d.u64()?,
@@ -465,13 +430,7 @@ fn decode_clusterer_state_at(d: &mut Dec, version: u16) -> Result<ClustererState
         templates: d.seq(|d| {
             Ok(TemplateRecord {
                 key: d.u64()?,
-                // Versions 3 to 5 wrote every coordinate.
-                feature: if version <= STATE_VERSION_V5 {
-                    let values = d.seq(Dec::f64)?;
-                    TemplateFeature::dense(values, d.usize()?)
-                } else {
-                    decode_feature(d)?
-                },
+                feature: decode_feature(d)?,
                 volume: d.f64()?,
                 last_seen: d.i64()?,
                 cluster: d.u64()?,
@@ -479,7 +438,7 @@ fn decode_clusterer_state_at(d: &mut Dec, version: u16) -> Result<ClustererState
         })?,
         clusters: d.seq(|d| {
             let record = ClusterRecord { id: d.u64()?, members: d.seq(Dec::u64)? };
-            // Versions 3 to 6 went on with the centre and volume: dropped.
+            // Version 6 went on with the centre and volume: dropped.
             if version <= STATE_VERSION_V6 {
                 d.seq(Dec::f64)?;
                 d.f64()?;
@@ -522,10 +481,10 @@ pub fn encode_pipeline_state(e: &mut Enc, s: &PipelineState) {
 
 fn decode_pipeline_state_at(d: &mut Dec, version: u16) -> Result<PipelineState, CodecError> {
     Ok(PipelineState {
-        pre: decode_preprocessor_state_at(d, version)?,
+        pre: decode_preprocessor_state(d)?,
         clusterer: decode_clusterer_state_at(d, version)?,
         last_update: {
-            // Versions 3 to 6 wrote the tracked clusters first: dropped.
+            // Version 6 wrote the tracked clusters first: dropped.
             if version <= STATE_VERSION_V6 {
                 d.seq(decode_cluster_info)?;
             }
@@ -630,8 +589,8 @@ fn decode_manager_state_at(d: &mut Dec, version: u16) -> Result<ManagerState, Co
         rollbacks: d.u64()?,
         last_error: d.option(Dec::str)?,
         trained_on: {
-            // Versions 3 to 6 wrote the cluster key (ids, sorted members)
-            // first: dropped.
+            // Version 6 wrote the cluster key (ids, sorted members) first:
+            // dropped.
             if version <= STATE_VERSION_V6 {
                 d.option(|d| d.seq(|d| Ok((d.u64()?, d.seq(Dec::u32)?))))?;
             }
@@ -771,15 +730,15 @@ pub fn encode_full_state(s: &FullState) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_full_state`]: verifies the version prefix and that
-/// every byte is consumed. Reads [`STATE_VERSION`] and, read-only,
-/// versions 3 to 6; refuses every other version.
+/// every byte is consumed. Reads [`STATE_VERSION`] and, read-only, the
+/// version before it; refuses every other version.
 pub fn decode_full_state(bytes: &[u8]) -> Result<FullState, DurabilityError> {
     let mut d = Dec::new(bytes);
     let version = d.u16().map_err(DurabilityError::Codec)?;
-    if !(STATE_VERSION_V3..=STATE_VERSION).contains(&version) {
+    if !(STATE_VERSION_V6..=STATE_VERSION).contains(&version) {
         return Err(DurabilityError::Corrupt(format!(
             "snapshot payload version {version}; this build reads versions \
-             {STATE_VERSION_V3} to {STATE_VERSION}"
+             {STATE_VERSION_V6} and {STATE_VERSION}"
         )));
     }
     let pipeline = decode_pipeline_state_at(&mut d, version)?;
@@ -823,7 +782,6 @@ fn encode_batch_items<'a>(items: impl ExactSizeIterator<Item = (Minute, u64, &'a
 pub fn decode_wal_record(kind: u8, payload: &[u8]) -> Result<WalRecord, DurabilityError> {
     let mut d = Dec::new(payload);
     let rec = match kind {
-        KIND_INGEST => WalRecord::IngestBatch { items: vec![(d.i64()?, d.u64()?, d.str()?)] },
         KIND_CLUSTER_UPDATE => WalRecord::ClusterUpdate { now: d.i64()? },
         KIND_COMPACT => WalRecord::Compact,
         KIND_INGEST_BATCH => WalRecord::IngestBatch {
@@ -1248,16 +1206,44 @@ mod tests {
             let (kind, payload) = encode_wal_record(&rec);
             assert_eq!(decode_wal_record(kind, &payload).unwrap(), rec);
         }
-        // Older builds' per-sighting frames decode to one-item batches.
+        // Kind 1, the per-sighting frame of retired builds, is unknown now.
         let mut e = Enc::new();
         e.i64(-5);
         e.u64(42);
         e.str("SELECT 1");
-        assert_eq!(
-            decode_wal_record(KIND_INGEST, &e.finish()).unwrap(),
-            WalRecord::IngestBatch { items: vec![(-5, 42, "SELECT 1".into())] }
-        );
-        assert!(decode_wal_record(99, &[]).is_err());
+        for (kind, payload) in [(1, e.finish()), (99, vec![])] {
+            let err = decode_wal_record(kind, &payload).unwrap_err();
+            assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");
+        }
+    }
+
+    /// A CRC-valid frame of a kind this build does not know is not a torn
+    /// tail: `open` refuses the directory, naming the kind, rather than
+    /// recovering the frames before it, and leaves every frame on disk.
+    #[test]
+    fn an_unknown_wal_kind_refuses_open() {
+        let dir = tmp_dir("unknown-kind");
+        let (kind, payload) = encode_wal_record(&WalRecord::IngestBatch {
+            items: vec![(0, 3, "SELECT a FROM t WHERE id = 1".into())],
+        });
+        {
+            let (mut store, _) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+            store.append(1, kind, &payload).unwrap();
+            let mut e = Enc::new();
+            e.i64(1);
+            e.u64(2);
+            e.str("SELECT a FROM t WHERE id = 1");
+            store.append(2, 1, &e.finish()).unwrap();
+        }
+        let Err(err) = DurablePipeline::open(durable_config(&dir)) else {
+            panic!("a kind-1 frame must refuse open");
+        };
+        assert_eq!(err.stage(), "durability");
+        assert!(err.to_string().contains("unknown WAL record kind 1"), "{err}");
+        let (_, recovered) = DurableStore::open(&dir, FaultHook::none()).unwrap();
+        assert!(recovered.snapshot.is_none());
+        assert_eq!(recovered.frames.iter().map(|f| f.kind).collect::<Vec<_>>(), [kind, 1]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1302,7 +1288,7 @@ mod tests {
         assert!(e.len() <= 3 * tier.len(), "{} bytes for {} pairs", e.len(), tier.len());
         let bytes = e.finish();
         let mut d = Dec::new(&bytes);
-        assert_eq!(decode_tier(&mut d, STATE_VERSION).unwrap(), tier);
+        assert_eq!(decode_tier(&mut d).unwrap(), tier);
         d.finish().unwrap();
 
         let mut texts: Vec<(String, u32)> = (0..1_000u32)
@@ -1326,7 +1312,7 @@ mod tests {
         let table_bytes = bytes.len() - encoded(&PreProcessorState::default()).len();
         assert!(table_bytes * 3 < text_bytes, "{table_bytes} bytes for {text_bytes} of text");
         let mut d = Dec::new(&bytes);
-        assert_eq!(decode_preprocessor_state_at(&mut d, STATE_VERSION).unwrap(), state);
+        assert_eq!(decode_preprocessor_state(&mut d).unwrap(), state);
         d.finish().unwrap();
     }
 

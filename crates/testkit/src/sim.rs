@@ -33,13 +33,17 @@
 //! 9. **Alerts** (`monitor`) — the transition log and active set join the
 //!    fingerprint, and a faulted replay must trip the quarantine rule.
 //!
-//! With `durable` the [`DurablePipeline`] is dropped at the middle round
-//! and reopened from its directory with a fresh recorder, service and
-//! monitor, as a new process would. It must then match the run without
-//! `durable` on everything the recovery contract persists: state,
-//! forecasts, served answers and the trace. The serve epoch and the alert
-//! windows restart, so they — and the trace events recording them — are
-//! compared only across widths and reruns.
+//! With `durable` the [`DurablePipeline`] is dropped right after the
+//! middle round and again right after the next one, and each time reopened
+//! from its directory with a fresh recorder, service and monitor, as a new
+//! process would. The first recovery loads the middle round's snapshot
+//! alone; the second replays a WAL tail with a round in it. The run must
+//! then match the one without `durable` on everything the recovery
+//! contract persists: state, forecasts, served answers and the trace. The
+//! values restore recomputes ([`crate::crash::derived`]) are compared
+//! right after the first recovery too, before a round recomputes them.
+//! The serve epoch and the alert windows restart, so they — and the trace
+//! events recording them — are compared only across widths and reruns.
 //!
 //! A [`SimFailure`] prints [`repro_command`], a `cargo test` line that
 //! replays the case and features via `single_seed_repro`.
@@ -64,10 +68,9 @@ use qb_workloads::{
 
 /// Minutes between cluster-update rounds.
 const ROUND_MINUTES: Minute = 6 * 60;
-/// Snapshot policy of durable replays: with rounds every six hours, the
-/// middle-round drop of a three-day case recovers a snapshot plus a WAL
-/// tail.
-const SNAPSHOT_EVERY_ROUNDS: u64 = 4;
+/// Snapshot policy of durable replays: a case has four rounds a day, so the
+/// middle round always cuts a snapshot and the round after it does not.
+const SNAPSHOT_EVERY_ROUNDS: u64 = 2;
 /// Churn intensity of [`Source::Churn`] traces.
 const CHURN_INTENSITY: f64 = 1.5;
 
@@ -287,17 +290,22 @@ pub struct Traced {
 }
 
 impl Traced {
-    /// Stream, lineage and dumps as one string; `mask_epochs` blanks the
-    /// serve epochs a recovered process restarts.
-    fn render(&self, mask_epochs: bool) -> String {
-        let text = format!("{}\n{}\n{:?}", self.stream, self.fit_lineage, self.dumps);
-        if !mask_epochs {
-            return text;
+    /// Stream, lineage and dumps as one string; `mask_restarts` blanks
+    /// what a recovered process's fresh service restarts: the serve epochs
+    /// and the entries each publish shares with the one before it.
+    fn render(&self, mask_restarts: bool) -> String {
+        let mut text = format!("{}\n{}\n{:?}", self.stream, self.fit_lineage, self.dumps);
+        if mask_restarts {
+            for key in [" epoch=", " shared_entries="] {
+                let parts: Vec<&str> = text
+                    .split(key)
+                    .enumerate()
+                    .map(|(i, p)| if i == 0 { p } else { p.trim_start_matches(char::is_numeric) })
+                    .collect();
+                text = parts.join(&format!("{key}_"));
+            }
         }
-        let parts = text.split(" epoch=").enumerate();
-        let parts =
-            parts.map(|(i, p)| if i == 0 { p } else { p.trim_start_matches(char::is_numeric) });
-        parts.collect::<Vec<_>>().join(" epoch=_")
+        text
     }
 }
 
@@ -314,6 +322,9 @@ pub struct Fingerprint {
     pub width: usize,
     pub state: PipelineState,
     pub derived: crate::crash::Derived,
+    /// [`crate::crash::derived`] right after the middle round: for a
+    /// durable replay, right after its recovery from that round's snapshot.
+    pub midway: Option<crate::crash::Derived>,
     /// Per horizon: the synchronous predictions' bits.
     pub forecasts: Vec<Vec<u64>>,
     pub served: Option<Served>,
@@ -332,6 +343,7 @@ fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'stat
     [
         ("pipeline state", a.state == b.state),
         ("cluster centres, volumes or tracked clusters", a.derived == b.derived),
+        ("cluster centres, volumes or tracked clusters at the middle round", a.midway == b.midway),
         ("forecasts", a.forecasts == b.forecasts),
         ("served curves, top-K or cold-start entries", served(a) == served(b)),
         ("serve epoch", recovery || epoch(a) == epoch(b)),
@@ -593,12 +605,16 @@ fn replay(
     let end = case.days as i64 * MINUTES_PER_DAY;
     let rounds = (end / ROUND_MINUTES) as u64;
     let mut round = 0u64;
-    let next_round = |process: &mut Process, round: &mut u64| {
+    let mut midway = None;
+    let mut next_round = |process: &mut Process, round: &mut u64| {
         *round += 1;
         process.round(*round, *round as i64 * ROUND_MINUTES);
-        if f.durable && *round == rounds / 2 {
+        if f.durable && (*round == rounds / 2 || *round == rounds / 2 + 1) {
             // The process dies here; a new one recovers from the directory.
             *process = Process::open(case, f, dir.as_deref());
+        }
+        if *round == rounds / 2 {
+            midway = Some(crate::crash::derived(process.bot()));
         }
     };
     for batch in batches {
@@ -673,7 +689,7 @@ fn replay(
     if let Some(dir) = dir {
         let _ = std::fs::remove_dir_all(dir);
     }
-    Ok(Fingerprint { width, state, derived, forecasts, served, trace, alerts })
+    Ok(Fingerprint { width, state, derived, midway, forecasts, served, trace, alerts })
 }
 
 /// Invariant 8: reads every answer at the final epoch and checks each

@@ -20,15 +20,11 @@
 //!   [`PipelineState`], `PipelineHealth`, forecasts (raw bits), and the
 //!   deterministic trace stream. Failures print a `QB_CRASH_HOOK=…` repro
 //!   command that `crash_point_repro` below replays.
-//! * **Cross-version recovery** — store directories written by
-//!   `STATE_VERSION` 3, 4, 5 and 6 builds
-//!   (`crates/testkit/fixtures/v3_store`, `v4_store`, `v5_store`,
-//!   `v6_store`) recover to the manager state and prediction bits those
-//!   builds printed and to the state the same script reaches now (for
-//!   versions 3 and 4, but for the parameter reservoirs they sampled), and
-//!   re-snapshot as version 7; the version 3 WAL alone, per-sighting
-//!   frames included, replays to exactly the state the script reaches now;
-//!   versions other than 3 to 7 are refused.
+//! * **Cross-version recovery** — a store directory written by a
+//!   `STATE_VERSION` 6 build (`crates/testkit/fixtures/v6_store`) recovers
+//!   to the pinned pipeline and manager state and prediction bits and to
+//!   exactly the state the same script reaches now, and re-snapshots as
+//!   version 7; versions other than 6 and 7 are refused.
 //! * **Snapshot size** — the snapshot of three BusTracker days stays at or
 //!   under 49 700 bytes.
 
@@ -132,24 +128,6 @@ proptest! {
         let (kind, payload) = encode_wal_record(&rec);
         let back = decode_wal_record(kind, &payload).expect("decode what we encoded");
         prop_assert_eq!(back, rec);
-    }
-
-    /// Older builds framed each `ingest_weighted` call as a `KIND_INGEST`
-    /// frame (minute, count, SQL); nothing writes one now, and it decodes
-    /// to a one-item batch.
-    #[test]
-    fn per_sighting_frame_decodes_as_a_one_item_batch(
-        minute in any::<i64>(),
-        count in any::<u64>(),
-        sql in ".{0,60}",
-    ) {
-        let mut e = Enc::new();
-        e.i64(minute);
-        e.u64(count);
-        e.str(&sql);
-        let back = decode_wal_record(qb5000::durable::KIND_INGEST, &e.finish())
-            .expect("a per-sighting frame decodes");
-        prop_assert_eq!(back, WalRecord::IngestBatch { items: vec![(minute, count, sql)] });
     }
 }
 
@@ -462,57 +440,28 @@ fn snapshot_of_three_bustracker_days_stays_compact() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-version recovery: a checked-in version 3 store
+// Cross-version recovery: a checked-in version 6 store
 // ---------------------------------------------------------------------------
 
-/// Store directory written by a version 3 build from [`run_v3_script`]:
-/// one snapshot (`STATE_VERSION` 3) and the WAL tail after it, plus the
-/// fallback generation's segment.
-const V3_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v3_store");
-
-/// The same, written by a version 4 build. Its WAL segments end at their
-/// last frame: the zero fill that build preallocated after it is trimmed.
-const V4_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v4_store");
-
-/// The same again, written and trimmed likewise by a version 5 build, which
-/// stored every clusterer feature whole.
-const V5_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v5_store");
-
-/// The same again, written and trimmed likewise by a version 6 build, which
-/// stored every cluster centre and volume, the tracked clusters and the
-/// manager's cluster key.
+/// Store directory written by a version 6 build from [`run_store_script`]:
+/// one snapshot (`STATE_VERSION` 6) and the WAL tail after it, plus the
+/// fallback generation's segment. Its WAL segments end at their last
+/// frame: the zero fill that build preallocated after it is trimmed. It
+/// holds every cluster centre and volume, the tracked clusters and the
+/// manager's cluster key, which version 7 leaves out.
 const V6_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v6_store");
 
-/// The recovered state of [`V3_FIXTURE`] and [`V4_FIXTURE`], pinned as
-/// FNV-1a of the bytes `encode_pipeline_state` and `encode_manager_state`
-/// write for it, and the raw bits of the manager's prediction at
-/// [`V3_END`]. Both stores recover to the same state; the manager state
-/// and bits are the ones the version 3 and 4 builds printed after
-/// recovering them.
-///
-/// The pins hash encoded bytes, not `Debug` text, so renaming a field of
-/// either state type does not move them; a change to what the state holds
-/// or to its encoding does. They replaced `Debug`-text pins, which the
-/// recovered states matched in the same run: `0x5e10_df32_c60f_db43`
-/// (`PipelineState`) and `0x6b7e_4eaa_1d2c_ee92` (`ManagerState`, also
-/// what the version 3 build printed). The pipeline state differs from the
-/// one the version 3 build recovered in two ways. It holds no raw-SQL
-/// cache (that build's held one statement with 11 hits). And this build
-/// offers every statement of the WAL tail to its template's reservoir
-/// (`params_seen` of templates 0 and 1: 5 → 14 and 2 → 5), where the older
-/// builds' caches turned some into hits that were not offered.
-///
-/// `STATE_VERSION` 7 moved both pins: the state no longer holds centres,
-/// volumes, tracked clusters or the manager's cluster key. Written in the
-/// version 6 layout, with those values taken from the recovered pipeline
-/// and the key rebuilt from `trained_on`, the same recovered states hash
-/// to the version 6 pins, `0xd11e_88d2_4d1d_c867` and
-/// `0x95f7_c208_390b_f16d`.
-const V3_STATE_BYTES_FNV: u64 = 0x1e63_5207_45db_341c;
-const V3_MANAGER_BYTES_FNV: u64 = 0x54c8_a964_21d7_1e38;
-const V3_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
+/// The recovered state of [`V6_FIXTURE`], pinned as FNV-1a of the bytes
+/// `encode_pipeline_state` and `encode_manager_state` write for it, and the
+/// raw bits of the manager's prediction at [`SCRIPT_END`]. The pins hash
+/// encoded bytes, not `Debug` text, so renaming a field of either state
+/// type does not move them; a change to what the state holds or to its
+/// encoding does.
+const STORE_STATE_BYTES_FNV: u64 = 0xe1ad_b94f_6cef_9859;
+const STORE_MANAGER_BYTES_FNV: u64 = 0x54c8_a964_21d7_1e38;
+const STORE_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
-const V3_SQL: [&str; 5] = [
+const SCRIPT_SQL: [&str; 5] = [
     "SELECT a FROM t WHERE id = 1",
     "SELECT a FROM t WHERE id = 27",
     "SELECT b, c FROM u WHERE x = 'k' AND y > 2",
@@ -520,8 +469,8 @@ const V3_SQL: [&str; 5] = [
     "SELEC broken (",
 ];
 /// Snapshot instant of the script, and the end of its WAL tail.
-const V3_SNAPSHOT_HOUR: i64 = 72;
-const V3_END: i64 = 75 * 60;
+const SCRIPT_SNAPSHOT_HOUR: i64 = 72;
+const SCRIPT_END: i64 = 75 * 60;
 
 /// FNV-1a of the bytes `encode` writes.
 fn encoded_fnv(encode: impl FnOnce(&mut Enc)) -> u64 {
@@ -532,7 +481,7 @@ fn encoded_fnv(encode: impl FnOnce(&mut Enc)) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-fn v3_config(dir: &std::path::Path) -> Qb5000Config {
+fn script_config(dir: &std::path::Path) -> Qb5000Config {
     let mut cfg = Qb5000Config::builder()
         .durability(DurabilityConfig::new(dir).snapshot_every_rounds(u64::MAX))
         .build()
@@ -546,65 +495,63 @@ fn v3_config(dir: &std::path::Path) -> Qb5000Config {
     cfg
 }
 
-fn v3_manager() -> ForecastManager {
+fn script_manager() -> ForecastManager {
     ForecastManager::new(vec![HorizonSpec::hourly(1)], || Box::new(LinearRegression::default()))
 }
 
-/// One scripted hour: a batch, and every sixth hour a late
-/// per-event sighting two hours back (out-of-order minutes; the version 3
-/// build cached it in its raw-SQL cache and framed it as `KIND_INGEST`)
-/// and a quarantined one.
-fn v3_hour(p: &mut DurablePipeline, hour: i64) {
+/// One scripted hour: a batch, and every sixth hour a late per-event
+/// sighting two hours back (out-of-order minutes) and a quarantined one.
+fn script_hour(p: &mut DurablePipeline, hour: i64) {
     let base = hour * 60;
     let busy = (8..20).contains(&(hour % 24));
     let owned = [
-        (base + 5, V3_SQL[0], if busy { 30 } else { 3 }),
-        (base + 5, V3_SQL[1], 2),
-        (base + 31, V3_SQL[2], if busy { 4 } else { 20 }),
-        (base + 47, V3_SQL[0], 7 + (hour as u64 % 5)),
+        (base + 5, SCRIPT_SQL[0], if busy { 30 } else { 3 }),
+        (base + 5, SCRIPT_SQL[1], 2),
+        (base + 31, SCRIPT_SQL[2], if busy { 4 } else { 20 }),
+        (base + 47, SCRIPT_SQL[0], 7 + (hour as u64 % 5)),
     ];
     let batch: Vec<BatchItem<'_>> =
         owned.iter().map(|&(minute, sql, count)| BatchItem { minute, sql, count }).collect();
     p.ingest_batch(&batch).expect("fixture batch");
     if hour % 6 == 5 {
-        p.ingest_weighted(base - 113, V3_SQL[3], 1 + hour as u64 % 3).expect("late sighting");
-        assert!(p.ingest_weighted(base, V3_SQL[4], 1).is_err(), "quarantined");
+        p.ingest_weighted(base - 113, SCRIPT_SQL[3], 1 + hour as u64 % 3).expect("late sighting");
+        assert!(p.ingest_weighted(base, SCRIPT_SQL[4], 1).is_err(), "quarantined");
     }
     if hour % 12 == 11 {
         p.update_clusters(base + 60).expect("fixture round");
     }
 }
 
-/// The scripted run the store fixtures were written from: 72 hours with
+/// The scripted run the store fixture was written from: 72 hours with
 /// rounds and a compaction, then a forecast manager trained, predicting,
 /// and snapshotted with the pipeline; then a WAL tail of three more hours
 /// with a compaction and a round. Returns the open pipeline.
-fn run_v3_script(dir: &std::path::Path) -> DurablePipeline {
-    let (mut p, report) = DurablePipeline::open(v3_config(dir)).expect("fresh fixture dir");
+fn run_store_script(dir: &std::path::Path) -> DurablePipeline {
+    let (mut p, report) = DurablePipeline::open(script_config(dir)).expect("fresh fixture dir");
     assert!(!report.recovered());
-    for hour in 0..V3_SNAPSHOT_HOUR {
-        v3_hour(&mut p, hour);
+    for hour in 0..SCRIPT_SNAPSHOT_HOUR {
+        script_hour(&mut p, hour);
         if hour == 53 {
             p.compact_histories().expect("fixture compaction");
         }
     }
-    let now = V3_SNAPSHOT_HOUR * 60;
-    p.attach_manager(v3_manager());
+    let now = SCRIPT_SNAPSHOT_HOUR * 60;
+    p.attach_manager(script_manager());
     p.ensure_trained(now).expect("fixture training");
     p.predict_tracked(now, 0);
     p.snapshot().expect("fixture snapshot");
-    for hour in V3_SNAPSHOT_HOUR..V3_END / 60 {
-        v3_hour(&mut p, hour);
+    for hour in SCRIPT_SNAPSHOT_HOUR..SCRIPT_END / 60 {
+        script_hour(&mut p, hour);
     }
     p.compact_histories().expect("tail compaction");
-    p.update_clusters(V3_END).expect("tail round");
+    p.update_clusters(SCRIPT_END).expect("tail round");
     p
 }
 
 /// Recovers `dir`, rebuilds the manager from the recovered state, and
 /// returns the pipeline with the recovered manager state and predictions.
-fn recover_v3(dir: &std::path::Path) -> (DurablePipeline, qb5000::ManagerState, Vec<u64>) {
-    let (mut p, report) = DurablePipeline::open(v3_config(dir)).expect("fixture recovers");
+fn recover_store(dir: &std::path::Path) -> (DurablePipeline, qb5000::ManagerState, Vec<u64>) {
+    let (mut p, report) = DurablePipeline::open(script_config(dir)).expect("fixture recovers");
     let mstate = report.manager.expect("the fixture snapshot carries manager state");
     let mgr = ForecastManager::restore(
         vec![HorizonSpec::hourly(1)],
@@ -617,7 +564,7 @@ fn recover_v3(dir: &std::path::Path) -> (DurablePipeline, qb5000::ManagerState, 
     let bits = p
         .manager()
         .expect("attached")
-        .predict(p.bot(), V3_END, 0)
+        .predict(p.bot(), SCRIPT_END, 0)
         .iter()
         .map(|v| v.to_bits())
         .collect();
@@ -645,69 +592,46 @@ fn newest_snapshot_version(dir: &std::path::Path) -> u16 {
     u16::from_le_bytes([bytes[22], bytes[23]])
 }
 
-/// `state` with every template's parameter reservoir emptied. A store
-/// written by an older build holds the reservoirs that build sampled, and
-/// it offered a statement only on a cache miss or on a slot's 64th hit;
-/// this build offers every statement. A recovered store therefore matches
-/// a live run of its script in everything but the reservoirs.
-fn without_reservoirs(mut state: qb5000::PipelineState) -> qb5000::PipelineState {
-    for entry in &mut state.pre.entries {
-        entry.params_seen = 0;
-        entry.params_items.clear();
-        entry.params_rng = [0; 4];
-    }
-    state
-}
+/// A version 6 store recovers to the pinned pipeline and manager state and
+/// prediction bits, to the centres, volumes and tracked clusters restore
+/// recomputes, and to exactly the state a run of the same script reaches
+/// under this build: the read-only version 6 decoder drops the values
+/// version 7 leaves out. Then it snapshots again, as version 7, and the new
+/// snapshot recovers to the same state.
+#[test]
+fn v6_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
+    assert_eq!(qb5000::STATE_VERSION, 7);
+    let dir = tmp_dir("v6-fixture");
+    copy_dir(V6_FIXTURE, &dir);
+    assert_eq!(newest_snapshot_version(&dir), 6, "the fixture is a version 6 store");
 
-/// Recovers a copy of `fixture`, a `version` store written from
-/// [`run_v3_script`], and checks it: the pinned manager state and
-/// prediction bits, the centres, volumes and tracked clusters restore
-/// recomputes, and the state a run of the same script reaches under this
-/// build — exactly for a version 5 or 6 store, and for older ones, which
-/// hold reservoirs sampled under an older policy, but for the reservoirs
-/// and with the recovered state pinned by hash. Then snapshots it again,
-/// as [`qb5000::STATE_VERSION`], and checks that the new snapshot recovers
-/// to the same state.
-fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
-    let dir = tmp_dir(name);
-    copy_dir(fixture, &dir);
-    assert_eq!(newest_snapshot_version(&dir), version, "the fixture is a version {version} store");
-
-    let (mut p, mstate, bits) = recover_v3(&dir);
+    let (mut p, mstate, bits) = recover_store(&dir);
     let state = p.bot().export_state();
     let recomputed = derived(p.bot());
     assert_eq!(
+        encoded_fnv(|e| encode_pipeline_state(e, &state)),
+        STORE_STATE_BYTES_FNV,
+        "PipelineState as recovered before"
+    );
+    assert_eq!(
         encoded_fnv(|e| encode_manager_state(e, &mstate)),
-        V3_MANAGER_BYTES_FNV,
+        STORE_MANAGER_BYTES_FNV,
         "ManagerState as recovered before"
     );
-    assert_eq!(bits, V3_PREDICTION_BITS, "prediction bits as recovered before");
+    assert_eq!(bits, STORE_PREDICTION_BITS, "prediction bits as recovered before");
     assert!(state.pre.entries.iter().any(|e| !e.history.compacted.is_empty()));
 
-    let live_dir = tmp_dir(&format!("{name}-live"));
-    let live = run_v3_script(&live_dir);
+    let live_dir = tmp_dir("v6-fixture-live");
+    let live = run_store_script(&live_dir);
     assert_eq!(derived(live.bot()), recomputed, "recomputed values == the script's own");
-    if version >= 5 {
-        assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
-    } else {
-        assert_eq!(
-            encoded_fnv(|e| encode_pipeline_state(e, &state)),
-            V3_STATE_BYTES_FNV,
-            "PipelineState as recovered before"
-        );
-        assert_eq!(
-            without_reservoirs(live.bot().export_state()),
-            without_reservoirs(state.clone()),
-            "recovered == the script's own end state, but for the reservoirs"
-        );
-    }
+    assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
     drop(live);
     let _ = std::fs::remove_dir_all(&live_dir);
 
     p.snapshot().expect("re-snapshot");
     drop(p);
     assert_eq!(newest_snapshot_version(&dir), qb5000::STATE_VERSION);
-    let (p, mstate_again, bits_again) = recover_v3(&dir);
+    let (p, mstate_again, bits_again) = recover_store(&dir);
     assert_eq!(p.bot().export_state(), state, "the new snapshot recovers the same state");
     assert_eq!(derived(p.bot()), recomputed);
     assert_eq!(mstate_again, mstate);
@@ -716,74 +640,11 @@ fn recover_store_fixture(fixture: &str, version: u16, name: &str) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A version 3 store passes [`recover_store_fixture`]'s checks; the next
-/// snapshot is version 7.
+/// Versions 6 and 7 decode (6 is the fixture's); 2, 3, 5 and 8 are refused
+/// before any field is read, with an error naming the versions this build
+/// reads.
 #[test]
-fn v3_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
-    assert_eq!(qb5000::STATE_VERSION, 7);
-    recover_store_fixture(V3_FIXTURE, 3, "v3-fixture");
-}
-
-/// A version 4 store, which holds shard-cache slots and the two dead
-/// fields of the raw-SQL cache, passes the same checks: the read-only
-/// version 4 decoder drops them. The next snapshot is version 7.
-#[test]
-fn v4_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
-    recover_store_fixture(V4_FIXTURE, 4, "v4-fixture");
-}
-
-/// A version 5 store, whose features are stored whole, recovers to exactly
-/// the state the script reaches under this build: the read-only version 5
-/// decoder splits each feature's zero lead off. The next snapshot is
-/// version 7.
-#[test]
-fn v5_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
-    recover_store_fixture(V5_FIXTURE, 5, "v5-fixture");
-}
-
-/// A version 6 store, which holds every cluster centre and volume, the
-/// tracked clusters and the manager's cluster key, recovers to exactly the
-/// state the script reaches under this build: the read-only version 6
-/// decoder drops those values and restore recomputes them. The next
-/// snapshot is version 7.
-#[test]
-fn v6_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
-    recover_store_fixture(V6_FIXTURE, 6, "v6-fixture");
-}
-
-/// The version 3 store without its snapshot: every frame replays, the
-/// version 3 build's per-sighting `KIND_INGEST` frames (the late and the
-/// quarantined `ingest_weighted` calls of every sixth hour) as batches of
-/// one, to exactly the state the same script reaches under this build.
-#[test]
-fn v3_wal_replays_per_sighting_frames_as_batches_of_one() {
-    let dir = tmp_dir("v3-wal-only");
-    copy_dir(V3_FIXTURE, &dir);
-    for entry in std::fs::read_dir(&dir).expect("store dir listable") {
-        let path = entry.expect("store entry").path();
-        if path.extension().is_some_and(|x| x == "qbs") {
-            std::fs::remove_file(path).expect("snapshot removable");
-        }
-    }
-    let (p, report) = DurablePipeline::open(v3_config(&dir)).expect("the WAL alone recovers");
-    assert_eq!(report.snapshot_seq, None);
-    assert_eq!(report.frames_replayed, p.durable_seq(), "every frame replays");
-    // 75 hourly batches of four, plus two per-sighting frames in each of
-    // the twelve sixth hours before the snapshot.
-    assert_eq!(report.statements_replayed, 75 * 4 + 12 * 2);
-
-    let live_dir = tmp_dir("v3-wal-only-live");
-    let live = run_v3_script(&live_dir);
-    assert_eq!(p.bot().export_state(), live.bot().export_state());
-    drop((p, live));
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&live_dir);
-}
-
-/// Version 7 decodes (3 to 6 are the fixtures'); 2 and 8 are refused
-/// before any field is read.
-#[test]
-fn payload_versions_other_than_3_to_7_are_refused() {
+fn payload_versions_other_than_6_and_7_are_refused() {
     let full = FullState {
         pipeline: QueryBot5000::new(Qb5000Config::default()).export_state(),
         manager: None,
@@ -792,11 +653,13 @@ fn payload_versions_other_than_3_to_7_are_refused() {
     let bytes = encode_full_state(&full);
     assert_eq!(bytes[..2], 7u16.to_le_bytes());
     assert_eq!(decode_full_state(&bytes).expect("v7 decodes"), full);
-    for version in [2u16, 8] {
+    for version in [2u16, 3, 5, 8] {
         let mut refused = bytes.clone();
         refused[..2].copy_from_slice(&version.to_le_bytes());
         let err = decode_full_state(&refused).expect_err("unknown version");
-        assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("version {version};")), "{msg}");
+        assert!(msg.contains("reads versions 6 and 7"), "{msg}");
     }
 }
 
