@@ -316,8 +316,7 @@ impl OnlineClusterer {
     /// `snapshots`; templates absent from `snapshots` keep their previous
     /// feature (but still age toward eviction).
     pub fn update(&mut self, snapshots: Vec<TemplateSnapshot>, now: i64) -> UpdateReport {
-        let _cycle = self.metrics.update_time.start();
-        let _stage = self.tracer.stage("clusterer.update");
+        let _stage = self.tracer.stage("clusterer.update", &self.metrics.update_time);
         let mut report = UpdateReport::default();
         // Fold the closing period's churn into the adaptive baseline.
         if !self.seen_since_update.is_empty() {

@@ -24,7 +24,7 @@ use qb_obs::Recorder;
 use qb_parallel::ThreadPool;
 use qb_timeseries::{Interval, Minute};
 use qb_serve::{ColdStartOrigin, ServeHealth};
-use qb_trace::{EventDraft, EventId, EventKind, LaneBuffer, Scope, Tracer};
+use qb_trace::{EventDraft, EventId, EventKind, Scope, Tracer};
 
 use crate::accuracy::{AccuracyTracker, AccuracyTrackerState, DEFAULT_ACCURACY_WINDOW};
 use crate::error::Error;
@@ -162,6 +162,8 @@ pub struct ForecastManager {
     recorder: Recorder,
     /// `forecast.fit.h<i>` fit-time histograms, aligned with `specs`.
     fit_times: Vec<qb_obs::Histogram>,
+    /// Wall time per retrain round (`forecast.train`).
+    train_time: qb_obs::Histogram,
     predict_time: qb_obs::Histogram,
     retrains_metric: qb_obs::Counter,
     rollbacks_metric: qb_obs::Counter,
@@ -231,6 +233,7 @@ impl ForecastManager {
             threads: qb_parallel::configured_threads(),
             recorder: Recorder::disabled(),
             fit_times: vec![qb_obs::Histogram::default(); horizons],
+            train_time: qb_obs::Histogram::default(),
             predict_time: qb_obs::Histogram::default(),
             retrains_metric: qb_obs::Counter::default(),
             rollbacks_metric: qb_obs::Counter::default(),
@@ -256,17 +259,19 @@ impl ForecastManager {
         self.tracer = tracer.clone();
     }
 
-    /// Installs a [`Recorder`]: retrain rounds then record per-horizon fit
-    /// times (`forecast.fit.h<i>`), prediction latency, retrain/rollback/
-    /// backoff counters, degradation gauges and transitions, and — via the
-    /// embedded [`AccuracyTracker`] — rolling MSE gauges. Freshly built
-    /// models are instrumented with the same recorder, so composite-member
-    /// divergences (`forecast.divergences`) land in the same registry.
+    /// Installs a [`Recorder`]: retrain rounds then record their wall time
+    /// (`forecast.train`), per-horizon fit times (`forecast.fit.h<i>`),
+    /// prediction latency, retrain/rollback/backoff counters, degradation
+    /// gauges and transitions, and — via the embedded [`AccuracyTracker`]
+    /// — rolling MSE gauges. Freshly built models are instrumented with
+    /// the same recorder, so composite-member divergences
+    /// (`forecast.divergences`) land in the same registry.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
         self.fit_times = (0..self.specs.len())
             .map(|i| recorder.histogram(&format!("forecast.fit.h{i}")))
             .collect();
+        self.train_time = recorder.histogram("forecast.train");
         self.predict_time = recorder.histogram("forecast.predict");
         self.retrains_metric = recorder.counter("forecast.retrains");
         self.rollbacks_metric = recorder.counter("forecast.rollbacks");
@@ -381,53 +386,49 @@ impl ForecastManager {
         // so the first error reported (and the failure accounting) is
         // bit-identical to a sequential run. Timings and divergence counts
         // land on thread-safe recorder handles.
-        let _train_stage = self.tracer.stage("forecast.train");
+        let _train_stage = self.tracer.stage("forecast.train", &self.train_time);
         let make_model = &self.make_model;
         let recorder = &self.recorder;
         let fit_times = &self.fit_times;
         let specs = &self.specs;
         let tracer_on = self.tracer.is_enabled();
         let cluster_anchor = self.tracer.anchor(Scope::ClusterState, 0);
-        let fitted: Vec<(Result<Box<dyn Forecaster>, ForecastError>, LaneBuffer)> =
+        let fitted: Vec<(Result<Box<dyn Forecaster>, ForecastError>, Option<EventDraft>)> =
             ThreadPool::new(self.threads).map(jobs, |i, job| {
-                // Workers buffer their trace events in a per-horizon lane;
-                // the control thread merges lanes in input order below, so
-                // the event stream is identical at any thread count.
-                let mut lane = LaneBuffer::new(1 + i as u32);
+                // Workers return their trace event; the control thread
+                // commits them in horizon order below, so the event stream
+                // is identical at any thread count.
                 let _fit_span = fit_times[i].start();
                 let mut model = make_model();
                 model.instrument(recorder);
                 let res = model.fit(&job.series, job.spec).map(|()| model);
-                if tracer_on {
+                let draft = tracer_on.then(|| {
                     let spec = specs[i];
                     match &res {
-                        Ok(m) => {
-                            lane.push(
-                                EventDraft::new(EventKind::ModelFit)
-                                    .parent_opt(cluster_anchor)
-                                    .uint("horizon_idx", i as u64)
-                                    .uint("horizon_steps", spec.horizon as u64)
-                                    .uint("window", spec.window as u64)
-                                    .uint("clusters", job.series.len() as u64)
-                                    .text("model", m.name()),
-                            );
-                        }
+                        Ok(m) => EventDraft::new(EventKind::ModelFit)
+                            .parent_opt(cluster_anchor)
+                            .uint("horizon_idx", i as u64)
+                            .uint("horizon_steps", spec.horizon as u64)
+                            .uint("window", spec.window as u64)
+                            .uint("clusters", job.series.len() as u64)
+                            .text("model", m.name()),
                         Err(e) => {
                             let msg: String = e.to_string().chars().take(120).collect();
-                            lane.push(
-                                EventDraft::new(EventKind::ModelFitFailed)
-                                    .parent_opt(cluster_anchor)
-                                    .uint("horizon_idx", i as u64)
-                                    .text("error", &msg),
-                            );
+                            EventDraft::new(EventKind::ModelFitFailed)
+                                .parent_opt(cluster_anchor)
+                                .uint("horizon_idx", i as u64)
+                                .text("error", &msg)
                         }
                     }
-                }
-                (res, lane)
+                });
+                (res, draft)
             });
-        let (results, lanes): (Vec<_>, Vec<_>) = fitted.into_iter().unzip();
-        let fit_ids = self.tracer.merge_lanes(lanes);
-        let lane_event = |i: usize| fit_ids.get(i).and_then(|ids| ids.first()).copied();
+        let (results, drafts): (Vec<_>, Vec<_>) = fitted.into_iter().unzip();
+        let fit_ids: Vec<Option<EventId>> = drafts
+            .into_iter()
+            .enumerate()
+            .map(|(i, draft)| self.tracer.record_on_lane(draft?, 1 + i as u32))
+            .collect();
         let mut fresh: Vec<Box<dyn Forecaster>> = Vec::with_capacity(results.len());
         for (i, res) in results.into_iter().enumerate() {
             match res {
@@ -440,7 +441,7 @@ impl ForecastManager {
                     if tracer_on && matches!(e, ForecastError::Diverged { .. }) {
                         let guard = self.tracer.record(
                             EventDraft::new(EventKind::DivergenceGuard)
-                                .parent_opt(lane_event(i))
+                                .parent_opt(fit_ids[i])
                                 .uint("horizon_idx", i as u64)
                                 .uint("consecutive_failures", self.consecutive_failures as u64),
                         );
@@ -452,7 +453,7 @@ impl ForecastManager {
                         if tracer_on {
                             self.tracer.record(
                                 EventDraft::new(EventKind::RetrainRolledBack)
-                                    .parent_opt(lane_event(i))
+                                    .parent_opt(fit_ids[i])
                                     .uint("retry_after_rounds", self.backoff_remaining),
                             );
                         }
@@ -474,7 +475,7 @@ impl ForecastManager {
         // Anchor each horizon to its freshly serving fit before the
         // degradation pass, so transitions chain off the new model.
         for i in 0..self.specs.len() {
-            if let Some(fit) = lane_event(i) {
+            if let Some(fit) = fit_ids[i] {
                 self.tracer.set_anchor(Scope::Horizon, i as u64, fit);
             }
         }
@@ -497,7 +498,7 @@ impl ForecastManager {
                 rolling_mse[slot] = self.accuracy.rolling_mse(i);
                 model_names[slot] =
                     self.models[i].as_deref().map(|m| m.name().to_string());
-                if let Some(fit) = lane_event(i) {
+                if let Some(fit) = fit_ids[i] {
                     parents.push(fit);
                 }
             }

@@ -501,11 +501,10 @@ impl QueryBot5000 {
     /// Rebuilds cluster assignments from the current arrival histories
     /// (the periodic Clusterer invocation — the paper runs it daily).
     pub fn update_clusters(&mut self, now: Minute) -> UpdateReport {
-        let _span = self.update_time.start();
         // Each cluster refresh advances the trace's logical clock: event
         // ordering below is round-relative, never wall-clock.
         self.config.tracer.begin_round(now);
-        let _stage = self.config.tracer.stage("pipeline.update_clusters");
+        let _stage = self.config.tracer.stage("pipeline.update_clusters", &self.update_time);
         let sampler = FeatureSampler::random(
             now,
             FEATURE_WINDOW,

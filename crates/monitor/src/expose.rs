@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use qb_obs::snapshot::prom_name;
 use qb_obs::MetricsSnapshot;
 
 use crate::history::MetricsHistory;
@@ -27,7 +28,7 @@ pub fn exposition_text(snapshot: &MetricsSnapshot, alerts: &[ActiveAlert]) -> St
         if key.contains('{') || hist.count == 0 {
             continue;
         }
-        let family = prom_family(key);
+        let family = prom_name(key);
         let mut lines = String::new();
         for q in QUANTILES {
             let Some(nanos) = hist.quantile_nanos(q) else { continue };
@@ -97,19 +98,6 @@ pub fn render_dashboard(history: &MetricsHistory, alerts: &[ActiveAlert]) -> Str
         for (k, h) in &snap.histograms {
             let _ = writeln!(out, "  {k:<42} {:>12}", h.count);
         }
-    }
-    out
-}
-
-/// Registry key → Prometheus family name (same sanitization as
-/// `MetricsSnapshot::to_prometheus`).
-fn prom_family(key: &str) -> String {
-    let mut out: String = key
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
     }
     out
 }

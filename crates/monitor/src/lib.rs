@@ -40,7 +40,6 @@ pub mod rules;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-use qb_obs::snapshot::json_f64;
 use qb_obs::MetricsSnapshot;
 use qb_serve::Swap;
 use qb_trace::{EventId, Tracer};
@@ -279,6 +278,16 @@ fn health_json(round: u64, epoch: u64, alerts: &[ActiveAlert]) -> String {
     )
 }
 
+/// JSON has no NaN/∞ literals; map them to null so the output stays
+/// parseable even if an alert's value goes non-finite.
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// `/alerts` body: the firing set, rule order.
 fn alerts_json(alerts: &[ActiveAlert]) -> String {
     let mut out = String::from("[");
@@ -348,6 +357,22 @@ mod tests {
         assert!(firing.metrics.contains("alerts_firing{severity=\"critical\"} 1"));
         assert!(firing.dashboard.contains("[critical] band"));
         assert_eq!(monitor.transition_log().len(), 1);
+    }
+
+    #[test]
+    fn alerts_json_renders_non_finite_values_as_null() {
+        let alert = ActiveAlert {
+            rule: "band".into(),
+            severity: Severity::Critical,
+            since_round: 1,
+            fired_round: 2,
+            value: f64::NAN,
+            evidence: vec![],
+            fired_event: None,
+        };
+        let json = alerts_json(&[alert]);
+        assert!(json.contains("\"value\":null"), "{json}");
+        assert!(qb_trace::parse_json(&json).is_ok(), "{json}");
     }
 
     #[test]

@@ -318,6 +318,11 @@ impl Histogram {
         }
     }
 
+    /// Whether this handle records anything.
+    pub fn is_enabled(&self) -> bool {
+        self.cell.is_some()
+    }
+
     /// Observations recorded so far (0 when disabled).
     pub fn count(&self) -> u64 {
         self.cell.as_ref().map_or(0, |h| h.count.load(Ordering::Relaxed))

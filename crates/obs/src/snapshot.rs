@@ -1,8 +1,7 @@
-//! Deterministic metric snapshots with JSON and Prometheus-text
-//! exposition.
+//! Deterministic metric snapshots with Prometheus-text exposition.
 //!
 //! A [`MetricsSnapshot`] is an owned, sorted copy of the registry: safe to
-//! ship across threads, diff between runs, or serialize. The pipeline's
+//! ship across threads, diff between runs, or render. The pipeline's
 //! determinism contract says counter values, gauge values, and histogram
 //! event counts are bit-identical across worker-pool widths;
 //! [`MetricsSnapshot::deterministic_view`] renders exactly that subset so
@@ -172,32 +171,6 @@ impl MetricsSnapshot {
         delta
     }
 
-    /// Serializes the full snapshot as a JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-    ///
-    /// Hand-rolled (the workspace is dependency-free); metric names pass
-    /// through a minimal string escape.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        push_entries(&mut out, self.counters.iter(), |out, v| {
-            let _ = write!(out, "{v}");
-        });
-        out.push_str("},\"gauges\":{");
-        push_entries(&mut out, self.gauges.iter(), |out, v| {
-            let _ = write!(out, "{}", json_f64(**v));
-        });
-        out.push_str("},\"histograms\":{");
-        push_entries(&mut out, self.histograms.iter(), |out, h| {
-            let _ = write!(
-                out,
-                "{{\"bounds_nanos\":{:?},\"buckets\":{:?},\"sum_nanos\":{},\"count\":{}}}",
-                h.bounds_nanos, h.buckets, h.sum_nanos, h.count
-            );
-        });
-        out.push_str("}}");
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format
     /// (metric names sanitized to `[a-zA-Z0-9_]`, histogram buckets
     /// cumulative with `le` labels in seconds).
@@ -291,49 +264,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Writes `"key":value` entries joined by commas, using `f` to render the
-/// value.
-fn push_entries<'a, V: 'a>(
-    out: &mut String,
-    entries: impl Iterator<Item = (&'a String, V)>,
-    f: impl Fn(&mut String, &V),
-) {
-    let mut first = true;
-    for (k, v) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('"');
-        json_escape_into(out, k);
-        out.push_str("\":");
-        f(out, &v);
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// JSON has no NaN/∞ literals; map them to null so the output stays
-/// parseable even if a gauge goes non-finite.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// The Prometheus text format *does* have non-finite literals — a
 /// non-finite gauge must scrape as `NaN`/`+Inf`/`-Inf`, not break the
 /// line format.
@@ -388,8 +318,9 @@ fn group_families<V>(entries: &BTreeMap<String, V>) -> BTreeMap<String, Vec<(Str
     families
 }
 
-/// Prometheus metric names: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-fn prom_name(name: &str) -> String {
+/// Prometheus metric names: `[a-zA-Z_:][a-zA-Z0-9_:]*`. Maps a registry
+/// key (or its family half) to the name the exposition prints.
+pub fn prom_name(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
@@ -415,27 +346,6 @@ mod tests {
         h.record(Duration::from_micros(500));
         h.record(Duration::from_millis(5));
         rec.snapshot()
-    }
-
-    #[test]
-    fn json_shape() {
-        let json = sample().to_json();
-        assert_eq!(
-            json,
-            "{\"counters\":{\"a.count\":3},\"gauges\":{\"b.ratio\":0.5},\
-             \"histograms\":{\"c.time\":{\"bounds_nanos\":[1000, 1000000],\
-             \"buckets\":[1, 1, 1],\"sum_nanos\":5500500,\"count\":3}}}"
-        );
-    }
-
-    #[test]
-    fn json_escapes_and_nonfinite() {
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("we\"ird\\name".into(), 1);
-        snap.gauges.insert("g".into(), f64::NAN);
-        let json = snap.to_json();
-        assert!(json.contains("we\\\"ird\\\\name"));
-        assert!(json.contains("\"g\":null"));
     }
 
     #[test]

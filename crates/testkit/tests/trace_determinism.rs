@@ -6,8 +6,11 @@
 
 use std::sync::Arc;
 
+use std::collections::BTreeMap;
+
 use qb5000::{
-    ControllerConfig, EventKind, IndexSelectionExperiment, Qb5000Config, Strategy, Tracer,
+    ControllerConfig, EventKind, IndexSelectionExperiment, Json, Qb5000Config, Recorder,
+    Strategy, Tracer, Value,
 };
 use qb_forecast::{DegradationLevel, ForecastError, Forecaster, LinearRegression, WindowSpec};
 use qb_testkit::sim::{run, Features, ModelFactory, SimCase};
@@ -103,7 +106,7 @@ fn degradation_lineage_bit_identical_across_widths() {
     assert_eq!(lineages[0], lineages[1], "degradation lineage diverged across widths");
 }
 
-fn experiment_config(threads: usize, tracer: Tracer) -> ControllerConfig {
+fn experiment_config(threads: usize, tracer: Tracer, recorder: Recorder) -> ControllerConfig {
     ControllerConfig::builder()
         .workload(Workload::BusTracker)
         .strategy(Strategy::Auto)
@@ -117,23 +120,38 @@ fn experiment_config(threads: usize, tracer: Tracer) -> ControllerConfig {
         .run_start(7 * MINUTES_PER_DAY)
         .seed(9)
         .threads(threads)
-        .pipeline(Qb5000Config { tracer, ..Qb5000Config::default() })
+        .pipeline(Qb5000Config { tracer, recorder, ..Qb5000Config::default() })
         .build()
         .expect("experiment config is valid")
 }
 
 /// Acceptance: `explain()` on an index-build decision reconstructs the
 /// full chain (blend → per-horizon forecasts → fits → cluster state) and
-/// the whole retained trace is bit-identical at threads 1 vs 4; the
+/// the whole retained trace is bit-identical at threads 1 vs 4; every
+/// stage span has one histogram observation of the same name; the
 /// Chrome export is valid JSON with complete spans for every stage.
 #[test]
 fn index_build_lineage_bit_identical_across_widths() {
     let mut per_width = Vec::new();
     for threads in [1usize, 4] {
         let tracer = Tracer::enabled();
-        let result = IndexSelectionExperiment::new(experiment_config(threads, tracer.clone())).run();
+        let config = experiment_config(threads, tracer.clone(), Recorder::new());
+        let result = IndexSelectionExperiment::new(config).run();
         assert!(!result.indexes.is_empty(), "AUTO built no indexes at threads {threads}");
+        assert_eq!(tracer.evictions(), 0, "the ring must hold every span at threads {threads}");
         let view = tracer.view();
+        // One guard times a stage: its span count is its histogram count.
+        let mut span_counts: BTreeMap<&str, u64> = BTreeMap::new();
+        for ev in view.of_kind(EventKind::StageSpan) {
+            let Some((_, Value::Text(name))) = ev.payload.first() else {
+                panic!("stage span without a name: {}", ev.render())
+            };
+            *span_counts.entry(name).or_default() += 1;
+        }
+        for (name, count) in &span_counts {
+            let recorded = result.metrics.histograms.get(*name).map(|h| h.count);
+            assert_eq!(recorded, Some(*count), "{name} at threads {threads}");
+        }
         let built = view.latest(EventKind::IndexBuilt).expect("an IndexBuilt event was traced");
         per_width.push((threads, view.deterministic_stream(), view.explain(built.id), view));
     }
@@ -157,6 +175,7 @@ fn index_build_lineage_bit_identical_across_widths() {
         "advisor.select",
         "pipeline.update_clusters",
         "clusterer.update",
+        "forecast.train",
         "forecast.blend",
     ] {
         assert!(
@@ -166,5 +185,22 @@ fn index_build_lineage_bit_identical_across_widths() {
             }),
             "no complete span for stage {stage}"
         );
+    }
+
+    // A fit's instant carries its commit time, which follows the cluster
+    // update it trained on.
+    let field = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64);
+    let ts_by_id: BTreeMap<u64, f64> = spans
+        .iter()
+        .filter_map(|e| Some((field(e.get("args")?, "id")? as u64, field(e, "ts")?)))
+        .collect();
+    let fits: Vec<&Json> =
+        spans.iter().filter(|e| e.get("name").and_then(Json::as_str) == Some("ModelFit")).collect();
+    assert!(!fits.is_empty(), "no ModelFit instant exported");
+    for fit in fits {
+        let args = fit.get("args").expect("args");
+        let parent = field(args, "parent").expect("a fit is parented on its cluster state") as u64;
+        let (ts, parent_ts) = (field(fit, "ts").expect("ts"), ts_by_id[&parent]);
+        assert!(ts >= parent_ts, "fit ts {ts} before its parent's {parent_ts}");
     }
 }

@@ -307,7 +307,7 @@ mod tests {
             "SELECT \"x\\y\"\nFROM t",
         ));
         {
-            let _g = t.stage("clusterer.update");
+            let _g = t.stage("clusterer.update", &qb_obs::Histogram::default());
         }
         let json = t.view().to_chrome_json();
         let parsed = parse_json(&json).expect("exported trace must parse");

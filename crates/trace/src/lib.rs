@@ -25,9 +25,12 @@
 //!   linked as a parent/ref or anchored, the linked event is *pinned* at
 //!   link time into a side map bounded by [`PIN_CAPACITY`], so `explain`
 //!   never dangles.
-//! * **Deterministic parallelism.** Worker closures emit into per-task
-//!   [`LaneBuffer`]s; [`Tracer::merge_lanes`] assigns ids in input-lane
-//!   order after the join, mirroring `qb-parallel`'s ordering guarantee.
+//! * **Deterministic parallelism.** Worker closures return their
+//!   [`EventDraft`]s; the control thread commits them after the join with
+//!   [`Tracer::record_on_lane`] in input order, mirroring `qb-parallel`'s
+//!   ordering guarantee.
+//! * **One timer per stage.** [`Tracer::stage`] times a stage once and
+//!   feeds both its `qb-obs` histogram and its [`EventKind::StageSpan`].
 //! * **Flight-recorder dumps.** [`Tracer::trigger_dump`] (called by the
 //!   pipeline on forecast divergence, degradation downgrades, and —
 //!   internally — [`QUARANTINE_SPIKE`] quarantines in a round) snapshots
@@ -55,7 +58,7 @@ pub mod view;
 pub use chrome::{parse_json, to_chrome_json, Json};
 pub use view::TraceView;
 
-use qb_obs::{Gauge, Recorder};
+use qb_obs::{Gauge, Histogram, Recorder};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -308,35 +311,25 @@ impl Event {
     }
 }
 
-/// A causal link that may point at an already-assigned event or at an
-/// earlier entry of the same [`LaneBuffer`] (resolved at merge time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParentRef {
-    None,
-    Event(EventId),
-    /// Index into the same lane's pending list.
-    Local(usize),
-}
-
 /// An event under construction: kind, causal links, payload. Cheap to
 /// build; callers should still gate draft construction behind
 /// [`Tracer::is_enabled`] on hot paths.
 #[derive(Debug, Clone)]
 pub struct EventDraft {
     kind: EventKind,
-    parent: ParentRef,
-    refs: Vec<ParentRef>,
+    parent: Option<EventId>,
+    refs: Vec<EventId>,
     payload: Vec<(&'static str, Value)>,
 }
 
 impl EventDraft {
     pub fn new(kind: EventKind) -> Self {
-        Self { kind, parent: ParentRef::None, refs: Vec::new(), payload: Vec::new() }
+        Self { kind, parent: None, refs: Vec::new(), payload: Vec::new() }
     }
 
     /// Sets the primary causal parent.
     pub fn parent(mut self, id: EventId) -> Self {
-        self.parent = ParentRef::Event(id);
+        self.parent = Some(id);
         self
     }
 
@@ -348,15 +341,9 @@ impl EventDraft {
         }
     }
 
-    /// Parent = an earlier entry (by push index) of the same lane buffer.
-    pub fn parent_local(mut self, idx: usize) -> Self {
-        self.parent = ParentRef::Local(idx);
-        self
-    }
-
     /// Adds a secondary causal link.
     pub fn reference(mut self, id: EventId) -> Self {
-        self.refs.push(ParentRef::Event(id));
+        self.refs.push(id);
         self
     }
 
@@ -554,24 +541,19 @@ impl Tracer {
     /// Records one event on the control lane (lane 0). Returns its id, or
     /// `None` when disabled.
     pub fn record(&self, draft: EventDraft) -> Option<EventId> {
-        self.record_on_lane(draft, 0, None)
+        self.record_on_lane(draft, 0)
     }
 
-    /// Records one event with an explicit wall span (Chrome export only).
-    pub fn record_timed(&self, draft: EventDraft, wall: WallSpan) -> Option<EventId> {
-        self.record_on_lane(draft, 0, Some(wall))
-    }
-
-    fn record_on_lane(&self, draft: EventDraft, lane: u32, wall: Option<WallSpan>) -> Option<EventId> {
+    /// Records one event on `lane`: `1 + input index` for a draft a
+    /// fan-out worker returned. The control thread commits such drafts
+    /// after the join, in input order, so ids do not depend on how many
+    /// threads ran the work.
+    pub fn record_on_lane(&self, draft: EventDraft, lane: u32) -> Option<EventId> {
         let core = self.inner.as_ref()?;
-        let wall = wall.or_else(|| {
-            // Instant timestamp for the Chrome export. Never feeds ids,
-            // ordering, or the deterministic stream.
-            Some(WallSpan {
-                start_micros: core.epoch.elapsed().as_micros() as u64,
-                dur_micros: 0,
-            })
-        });
+        // Instant timestamp for the Chrome export. Never feeds ids,
+        // ordering, or the deterministic stream.
+        let wall =
+            Some(WallSpan { start_micros: core.epoch.elapsed().as_micros() as u64, dur_micros: 0 });
         let kind = draft.kind;
         let mut st = core.state.lock().expect("trace state poisoned");
         let id = commit_locked(&mut st, draft, lane, wall);
@@ -612,48 +594,15 @@ impl Tracer {
         st.anchors.get(&(scope, key)).copied()
     }
 
-    /// Starts a wall-timed stage span; the [`EventKind::StageSpan`] event
-    /// is recorded when the guard drops. When disabled the guard never
-    /// reads the clock.
-    pub fn stage(&self, name: &'static str) -> StageGuard {
-        StageGuard {
-            tracer: self.clone(),
-            name,
-            start: self.inner.as_ref().map(|c| (Instant::now(), c.epoch)),
-        }
-    }
-
-    /// Merges worker-lane buffers into the trace in input-lane order —
-    /// deterministic regardless of how many threads executed the lanes.
-    /// Returns, per lane, the ids assigned to its pending events.
-    pub fn merge_lanes(&self, lanes: Vec<LaneBuffer>) -> Vec<Vec<EventId>> {
-        let Some(core) = &self.inner else { return Vec::new() };
-        let mut st = core.state.lock().expect("trace state poisoned");
-        let mut out = Vec::with_capacity(lanes.len());
-        for lane_buf in lanes {
-            let mut ids: Vec<EventId> = Vec::with_capacity(lane_buf.pending.len());
-            for (draft, wall) in lane_buf.pending {
-                // Resolve lane-local links against already-assigned ids.
-                let resolve = |r: ParentRef, ids: &[EventId]| match r {
-                    ParentRef::None => ParentRef::None,
-                    ParentRef::Event(id) => ParentRef::Event(id),
-                    ParentRef::Local(i) => {
-                        debug_assert!(i < ids.len(), "lane-local link must point backwards");
-                        ids.get(i).copied().map_or(ParentRef::None, ParentRef::Event)
-                    }
-                };
-                let draft = EventDraft {
-                    kind: draft.kind,
-                    parent: resolve(draft.parent, &ids),
-                    refs: draft.refs.iter().map(|&r| resolve(r, &ids)).collect(),
-                    payload: draft.payload,
-                };
-                let id = commit_locked(&mut st, draft, lane_buf.lane, wall);
-                ids.push(id);
-            }
-            out.push(ids);
-        }
-        out
+    /// Starts timing the stage `name`. When the guard drops it records
+    /// the elapsed time into `hist` (the stage's histogram, usually also
+    /// named `name`) and, with tracing on, a wall-timed
+    /// [`EventKind::StageSpan`]. The clock is read only when `hist` or
+    /// this tracer is live.
+    pub fn stage(&self, name: &'static str, hist: &Histogram) -> StageGuard {
+        let live = self.is_enabled() || hist.is_enabled();
+        let start = live.then(Instant::now);
+        StageGuard { tracer: self.clone(), hist: hist.clone(), name, start }
     }
 
     /// Snapshots a dump: the trailing event window plus (optionally) the
@@ -818,21 +767,9 @@ fn commit_locked(
     let id = EventId(st.next_id);
     st.next_id += 1;
     st.seq += 1;
-    let parent = match draft.parent {
-        ParentRef::Event(p) => Some(p),
-        _ => None,
-    };
-    let refs: Vec<EventId> = draft
-        .refs
-        .iter()
-        .filter_map(|r| match r {
-            ParentRef::Event(p) => Some(*p),
-            _ => None,
-        })
-        .collect();
     // Pin at link time: anything this event points at must survive ring
     // eviction for `explain` to stay complete.
-    for target in parent.iter().chain(refs.iter()) {
+    for target in draft.parent.iter().chain(draft.refs.iter()) {
         st.pin(*target);
     }
     let ev = Event {
@@ -841,8 +778,8 @@ fn commit_locked(
         seq: st.seq,
         lane,
         kind: draft.kind,
-        parent,
-        refs,
+        parent: draft.parent,
+        refs: draft.refs,
         payload: draft.payload,
         wall,
     };
@@ -873,47 +810,14 @@ fn dump_locked(st: &mut RecState, reason: &str, focus: Option<EventId>) {
     st.recorder.counter_labeled("trace.dumps", &[("reason", reason)]).inc();
 }
 
-/// Per-task event buffer for `qb-parallel` fan-out closures: workers push
-/// drafts locally (no locks, no id assignment) and the control thread
-/// commits every lane in input order via [`Tracer::merge_lanes`].
-#[derive(Debug, Clone)]
-pub struct LaneBuffer {
-    lane: u32,
-    pending: Vec<(EventDraft, Option<WallSpan>)>,
-}
-
-impl LaneBuffer {
-    /// `lane` should be `1 + input_index` so control-thread events (lane
-    /// 0) stay distinguishable.
-    pub fn new(lane: u32) -> Self {
-        Self { lane, pending: Vec::new() }
-    }
-
-    /// Queues a draft; returns its lane-local index for
-    /// [`EventDraft::parent_local`] links from later drafts.
-    pub fn push(&mut self, draft: EventDraft) -> usize {
-        self.pending.push((draft, None));
-        self.pending.len() - 1
-    }
-
-    /// Number of queued drafts.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether the buffer holds no drafts.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
-/// RAII guard from [`Tracer::stage`]: records a wall-timed
-/// [`EventKind::StageSpan`] on drop.
+/// RAII guard from [`Tracer::stage`]: records the stage's histogram and,
+/// with tracing on, its wall-timed [`EventKind::StageSpan`] on drop.
 #[derive(Debug)]
 pub struct StageGuard {
     tracer: Tracer,
+    hist: Histogram,
     name: &'static str,
-    start: Option<(Instant, Instant)>,
+    start: Option<Instant>,
 }
 
 impl StageGuard {
@@ -923,14 +827,22 @@ impl StageGuard {
 
 impl Drop for StageGuard {
     fn drop(&mut self) {
-        if let Some((t0, epoch)) = self.start {
+        let Some(t0) = self.start else { return };
+        let elapsed = t0.elapsed();
+        self.hist.record(elapsed);
+        if let Some(core) = &self.tracer.inner {
             let wall = WallSpan {
-                start_micros: t0.duration_since(epoch).as_micros() as u64,
+                start_micros: t0.duration_since(core.epoch).as_micros() as u64,
                 // Clamp so sub-µs stages still export as complete spans.
-                dur_micros: (t0.elapsed().as_micros() as u64).max(1),
+                dur_micros: (elapsed.as_micros() as u64).max(1),
             };
-            self.tracer
-                .record_timed(EventDraft::new(EventKind::StageSpan).text("stage", self.name), wall);
+            let draft = EventDraft::new(EventKind::StageSpan).text("stage", self.name);
+            // A StageSpan is never a quarantine, so the spike check in
+            // `record_on_lane` has nothing to count. A poisoned state is
+            // skipped: a drop must not panic.
+            if let Ok(mut st) = core.state.lock() {
+                commit_locked(&mut st, draft, 0, Some(wall));
+            }
         }
     }
 }
@@ -948,8 +860,8 @@ mod tests {
         assert!(t.view().events().is_empty());
         assert!(t.dumps().is_empty());
         assert_eq!(t.evictions(), 0);
-        t.stage("noop").finish();
-        assert!(t.merge_lanes(vec![LaneBuffer::new(1)]).is_empty());
+        assert_eq!(t.record_on_lane(EventDraft::new(EventKind::ModelFit), 1), None);
+        t.stage("noop", &Histogram::default()).finish();
     }
 
     #[test]
@@ -1066,35 +978,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_lanes_orders_by_input_lane() {
-        let t = Tracer::enabled();
-        let root = t.record(EventDraft::new(EventKind::ClustersUpdated)).unwrap();
-        // Lanes built "out of order", as a racing pool might finish them.
-        let mut lane2 = LaneBuffer::new(2);
-        let fit2 = lane2.push(EventDraft::new(EventKind::ModelFit).parent(root).uint("horizon", 1));
-        lane2.push(EventDraft::new(EventKind::ForecastIssued).parent_local(fit2));
-        let mut lane1 = LaneBuffer::new(1);
-        lane1.push(EventDraft::new(EventKind::ModelFit).parent(root).uint("horizon", 0));
-        let ids = t.merge_lanes(vec![lane1, lane2]);
-        assert_eq!(ids.len(), 2);
-        // Input order wins: lane1's fit gets the smaller id.
-        assert!(ids[0][0] < ids[1][0]);
-        let view = t.view();
-        let issued = view.get(ids[1][1]).unwrap();
-        assert_eq!(issued.parent, Some(ids[1][0]));
-        assert_eq!(issued.lane, 2);
-    }
-
-    #[test]
     fn stage_guard_records_wall_span() {
+        let rec = Recorder::new();
+        let hist = rec.histogram("pipeline.update_clusters");
         let t = Tracer::enabled();
         {
-            let _g = t.stage("pipeline.update_clusters");
+            let _g = t.stage("pipeline.update_clusters", &hist);
         }
         let view = t.view();
         let span = view.latest(EventKind::StageSpan).unwrap();
         assert_eq!(span.payload[0], ("stage", Value::Text("pipeline.update_clusters".into())));
         assert!(span.wall.is_some());
+        assert_eq!(hist.count(), 1);
+        // The histogram alone is timed when tracing is off.
+        Tracer::disabled().stage("pipeline.update_clusters", &hist).finish();
+        assert_eq!(hist.count(), 2);
     }
 
     #[test]
