@@ -13,7 +13,8 @@
 //! `--full` uses paper-faithful settings.
 //!
 //! `--seeds N` runs `fig11`/`fig12` on seed `0x1D7` and seeds 1 … N−1; the
-//! process exits 1 when AUTO's median realised cost exceeds STATIC's.
+//! process exits 1 when AUTO's median realised cost exceeds STATIC's, or
+//! AUTO-LOGICAL's is not above AUTO's.
 
 #![forbid(unsafe_code)]
 

@@ -17,8 +17,7 @@
 //! 5. **Adaptive shift trigger** — our implementation of §5.2's deferred
 //!    future work, measured on the churny MOOC trace.
 
-use qb5000::{FeatureMode, Qb5000Config, QueryBot5000};
-use qb_clusterer::SimilarityMetric;
+use qb5000::{FeatureMode, Qb5000Config, QueryBot5000, LOGICAL_CLUSTERER};
 use qb_forecast::WindowSpec;
 use qb_preprocessor::PreProcessorConfig;
 use qb_timeseries::{mse_log_space, Interval};
@@ -127,8 +126,7 @@ fn feature_forecastability(effort: Effort) -> String {
             ..Qb5000Config::default()
         };
         if mode == FeatureMode::Logical {
-            qb.clusterer.metric = SimilarityMetric::InverseL2;
-            qb.clusterer.rho = 0.30;
+            qb.clusterer = LOGICAL_CLUSTERER;
         }
         let mut opts = RunOptions::new(Workload::BusTracker, days, 0.05);
         opts.qb = qb;

@@ -25,7 +25,7 @@
 //! the manager's cluster key). A build reads its own version and the one
 //! before it: version 6 decodes through a read-only path that reads and
 //! drops those values. Every other payload version is refused rather than
-//! guessed at; DESIGN.md ("Durability & recovery") tables both versions.
+//! guessed at; DESIGN.md ("Durability & recovery") describes both versions.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
 //! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],

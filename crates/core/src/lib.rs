@@ -91,7 +91,7 @@ pub use manager::{ForecastHealth, ForecastManager, HorizonSpec, ManagerState, Re
 pub use pipeline::{
     ClusterInfo, ClusterInfoState, FeatureMode, ForecastJob, JobSpan, PipelineHealth,
     PipelineState, Qb5000Config, QueryBot5000, FEATURE_INTERVAL, FEATURE_POINTS, FEATURE_SEED,
-    FEATURE_WINDOW,
+    FEATURE_WINDOW, LOGICAL_CLUSTERER,
 };
 pub use serve::{ColdSeed, ForecastService};
 

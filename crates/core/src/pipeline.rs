@@ -26,6 +26,15 @@ pub enum FeatureMode {
     Logical,
 }
 
+/// The clusterer settings that go with [`FeatureMode::Logical`]:
+/// inverse-L2 similarity at a looser ρ of 0.30 (§7.7 adjusts ρ so the big
+/// clusters have comparable volume).
+pub const LOGICAL_CLUSTERER: ClustererConfig = ClustererConfig {
+    rho: 0.30,
+    metric: qb_clusterer::SimilarityMetric::InverseL2,
+    adaptive_trigger: false,
+};
+
 /// Sampled timestamps in each template's clustering feature (§5.1). The
 /// paper samples 10 000 over a month of full-scale traffic; the
 /// scaled-down traces here need proportionally fewer, and feature cost
@@ -673,23 +682,7 @@ impl QueryBot5000 {
         horizon: usize,
         span: JobSpan,
     ) -> Option<ForecastJob> {
-        self.forecast_job_for(&self.tracked, now, interval, window, horizon, span)
-    }
-
-    /// [`QueryBot5000::forecast_job_with`] over an explicit cluster set
-    /// instead of the currently tracked one — the durable-recovery path
-    /// re-fits the serving models against the exact cluster set they were
-    /// originally trained on, which may be a last-known-good snapshot that
-    /// differs from the current assignments.
-    pub fn forecast_job_for(
-        &self,
-        clusters: &[ClusterInfo],
-        now: Minute,
-        interval: Interval,
-        window: usize,
-        horizon: usize,
-        span: JobSpan,
-    ) -> Option<ForecastJob> {
+        let clusters = &self.tracked;
         if clusters.is_empty() {
             return None;
         }

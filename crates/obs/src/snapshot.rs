@@ -361,6 +361,18 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_gauges_scrape_as_prometheus_literals() {
+        let rec = Recorder::new();
+        rec.gauge("g.nan").set(f64::NAN);
+        rec.gauge("g.pos").set(f64::INFINITY);
+        rec.gauge("g.neg").set(f64::NEG_INFINITY);
+        let prom = rec.snapshot().to_prometheus();
+        for line in ["g_nan NaN", "g_pos +Inf", "g_neg -Inf"] {
+            assert!(prom.lines().any(|l| l == line), "missing `{line}` in:\n{prom}");
+        }
+    }
+
+    #[test]
     fn prometheus_escapes_hostile_label_values() {
         let rec = Recorder::new();
         // Hostile template text: embedded quotes, a backslash escape, and

@@ -64,7 +64,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Typed event kinds — the trace taxonomy. One variant per consequential
-/// pipeline transition; see DESIGN.md for the emitting site of each.
+/// pipeline transition; each variant's doc says when it is emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// A logical round (cluster refresh cycle) began.

@@ -1,4 +1,5 @@
-//! Evolving-workload churn scenarios (ROADMAP item 4).
+//! Evolving-workload churn scenarios: the traces that exercise the
+//! cold-start forecast path.
 //!
 //! QB5000 forecasts arrival rates of *known* clusters, but real workloads
 //! keep minting query templates the clusterer has never seen: schemas

@@ -11,6 +11,12 @@
 //! `<file>.rs::<name>`, must name a `fn` in a Rust source whose path ends
 //! with `<file>.rs`. A rename or a deletion that leaves the documents
 //! behind fails here, naming the stale reference.
+//!
+//! DESIGN.md must name each `#[test]` function as `<file>.rs::<name>`, so
+//! that a test deleted or renamed cannot stay cited through a same-named
+//! identifier elsewhere. And every section title that a Rust comment or a
+//! document quotes right after naming DESIGN.md must exist there as a
+//! heading or a bold lead.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs;
@@ -41,20 +47,25 @@ fn is_long_snake_name(word: &str) -> bool {
         && word.matches('_').count() >= 2
 }
 
+/// The lines of a Markdown document outside its fenced blocks.
+fn unfenced_lines(doc: &str) -> impl Iterator<Item = &str> {
+    let mut fenced = false;
+    doc.lines().filter(move |line| {
+        let fence = line.trim_start().starts_with("```");
+        fenced ^= fence;
+        !fence && !fenced
+    })
+}
+
 /// The inline code spans of a Markdown document, fenced blocks skipped.
 fn code_spans(doc: &str) -> Vec<&str> {
-    let mut spans = Vec::new();
-    let mut fenced = false;
-    for line in doc.lines() {
-        if line.trim_start().starts_with("```") {
-            fenced = !fenced;
-            continue;
-        }
-        if !fenced {
-            spans.extend(line.split('`').skip(1).step_by(2));
-        }
-    }
-    spans
+    unfenced_lines(doc).flat_map(|line| line.split('`').skip(1).step_by(2)).collect()
+}
+
+/// The prose of a Markdown document: each line's text outside its inline
+/// code spans, fenced blocks skipped.
+fn prose(doc: &str) -> Vec<&str> {
+    unfenced_lines(doc).flat_map(|line| line.split('`').step_by(2)).collect()
 }
 
 /// The references one code span makes: every segment of each Rust path in
@@ -86,6 +97,112 @@ fn file_references(span: &str) -> Vec<(&str, &str)> {
         }
     }
     refs
+}
+
+/// The identifier-like words of `text` with their byte offsets.
+fn words_at(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.char_indices().filter(move |&(i, c)| is_word(c) && !text[..i].ends_with(is_word)).map(
+        move |(i, _)| {
+            let end = text[i..].find(|c: char| !is_word(c)).map_or(text.len(), |len| i + len);
+            (i, &text[i..end])
+        },
+    )
+}
+
+/// The `#[test]` functions `text` defines, proptest cases included: each
+/// `#[test]` line followed, past attribute, comment and blank lines, by a
+/// `fn`.
+fn test_names(text: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut lines = text.lines().map(str::trim);
+    while let Some(line) = lines.next() {
+        if line != "#[test]" {
+            continue;
+        }
+        let decl = lines.find(|l| !(l.is_empty() || l.starts_with("#[") || l.starts_with("//")));
+        if let Some((_, name)) =
+            decl.and_then(|l| l.strip_prefix("fn ")).and_then(|l| words_at(l).next())
+        {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// The words of `text` that name a test in `tests` other than as the
+/// `<name>` of a `<file>.rs::<name>` path or as a file name. Text holding a
+/// shell command (`cargo `) is exempt: a test filter there must be bare.
+fn bare_test_names<'a>(text: &'a str, tests: &HashSet<&str>) -> Vec<&'a str> {
+    if text.contains("cargo ") {
+        return Vec::new();
+    }
+    words_at(text)
+        .filter(|&(at, word)| {
+            let after = &text[at + word.len()..];
+            tests.contains(word)
+                && !text[..at].ends_with(".rs::")
+                && !after.starts_with(".rs")
+                && !after.starts_with('/')
+        })
+        .map(|(_, word)| word)
+        .collect()
+}
+
+/// Each run of comment lines in a Rust source, joined into one line with
+/// its comment markers dropped, so a phrase wrapped across lines reads
+/// whole.
+fn comment_blocks(source: &str) -> Vec<String> {
+    let mut blocks = Vec::new();
+    let mut block = String::new();
+    for line in source.lines() {
+        match line.trim_start().strip_prefix("//") {
+            Some(comment) => {
+                block.push_str(comment.trim_start_matches(['/', '!']).trim());
+                block.push(' ');
+            }
+            None if !block.is_empty() => blocks.push(std::mem::take(&mut block)),
+            None => {}
+        }
+    }
+    blocks.push(block);
+    blocks
+}
+
+/// The section titles `text` quotes right after naming DESIGN.md, as in
+/// `DESIGN.md, "Ingest engine"` or `DESIGN.md ("Ingest engine")`, line
+/// breaks allowed, with the whitespace inside a title folded to one space.
+fn cited_titles(text: &str) -> Vec<String> {
+    text.match_indices("DESIGN.md")
+        .filter_map(|(at, m)| {
+            let rest = &text[at + m.len()..];
+            let rest = rest.strip_prefix(',').or_else(|| rest.trim_start().strip_prefix('('))?;
+            let rest = rest.trim_start().strip_prefix('"')?;
+            let title = &rest[..rest.find('"')?];
+            Some(title.split_whitespace().collect::<Vec<_>>().join(" "))
+        })
+        .collect()
+}
+
+/// The section titles DESIGN.md defines: its headings, and the bold lead
+/// of each paragraph or list item (`**Segment preallocation.**`) without
+/// its closing stop.
+fn design_titles(doc: &str) -> HashSet<&str> {
+    let mut titles = HashSet::new();
+    for line in doc.lines().map(str::trim_start) {
+        if line.starts_with('#') {
+            titles.insert(line.trim_start_matches('#').trim());
+            continue;
+        }
+        let numbered = line
+            .split_once(". ")
+            .filter(|(n, _)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+        let item = line.strip_prefix("- ").or(numbered.map(|(_, rest)| rest)).unwrap_or(line);
+        if let Some((lead, _)) = item.strip_prefix("**").and_then(|rest| rest.split_once("**")) {
+            titles.insert(lead.trim_end_matches(['.', ':']));
+        }
+    }
+    titles
 }
 
 /// Whether `text` defines a function `name`.
@@ -160,6 +277,79 @@ fn every_item_the_docs_name_exists() {
     assert!(checked.len() > 50, "only {} references found; is the scan broken?", checked.len());
     assert!(stale.is_empty(), "references to code that no longer exists:\n{stale:#?}");
     assert!(file_refs > 0, "no `<file>.rs::<name>` reference found; is the scan broken?");
+}
+
+#[test]
+fn design_names_every_test_by_its_file() {
+    let root = repo_root();
+    let sources = sources(&root);
+    let tests: HashSet<&str> = sources.iter().flat_map(|(_, text)| test_names(text)).collect();
+    assert!(tests.len() > 500, "only {} tests found; is the scan broken?", tests.len());
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let mut bare = BTreeSet::new();
+    for span in code_spans(&design) {
+        bare.extend(
+            bare_test_names(span, &tests).into_iter().map(|name| format!("`{span}` ({name})")),
+        );
+    }
+    // In prose only snake_case names with two or more underscores count:
+    // a few tests are named with plain words (`distinct`, `arithmetic`).
+    for text in prose(&design) {
+        let names = bare_test_names(text, &tests).into_iter().filter(|w| is_long_snake_name(w));
+        bare.extend(names.map(|name| format!("prose: {name}")));
+    }
+    assert!(
+        bare.is_empty(),
+        "DESIGN.md names tests without their file; write `<file>.rs::<name>`:\n{bare:#?}"
+    );
+}
+
+#[test]
+fn cited_design_sections_exist() {
+    let root = repo_root();
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let titles = design_titles(&design);
+    let mut texts: Vec<(String, String)> = sources(&root)
+        .into_iter()
+        .flat_map(|(path, text)| comment_blocks(&text).into_iter().map(move |c| (path.clone(), c)))
+        .collect();
+    for doc in ["DESIGN.md", "README.md", "EXPERIMENTS.md"] {
+        texts.push((doc.to_string(), fs::read_to_string(root.join(doc)).expect("read doc")));
+    }
+    let mut cited = 0;
+    let mut missing = BTreeSet::new();
+    for (path, text) in &texts {
+        for title in cited_titles(text) {
+            cited += 1;
+            if !titles.contains(title.as_str()) {
+                missing.insert(format!("{path}: \"{title}\""));
+            }
+        }
+    }
+    assert!(cited >= 5, "only {cited} citations of DESIGN.md sections found; is the scan broken?");
+    assert!(missing.is_empty(), "cited DESIGN.md sections that do not exist:\n{missing:#?}");
+}
+
+#[test]
+fn tests_bare_names_and_wrapped_citations_are_found() {
+    let source = "#[test]\n/// Doc.\n#[ignore]\nfn alpha_beta() {}\nproptest! {\n    #[test]\n    \
+                  fn gamma(x in 0..3) {}\n}\n#[cfg(test)]\nfn helper() {}\n";
+    assert_eq!(test_names(source), ["alpha_beta", "gamma"]);
+    let tests: HashSet<&str> = ["alpha_beta", "gamma"].into();
+    assert_eq!(bare_test_names("a.rs::alpha_beta, gamma and alpha_beta_x", &tests), ["gamma"]);
+    assert!(bare_test_names("tests/gamma.rs and gamma/x", &tests).is_empty());
+    assert!(bare_test_names("cargo test gamma", &tests).is_empty());
+    let comments =
+        comment_blocks("/// See DESIGN.md, \"Segment\n/// preallocation\", here.\nfn f() {}\n");
+    assert_eq!(cited_titles(&comments[0]), ["Segment preallocation"]);
+    let doc = "DESIGN.md (\"Ingest engine\"), DESIGN.md alone, DESIGN.md,\n\"Testing &\noracles\"";
+    assert_eq!(cited_titles(doc), ["Ingest engine", "Testing & oracles"]);
+    let doc = "## Ingest engine\n6. **Scaled volumes.** Text.\n- **Quarantine.** x\n**A**b **not**";
+    let titles = design_titles(doc);
+    assert_eq!(titles.len(), 4, "{titles:?}");
+    for title in ["Ingest engine", "Scaled volumes", "Quarantine", "A"] {
+        assert!(titles.contains(title), "{title} missing from {titles:?}");
+    }
 }
 
 #[test]
