@@ -21,18 +21,17 @@
 //!   optional features (tick batches, serving, cold start, tracing,
 //!   self-monitoring, durable state with a mid-run crash), and checks
 //!   end-to-end invariants: exact ingest accounting, a quarantine bound
-//!   derived from the fault plan's own statistics, finite forecasts, and
-//!   bit-identical results across thread-pool widths and reruns. On
+//!   derived from the fault plan's own statistics, finite forecasts,
+//!   bit-identical results across thread-pool widths and reruns, and a
+//!   pipeline that serving and cold start leave untouched. On
 //!   failure it reports a copy-pasteable single-seed repro command.
 //! * [`golden`] — **golden-trace fixtures**: captured summaries of mini
 //!   workload runs (template counts, cluster membership, per-horizon
 //!   log-space MSE) diffed byte-for-byte against checked-in JSON, blessed
 //!   with `QB_BLESS_GOLDEN=1` in the same style as `tests/public-api.txt`.
 //!
-//! [`scenario`] extends the sim pillar to **evolving workloads**: a
-//! seeded matrix over `qb_workloads::ChurnScenario` traces that stages
-//! churn templates into the new-template gap and scores the cold-start
-//! forecast path against the wait-for-history baseline with paired
+//! [`scenario`] scores the cold-start forecast path against waiting for
+//! history on a `qb_workloads::ChurnScenario` trace, with paired
 //! [`qb5000::AccuracyTracker`]s.
 //!
 //! [`corpus`] provides the seeded SQL corpus generator shared by the

@@ -11,9 +11,9 @@
 //!
 //! 1. **Accounting identity** — every delivered event is either ingested
 //!    or quarantined (`ingested + rejected == events_out`).
-//! 2. **Quarantine bound** — the pipeline never rejects more statements
-//!    than the fault plan corrupted
-//!    ([`FaultStats::max_possible_rejections`]).
+//! 2. **Bounds** — the pipeline never rejects more statements than the
+//!    fault plan corrupted ([`FaultStats::max_possible_rejections`]), and
+//!    it tracks at least one and at most `max_clusters` clusters.
 //! 3. **No NaN leaves a model** — every forecast is finite and
 //!    non-negative.
 //! 4. **Degradation chain** — each level is on the documented
@@ -29,7 +29,10 @@
 //!    accounting.
 //! 8. **Serving** (`serve`, `cold_start`) — curves, top-K and cold-start
 //!    entries at the final epoch join the fingerprint, and every served
-//!    curve equals [`ForecastManager::predict`] bit for bit.
+//!    curve equals [`ForecastManager::predict`] bit for bit. Serving and
+//!    cold start never perturb the pipeline: a `cold_start` case replayed
+//!    with both off leaves the same state, cluster values (midway too) and
+//!    forecast bits, at any fault and churn intensity.
 //! 9. **Alerts** (`monitor`) — the transition log and active set join the
 //!    fingerprint, and a faulted replay must trip the quarantine rule.
 //!
@@ -167,7 +170,7 @@ pub(crate) fn hourly_specs(days: u32, horizons: &[usize]) -> Vec<HorizonSpec> {
 
 /// The stream `generator` delivers through a fault plan seeded with
 /// `seed` (0.0 intensity: a clean passthrough), and the plan's statistics.
-pub(crate) fn deliver(
+fn deliver(
     generator: TraceGenerator,
     fault_intensity: f64,
     seed: u64,
@@ -184,7 +187,7 @@ pub(crate) fn deliver(
 
 /// Invariants 1 and 2: exact accounting and a quarantine bounded by what
 /// the fault plan corrupted.
-pub(crate) fn check_accounting(
+fn check_accounting(
     health: &PipelineHealth,
     delivered: usize,
     stats: &FaultStats,
@@ -332,6 +335,20 @@ pub struct Fingerprint {
     pub alerts: Option<Alerts>,
 }
 
+/// Names the first part of the pipeline itself (state, cluster values,
+/// forecasts) that differs between `a` and `b`.
+fn pipeline_divergence(a: &Fingerprint, b: &Fingerprint) -> Option<&'static str> {
+    [
+        ("pipeline state", a.state == b.state),
+        ("cluster centres, volumes or tracked clusters", a.derived == b.derived),
+        ("cluster centres, volumes or tracked clusters at the middle round", a.midway == b.midway),
+        ("forecasts", a.forecasts == b.forecasts),
+    ]
+    .into_iter()
+    .find(|&(_, same)| !same)
+    .map(|(what, _)| what)
+}
+
 /// Names the first part of `b` that differs from `a`. Across a recovery
 /// only what the recovery contract persists is compared.
 fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'static str> {
@@ -340,11 +357,7 @@ fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'stat
     };
     let epoch = |f: &Fingerprint| f.served.as_ref().map(|s| s.epoch);
     let trace = |f: &Fingerprint| f.trace.as_ref().map(|t| t.render(recovery));
-    [
-        ("pipeline state", a.state == b.state),
-        ("cluster centres, volumes or tracked clusters", a.derived == b.derived),
-        ("cluster centres, volumes or tracked clusters at the middle round", a.midway == b.midway),
-        ("forecasts", a.forecasts == b.forecasts),
+    let rest = [
         ("served curves, top-K or cold-start entries", served(a) == served(b)),
         ("serve epoch", recovery || epoch(a) == epoch(b)),
         // Alert transitions record trace events, so a recovered monitor's
@@ -354,10 +367,9 @@ fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'stat
             recovery && a.alerts.is_some() || trace(a) == trace(b),
         ),
         ("alert log or active set", recovery || a.alerts == b.alerts),
-    ]
-    .into_iter()
-    .find(|&(_, same)| !same)
-    .map(|(what, _)| what)
+    ];
+    pipeline_divergence(a, b)
+        .or_else(|| rest.into_iter().find(|&(_, same)| !same).map(|(what, _)| what))
 }
 
 /// An invariant violation, carrying the repro command.
@@ -573,6 +585,24 @@ impl Process {
 
 static DIRS: AtomicU64 = AtomicU64::new(0);
 
+/// A durable replay's state directory, removed however the replay ends.
+struct StateDir(PathBuf);
+
+impl StateDir {
+    fn new(seed: u64) -> Self {
+        let n = DIRS.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("qb-sim-{}-{seed:x}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
+}
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Replays the case into a fresh pipeline at one pool width and
 /// fingerprints it, checking invariants 1–4 and 8 on the way.
 fn replay(
@@ -584,14 +614,10 @@ fn replay(
     fan_outs: &Recorder,
 ) -> Result<Fingerprint, String> {
     let pool = ThreadPool::new(width).instrumented(fan_outs);
-    let dir: Option<PathBuf> = f.durable.then(|| {
-        let n = DIRS.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("qb-sim-{}-{:x}-{n}", std::process::id(), case.seed));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
-    let mut process = Process::open(case, f, dir.as_deref());
+    // Declared before the process, so it is dropped after it.
+    let state_dir = f.durable.then(|| StateDir::new(case.seed));
+    let dir = state_dir.as_ref().map(|d| d.0.as_path());
+    let mut process = Process::open(case, f, dir);
     let batches = match schedule {
         Schedule::PerEvent => (0..events.len()).map(|i| i..i + 1).collect(),
         Schedule::Minutes => runs_by(events, |ev| ev.minute),
@@ -611,7 +637,7 @@ fn replay(
         process.round(*round, *round as i64 * ROUND_MINUTES);
         if f.durable && (*round == rounds / 2 || *round == rounds / 2 + 1) {
             // The process dies here; a new one recovers from the directory.
-            *process = Process::open(case, f, dir.as_deref());
+            *process = Process::open(case, f, dir);
         }
         if *round == rounds / 2 {
             midway = Some(crate::crash::derived(process.bot()));
@@ -633,8 +659,10 @@ fn replay(
 
     let bot = process.bot();
     check_accounting(&bot.health(), events.len(), stats)?;
-    if bot.tracked_clusters().is_empty() {
-        return Err("no clusters tracked after a full trace".into());
+    let tracked = bot.tracked_clusters().len();
+    let max_clusters = Qb5000Config::default().max_clusters;
+    if !(1..=max_clusters).contains(&tracked) {
+        return Err(format!("{tracked} clusters tracked, not between 1 and {max_clusters}"));
     }
 
     let factory = case.model.0.clone();
@@ -685,10 +713,6 @@ fn replay(
         .map(|m| Alerts { log: m.transition_log().to_vec(), active: m.active_alerts() });
     let state = bot.export_state();
     let derived = crate::crash::derived(bot);
-    drop(process);
-    if let Some(dir) = dir {
-        let _ = std::fs::remove_dir_all(dir);
-    }
     Ok(Fingerprint { width, state, derived, midway, forecasts, served, trace, alerts })
 }
 
@@ -774,6 +798,15 @@ pub fn run(
         }
     }
 
+    if features.cold_start {
+        // Invariant 8: serving and cold start never perturb the pipeline.
+        // The replay without them skips `durable` too: a durable run is
+        // held to the uninterrupted one below.
+        let plain = Features { serve: false, cold_start: false, durable: false, ..features };
+        if let Some(d) = pipeline_divergence(&replay(plain, widths[0], schedule)?, first) {
+            return Err(fail(format!("{d} changed with serve and cold_start on")));
+        }
+    }
     if features.durable {
         let uninterrupted = replay(Features { durable: false, ..features }, widths[0], schedule)?;
         if let Some(d) = divergence(&uninterrupted, first, true) {

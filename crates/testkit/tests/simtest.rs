@@ -4,8 +4,9 @@
 //! forecaster pipeline through `qb_testkit::sim::run` at thread widths
 //! {1, 4}, checking the nine invariants documented there. The paper
 //! matrices sweep (workload × fault intensity × seed) with one feature at
-//! a time; `feature_sweep` runs every valid feature subset together on
-//! one faulted churn case.
+//! a time; `churn_matrix` sweeps (churn scenario × fault intensity × seed)
+//! with serving and cold start on; `feature_sweep` runs every valid
+//! feature subset together on one faulted churn case.
 //!
 //! On failure the panic message contains a copy-pasteable one-case repro:
 //!
@@ -16,7 +17,7 @@
 //! ```
 
 use qb_testkit::sim::{case_from_env, run, Features, SimCase};
-use qb_workloads::{ChurnScenario, Workload};
+use qb_workloads::{ChurnScenario, Workload, CHURN_SCENARIOS};
 
 const WIDTHS: &[usize] = &[1, 4];
 
@@ -54,6 +55,29 @@ fn batched_ingest_matrix() {
 #[test]
 fn served_forecast_matrix() {
     paper_matrix(Features { serve: true, ..Features::default() });
+}
+
+/// Every churn scenario with serving and cold start on (invariant 8):
+/// templates minted after a cluster update are served cold-start
+/// entries, and the pipeline must not notice.
+#[test]
+fn churn_matrix() {
+    let cold_start = Features { serve: true, cold_start: true, ..Features::default() };
+    for scenario in CHURN_SCENARIOS {
+        for intensity in [0.0, 1.0] {
+            for &seed in SEEDS {
+                let case = SimCase::churn(scenario, intensity, seed);
+                match run(&case, cold_start, WIDTHS) {
+                    Ok(fps) => assert_ne!(
+                        fps[0].served.as_ref().expect("served").cold,
+                        "[]",
+                        "{case:?}: no cold-start entry published, so the cold path went unchecked"
+                    ),
+                    Err(failure) => panic!("{failure}"),
+                }
+            }
+        }
+    }
 }
 
 /// The self-monitoring layer over two churn shapes (invariant 9): the

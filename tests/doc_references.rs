@@ -2,9 +2,10 @@
 //! exists.
 //!
 //! Every inline code span of the documents is scanned for Rust paths
-//! (`PreProcessor::ingest_batch`, `tests/durability.rs::crash_point_repro`)
-//! and for snake_case names with two or more underscores (test names,
-//! config fields, metric names such as `ingest_stmts_per_s`). Every
+//! (`PreProcessor::ingest_batch`, `tests/durability.rs::crash_point_repro`),
+//! for snake_case names with two or more underscores (test names,
+//! config fields, metric names such as `ingest_stmts_per_s`), and for a
+//! span that is one CamelCase name (`LogicalFeatures`). Every
 //! segment of each path, and each such name, must occur as an identifier in
 //! the Rust sources under `crates/`, `tests/`, `examples/` or
 //! `benchmarks/src/`, or in `BENCHMARK.json`. A path into a file,
@@ -47,6 +48,14 @@ fn is_long_snake_name(word: &str) -> bool {
         && word.matches('_').count() >= 2
 }
 
+/// A CamelCase name, such as a type or variant name: a capital first, a
+/// lower-case letter somewhere, no underscore.
+fn is_camel_case_name(word: &str) -> bool {
+    word.starts_with(|c: char| c.is_ascii_uppercase())
+        && word.chars().all(|c| c.is_ascii_alphanumeric())
+        && word.chars().any(|c| c.is_ascii_lowercase())
+}
+
 /// The lines of a Markdown document outside its fenced blocks.
 fn unfenced_lines(doc: &str) -> impl Iterator<Item = &str> {
     let mut fenced = false;
@@ -69,7 +78,8 @@ fn prose(doc: &str) -> Vec<&str> {
 }
 
 /// The references one code span makes: every segment of each Rust path in
-/// it, and each long snake_case name.
+/// it, each long snake_case name, and the span itself when it is one
+/// CamelCase name.
 fn references(span: &str) -> BTreeSet<&str> {
     let mut refs = BTreeSet::new();
     for chunk in span.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':')) {
@@ -79,6 +89,7 @@ fn references(span: &str) -> BTreeSet<&str> {
         }
     }
     refs.extend(identifiers(span).filter(|w| is_long_snake_name(w)));
+    refs.extend(Some(span.trim()).filter(|w| is_camel_case_name(w)));
     refs
 }
 
@@ -361,7 +372,16 @@ fn references_are_paths_and_long_snake_names() {
     assert!(references("QB_THREADS=4").is_empty());
     assert!(references("state_digest").is_empty(), "one underscore is too common to check");
     assert!(references("preprocessor.cache_hits x::").is_empty());
+    assert!(references("HYBRID").is_empty() && references("Arc<T>").is_empty());
     assert_eq!(code_spans("a `b` c `d`\n```\n`e`\n```\n`f`"), ["b", "d", "f"]);
+}
+
+#[test]
+fn a_lone_camel_case_name_must_exist() {
+    let known: HashSet<&str> = identifiers("pub struct LogicalFeatures;").collect();
+    let unknown = |span| references(span).into_iter().filter(|r| !known.contains(r)).count();
+    assert_eq!(unknown("LogicalFeatures"), 0);
+    assert_eq!(unknown("LogicalFeature"), 1, "a made-up type name must not resolve");
 }
 
 #[test]
