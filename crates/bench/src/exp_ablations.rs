@@ -163,10 +163,7 @@ fn semantic_folding(effort: Effort) -> String {
         let mut count_total = 0usize;
         for w in [Workload::Admissions, Workload::BusTracker, Workload::Mooc] {
             let mut bot = QueryBot5000::new(Qb5000Config {
-                preprocessor: PreProcessorConfig {
-                    semantic_folding: folding,
-                    ..PreProcessorConfig::default()
-                },
+                preprocessor: PreProcessorConfig { semantic_folding: folding },
                 ..Qb5000Config::default()
             });
             let cfg = TraceConfig { start: 0, days, scale: 0.03, seed: 0xAB };

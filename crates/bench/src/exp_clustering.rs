@@ -19,11 +19,10 @@ pub fn fig1(effort: Effort) -> String {
     out.push_str("Figure 1: Workload Patterns\n");
 
     // (a) BusTracker cycles over 72 h, queries/min.
-    let run = run_pipeline(RunOptions::new(
-        Workload::BusTracker,
-        3,
-        if effort.is_quick() { 0.05 } else { 0.3 },
-    ));
+    let run = run_pipeline(
+        RunOptions::new(Workload::BusTracker, 3, if effort.is_quick() { 0.05 } else { 0.3 })
+            .reading_minutes(),
+    );
     let series = run.total_series(0, 3 * MINUTES_PER_DAY, Interval::TEN_MINUTES);
     let rows: Vec<String> =
         series.iter().enumerate().map(|(i, v)| format!("{},{v:.1}", i * 10)).collect();

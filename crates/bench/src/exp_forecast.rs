@@ -16,6 +16,10 @@ pub const HORIZON_LABELS: [&str; 7] =
     ["1 Hour", "12 Hour", "1 Day", "2 Days", "3 Days", "5 Days", "1 Week"];
 
 fn forecast_run(w: Workload, effort: Effort) -> PipelineRun {
+    run_pipeline(forecast_options(w, effort))
+}
+
+fn forecast_options(w: Workload, effort: Effort) -> RunOptions {
     let days = if effort.is_quick() { 14 } else { 28 };
     let scale = if effort.is_quick() { 0.05 } else { 0.2 };
     let start = match w {
@@ -28,7 +32,7 @@ fn forecast_run(w: Workload, effort: Effort) -> PipelineRun {
     // volume than the real traces', so take the top-k outright.
     opts.qb.max_clusters = 5;
     opts.qb.coverage_target = 2.0;
-    run_pipeline(opts)
+    opts
 }
 
 /// Figure 7 — MSE (log space) of all eight models across horizons and
@@ -233,7 +237,7 @@ pub fn fig9_16(effort: Effort) -> String {
 pub fn fig10(effort: Effort) -> String {
     let mut out = String::new();
     out.push_str("Figure 10: Prediction Interval Evaluation (BusTracker, ENSEMBLE)\n");
-    let run = forecast_run(Workload::BusTracker, effort);
+    let run = run_pipeline(forecast_options(Workload::BusTracker, effort).reading_minutes());
     let intervals = [
         ("10min", Interval::TEN_MINUTES),
         ("20min", Interval::TWENTY_MINUTES),
@@ -383,6 +387,8 @@ pub fn fig17(effort: Effort) -> String {
     // shift trigger also fires on phase switches).
     let mut bot = qb5000::QueryBot5000::new(qb5000::Qb5000Config::default());
     let cfg = qb_workloads::TraceConfig { start: 0, days: 4, scale, seed: 0xA17 };
+    // The total series below is read at one-minute intervals.
+    bot.keep_minutes(i64::from(cfg.days) * MINUTES_PER_DAY);
     let gen = qb_workloads::noisy::generator(cfg);
     let mut shift_count = 0u64;
     for ev in gen {

@@ -41,11 +41,29 @@ pub struct RunOptions {
     pub scale: f64,
     pub seed: u64,
     pub qb: Qb5000Config,
+    /// Minutes of per-minute counts the histories keep
+    /// ([`QueryBot5000::keep_minutes`]; 0 keeps the default hour).
+    pub minute_lookback: Minute,
 }
 
 impl RunOptions {
     pub fn new(workload: Workload, days: u32, scale: f64) -> Self {
-        Self { workload, start: 0, days, scale, seed: 0xBEE, qb: Qb5000Config::default() }
+        Self {
+            workload,
+            start: 0,
+            days,
+            scale,
+            seed: 0xBEE,
+            qb: Qb5000Config::default(),
+            minute_lookback: 0,
+        }
+    }
+
+    /// Keeps every minute of the trace, for experiments that read series
+    /// at sub-hour intervals.
+    pub fn reading_minutes(mut self) -> Self {
+        self.minute_lookback = i64::from(self.days) * MINUTES_PER_DAY;
+        self
     }
 
     pub fn starting_at(mut self, start: Minute) -> Self {
@@ -68,10 +86,10 @@ impl RunOptions {
     }
 }
 
-/// Feeds `days` of the workload through QB5000 with daily clustering and
-/// history compaction.
+/// Feeds `days` of the workload through QB5000 with daily clustering.
 pub fn run_pipeline(opts: RunOptions) -> PipelineRun {
     let mut bot = QueryBot5000::new(opts.qb.clone());
+    bot.keep_minutes(opts.minute_lookback);
     let cfg = TraceConfig { start: opts.start, days: opts.days, scale: opts.scale, seed: opts.seed };
     let mut daily = Vec::new();
     let mut next_day_boundary = opts.start + MINUTES_PER_DAY;
@@ -84,8 +102,6 @@ pub fn run_pipeline(opts: RunOptions) -> PipelineRun {
         let t0 = std::time::Instant::now();
         bot.update_clusters(boundary);
         *cluster_wall += t0.elapsed();
-        // Keep memory bounded on long (multi-year) feeds.
-        bot.compact_histories();
         let clusterer = bot.clusterer();
         let coverage = [
             bot.coverage_ratio(1),

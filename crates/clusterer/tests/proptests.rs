@@ -5,7 +5,7 @@ use qb_clusterer::{
     ClustererConfig, FeatureSampler, KdTree, OnlineClusterer, SimilarityMetric, TemplateFeature,
     TemplateSnapshot,
 };
-use qb_timeseries::{ArrivalHistory, CompactionPolicy, Interval};
+use qb_timeseries::{ArrivalHistory, Interval};
 
 fn points(dim: usize) -> impl Strategy<Value = Vec<(Vec<f64>, usize)>> {
     proptest::collection::vec(proptest::collection::vec(-10.0f64..10.0, dim), 1..80)
@@ -19,7 +19,7 @@ proptest! {
     /// bucket (`count_range` over `[b, b + interval)`, never clamped to
     /// the window or to `now`), and `valid_from` is the first sample at or
     /// after the template's first arrival — on histories with late
-    /// records, with and without a compacted tier, and for a `first_seen`
+    /// records, with and without compacted minutes, and for a `first_seen`
     /// that is the history's own or any other minute. The feature stores
     /// that vector as its maximal zero lead and the suffix after it: the
     /// stored lead is the expansion's count of leading zeros, and the
@@ -40,7 +40,7 @@ proptest! {
             h.record(t, c);
         }
         if compact {
-            h.compact(&CompactionPolicy { raw_retention: 900, compacted_interval: Interval::HOUR });
+            h.compact(900);
         }
         let first_seen = match h.first_seen() {
             Some(first) if own_first_seen => first,
@@ -74,14 +74,14 @@ proptest! {
     }
 
     /// On whole-hour buckets — the reads `ArrivalHistory` serves from its
-    /// hourly roll-up — `extract` is the recorded arrivals themselves,
+    /// per-hour sums — `extract` is the recorded arrivals themselves,
     /// summed here straight from the record list: late records into closed
-    /// and into already compacted hours, a compaction cutoff in mid-hour
-    /// and a state round-trip change nothing.
+    /// and into already compacted hours, a compaction lookback ending in
+    /// mid-hour and a state round-trip change nothing.
     #[test]
     fn extract_on_whole_hours_matches_recorded_arrivals(
         recs in proptest::collection::vec((-500i64..6_000, 1u64..40), 0..150),
-        retention in prop_oneof![Just(None), (100i64..3_000).prop_map(Some)],
+        lookback in prop_oneof![Just(None), (100i64..3_000).prop_map(Some)],
         round_trip in any::<bool>(),
         now in 3_000i64..6_500,
         window in 200i64..5_000,
@@ -95,8 +95,8 @@ proptest! {
         for &(t, c) in early {
             h.record(t, c);
         }
-        if let Some(raw_retention) = retention {
-            h.compact(&CompactionPolicy { raw_retention, compacted_interval: Interval::HOUR });
+        if let Some(lookback) = lookback {
+            h.compact(lookback);
         }
         for &(t, c) in late {
             h.record(t, c);

@@ -4,12 +4,12 @@
 //! The in-memory pipeline is deterministic: the same ingest stream through
 //! the same configuration produces bit-identical templates, clusters,
 //! forecasts, and trace streams. Durability exploits that instead of
-//! fighting it — the WAL records *inputs* (template sightings,
-//! cluster-update instants, compactions), not effects, and recovery simply
+//! fighting it — the WAL records *inputs* (template sightings and
+//! cluster-update instants), not effects, and recovery simply
 //! replays the tail through the ordinary ingest path on top of the last
 //! valid snapshot. Anything derivable (shift-triggered re-clusterings,
-//! quarantine admissions, fitted models) is *not* logged; it re-derives
-//! identically.
+//! quarantine admissions, history compaction, fitted models) is *not*
+//! logged; it re-derives identically.
 //!
 //! ## Formats
 //!
@@ -28,8 +28,9 @@
 //! guessed at; DESIGN.md ("Durability & recovery") describes both versions.
 //!
 //! WAL frame payloads carry one [`WalRecord`]; the frame `kind` byte is
-//! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`],
-//! [`KIND_COMPACT`]). A frame of any other kind refuses recovery.
+//! the dispatch tag ([`KIND_INGEST_BATCH`], [`KIND_CLUSTER_UPDATE`], and
+//! [`KIND_COMPACT`], which only older builds wrote and which replays as
+//! nothing). A frame of any other kind refuses recovery.
 //!
 //! ## Recovery invariants
 //!
@@ -90,7 +91,7 @@ const STATE_VERSION_V6: u16 = 6;
 
 /// WAL frame kind: an explicit cluster-update instant.
 pub const KIND_CLUSTER_UPDATE: u8 = 2;
-/// WAL frame kind: an arrival-history compaction point.
+/// WAL frame kind: an arrival-history compaction point ([`WalRecord::Compact`]).
 pub const KIND_COMPACT: u8 = 3;
 /// WAL frame kind: the sightings of one ingest call — a tick, or a single
 /// statement. Replay routes them back through the same engine, so state
@@ -147,7 +148,9 @@ pub struct FullState {
 pub enum WalRecord {
     /// An explicit cluster rebuild at `now`.
     ClusterUpdate { now: Minute },
-    /// An arrival-history compaction point.
+    /// A compaction point, written by builds whose histories compacted on
+    /// request. It replays as nothing: histories compact as they record,
+    /// so the replayed ingest frames re-derive the same state.
     Compact,
     /// The weighted sightings of one ingest call (`(minute, count, sql)`
     /// per statement, in arrival order).
@@ -808,7 +811,7 @@ pub fn decode_wal_record(kind: u8, payload: &[u8]) -> Result<WalRecord, Durabili
 /// injected-crash error ([`Error::is_injected_crash`]) additionally means
 /// "the process died at this I/O boundary" to test harnesses, which drop
 /// the instance and re-[`open`](DurablePipeline::open). After a failed WAL
-/// append every later ingest, cluster update, compaction and
+/// append every later ingest, cluster update and
 /// [`snapshot`](DurablePipeline::snapshot) fails too, until the directory
 /// is re-opened.
 pub struct DurablePipeline {
@@ -878,7 +881,7 @@ impl DurablePipeline {
                     bot.update_clusters(now);
                     rounds_since_snapshot += 1;
                 }
-                WalRecord::Compact => bot.compact_histories(),
+                WalRecord::Compact => {}
                 WalRecord::IngestBatch { items } => {
                     statements_replayed += items.len() as u64;
                     let batch: Vec<BatchItem<'_>> = items
@@ -993,13 +996,6 @@ impl DurablePipeline {
         Ok(report)
     }
 
-    /// Durable [`QueryBot5000::compact_histories`].
-    pub fn compact_histories(&mut self) -> Result<(), Error> {
-        self.append(&WalRecord::Compact)?;
-        self.bot.compact_histories();
-        Ok(())
-    }
-
     /// Cuts a snapshot of the full pipeline state now (also called
     /// automatically by the `snapshot_every_rounds` policy). Rotates the
     /// WAL and prunes state older than the fallback snapshot.
@@ -1021,8 +1017,14 @@ impl DurablePipeline {
     /// Attaches a [`ForecastManager`] (fresh, or rebuilt from
     /// [`RecoveryReport::manager`] via [`ForecastManager::restore`]); its
     /// serving state joins subsequent snapshots. The pipeline's recorder
-    /// and tracer are installed into it, matching the non-durable wiring.
+    /// and tracer are installed into it, matching the non-durable wiring,
+    /// and its [`ForecastManager::minute_lookback`] is registered. Frames
+    /// that [`DurablePipeline::open`] replayed compacted at the default
+    /// [`qb_preprocessor::MINUTE_RETENTION`], before any manager was
+    /// attached: after such a recovery a sub-hour horizon reads exact
+    /// minutes only as far back as the histories have kept them since.
     pub fn attach_manager(&mut self, mut manager: ForecastManager) {
+        self.bot.keep_minutes(manager.minute_lookback());
         manager.set_recorder(self.bot.recorder());
         manager.set_tracer(self.bot.tracer());
         self.manager = Some(manager);
@@ -1324,12 +1326,7 @@ mod tests {
     /// holds clusterer features with a zero lead and a suffix.
     #[test]
     fn every_truncation_and_bit_flip_of_a_v7_payload_fails_cleanly() {
-        let mut cfg = Qb5000Config::default();
-        cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
-            raw_retention: 90,
-            compacted_interval: qb_timeseries::Interval::HOUR,
-        };
-        let mut bot = QueryBot5000::new(cfg);
+        let mut bot = QueryBot5000::new(Qb5000Config::default());
         for minute in (0..400).step_by(7) {
             let batch = [
                 BatchItem { minute, sql: "SELECT a FROM t WHERE id = 1", count: 3 },
@@ -1340,9 +1337,6 @@ mod tests {
             if minute % 49 == 0 {
                 let _ = bot.ingest_weighted(minute - 150, "DELETE FROM u WHERE id = 4", 2);
                 let _ = bot.ingest_weighted(minute, "SELEC broken (", 1);
-            }
-            if minute % 140 == 0 {
-                bot.compact_histories();
             }
         }
         bot.update_clusters(420);
@@ -1508,6 +1502,35 @@ mod tests {
         assert_eq!(p.bot().export_state(), before);
         p.ingest_weighted(31, sql, 4).unwrap();
         assert_eq!(p.durable_seq(), 31);
+    }
+
+    /// Attaching a manager with a sub-hour horizon registers its lookback:
+    /// histories keep the minutes it trains on, back to the hour that
+    /// holds the lookback's start, and no further.
+    #[test]
+    fn attaching_a_sub_hour_manager_keeps_the_minutes_it_reads() {
+        let dir = tmp_dir("sub-hour-manager");
+        let (mut p, _) = DurablePipeline::open(durable_config(&dir)).unwrap();
+        let spec = HorizonSpec {
+            interval: qb_timeseries::Interval::TEN_MINUTES,
+            window: 6,
+            horizon: 3,
+            train_steps: 30,
+        };
+        let manager =
+            ForecastManager::new(vec![spec], || Box::new(qb_forecast::LinearRegression::default()));
+        assert_eq!(manager.minute_lookback(), 310);
+        p.attach_manager(manager);
+        for minute in 0..12 * 60 {
+            p.ingest_weighted(minute, "SELECT a FROM t WHERE id = 1", 2).unwrap();
+        }
+        // The newest arrival is minute 719; 310 back is 409, in the hour
+        // from 360.
+        let kept = p.bot().preprocessor().templates()[0].history.export_state().raw;
+        assert_eq!(kept[..2], [(0, 2), (360, 2)]);
+        assert_eq!(kept.len(), 1 + 360);
+        drop(p);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use qb_clusterer::ClusterId;
 use qb_forecast::{DegradationLevel, ForecastError, Forecaster};
 use qb_obs::Recorder;
 use qb_parallel::ThreadPool;
-use qb_timeseries::{Interval, Minute};
+use qb_timeseries::{Interval, Minute, MINUTES_PER_HOUR};
 use qb_serve::{ColdStartOrigin, ServeHealth};
 use qb_trace::{EventDraft, EventId, EventKind, Scope, Tracer};
 
@@ -287,6 +287,23 @@ impl ForecastManager {
     /// The configured horizons.
     pub fn specs(&self) -> &[HorizonSpec] {
         &self.specs
+    }
+
+    /// How far back, in minutes, the horizons read per-minute counts: the
+    /// longest training span, plus one step, of a horizon whose interval
+    /// is not whole hours (histories answer whole hours over their whole
+    /// length). Register it with [`QueryBot5000::keep_minutes`] before
+    /// ingesting; [`crate::DurablePipeline::attach_manager`] does.
+    pub fn minute_lookback(&self) -> Minute {
+        self.specs
+            .iter()
+            .filter(|s| s.interval.as_minutes() % MINUTES_PER_HOUR != 0)
+            .map(|s| {
+                let steps = s.train_steps.max(s.window + s.horizon + 1) + 1;
+                steps as Minute * s.interval.as_minutes()
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Overrides the environment-derived worker count for per-horizon
@@ -845,6 +862,25 @@ mod tests {
             vec![HorizonSpec::hourly(1), HorizonSpec::hourly(12)],
             || Box::new(qb_forecast::LinearRegression::default()),
         )
+    }
+
+    /// Whole-hour horizons read no minutes; a sub-hour one reads its
+    /// training span and one step more, and the longest such look wins.
+    #[test]
+    fn minute_lookback_covers_sub_hour_training_spans() {
+        assert_eq!(manager().minute_lookback(), 0);
+        let spec = |interval, window, horizon, train_steps| HorizonSpec {
+            interval,
+            window,
+            horizon,
+            train_steps,
+        };
+        let ten = spec(Interval::TEN_MINUTES, 6, 3, 100);
+        let ninety = spec(Interval::minutes(90), 4, 1, 2);
+        let lr = || Box::new(qb_forecast::LinearRegression::default()) as Box<dyn Forecaster>;
+        let mixed = ForecastManager::new(vec![HorizonSpec::hourly(1), ten, ninety], lr);
+        assert_eq!(mixed.minute_lookback(), 101 * 10);
+        assert_eq!(ForecastManager::new(vec![ninety], lr).minute_lookback(), 7 * 90);
     }
 
     #[test]

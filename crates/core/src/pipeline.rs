@@ -42,9 +42,9 @@ pub const LOGICAL_CLUSTERER: ClustererConfig = ClustererConfig {
 pub const FEATURE_POINTS: usize = 500;
 
 /// The trailing window, in minutes, that features are sampled from and
-/// cluster volumes are summed over: one month, as in §5.1. It equals the
-/// default compaction policy's raw retention, so features read exact
-/// per-minute counts.
+/// cluster volumes are summed over: one month, as in §5.1. Features read
+/// whole hours ([`FEATURE_INTERVAL`]), which every history keeps for its
+/// whole length.
 pub const FEATURE_WINDOW: Minute = 31 * MINUTES_PER_DAY;
 
 /// Aggregation interval around each sampled timestamp: an hour, the
@@ -632,11 +632,13 @@ impl QueryBot5000 {
         FEATURE_WINDOW
     }
 
-    /// Rolls stale per-minute arrival records into coarser buckets (§4's
-    /// storage-bounding step). Call periodically on long feeds; reads at
-    /// hourly-or-coarser intervals are unaffected.
-    pub fn compact_histories(&mut self) {
-        self.pre.compact_histories();
+    /// Registers a reader of per-minute counts that looks up to `lookback`
+    /// minutes before a template's newest arrival (a series at a sub-hour
+    /// interval, a read whose range ends inside an hour); see
+    /// [`PreProcessor::keep_minutes`]. Whole-hour reads need no
+    /// registration. Register before ingesting what the reader reads.
+    pub fn keep_minutes(&mut self, lookback: Minute) {
+        self.pre.keep_minutes(lookback);
     }
 
     /// The Clusterer, for stats inspection.
@@ -827,19 +829,14 @@ mod tests {
 
     /// `cluster_series` accumulates members in place; the result must be
     /// the member-order sum of their `dense_series`, bit for bit — also
-    /// when a member's older records sit in the compacted tier.
+    /// when a member's older minutes are compacted into its hours.
     #[test]
     fn cluster_series_equals_sum_of_member_series() {
-        let mut cfg = Qb5000Config::default();
-        cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
-            raw_retention: MINUTES_PER_DAY,
-            compacted_interval: Interval::HOUR,
-        };
-        let mut bot = QueryBot5000::new(cfg);
+        let mut bot = QueryBot5000::new(Qb5000Config::default());
+        bot.keep_minutes(MINUTES_PER_DAY);
         feed_cyclic(&mut bot, 3);
-        bot.compact_histories();
-        // One more day of raw records for one member only: its history now
-        // spans both tiers while its cluster-mate's newest day is empty.
+        // One more day of records for one member only: its history now
+        // spans both runs while its cluster-mate's newest day is empty.
         for minute in 3 * MINUTES_PER_DAY..4 * MINUTES_PER_DAY {
             bot.ingest_weighted(minute, "SELECT a FROM day_tbl WHERE id = 1", 7).unwrap();
         }
@@ -847,7 +844,7 @@ mod tests {
         let largest = bot.tracked_clusters()[0].clone();
         assert!(largest.members.len() >= 2);
         let stored = |m| bot.preprocessor().template(m).history.export_state();
-        assert!(largest.members.iter().any(|&m| !stored(m).compacted.is_empty()));
+        assert!(largest.members.iter().all(|&m| !stored(m).compacted.is_empty()));
 
         for (start, end, interval) in [
             (0, 4 * MINUTES_PER_DAY, Interval::HOUR),
@@ -865,39 +862,34 @@ mod tests {
         }
     }
 
-    /// Hour-aligned cluster series are read from the histories' hourly
-    /// roll-up; they must equal the members' one-minute series (which
-    /// cannot take it) folded into the same buckets, bit for bit — with
-    /// late arrivals into closed hours before and after a compaction whose
-    /// cutoff falls mid-hour, and one minute off alignment at either end.
+    /// Hour-aligned cluster series are read from the histories' per-hour
+    /// sums; they must equal the members' one-minute series folded into
+    /// the same buckets, bit for bit — with late arrivals into closed hours
+    /// on both sides of the compaction cutoff, the first arrival's hour
+    /// split between the two runs, and one minute off alignment at either
+    /// end.
     #[test]
     fn hour_aligned_cluster_series_equals_folded_minute_series() {
-        let mut cfg = Qb5000Config::default();
-        cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
-            raw_retention: MINUTES_PER_DAY + 17,
-            compacted_interval: Interval::HOUR,
-        };
-        let mut bot = QueryBot5000::new(cfg);
+        let mut bot = QueryBot5000::new(Qb5000Config::default());
+        bot.keep_minutes(MINUTES_PER_DAY + 17);
         feed_cyclic(&mut bot, 3);
         let late = [45, MINUTES_PER_DAY + 59, 2 * MINUTES_PER_DAY - 61, 2 * MINUTES_PER_DAY + 600];
         for t in late {
             bot.ingest_weighted(t, "SELECT a FROM day_tbl WHERE id = 1", 11).unwrap();
-        }
-        bot.compact_histories();
-        for t in late {
             bot.ingest_weighted(t + 1, "SELECT c FROM day_tbl2 WHERE id = 1", 5).unwrap();
         }
         bot.update_clusters(3 * MINUTES_PER_DAY);
         let largest = bot.tracked_clusters()[0].clone();
         assert!(largest.members.len() >= 2);
-        // The cutoff's hour is split between the tiers.
-        let cutoff = 3 * MINUTES_PER_DAY - 1 - (MINUTES_PER_DAY + 17);
-        assert_ne!(cutoff % 60, 0);
+        // The newest arrival is day 3's last minute: a day and 17 minutes
+        // before it is 23:42 on day 2, in the hour from 23:00.
+        let cutoff = 2 * MINUTES_PER_DAY - 60;
         let stored = |m| bot.preprocessor().template(m).history.export_state();
         for &m in &largest.members {
-            let split_hour = Interval::HOUR.bucket_start(cutoff);
-            assert_eq!(stored(m).compacted.last().map(|e| e.0), Some(split_hour));
-            assert!(stored(m).raw.iter().any(|e| e.0 == cutoff));
+            let s = stored(m);
+            assert_eq!((s.raw[0].0, s.raw[1].0), (0, cutoff), "the first minute, then the rest");
+            assert_eq!(s.compacted.first().map(|e| e.0), Some(0), "the first hour is split");
+            assert_eq!(s.compacted.last().map(|e| e.0), Some(cutoff - 60));
         }
 
         let end = 3 * MINUTES_PER_DAY;

@@ -10,7 +10,8 @@
 //! 3. folds templates with equivalent *semantic features* (same tables, same
 //!    predicate structure, same projections) into one tracked template;
 //! 4. records the arrival-rate history per template at one-minute
-//!    granularity, compacting stale records into coarser buckets;
+//!    granularity, compacting minutes older than any reader looks into
+//!    per-hour sums ([`MINUTE_RETENTION`], [`PreProcessor::keep_minutes`]);
 //! 5. keeps a reservoir sample of each template's original parameters for
 //!    the planning module (Vitter's Algorithm R).
 //!
@@ -33,7 +34,7 @@ use std::collections::{HashMap, VecDeque};
 use qb_obs::Recorder;
 use qb_sqlparse::{parse_statement, Literal, ParseError, Statement};
 use qb_trace::{EventDraft, EventKind, Scope, Tracer};
-use qb_timeseries::{ArrivalHistory, ArrivalHistoryState, CompactionPolicy, Interval, Minute};
+use qb_timeseries::{ArrivalHistory, ArrivalHistoryState, Interval, Minute};
 
 pub use fingerprint::{semantic_fingerprint, Fingerprint};
 pub use logical::LogicalFeatures;
@@ -58,7 +59,8 @@ pub struct TemplateEntry {
     pub tables: Vec<String>,
     /// Logical feature vector for the §7.7 ablation.
     pub logical: LogicalFeatures,
-    /// Per-minute arrival counts.
+    /// Arrival counts: per hour over the whole history, per minute as far
+    /// back as a reader looks.
     pub history: ArrivalHistory,
     /// Reservoir of original parameter vectors.
     pub params: Reservoir<Vec<Literal>>,
@@ -210,11 +212,17 @@ pub const RESERVOIR_CAPACITY: usize = 100;
 /// statements hold the same samples.
 pub const RESERVOIR_SEED: u64 = 0x5000;
 
+/// How far back, in minutes before a template's newest arrival, its
+/// history keeps per-minute counts when no reader registers a longer look
+/// ([`PreProcessor::keep_minutes`]). Every reader of the hourly loop reads
+/// whole hours, which the per-hour sums answer over the whole history; an
+/// hour of minutes keeps the reads that end inside the current hour (a
+/// round the shift trigger fires mid-hour) exact.
+pub const MINUTE_RETENTION: Minute = 60;
+
 /// Configuration knobs for the Pre-Processor.
 #[derive(Debug, Clone)]
 pub struct PreProcessorConfig {
-    /// Stale-record compaction policy for arrival histories.
-    pub compaction: CompactionPolicy,
     /// Fold semantically equivalent templates together (§4's final step).
     /// Disable only for the ablation that measures how much the heuristic
     /// equivalence reduces template counts.
@@ -223,7 +231,7 @@ pub struct PreProcessorConfig {
 
 impl Default for PreProcessorConfig {
     fn default() -> Self {
-        Self { compaction: CompactionPolicy::default(), semantic_folding: true }
+        Self { semantic_folding: true }
     }
 }
 
@@ -272,6 +280,9 @@ pub struct PreProcessor {
     /// literal strings; the memo short-circuits the parser for exact
     /// repeats. Never exported.
     memo: shard::Memo,
+    /// Minutes each history keeps before its newest arrival: the longest
+    /// look any reader registered, and at least [`MINUTE_RETENTION`].
+    minute_lookback: Minute,
 }
 
 impl PreProcessor {
@@ -287,7 +298,18 @@ impl PreProcessor {
             quarantine: Quarantine::default(),
             tracer: Tracer::disabled(),
             memo: shard::Memo::default(),
+            minute_lookback: MINUTE_RETENTION,
         }
+    }
+
+    /// Registers a reader of per-minute counts that looks up to `lookback`
+    /// minutes before a template's newest arrival: from here on every
+    /// history keeps its minutes that far back (and never less than
+    /// [`MINUTE_RETENTION`]). Minutes compacted before the call stay
+    /// compacted, so a reader registers before the statements it reads
+    /// are ingested.
+    pub fn keep_minutes(&mut self, lookback: Minute) {
+        self.minute_lookback = self.minute_lookback.max(lookback);
     }
 
     /// Installs a [`Recorder`]: subsequent ingest calls record
@@ -417,10 +439,12 @@ impl PreProcessor {
     }
 
     /// Records `count` arrivals of template `id` at minute `t`: its
-    /// history and the per-verb stats.
+    /// history, whose minutes past the registered lookback compact into
+    /// its hours, and the per-verb stats.
     fn record(&mut self, id: TemplateId, t: Minute, count: u64) {
         let entry = &mut self.entries[id.0 as usize];
         entry.history.record(t, count);
+        entry.history.compact(self.minute_lookback);
         self.stats.total_queries += count;
         match entry.kind {
             "SELECT" => self.stats.selects += count,
@@ -428,14 +452,6 @@ impl PreProcessor {
             "UPDATE" => self.stats.updates += count,
             "DELETE" => self.stats.deletes += count,
             _ => unreachable!("kind is one of the four DML verbs"),
-        }
-    }
-
-    /// Compacts every template's stale history records.
-    pub fn compact_histories(&mut self) {
-        let policy = self.config.compaction;
-        for e in &mut self.entries {
-            e.history.compact(&policy);
         }
     }
 
@@ -628,6 +644,33 @@ mod tests {
         assert_eq!(series, vec![2.0, 1.0]);
     }
 
+    /// Each history keeps its minutes from the hour that holds the minute
+    /// `MINUTE_RETENTION` before its newest arrival, plus its first
+    /// arrival; a registered reader's longer look keeps more, a shorter one
+    /// changes nothing, and whole-hour reads are the same either way.
+    #[test]
+    fn histories_keep_minutes_as_far_back_as_a_reader_looks() {
+        let feed = |p: &mut PreProcessor| {
+            (0..600).map(|t| p.ingest(t, "SELECT x FROM t WHERE id = 1").unwrap()).last().unwrap()
+        };
+        let mut default = pp();
+        let id = feed(&mut default);
+        let kept = |p: &PreProcessor| p.template(id).history.export_state().raw;
+        // The newest arrival is minute 599; an hour back is 539, in the
+        // hour from 480.
+        assert_eq!(kept(&default)[..2], [(0, 1), (480, 1)]);
+        assert_eq!(kept(&default).len(), 1 + 120);
+
+        let mut reader = pp();
+        reader.keep_minutes(300);
+        reader.keep_minutes(10);
+        let id = feed(&mut reader);
+        assert_eq!(kept(&reader).len(), 1 + 360, "minutes from the hour at 240");
+        let hours = |p: &PreProcessor| p.template_series(id, 0, 600, Interval::HOUR);
+        assert_eq!(hours(&reader), hours(&default));
+        assert_eq!(reader.template_series(id, 240, 600, Interval::MINUTE), vec![1.0; 360]);
+    }
+
     #[test]
     fn weighted_ingest_counts() {
         let mut p = pp();
@@ -759,7 +802,6 @@ mod tests {
         for i in 0..70 {
             live.ingest(3 + i % 2, "SELECT x FROM t WHERE id = 1").unwrap();
         }
-        live.compact_histories();
 
         let exported = live.export_state();
         let mut restored =
@@ -828,10 +870,7 @@ mod tests {
             "SELECT x FROM t WHERE q = 4 AND r = 5 AND p = 6",
             "SELECT x FROM t WHERE r = 7 AND p = 8 AND q = 9",
         ];
-        let unfolded_cfg = PreProcessorConfig {
-            semantic_folding: false,
-            ..PreProcessorConfig::default()
-        };
+        let unfolded_cfg = PreProcessorConfig { semantic_folding: false };
         let mut p = PreProcessor::new(unfolded_cfg.clone());
         let a = p.ingest(0, spellings[0]).unwrap();
         let b = p.ingest(0, spellings[1]).unwrap();
@@ -1000,10 +1039,7 @@ mod folding_tests {
         folded.ingest(0, b).unwrap();
         assert_eq!(folded.num_templates(), 1, "semantic folding merges orderings");
 
-        let mut unfolded = PreProcessor::new(PreProcessorConfig {
-            semantic_folding: false,
-            ..PreProcessorConfig::default()
-        });
+        let mut unfolded = PreProcessor::new(PreProcessorConfig { semantic_folding: false });
         unfolded.ingest(0, a).unwrap();
         unfolded.ingest(0, b).unwrap();
         assert_eq!(unfolded.num_templates(), 2, "ablation keeps them distinct");

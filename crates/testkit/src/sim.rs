@@ -18,8 +18,8 @@
 //!    non-negative.
 //! 4. **Degradation chain** — each level is on the documented
 //!    `Full → Ensemble → Single → LastValue` chain; plain LR stays `Full`.
-//! 5. **Determinism** — fingerprints are bit-identical across widths and
-//!    to a same-seed rerun.
+//! 5. **Determinism** — fingerprints (the forecast manager's state
+//!    included) are bit-identical across widths and to a same-seed rerun.
 //! 6. **Trace** (`trace`) — the deterministic stream, the model-fit
 //!    lineage and the flight-recorder dumps join the fingerprint.
 //! 7. **Batched ingest** (`ticks`) — one batch per same-minute run.
@@ -39,10 +39,13 @@
 //! With `durable` the [`DurablePipeline`] is dropped right after the
 //! middle round and again right after the next one, and each time reopened
 //! from its directory with a fresh recorder, service and monitor, as a new
-//! process would. The first recovery loads the middle round's snapshot
+//! process would. A forecast manager is trained and snapshotted at the
+//! middle round, before the first drop, and each recovery restores it from
+//! the snapshot. The first recovery loads the middle round's snapshot
 //! alone; the second replays a WAL tail with a round in it. The run must
-//! then match the one without `durable` on everything the recovery
-//! contract persists: state, forecasts, served answers and the trace. The
+//! then match the one without `durable` (whose manager trains at the
+//! middle round too) on everything the recovery contract persists: state,
+//! forecasts, served answers and the trace. The
 //! values restore recomputes ([`crate::crash::derived`]) are compared
 //! right after the first recovery too, before a round recomputes them.
 //! The serve epoch and the alert windows restart, so they — and the trace
@@ -330,6 +333,8 @@ pub struct Fingerprint {
     pub midway: Option<crate::crash::Derived>,
     /// Per horizon: the synchronous predictions' bits.
     pub forecasts: Vec<Vec<u64>>,
+    /// The trained forecast manager's exported state.
+    pub manager: qb5000::ManagerState,
     pub served: Option<Served>,
     pub trace: Option<Traced>,
     pub alerts: Option<Alerts>,
@@ -358,6 +363,7 @@ fn divergence(a: &Fingerprint, b: &Fingerprint, recovery: bool) -> Option<&'stat
     let epoch = |f: &Fingerprint| f.served.as_ref().map(|s| s.epoch);
     let trace = |f: &Fingerprint| f.trace.as_ref().map(|t| t.render(recovery));
     let rest = [
+        ("forecast manager state", a.manager == b.manager),
         ("served curves, top-K or cold-start entries", served(a) == served(b)),
         ("serve epoch", recovery || epoch(a) == epoch(b)),
         // Alert transitions record trace events, so a recovered monitor's
@@ -505,6 +511,8 @@ struct Process {
     recorder: Recorder,
     service: Option<ForecastService>,
     monitor: Option<Monitor>,
+    /// A plain pipeline's forecast manager; a durable one holds its own.
+    manager: Option<ForecastManager>,
 }
 
 enum Bot {
@@ -519,9 +527,18 @@ fn durable_ok<T>(result: Result<T, qb5000::Error>) {
     }
 }
 
+/// A fresh forecast manager for `case` at pool width `width`.
+fn new_manager(case: &SimCase, width: usize) -> ForecastManager {
+    let factory = case.model.0.clone();
+    let mut mgr = ForecastManager::new(hourly_specs(case.days, &case.horizons), move || factory());
+    mgr.set_threads(width);
+    mgr
+}
+
 impl Process {
-    /// Starts a process, recovering from `dir` when it holds state.
-    fn open(case: &SimCase, f: Features, dir: Option<&Path>) -> Self {
+    /// Starts a process, recovering from `dir` when it holds state: the
+    /// pipeline, and the forecast manager its snapshot carries.
+    fn open(case: &SimCase, f: Features, dir: Option<&Path>, width: usize) -> Self {
         let recorder = if f.monitor { Recorder::new() } else { Recorder::disabled() };
         let service =
             f.serve.then(|| ForecastService::for_specs(&hourly_specs(case.days, &case.horizons)));
@@ -539,7 +556,18 @@ impl Process {
                     DurabilityConfig::new(dir).snapshot_every_rounds(SNAPSHOT_EVERY_ROUNDS);
                 let config =
                     config.durability(policy).build().expect("durable sim config is valid");
-                Bot::Durable(DurablePipeline::open(config).expect("durable sim directory opens").0)
+                let (mut p, report) =
+                    DurablePipeline::open(config).expect("durable sim directory opens");
+                if let Some(state) = report.manager {
+                    let factory = case.model.0.clone();
+                    let specs = hourly_specs(case.days, &case.horizons);
+                    let mut mgr =
+                        ForecastManager::restore(specs, move || factory(), state, p.bot())
+                            .expect("the snapshot's manager restores");
+                    mgr.set_threads(width);
+                    p.attach_manager(mgr);
+                }
+                Bot::Durable(p)
             }
             None => Bot::Plain(QueryBot5000::new(config.build().expect("sim config is valid"))),
         };
@@ -547,7 +575,7 @@ impl Process {
             Monitor::new(MonitorConfig::default().rules(sim_rules()))
                 .expect("monitor without a port")
         });
-        Self { bot, recorder, service, monitor }
+        Self { bot, recorder, service, monitor, manager: None }
     }
 
     fn bot(&self) -> &QueryBot5000 {
@@ -568,6 +596,41 @@ impl Process {
                 durable_ok(p.ingest_weighted(batch[0].minute, batch[0].sql, batch[0].count))
             }
             Bot::Durable(p) => durable_ok(p.ingest_batch(batch)),
+        }
+    }
+
+    /// Trains the process's forecast manager at `now`, creating it first
+    /// if the process has none.
+    fn train(
+        &mut self,
+        case: &SimCase,
+        width: usize,
+        now: Minute,
+    ) -> Result<RetrainOutcome, String> {
+        let trained = match &mut self.bot {
+            Bot::Plain(bot) => {
+                let mgr = self.manager.get_or_insert_with(|| {
+                    let mut mgr = new_manager(case, width);
+                    mgr.set_recorder(&self.recorder);
+                    mgr.set_tracer(bot.tracer());
+                    mgr
+                });
+                mgr.ensure_trained(bot, now)
+            }
+            Bot::Durable(p) => {
+                if p.manager().is_none() {
+                    p.attach_manager(new_manager(case, width));
+                }
+                p.ensure_trained(now)
+            }
+        };
+        trained.map_err(|e| format!("training at minute {now}: {e}"))
+    }
+
+    fn manager(&self) -> Option<&ForecastManager> {
+        match &self.bot {
+            Bot::Plain(_) => self.manager.as_ref(),
+            Bot::Durable(p) => p.manager(),
         }
     }
 
@@ -604,7 +667,9 @@ impl Drop for StateDir {
 }
 
 /// Replays the case into a fresh pipeline at one pool width and
-/// fingerprints it, checking invariants 1–4 and 8 on the way.
+/// fingerprints it, checking invariants 1–4 and 8 on the way. With
+/// `train_midway` the forecast manager trains at the middle round as well
+/// as at the end.
 fn replay(
     case: &SimCase,
     (events, stats): &(Vec<QueryEvent>, FaultStats),
@@ -612,12 +677,13 @@ fn replay(
     width: usize,
     schedule: Schedule,
     fan_outs: &Recorder,
+    train_midway: bool,
 ) -> Result<Fingerprint, String> {
     let pool = ThreadPool::new(width).instrumented(fan_outs);
     // Declared before the process, so it is dropped after it.
     let state_dir = f.durable.then(|| StateDir::new(case.seed));
     let dir = state_dir.as_ref().map(|d| d.0.as_path());
-    let mut process = Process::open(case, f, dir);
+    let mut process = Process::open(case, f, dir, width);
     let batches = match schedule {
         Schedule::PerEvent => (0..events.len()).map(|i| i..i + 1).collect(),
         Schedule::Minutes => runs_by(events, |ev| ev.minute),
@@ -632,20 +698,28 @@ fn replay(
     let rounds = (end / ROUND_MINUTES) as u64;
     let mut round = 0u64;
     let mut midway = None;
-    let mut next_round = |process: &mut Process, round: &mut u64| {
+    let mut next_round = |process: &mut Process, round: &mut u64| -> Result<(), String> {
         *round += 1;
-        process.round(*round, *round as i64 * ROUND_MINUTES);
+        let now = *round as i64 * ROUND_MINUTES;
+        process.round(*round, now);
+        if train_midway && *round == rounds / 2 {
+            process.train(case, width, now)?;
+            if let Bot::Durable(p) = &mut process.bot {
+                p.snapshot().map_err(|e| format!("snapshot after training: {e}"))?;
+            }
+        }
         if f.durable && (*round == rounds / 2 || *round == rounds / 2 + 1) {
             // The process dies here; a new one recovers from the directory.
-            *process = Process::open(case, f, dir);
+            *process = Process::open(case, f, dir, width);
         }
         if *round == rounds / 2 {
             midway = Some(crate::crash::derived(process.bot()));
         }
+        Ok(())
     };
     for batch in batches {
         while round < rounds && events[batch.start].minute >= (round as i64 + 1) * ROUND_MINUTES {
-            next_round(&mut process, &mut round);
+            next_round(&mut process, &mut round)?;
         }
         let items: Vec<BatchItem<'_>> = events[batch]
             .iter()
@@ -654,26 +728,23 @@ fn replay(
         process.ingest(&pool, &items, schedule == Schedule::PerEvent);
     }
     while round < rounds {
-        next_round(&mut process, &mut round);
+        next_round(&mut process, &mut round)?;
     }
 
-    let bot = process.bot();
-    check_accounting(&bot.health(), events.len(), stats)?;
-    let tracked = bot.tracked_clusters().len();
+    check_accounting(&process.bot().health(), events.len(), stats)?;
+    let tracked = process.bot().tracked_clusters().len();
     let max_clusters = Qb5000Config::default().max_clusters;
     if !(1..=max_clusters).contains(&tracked) {
         return Err(format!("{tracked} clusters tracked, not between 1 and {max_clusters}"));
     }
 
-    let factory = case.model.0.clone();
-    let mut mgr = ForecastManager::new(hourly_specs(case.days, &case.horizons), move || factory());
-    mgr.set_threads(width);
-    mgr.set_recorder(&process.recorder);
-    mgr.set_tracer(bot.tracer());
-    match mgr.ensure_trained(bot, end) {
-        Ok(RetrainOutcome::Retrained { .. }) => {}
+    match process.train(case, width, end)? {
+        RetrainOutcome::Retrained { .. } => {}
+        // A manager trained at the middle round may already be current.
+        RetrainOutcome::UpToDate if train_midway => {}
         other => return Err(format!("expected a retrain, got {other:?}")),
     }
+    let (bot, mgr) = (process.bot(), process.manager().expect("trained above"));
     let mut forecasts = Vec::new();
     for h in 0..case.horizons.len() {
         let pred = mgr.predict(bot, end, h);
@@ -691,7 +762,7 @@ fn replay(
 
     let served = match &process.service {
         None => None,
-        Some(service) => Some(served(service, &mgr, &forecasts)?),
+        Some(service) => Some(served(service, mgr, &forecasts)?),
     };
     let trace = match f.trace {
         false => None,
@@ -713,7 +784,8 @@ fn replay(
         .map(|m| Alerts { log: m.transition_log().to_vec(), active: m.active_alerts() });
     let state = bot.export_state();
     let derived = crate::crash::derived(bot);
-    Ok(Fingerprint { width, state, derived, midway, forecasts, served, trace, alerts })
+    let manager = mgr.export_state();
+    Ok(Fingerprint { width, state, derived, midway, forecasts, manager, served, trace, alerts })
 }
 
 /// Invariant 8: reads every answer at the final epoch and checks each
@@ -766,8 +838,10 @@ pub fn run(
     let stream = case.stream();
     // Counts the batches that reached a pool (`parallel.map`).
     let fan_outs = Recorder::new();
+    // A durable cell's manager trains before its first drop, and every
+    // replay it is compared with trains at the same round.
     let replay = |f: Features, width, schedule| {
-        replay(case, &stream, f, width, schedule, &fan_outs)
+        replay(case, &stream, f, width, schedule, &fan_outs, features.durable)
             .map_err(|e| fail(format!("{e} (width {width})")))
     };
     let schedule = if features.ticks { Schedule::Minutes } else { Schedule::PerEvent };

@@ -1,30 +1,7 @@
-//! Per-template arrival-rate history with tiered compaction.
+//! Per-template arrival-rate history: per-hour sums of everything, and
+//! per-minute counts only as far back as a reader looks.
 
 use crate::{Interval, Minute, MINUTES_PER_HOUR};
-
-/// How stale records are aggregated into coarser buckets (§4: "the system
-/// aggregates stale arrival rate records into larger intervals to save
-/// storage space").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Records older than this many minutes (relative to the newest record)
-    /// are rolled up.
-    pub raw_retention: i64,
-    /// Bucket width stale records are rolled up into.
-    pub compacted_interval: Interval,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        // Keep one month of raw per-minute data — the Clusterer's feature
-        // window (§5.1) — and roll anything older into hourly buckets, which
-        // is all the KR spike model needs (§6.2).
-        Self {
-            raw_retention: 31 * crate::MINUTES_PER_DAY,
-            compacted_interval: Interval::HOUR,
-        }
-    }
-}
 
 /// The exported durable state of one [`ArrivalHistory`], produced by
 /// [`ArrivalHistory::export_state`] and consumed by
@@ -32,19 +9,23 @@ impl Default for CompactionPolicy {
 /// owns the byte encoding.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ArrivalHistoryState {
-    /// Sorted recent per-minute `(minute, count)` pairs.
+    /// The sorted per-minute `(minute, count)` pairs the history keeps: its
+    /// first arrival and every arrival since its last compaction's cutoff.
     pub raw: Vec<(Minute, u64)>,
-    /// Sorted compacted `(bucket_start, count)` pairs.
+    /// Sorted per-hour `(hour start, count)` sums of the arrivals `raw` no
+    /// longer holds (§4: stale records "aggregated into larger intervals
+    /// to save storage space"). Hours with nothing compacted have no pair.
     pub compacted: Vec<(Minute, u64)>,
-    /// Width of compacted buckets in minutes (`None` before the first
-    /// compaction).
+    /// Width of `compacted`'s buckets in minutes: `Some(60)` when it holds
+    /// a pair. A state written while compaction took a bucket width may
+    /// name another; each of its pairs counts in the hour that holds it.
     pub compacted_width_minutes: Option<i64>,
     /// Total arrivals ever recorded.
     pub total: u64,
 }
 
-/// One storage tier: `(minute, count)` pairs sorted by minute, each minute
-/// at most once.
+/// One run: `(minute, count)` pairs sorted by minute, each minute at most
+/// once.
 type Run = Vec<(Minute, u64)>;
 
 /// Adds `count` at minute `t`, keeping `run` sorted and duplicate-free.
@@ -61,16 +42,10 @@ fn add_to_run(run: &mut Run, t: Minute, count: u64) {
     }
 }
 
-/// The pairs of `run` whose minute lies in `[start, end)` (empty when
-/// `end <= start`).
-fn run_range(run: &[(Minute, u64)], start: Minute, end: Minute) -> &[(Minute, u64)] {
-    let tail = &run[run.partition_point(|e| e.0 < start)..];
-    &tail[..tail.partition_point(|e| e.0 < end)]
-}
-
 /// Total count of the pairs of `run` whose minute lies in `[start, end)`.
 fn range_sum(run: &[(Minute, u64)], start: Minute, end: Minute) -> u64 {
-    run_range(run, start, end).iter().map(|e| e.1).sum()
+    let tail = &run[run.partition_point(|e| e.0 < start)..];
+    tail[..tail.partition_point(|e| e.0 < end)].iter().map(|e| e.1).sum()
 }
 
 /// Sorts `pairs` by minute and folds pairs sharing a minute by summing
@@ -85,6 +60,14 @@ fn normalized(mut pairs: Run) -> Run {
         same
     });
     pairs
+}
+
+fn hour_of(t: Minute) -> Minute {
+    Interval::HOUR.bucket_start(t)
+}
+
+fn whole_hours(m: Minute) -> bool {
+    m % MINUTES_PER_HOUR == 0
 }
 
 /// Forward cursor over one run answering a sequence of range sums. While
@@ -127,31 +110,31 @@ impl<'a> RunCursor<'a> {
 
 /// The arrival-rate record for one query template.
 ///
-/// Counts are stored sparsely: a minute with no arrivals occupies no space.
-/// Two tiers exist — a raw per-minute run for the recent window, and a
-/// compacted run at [`CompactionPolicy::compacted_interval`] granularity for
-/// older history. Each tier is a `Vec` of `(minute, count)` pairs sorted by
-/// minute with no minute repeated, so a range read is two binary searches
-/// and a slice. Reads transparently merge both tiers.
+/// Two runs of `(minute, count)` pairs, sorted by minute with no minute
+/// repeated, each with a fixed role:
 ///
-/// A third run, `hourly`, is derived from `raw` and kept in memory only: a
-/// read whose every boundary is a whole hour (the hourly round's features,
-/// volumes, training series and prediction windows) walks it in place of
-/// `raw` and so touches one pair per hour instead of one per minute. It
-/// returns the same integers; see [`ArrivalHistory::add_dense_series`] for
-/// the one bound under which the `f64` reads are bit-equal as well.
+/// * `hours` — per-hour sums of every arrival ever recorded. A read whose
+///   every boundary is a whole hour (the hourly round's features, volumes,
+///   training series and prediction windows) walks only this run, one pair
+///   per hour, and is exact over the whole history.
+/// * `minutes` — per-minute counts: the first arrival's pair, which never
+///   leaves, and every arrival since the cutoff of the last
+///   [`ArrivalHistory::compact`]. A read with any boundary inside an
+///   hour is exact wherever those minutes reach. Older hours answer it at
+///   hour grain: what an hour holds beyond its kept minutes counts at the
+///   hour's start (at the first arrival, in the first arrival's hour).
+///
+/// Counts are sparse: a minute or hour with no arrivals occupies no space.
+/// See [`ArrivalHistory::add_dense_series`] for the one bound under which
+/// the `f64` reads of both runs are bit-equal.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalHistory {
-    /// Recent per-minute counts.
-    raw: Run,
-    /// Per-hour sums of `raw`, keyed by hour start: `hourly[h]` = Σ `raw` in
-    /// `[h, h + 60)`, and an hour with nothing in `raw` has no pair.
-    /// Derived — never exported, rebuilt by `from_state`.
-    hourly: Run,
-    /// Compacted counts, keyed by bucket start.
-    compacted: Run,
-    /// Width of compacted buckets (None until first compaction).
-    compacted_width: Option<Interval>,
+    /// `hours[h]` = Σ of every arrival recorded in `[h, h + 60)`.
+    hours: Run,
+    /// The first arrival, then every arrival at or after the compaction cutoff.
+    /// Empty exactly when `hours` is, and `minutes[0]` lies in `hours[0]`'s
+    /// hour.
+    minutes: Run,
     /// Total arrivals ever recorded.
     total: u64,
 }
@@ -163,16 +146,32 @@ impl ArrivalHistory {
 
     /// Records `count` arrivals at minute `t`.
     ///
-    /// Minutes may arrive in any order. A `t` at or after the newest raw
-    /// record is O(1); a late one costs a binary search plus, for a minute
-    /// not yet stored, shifting the pairs after it.
+    /// Minutes may arrive in any order. A `t` at or after the newest record
+    /// is O(1); a late one costs a binary search plus, for a minute not yet
+    /// stored, shifting the pairs after it.
     pub fn record(&mut self, t: Minute, count: u64) {
         if count == 0 {
             return;
         }
-        add_to_run(&mut self.raw, t, count);
-        add_to_run(&mut self.hourly, Interval::HOUR.bucket_start(t), count);
+        add_to_run(&mut self.minutes, t, count);
+        add_to_run(&mut self.hours, hour_of(t), count);
         self.total += count;
+    }
+
+    /// Compacts the per-minute pairs before the hour that holds the minute
+    /// `lookback` minutes before the newest arrival into the per-hour sums,
+    /// except the first arrival's pair. The sums already hold their counts,
+    /// so every whole-hour read is unchanged, and a read at minute grain
+    /// stays exact from that hour on. Cheap when nothing is due (one
+    /// comparison), so it can follow every [`ArrivalHistory::record`]:
+    /// pairs leave once per hour the newest arrival crosses.
+    pub fn compact(&mut self, lookback: Minute) {
+        let Some(&(newest, _)) = self.minutes.last() else { return };
+        let cutoff = hour_of(newest.saturating_sub(lookback));
+        if self.minutes.get(1).is_some_and(|e| e.0 < cutoff) {
+            let stale = 1 + self.minutes[1..].partition_point(|e| e.0 < cutoff);
+            self.minutes.drain(1..stale);
+        }
     }
 
     /// Total arrivals ever recorded.
@@ -180,85 +179,62 @@ impl ArrivalHistory {
         self.total
     }
 
-    /// Timestamp of the most recent arrival (raw or compacted bucket start).
+    /// Minute of the most recent arrival (never compacted).
     pub fn last_seen(&self) -> Option<Minute> {
-        let raw_last = self.raw.last().map(|e| e.0);
-        let compacted_last = self.compacted.last().map(|e| e.0);
-        raw_last.max(compacted_last)
+        self.minutes.last().map(|e| e.0).max(self.hours.last().map(|e| e.0))
     }
 
-    /// Timestamp of the earliest arrival.
+    /// Minute of the earliest arrival (never compacted).
     pub fn first_seen(&self) -> Option<Minute> {
-        let raw_first = self.raw.first().map(|e| e.0);
-        let compacted_first = self.compacted.first().map(|e| e.0);
-        match (raw_first, compacted_first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.minutes.first().map(|e| e.0)
     }
 
-    /// Number of stored entries across both persisted tiers (the storage
-    /// footprint measured in Table 4). The derived hourly roll-up is not
-    /// counted: it is never written anywhere and costs memory only (one
-    /// pair per hour that has a raw record).
+    /// Number of pairs stored across both runs (the storage footprint
+    /// measured in Table 4).
     pub fn stored_entries(&self) -> usize {
-        self.raw.len() + self.compacted.len()
+        self.hours.len() + self.minutes.len()
     }
 
-    /// Rolls raw records older than the policy's retention window into
-    /// compacted buckets. Idempotent; call periodically.
-    ///
-    /// If the policy's interval differs from the width used by earlier
-    /// compactions, existing buckets are re-bucketed into the new width
-    /// first. Widening is exact (counts move to the enclosing coarser
-    /// bucket); narrowing keeps each count at its bucket-start minute,
-    /// since sub-bucket resolution was already discarded.
-    pub fn compact(&mut self, policy: &CompactionPolicy) {
-        if self.compacted_width.is_some_and(|w| w != policy.compacted_interval) {
-            for (t, c) in std::mem::take(&mut self.compacted) {
-                add_to_run(&mut self.compacted, policy.compacted_interval.bucket_start(t), c);
-            }
-            self.compacted_width = Some(policy.compacted_interval);
+    /// Total arrivals in `[a, b)`, a range inside one hour `h`: the kept
+    /// minutes there, plus what the hour holds beyond them if it counts at
+    /// a minute in the range (see [`ArrivalHistory`]).
+    fn within_hour(&self, h: Minute, a: Minute, b: Minute) -> u64 {
+        if a >= b {
+            return 0;
         }
-        let Some(&(newest, _)) = self.raw.last() else { return };
-        let cutoff = newest - policy.raw_retention;
-        self.compacted_width = Some(policy.compacted_interval);
-        // Drain everything strictly older than the cutoff.
-        let stale = self.raw.partition_point(|e| e.0 < cutoff);
-        for (t, c) in self.raw.drain(..stale) {
-            add_to_run(&mut self.compacted, policy.compacted_interval.bucket_start(t), c);
-        }
-        // The drained hours leave the roll-up too; a cutoff inside an hour
-        // leaves that hour with what `raw` still holds of it.
-        let hour = Interval::HOUR.bucket_start(cutoff);
-        let drained = self.hourly.partition_point(|e| e.0 <= hour);
-        self.hourly.drain(..drained);
-        let kept = range_sum(&self.raw, hour, hour + MINUTES_PER_HOUR);
-        if kept > 0 {
-            self.hourly.insert(0, (hour, kept));
-        }
-    }
-
-    /// The run holding the un-compacted counts for a read whose range or
-    /// bucket boundaries are `bounds` and whose buckets are `step` wide:
-    /// the hourly roll-up when all of those are whole hours — every hour
-    /// then falls whole on one side of each boundary, so the read cannot
-    /// tell it from `raw` — and `raw` otherwise.
-    fn recent(&self, bounds: &[Minute], step: i64) -> &[(Minute, u64)] {
-        let whole_hours = |m: &Minute| m % MINUTES_PER_HOUR == 0;
-        if whole_hours(&step) && bounds.iter().all(whole_hours) {
-            &self.hourly
+        let kept = range_sum(&self.minutes, a, b);
+        let at = self.minutes.first().map_or(h, |first| first.0.max(h));
+        if (a..b).contains(&at) {
+            let hour = range_sum(&self.hours, h, h + 1);
+            kept + hour - range_sum(&self.minutes, h, h + MINUTES_PER_HOUR)
         } else {
-            &self.raw
+            kept
         }
     }
 
-    /// Total arrivals in the half-open range `[start, end)`.
+    /// Total arrivals in the half-open range `[start, end)`: whole hours
+    /// from the per-hour sums, and the partial hours at either end from the
+    /// kept minutes.
     pub fn count_range(&self, start: Minute, end: Minute) -> u64 {
-        // Compacted buckets are attributed entirely to their start minute;
-        // after compaction sub-bucket resolution is intentionally lost.
-        let recent = self.recent(&[start, end], MINUTES_PER_HOUR);
-        range_sum(recent, start, end) + range_sum(&self.compacted, start, end)
+        // Nothing counts outside the hours from the first arrival's to the
+        // last's: clamping to them changes no answer, keeps whole-hour
+        // bounds whole and keeps the hour arithmetic in range.
+        let (Some(&(lo, _)), Some(hi)) = (self.hours.first(), self.last_seen()) else {
+            return 0;
+        };
+        let after_last = hour_of(hi).saturating_add(MINUTES_PER_HOUR);
+        let (start, end) = (start.max(lo), end.min(after_last));
+        if end <= start {
+            return 0;
+        }
+        let (first_hour, last_hour) = (hour_of(start), hour_of(end));
+        if first_hour == last_hour {
+            return self.within_hour(first_hour, start, end);
+        }
+        let inner = if whole_hours(start) { start } else { first_hour + MINUTES_PER_HOUR };
+        self.within_hour(first_hour, start, inner)
+            + range_sum(&self.hours, inner, last_hour)
+            + self.within_hour(last_hour, last_hour, end)
     }
 
     /// Materializes a dense series over `[start, end)` aggregated at
@@ -276,11 +252,12 @@ impl ArrivalHistory {
     /// cluster's members) needs no per-history buffer.
     ///
     /// When `start`, `end` and `interval` are whole hours each hour's count
-    /// is added once, as `(Σ c) as f64`, rather than minute by minute as
-    /// `c as f64`. Adding integer-valued `f64`s is exact below 2⁵³, so the
-    /// two are bit-equal as long as every bucket of `out` stays under 2⁵³
-    /// (and held an integer to begin with); past that bound either order
-    /// rounds, and they may round differently.
+    /// is added once, as `(Σ c) as f64`; otherwise each bucket's
+    /// [`ArrivalHistory::count_range`] is added once. Adding integer-valued
+    /// `f64`s is exact below 2⁵³, so either is bit-equal to adding minute
+    /// by minute as long as every bucket of `out` stays under 2⁵³ (and held
+    /// an integer to begin with); past that bound the orders may round
+    /// differently.
     ///
     /// # Panics
     /// Panics if `out` is shorter than `interval.buckets_between(start, end)`.
@@ -292,47 +269,67 @@ impl ArrivalHistory {
         out: &mut [f64],
     ) {
         let step = interval.as_minutes();
-        for run in [self.recent(&[start, end], step), &self.compacted] {
-            for &(t, c) in run_range(run, start, end) {
+        if whole_hours(start) && whole_hours(end) && whole_hours(step) {
+            let tail = &self.hours[self.hours.partition_point(|e| e.0 < start)..];
+            for &(t, c) in &tail[..tail.partition_point(|e| e.0 < end)] {
                 out[((t - start) / step) as usize] += c as f64;
+            }
+            return;
+        }
+        let n = interval.buckets_between(start, end);
+        for (i, slot) in out[..n].iter_mut().enumerate() {
+            let from = start + i as i64 * step;
+            let c = self.count_range(from, (from + step).min(end));
+            if c > 0 {
+                *slot += c as f64;
             }
         }
     }
 
-    /// Exports the full record for durable serialization. Both tiers are
-    /// already sorted `(key, count)` pairs, so identical histories export
-    /// to identical state — the basis of byte-stable snapshots.
+    /// Exports the full record for durable serialization: the kept minutes
+    /// as they are, and per hour what its kept minutes do not hold, so
+    /// identical histories export to identical state — the basis of
+    /// byte-stable snapshots.
     pub fn export_state(&self) -> ArrivalHistoryState {
+        let mut minutes = RunCursor::new(&self.minutes);
+        let compacted = self
+            .hours
+            .iter()
+            .map(|&(h, c)| (h, c - minutes.sum(h, h + MINUTES_PER_HOUR)))
+            .filter(|e| e.1 > 0)
+            .collect::<Run>();
         ArrivalHistoryState {
-            raw: self.raw.clone(),
-            compacted: self.compacted.clone(),
-            compacted_width_minutes: self.compacted_width.map(Interval::as_minutes),
+            raw: self.minutes.clone(),
+            compacted_width_minutes: (!compacted.is_empty()).then_some(MINUTES_PER_HOUR),
+            compacted,
             total: self.total,
         }
     }
 
     /// Rebuilds a history from exported state. Inverse of
     /// [`ArrivalHistory::export_state`]: the rebuilt record answers every
-    /// read identically and continues recording/compacting from the same
+    /// read identically and continues recording and compacting from the same
     /// point.
     ///
-    /// The pairs are not trusted to be in the exported order: each tier is
+    /// The pairs are not trusted to be in the exported order: each run is
     /// sorted by minute, and pairs repeating a minute are folded into one
     /// by summing their counts, so `count_range` over everything still
-    /// equals `total` for a state that counted them separately.
+    /// equals `total` for a state that counted them separately. A
+    /// `compacted` pair counts in the hour that holds its minute. A state
+    /// whose first hour is wholly in `compacted` (written before the first
+    /// arrival's pair was kept) takes that hour's start as its first
+    /// arrival.
     pub fn from_state(state: ArrivalHistoryState) -> Self {
-        let raw = normalized(state.raw);
-        let hour_of = |&(t, c): &(Minute, u64)| (Interval::HOUR.bucket_start(t), c);
-        Self {
-            hourly: normalized(raw.iter().map(hour_of).collect()),
-            raw,
-            compacted: normalized(state.compacted),
-            compacted_width: state
-                .compacted_width_minutes
-                .filter(|&m| m > 0)
-                .map(Interval::minutes),
-            total: state.total,
+        let mut minutes = normalized(state.raw);
+        let hours = normalized(
+            state.compacted.iter().chain(&minutes).map(|&(t, c)| (hour_of(t), c)).collect(),
+        );
+        if let Some(&(h, c)) = hours.first() {
+            if minutes.first().is_none_or(|m| hour_of(m.0) != h) {
+                minutes.insert(0, (h, c));
+            }
         }
+        Self { hours, minutes, total: state.total }
     }
 
     /// Arrival counts sampled at specific minutes, aggregated at `interval`
@@ -345,17 +342,18 @@ impl ArrivalHistory {
 
     /// Total arrivals in `[b, b + interval)` for each `b` in `starts`.
     ///
-    /// With `starts` ascending and at least `interval` apart (repeats
-    /// allowed — a start equal to its predecessor copies that value) each
-    /// tier is walked once; any other order gives the same answers at the
-    /// cost of a binary search per start that steps backwards or overlaps
-    /// its predecessor. A bucket that ends at or before the first stored
-    /// minute, or starts after the last, is zero without a look at either
-    /// tier.
+    /// When every start and the width are whole hours, and `starts` is
+    /// ascending and at least `interval` apart (repeats allowed — a start
+    /// equal to its predecessor copies that value), the per-hour run is
+    /// walked once; any other order gives the same answers at the cost of
+    /// a binary search per start that steps backwards or overlaps its
+    /// predecessor, and other starts read [`ArrivalHistory::count_range`].
+    /// A bucket that ends at or before the first arrival, or starts after
+    /// the last, is zero without a look at either run.
     pub fn bucket_counts(&self, starts: &[Minute], interval: Interval) -> Vec<f64> {
         let width = interval.as_minutes();
-        let mut recent = RunCursor::new(self.recent(starts, width));
-        let mut compacted = RunCursor::new(&self.compacted);
+        let hourly = whole_hours(width) && starts.iter().all(|&b| whole_hours(b));
+        let mut hours = RunCursor::new(&self.hours);
         // An empty history stores nothing anywhere: every bucket is "before".
         let first = self.first_seen().unwrap_or(Minute::MAX);
         let last = self.last_seen().unwrap_or(Minute::MIN);
@@ -365,8 +363,10 @@ impl ArrivalHistory {
                 out[i - 1]
             } else if b + width <= first || b > last {
                 0.0
+            } else if hourly {
+                hours.sum(b, b + width) as f64
             } else {
-                (recent.sum(b, b + width) + compacted.sum(b, b + width)) as f64
+                self.count_range(b, b + width) as f64
             };
             out.push(value);
         }
@@ -424,27 +424,37 @@ mod tests {
         assert_eq!(h.dense_series(0, 120, Interval::HOUR), vec![3.0, 4.0]);
     }
 
+    /// Compaction keeps the first arrival's pair and every minute from the
+    /// cutoff hour on, shrinks storage, and leaves totals and every
+    /// whole-hour read as they were.
     #[test]
     fn compaction_preserves_totals_and_hourly_series() {
         let mut h = ArrivalHistory::new();
-        // Two days of arrivals, one per minute.
-        for t in 0..2 * crate::MINUTES_PER_DAY {
+        // Two days of arrivals, one per minute, from minute 7.
+        let span = 2 * crate::MINUTES_PER_DAY;
+        for t in 7..span {
             h.record(t, 1);
         }
-        let before_hourly =
-            h.dense_series(0, 2 * crate::MINUTES_PER_DAY, Interval::HOUR);
-        let policy = CompactionPolicy {
-            raw_retention: crate::MINUTES_PER_DAY,
-            compacted_interval: Interval::HOUR,
-        };
+        let uncompacted = h.clone();
         let entries_before = h.stored_entries();
-        h.compact(&policy);
-        assert!(h.stored_entries() < entries_before, "compaction should shrink storage");
-        assert_eq!(h.total(), 2 * crate::MINUTES_PER_DAY as u64);
-        // Hourly reads are unaffected because the compacted width divides
-        // the read interval.
-        let after_hourly = h.dense_series(0, 2 * crate::MINUTES_PER_DAY, Interval::HOUR);
-        assert_eq!(before_hourly, after_hourly);
+        h.compact(90);
+        assert!(h.stored_entries() < entries_before / 10, "compaction should shrink storage");
+        assert_eq!(h.total(), uncompacted.total());
+        assert_eq!((h.first_seen(), h.last_seen()), (Some(7), Some(span - 1)));
+        for interval in [Interval::HOUR, Interval::TWO_HOURS, Interval::DAY] {
+            let want = uncompacted.dense_series(0, span, interval);
+            assert_eq!(h.dense_series(0, span, interval), want);
+        }
+        // The newest arrival is minute 2 879; its lookback of 90 minutes
+        // reaches into the hour at 2 760, so minutes from there are exact.
+        assert_eq!(h.export_state().raw[..2], [(7, 1), (2_760, 1)]);
+        assert_eq!(h.dense_series(2_760, span, Interval::MINUTE), vec![1.0; 120]);
+        assert_eq!(h.count_range(2_700, 2_761), 61, "hour 2 700 counts at its start");
+        assert_eq!(h.count_range(2_701, 2_761), 1);
+        // The first arrival's hour counts its compacted minutes at the first.
+        assert_eq!(h.count_range(0, 7), 0);
+        assert_eq!(h.count_range(7, 8), 53);
+        assert_eq!(h.count_range(Minute::MIN, Minute::MAX), h.total());
     }
 
     #[test]
@@ -453,56 +463,83 @@ mod tests {
         for t in 0..3000 {
             h.record(t, 2);
         }
-        let policy =
-            CompactionPolicy { raw_retention: 100, compacted_interval: Interval::HOUR };
-        h.compact(&policy);
-        let entries = h.stored_entries();
+        h.compact(100);
+        let state = h.export_state();
         let series = h.dense_series(0, 3000, Interval::HOUR);
-        h.compact(&policy);
-        assert_eq!(h.stored_entries(), entries);
+        h.compact(100);
+        assert_eq!(h.export_state(), state);
         assert_eq!(h.dense_series(0, 3000, Interval::HOUR), series);
+        // A longer lookback cannot bring compacted minutes back.
+        h.compact(1_000);
+        assert_eq!(h.export_state(), state);
     }
 
-    /// Regression: changing the compaction interval mid-stream used to
-    /// panic. Widening must re-bucket existing compacted entries exactly.
+    /// Records keep arriving between compactions: a late record before the
+    /// cutoff lands in its hour and leaves the minutes at the next
+    /// compaction; one before the first arrival becomes the first.
     #[test]
-    fn interval_change_rebuckets_instead_of_panicking() {
+    fn compaction_roundtrip_with_interleaved_records() {
         let mut h = ArrivalHistory::new();
-        for t in 0..3 * crate::MINUTES_PER_DAY {
-            h.record(t, 1);
-        }
-        let daily_before = h.dense_series(0, 3 * crate::MINUTES_PER_DAY, Interval::DAY);
-        let hourly = CompactionPolicy {
-            raw_retention: crate::MINUTES_PER_DAY,
-            compacted_interval: Interval::HOUR,
-        };
-        h.compact(&hourly);
-        // Operator retunes the policy to daily buckets: re-compact instead
-        // of panicking. Hour starts land exactly on enclosing day buckets,
-        // so daily reads are unchanged.
-        let daily = CompactionPolicy {
-            raw_retention: crate::MINUTES_PER_DAY,
-            compacted_interval: Interval::DAY,
-        };
-        h.compact(&daily);
-        assert_eq!(h.total(), 3 * crate::MINUTES_PER_DAY as u64);
-        assert_eq!(h.dense_series(0, 3 * crate::MINUTES_PER_DAY, Interval::DAY), daily_before);
-        // The old hourly buckets collapsed into at most one entry per day.
-        assert!(h.stored_entries() <= crate::MINUTES_PER_DAY as usize + 3);
-    }
-
-    /// Narrowing the interval keeps counts at their (coarse) bucket starts
-    /// — no panic, totals preserved.
-    #[test]
-    fn interval_narrowing_preserves_totals() {
-        let mut h = ArrivalHistory::new();
-        for t in 0..3000 {
+        for t in (100..1_000).step_by(10) {
             h.record(t, 2);
+            h.compact(60);
         }
-        h.compact(&CompactionPolicy { raw_retention: 100, compacted_interval: Interval::DAY });
-        h.compact(&CompactionPolicy { raw_retention: 100, compacted_interval: Interval::HOUR });
-        assert_eq!(h.total(), 6000);
-        assert_eq!(h.count_range(0, 3000), 6000);
+        h.record(305, 4);
+        h.compact(60);
+        assert_eq!(h.count_range(300, 360), 16);
+        assert!(!h.export_state().raw.iter().any(|e| e.0 == 305));
+        h.record(42, 1);
+        h.compact(60);
+        assert_eq!(h.first_seen(), Some(42));
+        assert_eq!(h.export_state().raw[0], (42, 1));
+        assert_eq!(h.count_range(42, 43), 1);
+        assert_eq!(h.count_range(60, 61), 2 * 2, "the old first's hour counts at its start");
+        assert_eq!(h.total(), 90 * 2 + 4 + 1);
+        assert_eq!(h.count_range(0, 1_020), h.total());
+        let hourly = h.dense_series(0, 1_020, Interval::HOUR);
+        assert_eq!(hourly.iter().sum::<f64>(), h.total() as f64);
+    }
+
+    /// A compacted history answers `count_range`, `dense_series` and
+    /// `sample_at` on whole hours (the Clusterer's feature reads) exactly as
+    /// the uncompacted one did, and keeps its exact first arrival.
+    #[test]
+    fn compaction_roundtrips_all_read_paths() {
+        // Deterministic pseudo-random arrivals: bursty, with gaps.
+        let mut h = ArrivalHistory::new();
+        let mut x: u64 = 0x9E37_79B9;
+        let span = 2 * crate::MINUTES_PER_DAY;
+        for t in 0..span {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if x.is_multiple_of(5) {
+                h.record(t, x % 7 + 1);
+            }
+        }
+        let uncompacted = h.clone();
+        h.compact(crate::MINUTES_PER_DAY / 2);
+
+        assert_eq!(h.total(), uncompacted.total());
+        assert_eq!(h.first_seen(), uncompacted.first_seen());
+        assert_eq!(h.last_seen(), uncompacted.last_seen());
+        for start_h in (0..span).step_by(60 * 7) {
+            let start = Interval::HOUR.bucket_start(start_h);
+            assert_eq!(h.count_range(start, span), uncompacted.count_range(start, span));
+        }
+        for interval in [Interval::HOUR, Interval::DAY] {
+            let want = uncompacted.dense_series(0, span, interval);
+            assert_eq!(h.dense_series(0, span, interval), want);
+        }
+        let sample_points: Vec<Minute> = (0..span).step_by(97).collect();
+        assert_eq!(
+            h.sample_at(&sample_points, Interval::HOUR),
+            uncompacted.sample_at(&sample_points, Interval::HOUR)
+        );
+        // Inside the lookback, minute-grain reads are exact too.
+        let recent = span - crate::MINUTES_PER_DAY / 2;
+        assert_eq!(
+            h.dense_series(recent, span, Interval::minutes(7)),
+            uncompacted.dense_series(recent, span, Interval::minutes(7))
+        );
     }
 
     #[test]
@@ -521,70 +558,18 @@ mod tests {
     fn empty_history_dense_series_is_zero() {
         let h = ArrivalHistory::new();
         assert_eq!(h.dense_series(0, 120, Interval::HOUR), vec![0.0, 0.0]);
-    }
-
-    /// Round-trip through every hourly-or-coarser read path: a compacted
-    /// history must answer `count_range`, `dense_series`, and `sample_at`
-    /// (the Clusterer's feature reads) exactly as the uncompacted one did.
-    #[test]
-    fn compaction_roundtrips_all_read_paths() {
-        // Deterministic pseudo-random arrivals: bursty, with gaps.
-        let mut h = ArrivalHistory::new();
-        let mut x: u64 = 0x9E37_79B9;
-        let span = 2 * crate::MINUTES_PER_DAY;
-        for t in 0..span {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if x.is_multiple_of(5) {
-                h.record(t, x % 7 + 1);
-            }
-        }
-        let uncompacted = h.clone();
-        h.compact(&CompactionPolicy {
-            raw_retention: crate::MINUTES_PER_DAY / 2,
-            compacted_interval: Interval::HOUR,
-        });
-
-        assert_eq!(h.total(), uncompacted.total());
-        // A compacted first arrival is attributed to its bucket start, so
-        // `first_seen` is preserved at bucket granularity only.
-        assert_eq!(
-            h.first_seen().map(|t| Interval::HOUR.bucket_start(t)),
-            uncompacted.first_seen().map(|t| Interval::HOUR.bucket_start(t))
-        );
-        // Hour-aligned range counts are exact (sub-bucket resolution is
-        // only lost *within* a compacted bucket).
-        for start_h in (0..span).step_by(60 * 7) {
-            let start = Interval::HOUR.bucket_start(start_h);
-            assert_eq!(
-                h.count_range(start, span),
-                uncompacted.count_range(start, span),
-                "count_range from {start}"
-            );
-        }
-        assert_eq!(
-            h.dense_series(0, span, Interval::HOUR),
-            uncompacted.dense_series(0, span, Interval::HOUR)
-        );
-        assert_eq!(
-            h.dense_series(0, span, Interval::DAY),
-            uncompacted.dense_series(0, span, Interval::DAY)
-        );
-        let sample_points: Vec<Minute> = (0..span).step_by(97).collect();
-        assert_eq!(
-            h.sample_at(&sample_points, Interval::HOUR),
-            uncompacted.sample_at(&sample_points, Interval::HOUR)
-        );
+        assert_eq!(h.dense_series(0, 20, Interval::TEN_MINUTES), vec![0.0, 0.0]);
     }
 
     /// Export → rebuild must be invisible to every read path and to
-    /// further writes (the durable-snapshot contract).
+    /// further writes and compactions (the durable-snapshot contract).
     #[test]
     fn state_round_trip_is_exact() {
         let mut h = ArrivalHistory::new();
         for t in 0..3000 {
             h.record(t, (t as u64 % 5) + 1);
         }
-        h.compact(&CompactionPolicy { raw_retention: 500, compacted_interval: Interval::HOUR });
+        h.compact(500);
         let mut rebuilt = ArrivalHistory::from_state(h.export_state());
         assert_eq!(rebuilt.total(), h.total());
         assert_eq!(rebuilt.stored_entries(), h.stored_entries());
@@ -597,9 +582,8 @@ mod tests {
         // Writes and compactions continue identically after the rebuild.
         h.record(3100, 9);
         rebuilt.record(3100, 9);
-        let policy = CompactionPolicy { raw_retention: 400, compacted_interval: Interval::HOUR };
-        h.compact(&policy);
-        rebuilt.compact(&policy);
+        h.compact(400);
+        rebuilt.compact(400);
         assert_eq!(rebuilt.export_state(), h.export_state());
         // An empty history round-trips too.
         let empty = ArrivalHistory::from_state(ArrivalHistory::new().export_state());
@@ -609,67 +593,34 @@ mod tests {
 
     /// `from_state` must not trust its input's order: shuffled pairs are
     /// sorted, and pairs repeating a minute fold into one by summing, so
-    /// range counts keep agreeing with `total`.
+    /// range counts keep agreeing with `total`. A state whose first hour
+    /// lies wholly in `compacted` starts at that hour.
     #[test]
     fn from_state_sorts_and_folds_duplicates() {
-        let mut h = ArrivalHistory::new();
-        for (t, c) in [(5, 2), (9, 1), (200, 4), (260, 3), (400, 8)] {
-            h.record(t, c);
-        }
-        h.compact(&CompactionPolicy { raw_retention: 150, compacted_interval: Interval::HOUR });
-        let clean = h.export_state();
-        assert_eq!((clean.raw.len(), clean.compacted.len()), (2, 2));
-
-        // Reverse both tiers and split one pair of each into two.
-        let mut messy = clean.clone();
-        messy.raw = vec![(400, 5), (260, 3), (400, 3)];
-        messy.compacted = vec![(180, 1), (0, 3), (180, 3)];
+        let messy = ArrivalHistoryState {
+            raw: vec![(400, 5), (260, 3), (400, 3)],
+            compacted: vec![(180, 1), (0, 3), (180, 3)],
+            compacted_width_minutes: Some(1_440),
+            total: 18,
+        };
         let rebuilt = ArrivalHistory::from_state(messy);
-        assert_eq!(rebuilt.export_state(), clean);
+        assert_eq!(
+            rebuilt.export_state(),
+            ArrivalHistoryState {
+                raw: vec![(0, 3), (260, 3), (400, 8)],
+                compacted: vec![(180, 4)],
+                compacted_width_minutes: Some(60),
+                total: 18,
+            }
+        );
         assert_eq!(rebuilt.count_range(Minute::MIN, Minute::MAX), rebuilt.total());
         assert_eq!(rebuilt.first_seen(), Some(0));
         assert_eq!(rebuilt.last_seen(), Some(400));
         assert_eq!(rebuilt.sample_at(&[190, 410], Interval::HOUR), vec![4.0, 8.0]);
     }
 
-    /// Hour-aligned reads recomputed from one-minute-step reads, which the
-    /// hourly roll-up cannot serve.
-    fn hours_from_minutes(h: &ArrivalHistory, start: Minute, end: Minute) -> Vec<f64> {
-        h.dense_series(start, end, Interval::MINUTE).chunks(60).map(|c| c.iter().sum()).collect()
-    }
-
-    /// The roll-up follows `raw` through everything that changes it: a late
-    /// record into a closed hour, a compaction whose cutoff falls inside an
-    /// hour, a rebuild from exported state — and is no part of that state.
-    #[test]
-    fn hourly_rollup_tracks_raw_through_late_records_compaction_and_rebuild() {
-        let mut h = ArrivalHistory::new();
-        for t in (-90..400).step_by(7) {
-            h.record(t, 2);
-        }
-        h.record(-75, 5); // late, two closed hours back, at a negative minute
-        h.record(61, 1); // late, at a minute not stored yet
-        let check = |h: &ArrivalHistory| {
-            assert_eq!(h.dense_series(-120, 420, Interval::HOUR), hours_from_minutes(h, -120, 420));
-            assert_eq!(h.count_range(-60, 360), h.count_range(-60, 359) + h.count_range(359, 360));
-            let starts: Vec<Minute> = (-180..480).step_by(60).collect();
-            assert_eq!(h.bucket_counts(&starts, Interval::HOUR), h.dense_series(-180, 480, Interval::HOUR));
-        };
-        check(&h);
-        // Newest record is minute 393: the cutoff, 158, is 38 minutes into
-        // the hour starting at 120.
-        h.compact(&CompactionPolicy { raw_retention: 235, compacted_interval: Interval::HOUR });
-        assert_eq!(h.export_state().raw.first().map(|e| e.0), Some(162));
-        check(&h);
-        let rebuilt = ArrivalHistory::from_state(h.export_state());
-        check(&rebuilt);
-        assert_eq!(rebuilt.dense_series(-120, 420, Interval::HOUR), h.dense_series(-120, 420, Interval::HOUR));
-        assert_eq!(rebuilt.export_state(), h.export_state());
-        assert_eq!(h.stored_entries(), h.export_state().raw.len() + h.export_state().compacted.len());
-    }
-
     /// `bucket_counts` answers buckets that end at or before the first
-    /// stored minute, or start after the last, without reading a tier: the
+    /// stored minute, or start after the last, without reading a run: the
     /// buckets that touch those minutes by one must still count them.
     #[test]
     fn bucket_counts_outside_the_stored_span_are_zero_and_the_edges_are_not() {
@@ -685,6 +636,44 @@ mod tests {
             vec![0.0, 4.0, 4.0, 0.0, 9.0, 9.0, 0.0]
         );
         assert_eq!(ArrivalHistory::new().bucket_counts(&[0, 60], Interval::HOUR), vec![0.0, 0.0]);
+    }
+
+    /// Hour-aligned reads recomputed from one-minute-step reads.
+    fn hours_from_minutes(h: &ArrivalHistory, start: Minute, end: Minute) -> Vec<f64> {
+        h.dense_series(start, end, Interval::MINUTE).chunks(60).map(|c| c.iter().sum()).collect()
+    }
+
+    /// The per-hour run follows every record through everything that
+    /// changes the minutes: a late record into a closed hour, a compaction
+    /// whose lookback ends inside an hour, a rebuild from exported state.
+    /// A minute-grain read, summed per hour, is the hour read everywhere.
+    #[test]
+    fn hourly_rollup_tracks_raw_through_late_records_compaction_and_rebuild() {
+        let mut h = ArrivalHistory::new();
+        for t in (-90..400).step_by(7) {
+            h.record(t, 2);
+        }
+        h.record(-75, 5); // late, two closed hours back, at a negative minute
+        h.record(61, 1); // late, at a minute not stored yet
+        let check = |h: &ArrivalHistory| {
+            assert_eq!(h.dense_series(-120, 420, Interval::HOUR), hours_from_minutes(h, -120, 420));
+            assert_eq!(h.count_range(-60, 360), h.count_range(-60, 359) + h.count_range(359, 360));
+            let starts: Vec<Minute> = (-180..480).step_by(60).collect();
+            let hourly = h.dense_series(-180, 480, Interval::HOUR);
+            assert_eq!(h.bucket_counts(&starts, Interval::HOUR), hourly);
+        };
+        check(&h);
+        let hourly = h.dense_series(-120, 420, Interval::HOUR);
+        // Newest record is minute 393: 235 minutes back is minute 158, in
+        // the hour starting at 120.
+        h.compact(235);
+        assert_eq!(h.export_state().raw[..2], [(-90, 2), (120, 2)]);
+        assert_eq!(h.dense_series(-120, 420, Interval::HOUR), hourly);
+        check(&h);
+        let rebuilt = ArrivalHistory::from_state(h.export_state());
+        check(&rebuilt);
+        assert_eq!(rebuilt.export_state(), h.export_state());
+        assert_eq!(h.stored_entries(), 9 + h.export_state().raw.len());
     }
 
     /// The exactness contract of the hourly read path, at its bound: below
@@ -709,26 +698,5 @@ mod tests {
         assert_eq!(hours_from_minutes(&over, 0, 60), vec![BOUND as f64]);
         assert_eq!(over.dense_series(0, 60, Interval::HOUR), vec![(BOUND + 2) as f64]);
         assert_eq!(over.count_range(0, 60), BOUND + 2);
-    }
-
-    /// A second compaction with an *older* newest-record does not resurrect
-    /// or double-count anything (records keep arriving between compactions).
-    #[test]
-    fn compaction_roundtrip_with_interleaved_records() {
-        let mut h = ArrivalHistory::new();
-        for t in 0..2000 {
-            h.record(t, 1);
-        }
-        let policy = CompactionPolicy { raw_retention: 500, compacted_interval: Interval::HOUR };
-        h.compact(&policy);
-        for t in 2000..4000 {
-            h.record(t, 1);
-        }
-        h.compact(&policy);
-        assert_eq!(h.total(), 4000);
-        assert_eq!(h.count_range(0, 4000), 4000);
-        let hourly = h.dense_series(0, 4020, Interval::HOUR);
-        assert_eq!(hourly.iter().sum::<f64>(), 4000.0);
-        assert!(hourly.iter().all(|&v| v <= 60.0), "no bucket can exceed one arrival/minute");
     }
 }

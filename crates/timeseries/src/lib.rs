@@ -3,8 +3,8 @@
 //! Arrival-rate time-series infrastructure shared by the QB5000 components:
 //!
 //! * [`ArrivalHistory`] — the per-template arrival-rate record the
-//!   Pre-Processor maintains (§4): per-minute counts with tiered compaction
-//!   of stale intervals into coarser buckets to bound storage.
+//!   Pre-Processor maintains (§4): per-hour counts over the whole history
+//!   and per-minute counts only as far back as a reader looks.
 //! * [`Interval`] — prediction/recording interval arithmetic (§6.2). The
 //!   base recording granularity is one minute, the finest prediction level
 //!   QB5000 offers.
@@ -20,7 +20,7 @@
 pub mod history;
 pub mod metrics;
 
-pub use history::{ArrivalHistory, ArrivalHistoryState, CompactionPolicy};
+pub use history::{ArrivalHistory, ArrivalHistoryState};
 pub use metrics::{expm1_series, log1p_series, mse, mse_log_space};
 
 /// Whole minutes since the simulation epoch.

@@ -4,22 +4,19 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use qb_timeseries::{
-    expm1_series, log1p_series, mse_log_space, ArrivalHistory, ArrivalHistoryState,
-    CompactionPolicy, Interval, Minute,
+    expm1_series, log1p_series, mse_log_space, ArrivalHistory, Interval, Minute,
 };
 
 fn records() -> impl Strategy<Value = Vec<(i64, u64)>> {
     proptest::collection::vec((0i64..50_000, 1u64..100), 0..200)
 }
 
-/// The storage oracle: an arrival history over two ordered maps, written
-/// for obviousness — every read is a map range scan, `sample_at` is one
-/// range count per sample point.
+/// The storage oracle: an arrival history over one ordered map that never
+/// compacts, written for obviousness — every read is a map range scan,
+/// `sample_at` is one range count per sample point.
 #[derive(Default)]
 struct MapHistory {
     raw: BTreeMap<Minute, u64>,
-    compacted: BTreeMap<Minute, u64>,
-    width: Option<Interval>,
     total: u64,
 }
 
@@ -31,32 +28,19 @@ impl MapHistory {
         }
     }
 
-    fn compact(&mut self, policy: &CompactionPolicy) {
-        let bucket = |t| policy.compacted_interval.bucket_start(t);
-        if self.width.is_some_and(|w| w != policy.compacted_interval) {
-            for (t, c) in std::mem::take(&mut self.compacted) {
-                *self.compacted.entry(bucket(t)).or_insert(0) += c;
-            }
-        }
-        let Some(&newest) = self.raw.keys().next_back() else { return };
-        self.width = Some(policy.compacted_interval);
-        let keep = self.raw.split_off(&(newest - policy.raw_retention));
-        for (t, c) in std::mem::replace(&mut self.raw, keep) {
-            *self.compacted.entry(bucket(t)).or_insert(0) += c;
-        }
-    }
-
     fn first_seen(&self) -> Option<Minute> {
-        self.raw.keys().chain(self.compacted.keys()).min().copied()
+        self.raw.keys().next().copied()
     }
 
     fn last_seen(&self) -> Option<Minute> {
-        self.raw.keys().chain(self.compacted.keys()).max().copied()
+        self.raw.keys().next_back().copied()
     }
 
     fn count_range(&self, start: Minute, end: Minute) -> u64 {
-        let tier = |m: &BTreeMap<Minute, u64>| m.range(start..end).map(|(_, c)| *c).sum::<u64>();
-        tier(&self.raw) + tier(&self.compacted)
+        if end <= start {
+            return 0;
+        }
+        self.raw.range(start..end).map(|(_, c)| *c).sum()
     }
 
     fn dense_series(&self, start: Minute, end: Minute, interval: Interval) -> Vec<f64> {
@@ -78,15 +62,6 @@ impl MapHistory {
             })
             .collect()
     }
-
-    fn export_state(&self) -> ArrivalHistoryState {
-        ArrivalHistoryState {
-            raw: self.raw.iter().map(|(&t, &c)| (t, c)).collect(),
-            compacted: self.compacted.iter().map(|(&t, &c)| (t, c)).collect(),
-            compacted_width_minutes: self.width.map(Interval::as_minutes),
-            total: self.total,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -95,20 +70,19 @@ enum Op {
     InOrder { ahead: i64, count: u64 },
     /// A record `back` minutes before the newest one.
     Late { back: i64, count: u64 },
-    Compact { retention: i64, width: i64 },
+    /// `compact(lookback)`.
+    Compact { lookback: i64 },
     /// `export_state` → `from_state`.
     RoundTrip,
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let count = || 0u64..50;
-    // Widths that both widen and narrow across consecutive compactions.
-    let width = prop_oneof![Just(30i64), Just(60), Just(120), Just(1440)];
     let op = prop_oneof![
         (0i64..4, count()).prop_map(|(ahead, count)| Op::InOrder { ahead, count }),
         (0i64..90, count()).prop_map(|(ahead, count)| Op::InOrder { ahead, count }),
         (1i64..5_000, count()).prop_map(|(back, count)| Op::Late { back, count }),
-        (10i64..3_000, width).prop_map(|(retention, width)| Op::Compact { retention, width }),
+        (0i64..3_000).prop_map(|lookback| Op::Compact { lookback }),
         Just(Op::RoundTrip),
     ];
     proptest::collection::vec(op, 1..80)
@@ -118,15 +92,22 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+fn hour(t: Minute) -> Minute {
+    Interval::HOUR.bucket_start(t)
+}
+
 /// Every read of `h` that has a range, over windows that cut through the
-/// stored minutes, with both ends on the hour (the reads the hourly roll-up
-/// answers) and with either end one minute off it (the reads it must not).
+/// stored minutes: with both ends on the hour at hour-multiple intervals
+/// (the reads the per-hour run answers) everywhere, and with either end or
+/// the interval off the hour from `exact_from` on, where compaction has
+/// kept every minute. Anywhere, a half-hour read summed per hour is the
+/// hour read.
 fn check_range_reads(
     h: &ArrivalHistory,
     oracle: &MapHistory,
     newest: Minute,
+    exact_from: Minute,
 ) -> Result<(), TestCaseError> {
-    let hour = |t| Interval::HOUR.bucket_start(t);
     let oldest = oracle.first_seen().unwrap_or(newest);
     let windows = [
         (hour(oldest) - 120, hour(newest) + 120),
@@ -134,27 +115,61 @@ fn check_range_reads(
         (hour(oldest) + 60, hour(newest) - 60),
         (hour(newest) - 60, hour(newest) + 60),
     ];
-    for (from, to) in windows {
-        for (d_start, d_end) in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1)] {
-            let (start, end) = (from + d_start, (to + d_end).max(from + d_start));
+    for (start, end) in windows {
+        let end = end.max(start);
+        let want = oracle.count_range(start, end);
+        prop_assert_eq!(h.count_range(start, end), want, "count_range({}, {})", start, end);
+        for interval in [Interval::HOUR, Interval::TWO_HOURS, Interval::DAY] {
+            let want = oracle.dense_series(start, end, interval);
             prop_assert_eq!(
-                h.count_range(start, end),
-                oracle.count_range(start, end),
-                "count_range({}, {})", start, end
+                bits(&h.dense_series(start, end, interval)),
+                bits(&want),
+                "dense_series({}, {}, {:?})", start, end, interval
             );
-            for interval in [Interval::HOUR, Interval::TWO_HOURS, Interval::DAY] {
+            // Onto a buffer that already holds other members' counts.
+            let mut got = vec![3.0; want.len()];
+            h.add_dense_series(start, end, interval, &mut got);
+            let want: Vec<f64> = want.iter().map(|v| 3.0 + v).collect();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+        // Sampled feature buckets: whole hours, ascending, some repeated.
+        let starts: Vec<Minute> = (start..end).step_by(60).flat_map(|b| [b, b]).collect();
+        for width in [60, 120, 1440] {
+            let want: Vec<f64> =
+                starts.iter().map(|&b| oracle.count_range(b, b + width) as f64).collect();
+            let got = h.bucket_counts(&starts, Interval::minutes(width));
+            prop_assert_eq!(bits(&got), bits(&want), "bucket_counts at width {}", width);
+        }
+        let halves = h.dense_series(start, end, Interval::THIRTY_MINUTES);
+        let summed: Vec<f64> = halves.chunks(2).map(|c| c.iter().sum()).collect();
+        prop_assert_eq!(bits(&summed), bits(&h.dense_series(start, end, Interval::HOUR)));
+    }
+    let recent = [exact_from.max(hour(newest) - 120), exact_from.max(newest - 61), newest];
+    for from in recent {
+        for (d_start, d_end) in [(0, 0), (1, 0), (7, 2), (0, 1), (13, -1)] {
+            let (start, end) = (from + d_start, (newest + 2 + d_end).max(from + d_start));
+            let want = oracle.count_range(start, end);
+            prop_assert_eq!(h.count_range(start, end), want, "count_range({}, {})", start, end);
+            let intervals =
+                [Interval::MINUTE, Interval::minutes(7), Interval::HOUR, Interval::minutes(90)];
+            for interval in intervals {
                 let want = oracle.dense_series(start, end, interval);
                 prop_assert_eq!(
                     bits(&h.dense_series(start, end, interval)),
                     bits(&want),
                     "dense_series({}, {}, {:?})", start, end, interval
                 );
-                // Onto a buffer that already holds other members' counts.
                 let mut got = vec![3.0; want.len()];
                 h.add_dense_series(start, end, interval, &mut got);
                 let want: Vec<f64> = want.iter().map(|v| 3.0 + v).collect();
                 prop_assert_eq!(bits(&got), bits(&want));
             }
+            // Overlapping sub-hour buckets.
+            let starts: Vec<Minute> = (start..end).step_by(7).collect();
+            let want: Vec<f64> =
+                starts.iter().map(|&b| oracle.count_range(b, b + 13) as f64).collect();
+            let got = h.bucket_counts(&starts, Interval::minutes(13));
+            prop_assert_eq!(bits(&got), bits(&want), "bucket_counts from {}", start);
         }
     }
     Ok(())
@@ -163,12 +178,15 @@ fn check_range_reads(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Model-based differential: any sequence of in-order, late and
-    /// same-minute records (late ones landing in hours long closed, some at
-    /// negative minutes), compactions under changing policies whose cutoff
-    /// falls anywhere inside an hour, and state round-trips leaves the run
-    /// storage — the derived hourly roll-up included — answering every read
-    /// exactly as the map oracle does, on the hour and one minute off it.
+    /// Model-based differential against a history that never compacts:
+    /// after any sequence of in-order, late and same-minute records (late
+    /// ones landing in hours long closed, some at negative minutes, some
+    /// before the first arrival), compactions under lookbacks that rise and
+    /// fall and end anywhere inside an hour, and state round-trips, every
+    /// whole-hour read (`count_range`, `dense_series`, `add_dense_series`,
+    /// `bucket_counts`), `first_seen`, `last_seen` and `total` are exactly
+    /// the model's, and every read at minute grain is too wherever the
+    /// compactions so far have kept the minutes.
     #[test]
     fn run_storage_matches_map_oracle(
         ops in ops(),
@@ -179,6 +197,8 @@ proptest! {
         let mut h = ArrivalHistory::new();
         let mut oracle = MapHistory::default();
         let mut newest: Minute = origin;
+        // Minutes at or after this have never been compacted.
+        let mut exact_from = Minute::MIN;
         for op in ops {
             match op {
                 Op::InOrder { ahead, count } => {
@@ -190,13 +210,15 @@ proptest! {
                     h.record(newest - back, count);
                     oracle.record(newest - back, count);
                 }
-                Op::Compact { retention, width } => {
-                    let policy = CompactionPolicy {
-                        raw_retention: retention,
-                        compacted_interval: Interval::minutes(width),
-                    };
-                    h.compact(&policy);
-                    oracle.compact(&policy);
+                Op::Compact { lookback } => {
+                    h.compact(lookback);
+                    if let Some(last) = oracle.last_seen() {
+                        let cutoff = hour(last - lookback);
+                        let raw = h.export_state().raw;
+                        let stale = raw.iter().skip(1).any(|e| e.0 < cutoff);
+                        prop_assert!(!stale, "a stale minute is left");
+                        exact_from = exact_from.max(cutoff);
+                    }
                 }
                 Op::RoundTrip => {
                     let state = h.export_state();
@@ -205,31 +227,26 @@ proptest! {
                 }
             }
 
-            let want = oracle.export_state();
-            prop_assert_eq!(h.export_state(), want.clone());
             prop_assert_eq!(h.first_seen(), oracle.first_seen());
             prop_assert_eq!(h.last_seen(), oracle.last_seen());
-            prop_assert_eq!(h.stored_entries(), want.raw.len() + want.compacted.len());
             prop_assert_eq!(h.total(), oracle.total);
             prop_assert_eq!(h.count_range(Minute::MIN, Minute::MAX), oracle.total);
-            for (start, end) in [(newest - 700, newest - 3), (newest, newest + 1), (0, 9_000), (5, 5)] {
-                prop_assert_eq!(h.count_range(start, end), oracle.count_range(start, end));
+            if let Some(first) = oracle.first_seen() {
+                prop_assert_eq!(h.count_range(Minute::MIN, first), 0, "arrivals before the first");
             }
-            for (start, interval) in [(-120, Interval::HOUR), (7, Interval::minutes(13))] {
-                let end = (newest + 2).max(start);
-                prop_assert_eq!(
-                    bits(&h.dense_series(start, end, interval)),
-                    bits(&oracle.dense_series(start, end, interval))
-                );
-            }
-            check_range_reads(&h, &oracle, newest)?;
+            let state = h.export_state();
+            let kept_first = state.raw.first().map(|e| e.0);
+            prop_assert_eq!(kept_first, oracle.first_seen(), "the first minute is kept");
+            check_range_reads(&h, &oracle, newest, exact_from)?;
         }
 
         // Sample points: random ones (sparse enough to leave empty buckets
         // between them), several inside the newest record's bucket — which
         // that record straddles — one past it, and the buckets that just
-        // touch and just miss the first and last stored pairs.
+        // touch and just miss the first and last stored pairs. Whole-hour
+        // buckets are compared everywhere, others where minutes are kept.
         let interval = Interval::minutes(sample_width);
+        let hourly = sample_width % 60 == 0;
         let first = oracle.first_seen().unwrap_or(newest);
         let last = oracle.last_seen().unwrap_or(newest);
         let mut unsorted = points;
@@ -242,26 +259,33 @@ proptest! {
             sorted.iter().map(|t| t - (sorted[sorted.len() - 1] - first) - 2 * sample_width).collect();
         let after_last: Vec<Minute> =
             sorted.iter().map(|t| t - sorted[0] + last + sample_width).collect();
+        let kept = |ts: &[Minute]| -> Vec<Minute> {
+            let exact = |t| hourly || interval.bucket_start(t) >= exact_from;
+            ts.iter().copied().filter(|&t| exact(t)).collect()
+        };
         for timestamps in [&sorted, &unsorted, &before_first, &after_last] {
+            let timestamps = kept(timestamps);
             prop_assert_eq!(
-                bits(&h.sample_at(timestamps, interval)),
-                bits(&oracle.sample_at(timestamps, interval))
+                bits(&h.sample_at(&timestamps, interval)),
+                bits(&oracle.sample_at(&timestamps, interval))
             );
             // Taken as bucket starts, the same points are unaligned, so
             // neighbouring buckets overlap; floored to the hour they are
             // aligned and (for widths past an hour) still overlap.
-            let hours: Vec<Minute> =
-                timestamps.iter().map(|&t| Interval::HOUR.bucket_start(t)).collect();
-            for starts in [timestamps, &hours] {
+            let hours: Vec<Minute> = timestamps.iter().map(|&t| hour(t)).collect();
+            for starts in [&timestamps, &hours] {
+                let exact = |b: Minute| (hourly && b % 60 == 0) || b >= exact_from;
+                let starts: Vec<Minute> = starts.iter().copied().filter(|&b| exact(b)).collect();
                 let want: Vec<f64> = starts
                     .iter()
                     .map(|&b| oracle.count_range(b, b + sample_width) as f64)
                     .collect();
-                prop_assert_eq!(bits(&h.bucket_counts(starts, interval)), bits(&want));
+                prop_assert_eq!(bits(&h.bucket_counts(&starts, interval)), bits(&want));
             }
         }
         for empty in [&before_first, &after_last] {
             prop_assert!(oracle.sample_at(empty, interval).iter().all(|&v| v == 0.0));
+            prop_assert!(h.sample_at(empty, interval).iter().all(|&v| v == 0.0));
         }
     }
 }
@@ -281,8 +305,7 @@ proptest! {
         prop_assert_eq!(h.total(), expected);
         prop_assert_eq!(h.count_range(0, 50_000), expected);
 
-        let policy = CompactionPolicy { raw_retention: retention, compacted_interval: Interval::HOUR };
-        h.compact(&policy);
+        h.compact(retention);
         prop_assert_eq!(h.total(), expected);
         prop_assert_eq!(h.count_range(0, 50_000), expected);
 
@@ -304,8 +327,7 @@ proptest! {
         prop_assert!((total - h.count_range(0, 50_000) as f64).abs() < 1e-6);
     }
 
-    /// Compaction never loses first/last-seen ordering information beyond
-    /// bucket granularity.
+    /// Compaction keeps the exact first and last arrival minutes.
     #[test]
     fn compaction_preserves_bounds(recs in records()) {
         prop_assume!(!recs.is_empty());
@@ -315,13 +337,9 @@ proptest! {
         }
         let first = h.first_seen().expect("non-empty");
         let last = h.last_seen().expect("non-empty");
-        let policy = CompactionPolicy { raw_retention: 60, compacted_interval: Interval::HOUR };
-        h.compact(&policy);
-        let f2 = h.first_seen().expect("still non-empty");
-        let l2 = h.last_seen().expect("still non-empty");
-        // Bucket starts may round down by at most an hour.
-        prop_assert!(f2 <= first && first - f2 < 60);
-        prop_assert!(l2 <= last && last - l2 < 60);
+        h.compact(60);
+        prop_assert_eq!(h.first_seen(), Some(first));
+        prop_assert_eq!(h.last_seen(), Some(last));
     }
 
     /// Interval bucket arithmetic: every timestamp lands in exactly the

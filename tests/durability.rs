@@ -23,10 +23,13 @@
 //! * **Cross-version recovery** — a store directory written by a
 //!   `STATE_VERSION` 6 build (`crates/testkit/fixtures/v6_store`) recovers
 //!   to the pinned pipeline and manager state and prediction bits and to
-//!   exactly the state the same script reaches now, and re-snapshots as
+//!   the state the same script reaches now (its histories at hour grain,
+//!   where the old store compacted first arrivals), and re-snapshots as
 //!   version 7; versions other than 6 and 7 are refused.
+//! * **First arrivals** — a template's first arrival minute survives
+//!   compaction, a snapshot and a WAL replay.
 //! * **Snapshot size** — the snapshot of three BusTracker days stays at or
-//!   under 49 700 bytes.
+//!   under 44 300 bytes.
 
 use proptest::prelude::*;
 use qb5000::durable::{
@@ -35,7 +38,7 @@ use qb5000::durable::{
     encode_wal_record, FullState, WalRecord,
 };
 use qb5000::{
-    Dec, DurabilityConfig, DurablePipeline, Enc, ForecastManager, HorizonSpec,
+    Dec, DurabilityConfig, DurablePipeline, Enc, ForecastManager, HorizonSpec, PipelineState,
     Qb5000Config, QueryBot5000, Tracer,
 };
 use qb_forecast::LinearRegression;
@@ -45,7 +48,7 @@ use qb_testkit::crash::{
     derived, hook_from_label, materialize_ops, reference_run, run_crash_matrix, run_with_crash,
     CrashCase, DurableOp, MatrixRun,
 };
-use qb_timeseries::{ArrivalHistoryState, MINUTES_PER_DAY};
+use qb_timeseries::{ArrivalHistory, ArrivalHistoryState, Interval, MINUTES_PER_DAY};
 use qb_workloads::{StorageFaultKind, StorageFaultPlan, Workload};
 
 use std::path::PathBuf;
@@ -387,17 +390,103 @@ fn quarantine_accounting_survives_crash_restart() {
     }
 }
 
+/// Templates that first arrive mid-hour keep that minute while the
+/// minutes after it compact into their hours: through a snapshot, a drop
+/// and a WAL replay, and one more round after the recovery, the derived
+/// values, every feature's `valid_from` and the whole state equal the
+/// uncrashed run's. A recovery that kept only the first arrival's hour
+/// would move at least one `valid_from`.
+#[test]
+fn recovery_keeps_each_templates_first_arrival_minute() {
+    const TEMPLATES: i64 = 16;
+    const HOURS: i64 = 30;
+    const SNAPSHOT_HOUR: i64 = 20;
+    const CRASH_HOUR: i64 = 26;
+    let sql: Vec<String> =
+        (0..TEMPLATES).map(|k| format!("SELECT v{k} FROM first_{k} WHERE id = 1")).collect();
+    // Template k first arrives in hour k, 13 + 2k minutes in, then every
+    // ten minutes on the ten.
+    let first = |k: i64| k * 60 + 13 + 2 * k;
+    let hour = |p: &mut DurablePipeline, h: i64| {
+        let items: Vec<BatchItem<'_>> = (h * 60..h * 60 + 60)
+            .flat_map(|t| (0..TEMPLATES).map(move |k| (t, k)))
+            .filter(|&(t, k)| t == first(k) || (t > first(k) && t % 10 == 0))
+            .map(|(minute, k)| BatchItem { minute, sql: &sql[k as usize], count: 1 + k as u64 % 3 })
+            .collect();
+        p.ingest_batch(&items).expect("hour batch");
+        if h % 6 == 5 {
+            p.update_clusters(h * 60 + 60).expect("round");
+        }
+    };
+    let end = HOURS * 60 + 60;
+    let finish = |p: &mut DurablePipeline| {
+        p.update_clusters(end).expect("round after recovery");
+        let state = p.bot().export_state();
+        let templates = &state.clusterer.templates;
+        let masks: Vec<usize> = templates.iter().map(|t| t.feature.valid_from).collect();
+        (derived(p.bot()), masks, state)
+    };
+
+    let dir = tmp_dir("first-minute-reference");
+    let (mut reference, _) = DurablePipeline::open(plain_durable_config(&dir)).expect("fresh open");
+    (0..HOURS).for_each(|h| hour(&mut reference, h));
+    let want = finish(&mut reference);
+    drop(reference);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmp_dir("first-minute-crash");
+    let (mut p, _) = DurablePipeline::open(plain_durable_config(&dir)).expect("fresh open");
+    for h in 0..CRASH_HOUR {
+        hour(&mut p, h);
+        if h == SNAPSHOT_HOUR {
+            p.snapshot().expect("snapshot");
+        }
+    }
+    drop(p);
+    let (mut p, report) = DurablePipeline::open(plain_durable_config(&dir)).expect("recovers");
+    assert!(report.snapshot_seq.is_some() && report.frames_replayed > 0, "{report:?}");
+    for k in 0..TEMPLATES {
+        let id = qb_preprocessor::TemplateId(k as u32);
+        let history = &p.bot().preprocessor().template(id).history;
+        assert_eq!(history.first_seen(), Some(first(k)), "template {k}'s first minute");
+        let kept = history.export_state().raw;
+        let compacted = kept.len() > 1 && kept[1].0 >= first(k) + 120;
+        assert!(compacted, "template {k}'s next minutes compacted");
+    }
+    (CRASH_HOUR..HOURS).for_each(|h| hour(&mut p, h));
+    let got = finish(&mut p);
+    drop(p);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(got.0, want.0, "derived values after recovery");
+    assert_eq!(got.1, want.1, "valid_from after recovery");
+    assert_eq!(got.2, want.2, "state after recovery");
+
+    // The same features with each first arrival floored to its hour.
+    let sampler = qb_clusterer::FeatureSampler::random(
+        end,
+        qb5000::FEATURE_WINDOW,
+        qb5000::FEATURE_POINTS,
+        qb5000::FEATURE_INTERVAL,
+        qb5000::FEATURE_SEED ^ (end as u64).rotate_left(17),
+    );
+    let floored: Vec<usize> = (0..TEMPLATES)
+        .map(|k| sampler.timestamps().partition_point(|&t| t < first(k) / 60 * 60))
+        .collect();
+    assert_ne!(want.1, floored, "no sample falls between an hour's start and a first arrival");
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot size guard
 // ---------------------------------------------------------------------------
 
 /// Upper bound on the snapshot of [`snapshot_of_three_bustracker_days_stays_compact`].
-/// The payload is deterministic: 44 730 bytes at `STATE_VERSION` 7, about
-/// 10 % under the bound. Version 6 wrote 72 630 (every cluster centre and
-/// volume), version 5 125 830 (every feature coordinate), version 4
-/// 223 637 (its shard-cache slots) and version 3 476 725 (fixed-width
-/// pairs), so a regression to any of them fails here.
-const SNAPSHOT_BYTES_BOUND: u64 = 49_700;
+/// The payload is deterministic: 39 864 bytes at `STATE_VERSION` 7 with
+/// histories that keep an hour of minutes, about 10 % under the bound.
+/// Keeping every minute wrote 44 730, version 6 72 630 (every cluster
+/// centre and volume), version 5 125 830 (every feature coordinate),
+/// version 4 223 637 (its shard-cache slots) and version 3 476 725
+/// (fixed-width pairs), so a regression to any of them fails here.
+const SNAPSHOT_BYTES_BOUND: u64 = 44_300;
 
 /// Three days of BusTracker at scale 0.02 (3 136 statements), ingested per
 /// event and snapshotted once after a cluster update. The snapshot stays
@@ -457,7 +546,7 @@ const V6_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/v6_store
 /// encoded bytes, not `Debug` text, so renaming a field of either state
 /// type does not move them; a change to what the state holds or to its
 /// encoding does.
-const STORE_STATE_BYTES_FNV: u64 = 0xe1ad_b94f_6cef_9859;
+const STORE_STATE_BYTES_FNV: u64 = 0x4e35_ecc7_3ec7_ab3f;
 const STORE_MANAGER_BYTES_FNV: u64 = 0x54c8_a964_21d7_1e38;
 const STORE_PREDICTION_BITS: &[u64] = &[0x4027_8f16_4911_0159, 0x4034_040d_7beb_6fa0];
 
@@ -482,17 +571,10 @@ fn encoded_fnv(encode: impl FnOnce(&mut Enc)) -> u64 {
 }
 
 fn script_config(dir: &std::path::Path) -> Qb5000Config {
-    let mut cfg = Qb5000Config::builder()
+    Qb5000Config::builder()
         .durability(DurabilityConfig::new(dir).snapshot_every_rounds(u64::MAX))
         .build()
-        .expect("fixture config is valid");
-    // A day and a bit of raw minutes, so the script's compactions fill the
-    // compacted tier and cut their hours mid-way.
-    cfg.preprocessor.compaction = qb_timeseries::CompactionPolicy {
-        raw_retention: MINUTES_PER_DAY + 17,
-        compacted_interval: qb_timeseries::Interval::HOUR,
-    };
-    cfg
+        .expect("fixture config is valid")
 }
 
 fn script_manager() -> ForecastManager {
@@ -531,9 +613,6 @@ fn run_store_script(dir: &std::path::Path) -> DurablePipeline {
     assert!(!report.recovered());
     for hour in 0..SCRIPT_SNAPSHOT_HOUR {
         script_hour(&mut p, hour);
-        if hour == 53 {
-            p.compact_histories().expect("fixture compaction");
-        }
     }
     let now = SCRIPT_SNAPSHOT_HOUR * 60;
     p.attach_manager(script_manager());
@@ -543,7 +622,6 @@ fn run_store_script(dir: &std::path::Path) -> DurablePipeline {
     for hour in SCRIPT_SNAPSHOT_HOUR..SCRIPT_END / 60 {
         script_hour(&mut p, hour);
     }
-    p.compact_histories().expect("tail compaction");
     p.update_clusters(SCRIPT_END).expect("tail round");
     p
 }
@@ -592,12 +670,51 @@ fn newest_snapshot_version(dir: &std::path::Path) -> u16 {
     u16::from_le_bytes([bytes[22], bytes[23]])
 }
 
+/// What a version 6 store kept of one history at every grain: its total,
+/// its last arrival, the hour of its first arrival and its per-hour counts.
+type HourView = (u64, Option<i64>, Option<i64>, Vec<f64>);
+
+/// Splits `state` into the state without its histories and the clusterer's
+/// `valid_from`s, each history's [`HourView`], and each template's first
+/// arrival and `valid_from` (which that arrival's minute decides).
+#[allow(clippy::type_complexity)]
+fn hour_view(
+    mut state: PipelineState,
+) -> (PipelineState, Vec<HourView>, Vec<(Option<i64>, usize)>) {
+    let mut firsts = Vec::new();
+    let views = state
+        .pre
+        .entries
+        .iter_mut()
+        .map(|e| {
+            let h = ArrivalHistory::from_state(std::mem::take(&mut e.history));
+            firsts.push(h.first_seen());
+            let hour = |t: Option<i64>| t.map(|t| Interval::HOUR.bucket_start(t));
+            let hours = h.dense_series(-MINUTES_PER_DAY, SCRIPT_END + 60, Interval::HOUR);
+            (h.total(), h.last_seen(), hour(h.first_seen()), hours)
+        })
+        .collect();
+    let masks = state
+        .clusterer
+        .templates
+        .iter_mut()
+        .map(|t| (firsts[t.key as usize], std::mem::take(&mut t.feature.valid_from)))
+        .collect();
+    (state, views, masks)
+}
+
 /// A version 6 store recovers to the pinned pipeline and manager state and
 /// prediction bits, to the centres, volumes and tracked clusters restore
-/// recomputes, and to exactly the state a run of the same script reaches
-/// under this build: the read-only version 6 decoder drops the values
-/// version 7 leaves out. Then it snapshots again, as version 7, and the new
-/// snapshot recovers to the same state.
+/// recomputes, and to the state a run of the same script reaches under
+/// this build: the read-only version 6 decoder drops the values version 7
+/// leaves out, and the store's `KIND_COMPACT` frames replay as nothing.
+/// The version 6 script compacted each history's first arrival into its
+/// hour, so there the recovered histories agree with the script's at hour
+/// grain (in total, last arrival, first arrival's hour and every hour's
+/// count), and a feature's `valid_from` agrees where the first arrival's
+/// minute does; elsewhere the recovered one, counted from the hour's start,
+/// masks no more samples. Then it snapshots again, as version 7, and the
+/// new snapshot recovers to the same state.
 #[test]
 fn v6_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
     assert_eq!(qb5000::STATE_VERSION, 7);
@@ -624,7 +741,18 @@ fn v6_store_fixture_recovers_bit_identically_and_resnapshots_as_v7() {
     let live_dir = tmp_dir("v6-fixture-live");
     let live = run_store_script(&live_dir);
     assert_eq!(derived(live.bot()), recomputed, "recomputed values == the script's own");
-    assert_eq!(live.bot().export_state(), state, "recovered == the script's own end state");
+    let (live_rest, live_hours, live_masks) = hour_view(live.bot().export_state());
+    let (rest, hours, masks) = hour_view(state.clone());
+    assert_eq!(live_rest, rest, "recovered == the script's own end state, but for histories");
+    assert_eq!(live_hours, hours, "recovered == the script's own histories at hour grain");
+    assert!(live_masks.iter().any(|&(first, _)| first.is_some_and(|t| t % 60 != 0)));
+    for ((live_first, live_mask), (first, mask)) in live_masks.into_iter().zip(masks) {
+        if live_first == first {
+            assert_eq!(live_mask, mask, "valid_from follows the first arrival");
+        } else {
+            assert!(mask <= live_mask, "valid_from from the first arrival's hour");
+        }
+    }
     drop(live);
     let _ = std::fs::remove_dir_all(&live_dir);
 
