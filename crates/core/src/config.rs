@@ -123,8 +123,8 @@ impl Qb5000ConfigBuilder {
 
     /// Durable-state policy: persist a snapshot + WAL lineage under the
     /// policy's directory so [`crate::DurablePipeline::open`] can recover
-    /// the pipeline bit-identically after a crash. Defaults to `None`
-    /// (fully in-memory).
+    /// the pipeline bit-identically after a crash. Defaults to `None`:
+    /// fully in-memory, and the same handle opens with no store.
     pub fn durability(mut self, policy: DurabilityConfig) -> Self {
         self.cfg.durability = Some(policy);
         self

@@ -64,6 +64,7 @@ use std::path::PathBuf;
 use qb_clusterer::{ClusterRecord, ClustererState, TemplateFeature, TemplateRecord, UpdateReport};
 use qb_durable::{CodecError, Dec, DurabilityError, DurableStore, Enc, FaultHook, StoreStats};
 use qb_forecast::DegradationLevel;
+use qb_parallel::ThreadPool;
 use qb_preprocessor::{
     BatchItem, BatchReport, IngestStats, PreProcessorState, QuarantineState,
     QuarantinedStatement, TemplateEntryState, TemplateId,
@@ -157,8 +158,10 @@ pub enum WalRecord {
     IngestBatch { items: Vec<(Minute, u64, String)> },
 }
 
-/// What [`DurablePipeline::open`] found and did.
-#[derive(Debug, Clone, PartialEq)]
+/// What [`DurablePipeline::open`] found and did. A pipeline with no
+/// durability policy reports the default: no snapshot, no frames, no
+/// manager.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Sequence of the loaded snapshot (`None` = fresh directory or no
     /// valid snapshot yet).
@@ -802,8 +805,11 @@ pub fn decode_wal_record(kind: u8, payload: &[u8]) -> Result<WalRecord, Durabili
 // DurablePipeline
 // ---------------------------------------------------------------------------
 
-/// A [`QueryBot5000`] whose mutating operations are write-ahead logged and
-/// periodically snapshotted, so a crashed process resumes bit-identically.
+/// The [`QueryBot5000`] pipeline with its forecast manager, and with the
+/// WAL + snapshot store when the config sets a durability policy, so a
+/// crashed process resumes bit-identically. With no policy there is no
+/// store: every call applies directly, nothing is encoded or written, and
+/// the pipeline computes exactly what a stored one does.
 ///
 /// Every mutating call follows invariant 1 (append-then-apply): the WAL
 /// frame is durable before the in-memory pipeline changes. An `Err` from
@@ -816,12 +822,19 @@ pub fn decode_wal_record(kind: u8, payload: &[u8]) -> Result<WalRecord, Durabili
 /// is re-opened.
 pub struct DurablePipeline {
     bot: QueryBot5000,
+    /// `None` when the config sets no durability policy.
+    store: Option<Store>,
+    manager: Option<ForecastManager>,
+}
+
+/// A durable pipeline's store, its position in the WAL and its snapshot
+/// cadence, and the `durability.*` metrics.
+struct Store {
     store: DurableStore,
     /// Sequence of the last appended (or recovered) durable operation.
     seq: u64,
     snapshot_every_rounds: u64,
     rounds_since_snapshot: u64,
-    manager: Option<ForecastManager>,
     snapshot_time: qb_obs::Histogram,
     snapshot_bytes: qb_obs::Gauge,
     wal_appends: qb_obs::Counter,
@@ -830,8 +843,9 @@ pub struct DurablePipeline {
 }
 
 impl DurablePipeline {
-    /// Opens (creating or recovering) the durable pipeline for a config
-    /// whose `durability` policy is set.
+    /// Opens the pipeline for `config`, creating or recovering its durable
+    /// state when `config.durability` sets a policy. Without one the
+    /// pipeline is in-memory, and the [`RecoveryReport`] is the default.
     ///
     /// A fresh directory yields an empty pipeline; an existing one loads
     /// the newest valid snapshot (falling back past corrupt ones) and
@@ -842,12 +856,8 @@ impl DurablePipeline {
     pub fn open(config: Qb5000Config) -> Result<(Self, RecoveryReport), Error> {
         let mut config = config;
         let Some(policy) = config.durability.clone() else {
-            return Err(Error::Durability {
-                detail: "DurablePipeline::open requires config.durability \
-                         (set it via Qb5000Config::builder().durability(..))"
-                    .into(),
-                injected_crash: false,
-            });
+            let pipeline = Self { bot: QueryBot5000::new(config), store: None, manager: None };
+            return Ok((pipeline, RecoveryReport::default()));
         };
         let (mut store, recovered) =
             DurableStore::open(&policy.dir, policy.fault_hook.clone())?;
@@ -917,33 +927,29 @@ impl DurablePipeline {
             .add(report.corrupt_snapshots_skipped);
         rec.counter("durability.stale_frames_skipped").add(report.stale_frames_skipped);
 
-        let pipeline = Self {
-            bot,
+        let store = Store {
             store,
             seq,
             snapshot_every_rounds: policy.snapshot_every_rounds,
             rounds_since_snapshot,
-            manager: None,
             snapshot_time: rec.histogram("durability.snapshot"),
             snapshot_bytes: rec.gauge("durability.snapshot_bytes"),
             wal_appends: rec.counter("durability.wal_appends"),
             wal_bytes: rec.counter("durability.wal_bytes"),
             snapshots_metric: rec.counter("durability.snapshots"),
         };
-        Ok((pipeline, report))
+        Ok((Self { bot, store: Some(store), manager: None }, report))
     }
 
-    fn append(&mut self, rec: &WalRecord) -> Result<(), Error> {
-        let (kind, payload) = encode_wal_record(rec);
-        self.append_frame(kind, &payload)
-    }
-
-    fn append_frame(&mut self, kind: u8, payload: &[u8]) -> Result<(), Error> {
-        let seq = self.seq + 1;
-        let bytes = self.store.append(seq, kind, payload)?;
-        self.seq = seq;
-        self.wal_appends.inc();
-        self.wal_bytes.add(bytes);
+    /// Appends a `kind` frame holding `payload()` when there is a store;
+    /// a pipeline without one encodes nothing.
+    fn append(&mut self, kind: u8, payload: impl FnOnce() -> Vec<u8>) -> Result<(), Error> {
+        let Some(s) = &mut self.store else { return Ok(()) };
+        let seq = s.seq + 1;
+        let bytes = s.store.append(seq, kind, &payload())?;
+        s.seq = seq;
+        s.wal_appends.inc();
+        s.wal_bytes.add(bytes);
         Ok(())
     }
 
@@ -968,7 +974,7 @@ impl DurablePipeline {
         sql: &str,
         count: u64,
     ) -> Result<TemplateId, Error> {
-        self.append_frame(KIND_INGEST_BATCH, &encode_batch_items(std::iter::once((t, count, sql))))?;
+        self.append(KIND_INGEST_BATCH, || encode_batch_items(std::iter::once((t, count, sql))))?;
         self.bot.ingest_weighted(t, sql, count)
     }
 
@@ -978,48 +984,68 @@ impl DurablePipeline {
     /// the entire tick or none of it — replay routes the frame back
     /// through the ingest engine and re-derives identical state.
     pub fn ingest_batch(&mut self, batch: &[BatchItem<'_>]) -> Result<BatchReport, Error> {
-        let payload = encode_batch_items(batch.iter().map(|it| (it.minute, it.count, it.sql)));
-        self.append_frame(KIND_INGEST_BATCH, &payload)?;
+        self.append(KIND_INGEST_BATCH, || {
+            encode_batch_items(batch.iter().map(|it| (it.minute, it.count, it.sql)))
+        })?;
         Ok(self.bot.ingest_batch(batch))
+    }
+
+    /// [`DurablePipeline::ingest_batch`] on an explicit worker pool
+    /// ([`QueryBot5000::ingest_batch_with`]). The frame is the same, and
+    /// replay ingests it on the pipeline's own pool.
+    pub fn ingest_batch_with(
+        &mut self,
+        pool: &ThreadPool,
+        batch: &[BatchItem<'_>],
+    ) -> Result<BatchReport, Error> {
+        self.append(KIND_INGEST_BATCH, || {
+            encode_batch_items(batch.iter().map(|it| (it.minute, it.count, it.sql)))
+        })?;
+        Ok(self.bot.ingest_batch_with(pool, batch))
     }
 
     /// Durable [`QueryBot5000::update_clusters`]: the instant is WAL-framed
     /// and, after the rebuild, a snapshot is cut when the configured
     /// `snapshot_every_rounds` policy comes due.
     pub fn update_clusters(&mut self, now: Minute) -> Result<UpdateReport, Error> {
-        self.append(&WalRecord::ClusterUpdate { now })?;
+        let rec = WalRecord::ClusterUpdate { now };
+        self.append(KIND_CLUSTER_UPDATE, || encode_wal_record(&rec).1)?;
         let report = self.bot.update_clusters(now);
-        self.rounds_since_snapshot += 1;
-        if self.rounds_since_snapshot >= self.snapshot_every_rounds {
-            self.snapshot()?;
+        if let Some(s) = &mut self.store {
+            s.rounds_since_snapshot += 1;
+            if s.rounds_since_snapshot >= s.snapshot_every_rounds {
+                self.snapshot()?;
+            }
         }
         Ok(report)
     }
 
     /// Cuts a snapshot of the full pipeline state now (also called
     /// automatically by the `snapshot_every_rounds` policy). Rotates the
-    /// WAL and prunes state older than the fallback snapshot.
+    /// WAL and prunes state older than the fallback snapshot. A pipeline
+    /// without a store writes nothing and returns `Ok(())`.
     pub fn snapshot(&mut self) -> Result<(), Error> {
-        let _span = self.snapshot_time.start();
+        let Some(s) = &mut self.store else { return Ok(()) };
+        let _span = s.snapshot_time.start();
         let full = FullState {
             pipeline: self.bot.export_state(),
             manager: self.manager.as_ref().map(ForecastManager::export_state),
             tracer: self.bot.tracer().export_state(),
         };
         let payload = encode_full_state(&full);
-        self.store.snapshot(self.seq, &payload)?;
-        self.snapshot_bytes.set(payload.len() as f64);
-        self.snapshots_metric.inc();
-        self.rounds_since_snapshot = 0;
+        s.store.snapshot(s.seq, &payload)?;
+        s.snapshot_bytes.set(payload.len() as f64);
+        s.snapshots_metric.inc();
+        s.rounds_since_snapshot = 0;
         Ok(())
     }
 
     /// Attaches a [`ForecastManager`] (fresh, or rebuilt from
     /// [`RecoveryReport::manager`] via [`ForecastManager::restore`]); its
     /// serving state joins subsequent snapshots. The pipeline's recorder
-    /// and tracer are installed into it, matching the non-durable wiring,
-    /// and its [`ForecastManager::minute_lookback`] is registered. Frames
-    /// that [`DurablePipeline::open`] replayed compacted at the default
+    /// and tracer are installed into it, and its
+    /// [`ForecastManager::minute_lookback`] is registered. Frames that
+    /// [`DurablePipeline::open`] replayed compacted at the default
     /// [`qb_preprocessor::MINUTE_RETENTION`], before any manager was
     /// attached: after such a recovery a sub-hour horizon reads exact
     /// minutes only as far back as the histories have kept them since.
@@ -1077,29 +1103,33 @@ impl DurablePipeline {
     }
 
     /// Health of the wrapped pipeline, with the manager's rolling
-    /// forecast-accuracy rows attached when one is present.
+    /// forecast-accuracy rows and its last training error attached when
+    /// one is present.
     pub fn health(&self) -> PipelineHealth {
         let h = self.bot.health();
         match &self.manager {
-            Some(mgr) => h.with_accuracy(mgr.accuracy()),
+            Some(mgr) => h.with_accuracy(mgr.accuracy()).with_forecast(&mgr.health()),
             None => h,
         }
     }
 
-    /// Sequence of the last durable operation.
+    /// Sequence of the last durable operation (0 without a store).
     pub fn durable_seq(&self) -> u64 {
-        self.seq
+        self.store.as_ref().map_or(0, |s| s.seq)
     }
 
-    /// Store activity counters (snapshot bytes/frames written).
+    /// Store activity counters (snapshot bytes/frames written; all zero
+    /// without a store).
     pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
+        self.store.as_ref().map(|s| s.store.stats()).unwrap_or_default()
     }
 
     /// Replaces the crash-injection hook (test harnesses re-arm between
-    /// phases).
+    /// phases). Without a store there is nothing to crash.
     pub fn set_fault_hook(&mut self, hook: FaultHook) {
-        self.store.set_hook(hook);
+        if let Some(s) = &mut self.store {
+            s.store.set_hook(hook);
+        }
     }
 }
 
@@ -1143,13 +1173,87 @@ mod tests {
         }
     }
 
+    /// A config without a policy opens the same handle with no store: it
+    /// recovers, writes and registers nothing, its snapshot is a no-op, and
+    /// it computes exactly what [`QueryBot5000`] does on the same script.
     #[test]
-    fn open_requires_durability_policy() {
-        let Err(err) = DurablePipeline::open(Qb5000Config::default()) else {
-            panic!("open without a durability policy must fail");
-        };
-        assert_eq!(err.stage(), "durability");
-        assert!(!err.is_injected_crash());
+    fn open_without_policy_has_no_store() {
+        let rec = qb_obs::Recorder::new();
+        let config = Qb5000Config { recorder: rec.clone(), ..Qb5000Config::default() };
+        let (mut p, report) = DurablePipeline::open(config).unwrap();
+        assert!(!report.recovered());
+        assert_eq!(report.manager, None);
+        let mut bot = QueryBot5000::new(Qb5000Config::default());
+        let pool = ThreadPool::new(2);
+        let sqls = ["SELECT a FROM t WHERE id = 1", "SELECT b FROM u WHERE id = 2", "SELEC broken"];
+        for minute in 0..MINUTES_PER_DAY {
+            let batch: Vec<BatchItem<'_>> = (sqls.iter().enumerate())
+                .map(|(k, sql)| BatchItem { minute, sql, count: 1 + k as u64 })
+                .collect();
+            match minute % 3 {
+                0 => assert_eq!(
+                    p.ingest_weighted(minute, sqls[2], 2).is_err(),
+                    bot.ingest_weighted(minute, sqls[2], 2).is_err()
+                ),
+                1 => assert_eq!(p.ingest_batch(&batch).unwrap(), bot.ingest_batch(&batch)),
+                _ => assert_eq!(
+                    p.ingest_batch_with(&pool, &batch).unwrap(),
+                    bot.ingest_batch_with(&pool, &batch)
+                ),
+            }
+            if minute % 360 == 359 {
+                p.update_clusters(minute + 1).unwrap();
+                bot.update_clusters(minute + 1);
+            }
+        }
+        p.snapshot().unwrap();
+        assert_eq!(p.durable_seq(), 0);
+        assert_eq!(p.store_stats(), StoreStats::default(), "nothing written");
+        let snap = rec.snapshot();
+        let mut names =
+            snap.counters.keys().chain(snap.gauges.keys()).chain(snap.histograms.keys());
+        assert!(names.all(|name| !name.starts_with("durability.")), "{snap:?}");
+        assert_eq!(p.bot().export_state(), bot.export_state());
+        assert_eq!(p.health(), bot.health());
+        assert_eq!(tracked_bits(p.bot()), tracked_bits(&bot));
+    }
+
+    /// A model whose every fit fails.
+    struct Unfit;
+
+    impl qb_forecast::Forecaster for Unfit {
+        fn name(&self) -> &'static str {
+            "UNFIT"
+        }
+        fn fit(
+            &mut self,
+            _: &[Vec<f64>],
+            _: qb_forecast::WindowSpec,
+        ) -> Result<(), qb_forecast::ForecastError> {
+            Err(qb_forecast::ForecastError::Diverged { model: "UNFIT", detail: "by test".into() })
+        }
+        fn predict(&self, _: &[Vec<f64>]) -> Vec<f64> {
+            unreachable!("never fitted")
+        }
+    }
+
+    /// A failed train shows in the handle's health, with a store and
+    /// without one.
+    #[test]
+    fn health_carries_the_managers_training_error() {
+        let dir = tmp_dir("train-error");
+        let now = 2 * MINUTES_PER_DAY;
+        for config in [Qb5000Config::default(), durable_config(&dir)] {
+            let (mut p, _) = DurablePipeline::open(config).unwrap();
+            feed(&mut p, 2);
+            p.update_clusters(now).unwrap();
+            let unfit = || Box::new(Unfit) as Box<dyn qb_forecast::Forecaster>;
+            p.attach_manager(ForecastManager::new(vec![HorizonSpec::hourly(1)], unfit));
+            assert!(p.ensure_trained(now).is_err());
+            let errors = p.health().last_errors;
+            assert!(errors.iter().any(|(stage, e)| *stage == "forecaster" && e.contains("UNFIT")));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -83,9 +83,9 @@ pub struct Qb5000Config {
     /// which makes every trace operation a no-op.
     pub tracer: Tracer,
     /// Durable-state policy. `None` (the default) keeps the pipeline fully
-    /// in-memory; `Some` lets [`crate::DurablePipeline::open`] persist a
-    /// snapshot + WAL lineage under the configured directory and recover
-    /// from it bit-identically.
+    /// in-memory: [`crate::DurablePipeline::open`] then opens it with no
+    /// store. `Some` makes that handle persist a snapshot + WAL lineage
+    /// under the configured directory and recover from it bit-identically.
     pub durability: Option<DurabilityConfig>,
     /// Forecast serving. `None` (the default) keeps serving off; `Some`
     /// makes every cluster update publish a membership patch (and

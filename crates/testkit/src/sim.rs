@@ -50,6 +50,8 @@
 //! right after the first recovery too, before a round recomputes them.
 //! The serve epoch and the alert windows restart, so they — and the trace
 //! events recording them — are compared only across widths and reruns.
+//! A durable replay ingests on the sweep's pool like any other, so with
+//! `ticks` it is held to invariant 7 as well.
 //!
 //! A [`SimFailure`] prints [`repro_command`], a `cargo test` line that
 //! replays the case and features via `single_seed_repro`.
@@ -62,8 +64,8 @@ use std::sync::Arc;
 use qb5000::{
     ActiveAlert, AlertCondition, AlertRule, BatchItem, DurabilityConfig, DurablePipeline,
     EventKind, ForecastManager, ForecastQuery, ForecastService, HorizonSpec, Monitor,
-    MonitorConfig, PipelineHealth, PipelineState, Qb5000Config, QueryBot5000, Recorder,
-    RetrainOutcome, Severity, TraceDump, TraceView, Tracer,
+    MonitorConfig, PipelineHealth, PipelineState, Qb5000Config, Recorder, RetrainOutcome, Severity,
+    TraceDump, TraceView, Tracer,
 };
 use qb_forecast::{DegradationLevel, Forecaster, LinearRegression};
 use qb_parallel::ThreadPool;
@@ -504,20 +506,13 @@ fn runs_by(events: &[QueryEvent], key: impl Fn(&QueryEvent) -> i64) -> Vec<Range
     runs
 }
 
-/// What one process holds: the pipeline and the handles a restart
-/// replaces.
+/// What one process holds: the pipeline (durable or not) and the handles
+/// a restart replaces.
 struct Process {
-    bot: Bot,
+    pipeline: DurablePipeline,
     recorder: Recorder,
     service: Option<ForecastService>,
     monitor: Option<Monitor>,
-    /// A plain pipeline's forecast manager; a durable one holds its own.
-    manager: Option<ForecastManager>,
-}
-
-enum Bot {
-    Plain(QueryBot5000),
-    Durable(DurablePipeline),
 }
 
 /// Quarantine rejections are stream content; a durability error is not.
@@ -536,8 +531,9 @@ fn new_manager(case: &SimCase, width: usize) -> ForecastManager {
 }
 
 impl Process {
-    /// Starts a process, recovering from `dir` when it holds state: the
-    /// pipeline, and the forecast manager its snapshot carries.
+    /// Starts a process, durable when `dir` is set and then recovering
+    /// from it when it holds state: the pipeline, and the forecast
+    /// manager its snapshot carries.
     fn open(case: &SimCase, f: Features, dir: Option<&Path>, width: usize) -> Self {
         let recorder = if f.monitor { Recorder::new() } else { Recorder::disabled() };
         let service =
@@ -550,96 +546,52 @@ impl Process {
         if let Some(service) = &service {
             config = config.serve(service.clone());
         }
-        let bot = match dir {
-            Some(dir) => {
-                let policy =
-                    DurabilityConfig::new(dir).snapshot_every_rounds(SNAPSHOT_EVERY_ROUNDS);
-                let config =
-                    config.durability(policy).build().expect("durable sim config is valid");
-                let (mut p, report) =
-                    DurablePipeline::open(config).expect("durable sim directory opens");
-                if let Some(state) = report.manager {
-                    let factory = case.model.0.clone();
-                    let specs = hourly_specs(case.days, &case.horizons);
-                    let mut mgr =
-                        ForecastManager::restore(specs, move || factory(), state, p.bot())
-                            .expect("the snapshot's manager restores");
-                    mgr.set_threads(width);
-                    p.attach_manager(mgr);
-                }
-                Bot::Durable(p)
-            }
-            None => Bot::Plain(QueryBot5000::new(config.build().expect("sim config is valid"))),
-        };
+        if let Some(dir) = dir {
+            let policy = DurabilityConfig::new(dir).snapshot_every_rounds(SNAPSHOT_EVERY_ROUNDS);
+            config = config.durability(policy);
+        }
+        let config = config.build().expect("sim config is valid");
+        let (mut pipeline, report) = DurablePipeline::open(config).expect("sim pipeline opens");
+        if let Some(state) = report.manager {
+            let factory = case.model.0.clone();
+            let specs = hourly_specs(case.days, &case.horizons);
+            let mut mgr = ForecastManager::restore(specs, move || factory(), state, pipeline.bot())
+                .expect("the snapshot's manager restores");
+            mgr.set_threads(width);
+            pipeline.attach_manager(mgr);
+        }
         let monitor = f.monitor.then(|| {
             Monitor::new(MonitorConfig::default().rules(sim_rules()))
                 .expect("monitor without a port")
         });
-        Self { bot, recorder, service, monitor, manager: None }
+        Self { pipeline, recorder, service, monitor }
     }
 
-    fn bot(&self) -> &QueryBot5000 {
-        match &self.bot {
-            Bot::Plain(bot) => bot,
-            Bot::Durable(p) => p.bot(),
-        }
-    }
-
-    /// A durable pipeline ingests on its own pool (sized by `QB_THREADS`).
     fn ingest(&mut self, pool: &ThreadPool, batch: &[BatchItem<'_>], per_event: bool) {
-        match &mut self.bot {
-            Bot::Plain(bot) if per_event => {
-                drop(bot.ingest_weighted(batch[0].minute, batch[0].sql, batch[0].count))
-            }
-            Bot::Plain(bot) => drop(bot.ingest_batch_with(pool, batch)),
-            Bot::Durable(p) if per_event => {
-                durable_ok(p.ingest_weighted(batch[0].minute, batch[0].sql, batch[0].count))
-            }
-            Bot::Durable(p) => durable_ok(p.ingest_batch(batch)),
+        if per_event {
+            durable_ok(self.pipeline.ingest_weighted(batch[0].minute, batch[0].sql, batch[0].count))
+        } else {
+            durable_ok(self.pipeline.ingest_batch_with(pool, batch))
         }
     }
 
-    /// Trains the process's forecast manager at `now`, creating it first
-    /// if the process has none.
+    /// Trains the process's forecast manager at `now`, attaching a fresh
+    /// one first if the process has none.
     fn train(
         &mut self,
         case: &SimCase,
         width: usize,
         now: Minute,
     ) -> Result<RetrainOutcome, String> {
-        let trained = match &mut self.bot {
-            Bot::Plain(bot) => {
-                let mgr = self.manager.get_or_insert_with(|| {
-                    let mut mgr = new_manager(case, width);
-                    mgr.set_recorder(&self.recorder);
-                    mgr.set_tracer(bot.tracer());
-                    mgr
-                });
-                mgr.ensure_trained(bot, now)
-            }
-            Bot::Durable(p) => {
-                if p.manager().is_none() {
-                    p.attach_manager(new_manager(case, width));
-                }
-                p.ensure_trained(now)
-            }
-        };
-        trained.map_err(|e| format!("training at minute {now}: {e}"))
-    }
-
-    fn manager(&self) -> Option<&ForecastManager> {
-        match &self.bot {
-            Bot::Plain(_) => self.manager.as_ref(),
-            Bot::Durable(p) => p.manager(),
+        if self.pipeline.manager().is_none() {
+            self.pipeline.attach_manager(new_manager(case, width));
         }
+        self.pipeline.ensure_trained(now).map_err(|e| format!("training at minute {now}: {e}"))
     }
 
     fn round(&mut self, round: u64, now: Minute) {
-        match &mut self.bot {
-            Bot::Plain(bot) => drop(bot.update_clusters(now)),
-            Bot::Durable(p) => drop(p.update_clusters(now).expect("durable cluster update")),
-        }
-        let tracer = self.bot().tracer().clone();
+        self.pipeline.update_clusters(now).expect("cluster update");
+        let tracer = self.pipeline.bot().tracer().clone();
         if let Some(monitor) = &mut self.monitor {
             monitor.observe_round(round, &self.recorder.snapshot(), &[], &tracer);
         }
@@ -704,16 +656,14 @@ fn replay(
         process.round(*round, now);
         if train_midway && *round == rounds / 2 {
             process.train(case, width, now)?;
-            if let Bot::Durable(p) = &mut process.bot {
-                p.snapshot().map_err(|e| format!("snapshot after training: {e}"))?;
-            }
+            process.pipeline.snapshot().map_err(|e| format!("snapshot after training: {e}"))?;
         }
         if f.durable && (*round == rounds / 2 || *round == rounds / 2 + 1) {
             // The process dies here; a new one recovers from the directory.
             *process = Process::open(case, f, dir, width);
         }
         if *round == rounds / 2 {
-            midway = Some(crate::crash::derived(process.bot()));
+            midway = Some(crate::crash::derived(process.pipeline.bot()));
         }
         Ok(())
     };
@@ -731,8 +681,9 @@ fn replay(
         next_round(&mut process, &mut round)?;
     }
 
-    check_accounting(&process.bot().health(), events.len(), stats)?;
-    let tracked = process.bot().tracked_clusters().len();
+    let bot = process.pipeline.bot();
+    check_accounting(&bot.health(), events.len(), stats)?;
+    let tracked = bot.tracked_clusters().len();
     let max_clusters = Qb5000Config::default().max_clusters;
     if !(1..=max_clusters).contains(&tracked) {
         return Err(format!("{tracked} clusters tracked, not between 1 and {max_clusters}"));
@@ -744,7 +695,7 @@ fn replay(
         RetrainOutcome::UpToDate if train_midway => {}
         other => return Err(format!("expected a retrain, got {other:?}")),
     }
-    let (bot, mgr) = (process.bot(), process.manager().expect("trained above"));
+    let (bot, mgr) = (process.pipeline.bot(), process.pipeline.manager().expect("trained above"));
     let mut forecasts = Vec::new();
     for h in 0..case.horizons.len() {
         let pred = mgr.predict(bot, end, h);
@@ -886,7 +837,8 @@ pub fn run(
         if let Some(d) = divergence(&uninterrupted, first, true) {
             return Err(fail(format!("{d} after recovery differs from the uninterrupted run")));
         }
-    } else if features.ticks {
+    }
+    if features.ticks {
         // Invariant 7: hour batches fan out and still agree across widths.
         // The clusterer sees one sighting feed per batch, so its shift
         // trigger may fire elsewhere, but every schedule leaves the
