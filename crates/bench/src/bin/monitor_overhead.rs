@@ -14,8 +14,9 @@
 
 #![forbid(unsafe_code)]
 
-use qb5000::{
-    ControllerConfig, IndexSelectionExperiment, MonitorConfig, Qb5000Config, Recorder, Strategy,
+use qb5000::{MonitorConfig, Qb5000Config, Recorder};
+use qb_bench::controller::{
+    ControllerConfig, ExperimentResult, IndexSelectionExperiment, Strategy,
 };
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};
@@ -23,30 +24,30 @@ use std::time::{Duration, Instant};
 
 const TRIALS: usize = 3;
 
-fn experiment_cfg(monitored: bool) -> ControllerConfig {
-    let mut b = ControllerConfig::builder()
-        .workload(Workload::BusTracker)
-        .strategy(Strategy::Auto)
-        .db_scale(0.05)
-        .history_days(2)
-        .run_hours(6)
-        .trace_scale(0.05)
-        .index_budget(6)
-        .build_period(60)
-        .report_window(60)
-        .run_start(14 * MINUTES_PER_DAY + 7 * 60)
-        .seed(0xBE7C)
-        .threads(qb_parallel::configured_threads())
-        .fault_plan(FaultPlan::with_intensity(0xBE7C, 1.0))
+/// One run of the guarded experiment, with the monitor attached or not.
+fn run_experiment(monitored: bool) -> ExperimentResult {
+    let cfg = ControllerConfig {
+        workload: Workload::BusTracker,
+        strategy: Strategy::Auto,
+        db_scale: 0.05,
+        history_days: 2,
+        run_hours: 6,
+        trace_scale: 0.05,
+        index_budget: 6,
+        build_period: 60,
+        report_window: 60,
+        run_start: 14 * MINUTES_PER_DAY + 7 * 60,
+        seed: 0xBE7C,
+        fault_plan: Some(FaultPlan::with_intensity(0xBE7C, 1.0)),
         // Both modes pay for metrics, so the measured delta is the
         // monitor itself rather than the recorder it forces on.
-        .pipeline(Qb5000Config { recorder: Recorder::new(), ..Qb5000Config::default() });
-    if monitored {
+        pipeline: Qb5000Config { recorder: Recorder::new(), ..Qb5000Config::default() },
         // The stock rule set, no HTTP endpoint: the guard times the
         // per-round observe path, not socket accept latency.
-        b = b.monitor(MonitorConfig::with_default_slos(2, 0.5));
-    }
-    b.build().expect("overhead config is valid")
+        monitor: monitored.then(|| MonitorConfig::with_default_slos(2, 0.5)),
+        ..ControllerConfig::default()
+    };
+    IndexSelectionExperiment::new(cfg).expect("overhead config is valid").run()
 }
 
 /// Best-of-`TRIALS` wall time per controller round for one mode.
@@ -54,7 +55,7 @@ fn measure(monitored: bool) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..TRIALS {
         let t0 = Instant::now();
-        let result = IndexSelectionExperiment::new(experiment_cfg(monitored)).run();
+        let result = run_experiment(monitored);
         let wall = t0.elapsed();
         let rounds = result.metrics.counters["controller.rounds"].max(1);
         best = best.min(wall / rounds as u32);
@@ -69,7 +70,7 @@ fn main() {
         .unwrap_or(5.0);
 
     // Warm up caches/allocator before anything is timed.
-    std::hint::black_box(IndexSelectionExperiment::new(experiment_cfg(false)).run());
+    std::hint::black_box(run_experiment(false));
 
     let off = measure(false);
     let on = measure(true);

@@ -16,21 +16,20 @@
 //! * [`Strategy::AutoLogical`] — AUTO with the logical-feature clustering
 //!   ablation.
 
+use qb5000::schemas::build_database;
+use qb5000::{
+    ClusterInfo, ConfigError, DurablePipeline, FeatureMode, ForecastManager, HorizonSpec,
+    PipelineHealth, Qb5000Config, QueryBot5000, LOGICAL_CLUSTERER,
+};
 use qb_dbsim::IndexAdvisor;
 use qb_forecast::{Forecaster, LinearRegression};
+use qb_monitor::{AlertChange, Monitor, MonitorConfig};
 use qb_obs::{MetricsSnapshot, Recorder};
 use qb_preprocessor::bind_params;
 use qb_sqlparse::Statement;
 use qb_timeseries::{Minute, MINUTES_PER_HOUR};
 use qb_trace::{EventDraft, EventId, EventKind, Scope, Tracer};
 use qb_workloads::{FaultPlan, QueryEvent, TraceConfig, Workload};
-
-use crate::durable::DurablePipeline;
-use crate::manager::{ForecastManager, HorizonSpec};
-use crate::pipeline::{
-    ClusterInfo, FeatureMode, PipelineHealth, Qb5000Config, QueryBot5000, LOGICAL_CLUSTERER,
-};
-use crate::schemas::build_database;
 
 /// The horizons each build round blends, as `(hours, weight)` pairs: "The
 /// system builds a new index at hourly intervals based on QB5000's
@@ -58,12 +57,9 @@ impl Strategy {
     }
 }
 
-/// Experiment configuration.
-///
-/// Construct via the validating [`ControllerConfig::builder`] (rejects
-/// zero run lengths/periods and non-positive scales) or
-/// struct-update syntax on [`ControllerConfig::default`] for trusted
-/// values.
+/// Experiment configuration: struct-update syntax on
+/// [`ControllerConfig::default`]. [`IndexSelectionExperiment::new`] checks
+/// it with [`ControllerConfig::validate`].
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     pub workload: Workload,
@@ -91,8 +87,8 @@ pub struct ControllerConfig {
     /// and the measured trace (chaos experiments; `None` = clean replay).
     pub fault_plan: Option<FaultPlan>,
     /// Worker threads for the train/score engine (default: `QB_THREADS`
-    /// or the machine's cores; 1 = strictly sequential). Forecast outputs
-    /// are bit-identical across thread counts.
+    /// or the machine's cores; 1 = strictly sequential, and 0 runs as 1).
+    /// Forecast outputs are bit-identical across thread counts.
     pub threads: usize,
     /// The pipeline the controller drives: recorder, tracer, durability
     /// and serving are set here, and the recorder and tracer are shared
@@ -104,21 +100,22 @@ pub struct ControllerConfig {
     /// state panics. With serving on, the manager publishes on each
     /// retrain and the controller publishes each build round's
     /// per-horizon forecasts, into slots matched by shape
-    /// ([`crate::ForecastService::slot_for`]).
+    /// ([`qb5000::ForecastService::slot_for`]); give the service the
+    /// [`FORECAST_BLEND`] horizons ([`qb5000::ForecastService::hourly`]).
     /// The controller overrides `max_clusters` to 3 ("the three largest
     /// clusters", §7.6), and for [`Strategy::AutoLogical`] also
     /// `feature_mode` and `clusterer` (logical features under
     /// [`LOGICAL_CLUSTERER`], §7.7).
     pub pipeline: Qb5000Config,
     /// Continuous self-monitoring. When set, every build round feeds a
-    /// metrics snapshot into a [`qb_monitor::Monitor`]: per-round deltas
+    /// metrics snapshot into a [`Monitor`]: per-round deltas
     /// are retained, the configured SLO rules are evaluated with
     /// hysteresis, and (when the config asks for a port) a live
     /// `/metrics` + `/health` + `/alerts` HTTP endpoint serves the
     /// latest published state. Monitoring forces metrics on: a disabled
     /// recorder is upgraded to an enabled one for the run. `None` (the
     /// default) monitors nothing and costs nothing.
-    pub monitor: Option<qb_monitor::MonitorConfig>,
+    pub monitor: Option<MonitorConfig>,
 }
 
 impl Default for ControllerConfig {
@@ -140,6 +137,40 @@ impl Default for ControllerConfig {
             pipeline: Qb5000Config::default(),
             monitor: None,
         }
+    }
+}
+
+/// Shared scale check: finite and strictly positive.
+fn check_scale(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::BadScale { field, value })
+    }
+}
+
+impl ControllerConfig {
+    /// Checks the invariants the experiment assumes: a valid
+    /// pipeline config, finite positive scales, at least one history day
+    /// and run hour, and positive build and report periods.
+    /// [`IndexSelectionExperiment::new`] calls this.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.pipeline.validate()?;
+        check_scale("db_scale", self.db_scale)?;
+        check_scale("trace_scale", self.trace_scale)?;
+        if self.history_days == 0 {
+            return Err(ConfigError::ZeroCount { field: "history_days" });
+        }
+        if self.run_hours == 0 {
+            return Err(ConfigError::ZeroCount { field: "run_hours" });
+        }
+        if self.build_period <= 0 {
+            return Err(ConfigError::ZeroInterval { field: "build_period" });
+        }
+        if self.report_window <= 0 {
+            return Err(ConfigError::ZeroInterval { field: "report_window" });
+        }
+        Ok(())
     }
 }
 
@@ -176,7 +207,7 @@ pub struct ExperimentResult {
     pub metrics: MetricsSnapshot,
     /// Every alert firing/resolved transition the run's monitor saw, in
     /// evaluation order (empty without [`ControllerConfig::monitor`]).
-    pub alert_transitions: Vec<qb_monitor::AlertChange>,
+    pub alert_transitions: Vec<AlertChange>,
     /// The monitor's byte-stable transition log, one line per entry of
     /// [`ExperimentResult::alert_transitions`]. Bit-identical across
     /// worker-pool widths when every rule folds deterministic signals.
@@ -252,19 +283,23 @@ fn forecast(pipeline: &mut DurablePipeline, now: Minute) -> Option<Vec<Vec<f64>>
         .then(|| (0..FORECAST_BLEND.len()).map(|i| pipeline.predict_tracked(now, i)).collect())
 }
 
-/// The experiment driver.
+/// One index-selection experiment: a validated [`ControllerConfig`] to run.
 pub struct IndexSelectionExperiment {
     cfg: ControllerConfig,
 }
 
 impl IndexSelectionExperiment {
-    pub fn new(cfg: ControllerConfig) -> Self {
-        Self { cfg }
+    /// An experiment over `cfg`, refused when [`ControllerConfig::validate`]
+    /// refuses it.
+    pub fn new(cfg: ControllerConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        Ok(Self { cfg })
     }
 
     /// Runs the experiment and returns the performance series.
     pub fn run(&self) -> ExperimentResult {
         let cfg = &self.cfg;
+        let threads = cfg.threads.max(1);
         let mut db = build_database(cfg.workload, cfg.db_scale, cfg.seed);
 
         // QB5000 models "the three largest clusters". Monitoring folds
@@ -275,8 +310,7 @@ impl IndexSelectionExperiment {
             qb_cfg.recorder = Recorder::new();
         }
         let mut monitor = cfg.monitor.clone().map(|mc| {
-            qb_monitor::Monitor::new(mc)
-                .expect("controller: binding the monitor scrape endpoint failed")
+            Monitor::new(mc).expect("controller: binding the monitor scrape endpoint failed")
         });
 
         if cfg.strategy == Strategy::AutoLogical {
@@ -284,7 +318,7 @@ impl IndexSelectionExperiment {
             qb_cfg.clusterer = LOGICAL_CLUSTERER;
         }
         qb_cfg.validate().expect("controller's pipeline config is valid");
-        let mut pipeline = open_pipeline(qb_cfg, cfg.threads);
+        let mut pipeline = open_pipeline(qb_cfg, threads);
         // The loop shares the pipeline's recorder and tracer (a recovered
         // durable run continues the restored trace).
         let recorder = pipeline.bot().recorder().clone();
@@ -339,7 +373,7 @@ impl IndexSelectionExperiment {
         let mut next_build = cfg.run_start + cfg.build_period;
         let mut total_queries = 0u64;
         let mut monitor_round: u64 = 0;
-        let mut alert_transitions: Vec<qb_monitor::AlertChange> = Vec::new();
+        let mut alert_transitions: Vec<AlertChange> = Vec::new();
         let auto = matches!(cfg.strategy, Strategy::Auto | Strategy::AutoLogical);
         let per_period_budget = if auto {
             (cfg.index_budget as f64 / (cfg.run_hours as f64 * 60.0 / cfg.build_period as f64))
@@ -477,7 +511,7 @@ impl IndexSelectionExperiment {
         // report reflects the final rolling accuracy.
         pipeline.settle(run_end);
         let mut health = pipeline.health();
-        health.threads_used = cfg.threads;
+        health.threads_used = threads;
         if let Some(mon) = &monitor {
             health.active_alerts = mon.active_alerts();
         }
@@ -622,29 +656,92 @@ fn blend_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::DurabilityConfig;
+    use qb5000::DurabilityConfig;
 
     fn quick_cfg(strategy: Strategy) -> ControllerConfig {
-        ControllerConfig::builder()
-            .workload(Workload::BusTracker)
-            .strategy(strategy)
-            .db_scale(0.05)
-            .history_days(2)
-            .run_hours(4)
-            .trace_scale(0.02)
-            .index_budget(4)
-            .build_period(60)
-            .report_window(60)
-            .run_start(7 * qb_timeseries::MINUTES_PER_DAY)
-            .seed(9)
-            .threads(qb_parallel::configured_threads())
-            .build()
-            .expect("test config is valid")
+        ControllerConfig {
+            workload: Workload::BusTracker,
+            strategy,
+            db_scale: 0.05,
+            history_days: 2,
+            run_hours: 4,
+            trace_scale: 0.02,
+            index_budget: 4,
+            build_period: 60,
+            report_window: 60,
+            run_start: 7 * qb_timeseries::MINUTES_PER_DAY,
+            seed: 9,
+            ..ControllerConfig::default()
+        }
+    }
+
+    fn run(cfg: ControllerConfig) -> ExperimentResult {
+        IndexSelectionExperiment::new(cfg).expect("test config is valid").run()
+    }
+
+    #[test]
+    fn controller_rejects_degenerate_runs() {
+        let base = quick_cfg(Strategy::Auto);
+        base.validate().unwrap();
+        ControllerConfig::default().validate().unwrap();
+        let refused = |cfg: ControllerConfig| cfg.validate().unwrap_err();
+        assert_eq!(
+            refused(ControllerConfig { run_hours: 0, ..base.clone() }),
+            ConfigError::ZeroCount { field: "run_hours" }
+        );
+        assert_eq!(
+            refused(ControllerConfig { history_days: 0, ..base.clone() }),
+            ConfigError::ZeroCount { field: "history_days" }
+        );
+        assert_eq!(
+            refused(ControllerConfig { build_period: 0, ..base.clone() }),
+            ConfigError::ZeroInterval { field: "build_period" }
+        );
+        assert_eq!(
+            refused(ControllerConfig { report_window: -5, ..base.clone() }),
+            ConfigError::ZeroInterval { field: "report_window" }
+        );
+        for bad in [0.0, f64::NAN, -1.0] {
+            assert!(matches!(
+                refused(ControllerConfig { db_scale: bad, ..base.clone() }),
+                ConfigError::BadScale { field: "db_scale", .. }
+            ));
+            assert!(matches!(
+                refused(ControllerConfig { trace_scale: bad, ..base.clone() }),
+                ConfigError::BadScale { field: "trace_scale", .. }
+            ));
+        }
+        let pipeline = Qb5000Config { max_clusters: 0, ..Qb5000Config::default() };
+        assert_eq!(
+            refused(ControllerConfig { pipeline, ..base }),
+            ConfigError::ZeroCount { field: "max_clusters" }
+        );
+    }
+
+    #[test]
+    fn new_refuses_an_invalid_struct_update_config() {
+        let base = quick_cfg(Strategy::Auto);
+        let refused = |cfg| IndexSelectionExperiment::new(cfg).err();
+        assert_eq!(
+            refused(ControllerConfig { run_hours: 0, ..base.clone() }),
+            Some(ConfigError::ZeroCount { field: "run_hours" })
+        );
+        assert!(matches!(
+            refused(ControllerConfig { db_scale: f64::NAN, ..base.clone() }),
+            Some(ConfigError::BadScale { field: "db_scale", .. })
+        ));
+        assert!(refused(base).is_none());
+    }
+
+    #[test]
+    fn threads_clamp_to_one() {
+        let result = run(ControllerConfig { threads: 0, ..quick_cfg(Strategy::Static) });
+        assert_eq!(result.health.threads_used, 1);
     }
 
     #[test]
     fn auto_builds_indexes_and_improves() {
-        let auto = IndexSelectionExperiment::new(quick_cfg(Strategy::Auto)).run();
+        let auto = run(quick_cfg(Strategy::Auto));
         assert!(!auto.indexes.is_empty(), "AUTO must build indexes");
         assert!(auto.total_queries > 0);
         assert!(!auto.samples.is_empty());
@@ -654,7 +751,7 @@ mod tests {
         // 4-hour trace.
         let mut base_cfg = quick_cfg(Strategy::Auto);
         base_cfg.index_budget = 0;
-        let none = IndexSelectionExperiment::new(base_cfg).run();
+        let none = run(base_cfg);
         let mean = |r: &ExperimentResult| {
             r.samples.iter().map(|s| s.throughput_qps).sum::<f64>() / r.samples.len() as f64
         };
@@ -668,14 +765,14 @@ mod tests {
 
     #[test]
     fn static_builds_upfront() {
-        let result = IndexSelectionExperiment::new(quick_cfg(Strategy::Static)).run();
+        let result = run(quick_cfg(Strategy::Static));
         assert!(!result.indexes.is_empty());
         assert!(result.indexes.iter().all(|(t, _)| *t == 0), "all indexes at t=0");
     }
 
     #[test]
     fn auto_logical_runs() {
-        let result = IndexSelectionExperiment::new(quick_cfg(Strategy::AutoLogical)).run();
+        let result = run(quick_cfg(Strategy::AutoLogical));
         assert!(result.total_queries > 0);
     }
 
@@ -683,7 +780,7 @@ mod tests {
     fn recorder_surfaces_rounds_and_forecast_accuracy() {
         let mut cfg = quick_cfg(Strategy::Auto);
         cfg.pipeline.recorder = Recorder::new();
-        let result = IndexSelectionExperiment::new(cfg).run();
+        let result = run(cfg);
         let m = &result.metrics;
         let rounds = m.counters.get("controller.rounds").copied().unwrap_or(0);
         assert!(rounds > 0, "AUTO must record build rounds");
@@ -709,7 +806,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_yields_empty_snapshot() {
-        let result = IndexSelectionExperiment::new(quick_cfg(Strategy::Static)).run();
+        let result = run(quick_cfg(Strategy::Static));
         assert_eq!(result.metrics, MetricsSnapshot::default());
     }
 
@@ -718,7 +815,7 @@ mod tests {
         let mut cfg = quick_cfg(Strategy::Auto);
         cfg.pipeline.tracer = Tracer::enabled();
         let tracer = cfg.pipeline.tracer.clone();
-        let result = IndexSelectionExperiment::new(cfg).run();
+        let result = run(cfg);
         assert!(!result.indexes.is_empty(), "AUTO must build indexes");
         let view = tracer.view();
         let built = view.latest(EventKind::IndexBuilt).expect("IndexBuilt event");
@@ -747,10 +844,10 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("qb-controller-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let plain = IndexSelectionExperiment::new(quick_cfg(Strategy::Auto)).run();
+        let plain = run(quick_cfg(Strategy::Auto));
         let mut cfg = quick_cfg(Strategy::Auto);
         cfg.pipeline.durability = Some(DurabilityConfig::new(&dir).snapshot_every_rounds(2));
-        let durable = IndexSelectionExperiment::new(cfg).run();
+        let durable = run(cfg);
         assert_eq!(durable.health, plain.health, "durable layer must not perturb the run");
         assert_eq!(durable.indexes, plain.indexes);
         assert_eq!(durable.total_queries, plain.total_queries);
@@ -768,7 +865,7 @@ mod tests {
         cfg.pipeline.durability = Some(DurabilityConfig::new(&dir).snapshot_every_rounds(2));
         // Reopen under the pipeline config the controller ran with.
         let qb_cfg = Qb5000Config { max_clusters: 3, ..cfg.pipeline.clone() };
-        IndexSelectionExperiment::new(cfg).run();
+        run(cfg);
         let (pipeline, report) = DurablePipeline::open(qb_cfg).expect("the run's directory reopens");
         let state = report.manager.expect("the snapshot carries the manager");
         let specs = FORECAST_BLEND.iter().map(|&(h, _)| HorizonSpec::hourly(h)).collect();
@@ -784,7 +881,7 @@ mod tests {
     fn budget_respected() {
         let mut cfg = quick_cfg(Strategy::Auto);
         cfg.index_budget = 2;
-        let result = IndexSelectionExperiment::new(cfg).run();
+        let result = run(cfg);
         assert!(result.indexes.len() <= 2);
     }
 }

@@ -2,18 +2,16 @@
 //! the AUTO-LOGICAL ablation (§7.7).
 //!
 //! A figure's gate holds when, over the seeds, AUTO's median realised
-//! cost ([`qb5000::ExperimentResult::realised_cost_s`]) is at most
+//! cost ([`ExperimentResult::realised_cost_s`]) is at most
 //! STATIC's and AUTO-LOGICAL's is above AUTO's: §7.6 claims forecasts pick
 //! indexes at least as good as a fixed history sample, and §7.7 that
 //! clustering on logical features picks worse ones.
 
-use qb5000::{
-    ControllerConfig, ExperimentResult, IndexSelectionExperiment, Qb5000Config, Recorder,
-    Strategy,
-};
+use qb5000::{Qb5000Config, Recorder};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
+use crate::controller::{ControllerConfig, ExperimentResult, IndexSelectionExperiment, Strategy};
 use crate::{write_csv, Effort};
 
 /// The seed the figures' time series and metrics are printed for.
@@ -26,32 +24,31 @@ fn seed_list(seeds: usize) -> Vec<u64> {
 
 fn config(workload: Workload, strategy: Strategy, effort: Effort, seed: u64) -> ControllerConfig {
     let quick = effort.is_quick();
-    ControllerConfig::builder()
-        .workload(workload)
-        .strategy(strategy)
-        .db_scale(if quick { 0.08 } else { 0.5 })
-        .history_days(if quick { 3 } else { 14 })
+    ControllerConfig {
+        workload,
+        strategy,
+        db_scale: if quick { 0.08 } else { 0.5 },
+        history_days: if quick { 3 } else { 14 },
         // The Admissions run must reach the next morning's review-season
         // traffic for the workload shift to land inside the window.
-        .run_hours(if quick && workload != Workload::Admissions { 8 } else { 16 })
-        .trace_scale(if quick { 0.03 } else { 0.08 })
-        .index_budget(if quick { 5 } else { 20 })
-        .build_period(60)
-        .report_window(30)
-        .run_start(match workload {
+        run_hours: if quick && workload != Workload::Admissions { 8 } else { 16 },
+        trace_scale: if quick { 0.03 } else { 0.08 },
+        index_budget: if quick { 5 } else { 20 },
+        build_period: 60,
+        report_window: 30,
+        run_start: match workload {
             // Admissions: start hours before the Dec 15 deadline so the
             // measured run crosses into review season — the workload shift
             // STATIC's history-built indexes cannot anticipate (§7.6).
             Workload::Admissions => 348 * MINUTES_PER_DAY + 18 * 60,
             _ => 21 * MINUTES_PER_DAY + 7 * 60,
-        })
-        .seed(seed)
-        .threads(qb_parallel::configured_threads())
+        },
+        seed,
         // Each strategy run gets its own recorder so the three parallel
         // experiments don't interleave their stage metrics.
-        .pipeline(Qb5000Config { recorder: Recorder::new(), ..Qb5000Config::default() })
-        .build()
-        .expect("bench controller config is valid by construction")
+        pipeline: Qb5000Config { recorder: Recorder::new(), ..Qb5000Config::default() },
+        ..ControllerConfig::default()
+    }
 }
 
 /// Median (mean of the middle pair when even), minimum and maximum.
@@ -83,7 +80,9 @@ fn run_figure(figure: &str, workload: Workload, effort: Effort, seeds: usize) ->
     let jobs: Vec<(u64, Strategy)> =
         seeds.iter().flat_map(|&seed| strategies.map(|strategy| (seed, strategy))).collect();
     let runs = qb_parallel::ThreadPool::default().map(jobs, |_, (seed, strategy)| {
-        IndexSelectionExperiment::new(config(workload, strategy, effort, seed)).run()
+        IndexSelectionExperiment::new(config(workload, strategy, effort, seed))
+            .expect("bench controller config is valid by construction")
+            .run()
     });
     let per_seed: Vec<&[ExperimentResult]> = runs.chunks(strategies.len()).collect();
     let all = per_seed[0];

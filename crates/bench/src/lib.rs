@@ -10,9 +10,14 @@
 //! the paper's *shape*: which model wins at which horizon, how coverage
 //! scales with cluster count, where AUTO overtakes STATIC, and so on.
 //! EXPERIMENTS.md records paper-vs-measured values side by side.
+//!
+//! [`controller`] is the §7.6 closed loop: a planner outside the
+//! forecasting framework that reads `qb5000`'s forecasts and builds
+//! indexes in the `qb-dbsim` engine.
 
 #![forbid(unsafe_code)]
 
+pub mod controller;
 pub mod eval;
 pub mod exp_ablations;
 pub mod exp_clustering;

@@ -203,7 +203,7 @@ impl TemplateFeature {
     /// `1 / (1 + L2)` against a dense vector over every coordinate, summed
     /// in coordinate order as `qb_linalg::l2_distance` sums: the lead's
     /// terms are the other vector's squares.
-    pub fn inverse_l2(&self, other_values: &[f64]) -> f64 {
+    pub(crate) fn inverse_l2(&self, other_values: &[f64]) -> f64 {
         assert_eq!(other_values.len(), self.dim(), "inverse_l2: length mismatch");
         let (head, tail) = other_values.split_at(self.lead);
         let sq: f64 = head

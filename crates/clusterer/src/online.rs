@@ -121,15 +121,6 @@ pub struct UpdateReport {
     pub clusters_created: usize,
 }
 
-impl UpdateReport {
-    /// True when any membership changed — the signal for the Forecaster to
-    /// retrain ("Every time the cluster assignment changes for templates,
-    /// QB5000 re-trains its models", §3).
-    pub fn assignments_changed(&self) -> bool {
-        self.new_templates > 0 || self.reassigned > 0 || self.evicted > 0 || self.merges > 0
-    }
-}
-
 /// A snapshot of one template handed to [`OnlineClusterer::update`].
 #[derive(Debug, Clone)]
 pub struct TemplateSnapshot {
@@ -267,7 +258,7 @@ impl OnlineClusterer {
     /// The trigger threshold currently in force: [`NEW_TEMPLATE_TRIGGER`],
     /// or — with `adaptive_trigger` — a margin above the learned baseline
     /// churn, clamped so a total template swap always fires.
-    pub fn effective_trigger(&self) -> f64 {
+    pub(crate) fn effective_trigger(&self) -> f64 {
         if self.config.adaptive_trigger {
             (3.0 * self.baseline_unseen_ratio + 0.1).clamp(NEW_TEMPLATE_TRIGGER, 0.9)
         } else {

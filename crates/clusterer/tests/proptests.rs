@@ -246,7 +246,8 @@ proptest! {
             cl.update(make(), 0);
             let mut settled = false;
             for _ in 0..40 {
-                if !cl.update(make(), 0).assignments_changed() {
+                let r = cl.update(make(), 0);
+                if r.new_templates + r.reassigned + r.evicted + r.merges == 0 {
                     settled = true;
                     break;
                 }

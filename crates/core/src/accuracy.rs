@@ -10,9 +10,9 @@
 //!
 //! The rolling MSE feeds two sinks: gauges on the pipeline's
 //! [`Recorder`] (`forecast.mse.h<i>`, plus per-cluster variants when
-//! enabled) and the [`HorizonAccuracy`] rows that
-//! [`PipelineHealth::with_accuracy`](crate::PipelineHealth::with_accuracy)
-//! attaches to the health report.
+//! enabled) and the [`HorizonAccuracy`] rows of the health report that
+//! [`DurablePipeline::health`](crate::DurablePipeline::health) returns
+//! with a manager attached.
 
 use std::collections::BTreeMap;
 
@@ -249,24 +249,6 @@ impl AccuracyTracker {
         self.overall.get(horizon_idx).and_then(RollingMean::mean)
     }
 
-    /// Per-cluster rolling MSE for one horizon, sorted by cluster id.
-    pub fn per_cluster_mse(&self, horizon_idx: usize) -> Vec<(u64, f64)> {
-        self.per_cluster
-            .range((horizon_idx, 0)..=(horizon_idx, u64::MAX))
-            .filter_map(|(&(_, c), m)| m.mean().map(|v| (c, v)))
-            .collect()
-    }
-
-    /// Predictions still waiting for their bucket to elapse.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Total settled observations over the tracker's lifetime.
-    pub fn settled_total(&self) -> u64 {
-        self.settled_total
-    }
-
     /// Plain-data snapshot of the tracker, including unsettled claims and
     /// the exact rolling-window contents.
     pub fn export_state(&self) -> AccuracyTrackerState {
@@ -318,7 +300,7 @@ impl AccuracyTracker {
     }
 
     /// One [`HorizonAccuracy`] row per configured horizon.
-    pub fn horizon_accuracy(&self) -> Vec<HorizonAccuracy> {
+    pub(crate) fn horizon_accuracy(&self) -> Vec<HorizonAccuracy> {
         self.overall
             .iter()
             .enumerate()
@@ -335,7 +317,7 @@ impl crate::pipeline::PipelineHealth {
     /// Attaches the rolling forecast-accuracy rows, completing the health
     /// report for a pipeline whose predictions are scored by an
     /// [`AccuracyTracker`].
-    pub fn with_accuracy(mut self, tracker: &AccuracyTracker) -> Self {
+    pub(crate) fn with_accuracy(mut self, tracker: &AccuracyTracker) -> Self {
         self.forecast_accuracy = tracker.horizon_accuracy();
         self
     }
@@ -356,6 +338,14 @@ mod tests {
         bot
     }
 
+    /// Per-cluster rolling MSE for one horizon, sorted by cluster id.
+    fn per_cluster_mse(tr: &AccuracyTracker, horizon_idx: usize) -> Vec<(u64, f64)> {
+        tr.per_cluster
+            .range((horizon_idx, 0)..=(horizon_idx, u64::MAX))
+            .filter_map(|(&(_, c), m)| m.mean().map(|v| (c, v)))
+            .collect()
+    }
+
     #[test]
     fn perfect_prediction_scores_zero() {
         let bot = fed_bot(2);
@@ -364,14 +354,14 @@ mod tests {
         let mut tr = AccuracyTracker::new(1, 8);
         // Claim exactly the actual: 10/min × 60 = 600 arrivals next hour.
         tr.record(0, now, Interval::HOUR, 1, &clusters, &[600.0]);
-        assert_eq!(tr.pending_len(), 1);
+        assert_eq!(tr.pending.len(), 1);
         // Not yet matured: the predicted bucket hasn't elapsed.
         assert_eq!(tr.settle(&bot, now + 60), 0);
         assert_eq!(tr.settle(&bot, now + 121), 1);
-        assert_eq!(tr.pending_len(), 0);
+        assert_eq!(tr.pending.len(), 0);
         let mse = tr.rolling_mse(0).unwrap();
         assert!(mse < 1e-12, "perfect claim must score ~0, got {mse}");
-        assert_eq!(tr.settled_total(), 1);
+        assert_eq!(tr.settled_total, 1);
     }
 
     #[test]
@@ -385,7 +375,7 @@ mod tests {
         let want = 601f64.ln().powi(2); // (ln(1+600) - ln(1+0))²
         let got = tr.rolling_mse(0).unwrap();
         assert!((got - want).abs() < 1e-9, "got {got}, want {want}");
-        let per = tr.per_cluster_mse(0);
+        let per = per_cluster_mse(&tr, 0);
         assert_eq!(per.len(), 1);
         assert!((per[0].1 - want).abs() < 1e-9);
     }
@@ -426,7 +416,7 @@ mod tests {
         }
         tr.record(0, now, Interval::HOUR, 1, &clusters, &[600.0]);
         assert_eq!(tr.settle(&bot, now + 121), 4, "every claim settles, scored or not");
-        assert_eq!(tr.pending_len(), 0);
+        assert_eq!(tr.pending.len(), 0);
         let mse = tr.rolling_mse(0).expect("finite claims still score");
         assert!(mse.is_finite(), "degenerate claims leaked into the mean: {mse}");
         // NaN and -∞ collapse to a 0.0 claim via max(0.0) and do score;
@@ -437,7 +427,7 @@ mod tests {
             tr.settle(&bot, now + 121);
         }
         assert!(tr.rolling_mse(0).unwrap().is_finite());
-        for (_, mse) in tr.per_cluster_mse(0) {
+        for (_, mse) in per_cluster_mse(&tr, 0) {
             assert!(mse.is_finite(), "per-cluster mean poisoned: {mse}");
         }
     }
@@ -481,8 +471,8 @@ mod tests {
         let late = now + 13 * 60 + 1;
         assert_eq!(restored.settle(&bot, late), tr.settle(&bot, late));
         assert_eq!(restored.rolling_mse(1), tr.rolling_mse(1));
-        assert_eq!(restored.per_cluster_mse(0), tr.per_cluster_mse(0));
-        assert_eq!(restored.settled_total(), tr.settled_total());
+        assert_eq!(per_cluster_mse(&restored, 0), per_cluster_mse(&tr, 0));
+        assert_eq!(restored.settled_total, tr.settled_total);
     }
 
     #[test]

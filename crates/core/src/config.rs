@@ -1,11 +1,11 @@
-//! Validating builders for the two public configuration structs.
+//! The validating builder for [`Qb5000Config`].
 //!
-//! The structs themselves ([`Qb5000Config`], [`ControllerConfig`]) keep
-//! public fields and a `Default` impl for struct-update syntax, but a
-//! nonsense value (ρ outside `(0, 1]`, a zero cluster count, a zero
-//! build period) only surfaces deep inside the pipeline — as a wrong
-//! clustering, a panic, or a silent no-op. The builders reject those values at
-//! construction time with a [`ConfigError`] naming the offending field.
+//! The struct keeps public fields and a `Default` impl for struct-update
+//! syntax, but a nonsense value (ρ outside `(0, 1]`, a zero cluster count,
+//! a coverage target that is no ratio) only surfaces deep inside the
+//! pipeline — as a wrong clustering, a panic, or a silent no-op. The
+//! builder rejects those values at construction time with a
+//! [`ConfigError`] naming the offending field.
 //!
 //! ```
 //! use qb5000::{ConfigError, Qb5000Config};
@@ -19,23 +19,11 @@
 use qb_clusterer::ClustererConfig;
 use qb_obs::Recorder;
 use qb_preprocessor::PreProcessorConfig;
-use qb_timeseries::Minute;
 use qb_trace::Tracer;
-use qb_workloads::{FaultPlan, Workload};
 
-use crate::controller::{ControllerConfig, Strategy};
 use crate::durable::DurabilityConfig;
 use crate::error::ConfigError;
 use crate::pipeline::{FeatureMode, Qb5000Config};
-
-/// Shared scale check: finite and strictly positive.
-fn check_scale(field: &'static str, value: f64) -> Result<(), ConfigError> {
-    if value.is_finite() && value > 0.0 {
-        Ok(())
-    } else {
-        Err(ConfigError::BadScale { field, value })
-    }
-}
 
 impl Qb5000Config {
     /// A validating builder starting from [`Qb5000Config::default`].
@@ -160,152 +148,6 @@ impl Qb5000ConfigBuilder {
     }
 }
 
-impl ControllerConfig {
-    /// A validating builder starting from [`ControllerConfig::default`].
-    pub fn builder() -> ControllerConfigBuilder {
-        ControllerConfigBuilder { cfg: ControllerConfig::default() }
-    }
-
-    /// Checks the invariants the experiment driver assumes;
-    /// [`ControllerConfigBuilder::build`] calls this.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        self.pipeline.validate()?;
-        check_scale("db_scale", self.db_scale)?;
-        check_scale("trace_scale", self.trace_scale)?;
-        if self.history_days == 0 {
-            return Err(ConfigError::ZeroCount { field: "history_days" });
-        }
-        if self.run_hours == 0 {
-            return Err(ConfigError::ZeroCount { field: "run_hours" });
-        }
-        if self.build_period <= 0 {
-            return Err(ConfigError::ZeroInterval { field: "build_period" });
-        }
-        if self.report_window <= 0 {
-            return Err(ConfigError::ZeroInterval { field: "report_window" });
-        }
-        Ok(())
-    }
-}
-
-/// Builder for [`ControllerConfig`]; see the [module docs](self) for the
-/// validation rules.
-#[derive(Debug, Clone)]
-pub struct ControllerConfigBuilder {
-    cfg: ControllerConfig,
-}
-
-impl ControllerConfigBuilder {
-    /// Which trace generator to replay.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.cfg.workload = workload;
-        self
-    }
-
-    /// Index-selection strategy (AUTO / STATIC / AUTO-LOGICAL).
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.cfg.strategy = strategy;
-        self
-    }
-
-    /// Row-count scale for the simulated database (finite, > 0).
-    pub fn db_scale(mut self, scale: f64) -> Self {
-        self.cfg.db_scale = scale;
-        self
-    }
-
-    /// Warm-up history fed to QB5000 before the measured run (≥ 1 day).
-    pub fn history_days(mut self, days: u32) -> Self {
-        self.cfg.history_days = days;
-        self
-    }
-
-    /// Measured run length in simulated hours (≥ 1).
-    pub fn run_hours(mut self, hours: u32) -> Self {
-        self.cfg.run_hours = hours;
-        self
-    }
-
-    /// Trace volume scale (finite, > 0).
-    pub fn trace_scale(mut self, scale: f64) -> Self {
-        self.cfg.trace_scale = scale;
-        self
-    }
-
-    /// Total indexes the strategy may build.
-    pub fn index_budget(mut self, budget: usize) -> Self {
-        self.cfg.index_budget = budget;
-        self
-    }
-
-    /// How often AUTO builds an index, in simulated minutes (> 0).
-    pub fn build_period(mut self, minutes: Minute) -> Self {
-        self.cfg.build_period = minutes;
-        self
-    }
-
-    /// Perf-sample bucket width in simulated minutes (> 0).
-    pub fn report_window(mut self, minutes: Minute) -> Self {
-        self.cfg.report_window = minutes;
-        self
-    }
-
-    /// Start of the measured run, minutes since the trace epoch.
-    pub fn run_start(mut self, minute: Minute) -> Self {
-        self.cfg.run_start = minute;
-        self
-    }
-
-    /// Experiment seed (trace generation, database population).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Deterministic fault injection for chaos runs (the default is a
-    /// clean, fault-free run).
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault_plan = Some(plan);
-        self
-    }
-
-    /// Worker threads for the train/score engine (clamped to ≥ 1).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads.max(1);
-        self
-    }
-
-    /// The pipeline the controller drives (recorder, tracer, durability,
-    /// serving, clusterer settings); see [`ControllerConfig::pipeline`]
-    /// for what the controller overrides. Serving slots should cover the
-    /// [`crate::FORECAST_BLEND`] horizons (use
-    /// [`crate::ForecastService::hourly`]); unmatched horizons are simply
-    /// not published. Defaults to [`Qb5000Config::default`].
-    pub fn pipeline(mut self, pipeline: Qb5000Config) -> Self {
-        self.cfg.pipeline = pipeline;
-        self
-    }
-
-    /// Continuous self-monitoring for the run: each build round's metric
-    /// deltas are retained, the config's SLO rules are evaluated with
-    /// hysteresis (alert transitions land in
-    /// [`crate::ExperimentResult::alert_log`] and firing alerts in
-    /// `PipelineHealth::active_alerts`), and an optional live
-    /// `/metrics` + `/health` + `/alerts` endpoint serves the latest
-    /// state. Monitoring forces metrics on: a disabled recorder is
-    /// upgraded to an enabled one for the run. Defaults to `None`.
-    pub fn monitor(mut self, monitor: qb_monitor::MonitorConfig) -> Self {
-        self.cfg.monitor = Some(monitor);
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<ControllerConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,9 +155,7 @@ mod tests {
     #[test]
     fn defaults_pass_validation() {
         Qb5000Config::builder().build().unwrap();
-        ControllerConfig::builder().build().unwrap();
         Qb5000Config::default().validate().unwrap();
-        ControllerConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -365,37 +205,5 @@ mod tests {
             let err = Qb5000Config::builder().coverage_target(bad).build().unwrap_err();
             assert!(matches!(err, ConfigError::RatioOutOfRange { field: "coverage_target", .. }));
         }
-    }
-
-    #[test]
-    fn controller_rejects_degenerate_runs() {
-        assert_eq!(
-            ControllerConfig::builder().run_hours(0).build().unwrap_err(),
-            ConfigError::ZeroCount { field: "run_hours" }
-        );
-        assert_eq!(
-            ControllerConfig::builder().history_days(0).build().unwrap_err(),
-            ConfigError::ZeroCount { field: "history_days" }
-        );
-        assert_eq!(
-            ControllerConfig::builder().build_period(0).build().unwrap_err(),
-            ConfigError::ZeroInterval { field: "build_period" }
-        );
-        assert_eq!(
-            ControllerConfig::builder().report_window(-5).build().unwrap_err(),
-            ConfigError::ZeroInterval { field: "report_window" }
-        );
-        for bad in [0.0, f64::NAN, -1.0] {
-            assert!(matches!(
-                ControllerConfig::builder().db_scale(bad).build().unwrap_err(),
-                ConfigError::BadScale { field: "db_scale", .. }
-            ));
-        }
-    }
-
-    #[test]
-    fn threads_clamp_to_one() {
-        let cfg = ControllerConfig::builder().threads(0).build().unwrap();
-        assert_eq!(cfg.threads, 1);
     }
 }

@@ -1123,14 +1123,6 @@ impl DurablePipeline {
     pub fn store_stats(&self) -> StoreStats {
         self.store.as_ref().map(|s| s.store.stats()).unwrap_or_default()
     }
-
-    /// Replaces the crash-injection hook (test harnesses re-arm between
-    /// phases). Without a store there is nothing to crash.
-    pub fn set_fault_hook(&mut self, hook: FaultHook) {
-        if let Some(s) = &mut self.store {
-            s.store.set_hook(hook);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1140,6 +1132,11 @@ mod tests {
     use qb_durable::IoPoint;
     use qb_timeseries::MINUTES_PER_DAY;
     use std::path::Path;
+
+    /// Re-arms the crash-injection hook of a pipeline with a store.
+    fn set_fault_hook(p: &mut DurablePipeline, hook: FaultHook) {
+        p.store.as_mut().expect("a durable pipeline has a store").store.set_hook(hook);
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -1563,7 +1560,7 @@ mod tests {
             let (mut p, _) = DurablePipeline::open(durable_config(&dir)).unwrap();
             feed(&mut p, 1);
             p.update_clusters(now).unwrap();
-            p.set_fault_hook(FaultHook::crash_at_point(IoPoint::WalFrameHalf));
+            set_fault_hook(&mut p, FaultHook::crash_at_point(IoPoint::WalFrameHalf));
             let err = p.ingest_weighted(now + 1, "SELECT a FROM t WHERE id = 1", 9).unwrap_err();
             assert!(err.is_injected_crash());
         }
@@ -1585,10 +1582,10 @@ mod tests {
             for minute in 0..30 {
                 p.ingest_weighted(minute, sql, 2).unwrap();
             }
-            p.set_fault_hook(FaultHook::crash_at_point(IoPoint::WalFrameHalf));
+            set_fault_hook(&mut p, FaultHook::crash_at_point(IoPoint::WalFrameHalf));
             assert!(p.ingest_weighted(30, sql, 9).unwrap_err().is_injected_crash());
             let before = p.bot().export_state();
-            p.set_fault_hook(FaultHook::none());
+            set_fault_hook(&mut p, FaultHook::none());
             let batch = [BatchItem { minute: 31, sql, count: 4 }];
             let err = p.ingest_batch(&batch).unwrap_err();
             assert_eq!(err.stage(), "durability");

@@ -13,8 +13,9 @@ use qb_durable::DurabilityError;
 use qb_forecast::ForecastError;
 use qb_preprocessor::PreProcessError;
 
-/// A configuration value rejected by one of the validating builders
-/// ([`crate::Qb5000Config::builder`], [`crate::ControllerConfig::builder`]).
+/// A configuration value rejected by a config check
+/// ([`crate::Qb5000Config::validate`], which its builder runs, or a
+/// consumer's own check over the configs it embeds).
 ///
 /// Each variant names the offending field so the message pinpoints the
 /// exact knob, not just "bad config".
@@ -71,7 +72,7 @@ pub enum Error {
     PreProcess(PreProcessError),
     /// A forecasting model failed to train or was fed bad data.
     Forecast(ForecastError),
-    /// A builder rejected a configuration value.
+    /// A config check rejected a configuration value.
     Config(ConfigError),
     /// The durable-state layer failed (I/O, corruption, or an injected
     /// crash). Carried as the rendered message so `Error` stays `Clone +

@@ -53,10 +53,12 @@
 //! assert!(snapshot.counters["preprocessor.ingested_statements"] >= 600);
 //! ```
 //!
-//! The [`controller`] module implements the paper's §7.6 closed loop: the
-//! forecasts drive an AutoAdmin-style index advisor against the `qb-dbsim`
-//! engine, reproducing the AUTO / STATIC / AUTO-LOGICAL comparison of
-//! Figures 11–12.
+//! The forecasts are the product; what reads them sits outside it. The
+//! paper's §7.6 closed loop, where they drive an AutoAdmin-style index
+//! advisor against the `qb-dbsim` engine (the AUTO / STATIC /
+//! AUTO-LOGICAL comparison of Figures 11–12), is an experiment of the
+//! `qb-bench` crate. [`schemas`] keeps the simulated databases that its
+//! workloads run against.
 //!
 //! Fallible operations across the crate return the unified [`Error`] type;
 //! per-stage errors ([`PreProcessError`], [`ForecastError`], and
@@ -66,7 +68,6 @@
 
 pub mod accuracy;
 pub mod config;
-pub mod controller;
 pub mod durable;
 pub mod error;
 pub mod manager;
@@ -78,11 +79,7 @@ pub use accuracy::{
     AccuracyTracker, AccuracyTrackerState, HorizonAccuracy, PendingClaimState, RollingMeanState,
     DEFAULT_ACCURACY_WINDOW,
 };
-pub use config::{ControllerConfigBuilder, Qb5000ConfigBuilder};
-pub use controller::{
-    ControllerConfig, ExperimentResult, IndexSelectionExperiment, PerfSample, Strategy,
-    FORECAST_BLEND,
-};
+pub use config::Qb5000ConfigBuilder;
 pub use durable::{
     DurabilityConfig, DurablePipeline, FullState, RecoveryReport, WalRecord, STATE_VERSION,
 };
@@ -105,15 +102,11 @@ pub use qb_serve::{
     ServeHealth, SnapshotBuilder, StalenessBound,
 };
 
-// The self-monitoring surface (`ControllerConfig::monitor`,
-// `PipelineHealth::active_alerts`): metrics-history retention, the
-// deterministic SLO/alert engine, and the live scrape endpoint,
-// re-exported so consumers configure monitoring without depending on
-// `qb-monitor` directly.
+// The self-monitoring surface (`PipelineHealth::active_alerts`): the
+// monitor, its config and the SLO rules it evaluates, re-exported so
+// consumers watch a pipeline without depending on `qb-monitor` directly.
 pub use qb_monitor::{
-    check_prometheus, ActiveAlert, AlertChange, AlertEngine, AlertRule,
-    Condition as AlertCondition, MetricsHistory, Monitor, MonitorConfig, MonitorServer,
-    MonitorState, Severity,
+    ActiveAlert, AlertRule, Condition as AlertCondition, Monitor, MonitorConfig, Severity,
 };
 
 // The durable-state policy surface (`Qb5000Config::durability`) exposes the

@@ -98,7 +98,7 @@ pub struct ForecastHealth {
 impl crate::pipeline::PipelineHealth {
     /// Appends the forecaster stage's last error, completing the per-stage
     /// picture for a pipeline driven through a [`ForecastManager`].
-    pub fn with_forecast(mut self, fh: &ForecastHealth) -> Self {
+    pub(crate) fn with_forecast(mut self, fh: &ForecastHealth) -> Self {
         if let Some(e) = &fh.last_error {
             self.last_errors.push(("forecaster", e.clone()));
         }
@@ -1377,7 +1377,8 @@ mod tests {
             restored.predict_tracked(&restored_bot, later, 0),
             mgr.predict_tracked(&bot, later, 0)
         );
-        assert_eq!(restored.accuracy().settled_total(), mgr.accuracy().settled_total());
+        let settled = |m: &ForecastManager| m.accuracy().export_state().settled_total;
+        assert_eq!(settled(&restored), settled(&mgr));
         assert_eq!(restored.accuracy().rolling_mse(0), mgr.accuracy().rolling_mse(0));
     }
 
@@ -1405,12 +1406,12 @@ mod tests {
         let mut mgr = manager();
         mgr.ensure_trained(&bot, now).unwrap();
         let p = mgr.predict_tracked(&bot, now, 0);
-        assert_eq!(mgr.accuracy().pending_len(), p.len());
-        assert_eq!(mgr.accuracy().settled_total(), 0);
+        assert_eq!(mgr.accuracy().export_state().pending.len(), p.len());
+        assert_eq!(mgr.accuracy().export_state().settled_total, 0);
         // Two hours later the 1 h claim has matured; the next call settles
         // it before recording fresh ones.
         mgr.predict_tracked(&bot, now + 121, 0);
-        assert_eq!(mgr.accuracy().settled_total(), p.len() as u64);
+        assert_eq!(mgr.accuracy().export_state().settled_total, p.len() as u64);
         assert!(mgr.accuracy().rolling_mse(0).is_some());
     }
 }

@@ -230,12 +230,13 @@ pub struct PipelineHealth {
     /// Per-stage last error as `(stage, message)`, most recent per stage.
     pub last_errors: Vec<(&'static str, String)>,
     /// Worker threads the pipeline runs with (the ingest and feature pool
-    /// resolved from `QB_THREADS` at assembly; a controller run reports
-    /// `ControllerConfig::threads`; 1 = sequential).
+    /// resolved from `QB_THREADS` at assembly, unless the caller that
+    /// reports sets its own width; 1 = sequential).
     pub threads_used: usize,
     /// Rolling forecast-accuracy rows, one per tracked horizon. Empty
     /// unless an [`crate::AccuracyTracker`] scores this pipeline's
-    /// predictions (attach via [`PipelineHealth::with_accuracy`]).
+    /// predictions ([`crate::DurablePipeline::health`] with a manager
+    /// attached).
     pub forecast_accuracy: Vec<HorizonAccuracy>,
     /// Flight-recorder dumps captured so far (divergence, degradation,
     /// quarantine spikes, manual triggers) — oldest first. Empty unless
@@ -249,8 +250,8 @@ pub struct PipelineHealth {
     /// serving staleness from either report.
     pub serve_epoch: Option<u64>,
     /// SLO alerts firing at report time, in rule declaration order.
-    /// Empty unless a [`qb_monitor::Monitor`] watches this run (attach
-    /// via `ControllerConfig::builder().monitor(...)`).
+    /// Empty unless the caller that reports sets the alerts of a
+    /// [`qb_monitor::Monitor`] watching its run.
     pub active_alerts: Vec<qb_monitor::ActiveAlert>,
 }
 
@@ -482,9 +483,9 @@ impl QueryBot5000 {
     }
 
     /// The resilience-layer health report: ingest accounting plus the
-    /// Pre-Processor's quarantine view. Combine with
-    /// [`crate::manager::ForecastManager::health`] via
-    /// [`PipelineHealth::with_forecast`] for the full per-stage picture.
+    /// Pre-Processor's quarantine view. [`crate::DurablePipeline::health`]
+    /// adds its attached manager's accuracy rows and training errors for
+    /// the full per-stage picture.
     pub fn health(&self) -> PipelineHealth {
         let q = self.pre.quarantine();
         let mut last_errors = Vec::new();
@@ -617,7 +618,7 @@ impl QueryBot5000 {
     /// Whether cold-start forecasting is enabled
     /// ([`Qb5000Config::cold_start`]): retrain rounds then also publish
     /// seeded estimates for templates outside the trained cluster set.
-    pub fn cold_start_enabled(&self) -> bool {
+    pub(crate) fn cold_start_enabled(&self) -> bool {
         self.config.cold_start
     }
 

@@ -11,12 +11,11 @@
 //!
 //! Wiring: hand a service to
 //! [`Qb5000Config::builder().serve(...)`](crate::Qb5000ConfigBuilder::serve)
-//! (or [`ControllerConfig::builder().pipeline(...)`](crate::ControllerConfigBuilder::pipeline))
 //! and keep a clone for [`ForecastService::reader`] handles. The pipeline
-//! then publishes at three points: cluster updates (membership patches),
+//! then publishes at two points: cluster updates (membership patches) and
 //! [`crate::ForecastManager::ensure_trained`] retrains (per-horizon curve
-//! patches with structural sharing), and controller build rounds (the
-//! blended per-round forecasts).
+//! patches with structural sharing). A caller may publish its own
+//! per-round forecasts with [`ForecastService::publish_forecasts`].
 
 use std::sync::Arc;
 
@@ -34,7 +33,7 @@ use crate::pipeline::ClusterInfo;
 /// A seeded forecast for a template the tracked-cluster routing does not
 /// yet cover — the cold-start path's publication unit. `values` pairs
 /// `(slot, predicted rate)` for the horizon slots the seed covers;
-/// [`ForecastService::publish_forecasts_with_cold`] turns each pair into
+/// The manager's retrain publication turns each pair into
 /// the same single-bucket curve shape as the warm per-cluster forecasts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColdSeed {
@@ -86,8 +85,7 @@ impl ForecastService {
     }
 
     /// A service with one hourly slot per horizon (24-step window, the
-    /// shape of [`HorizonSpec::hourly`]). Pair with
-    /// [`crate::FORECAST_BLEND`] hours to serve the controller's forecasts.
+    /// shape of [`HorizonSpec::hourly`]).
     pub fn hourly(horizon_hours: &[usize]) -> Self {
         Self::with_horizons(
             horizon_hours
@@ -164,7 +162,7 @@ impl ForecastService {
     /// identity, volume, and members are unchanged are shared with the
     /// previous snapshot by `Arc`; entries whose membership changed drop
     /// their stale curves. Returns the new epoch.
-    pub fn publish_membership(&self, now: Minute, clusters: &[ClusterInfo]) -> u64 {
+    pub(crate) fn publish_membership(&self, now: Minute, clusters: &[ClusterInfo]) -> u64 {
         let members = memberships(clusters);
         self.publish_traced("membership", &[], |current, _epoch| {
             current.rebuild().built_at(now).set_membership(&members)
@@ -195,7 +193,7 @@ impl ForecastService {
     /// template's cluster-assignment anchor (cluster-share seeds) so the
     /// estimate's lineage reaches back to the assignment that produced
     /// it. Returns the new epoch.
-    pub fn publish_forecasts_with_cold(
+    pub(crate) fn publish_forecasts_with_cold(
         &self,
         now: Minute,
         clusters: &[ClusterInfo],

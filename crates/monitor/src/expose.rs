@@ -19,7 +19,7 @@ pub const QUANTILES: [f64; 3] = [0.5, 0.95, 0.99];
 /// histogram — `<family>_quantile_seconds{quantile="0.99"} …`, one line
 /// per [`QUANTILES`] entry — and an `alerts_firing{severity=…}` gauge
 /// family so a scraper sees SLO state without a second endpoint.
-pub fn exposition_text(snapshot: &MetricsSnapshot, alerts: &[ActiveAlert]) -> String {
+pub(crate) fn exposition_text(snapshot: &MetricsSnapshot, alerts: &[ActiveAlert]) -> String {
     let mut out = snapshot.to_prometheus();
     for (key, hist) in &snapshot.histograms {
         // Labeled histograms would need per-series quantile labels merged
@@ -55,7 +55,7 @@ pub fn exposition_text(snapshot: &MetricsSnapshot, alerts: &[ActiveAlert]) -> St
 /// and histogram event counts. Only round-deterministic data is rendered
 /// (no wall-time durations), so two runs of the same workload produce
 /// byte-identical dashboards regardless of worker-pool width.
-pub fn render_dashboard(history: &MetricsHistory, alerts: &[ActiveAlert]) -> String {
+pub(crate) fn render_dashboard(history: &MetricsHistory, alerts: &[ActiveAlert]) -> String {
     let mut out = String::new();
     let round = history.latest_round().map_or("-".to_string(), |r| r.to_string());
     let _ = writeln!(out, "== qb5000 monitor — round {round} ==");

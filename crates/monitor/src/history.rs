@@ -8,8 +8,7 @@
 //! deterministic: two runs that execute the same rounds retain the same
 //! deltas regardless of worker-pool width or how long each round took.
 //!
-//! Windowed queries ([`MetricsHistory::counter_increase`],
-//! [`MetricsHistory::gauge_mean`], [`MetricsHistory::histogram_window`],
+//! Windowed queries (`counter_increase`, `gauge_mean`, `histogram_window`,
 //! …) fold the newest `window` deltas, which is all an alert rule ever
 //! needs: rates are increments over rounds, levels are gauge series, and
 //! latency quantiles come from the merged bucket counts of the window.
@@ -76,12 +75,12 @@ impl MetricsHistory {
     }
 
     /// The most recently observed round number.
-    pub fn latest_round(&self) -> Option<u64> {
+    pub(crate) fn latest_round(&self) -> Option<u64> {
         self.ring.back().map(|r| r.round)
     }
 
     /// The most recently observed full snapshot.
-    pub fn latest_snapshot(&self) -> Option<&MetricsSnapshot> {
+    pub(crate) fn latest_snapshot(&self) -> Option<&MetricsSnapshot> {
         self.latest.as_ref()
     }
 
@@ -97,13 +96,13 @@ impl MetricsHistory {
 
     /// Total increments of `counter` across the newest `window` rounds
     /// (0 when the counter never appeared).
-    pub fn counter_increase(&self, counter: &str, window: usize) -> u64 {
+    pub(crate) fn counter_increase(&self, counter: &str, window: usize) -> u64 {
         self.window(window).map(|r| r.delta.counters.get(counter).copied().unwrap_or(0)).sum()
     }
 
     /// Mean increments of `counter` per retained round over the newest
     /// `window` rounds (`None` before the first observation).
-    pub fn counter_rate(&self, counter: &str, window: usize) -> Option<f64> {
+    pub(crate) fn counter_rate(&self, counter: &str, window: usize) -> Option<f64> {
         let rounds = self.window(window).count();
         if rounds == 0 {
             return None;
@@ -122,7 +121,7 @@ impl MetricsHistory {
 
     /// Mean gauge level over the newest `window` rounds (`None` when the
     /// gauge never appeared in the window).
-    pub fn gauge_mean(&self, gauge: &str, window: usize) -> Option<f64> {
+    pub(crate) fn gauge_mean(&self, gauge: &str, window: usize) -> Option<f64> {
         let series = self.gauge_series(gauge, window);
         if series.is_empty() {
             return None;
@@ -132,7 +131,7 @@ impl MetricsHistory {
 
     /// Absolute change of the gauge between the oldest and newest levels
     /// inside the window (`None` with fewer than two observations).
-    pub fn gauge_change(&self, gauge: &str, window: usize) -> Option<f64> {
+    pub(crate) fn gauge_change(&self, gauge: &str, window: usize) -> Option<f64> {
         let series = self.gauge_series(gauge, window);
         match (series.first(), series.last()) {
             (Some(first), Some(last)) if series.len() >= 2 => Some(last - first),
@@ -145,7 +144,11 @@ impl MetricsHistory {
     /// `None` when the histogram never appeared in the window. Rounds
     /// where a bound shape differs (impossible for live registries) are
     /// skipped.
-    pub fn histogram_window(&self, histogram: &str, window: usize) -> Option<HistogramSnapshot> {
+    pub(crate) fn histogram_window(
+        &self,
+        histogram: &str,
+        window: usize,
+    ) -> Option<HistogramSnapshot> {
         let mut merged: Option<HistogramSnapshot> = None;
         for r in self.window(window) {
             let Some(h) = r.delta.histograms.get(histogram) else { continue };

@@ -66,12 +66,12 @@ impl MonitorServer {
     }
 
     /// The bound address (useful with an ephemeral port).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Stops the serving thread and joins it.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         if self.handle.is_none() {
             return;
         }

@@ -17,12 +17,12 @@
 //!    ([`AlertChange`]), byte-stable-logged, and causally linked into
 //!    the qb-trace flight recorder so `TraceView::explain` resolves an
 //!    alert back to the forecasts that tripped it.
-//! 3. **Exposition** ([`exposition_text`], [`render_dashboard`],
-//!    [`MonitorServer`]): each round publishes one immutable
-//!    [`MonitorState`] through the qb-serve [`Swap`]; a blocking HTTP
-//!    thread serves `/metrics` (Prometheus text with estimated quantile
-//!    gauges), `/health`, `/alerts`, and `/dashboard` from the state it
-//!    holds — scrapes are tear-free and never wait for a round's work.
+//! 3. **Exposition** (the [`expose`] renderers, [`MonitorServer`]): each
+//!    round publishes one immutable [`MonitorState`] through the qb-serve
+//!    [`Swap`]; a blocking HTTP thread serves `/metrics` (Prometheus text
+//!    with estimated quantile gauges), `/health`, `/alerts`, and
+//!    `/dashboard` from the state it holds — scrapes are tear-free and
+//!    never wait for a round's work.
 //!
 //! Everything except wall-time latency observations is deterministic:
 //! two runs of the same workload produce bit-identical alert transition
@@ -44,7 +44,8 @@ use qb_obs::MetricsSnapshot;
 use qb_serve::Swap;
 use qb_trace::{EventId, Tracer};
 
-pub use expose::{exposition_text, render_dashboard, QUANTILES};
+pub(crate) use expose::{exposition_text, render_dashboard};
+pub use expose::QUANTILES;
 pub use history::{MetricsHistory, RoundDelta};
 pub use http::{MonitorServer, MonitorState};
 pub use promcheck::check_prometheus;
@@ -83,8 +84,8 @@ impl MonitorConfig {
     ///
     /// Every stock rule folds only deterministic signals (gauges and
     /// counters), so the alert stream stays bit-identical across
-    /// worker-pool widths. Wall-time latency budgets are opt-in via
-    /// [`MonitorConfig::with_publish_budget`].
+    /// worker-pool widths. A wall-time rule ([`Condition::QuantileAbove`])
+    /// is not, so it is opt-in through [`MonitorConfig::rules`].
     pub fn with_default_slos(horizons: usize, mse_band: f64) -> Self {
         let mut rules = Vec::new();
         for i in 0..horizons {
@@ -136,26 +137,6 @@ impl MonitorConfig {
             Condition::Absent { counter: "preprocessor.ingested_statements".into(), window: 6 },
         ));
         Self { rules, ..Self::default() }
-    }
-
-    /// Adds a `serve.publish` p99 latency-budget rule. Wall-time based,
-    /// so *not* deterministic — keep it out of bit-identity harnesses.
-    pub fn with_publish_budget(mut self, budget_nanos: f64) -> Self {
-        self.rules.push(
-            AlertRule::new(
-                "publish-latency-budget",
-                Severity::Warning,
-                Condition::QuantileAbove {
-                    histogram: "serve.publish".into(),
-                    q: 0.99,
-                    budget_nanos,
-                    window: 8,
-                },
-            )
-            .for_rounds(2)
-            .clear_rounds(2),
-        );
-        self
     }
 
     /// Replaces the rule set.
@@ -239,19 +220,9 @@ impl Monitor {
         self.engine.transition_log()
     }
 
-    /// The transition log as one newline-joined string.
-    pub fn transition_stream(&self) -> String {
-        self.engine.transition_stream()
-    }
-
     /// The retained metrics history.
     pub fn history(&self) -> &MetricsHistory {
         &self.history
-    }
-
-    /// The deterministic dashboard for the latest observed round.
-    pub fn render_dashboard(&self) -> String {
-        render_dashboard(&self.history, &self.engine.active())
     }
 
     /// The scrape endpoint's bound address, when HTTP is enabled.
@@ -317,14 +288,13 @@ mod tests {
 
     #[test]
     fn default_slos_cover_quality_degradation_quarantine_and_absence() {
-        let config = MonitorConfig::with_default_slos(3, -1.0).with_publish_budget(5e6);
+        let config = MonitorConfig::with_default_slos(3, -1.0);
         let names: Vec<&str> = config.rules.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"forecast-quality-h0"));
         assert!(names.contains(&"forecast-quality-h2"));
         assert!(names.contains(&"degradation-dwell-h1"));
         assert!(names.contains(&"quarantine-spike"));
         assert!(names.contains(&"ingest-stalled"));
-        assert!(names.contains(&"publish-latency-budget"));
     }
 
     #[test]

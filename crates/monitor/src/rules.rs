@@ -336,16 +336,6 @@ impl AlertEngine {
     pub fn transition_log(&self) -> &[String] {
         &self.log
     }
-
-    /// The transition log as one newline-joined string.
-    pub fn transition_stream(&self) -> String {
-        let mut out = String::new();
-        for line in &self.log {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Records the [`EventKind::AlertFired`] event: first evidence id as the

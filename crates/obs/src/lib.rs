@@ -121,7 +121,7 @@ impl Recorder {
     }
 
     /// Resolves a counter carrying Prometheus-style labels. The labels
-    /// become part of the registration key (see [`labeled_name`]), so each
+    /// become part of the registration key (`name{k="v",...}`), so each
     /// distinct label set is its own series and the text exposition emits
     /// one `# TYPE` line per family.
     pub fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
@@ -189,7 +189,7 @@ impl Recorder {
 /// here — at registration — so hostile text (raw SQL fragments, template
 /// bodies) can never corrupt the exposition output, and every exporter
 /// sees an already-well-formed label block.
-pub fn labeled_name(name: &str, labels: &[(&str, &str)]) -> String {
+pub(crate) fn labeled_name(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();
     }

@@ -24,7 +24,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean observation in milliseconds (0.0 when empty).
-    pub fn mean_millis(&self) -> f64 {
+    pub(crate) fn mean_millis(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -176,7 +176,7 @@ impl MetricsSnapshot {
     /// cumulative with `le` labels in seconds).
     ///
     /// Registry keys of the form `name{k="v",...}` — as produced by
-    /// [`crate::labeled_name`], which escapes backslash, double-quote,
+    /// [`crate::Recorder::counter_labeled`], which escapes backslash, double-quote,
     /// and newline in label values per the exposition format — are split
     /// into a sanitized family name plus the pre-escaped label block, so
     /// hostile label text (quotes, backslashes, newlines from raw SQL)
@@ -282,7 +282,7 @@ fn prom_f64(v: f64) -> String {
 /// Escapes a label *value* per the Prometheus text exposition format:
 /// backslash → `\\`, double-quote → `\"`, newline → `\n`. Everything else
 /// passes through untouched.
-pub fn escape_label_value(v: &str) -> String {
+pub(crate) fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

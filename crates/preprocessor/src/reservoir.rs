@@ -74,7 +74,7 @@ impl<T> Reservoir<T> {
     }
 
     /// The RNG's internal state (for durable snapshots).
-    pub fn rng_state(&self) -> [u64; 4] {
+    pub(crate) fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
     }
 

@@ -89,7 +89,7 @@ impl ForecastQuery {
     /// [`crate::ForecastReader::answer`]; it is exposed so a caller
     /// holding a pinned `Arc<ForecastSnapshot>` can batch many queries
     /// against one consistent epoch.
-    pub fn answer_from(&self, snapshot: &ForecastSnapshot) -> ForecastAnswer {
+    pub(crate) fn answer_from(&self, snapshot: &ForecastSnapshot) -> ForecastAnswer {
         let epoch = snapshot.epoch();
         let built_at = snapshot.built_at;
         if !self.staleness.admits(snapshot) {

@@ -204,7 +204,7 @@ impl ForecastSnapshot {
 
     /// The cluster `template` is routed to, if any tracked cluster
     /// contains it. Binary search over the sorted index.
-    pub fn cluster_of_template(&self, template: u32) -> Option<u64> {
+    pub(crate) fn cluster_of_template(&self, template: u32) -> Option<u64> {
         self.template_index
             .binary_search_by_key(&template, |&(t, _)| t)
             .ok()

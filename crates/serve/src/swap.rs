@@ -83,7 +83,7 @@ impl<T: Versioned> Swap<T> {
     /// # Panics
     /// Panics if `f` returns a value whose version does not exceed the
     /// current one; the current value stays installed.
-    pub fn publish_with(&self, f: impl FnOnce(&T) -> Arc<T>) -> u64 {
+    pub(crate) fn publish_with(&self, f: impl FnOnce(&T) -> Arc<T>) -> u64 {
         let guard = self.publish_lock.lock().expect("swap publish lock poisoned");
         let current = self.load();
         let next = f(&current);

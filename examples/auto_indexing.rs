@@ -5,36 +5,35 @@
 //! clustering ablation — and prints the throughput/latency trajectories.
 //!
 //! ```text
-//! cargo run --release --example auto_indexing
+//! cargo run --release -p qb-bench --example auto_indexing
 //! ```
 
-use qb5000::{ControllerConfig, IndexSelectionExperiment, Strategy};
+use qb_bench::controller::{ControllerConfig, IndexSelectionExperiment, Strategy};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
 fn main() {
-    let base = ControllerConfig::builder()
-        .workload(Workload::BusTracker)
-        .strategy(Strategy::Auto)
-        .db_scale(0.15)
-        .history_days(4)
-        .run_hours(10)
-        .trace_scale(0.04)
-        .index_budget(10)
-        .build_period(60)
-        .report_window(60)
-        .run_start(21 * MINUTES_PER_DAY)
-        .seed(0x1D7)
-        .threads(qb_parallel::configured_threads())
-        .build()
-        .expect("example config is valid");
+    let base = ControllerConfig {
+        workload: Workload::BusTracker,
+        db_scale: 0.15,
+        history_days: 4,
+        run_hours: 10,
+        trace_scale: 0.04,
+        index_budget: 10,
+        build_period: 60,
+        report_window: 60,
+        run_start: 21 * MINUTES_PER_DAY,
+        seed: 0x1D7,
+        ..ControllerConfig::default()
+    };
 
     let mut results = Vec::new();
     for strategy in [Strategy::Static, Strategy::Auto, Strategy::AutoLogical] {
         println!("Running {}...", strategy.name());
-        let result =
-            IndexSelectionExperiment::new(ControllerConfig { strategy, ..base.clone() }).run();
-        results.push(result);
+        let experiment =
+            IndexSelectionExperiment::new(ControllerConfig { strategy, ..base.clone() })
+                .expect("example config is valid");
+        results.push(experiment.run());
     }
 
     println!("\nThroughput over the run (queries/simulated second):");

@@ -10,7 +10,7 @@
 //! lineage through the flight recorder.
 //!
 //! ```text
-//! cargo run --release --example monitored_pipeline
+//! cargo run --release -p qb-bench --example monitored_pipeline
 //! ```
 //!
 //! `QB_MONITOR_PORT` overrides the scrape port (default 9184). Exits
@@ -21,10 +21,9 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use qb5000::{
-    check_prometheus, AlertChange, ControllerConfig, IndexSelectionExperiment, MonitorConfig,
-    Qb5000Config, Strategy, Tracer,
-};
+use qb5000::{MonitorConfig, Qb5000Config, Tracer};
+use qb_bench::controller::{ControllerConfig, IndexSelectionExperiment, Strategy};
+use qb_monitor::{check_prometheus, AlertChange};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};
 
@@ -60,32 +59,32 @@ fn main() {
         ..FaultPlan::none(5)
     };
     let tracer = Tracer::enabled();
-    let config = ControllerConfig::builder()
-        .workload(Workload::BusTracker)
-        .strategy(Strategy::Auto)
-        .db_scale(0.06)
-        .history_days(2)
+    let config = ControllerConfig {
+        workload: Workload::BusTracker,
+        strategy: Strategy::Auto,
+        db_scale: 0.06,
+        history_days: 2,
         // Ten hourly rounds: the rolling MSE needs a report window to
         // settle (the gauge reads 0 for the first ~3 rounds), and the
         // stock quality band averages a 4-round window — a shorter run
         // ends before two consecutive violating rounds can accrue.
-        .run_hours(10)
-        .trace_scale(0.08)
-        .index_budget(6)
-        .build_period(60)
-        .report_window(60)
-        .run_start(14 * MINUTES_PER_DAY + 7 * 60)
-        .seed(0xE2E)
-        .threads(qb_parallel::configured_threads())
-        .fault_plan(faults)
-        .pipeline(Qb5000Config { tracer: tracer.clone(), ..Qb5000Config::default() })
-        .monitor(MonitorConfig::with_default_slos(2, 0.5).http_port(port))
-        .build()
-        .expect("example config is valid");
+        run_hours: 10,
+        trace_scale: 0.08,
+        index_budget: 6,
+        build_period: 60,
+        report_window: 60,
+        run_start: 14 * MINUTES_PER_DAY + 7 * 60,
+        seed: 0xE2E,
+        fault_plan: Some(faults),
+        pipeline: Qb5000Config { tracer: tracer.clone(), ..Qb5000Config::default() },
+        monitor: Some(MonitorConfig::with_default_slos(2, 0.5).http_port(port)),
+        ..ControllerConfig::default()
+    };
+    let experiment = IndexSelectionExperiment::new(config).expect("example config is valid");
 
     println!("Scrape endpoint: http://127.0.0.1:{port}/metrics (also /health /alerts /dashboard)");
     println!("Running the monitored AUTO experiment with injected faults...\n");
-    let worker = std::thread::spawn(move || IndexSelectionExperiment::new(config).run());
+    let worker = std::thread::spawn(move || experiment.run());
 
     // Play Prometheus while the experiment runs: scrape, validate, note
     // any firing alerts the moment they appear on the wire.

@@ -6,36 +6,34 @@
 //! JSON — load it at <https://ui.perfetto.dev> or `chrome://tracing`.
 //!
 //! ```text
-//! cargo run --release --example traced_indexing [trace.json]
+//! cargo run --release -p qb-bench --example traced_indexing [trace.json]
 //! ```
 
-use qb5000::{
-    ControllerConfig, EventKind, IndexSelectionExperiment, Qb5000Config, Strategy, Tracer,
-};
+use qb5000::{EventKind, Qb5000Config, Tracer};
+use qb_bench::controller::{ControllerConfig, IndexSelectionExperiment, Strategy};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
 fn main() {
     let tracer = Tracer::enabled();
-    let config = ControllerConfig::builder()
-        .workload(Workload::BusTracker)
-        .strategy(Strategy::Auto)
-        .db_scale(0.05)
-        .history_days(2)
-        .run_hours(4)
-        .trace_scale(0.02)
-        .index_budget(4)
-        .build_period(60)
-        .report_window(60)
-        .run_start(7 * MINUTES_PER_DAY)
-        .seed(9)
-        .threads(qb_parallel::configured_threads())
-        .pipeline(Qb5000Config { tracer: tracer.clone(), ..Qb5000Config::default() })
-        .build()
-        .expect("example config is valid");
+    let config = ControllerConfig {
+        workload: Workload::BusTracker,
+        strategy: Strategy::Auto,
+        db_scale: 0.05,
+        history_days: 2,
+        run_hours: 4,
+        trace_scale: 0.02,
+        index_budget: 4,
+        build_period: 60,
+        report_window: 60,
+        run_start: 7 * MINUTES_PER_DAY,
+        seed: 9,
+        pipeline: Qb5000Config { tracer: tracer.clone(), ..Qb5000Config::default() },
+        ..ControllerConfig::default()
+    };
 
     println!("Running the traced AUTO experiment...");
-    let result = IndexSelectionExperiment::new(config).run();
+    let result = IndexSelectionExperiment::new(config).expect("example config is valid").run();
     println!(
         "  built {} indexes | final throughput {:.0} qps\n",
         result.indexes.len(),

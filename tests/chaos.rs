@@ -10,9 +10,9 @@
 //! acceptance corruption level (5 % malformed / 2 % duplicates / 1 %
 //! out-of-order — `FaultPlan::with_intensity(seed, 1.0)`).
 
-use qb5000::{
-    ControllerConfig, ForecastManager, HorizonSpec, IndexSelectionExperiment, JobSpan,
-    Qb5000Config, QueryBot5000, Strategy,
+use qb5000::{ForecastManager, HorizonSpec, JobSpan, Qb5000Config, QueryBot5000};
+use qb_bench::controller::{
+    ControllerConfig, ExperimentResult, IndexSelectionExperiment, Strategy,
 };
 use qb_forecast::{DegradationLevel, Ensemble, RnnConfig};
 use qb_timeseries::{Interval, MINUTES_PER_DAY};
@@ -126,35 +126,36 @@ fn poisoned_model_degrades_instead_of_panicking() {
     assert!(pred.iter().all(|v| v.is_finite()), "no NaN leaks into predictions: {pred:?}");
 }
 
-fn chaos_controller_cfg(index_budget: usize) -> ControllerConfig {
-    ControllerConfig::builder()
-        .workload(Workload::BusTracker)
-        .strategy(Strategy::Auto)
-        .db_scale(0.06)
-        .history_days(3)
-        .run_hours(6)
-        .trace_scale(0.08)
-        .index_budget(index_budget)
-        .build_period(60)
-        .report_window(60)
-        .run_start(14 * MINUTES_PER_DAY + 7 * 60)
-        .seed(0xE2E)
-        .fault_plan(FaultPlan::with_intensity(5, 1.0))
-        .threads(qb_parallel::configured_threads())
-        .build()
-        .expect("chaos config is valid")
+/// A faulted AUTO run with `index_budget` indexes to spend.
+fn chaos_controller_run(index_budget: usize) -> ExperimentResult {
+    let cfg = ControllerConfig {
+        workload: Workload::BusTracker,
+        strategy: Strategy::Auto,
+        db_scale: 0.06,
+        history_days: 3,
+        run_hours: 6,
+        trace_scale: 0.08,
+        index_budget,
+        build_period: 60,
+        report_window: 60,
+        run_start: 14 * MINUTES_PER_DAY + 7 * 60,
+        seed: 0xE2E,
+        fault_plan: Some(FaultPlan::with_intensity(5, 1.0)),
+        ..ControllerConfig::default()
+    };
+    IndexSelectionExperiment::new(cfg).expect("chaos config is valid").run()
 }
 
 #[test]
 fn auto_beats_no_index_baseline_at_5pct_corruption() {
-    let auto = IndexSelectionExperiment::new(chaos_controller_cfg(6)).run();
+    let auto = chaos_controller_run(6);
     assert!(!auto.samples.is_empty(), "AUTO completes with samples under faults");
     assert!(!auto.indexes.is_empty(), "AUTO still builds indexes under faults");
     assert!(auto.health.rejected_statements > 0, "faults reached the pipeline");
     assert!(auto.samples.iter().all(|s| s.throughput_qps.is_finite()));
 
-    let baseline = IndexSelectionExperiment::new(chaos_controller_cfg(0)).run();
-    let mean = |r: &qb5000::ExperimentResult| {
+    let baseline = chaos_controller_run(0);
+    let mean = |r: &ExperimentResult| {
         r.samples.iter().map(|s| s.throughput_qps).sum::<f64>() / r.samples.len() as f64
     };
     assert!(

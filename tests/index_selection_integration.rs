@@ -1,35 +1,39 @@
 //! Cross-crate integration: the §7.6 closed loop over the dbsim engine.
 
-use qb5000::{ControllerConfig, IndexSelectionExperiment, Strategy};
+use qb_bench::controller::{
+    ControllerConfig, ExperimentResult, IndexSelectionExperiment, Strategy,
+};
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::Workload;
 
 fn base(workload: Workload) -> ControllerConfig {
-    ControllerConfig::builder()
-        .workload(workload)
-        .strategy(Strategy::Auto)
-        .db_scale(0.06)
-        .history_days(2)
-        .run_hours(6)
-        .trace_scale(0.08)
-        .index_budget(6)
-        .build_period(60)
-        .report_window(60)
+    ControllerConfig {
+        workload,
+        strategy: Strategy::Auto,
+        db_scale: 0.06,
+        history_days: 2,
+        run_hours: 6,
+        trace_scale: 0.08,
+        index_budget: 6,
+        build_period: 60,
+        report_window: 60,
         // Start mid-morning so the 6-hour run covers the daytime load.
-        .run_start(match workload {
+        run_start: match workload {
             Workload::Admissions => 325 * MINUTES_PER_DAY + 7 * 60,
             _ => 14 * MINUTES_PER_DAY + 7 * 60,
-        })
-        .seed(0xE2E)
-        .threads(qb_parallel::configured_threads())
-        .build()
-        .expect("integration config is valid")
+        },
+        seed: 0xE2E,
+        ..ControllerConfig::default()
+    }
+}
+
+fn run(cfg: ControllerConfig) -> ExperimentResult {
+    IndexSelectionExperiment::new(cfg).expect("integration config is valid").run()
 }
 
 #[test]
 fn auto_improves_over_the_run_bustracker() {
-    let result =
-        IndexSelectionExperiment::new(base(Workload::BusTracker)).run();
+    let result = run(base(Workload::BusTracker));
     assert!(result.total_queries > 1_000);
     assert!(!result.indexes.is_empty(), "AUTO should build indexes");
     let first = result.samples.first().expect("samples").throughput_qps;
@@ -42,8 +46,7 @@ fn auto_improves_over_the_run_bustracker() {
 
 #[test]
 fn auto_improves_over_the_run_admissions() {
-    let result =
-        IndexSelectionExperiment::new(base(Workload::Admissions)).run();
+    let result = run(base(Workload::Admissions));
     assert!(!result.indexes.is_empty());
     let first = result.samples.first().expect("samples").throughput_qps;
     assert!(result.final_throughput() > first);
@@ -54,14 +57,11 @@ fn static_and_auto_both_beat_no_indexes() {
     // A zero-budget run is the no-index baseline.
     let mut no_ix = base(Workload::BusTracker);
     no_ix.index_budget = 0;
-    let baseline = IndexSelectionExperiment::new(no_ix).run();
+    let baseline = run(no_ix);
 
-    let auto = IndexSelectionExperiment::new(base(Workload::BusTracker)).run();
-    let static_ = IndexSelectionExperiment::new(ControllerConfig {
-        strategy: Strategy::Static,
-        ..base(Workload::BusTracker)
-    })
-    .run();
+    let auto = run(base(Workload::BusTracker));
+    let static_ =
+        run(ControllerConfig { strategy: Strategy::Static, ..base(Workload::BusTracker) });
 
     assert!(baseline.indexes.is_empty());
     assert!(
@@ -75,12 +75,9 @@ fn static_and_auto_both_beat_no_indexes() {
 
 #[test]
 fn static_builds_everything_up_front_auto_incrementally() {
-    let auto = IndexSelectionExperiment::new(base(Workload::BusTracker)).run();
-    let static_ = IndexSelectionExperiment::new(ControllerConfig {
-        strategy: Strategy::Static,
-        ..base(Workload::BusTracker)
-    })
-    .run();
+    let auto = run(base(Workload::BusTracker));
+    let static_ =
+        run(ControllerConfig { strategy: Strategy::Static, ..base(Workload::BusTracker) });
     assert!(static_.indexes.iter().all(|(t, _)| *t == 0));
     assert!(
         auto.indexes.iter().any(|(t, _)| *t > 0),
@@ -91,7 +88,7 @@ fn static_builds_everything_up_front_auto_incrementally() {
 
 #[test]
 fn latency_drops_as_indexes_land() {
-    let result = IndexSelectionExperiment::new(base(Workload::BusTracker)).run();
+    let result = run(base(Workload::BusTracker));
     let first_p99 = result.samples.first().expect("samples").p99_latency_ms;
     let final_p99 = result.final_latency();
     assert!(
@@ -104,11 +101,10 @@ fn latency_drops_as_indexes_land() {
 fn auto_logical_completes_with_indexes_or_not() {
     // The ablation must at least run the full loop; whether it finds good
     // indexes depends on the logical clusters (usually worse than AUTO).
-    let result = IndexSelectionExperiment::new(ControllerConfig {
+    let result = run(ControllerConfig {
         strategy: Strategy::AutoLogical,
         ..base(Workload::BusTracker)
-    })
-    .run();
+    });
     assert!(result.total_queries > 1_000);
     assert!(!result.samples.is_empty());
 }

@@ -2,41 +2,41 @@
 //! on fault-injected regressions, carry trace lineage, and the alert
 //! stream is bit-identical across worker-pool widths.
 
-use qb5000::{
-    AlertChange, AlertCondition, AlertRule, ControllerConfig, IndexSelectionExperiment,
-    MonitorConfig, Qb5000Config, Severity, Strategy, Tracer,
+use qb5000::{AlertCondition, AlertRule, MonitorConfig, Qb5000Config, Severity, Tracer};
+use qb_bench::controller::{
+    ControllerConfig, ExperimentResult, IndexSelectionExperiment, Strategy,
 };
+use qb_monitor::AlertChange;
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{FaultPlan, Workload};
 
 /// A short monitored AUTO run. The fault plan (when given) corrupts the
 /// trace with malformed SQL and arrival spikes — a quarantine-share
 /// regression and a forecast-accuracy regression in one plan.
-fn monitored_cfg(
+fn monitored_run(
     threads: usize,
-    fault: Option<FaultPlan>,
+    fault_plan: Option<FaultPlan>,
     monitor: MonitorConfig,
     tracer: Tracer,
-) -> ControllerConfig {
-    let mut b = ControllerConfig::builder()
-        .workload(Workload::BusTracker)
-        .strategy(Strategy::Auto)
-        .db_scale(0.06)
-        .history_days(2)
-        .run_hours(6)
-        .trace_scale(0.08)
-        .index_budget(6)
-        .build_period(60)
-        .report_window(60)
-        .run_start(14 * MINUTES_PER_DAY + 7 * 60)
-        .seed(0xE2E)
-        .threads(threads)
-        .pipeline(Qb5000Config { tracer, ..Qb5000Config::default() })
-        .monitor(monitor);
-    if let Some(plan) = fault {
-        b = b.fault_plan(plan);
-    }
-    b.build().expect("monitoring config is valid")
+) -> ExperimentResult {
+    let cfg = ControllerConfig {
+        workload: Workload::BusTracker,
+        strategy: Strategy::Auto,
+        db_scale: 0.06,
+        history_days: 2,
+        run_hours: 6,
+        trace_scale: 0.08,
+        index_budget: 6,
+        build_period: 60,
+        report_window: 60,
+        run_start: 14 * MINUTES_PER_DAY + 7 * 60,
+        seed: 0xE2E,
+        fault_plan,
+        threads,
+        pipeline: Qb5000Config { tracer, ..Qb5000Config::default() },
+        monitor: Some(monitor),
+    };
+    IndexSelectionExperiment::new(cfg).expect("monitoring config is valid").run()
 }
 
 /// Heavy deterministic corruption: enough malformed SQL to push the
@@ -84,13 +84,12 @@ fn regression_rules() -> Vec<AlertRule> {
 #[test]
 fn faulted_regression_fires_typed_alert_with_trace_lineage() {
     let tracer = Tracer::enabled();
-    let cfg = monitored_cfg(
+    let result = monitored_run(
         1,
         Some(heavy_faults()),
         MonitorConfig::default().rules(regression_rules()),
         tracer.clone(),
     );
-    let result = IndexSelectionExperiment::new(cfg).run();
 
     // The corruption produced typed Fired transitions.
     let fired: Vec<_> = result
@@ -135,13 +134,12 @@ fn faulted_regression_fires_typed_alert_with_trace_lineage() {
 
 #[test]
 fn clean_run_fires_no_regression_alerts() {
-    let cfg = monitored_cfg(
+    let result = monitored_run(
         1,
         None,
         MonitorConfig::default().rules(regression_rules()),
         Tracer::disabled(),
     );
-    let result = IndexSelectionExperiment::new(cfg).run();
     assert!(
         result.alert_log.iter().all(|l| !l.contains("rule=quarantine-spike")),
         "a clean replay must not trip the quarantine rule: {:?}",
@@ -155,13 +153,12 @@ fn clean_run_fires_no_regression_alerts() {
 #[test]
 fn alert_stream_is_bit_identical_across_widths() {
     let run = |threads: usize| {
-        let cfg = monitored_cfg(
+        monitored_run(
             threads,
             Some(heavy_faults()),
             MonitorConfig::default().rules(regression_rules()),
             Tracer::disabled(),
-        );
-        IndexSelectionExperiment::new(cfg).run()
+        )
     };
     let one = run(1);
     let four = run(4);
