@@ -48,7 +48,7 @@ fn bench_models(c: &mut Criterion) {
 
     group.bench_function("arma_train", |b| {
         b.iter(|| {
-            let mut m = qb_forecast::Arma::default();
+            let mut m = qb_bench::arma::Arma::default();
             m.fit(&series, spec).expect("fit");
             m
         })

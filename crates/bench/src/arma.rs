@@ -17,8 +17,8 @@
 
 use qb_linalg::{ridge_regression, Matrix};
 
-use crate::dataset::{ensure_finite, validate_series, ForecastError, WindowSpec};
-use crate::Forecaster;
+use qb_forecast::dataset::{ensure_finite, validate_series, ForecastError, WindowSpec};
+use qb_forecast::Forecaster;
 
 /// ARMA(p, q) fitted independently per cluster.
 #[derive(Debug, Clone)]
@@ -237,7 +237,7 @@ mod tests {
         let spec = WindowSpec { window: 24, horizon: 1 };
         let mut arma = Arma::default();
         arma.fit(&[series.clone()], spec).unwrap();
-        let mse = crate::evaluate_mse_log(&arma, &[series], spec, 260);
+        let mse = qb_forecast::evaluate_mse_log(&arma, &[series], spec, 260);
         assert!(mse < 0.1, "{mse}");
     }
 
@@ -249,7 +249,7 @@ mod tests {
         let spec = WindowSpec { window: 48, horizon: 1 };
         let mut arma = Arma { p: 24, q: 4, long_ar: 30, spec: None, fits: Vec::new() };
         arma.fit(&[series.clone()], spec).unwrap();
-        let mse = crate::evaluate_mse_log(&arma, &[series], spec, 350);
+        let mse = qb_forecast::evaluate_mse_log(&arma, &[series], spec, 350);
         assert!(mse < 0.1, "{mse}");
     }
 

@@ -18,8 +18,8 @@
 
 use qb5000::schemas::build_database;
 use qb5000::{
-    ClusterInfo, ConfigError, DurablePipeline, FeatureMode, ForecastManager, HorizonSpec,
-    PipelineHealth, Qb5000Config, QueryBot5000, LOGICAL_CLUSTERER,
+    ClusterInfo, ConfigError, DurablePipeline, ForecastManager, HorizonSpec, PipelineHealth,
+    Qb5000Config, QueryBot5000,
 };
 use qb_dbsim::IndexAdvisor;
 use qb_forecast::{Forecaster, LinearRegression};
@@ -30,6 +30,8 @@ use qb_sqlparse::Statement;
 use qb_timeseries::{Minute, MINUTES_PER_HOUR};
 use qb_trace::{EventDraft, EventId, EventKind, Scope, Tracer};
 use qb_workloads::{FaultPlan, QueryEvent, TraceConfig, Workload};
+
+use crate::logical::{self, LOGICAL_CLUSTERER};
 
 /// The horizons each build round blends, as `(hours, weight)` pairs: "The
 /// system builds a new index at hourly intervals based on QB5000's
@@ -104,7 +106,7 @@ pub struct ControllerConfig {
     /// [`FORECAST_BLEND`] horizons ([`qb5000::ForecastService::hourly`]).
     /// The controller overrides `max_clusters` to 3 ("the three largest
     /// clusters", §7.6), and for [`Strategy::AutoLogical`] also
-    /// `feature_mode` and `clusterer` (logical features under
+    /// `cluster_feature` and `clusterer` (logical features under
     /// [`LOGICAL_CLUSTERER`], §7.7).
     pub pipeline: Qb5000Config,
     /// Continuous self-monitoring. When set, every build round feeds a
@@ -314,7 +316,7 @@ impl IndexSelectionExperiment {
         });
 
         if cfg.strategy == Strategy::AutoLogical {
-            qb_cfg.feature_mode = FeatureMode::Logical;
+            qb_cfg.cluster_feature = Some(logical::cluster_feature);
             qb_cfg.clusterer = LOGICAL_CLUSTERER;
         }
         qb_cfg.validate().expect("controller's pipeline config is valid");

@@ -17,13 +17,14 @@
 //! 5. **Adaptive shift trigger** — our implementation of §5.2's deferred
 //!    future work, measured on the churny MOOC trace.
 
-use qb5000::{FeatureMode, Qb5000Config, QueryBot5000, LOGICAL_CLUSTERER};
+use qb5000::{Qb5000Config, QueryBot5000};
 use qb_forecast::WindowSpec;
 use qb_preprocessor::PreProcessorConfig;
 use qb_timeseries::{mse_log_space, Interval};
 use qb_workloads::{TraceConfig, Workload};
 
 use crate::eval::fit_and_roll;
+use crate::logical::{self, LOGICAL_CLUSTERER};
 use crate::pipeline_run::{run_pipeline, RunOptions};
 use crate::Effort;
 
@@ -116,18 +117,14 @@ fn feature_forecastability(effort: Effort) -> String {
     let mut out =
         String::from("Ablation 3: arrival-rate vs. logical clustering, forecast MSE (§7.7)\n");
     let days = if effort.is_quick() { 10 } else { 21 };
-    for (label, mode) in
-        [("arrival-rate", FeatureMode::ArrivalRate), ("logical", FeatureMode::Logical)]
-    {
-        let mut qb = Qb5000Config {
-            feature_mode: mode,
-            max_clusters: 3,
-            coverage_target: 2.0,
-            ..Qb5000Config::default()
-        };
-        if mode == FeatureMode::Logical {
-            qb.clusterer = LOGICAL_CLUSTERER;
-        }
+    let arrival_rate =
+        Qb5000Config { max_clusters: 3, coverage_target: 2.0, ..Qb5000Config::default() };
+    let logical = Qb5000Config {
+        cluster_feature: Some(logical::cluster_feature),
+        clusterer: LOGICAL_CLUSTERER,
+        ..arrival_rate.clone()
+    };
+    for (label, qb) in [("arrival-rate", arrival_rate), ("logical", logical)] {
         let mut opts = RunOptions::new(Workload::BusTracker, days, 0.05);
         opts.qb = qb;
         let run = run_pipeline(opts);

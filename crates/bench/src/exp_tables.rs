@@ -5,6 +5,7 @@ use qb_timeseries::{Interval, MINUTES_PER_DAY};
 use qb_workloads::Workload;
 
 use crate::pipeline_run::{run_pipeline, PipelineRun, RunOptions};
+use crate::properties::{model_properties, ModelProperties};
 use crate::zoo::rnn_config;
 use crate::{row, Effort};
 
@@ -134,20 +135,20 @@ pub fn table2(effort: Effort) -> String {
     out
 }
 
-/// Table 3 — forecasting-model properties (static, from `qb-forecast`).
+/// Table 3 — forecasting-model properties (static, from [`model_properties`]).
 pub fn table3() -> String {
     let mut out = String::new();
     out.push_str("Table 3: Forecasting Models\n");
-    let props = qb_forecast::model_properties();
+    let props = model_properties();
     let widths = [8usize, 6, 6, 6, 6, 6, 6];
     let mut header = vec!["".to_string()];
     header.extend(props.iter().map(|p| p.name.to_string()));
     out.push_str(&row(&header, &widths));
     out.push('\n');
     for (label, get) in [
-        ("Linear", Box::new(|p: &qb_forecast::ModelProperties| p.linear) as Box<dyn Fn(_) -> bool>),
-        ("Memory", Box::new(|p: &qb_forecast::ModelProperties| p.memory)),
-        ("Kernel", Box::new(|p: &qb_forecast::ModelProperties| p.kernel)),
+        ("Linear", Box::new(|p: &ModelProperties| p.linear) as Box<dyn Fn(_) -> bool>),
+        ("Memory", Box::new(|p: &ModelProperties| p.memory)),
+        ("Kernel", Box::new(|p: &ModelProperties| p.kernel)),
     ] {
         let mut cells = vec![label.to_string()];
         cells.extend(props.iter().map(|p| if get(p) { "yes" } else { "no" }.to_string()));

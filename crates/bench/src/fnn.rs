@@ -9,9 +9,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dataset::{encode_recent, ensure_finite, sliding_windows, ForecastError, WindowSpec};
-use crate::nn::{Dense, Param};
-use crate::Forecaster;
+use qb_forecast::dataset::{encode_recent, ensure_finite, sliding_windows, ForecastError, WindowSpec};
+use qb_forecast::nn::{Dense, Param};
+use qb_forecast::Forecaster;
 
 /// FNN hyperparameters.
 #[derive(Debug, Clone)]
@@ -225,7 +225,7 @@ mod tests {
         let spec = WindowSpec { window: 12, horizon: 1 };
         let mut fnn = Fnn::default();
         fnn.fit(&[series.clone()], spec).unwrap();
-        let mse = crate::evaluate_mse_log(&fnn, &[series], spec, 260);
+        let mse = qb_forecast::evaluate_mse_log(&fnn, &[series], spec, 260);
         assert!(mse < 0.3, "FNN should fit the cycle: {mse}");
     }
 

@@ -13,10 +13,14 @@
 //!
 //! [`controller`] is the §7.6 closed loop: a planner outside the
 //! forecasting framework that reads `qb5000`'s forecasts and builds
-//! indexes in the `qb-dbsim` engine.
+//! indexes in the `qb-dbsim` engine. The inputs that only the paper's
+//! comparisons read live here too: the §7.7 [`logical`] clustering
+//! feature, and Table 3's baseline models ([`arma`], [`fnn`], [`psrnn`])
+//! with their [`properties`].
 
 #![forbid(unsafe_code)]
 
+pub mod arma;
 pub mod controller;
 pub mod eval;
 pub mod exp_ablations;
@@ -24,7 +28,11 @@ pub mod exp_clustering;
 pub mod exp_forecast;
 pub mod exp_index;
 pub mod exp_tables;
+pub mod fnn;
+pub mod logical;
 pub mod pipeline_run;
+pub mod properties;
+pub mod psrnn;
 pub mod zoo;
 
 /// Effort level: `Quick` shrinks traces and training epochs so the full

@@ -5,10 +5,30 @@
 //! columns that it references, number of clauses (e.g., JOIN, HAVING, or
 //! GROUP BY), and number of aggregations (e.g., SUM, or AVG)." Similarity is
 //! measured with L2 distance in this space.
+//!
+//! The pipeline clusters on these through its one feature seam: set
+//! `Qb5000Config::cluster_feature` to [`cluster_feature`] and
+//! `Qb5000Config::clusterer` to [`LOGICAL_CLUSTERER`].
 
 use std::collections::BTreeSet;
 
+use qb_clusterer::{ClustererConfig, SimilarityMetric};
+use qb_preprocessor::TemplateEntry;
 use qb_sqlparse::{Expr, Statement};
+
+/// The clusterer settings that go with [`cluster_feature`]: inverse-L2
+/// similarity at a looser ρ of 0.30 (§7.7 adjusts ρ so the big clusters
+/// have comparable volume).
+pub const LOGICAL_CLUSTERER: ClustererConfig = ClustererConfig {
+    rho: 0.30,
+    metric: SimilarityMetric::InverseL2,
+    adaptive_trigger: false,
+};
+
+/// A template's logical feature vector, for `Qb5000Config::cluster_feature`.
+pub fn cluster_feature(entry: &TemplateEntry) -> Vec<f64> {
+    LogicalFeatures::extract(&entry.statement).to_vector(16, 32)
+}
 
 /// The SQL aggregate functions counted as "aggregations".
 const AGGREGATES: &[&str] = &["count", "sum", "avg", "min", "max"];
@@ -159,6 +179,7 @@ fn bucket_of(s: &str, buckets: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qb5000::{BatchItem, DurabilityConfig, DurablePipeline, Qb5000Config};
     use qb_sqlparse::parse_statement;
 
     fn lf(sql: &str) -> LogicalFeatures {
@@ -209,6 +230,64 @@ mod tests {
         assert_eq!(a, a2, "constants must not affect logical features");
         assert_ne!(a, b);
         assert_eq!(a.len(), 4 + 8 + 16 + 5);
+    }
+
+    /// Ingests six hours of six structurally different templates, ending
+    /// at `round`'s close, then updates the clusters.
+    fn run_round(p: &mut DurablePipeline, round: i64) {
+        const SQL: [&str; 6] = [
+            "SELECT a, b, c, d FROM t1 JOIN t2 ON t1.id = t2.id WHERE x = 1 GROUP BY a, b, c",
+            "SELECT a, b, c, e FROM t1 JOIN t2 ON t1.id = t2.id WHERE x = 2 GROUP BY a, b, c",
+            "UPDATE t3 SET p = 3, q = 4, r = 5 WHERE id = 6",
+            "INSERT INTO t4 (u, v, w, y, z) VALUES (1, 2, 3, 4, 5)",
+            "DELETE FROM t5 WHERE id = 7",
+            "SELECT COUNT(*), SUM(m), AVG(n) FROM t6 GROUP BY k HAVING SUM(m) > 3 ORDER BY k",
+        ];
+        for minute in (round * 360..(round + 1) * 360).step_by(10) {
+            let count = |k: usize| 1 + (minute / 60 + k as i64) as u64 % 7;
+            let tick: Vec<BatchItem<'_>> = (SQL.iter().enumerate())
+                .map(|(k, sql)| BatchItem { minute, sql, count: count(k) })
+                .collect();
+            p.ingest_batch(&tick).unwrap();
+        }
+        p.update_clusters((round + 1) * 360).unwrap();
+    }
+
+    fn state(p: &DurablePipeline) -> (qb5000::PipelineState, Vec<qb5000::ClusterInfoState>) {
+        let tracked = p.bot().tracked_clusters().iter().map(|c| c.export_state()).collect();
+        (p.bot().export_state(), tracked)
+    }
+
+    /// The logical feature reaches a recovered pipeline through the config
+    /// passed to `DurablePipeline::open`: replayed cluster updates use it,
+    /// so a dropped and re-opened run equals an uninterrupted one.
+    #[test]
+    fn logical_clustering_survives_recovery() {
+        let dir = std::env::temp_dir().join(format!("qb-logical-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let logical = Qb5000Config {
+            cluster_feature: Some(cluster_feature),
+            clusterer: LOGICAL_CLUSTERER,
+            ..Qb5000Config::default()
+        };
+        let policy = DurabilityConfig::new(&dir).snapshot_every_rounds(2);
+        let durable = Qb5000Config { durability: Some(policy), ..logical.clone() };
+        let (mut plain, _) = DurablePipeline::open(logical).unwrap();
+        let (mut crashed, _) = DurablePipeline::open(durable.clone()).unwrap();
+        // Five rounds: snapshots after rounds 2 and 4, round 5 in the WAL.
+        for round in 0..5 {
+            run_round(&mut plain, round);
+            run_round(&mut crashed, round);
+        }
+        drop(crashed);
+        let (mut recovered, report) = DurablePipeline::open(durable).unwrap();
+        assert!(report.frames_replayed > 0, "the last round replays from the WAL");
+        assert!(recovered.bot().clusterer().num_clusters() > 1);
+        assert_eq!(state(&recovered), state(&plain));
+        run_round(&mut plain, 5);
+        run_round(&mut recovered, 5);
+        assert_eq!(state(&recovered), state(&plain));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,9 +27,9 @@ use qb_linalg::{ridge_regression, Matrix, Pca};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dataset::{ensure_finite, validate_series, ForecastError, WindowSpec};
-use crate::nn::{Dense, Param};
-use crate::Forecaster;
+use qb_forecast::dataset::{ensure_finite, validate_series, ForecastError, WindowSpec};
+use qb_forecast::nn::{Dense, Param};
+use qb_forecast::Forecaster;
 
 /// PSRNN hyperparameters.
 #[derive(Debug, Clone)]
@@ -346,7 +346,7 @@ mod tests {
         let spec = WindowSpec { window: 12, horizon: 1 };
         let mut m = Psrnn::default();
         m.fit(&[series.clone()], spec).unwrap();
-        let mse = crate::evaluate_mse_log(&m, &[series], spec, 260);
+        let mse = qb_forecast::evaluate_mse_log(&m, &[series], spec, 260);
         assert!(mse < 0.5, "PSRNN should roughly track the cycle: {mse}");
     }
 

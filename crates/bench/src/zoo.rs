@@ -1,10 +1,11 @@
 //! The model zoo: one constructor per paper model, at quick or
 //! paper-faithful effort.
 
-use qb_forecast::{
-    Arma, Fnn, Forecaster, KernelRegression, LinearRegression, Psrnn, Rnn, RnnConfig,
-};
+use qb_forecast::{Forecaster, KernelRegression, LinearRegression, Rnn, RnnConfig};
 
+use crate::arma::Arma;
+use crate::fnn::{Fnn, FnnConfig};
+use crate::psrnn::{Psrnn, PsrnnConfig};
 use crate::Effort;
 
 /// The six standalone models of Table 3, in the paper's order.
@@ -39,7 +40,7 @@ pub fn make_model(name: &str, effort: Effort) -> Box<dyn Forecaster> {
         "KR" => Box::new(KernelRegression::default()),
         "ARMA" => Box::new(Arma::default()),
         "FNN" => {
-            let mut cfg = qb_forecast::fnn::FnnConfig::default();
+            let mut cfg = FnnConfig::default();
             if effort.is_quick() {
                 cfg.epochs = 25;
                 cfg.hidden = 16;
@@ -48,7 +49,7 @@ pub fn make_model(name: &str, effort: Effort) -> Box<dyn Forecaster> {
         }
         "RNN" => Box::new(Rnn::new(rnn_config(effort))),
         "PSRNN" => {
-            let mut cfg = qb_forecast::psrnn::PsrnnConfig::default();
+            let mut cfg = PsrnnConfig::default();
             if effort.is_quick() {
                 cfg.epochs = 10;
                 cfg.state_dim = 10;
@@ -68,6 +69,22 @@ mod tests {
         for name in STANDALONE {
             let m = make_model(name, Effort::Quick);
             assert_eq!(m.name(), name);
+        }
+    }
+
+    /// Constant series: every baseline must nail it, as the deployed
+    /// models do in `qb-forecast`'s `all_models_predict_constant_series`.
+    #[test]
+    fn baselines_predict_constant_series() {
+        let series = vec![vec![100.0; 200], vec![50.0; 200]];
+        let spec = qb_forecast::WindowSpec { window: 12, horizon: 1 };
+        let models: Vec<Box<dyn Forecaster>> =
+            vec![Box::new(Arma::default()), Box::new(Fnn::default()), Box::new(Psrnn::default())];
+        for mut m in models {
+            m.fit(&series, spec).unwrap();
+            let pred = m.predict(&[vec![100.0; 12], vec![50.0; 12]]);
+            assert!((pred[0] - 100.0).abs() < 15.0, "{} cluster0 pred {}", m.name(), pred[0]);
+            assert!((pred[1] - 50.0).abs() < 10.0, "{} cluster1 pred {}", m.name(), pred[1]);
         }
     }
 

@@ -303,9 +303,13 @@ impl OnlineClusterer {
 
     /// Runs the three-step incremental update over fresh feature snapshots.
     ///
-    /// `now` drives eviction. Every live template must appear in
-    /// `snapshots`; templates absent from `snapshots` keep their previous
-    /// feature (but still age toward eviction).
+    /// `now` drives eviction: a template whose `last_seen` is older than
+    /// `now −` [`EVICTION_IDLE`] leaves the clusterer, and an evicted
+    /// template stays out. A snapshot of a template the clusterer does not
+    /// hold is admitted as new only if its `last_seen` is within that
+    /// window, so a template re-enters only on a fresh arrival. Every live
+    /// template should appear in `snapshots`; templates absent from it
+    /// keep their previous feature (but still age toward eviction).
     pub fn update(&mut self, snapshots: Vec<TemplateSnapshot>, now: i64) -> UpdateReport {
         let _stage = self.tracer.stage("clusterer.update", &self.metrics.update_time);
         let mut report = UpdateReport::default();
@@ -322,7 +326,9 @@ impl OnlineClusterer {
         self.unseen_since_update = 0;
         self.seen_since_update.clear();
 
-        // Refresh features of known templates.
+        // Refresh features of known templates; admit unknown ones that
+        // arrived within the eviction window.
+        let cutoff = now - EVICTION_IDLE;
         let mut new_snaps = Vec::new();
         for snap in snapshots {
             match self.templates.get_mut(&snap.key) {
@@ -331,12 +337,12 @@ impl OnlineClusterer {
                     state.volume = snap.volume;
                     state.last_seen = snap.last_seen;
                 }
-                None => new_snaps.push(snap),
+                None if snap.last_seen >= cutoff => new_snaps.push(snap),
+                None => {}
             }
         }
 
         // Eviction: drop templates idle beyond the window.
-        let cutoff = now - EVICTION_IDLE;
         let evicted: Vec<TemplateKey> = self
             .templates
             .iter()
@@ -997,6 +1003,27 @@ mod tests {
         assert_eq!(r.evicted, 1);
         assert_eq!(c.num_templates(), 0);
         assert_eq!(c.num_clusters(), 0);
+    }
+
+    #[test]
+    fn evicted_template_stays_evicted() {
+        let mut c = clusterer();
+        // Template 2 last arrived at minute 0 and stays quiet.
+        let quiet = || snap(2, &[2.0, 1.0], 5.0);
+        let busy = |now| TemplateSnapshot { last_seen: now, ..snap(1, &[1.0, 2.0], 5.0) };
+        c.update(vec![busy(0), quiet()], 0);
+        let now = EVICTION_IDLE + 60;
+        assert_eq!(c.update(vec![busy(now), quiet()], now).evicted, 1);
+        // Handed over again with its old `last_seen`, it stays out.
+        let later = now + 60;
+        let r = c.update(vec![busy(later), quiet()], later);
+        assert_eq!((r.new_templates, r.evicted, r.clusters_created), (0, 0, 0));
+        assert_eq!(c.cluster_of(2), None);
+        assert_eq!(c.num_templates(), 1);
+        // A fresh arrival re-admits it as new.
+        let back = TemplateSnapshot { last_seen: later, ..snap(2, &[2.0, 1.0], 5.0) };
+        assert_eq!(c.update(vec![back], later).new_templates, 1);
+        assert!(c.cluster_of(2).is_some());
     }
 
     #[test]

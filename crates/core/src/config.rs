@@ -23,7 +23,7 @@ use qb_trace::Tracer;
 
 use crate::durable::DurabilityConfig;
 use crate::error::ConfigError;
-use crate::pipeline::{FeatureMode, Qb5000Config};
+use crate::pipeline::Qb5000Config;
 
 impl Qb5000Config {
     /// A validating builder starting from [`Qb5000Config::default`].
@@ -73,12 +73,6 @@ impl Qb5000ConfigBuilder {
     /// Shortcut for the similarity threshold ρ (must end up in `(0, 1]`).
     pub fn rho(mut self, rho: f64) -> Self {
         self.cfg.clusterer.rho = rho;
-        self
-    }
-
-    /// Clustering feature (arrival-rate vs. the §7.7 logical ablation).
-    pub fn feature_mode(mut self, mode: FeatureMode) -> Self {
-        self.cfg.feature_mode = mode;
         self
     }
 
@@ -162,7 +156,6 @@ mod tests {
     fn builder_sets_every_pipeline_field() {
         let rec = Recorder::new();
         let cfg = Qb5000Config::builder()
-            .feature_mode(FeatureMode::Logical)
             .max_clusters(4)
             .coverage_target(0.9)
             .rho(0.5)
@@ -170,7 +163,6 @@ mod tests {
             .trace(Tracer::enabled())
             .build()
             .unwrap();
-        assert_eq!(cfg.feature_mode, FeatureMode::Logical);
         assert_eq!(cfg.max_clusters, 4);
         assert_eq!(cfg.coverage_target, 0.9);
         assert_eq!(cfg.clusterer.rho, 0.5);

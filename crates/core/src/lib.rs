@@ -86,9 +86,8 @@ pub use durable::{
 pub use error::{ConfigError, Error};
 pub use manager::{ForecastHealth, ForecastManager, HorizonSpec, ManagerState, RetrainOutcome};
 pub use pipeline::{
-    ClusterInfo, ClusterInfoState, FeatureMode, ForecastJob, JobSpan, PipelineHealth,
-    PipelineState, Qb5000Config, QueryBot5000, FEATURE_INTERVAL, FEATURE_POINTS, FEATURE_SEED,
-    FEATURE_WINDOW, LOGICAL_CLUSTERER,
+    ClusterInfo, ClusterInfoState, ForecastJob, JobSpan, PipelineHealth, PipelineState,
+    Qb5000Config, QueryBot5000, FEATURE_INTERVAL, FEATURE_POINTS, FEATURE_SEED, FEATURE_WINDOW,
 };
 pub use serve::{ColdSeed, ForecastService};
 

@@ -1,14 +1,15 @@
 //! The QB5000 pipeline: Pre-Processor → Clusterer → Forecaster (§3).
 
 use qb_clusterer::{
-    ClustererConfig, ClustererState, FeatureSampler, OnlineClusterer, TemplateSnapshot,
-    UpdateReport,
+    ClustererConfig, ClustererState, FeatureSampler, OnlineClusterer, TemplateFeature,
+    TemplateSnapshot, UpdateReport,
 };
 use qb_forecast::{Forecaster, WindowSpec};
 use qb_obs::Recorder;
 use qb_parallel::ThreadPool;
 use qb_preprocessor::{
-    BatchItem, BatchReport, PreProcessor, PreProcessorConfig, PreProcessorState, TemplateId,
+    BatchItem, BatchReport, PreProcessor, PreProcessorConfig, PreProcessorState, TemplateEntry,
+    TemplateId,
 };
 use qb_timeseries::{Interval, Minute, MINUTES_PER_DAY};
 use qb_trace::{TraceDump, Tracer};
@@ -16,24 +17,6 @@ use qb_trace::{TraceDump, Tracer};
 use crate::accuracy::HorizonAccuracy;
 use crate::durable::DurabilityConfig;
 use crate::error::Error;
-
-/// Which feature the Clusterer groups templates by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureMode {
-    /// Arrival-rate history feature (§5.1) — QB5000's choice.
-    ArrivalRate,
-    /// Logical SQL-structure feature — the §7.7 AUTO-LOGICAL ablation.
-    Logical,
-}
-
-/// The clusterer settings that go with [`FeatureMode::Logical`]:
-/// inverse-L2 similarity at a looser ρ of 0.30 (§7.7 adjusts ρ so the big
-/// clusters have comparable volume).
-pub const LOGICAL_CLUSTERER: ClustererConfig = ClustererConfig {
-    rho: 0.30,
-    metric: qb_clusterer::SimilarityMetric::InverseL2,
-    adaptive_trigger: false,
-};
 
 /// Sampled timestamps in each template's clustering feature (§5.1). The
 /// paper samples 10 000 over a month of full-scale traffic; the
@@ -66,8 +49,13 @@ pub const FEATURE_SEED: u64 = 0x5000;
 pub struct Qb5000Config {
     pub preprocessor: PreProcessorConfig,
     pub clusterer: ClustererConfig,
-    /// Clustering feature (arrival-rate vs. logical ablation).
-    pub feature_mode: FeatureMode,
+    /// The feature the Clusterer groups templates by. `None` (the
+    /// default) is the §5.1 arrival-rate feature. `Some(f)` clusters each
+    /// template on the vector `f` returns for it, such as an experiment's
+    /// alternative feature. A plain `fn`, so the config stays `Clone`, any
+    /// worker can call it, and durable replay gets it from the config
+    /// passed to [`crate::DurablePipeline::open`].
+    pub cluster_feature: Option<fn(&TemplateEntry) -> Vec<f64>>,
     /// How many highest-volume clusters the Forecaster models (§5.3; the
     /// paper models enough clusters to cover ≥95 % of the volume, which is
     /// 3–5 on its traces).
@@ -110,7 +98,7 @@ impl Default for Qb5000Config {
         Self {
             preprocessor: PreProcessorConfig::default(),
             clusterer: ClustererConfig::default(),
-            feature_mode: FeatureMode::ArrivalRate,
+            cluster_feature: None,
             max_clusters: 5,
             coverage_target: 0.95,
             recorder: Recorder::disabled(),
@@ -525,14 +513,13 @@ impl QueryBot5000 {
             FEATURE_SEED ^ (now as u64).rotate_left(17),
         );
         let window_start = now - FEATURE_WINDOW;
-        let feature_mode = self.config.feature_mode;
+        let cluster_feature = self.config.cluster_feature;
         // Feature extraction fans out over fixed-size template chunks:
         // chunk boundaries depend only on the template count, and the map
         // preserves input order, so any pool width yields the same
         // snapshot vector bit for bit.
         const SNAPSHOT_CHUNK: usize = 256;
-        let chunks: Vec<&[qb_preprocessor::TemplateEntry]> =
-            self.pre.templates().chunks(SNAPSHOT_CHUNK).collect();
+        let chunks: Vec<&[TemplateEntry]> = self.pre.templates().chunks(SNAPSHOT_CHUNK).collect();
         let sampler = &sampler;
         let snapshots: Vec<TemplateSnapshot> = self
             .pool
@@ -542,11 +529,9 @@ impl QueryBot5000 {
                     .filter_map(|e| {
                         let first = e.history.first_seen()?;
                         let last = e.history.last_seen()?;
-                        let feature = match feature_mode {
-                            FeatureMode::ArrivalRate => sampler.extract(&e.history, first),
-                            FeatureMode::Logical => qb_clusterer::TemplateFeature::full(
-                                e.logical.to_vector(16, 32),
-                            ),
+                        let feature = match cluster_feature {
+                            None => sampler.extract(&e.history, first),
+                            Some(f) => TemplateFeature::full(f(e)),
                         };
                         let volume = e.history.count_range(window_start, now) as f64;
                         Some(TemplateSnapshot {
@@ -948,6 +933,35 @@ mod tests {
             bot.shift_triggers > before,
             "unseen-template burst must trigger reclustering"
         );
+    }
+
+    /// Two templates run for 14 days and a third stops on day 2. Updating
+    /// hourly from hour 216 on, the quiet template never enters the
+    /// clusterer: it is idle past `EVICTION_IDLE` at the first update, so
+    /// the tracked set and every cluster id hold still.
+    #[test]
+    fn template_idle_past_eviction_does_not_flap() {
+        let mut bot = QueryBot5000::new(Qb5000Config::default());
+        let mut first: Option<Vec<(u64, Vec<TemplateId>)>> = None;
+        for hour in 0..14 * 24 {
+            let volume = if (6..22).contains(&(hour % 24)) { 30 } else { 3 };
+            for minute in (hour * 60..(hour + 1) * 60).step_by(10) {
+                bot.ingest_weighted(minute, "SELECT a FROM day_tbl WHERE id = 1", volume).unwrap();
+                bot.ingest_weighted(minute, "SELECT b FROM night_tbl WHERE id = 1", 33 - volume)
+                    .unwrap();
+                if minute < 2 * MINUTES_PER_DAY {
+                    bot.ingest_weighted(minute, "SELECT c FROM gone_tbl WHERE id = 1", 10).unwrap();
+                }
+            }
+            if hour < 216 {
+                continue;
+            }
+            bot.update_clusters((hour + 1) * 60);
+            assert_eq!(bot.clusterer().num_templates(), 2, "hour {hour}");
+            let tracked: Vec<_> =
+                bot.tracked_clusters().iter().map(|c| (c.id.0, c.members.clone())).collect();
+            assert_eq!(&tracked, first.get_or_insert_with(|| tracked.clone()), "hour {hour}");
+        }
     }
 
     #[test]

@@ -6,18 +6,15 @@
 //! of every cluster's recent rates and the output is every cluster's rate
 //! `horizon` steps ahead.
 //!
-//! Implemented model classes (Table 3):
+//! The model classes QB5000 deploys (Table 3's properties):
 //!
 //! | model | linear | memory | kernel |
 //! |-------|--------|--------|--------|
 //! | [`LinearRegression`] (LR) | ✓ | ✗ | ✗ |
-//! | [`Arma`] | ✓ | ✓ | ✗ |
 //! | [`KernelRegression`] (KR) | ✗ | ✗ | ✓ |
 //! | [`Rnn`] (LSTM) | ✗ | ✓ | ✗ |
-//! | [`Fnn`] | ✗ | ✗ | ✗ |
-//! | [`Psrnn`] | ✗ | ✓ | ✓ |
 //!
-//! plus the composites QB5000 actually deploys:
+//! plus their composites:
 //!
 //! * [`Ensemble`] — the equal average of LR and RNN predictions (§6.1);
 //! * [`Hybrid`] — ENSEMBLE corrected by KR when KR forecasts a spike more
@@ -26,34 +23,29 @@
 //!
 //! All models train in `ln(1+x)` space and report linear-space rates
 //! (§7.2); accuracy is measured with [`qb_timeseries::mse_log_space`].
+//! The baselines the paper compared against (ARMA, FNN and PSRNN) are
+//! experiments, not the product: they live in `qb-bench` and build on
+//! [`dataset`], [`nn`] and [`Forecaster`].
 
 #![forbid(unsafe_code)]
 
-pub mod arma;
 pub mod dataset;
 pub mod ensemble;
 pub mod fallback;
-pub mod fnn;
 pub mod hybrid;
 pub mod kr;
 pub mod lr;
 pub mod nn;
 pub mod persist;
-pub mod properties;
-pub mod psrnn;
 pub mod rnn;
 pub mod weighted;
 
-pub use arma::Arma;
 pub use dataset::{ensure_finite, sliding_windows, ForecastError, WindowSpec};
 pub use ensemble::Ensemble;
 pub use fallback::Persistence;
-pub use fnn::Fnn;
 pub use hybrid::{Hybrid, HybridConfig};
 pub use kr::KernelRegression;
 pub use lr::LinearRegression;
-pub use properties::{model_properties, ModelProperties};
-pub use psrnn::Psrnn;
 pub use rnn::{Rnn, RnnConfig};
 pub use weighted::WeightedEnsemble;
 
@@ -210,10 +202,7 @@ mod tests {
         let models: Vec<Box<dyn Forecaster>> = vec![
             Box::new(LinearRegression::default()),
             Box::new(KernelRegression::default()),
-            Box::new(Arma::default()),
-            Box::new(Fnn::default()),
             Box::new(Rnn::new(RnnConfig { epochs: 30, ..RnnConfig::default() })),
-            Box::new(Psrnn::default()),
             Box::new(Ensemble::default()),
         ];
         for mut m in models {

@@ -52,17 +52,6 @@ proptest! {
     }
 
     #[test]
-    fn arma_total(series in series_strategy()) {
-        check_model(Box::new(qb_forecast::Arma::default()), &series)?;
-    }
-
-    #[test]
-    fn fnn_total(series in series_strategy()) {
-        let cfg = qb_forecast::fnn::FnnConfig { epochs: 3, hidden: 8, ..Default::default() };
-        check_model(Box::new(qb_forecast::Fnn::new(cfg)), &series)?;
-    }
-
-    #[test]
     fn rnn_total(series in series_strategy()) {
         let cfg = qb_forecast::RnnConfig {
             epochs: 2,
@@ -71,12 +60,6 @@ proptest! {
             ..Default::default()
         };
         check_model(Box::new(qb_forecast::Rnn::new(cfg)), &series)?;
-    }
-
-    #[test]
-    fn psrnn_total(series in series_strategy()) {
-        let cfg = qb_forecast::psrnn::PsrnnConfig { epochs: 2, state_dim: 6, ..Default::default() };
-        check_model(Box::new(qb_forecast::Psrnn::new(cfg)), &series)?;
     }
 
     /// HYBRID's defining identity: its prediction is elementwise either

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 
 pub mod fingerprint;
-pub mod logical;
 pub mod reservoir;
 pub mod shard;
 pub mod template;
@@ -37,7 +36,6 @@ use qb_trace::{EventDraft, EventKind, Scope, Tracer};
 use qb_timeseries::{ArrivalHistory, ArrivalHistoryState, Interval, Minute};
 
 pub use fingerprint::{semantic_fingerprint, Fingerprint};
-pub use logical::LogicalFeatures;
 pub use reservoir::Reservoir;
 pub use shard::{BatchItem, BatchReport};
 pub use template::{bind_params, templatize, TemplatizedQuery};
@@ -47,7 +45,10 @@ pub use template::{bind_params, templatize, TemplatizedQuery};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TemplateId(pub u32);
 
-/// Everything QB5000 tracks about one template.
+/// Everything QB5000 tracks about one template: what the forecaster reads
+/// (its history) and what a planner binds (its text, AST and parameters).
+/// Experiment-only inputs, such as the §7.7 logical features, are derived
+/// from these by the experiment that reads them.
 #[derive(Debug)]
 pub struct TemplateEntry {
     pub id: TemplateId,
@@ -55,10 +56,6 @@ pub struct TemplateEntry {
     pub text: String,
     /// Statement verb (`SELECT` / `INSERT` / `UPDATE` / `DELETE`).
     pub kind: &'static str,
-    /// Tables the template touches.
-    pub tables: Vec<String>,
-    /// Logical feature vector for the §7.7 ablation.
-    pub logical: LogicalFeatures,
     /// Arrival counts: per hour over the whole history, per minute as far
     /// back as a reader looks.
     pub history: ArrivalHistory,
@@ -382,8 +379,6 @@ impl PreProcessor {
         self.entries.push(TemplateEntry {
             id,
             kind: template.kind_name(),
-            tables: template.tables(),
-            logical: LogicalFeatures::extract(&template),
             history: ArrivalHistory::new(),
             params: Reservoir::new(RESERVOIR_CAPACITY, self.next_seed),
             statement: template,
@@ -529,11 +524,10 @@ impl PreProcessor {
     ///
     /// `config` must match the configuration of the exporting instance
     /// (its folding mode shapes the stored state).
-    /// Template ASTs, verbs, table lists, logical features, and semantic
-    /// fingerprints are reconstructed by re-parsing each entry's canonical
-    /// text — templatizing canonical text is idempotent, so the rebuilt
-    /// table is equivalent to the one that was exported. The ingest memo
-    /// starts cold.
+    /// Template ASTs, verbs and semantic fingerprints are reconstructed by
+    /// re-parsing each entry's canonical text — templatizing canonical
+    /// text is idempotent, so the rebuilt table is equivalent to the one
+    /// that was exported. The ingest memo starts cold.
     pub fn restore(
         config: PreProcessorConfig,
         state: PreProcessorState,
@@ -552,8 +546,6 @@ impl PreProcessor {
                 id,
                 text: es.text,
                 kind: tq.template.kind_name(),
-                tables: tq.template.tables(),
-                logical: LogicalFeatures::extract(&tq.template),
                 history: ArrivalHistory::from_state(es.history),
                 params: Reservoir::from_parts(
                     RESERVOIR_CAPACITY,
@@ -573,8 +565,8 @@ impl PreProcessor {
     }
 }
 
-/// Plain-data snapshot of one [`TemplateEntry`]. The AST and derived
-/// features are *not* stored — they are rebuilt from the canonical text,
+/// Plain-data snapshot of one [`TemplateEntry`]. The AST and verb are
+/// *not* stored — they are rebuilt from the canonical text,
 /// which is the compact, version-stable representation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemplateEntryState {

@@ -215,7 +215,9 @@ impl ReferenceClusterer {
     pub fn update(&mut self, snapshots: Vec<TemplateSnapshot>, now: i64) -> UpdateReport {
         let mut report = UpdateReport::default();
 
-        // Refresh known templates; collect genuinely new ones in order.
+        // Refresh known templates; collect genuinely new ones in order,
+        // leaving out those already idle past the eviction window.
+        let cutoff = now - EVICTION_IDLE;
         let mut new_snaps = Vec::new();
         for snap in snapshots {
             match self.templates.get_mut(&snap.key) {
@@ -224,12 +226,12 @@ impl ReferenceClusterer {
                     state.volume = snap.volume;
                     state.last_seen = snap.last_seen;
                 }
-                None => new_snaps.push(snap),
+                None if snap.last_seen >= cutoff => new_snaps.push(snap),
+                None => {}
             }
         }
 
         // Eviction.
-        let cutoff = now - EVICTION_IDLE;
         let evicted: Vec<TemplateKey> = self
             .templates
             .iter()
