@@ -2,7 +2,7 @@
 //! Clusterer's per-update cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use qb_preprocessor::{PreProcessor, PreProcessorConfig};
+use qb_preprocessor::PreProcessor;
 use qb_timeseries::MINUTES_PER_DAY;
 use qb_workloads::{TraceConfig, Workload};
 
@@ -24,7 +24,7 @@ fn bench_preprocessor(c: &mut Criterion) {
     group.throughput(Throughput::Elements(queries.len() as u64));
     group.bench_function("ingest_cold", |b| {
         b.iter_batched(
-            || PreProcessor::new(PreProcessorConfig::default()),
+            PreProcessor::default,
             |mut pre| {
                 for (i, q) in queries.iter().enumerate() {
                     pre.ingest(i as i64, q).expect("valid");
@@ -38,7 +38,7 @@ fn bench_preprocessor(c: &mut Criterion) {
     // Repeated queries (memo hit: the steady-state OLTP path).
     let hot: Vec<&String> = queries.iter().cycle().take(4096).collect();
     group.bench_function("ingest_hot", |b| {
-        let mut pre = PreProcessor::new(PreProcessorConfig::default());
+        let mut pre = PreProcessor::default();
         for (i, q) in queries.iter().enumerate() {
             pre.ingest(i as i64, q).expect("valid");
         }

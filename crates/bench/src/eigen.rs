@@ -1,6 +1,6 @@
 //! Symmetric eigendecomposition via the cyclic Jacobi method.
 
-use crate::Matrix;
+use qb_linalg::Matrix;
 
 /// Result of a symmetric eigendecomposition: `A = V diag(λ) Vᵀ`.
 ///

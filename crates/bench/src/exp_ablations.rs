@@ -19,7 +19,6 @@
 
 use qb5000::{Qb5000Config, QueryBot5000};
 use qb_forecast::WindowSpec;
-use qb_preprocessor::PreProcessorConfig;
 use qb_timeseries::{mse_log_space, Interval};
 use qb_workloads::{TraceConfig, Workload};
 
@@ -98,7 +97,7 @@ fn equal_vs_weighted_ensemble(effort: Effort) -> String {
     let equal_pred = fit_and_roll(&mut equal, &series, spec, test_start).expect("equal");
     let (actual, _) = qb_forecast::rolling_forecast(&equal, &series, spec, test_start);
 
-    let mut weighted = qb_forecast::WeightedEnsemble::new(rnn_cfg);
+    let mut weighted = crate::weighted::WeightedEnsemble::new(rnn_cfg);
     let weighted_pred =
         fit_and_roll(&mut weighted, &series, spec, test_start).expect("weighted");
 
@@ -152,23 +151,24 @@ fn feature_forecastability(effort: Effort) -> String {
     out
 }
 
-/// Ablation 4: semantic folding on/off — template counts.
+/// Ablation 4: semantic folding on/off — template counts. One run per
+/// workload reads both: without folding every distinct canonical text
+/// would be its own template, and folding does not change which texts
+/// arrive, so "folding off" is the distinct-text count.
 fn semantic_folding(effort: Effort) -> String {
     let mut out = String::from("Ablation 4: semantic-equivalence folding (§4)\n");
     let days = if effort.is_quick() { 2 } else { 7 };
-    for (label, folding) in [("folding on", true), ("folding off", false)] {
-        let mut count_total = 0usize;
-        for w in [Workload::Admissions, Workload::BusTracker, Workload::Mooc] {
-            let mut bot = QueryBot5000::new(Qb5000Config {
-                preprocessor: PreProcessorConfig { semantic_folding: folding },
-                ..Qb5000Config::default()
-            });
-            let cfg = TraceConfig { start: 0, days, scale: 0.03, seed: 0xAB };
-            for ev in w.generator(cfg) {
-                let _ = bot.ingest_weighted(ev.minute, &ev.sql, ev.count);
-            }
-            count_total += bot.preprocessor().num_templates();
+    let (mut folded, mut texts) = (0usize, 0usize);
+    for w in [Workload::Admissions, Workload::BusTracker, Workload::Mooc] {
+        let mut bot = QueryBot5000::new(Qb5000Config::default());
+        let cfg = TraceConfig { start: 0, days, scale: 0.03, seed: 0xAB };
+        for ev in w.generator(cfg) {
+            let _ = bot.ingest_weighted(ev.minute, &ev.sql, ev.count);
         }
+        folded += bot.preprocessor().num_templates();
+        texts += bot.preprocessor().num_distinct_texts();
+    }
+    for (label, count_total) in [("folding on", folded), ("folding off", texts)] {
         out.push_str(&format!("  {label:<12}: {count_total} tracked templates across 3 workloads\n"));
     }
     out.push_str("  (folding keeps template counts minimal; the traces' generated SQL is\n");

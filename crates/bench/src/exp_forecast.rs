@@ -1,11 +1,12 @@
 //! Figures 7, 8, 9, 10, 15, 16, 17 — the forecasting experiments.
 
 use qb_forecast::WindowSpec;
-use qb_linalg::{Matrix, Pca};
+use qb_linalg::Matrix;
 use qb_timeseries::{mse_log_space, Interval, MINUTES_PER_DAY};
 use qb_workloads::Workload;
 
 use crate::eval::{evaluate_all_models, fit_and_roll};
+use crate::pca::Pca;
 use crate::pipeline_run::{run_pipeline, PipelineRun, RunOptions};
 use crate::zoo::{rnn_config, ALL_MODELS};
 use crate::{write_csv, Effort};

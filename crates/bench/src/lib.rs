@@ -15,13 +15,16 @@
 //! forecasting framework that reads `qb5000`'s forecasts and builds
 //! indexes in the `qb-dbsim` engine. The inputs that only the paper's
 //! comparisons read live here too: the §7.7 [`logical`] clustering
-//! feature, and Table 3's baseline models ([`arma`], [`fnn`], [`psrnn`])
-//! with their [`properties`].
+//! feature, Table 3's baseline models ([`arma`], [`fnn`], [`psrnn`])
+//! with their [`properties`], §6.1's rejected validation-[`weighted`]
+//! ensemble, and the [`pca`] (with its Jacobi [`eigen`] solver) that
+//! draws Appendix B's Figure 15 and reduces PSRNN's state.
 
 #![forbid(unsafe_code)]
 
 pub mod arma;
 pub mod controller;
+pub mod eigen;
 pub mod eval;
 pub mod exp_ablations;
 pub mod exp_clustering;
@@ -30,9 +33,11 @@ pub mod exp_index;
 pub mod exp_tables;
 pub mod fnn;
 pub mod logical;
+pub mod pca;
 pub mod pipeline_run;
 pub mod properties;
 pub mod psrnn;
+pub mod weighted;
 pub mod zoo;
 
 /// Effort level: `Quick` shrinks traces and training epochs so the full

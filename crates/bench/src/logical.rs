@@ -170,10 +170,7 @@ impl LogicalFeatures {
 }
 
 fn bucket_of(s: &str, buckets: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    s.hash(&mut h);
-    (h.finish() % buckets as u64) as usize
+    (qb_parallel::StableHasher::hash_one(s) % buckets as u64) as usize
 }
 
 #[cfg(test)]

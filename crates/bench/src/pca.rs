@@ -4,7 +4,9 @@
 //! (Figure 15): projecting the kernel-regression input vectors into 3-D
 //! space to visualize how spike inputs separate from normal traffic.
 
-use crate::{symmetric_eigen, Matrix};
+use qb_linalg::Matrix;
+
+use crate::eigen::symmetric_eigen;
 
 /// A fitted PCA projection.
 #[derive(Debug, Clone)]

@@ -23,13 +23,15 @@
 //! As in the paper, the moment-based start does not guarantee beating the
 //! LSTM — the approximation and limited data cap its benefit (§7.2).
 
-use qb_linalg::{ridge_regression, Matrix, Pca};
+use qb_linalg::{ridge_regression, Matrix};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use qb_forecast::dataset::{ensure_finite, validate_series, ForecastError, WindowSpec};
 use qb_forecast::nn::{Dense, Param};
 use qb_forecast::Forecaster;
+
+use crate::pca::Pca;
 
 /// PSRNN hyperparameters.
 #[derive(Debug, Clone)]

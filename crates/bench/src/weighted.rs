@@ -3,14 +3,11 @@
 //! "We also tried averaging the models with weights derived from the
 //! training history, but that led to overfitting and generated worse
 //! results." This module implements that alternative so the claim can be
-//! tested (see the `ablations` experiment in `qb-bench`): member weights
+//! tested (Ablation 2 of [`crate::exp_ablations`]): member weights
 //! are derived from each model's error on a held-out tail of the training
 //! history (inverse-MSE weighting, normalized).
 
-use crate::dataset::{ForecastError, WindowSpec};
-use crate::lr::LinearRegression;
-use crate::rnn::{Rnn, RnnConfig};
-use crate::Forecaster;
+use qb_forecast::{Forecaster, ForecastError, LinearRegression, Rnn, RnnConfig, WindowSpec};
 
 /// LR + RNN averaged with validation-derived weights.
 pub struct WeightedEnsemble {
@@ -50,7 +47,7 @@ impl Forecaster for WeightedEnsemble {
     }
 
     fn fit(&mut self, series: &[Vec<f64>], spec: WindowSpec) -> Result<(), ForecastError> {
-        let (_, len) = crate::dataset::validate_series(series, spec)?;
+        let (_, len) = qb_forecast::dataset::validate_series(series, spec)?;
         let n_val = ((len as f64 * self.validation_fraction) as usize).max(spec.horizon + 1);
         let split = len.saturating_sub(n_val);
 
@@ -66,8 +63,8 @@ impl Forecaster for WeightedEnsemble {
                 ..RnnConfig::default()
             });
             if lr.fit(&head, spec).is_ok() && rnn_probe.fit(&head, spec).is_ok() {
-                let (actual, lr_pred) = crate::rolling_forecast(&lr, series, spec, split);
-                let (_, rnn_pred) = crate::rolling_forecast(&rnn_probe, series, spec, split);
+                let (actual, lr_pred) = qb_forecast::rolling_forecast(&lr, series, spec, split);
+                let (_, rnn_pred) = qb_forecast::rolling_forecast(&rnn_probe, series, spec, split);
                 let mse = |pred: &Vec<Vec<f64>>| {
                     let per: Vec<f64> = actual
                         .iter()

@@ -18,7 +18,6 @@
 
 use qb_clusterer::ClustererConfig;
 use qb_obs::Recorder;
-use qb_preprocessor::PreProcessorConfig;
 use qb_trace::Tracer;
 
 use crate::durable::DurabilityConfig;
@@ -58,12 +57,6 @@ pub struct Qb5000ConfigBuilder {
 }
 
 impl Qb5000ConfigBuilder {
-    /// Pre-Processor settings (template folding, quarantine).
-    pub fn preprocessor(mut self, pre: PreProcessorConfig) -> Self {
-        self.cfg.preprocessor = pre;
-        self
-    }
-
     /// Clusterer settings (ρ, metric, adaptive shift trigger).
     pub fn clusterer(mut self, clusterer: ClustererConfig) -> Self {
         self.cfg.clusterer = clusterer;

@@ -8,8 +8,7 @@ use qb_forecast::{Forecaster, WindowSpec};
 use qb_obs::Recorder;
 use qb_parallel::ThreadPool;
 use qb_preprocessor::{
-    BatchItem, BatchReport, PreProcessor, PreProcessorConfig, PreProcessorState, TemplateEntry,
-    TemplateId,
+    BatchItem, BatchReport, PreProcessor, PreProcessorState, TemplateEntry, TemplateId,
 };
 use qb_timeseries::{Interval, Minute, MINUTES_PER_DAY};
 use qb_trace::{TraceDump, Tracer};
@@ -47,7 +46,6 @@ pub const FEATURE_SEED: u64 = 0x5000;
 /// struct-update syntax on [`Qb5000Config::default`] for trusted values.
 #[derive(Debug, Clone)]
 pub struct Qb5000Config {
-    pub preprocessor: PreProcessorConfig,
     pub clusterer: ClustererConfig,
     /// The feature the Clusterer groups templates by. `None` (the
     /// default) is the §5.1 arrival-rate feature. `Some(f)` clusters each
@@ -96,7 +94,6 @@ pub struct Qb5000Config {
 impl Default for Qb5000Config {
     fn default() -> Self {
         Self {
-            preprocessor: PreProcessorConfig::default(),
             clusterer: ClustererConfig::default(),
             cluster_feature: None,
             max_clusters: 5,
@@ -285,7 +282,7 @@ impl QueryBot5000 {
             serve.set_recorder(&config.recorder);
             serve.set_tracer(&config.tracer);
         }
-        let mut pre = PreProcessor::new(config.preprocessor.clone());
+        let mut pre = PreProcessor::default();
         pre.set_recorder(&config.recorder);
         pre.set_tracer(&config.tracer);
         let mut clusterer = OnlineClusterer::new(config.clusterer.clone());
@@ -399,14 +396,11 @@ impl QueryBot5000 {
     /// Delivery-order accounting (observability only — histories are
     /// time-keyed and absorb duplicates and reordering either way).
     fn note_delivery(&mut self, t: Minute, sql: &str) {
-        use std::hash::{Hash, Hasher};
         if self.last_ingest_minute.is_some_and(|prev| t < prev) {
             self.reordered += 1;
         }
         self.last_ingest_minute = Some(t);
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        sql.hash(&mut h);
-        let event = (t, h.finish());
+        let event = (t, qb_parallel::StableHasher::hash_one(sql));
         if self.last_ingest_event == Some(event) {
             self.deduplicated += 1;
         }
@@ -449,7 +443,7 @@ impl QueryBot5000 {
     /// `config`'s `max_clusters` and `coverage_target`.
     pub fn restore(config: Qb5000Config, state: PipelineState) -> Result<Self, Error> {
         let mut bot = QueryBot5000::new(config);
-        let mut pre = PreProcessor::restore(bot.config.preprocessor.clone(), state.pre)?;
+        let mut pre = PreProcessor::restore(state.pre)?;
         pre.set_recorder(&bot.config.recorder);
         pre.set_tracer(&bot.config.tracer);
         bot.pre = pre;

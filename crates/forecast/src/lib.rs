@@ -23,9 +23,11 @@
 //!
 //! All models train in `ln(1+x)` space and report linear-space rates
 //! (§7.2); accuracy is measured with [`qb_timeseries::mse_log_space`].
-//! The baselines the paper compared against (ARMA, FNN and PSRNN) are
-//! experiments, not the product: they live in `qb-bench` and build on
-//! [`dataset`], [`nn`] and [`Forecaster`].
+//! The baselines the paper compared against (ARMA, FNN and PSRNN) and
+//! the validation-weighted ensemble §6.1 rejected are experiments, not
+//! the product: they live in `qb-bench` and build on [`dataset`], [`nn`]
+//! and [`Forecaster`]. LR and RNN serialize to bytes only so Table 4 can
+//! report their size; nothing decodes them.
 
 #![forbid(unsafe_code)]
 
@@ -36,9 +38,8 @@ pub mod hybrid;
 pub mod kr;
 pub mod lr;
 pub mod nn;
-pub mod persist;
+mod persist;
 pub mod rnn;
-pub mod weighted;
 
 pub use dataset::{ensure_finite, sliding_windows, ForecastError, WindowSpec};
 pub use ensemble::Ensemble;
@@ -47,7 +48,6 @@ pub use hybrid::{Hybrid, HybridConfig};
 pub use kr::KernelRegression;
 pub use lr::LinearRegression;
 pub use rnn::{Rnn, RnnConfig};
-pub use weighted::WeightedEnsemble;
 
 /// How far down the fallback chain HYBRID → ENSEMBLE → single model →
 /// last-value persistence a composite forecaster had to degrade after

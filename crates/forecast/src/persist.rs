@@ -3,28 +3,12 @@
 //! Table 4 accounts for each model's storage footprint: "LR Model: ... the
 //! size of the learned weights. RNN Model: ... the size of the serialized
 //! model object ..., which contains both the model parameters and network
-//! structure." This module provides that serialization as a small
+//! structure." This module writes that serialization as a small
 //! self-describing binary format (magic, version, shape header, little-
-//! endian `f64` payload) — no external serialization crates needed.
+//! endian `f64` payload), whose length Table 4 reports. Only tests read a
+//! model back, to check the bytes carry everything a prediction needs.
 
 use crate::dataset::WindowSpec;
-
-/// Serialization format errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PersistError {
-    /// Magic or version mismatch, or truncated input.
-    Malformed(String),
-}
-
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistError::Malformed(m) => write!(f, "malformed model bytes: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
 
 /// Little-endian byte sink.
 pub(crate) struct Writer {
@@ -64,135 +48,48 @@ impl Writer {
     }
 }
 
-/// Little-endian byte source with bounds checking.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
+/// Little-endian byte source for tests that decode what [`Writer`] wrote,
+/// to check the serialization carries everything a prediction needs.
+#[cfg(test)]
+pub(crate) struct TestCursor<'a> {
+    bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8], magic: &[u8; 4], version: u16) -> Result<Self, PersistError> {
-        let mut r = Self { buf, pos: 0 };
-        let got = r.take(4)?;
-        if got != magic {
-            return Err(PersistError::Malformed(format!(
-                "bad magic {:?} (expected {:?})",
-                got, magic
-            )));
-        }
-        let v = u16::from_le_bytes(
-            r.take(2)?.try_into().expect("take(2) returns 2 bytes"),
-        );
-        if v != version {
-            return Err(PersistError::Malformed(format!(
-                "version {v} unsupported (expected {version})"
-            )));
-        }
-        Ok(r)
+#[cfg(test)]
+impl<'a> TestCursor<'a> {
+    /// Starts after the magic and version, which must match.
+    pub fn new(bytes: &'a [u8], magic: &[u8; 4], version: u16) -> Self {
+        assert_eq!(&bytes[..4], magic);
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), version);
+        Self { bytes, pos: 6 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.pos + n > self.buf.len() {
-            return Err(PersistError::Malformed(format!(
-                "truncated: need {n} bytes at offset {}",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    fn word(&mut self) -> [u8; 8] {
+        let w = self.bytes[self.pos..self.pos + 8].try_into().unwrap();
+        self.pos += 8;
+        w
     }
 
-    pub fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    pub fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.word())
     }
 
-    pub fn usize(&mut self) -> Result<usize, PersistError> {
-        Ok(self.u64()? as usize)
+    pub fn f64(&mut self) -> f64 {
+        f64::from_le_bytes(self.word())
     }
 
-    pub fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn f64s(&mut self) -> Result<Vec<f64>, PersistError> {
-        let n = self.usize()?;
-        // Guard against absurd lengths from corrupt headers.
-        if n > self.buf.len() / 8 + 1 {
-            return Err(PersistError::Malformed(format!("implausible vector length {n}")));
-        }
+    pub fn f64s(&mut self) -> Vec<f64> {
+        let n = self.u64() as usize;
         (0..n).map(|_| self.f64()).collect()
     }
 
-    pub fn spec(&mut self) -> Result<WindowSpec, PersistError> {
-        Ok(WindowSpec { window: self.usize()?, horizon: self.usize()? })
+    pub fn spec(&mut self) -> WindowSpec {
+        WindowSpec { window: self.u64() as usize, horizon: self.u64() as usize }
     }
 
-    pub fn expect_end(&self) -> Result<(), PersistError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(PersistError::Malformed(format!(
-                "{} trailing bytes",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn writer_reader_roundtrip() {
-        let mut w = Writer::new(b"TEST", 3);
-        w.u64(42);
-        w.f64(1.5);
-        w.f64s(&[1.0, 2.0, 3.0]);
-        w.spec(WindowSpec { window: 24, horizon: 7 });
-        let bytes = w.finish();
-
-        let mut r = Reader::new(&bytes, b"TEST", 3).unwrap();
-        assert_eq!(r.u64().unwrap(), 42);
-        assert_eq!(r.f64().unwrap(), 1.5);
-        assert_eq!(r.f64s().unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(r.spec().unwrap(), WindowSpec { window: 24, horizon: 7 });
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let w = Writer::new(b"AAAA", 1);
-        let bytes = w.finish();
-        assert!(Reader::new(&bytes, b"BBBB", 1).is_err());
-    }
-
-    #[test]
-    fn wrong_version_rejected() {
-        let w = Writer::new(b"TEST", 1);
-        let bytes = w.finish();
-        assert!(Reader::new(&bytes, b"TEST", 2).is_err());
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let mut w = Writer::new(b"TEST", 1);
-        w.f64s(&[1.0, 2.0]);
-        let mut bytes = w.finish();
-        bytes.truncate(bytes.len() - 4);
-        let mut r = Reader::new(&bytes, b"TEST", 1).unwrap();
-        assert!(r.f64s().is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_detected() {
-        let mut w = Writer::new(b"TEST", 1);
-        w.u64(1);
-        let mut bytes = w.finish();
-        bytes.push(0);
-        let mut r = Reader::new(&bytes, b"TEST", 1).unwrap();
-        let _ = r.u64().unwrap();
-        assert!(r.expect_end().is_err());
+    /// Asserts every byte was read.
+    pub fn finish(self) {
+        assert_eq!(self.pos, self.bytes.len(), "trailing bytes");
     }
 }

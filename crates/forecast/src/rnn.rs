@@ -321,6 +321,44 @@ impl Forecaster for Rnn {
     }
 }
 
+// --- serialization (Table 4's "serialized model object ... contains both
+// the model parameters and network structure") ---
+
+const RNN_MAGIC: &[u8; 4] = b"QBRN";
+const RNN_VERSION: u16 = 1;
+
+impl Rnn {
+    /// Serializes the trained network: architecture dimensions plus every
+    /// weight tensor.
+    ///
+    /// # Panics
+    /// Panics if the model has not been fitted.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let net = self.net.as_ref().expect("RNN::to_bytes before fit");
+        let spec = self.spec.expect("RNN::to_bytes before fit");
+        let mut w = crate::persist::Writer::new(RNN_MAGIC, RNN_VERSION);
+        w.spec(spec);
+        w.u64(self.clusters as u64);
+        w.u64(self.cfg.embedding as u64);
+        w.u64(self.cfg.hidden as u64);
+        for m in [
+            &net.embed.w.value,
+            &net.embed.b.value,
+            &net.lstm1.wx.value,
+            &net.lstm1.wh.value,
+            &net.lstm1.b.value,
+            &net.lstm2.wx.value,
+            &net.lstm2.wh.value,
+            &net.lstm2.b.value,
+            &net.head.w.value,
+            &net.head.b.value,
+        ] {
+            w.f64s(m.as_slice());
+        }
+        w.finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,6 +445,12 @@ mod tests {
         // head: 1·20+1.
         let expected = (25 + 25) + 80 * 46 + 80 * 41 + 21;
         assert_eq!(rnn.num_parameters(), expected);
+        // Table 4's serialized object: a 126-byte header (magic, version,
+        // window, horizon, three dimensions, ten tensor lengths) and every
+        // weight, which dwarfs LR's footprint.
+        let bytes = rnn.to_bytes().len();
+        assert_eq!(bytes, 126 + 8 * expected);
+        assert!(bytes > 2_000, "{bytes} bytes");
     }
 
     #[test]
@@ -450,99 +494,10 @@ mod tests {
     }
 }
 
-// --- serialization (Table 4's "serialized model object ... contains both
-// the model parameters and network structure") ---
-
-const RNN_MAGIC: &[u8; 4] = b"QBRN";
-const RNN_VERSION: u16 = 1;
-
-impl Rnn {
-    /// Serializes the trained network: architecture dimensions plus every
-    /// weight tensor.
-    ///
-    /// # Panics
-    /// Panics if the model has not been fitted.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let net = self.net.as_ref().expect("RNN::to_bytes before fit");
-        let spec = self.spec.expect("RNN::to_bytes before fit");
-        let mut w = crate::persist::Writer::new(RNN_MAGIC, RNN_VERSION);
-        w.spec(spec);
-        w.u64(self.clusters as u64);
-        w.u64(self.cfg.embedding as u64);
-        w.u64(self.cfg.hidden as u64);
-        for m in [
-            &net.embed.w.value,
-            &net.embed.b.value,
-            &net.lstm1.wx.value,
-            &net.lstm1.wh.value,
-            &net.lstm1.b.value,
-            &net.lstm2.wx.value,
-            &net.lstm2.wh.value,
-            &net.lstm2.b.value,
-            &net.head.w.value,
-            &net.head.b.value,
-        ] {
-            w.f64s(m.as_slice());
-        }
-        w.finish()
-    }
-
-    /// Restores a model serialized with [`Rnn::to_bytes`]. The restored
-    /// model predicts identically; it can also be trained further (fresh
-    /// optimizer state).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, crate::persist::PersistError> {
-        use crate::persist::{PersistError, Reader};
-        use rand::SeedableRng;
-        let mut r = Reader::new(bytes, RNN_MAGIC, RNN_VERSION)?;
-        let spec = r.spec()?;
-        let clusters = r.usize()?;
-        let embedding = r.usize()?;
-        let hidden = r.usize()?;
-        // Sanity-check the architecture header before allocating: a corrupt
-        // file must yield PersistError, not a multi-gigabyte allocation.
-        const MAX_DIM: usize = 65_536;
-        if clusters == 0 || clusters > MAX_DIM || embedding == 0 || embedding > MAX_DIM
-            || hidden == 0 || hidden > MAX_DIM
-        {
-            return Err(PersistError::Malformed(format!(
-                "implausible architecture {clusters}x{embedding}x{hidden}"
-            )));
-        }
-        let cfg = RnnConfig { embedding, hidden, ..RnnConfig::default() };
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed);
-        let mut net = Network::new(clusters, &cfg, &mut rng);
-
-        let mut load = |target: &mut qb_linalg::Matrix| -> Result<(), PersistError> {
-            let data = r.f64s()?;
-            if data.len() != target.rows() * target.cols() {
-                return Err(PersistError::Malformed(format!(
-                    "tensor size {} != {}x{}",
-                    data.len(),
-                    target.rows(),
-                    target.cols()
-                )));
-            }
-            target.as_mut_slice().copy_from_slice(&data);
-            Ok(())
-        };
-        load(&mut net.embed.w.value)?;
-        load(&mut net.embed.b.value)?;
-        load(&mut net.lstm1.wx.value)?;
-        load(&mut net.lstm1.wh.value)?;
-        load(&mut net.lstm1.b.value)?;
-        load(&mut net.lstm2.wx.value)?;
-        load(&mut net.lstm2.wh.value)?;
-        load(&mut net.lstm2.b.value)?;
-        load(&mut net.head.w.value)?;
-        load(&mut net.head.b.value)?;
-        r.expect_end()?;
-        Ok(Self { cfg, net: Some(net), spec: Some(spec), clusters, epochs_run: 0 })
-    }
-}
-
 #[cfg(test)]
 mod persist_tests {
     use super::*;
+    use crate::persist::TestCursor;
 
     #[test]
     fn roundtrip_preserves_predictions() {
@@ -556,31 +511,39 @@ mod persist_tests {
             embedding: 4,
             ..RnnConfig::default()
         });
-        use crate::Forecaster;
         rnn.fit(&series, spec).unwrap();
         let bytes = rnn.to_bytes();
-        let restored = Rnn::from_bytes(&bytes).unwrap();
+
+        // Rebuild the network from the bytes alone: architecture from the
+        // header, a differently seeded initialization overwritten tensor by
+        // tensor.
+        let mut r = TestCursor::new(&bytes, RNN_MAGIC, RNN_VERSION);
+        let restored_spec = r.spec();
+        let clusters = r.u64() as usize;
+        let embedding = r.u64() as usize;
+        let hidden = r.u64() as usize;
+        let cfg = RnnConfig { embedding, hidden, seed: 1, ..RnnConfig::default() };
+        let mut net = Network::new(clusters, &cfg, &mut SmallRng::seed_from_u64(cfg.seed));
+        for m in [
+            &mut net.embed.w.value,
+            &mut net.embed.b.value,
+            &mut net.lstm1.wx.value,
+            &mut net.lstm1.wh.value,
+            &mut net.lstm1.b.value,
+            &mut net.lstm2.wx.value,
+            &mut net.lstm2.wh.value,
+            &mut net.lstm2.b.value,
+            &mut net.head.w.value,
+            &mut net.head.b.value,
+        ] {
+            m.as_mut_slice().copy_from_slice(&r.f64s());
+        }
+        r.finish();
+        let restored =
+            Rnn { cfg, net: Some(net), spec: Some(restored_spec), clusters, epochs_run: 0 };
         let recent = vec![series[0][100..112].to_vec()];
         assert_eq!(rnn.predict(&recent), restored.predict(&recent));
         // The RNN object dwarfs LR's footprint (Table 4's relative claim).
         assert!(bytes.len() > 2_000, "{} bytes", bytes.len());
-    }
-
-    #[test]
-    fn corrupt_bytes_rejected() {
-        let mut rnn = Rnn::new(RnnConfig {
-            epochs: 2,
-            hidden: 4,
-            embedding: 3,
-            ..RnnConfig::default()
-        });
-        use crate::Forecaster;
-        rnn.fit(&[vec![5.0; 60]], WindowSpec { window: 6, horizon: 1 }).unwrap();
-        let mut bytes = rnn.to_bytes();
-        bytes[6] ^= 0xFF;
-        // Either a read error or a size mismatch — never a panic.
-        let _ = Rnn::from_bytes(&bytes);
-        bytes.truncate(20);
-        assert!(Rnn::from_bytes(&bytes).is_err());
     }
 }

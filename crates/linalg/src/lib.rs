@@ -13,23 +13,21 @@
 //! * [`solve`] — linear-system solvers: Cholesky (SPD) with an LU
 //!   (partial-pivoting) fallback, plus ridge-regularized least squares,
 //!   which is the closed form behind the paper's LR model (§6.1).
-//! * [`eigen`] — symmetric eigendecomposition via the cyclic Jacobi method.
-//! * [`pca`] — principal component analysis used to reproduce the
-//!   3-D input-space projection of Appendix B (Figure 15).
+//! * vector kernels — dot product, norms, cosine similarity (the
+//!   Clusterer's metric) and L2 distance.
+//!
+//! The PCA and eigensolver that draw Appendix B's Figure 15 are
+//! experiment code and live in `qb-bench`.
 //!
 //! All routines are deterministic; randomized initialization helpers take an
 //! explicit RNG.
 
 #![forbid(unsafe_code)]
 
-pub mod eigen;
 pub mod matrix;
-pub mod pca;
 pub mod solve;
 
-pub use eigen::{symmetric_eigen, EigenDecomposition};
 pub use matrix::Matrix;
-pub use pca::Pca;
 pub use solve::{cholesky_solve, lu_solve, ridge_regression, LinalgError};
 
 /// Dot product of two equal-length slices.

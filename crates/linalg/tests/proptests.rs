@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra kernel.
 
 use proptest::prelude::*;
-use qb_linalg::{cholesky_solve, lu_solve, ridge_regression, symmetric_eigen, Matrix, Pca};
+use qb_linalg::{cholesky_solve, lu_solve, ridge_regression, Matrix};
 
 fn small_f64() -> impl Strategy<Value = f64> {
     // Well-conditioned range: avoids overflow without losing generality.
@@ -63,32 +63,6 @@ proptest! {
         prop_assert!(w_big.frobenius_norm() <= w_small.frobenius_norm() + 1e-9);
     }
 
-    /// Eigendecomposition reconstructs symmetric matrices.
-    #[test]
-    fn eigen_reconstruction(a in matrix(4, 4)) {
-        // Symmetrize.
-        let sym = {
-            let mut s = Matrix::zeros(4, 4);
-            for i in 0..4 {
-                for j in 0..4 {
-                    s[(i, j)] = 0.5 * (a[(i, j)] + a[(j, i)]);
-                }
-            }
-            s
-        };
-        let e = symmetric_eigen(&sym);
-        let mut lam = Matrix::zeros(4, 4);
-        for i in 0..4 {
-            lam[(i, i)] = e.eigenvalues[i];
-        }
-        let recon = e.eigenvectors.matmul(&lam).matmul(&e.eigenvectors.transpose());
-        prop_assert!((&recon - &sym).frobenius_norm() < 1e-6 * (1.0 + sym.frobenius_norm()));
-        // Eigenvalues sorted descending.
-        for w in e.eigenvalues.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-9);
-        }
-    }
-
     /// Cosine similarity is bounded and symmetric.
     #[test]
     fn cosine_bounds(a in proptest::collection::vec(small_f64(), 6),
@@ -96,19 +70,5 @@ proptest! {
         let s = qb_linalg::cosine_similarity(&a, &b);
         prop_assert!((-1.0..=1.0).contains(&s));
         prop_assert!((s - qb_linalg::cosine_similarity(&b, &a)).abs() < 1e-12);
-    }
-
-    /// PCA projection of the mean row is the origin, and projecting
-    /// preserves the sample count.
-    #[test]
-    fn pca_centers_data(data in matrix(10, 4)) {
-        let pca = Pca::fit(&data, 2);
-        let projected = pca.transform_all(&data);
-        prop_assert_eq!(projected.rows(), 10);
-        // Column means of the projection are ~0 (centering).
-        for c in 0..projected.cols() {
-            let mean: f64 = projected.col(c).iter().sum::<f64>() / 10.0;
-            prop_assert!(mean.abs() < 1e-6, "column {} mean {}", c, mean);
-        }
     }
 }

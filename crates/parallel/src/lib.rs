@@ -29,8 +29,18 @@
 //! disables threading entirely (pure sequential execution on the calling
 //! thread — not a one-worker pool), which is what CI's `QB_THREADS=1` leg
 //! exercises.
+//!
+//! ## Stable hashing
+//!
+//! Determinism reaches past one process: [`StableHasher`] is the hash
+//! for values that are persisted or compared across runs, because the
+//! standard library's `DefaultHasher` may change with the toolchain.
 
 #![forbid(unsafe_code)]
+
+pub mod stable_hash;
+
+pub use stable_hash::StableHasher;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -10,9 +10,9 @@
 //! `WHERE a = ? AND b = ?` and `WHERE b = ? AND a = ?` fold together — the
 //! heuristic approximation the paper chose over full semantic equivalence.
 
-use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+use qb_parallel::StableHasher;
 use qb_sqlparse::{Expr, Statement};
 
 /// An opaque semantic fingerprint. Equal fingerprints mean the
@@ -22,7 +22,7 @@ pub struct Fingerprint(u64);
 
 /// Computes the semantic fingerprint of a templated statement.
 pub fn semantic_fingerprint(stmt: &Statement) -> Fingerprint {
-    let mut h = DefaultHasher::new();
+    let mut h = StableHasher::new();
     stmt.kind_name().hash(&mut h);
 
     let mut tables = stmt.tables();

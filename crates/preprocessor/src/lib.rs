@@ -217,20 +217,13 @@ pub const RESERVOIR_SEED: u64 = 0x5000;
 /// round the shift trigger fires mid-hour) exact.
 pub const MINUTE_RETENTION: Minute = 60;
 
-/// Configuration knobs for the Pre-Processor.
-#[derive(Debug, Clone)]
-pub struct PreProcessorConfig {
-    /// Fold semantically equivalent templates together (§4's final step).
-    /// Disable only for the ablation that measures how much the heuristic
-    /// equivalence reduces template counts.
-    pub semantic_folding: bool,
-}
-
-impl Default for PreProcessorConfig {
-    fn default() -> Self {
-        Self { semantic_folding: true }
-    }
-}
+/// The Pre-Processor's settings: none. Semantic folding (§4's final
+/// step) is always on. The type remains because the benchmark harness
+/// under `benchmarks/` still calls
+/// `PreProcessor::new(PreProcessorConfig::default())`; everything else
+/// builds a [`PreProcessor::default`].
+#[derive(Debug, Clone, Default)]
+pub struct PreProcessorConfig {}
 
 /// Cached metric handles; all no-ops until [`PreProcessor::set_recorder`]
 /// installs an enabled recorder.
@@ -262,7 +255,6 @@ impl PreMetrics {
 
 /// The Pre-Processor: maps raw SQL to templates and records arrival rates.
 pub struct PreProcessor {
-    config: PreProcessorConfig,
     metrics: PreMetrics,
     /// Semantic fingerprint → template id (the §4 equivalence folding).
     by_fingerprint: HashMap<Fingerprint, TemplateId>,
@@ -282,10 +274,16 @@ pub struct PreProcessor {
     minute_lookback: Minute,
 }
 
+impl Default for PreProcessor {
+    fn default() -> Self {
+        Self::new(PreProcessorConfig::default())
+    }
+}
+
 impl PreProcessor {
     pub fn new(config: PreProcessorConfig) -> Self {
+        let PreProcessorConfig {} = config;
         Self {
-            config,
             metrics: PreMetrics::default(),
             by_fingerprint: HashMap::new(),
             distinct_texts: HashMap::new(),
@@ -365,13 +363,11 @@ impl PreProcessor {
             return id;
         }
         let fp = semantic_fingerprint(&template);
-        if self.config.semantic_folding {
-            if let Some(&id) = self.by_fingerprint.get(&fp) {
-                // A new spelling that is semantically equivalent to a known
-                // template: count the distinct text but reuse the entry.
-                self.distinct_texts.insert(text, id);
-                return id;
-            }
+        if let Some(&id) = self.by_fingerprint.get(&fp) {
+            // A new spelling that is semantically equivalent to a known
+            // template: count the distinct text but reuse the entry.
+            self.distinct_texts.insert(text, id);
+            return id;
         }
         let id = TemplateId(self.entries.len() as u32);
         self.next_seed = self.next_seed.wrapping_mul(6364136223846793005).wrapping_add(id.0 as u64);
@@ -384,11 +380,7 @@ impl PreProcessor {
             statement: template,
             text,
         });
-        // First-wins: when folding is disabled every template still lands
-        // here, and a later same-fingerprint template must not hijack the
-        // mapping — a restore that re-enables folding would otherwise fold
-        // onto whichever template happened to be interned last.
-        self.by_fingerprint.entry(fp).or_insert(id);
+        self.by_fingerprint.insert(fp, id);
         self.trace_new_template(t, id);
         report.new_templates += 1;
         id
@@ -522,25 +514,20 @@ impl PreProcessor {
 
     /// Rebuilds a Pre-Processor from exported state.
     ///
-    /// `config` must match the configuration of the exporting instance
-    /// (its folding mode shapes the stored state).
     /// Template ASTs, verbs and semantic fingerprints are reconstructed by
     /// re-parsing each entry's canonical text — templatizing canonical
     /// text is idempotent, so the rebuilt table is equivalent to the one
     /// that was exported. The ingest memo starts cold.
-    pub fn restore(
-        config: PreProcessorConfig,
-        state: PreProcessorState,
-    ) -> Result<Self, PreProcessError> {
-        let mut pp = PreProcessor::new(config);
+    pub fn restore(state: PreProcessorState) -> Result<Self, PreProcessError> {
+        let mut pp = PreProcessor::default();
         for (idx, es) in state.entries.into_iter().enumerate() {
             let stmt = parse_statement(&es.text)?;
             let tq = templatize(&stmt);
             debug_assert_eq!(tq.text, es.text, "canonical template text must re-templatize to itself");
             let id = TemplateId(idx as u32);
-            // First-wins, matching `intern_owned`: with folding disabled,
-            // several entries can share a fingerprint, and the mapping must
-            // keep pointing at the earliest one.
+            // First-wins: a state may hold several entries with one
+            // fingerprint (snapshots from builds where folding could be
+            // switched off do), and new spellings fold onto the earliest.
             pp.by_fingerprint.entry(semantic_fingerprint(&tq.template)).or_insert(id);
             pp.entries.push(TemplateEntry {
                 id,
@@ -596,7 +583,7 @@ mod tests {
     use super::*;
 
     fn pp() -> PreProcessor {
-        PreProcessor::new(PreProcessorConfig::default())
+        PreProcessor::default()
     }
 
     #[test]
@@ -797,7 +784,7 @@ mod tests {
 
         let exported = live.export_state();
         let mut restored =
-            PreProcessor::restore(PreProcessorConfig::default(), exported.clone()).unwrap();
+            PreProcessor::restore(exported.clone()).unwrap();
         assert_eq!(restored.export_state(), exported, "restore must be lossless");
         assert_eq!(restored.num_templates(), live.num_templates());
         assert_eq!(restored.num_distinct_texts(), live.num_distinct_texts());
@@ -852,40 +839,34 @@ mod tests {
 
     #[test]
     fn fingerprint_mapping_is_first_wins_and_survives_restore() {
-        // Three spellings of one semantic template (rotated conjuncts):
-        // with folding disabled they intern as distinct templates, but the
-        // fingerprint map must keep pointing at the *first* — a later
-        // restore that re-enables folding folds onto it, not onto
-        // whichever entry happened to be interned last.
+        // Three spellings of one semantic template (rotated conjuncts). A
+        // state that holds the first two as separate entries folds a new
+        // spelling onto the *first*, not onto whichever came last.
         let spellings = [
             "SELECT x FROM t WHERE p = 1 AND q = 2 AND r = 3",
             "SELECT x FROM t WHERE q = 4 AND r = 5 AND p = 6",
             "SELECT x FROM t WHERE r = 7 AND p = 8 AND q = 9",
         ];
-        let unfolded_cfg = PreProcessorConfig { semantic_folding: false };
-        let mut p = PreProcessor::new(unfolded_cfg.clone());
+        let mut p = pp();
         let a = p.ingest(0, spellings[0]).unwrap();
-        let b = p.ingest(0, spellings[1]).unwrap();
-        assert_ne!(a, b, "ablation keeps spellings distinct");
+        let mut state = p.export_state();
+        let second = templatize(&parse_statement(spellings[1]).unwrap()).text;
+        let first = &state.entries[0];
+        assert_ne!(second, first.text, "the spellings are distinct texts");
+        let entry = TemplateEntryState { text: second.clone(), ..first.clone() };
+        state.entries.push(entry);
+        state.distinct_texts.push((second, 1));
+        state.distinct_texts.sort();
 
-        // Same-config round trip is lossless.
-        let exported = p.export_state();
-        let restored = PreProcessor::restore(unfolded_cfg, exported.clone()).unwrap();
-        assert_eq!(restored.export_state(), exported);
+        // The hand-built round trip is lossless.
+        let restored = PreProcessor::restore(state.clone()).unwrap();
+        assert_eq!(restored.export_state(), state);
+        assert_eq!(restored.num_templates(), 2);
 
-        // Re-enabling folding on restore folds new spellings onto the
-        // first-interned template.
-        let folding_cfg = PreProcessorConfig::default();
-        let mut refolded = PreProcessor::restore(folding_cfg, exported).unwrap();
+        // A new spelling folds onto the first-interned template.
+        let mut refolded = PreProcessor::restore(state).unwrap();
         let c = refolded.ingest(1, spellings[2]).unwrap();
         assert_eq!(c, a, "folding must target the first-interned template");
-
-        // And the live instance agrees: a fresh spelling of the same
-        // fingerprint folds onto the first template, not the last.
-        let mut live = PreProcessor::new(PreProcessorConfig::default());
-        let first = live.ingest(0, spellings[0]).unwrap();
-        let folded = live.ingest(0, spellings[1]).unwrap();
-        assert_eq!(folded, first);
     }
 
     #[test]
@@ -949,7 +930,7 @@ mod accounting_proptests {
         fn arrivals_in_equals_history_bumps_plus_quarantined(
             ops in proptest::collection::vec(op_strategy(), 1..400),
         ) {
-            let mut p = PreProcessor::new(PreProcessorConfig::default());
+            let mut p = PreProcessor::default();
             let mut offered: u64 = 0;
             for op in &ops {
                 match *op {
@@ -984,7 +965,7 @@ mod accounting_proptests {
             width in 1usize..5,
             splits in 1usize..6,
         ) {
-            let mut p = PreProcessor::new(PreProcessorConfig::default());
+            let mut p = PreProcessor::default();
             let pool = qb_parallel::ThreadPool::new(width);
             let items: Vec<shard::BatchItem<'_>> = ops
                 .iter()
@@ -1021,19 +1002,16 @@ mod accounting_proptests {
 mod folding_tests {
     use super::*;
 
+    /// What `repro ablations` reports as "folding on" and "folding off":
+    /// without folding every distinct canonical text would be its own
+    /// template, so the two counts are the templates and the texts.
     #[test]
-    fn folding_merges_conjunct_orderings_ablation_does_not() {
-        let a = "SELECT x FROM t WHERE p = 1 AND q = 2";
-        let b = "SELECT x FROM t WHERE q = 5 AND p = 9";
-
-        let mut folded = PreProcessor::new(PreProcessorConfig::default());
-        folded.ingest(0, a).unwrap();
-        folded.ingest(0, b).unwrap();
-        assert_eq!(folded.num_templates(), 1, "semantic folding merges orderings");
-
-        let mut unfolded = PreProcessor::new(PreProcessorConfig { semantic_folding: false });
-        unfolded.ingest(0, a).unwrap();
-        unfolded.ingest(0, b).unwrap();
-        assert_eq!(unfolded.num_templates(), 2, "ablation keeps them distinct");
+    fn conjunct_orderings_share_a_template_but_not_a_text() {
+        let mut p = PreProcessor::default();
+        let a = p.ingest(0, "SELECT x FROM t WHERE p = 1 AND q = 2").unwrap();
+        let b = p.ingest(0, "SELECT x FROM t WHERE q = 5 AND p = 9").unwrap();
+        assert_eq!(a, b, "semantic folding merges orderings");
+        assert_eq!(p.num_templates(), 1);
+        assert_eq!(p.num_distinct_texts(), 2);
     }
 }

@@ -317,7 +317,7 @@ impl PreProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PreProcessor, PreProcessorConfig};
+    use crate::PreProcessor;
 
     /// A stream exercising every path: folding spellings, repeats,
     /// weighted arrivals, cross-chunk duplicates, quarantine, and one
@@ -352,23 +352,13 @@ mod tests {
     }
 
     fn ingest_batched(stream: &[(Minute, String, u64)], width: usize, splits: usize) -> PreProcessor {
-        run_chunked(PreProcessorConfig::default(), stream, width, stream.len().div_ceil(splits))
+        feed_chunked(PreProcessor::default(), stream, width, stream.len().div_ceil(splits))
     }
 
-    /// Ingests `stream` under `config` in batches of `chunk` statements
-    /// (the last one shorter) on a pool of `width`, checking every batch's
+    /// Ingests `stream` into `pp` in batches of `chunk` statements (the
+    /// last one shorter) on a pool of `width`, checking every batch's
     /// sighting feed against its definition: the distinct templates the
     /// batch's accepted statements map to, in first-sighting order.
-    fn run_chunked(
-        config: PreProcessorConfig,
-        stream: &[(Minute, String, u64)],
-        width: usize,
-        chunk: usize,
-    ) -> PreProcessor {
-        feed_chunked(PreProcessor::new(config), stream, width, chunk)
-    }
-
-    /// [`run_chunked`] on a given Pre-Processor.
     fn feed_chunked(
         mut pp: PreProcessor,
         stream: &[(Minute, String, u64)],
@@ -395,7 +385,7 @@ mod tests {
     #[test]
     fn batch_matches_sequential_on_mixed_stream() {
         let stream = mixed_stream();
-        let mut seq = PreProcessor::new(PreProcessorConfig::default());
+        let mut seq = PreProcessor::default();
         for (m, s, c) in &stream {
             let _ = seq.ingest_weighted(*m, s, *c);
         }
@@ -425,7 +415,7 @@ mod tests {
         let stream = mixed_stream();
         assert!(stream.len() > 2 * FANOUT_MIN_STATEMENTS, "the stream must reach the floor");
         let base =
-            run_chunked(PreProcessorConfig::default(), &stream, 1, stream.len()).export_state();
+            feed_chunked(PreProcessor::default(), &stream, 1, stream.len()).export_state();
         let chunks = [
             1,
             FANOUT_MIN_STATEMENTS - 1,
@@ -435,7 +425,7 @@ mod tests {
         ];
         for width in [1, 2, 4] {
             for chunk in chunks {
-                let other = run_chunked(PreProcessorConfig::default(), &stream, width, chunk)
+                let other = feed_chunked(PreProcessor::default(), &stream, width, chunk)
                     .export_state();
                 assert_eq!(base, other, "width={width} chunk={chunk} must be bit-identical");
             }
@@ -447,7 +437,7 @@ mod tests {
         let stream = mixed_stream();
         let traced = |feed: &dyn Fn(&mut PreProcessor)| {
             let tracer = qb_trace::Tracer::enabled();
-            let mut pp = PreProcessor::new(PreProcessorConfig::default());
+            let mut pp = PreProcessor::default();
             pp.set_tracer(&tracer);
             feed(&mut pp);
             let view = tracer.view();
@@ -477,7 +467,7 @@ mod tests {
         let rec = qb_obs::Recorder::new();
         let pool = ThreadPool::new(4).instrumented(&rec);
         let fan_outs = || rec.snapshot().histograms.get("parallel.map").map_or(0, |h| h.count);
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
 
         let (below, rest) = items.split_at(FANOUT_MIN_STATEMENTS - 1);
         pp.ingest_batch(&pool, below);
@@ -490,7 +480,7 @@ mod tests {
     fn report_accounts_for_every_arrival() {
         let stream = mixed_stream();
         let items = batch_of(&stream);
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
         let pool = ThreadPool::new(4);
         let report = pp.ingest_batch(&pool, &items);
 
@@ -514,7 +504,7 @@ mod tests {
 
     #[test]
     fn every_repeat_is_offered_to_the_reservoir() {
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
         let pool = ThreadPool::new(2);
         let stream: Vec<(Minute, String, u64)> =
             (0..130).map(|_| (0, "SELECT x FROM t WHERE id = 1".to_string(), 1)).collect();
@@ -556,7 +546,7 @@ mod tests {
         let mut live = ingest_batched(&stream, 4, 2);
         let exported = live.export_state();
         let mut restored =
-            PreProcessor::restore(PreProcessorConfig::default(), exported.clone()).unwrap();
+            PreProcessor::restore(exported.clone()).unwrap();
         assert_eq!(restored.export_state(), exported, "restore must be lossless");
 
         // The live instance's warm memo resolves repeats the restored
@@ -604,7 +594,7 @@ mod tests {
             for width in [1, 4] {
                 for chunk in chunks {
                     let pp =
-                        PreProcessor::new(PreProcessorConfig::default()).with_memo_limit(limit);
+                        PreProcessor::default().with_memo_limit(limit);
                     let other = feed_chunked(pp, &stream, width, chunk).export_state();
                     assert_eq!(
                         base, other,
@@ -621,7 +611,7 @@ mod tests {
         let sql = "SELECT x FROM t WHERE id = 1";
 
         // On the calling thread: miss, miss (admitted), hit.
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
         let one = [BatchItem { minute: 0, sql, count: 1 }];
         let steps: Vec<(u64, usize)> = (0..3)
             .map(|_| (pp.ingest_batch(&pool, &one).cache_hits, pp.cached_texts()))
@@ -637,7 +627,7 @@ mod tests {
             stream.push((0, sql.to_string(), 1));
         }
         assert!(stream.len() >= FANOUT_MIN_STATEMENTS, "the batch must fan out");
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
         let report = pp.ingest_batch(&pool, &batch_of(&stream));
         assert_eq!(report.cache_hits, 0);
         assert_eq!(pp.cached_texts(), 1, "one-off texts must not be cached");
@@ -662,7 +652,7 @@ mod tests {
             trace.map(|e| (e.minute, e.sql, e.count)).collect();
         let distinct: HashSet<&str> = events.iter().map(|(_, sql, _)| sql.as_str()).collect();
 
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
         let pool = ThreadPool::new(2);
         let (mut peak, mut hits) = (0, 0);
         for minute in batch_of(&events).chunk_by(|a, b| a.minute == b.minute) {
@@ -679,7 +669,7 @@ mod tests {
     fn shard_caches_evict_and_recover_under_churn() {
         // A memo of 8 texts. Each text is sent twice in a row, so its
         // second miss admits it whatever its doorkeeper entry shares.
-        let mut pp = PreProcessor::new(PreProcessorConfig::default()).with_memo_limit(8);
+        let mut pp = PreProcessor::default().with_memo_limit(8);
         let pool = ThreadPool::new(2);
         let twice = |base: usize| -> Vec<(Minute, String, u64)> {
             let sql = |i: usize| format!("SELECT x FROM t WHERE id = {}", base + i / 2);
@@ -719,7 +709,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_no_op() {
-        let mut pp = PreProcessor::new(PreProcessorConfig::default());
+        let mut pp = PreProcessor::default();
         let pool = ThreadPool::new(4);
         let report = pp.ingest_batch(&pool, &[]);
         assert_eq!(report, BatchReport::default());

@@ -1,9 +1,7 @@
 //! Property-based tests for templating, sampling, and ingest robustness.
 
 use proptest::prelude::*;
-use qb_preprocessor::{
-    bind_params, semantic_fingerprint, templatize, PreProcessor, PreProcessorConfig, Reservoir,
-};
+use qb_preprocessor::{bind_params, semantic_fingerprint, templatize, PreProcessor, Reservoir};
 use qb_sqlparse::{format_statement, parse_statement};
 
 fn ident() -> impl Strategy<Value = String> {
@@ -135,7 +133,7 @@ proptest! {
         t0 in -1_000_000_000_000i64..1_000_000_000_000,
         step in -2_000i64..2_000,
     ) {
-        let mut pre = PreProcessor::new(PreProcessorConfig::default());
+        let mut pre = PreProcessor::default();
         let mut accepted = 0u64;
         for (i, bytes) in chunks.iter().enumerate() {
             let sql = String::from_utf8_lossy(bytes);
@@ -158,7 +156,7 @@ proptest! {
         ts in proptest::collection::vec(-1_000_000_000i64..1_000_000_000, 1..40),
         weight in 1u64..5,
     ) {
-        let mut pre = PreProcessor::new(PreProcessorConfig::default());
+        let mut pre = PreProcessor::default();
         let mut id = None;
         for &t in &ts {
             id = Some(
