@@ -1,10 +1,8 @@
-//! Clusterer scalability: the §5.2 complexity claim (O(n log n) in the
-//! number of templates) plus kd-tree nearest-center lookups.
+//! Clusterer scalability in the number of templates (§5.2), and the merge
+//! step's worst case.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use qb_clusterer::{
-    ClustererConfig, KdTree, OnlineClusterer, TemplateFeature, TemplateSnapshot,
-};
+use qb_clusterer::{ClustererConfig, OnlineClusterer, TemplateFeature, TemplateSnapshot};
 use qb_obs::Recorder;
 
 /// Synthetic feature vectors: `n` templates spread over `patterns` distinct
@@ -153,24 +151,5 @@ fn bench_storm(
     });
 }
 
-fn bench_kdtree(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kdtree");
-    let points: Vec<(Vec<f64>, usize)> = (0..2000)
-        .map(|i| {
-            let v: Vec<f64> = (0..32)
-                .map(|d| (((i * 31 + d * 7) % 997) as f64 / 997.0) - 0.5)
-                .collect();
-            (v, i)
-        })
-        .collect();
-    group.bench_function("build_2000x32", |b| {
-        b.iter(|| KdTree::build(points.clone()))
-    });
-    let tree = KdTree::build(points.clone());
-    let query: Vec<f64> = (0..32).map(|d| (d as f64 / 32.0) - 0.5).collect();
-    group.bench_function("nearest", |b| b.iter(|| tree.nearest(&query)));
-    group.finish();
-}
-
-criterion_group!(benches, bench_online_update, bench_kdtree);
+criterion_group!(benches, bench_online_update);
 criterion_main!(benches);

@@ -51,8 +51,8 @@ impl FeatureSampler {
         Self::over(timestamps, interval)
     }
 
-    /// A sampler over evenly spaced timestamps (deterministic; used by tests
-    /// and the interval-sensitivity experiments).
+    /// A sampler over evenly spaced timestamps (deterministic). Only tests
+    /// use it: they compare `extract` against every bucket of a range.
     pub fn even(start: Minute, end: Minute, interval: Interval) -> Self {
         let step = interval.as_minutes();
         let mut timestamps = Vec::new();

@@ -3,8 +3,8 @@
 //! Every update period the Clusterer performs three steps:
 //!
 //! 1. **Assign** — each new template joins the cluster whose *center* is
-//!    most similar, provided the similarity exceeds ρ (kd-tree lookup);
-//!    otherwise it founds a new cluster.
+//!    most similar, provided the similarity exceeds ρ; otherwise it founds
+//!    a new cluster.
 //! 2. **Re-check** — existing templates whose similarity to their own
 //!    cluster's center dropped below ρ are removed and re-assigned via
 //!    step 1. Moves are *not* applied recursively; deferred to the next
@@ -22,7 +22,6 @@ use qb_obs::Recorder;
 use qb_trace::{EventDraft, EventKind, Scope, Tracer};
 
 use crate::feature::TemplateFeature;
-use crate::kdtree::KdTree;
 use crate::merge::{MergeStats, MergeTable};
 
 /// Opaque template identity (the Pre-Processor's `TemplateId.0`).
@@ -138,9 +137,7 @@ pub struct TemplateSnapshot {
 struct ClusterMetrics {
     /// Wall time per three-step update cycle.
     update_time: qb_obs::Histogram,
-    /// Wall time per kd-tree construction (once per cycle).
-    kdtree_build_time: qb_obs::Histogram,
-    /// Wall time per step-1 assignment phase (kd queries + fresh scans).
+    /// Wall time per step-1 assignment phase.
     assign_time: qb_obs::Histogram,
     /// Wall time per step-3 merge phase.
     merge_time: qb_obs::Histogram,
@@ -168,7 +165,6 @@ impl ClusterMetrics {
     fn resolve(recorder: &Recorder) -> Self {
         Self {
             update_time: recorder.histogram("clusterer.update"),
-            kdtree_build_time: recorder.histogram("clusterer.kdtree_build"),
             assign_time: recorder.histogram("clusterer.assign"),
             merge_time: recorder.histogram("clusterer.merge"),
             new_templates: recorder.counter("clusterer.new_templates"),
@@ -205,23 +201,6 @@ pub struct OnlineClusterer {
     tracer: Tracer,
 }
 
-/// Step-1 lookup context: the kd-tree over the cycle's frozen centers plus
-/// the clusters born during the step.
-///
-/// The tree is built **once per update cycle** (it used to be rebuilt on
-/// every single lookup, which made it slower than the linear scan it
-/// replaces). It stays valid for the whole step because member additions
-/// no longer move centers mid-step — centers are frozen at the start of
-/// step 1 (the paper's non-recursive update) and recomputed once at the
-/// end of the cycle. Only cluster *creation* adds a center, and those land
-/// in `fresh`, scanned linearly on each lookup (few per cycle).
-struct AssignCtx {
-    /// kd-tree over unit-normalized pre-step centers (cosine metric only).
-    tree: Option<KdTree<ClusterId>>,
-    /// Clusters created during this step, not present in the tree.
-    fresh: Vec<ClusterId>,
-}
-
 impl OnlineClusterer {
     pub fn new(config: ClustererConfig) -> Self {
         assert!((0.0..=1.0).contains(&config.rho), "rho must be in [0, 1]");
@@ -239,8 +218,8 @@ impl OnlineClusterer {
     }
 
     /// Installs a [`Recorder`]: update cycles then record `clusterer.*`
-    /// phase timings (cycle, kd-tree build, assignment, merge), membership
-    /// churn counters, and population gauges. Metric names resolve once,
+    /// phase timings (cycle, assignment, merge), membership churn
+    /// counters, and population gauges. Metric names resolve once,
     /// here; lookups inside the cycle only touch cached handles.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.metrics = ClusterMetrics::resolve(recorder);
@@ -266,30 +245,16 @@ impl OnlineClusterer {
         }
     }
 
-    /// Records that a template was observed between updates; returns `true`
-    /// when the unseen-template ratio crossed the early-update trigger.
+    /// Records a tick's worth of template observations between updates;
+    /// returns `true` when the unseen-template ratio crossed the
+    /// early-update trigger.
     ///
     /// The ratio is over **distinct** templates: re-observing the same key
     /// does not grow the denominator, so one hot template repeated
     /// thousands of times cannot drown out a batch of genuinely new ones.
-    pub fn observe(&mut self, key: TemplateKey) -> bool {
-        if self.seen_since_update.insert(key) && !self.templates.contains_key(&key) {
-            self.unseen_since_update += 1;
-        }
-        let observed = self.seen_since_update.len();
-        let ratio = self.unseen_since_update as f64 / observed as f64;
-        observed >= 10 && ratio > self.effective_trigger()
-    }
-
-    /// Records a tick's worth of observations at once (the batched-ingest
-    /// feed); returns `true` when the unseen-template ratio crossed the
-    /// early-update trigger.
-    ///
-    /// Observation state is a set, so this leaves the clusterer in exactly
-    /// the state per-key [`OnlineClusterer::observe`] calls would, and the
-    /// return value matches what the *last* of those calls would report:
-    /// the trigger is evaluated once over the whole tick instead of per
-    /// statement.
+    /// Observation state is a set, so one call per key leaves the same
+    /// state as one call over all of them, and the trigger is evaluated
+    /// once per call.
     pub fn observe_batch(&mut self, keys: &[TemplateKey]) -> bool {
         for &key in keys {
             if self.seen_since_update.insert(key) && !self.templates.contains_key(&key) {
@@ -402,24 +367,20 @@ impl OnlineClusterer {
 
         // Step 1: assign new templates and re-assign the step-2 removals.
         // All lookups in this step run against the centers as they stand
-        // right now (the paper applies center moves non-recursively), which
-        // lets one kd-tree serve the whole step.
+        // right now (the paper applies center moves non-recursively).
         let assign_span = self.metrics.assign_time.start();
-        let mut ctx = self.assign_ctx();
         let mut gainers = BTreeSet::new();
         report.new_templates = new_snaps.len();
         for snap in new_snaps {
             let key = snap.key;
-            let (cid, created) =
-                self.assign(snap.key, snap.feature, snap.volume, snap.last_seen, &mut ctx);
+            let (cid, created) = self.assign(snap.key, snap.feature, snap.volume, snap.last_seen);
             report.clusters_created += usize::from(created);
             gainers.insert(cid);
             self.trace_assign(key, cid, created, false);
         }
         for key in to_reassign {
             let state = self.templates.remove(&key).expect("still tracked");
-            let (cid, created) =
-                self.assign(key, state.feature, state.volume, state.last_seen, &mut ctx);
+            let (cid, created) = self.assign(key, state.feature, state.volume, state.last_seen);
             report.clusters_created += usize::from(created);
             gainers.insert(cid);
             self.trace_assign(key, cid, created, true);
@@ -484,46 +445,22 @@ impl OnlineClusterer {
         report
     }
 
-    /// Builds the step-1 lookup context from the current centers. Cosine
-    /// lookups get a kd-tree over the unit-normalized centers; inverse-L2
-    /// (and masked-feature) lookups fall back to scans, so no tree is built.
-    fn assign_ctx(&self) -> AssignCtx {
-        let tree = match self.config.metric {
-            SimilarityMetric::Cosine => {
-                let _build = self.metrics.kdtree_build_time.start();
-                let items: Vec<(Vec<f64>, ClusterId)> = self
-                    .clusters
-                    .values()
-                    .filter_map(|c| {
-                        let n = qb_linalg::norm(&c.center);
-                        (n > 0.0)
-                            .then(|| (c.center.iter().map(|x| x / n).collect::<Vec<_>>(), c.id))
-                    })
-                    .collect();
-                (!items.is_empty()).then(|| KdTree::build(items))
-            }
-            SimilarityMetric::InverseL2 => None,
-        };
-        AssignCtx { tree, fresh: Vec::new() }
-    }
-
     /// Assigns one template to its best cluster (creating one if needed).
     /// Returns the chosen cluster and whether it was newly created.
     ///
     /// A joining member does **not** move the cluster center here — step-1
     /// lookups run against the centers frozen at the start of the step (the
     /// paper's non-recursive update), and `update` recomputes every center
-    /// once the step completes. That freeze is what keeps `ctx.tree` valid
-    /// across the whole step.
+    /// once the step completes. A cluster founded here joins the scan for
+    /// the step's later lookups with its founder's feature as its center.
     fn assign(
         &mut self,
         key: TemplateKey,
         feature: TemplateFeature,
         volume: f64,
         last_seen: i64,
-        ctx: &mut AssignCtx,
     ) -> (ClusterId, bool) {
-        let best = self.nearest_center(&feature, ctx);
+        let best = self.nearest_center(&feature);
         match best {
             Some((cid, sim)) if sim > self.config.rho => {
                 let cluster = self.clusters.get_mut(&cid).expect("lookup hit a live cluster");
@@ -546,7 +483,6 @@ impl OnlineClusterer {
                 );
                 self.templates
                     .insert(key, TemplateState { feature, volume, last_seen, cluster: cid });
-                ctx.fresh.push(cid);
                 (cid, true)
             }
         }
@@ -582,54 +518,15 @@ impl OnlineClusterer {
         }
     }
 
-    /// Finds the most similar cluster center via the cycle's kd-tree
-    /// (cosine) or a scan (inverse-L2, for which normalization does not
-    /// apply). Clusters founded during the current step are not in the
-    /// tree; they are scanned linearly from `ctx.fresh`.
-    fn nearest_center(&self, feature: &TemplateFeature, ctx: &AssignCtx) -> Option<(ClusterId, f64)> {
-        if self.clusters.is_empty() {
-            return None;
-        }
-        match self.config.metric {
-            // Masked features compare on a suffix; the kd-tree indexes
-            // full vectors, so it only answers exactly for unmasked
-            // features. Masked lookups fall back to a scan. A template is
-            // masked until it is older than the feature window, so in a
-            // deployment younger than the window every lookup scans.
-            SimilarityMetric::Cosine if feature.valid_from == 0 => {
-                let qn = qb_linalg::norm(feature.suffix());
-                if qn == 0.0 {
-                    return None;
-                }
-                let mut best: Option<(ClusterId, f64)> = None;
-                if let Some(tree) = &ctx.tree {
-                    // The query is densified: its lead is `+0.0 / qn`.
-                    let mut q = vec![0.0; feature.lead()];
-                    q.extend(feature.suffix().iter().map(|x| x / qn));
-                    if let Some((&cid, _)) = tree.nearest(&q) {
-                        let sim =
-                            self.config.metric.similarity(feature, &self.clusters[&cid].center);
-                        best = Some((cid, sim));
-                    }
-                }
-                for &cid in &ctx.fresh {
-                    let sim = self.config.metric.similarity(feature, &self.clusters[&cid].center);
-                    if best.is_none_or(|(_, b)| sim > b) {
-                        best = Some((cid, sim));
-                    }
-                }
-                best
-            }
-            _ => self.scan_nearest(feature),
-        }
-    }
-
-    fn scan_nearest(&self, feature: &TemplateFeature) -> Option<(ClusterId, f64)> {
-        // First-max: on similarity ties the lowest cluster id wins
-        // (`clusters` iterates ids ascending). `Iterator::max_by` keeps the
-        // *last* maximum, which made this path resolve ties to the highest
-        // id while the kd-tree path kept its first candidate — the
-        // divergence the testkit reference clusterer flagged.
+    /// Finds the most similar cluster center by scanning every center.
+    ///
+    /// §5.2 finds it with a kd-tree; a scan replaces it here, because over
+    /// a feature of several hundred sampled hours the tree splits on only
+    /// the first few and never prunes a branch (DESIGN.md "Substitutions").
+    /// On similarity ties the first maximum, the lowest cluster id, wins
+    /// (`clusters` iterates ids ascending; `Iterator::max_by` would keep
+    /// the last).
+    fn nearest_center(&self, feature: &TemplateFeature) -> Option<(ClusterId, f64)> {
         let mut best: Option<(ClusterId, f64)> = None;
         for c in self.clusters.values() {
             let sim = self.config.metric.similarity(feature, &c.center);
@@ -905,7 +802,7 @@ mod tests {
         let tick: Vec<TemplateKey> = (5..25).chain(5..25).collect();
         let mut last = false;
         for &k in &tick {
-            last = per_key.observe(k);
+            last = per_key.observe_batch(&[k]);
         }
         let decision = batched.observe_batch(&tick);
         assert_eq!(decision, last, "batched trigger matches the last per-key decision");
@@ -1071,13 +968,13 @@ mod tests {
         // Mostly-known observations: no trigger.
         let mut triggered = false;
         for _ in 0..20 {
-            triggered |= c.observe(1);
+            triggered |= c.observe_batch(&[1]);
         }
         assert!(!triggered);
         // Burst of unseen templates: trigger fires.
         let mut fired = false;
         for k in 100..120 {
-            fired |= c.observe(k);
+            fired |= c.observe_batch(&[k]);
         }
         assert!(fired);
     }
@@ -1133,26 +1030,26 @@ mod tests {
         let mut c = clusterer();
         c.update(vec![snap(1, &[1.0, 1.0], 1.0)], 0);
         for _ in 0..500 {
-            assert!(!c.observe(1), "a known hot template alone must not fire");
+            assert!(!c.observe_batch(&[1]), "a known hot template alone must not fire");
         }
         // Nine genuinely new templates arrive: 9 of 10 distinct keys are
         // unseen, far above the 0.2 trigger. The 500 repeats must not
         // drown them out.
         let mut fired = false;
         for k in 100..109 {
-            fired |= c.observe(k);
+            fired |= c.observe_batch(&[k]);
         }
         assert!(fired, "unseen burst was masked by repeat observations");
     }
 
     /// Regression: clusters founded *during* a step must be visible to
-    /// later lookups in the same step even though they are not in the
-    /// cycle's kd-tree (the fresh-cluster scan).
+    /// later lookups in the same step, although the other centers stay
+    /// frozen until the step ends.
     #[test]
     fn template_joins_cluster_founded_same_step() {
         let mut c = clusterer();
         // a ⊥ b; c is parallel to b. All arrive in one update, so b's
-        // cluster exists only in `ctx.fresh` when c is assigned.
+        // cluster was founded earlier in the same step when c is assigned.
         let r = c.update(
             vec![
                 snap(1, &[1.0, 0.0, 0.0], 1.0),
@@ -1166,10 +1063,10 @@ mod tests {
         assert_ne!(c.cluster_of(1), c.cluster_of(2));
     }
 
-    /// Regression: `scan_nearest` must resolve similarity ties to the
-    /// lowest cluster id, matching the kd-tree path. `Iterator::max_by`
-    /// keeps the *last* maximum, so a template equidistant from two
-    /// centers used to join the higher-id cluster.
+    /// Regression: the nearest-center scan must resolve similarity ties to
+    /// the lowest cluster id, as the testkit reference clusterer does.
+    /// `Iterator::max_by` keeps the *last* maximum, so a template
+    /// equidistant from two centers used to join the higher-id cluster.
     #[test]
     fn scan_nearest_tie_breaks_to_lowest_id() {
         let cfg = ClustererConfig {
@@ -1205,9 +1102,7 @@ mod tests {
             let (mut live, _, report) = after_mixed_update(config.clone());
             assert!(report.merges > 0 && report.evicted > 0, "{metric:?}: {report:?}");
             assert!(live.templates.values().any(|s| s.feature.lead() > 0));
-            for k in [1, 2, 3, 40, 41] {
-                live.observe(k);
-            }
+            live.observe_batch(&[1, 2, 3, 40, 41]);
             let exported = live.export_state();
             let mut restored = OnlineClusterer::restore(config.clone(), exported.clone());
             // Recomputed, not stored: every centre and volume comes back
@@ -1221,7 +1116,7 @@ mod tests {
             // Identical behavior from here on: same trigger decisions, same
             // update reports, same resulting state.
             for k in 50..80 {
-                assert_eq!(live.observe(k), restored.observe(k));
+                assert_eq!(live.observe_batch(&[k]), restored.observe_batch(&[k]));
             }
             let now = 10 * EVICTION_IDLE + 60;
             let snaps = || {
@@ -1258,7 +1153,6 @@ mod tests {
         assert_eq!(s.gauges["clusterer.num_clusters"], 2.0);
         assert_eq!(s.gauges["clusterer.num_templates"], 2.0);
         assert_eq!(s.histograms["clusterer.update"].count, 1);
-        assert_eq!(s.histograms["clusterer.kdtree_build"].count, 1);
         assert_eq!(s.histograms["clusterer.assign"].count, 1);
         assert_eq!(s.histograms["clusterer.merge"].count, 1);
     }
@@ -1482,7 +1376,7 @@ mod adaptive_trigger_tests {
                 } else {
                     i as u64
                 };
-                if cl.observe(key) {
+                if cl.observe_batch(&[key]) {
                     fires += 1;
                 }
             }
@@ -1526,7 +1420,7 @@ mod adaptive_trigger_tests {
         // ...but a full template swap (phase switch) still does.
         let mut fired = false;
         for i in 0..40 {
-            fired |= cl.observe(2_000_000 + i);
+            fired |= cl.observe_batch(&[2_000_000 + i]);
         }
         assert!(fired, "a 100% unseen burst must fire even adaptively");
     }

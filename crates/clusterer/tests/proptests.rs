@@ -1,16 +1,11 @@
-//! Property-based tests for the kd-tree and the online clusterer.
+//! Property-based tests for the feature sampler and the online clusterer.
 
 use proptest::prelude::*;
 use qb_clusterer::{
-    ClustererConfig, FeatureSampler, KdTree, OnlineClusterer, SimilarityMetric, TemplateFeature,
+    ClustererConfig, FeatureSampler, OnlineClusterer, SimilarityMetric, TemplateFeature,
     TemplateSnapshot,
 };
 use qb_timeseries::{ArrivalHistory, Interval};
-
-fn points(dim: usize) -> impl Strategy<Value = Vec<(Vec<f64>, usize)>> {
-    proptest::collection::vec(proptest::collection::vec(-10.0f64..10.0, dim), 1..80)
-        .prop_map(|ps| ps.into_iter().enumerate().map(|(i, p)| (p, i)).collect())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -125,24 +120,6 @@ proptest! {
         }
     }
 
-    /// kd-tree nearest always matches a linear scan.
-    #[test]
-    fn kdtree_matches_linear_scan(
-        ps in points(4),
-        q in proptest::collection::vec(-10.0f64..10.0, 4),
-    ) {
-        let tree = KdTree::build(ps.clone());
-        let (got, got_d) = tree.nearest(&q).expect("non-empty");
-        let want_d = ps
-            .iter()
-            .map(|(p, _)| qb_linalg::sq_l2_distance(p, &q))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got_d - want_d).abs() < 1e-9, "distance mismatch");
-        // The returned payload is a genuine argmin.
-        let actual = qb_linalg::sq_l2_distance(&ps[*got].0, &q);
-        prop_assert!((actual - want_d).abs() < 1e-9);
-    }
-
     /// Every template ends up in exactly one cluster, and cluster volumes
     /// sum to the total template volume.
     #[test]
@@ -216,7 +193,7 @@ proptest! {
     /// Once updates settle, every member of a multi-member cluster is
     /// within ρ of its cluster's *final* center (the §5.2 guarantee), and
     /// replaying the same stream on a fresh clusterer reproduces the same
-    /// partition. Guards the frozen-center kd-tree reuse and the
+    /// partition. Guards the centers frozen during step 1 and the
     /// incremental merge table: a stale or un-recomputed center would
     /// break one of the two.
     #[test]

@@ -58,17 +58,11 @@ pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
     (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// Squared L2 distance between two vectors.
-#[inline]
-pub fn sq_l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "sq_l2_distance: length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
 /// L2 distance, used by the logical-feature ablation clustering (§7.7).
 #[inline]
 pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    sq_l2_distance(a, b).sqrt()
+    assert_eq!(a.len(), b.len(), "l2_distance: length mismatch");
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Each oracle re-derives its math from the paper's description with the
 //! simplest possible data structures (linear scans, full rescans, dense
 //! Gauss–Jordan solves) instead of sharing the optimized crates' internals,
-//! so a bug in a kd-tree, an incremental similarity table, or a Cholesky
-//! path cannot hide in both sides of the comparison.
+//! so a bug in an incremental similarity table or a Cholesky path cannot
+//! hide in both sides of the comparison.
 
 mod dbscan;
 mod lr;

@@ -6,7 +6,7 @@
 //! every optimized structure with its naive counterpart:
 //!
 //! * nearest-center lookup is an O(k) scan over all clusters in ascending
-//!   id order (no kd-tree, no fresh-cluster split);
+//!   id order (the clusterer scans the same way);
 //! * the merge step recomputes the full O(k²) pairwise similarity table
 //!   from scratch on every iteration (no table kept between merges, no
 //!   cached partners, no cached norms);
@@ -17,8 +17,8 @@
 //! **identical** partition, cluster ids, centers, and update report on the
 //! same snapshot stream. That equality is exact, not approximate: the
 //! paper's update rule is deterministic, so any divergence is a bug in one
-//! of the optimized structures (this oracle is how the kd-tree /
-//! `scan_nearest` tie-breaking inconsistency was found and fixed).
+//! of the optimized structures (this oracle is how a tie-breaking
+//! inconsistency between two nearest-center lookups was found and fixed).
 
 use std::collections::BTreeMap;
 

@@ -37,6 +37,9 @@
 //!    forecast bits, at any fault and churn intensity.
 //! 9. **Alerts** (`monitor`) — the transition log and active set join the
 //!    fingerprint, and a faulted replay must trip the quarantine rule.
+//! 10. **Eviction** — after every round, every template the clusterer
+//!     holds arrived within [`EVICTION_IDLE`] of the round: an evicted
+//!     template re-enters only on a new arrival.
 //!
 //! With `durable` the [`DurablePipeline`] is dropped right after the
 //! middle round and again right after the next one, and each time reopened
@@ -69,6 +72,7 @@ use qb5000::{
     MonitorConfig, PipelineHealth, PipelineState, Qb5000Config, Recorder, RetrainOutcome, Severity,
     TraceDump, TraceView, Tracer,
 };
+use qb_clusterer::EVICTION_IDLE;
 use qb_forecast::{DegradationLevel, Forecaster, LinearRegression};
 use qb_parallel::ThreadPool;
 use qb_timeseries::{Interval, Minute, MINUTES_PER_DAY};
@@ -591,12 +595,21 @@ impl Process {
         self.pipeline.ensure_trained(now).map_err(|e| format!("training at minute {now}: {e}"))
     }
 
-    fn round(&mut self, round: u64, now: Minute) {
+    /// One cluster-update round at `now`, checking invariant 10.
+    fn round(&mut self, round: u64, now: Minute) -> Result<(), String> {
         self.pipeline.update_clusters(now).expect("cluster update");
+        let held = self.pipeline.bot().clusterer().export_state().templates;
+        if let Some(t) = held.iter().find(|t| t.last_seen < now - EVICTION_IDLE) {
+            return Err(format!(
+                "round {round} at minute {now} holds template {}, silent since minute {}",
+                t.key, t.last_seen
+            ));
+        }
         let tracer = self.pipeline.bot().tracer().clone();
         if let Some(monitor) = &mut self.monitor {
             monitor.observe_round(round, &self.recorder.snapshot(), &[], &tracer);
         }
+        Ok(())
     }
 }
 
@@ -621,7 +634,7 @@ impl Drop for StateDir {
 }
 
 /// Replays the case into a fresh pipeline at one pool width and
-/// fingerprints it, checking invariants 1–4 and 8 on the way. With
+/// fingerprints it, checking invariants 1–4, 8 and 10 on the way. With
 /// `train_midway` the forecast manager trains at the middle round as well
 /// as at the end.
 fn replay(
@@ -655,7 +668,7 @@ fn replay(
     let mut next_round = |process: &mut Process, round: &mut u64| -> Result<(), String> {
         *round += 1;
         let now = *round as i64 * ROUND_MINUTES;
-        process.round(*round, now);
+        process.round(*round, now)?;
         if train_midway && *round == rounds / 2 {
             process.train(case, width, now)?;
             process.pipeline.snapshot().map_err(|e| format!("snapshot after training: {e}"))?;

@@ -2,7 +2,7 @@
 //!
 //! Runs the generator → fault injector → pre-processor → clusterer →
 //! forecaster pipeline through `qb_testkit::sim::run` at thread widths
-//! {1, 4}, checking the nine invariants documented there. The paper
+//! {1, 4}, checking the ten invariants documented there. The paper
 //! matrices sweep (workload × fault intensity × seed) with one feature at
 //! a time; `churn_matrix` sweeps (churn scenario × fault intensity × seed)
 //! with serving and cold start on; `feature_sweep` runs every valid
@@ -112,6 +112,24 @@ fn feature_sweep() {
             panic!("{failure}");
         }
     }
+}
+
+/// A flash crowd long enough that its first sales stay silent past
+/// `EVICTION_IDLE` (invariant 10). The sales open at 35 %, 53 %, 71 % and
+/// 89 % of the trace and last two hours, so over 14 days the two opening
+/// at day 4.9 (a query and an update each) are evicted from day 11.9 on;
+/// at 10 days none would be.
+#[test]
+fn evicted_templates_reenter_only_on_arrival() {
+    let case = SimCase { days: 14, ..SimCase::churn(ChurnScenario::FlashCrowd, 0.0, SEEDS[0]) };
+    let fps = run(&case, Features::default(), WIDTHS).unwrap_or_else(|f| panic!("{f}"));
+    let state = &fps[0].state;
+    let (minted, held) = (state.pre.entries.len(), state.clusterer.templates.len());
+    assert_eq!(minted - held, 4, "{minted} templates minted, {held} held at the end");
+    println!(
+        "{minted} templates minted, {held} held at the end, {} retrains",
+        fps[0].manager.retrain_count
+    );
 }
 
 /// Replays exactly one case from `QB_SIM_*` environment overrides — the

@@ -94,3 +94,67 @@ fn admissions_deadline_growth_in_series() {
         "deadline growth: {first_week} -> {second_week}"
     );
 }
+
+/// A long-lived template whose shape flips moves to the other family's
+/// cluster. Every template is older than `FEATURE_WINDOW`, so its feature
+/// compares on all sampled hours (`valid_from == 0`): the step-1 lookup
+/// over unmasked features, which no shorter run reaches.
+#[test]
+fn long_lived_template_moves_to_the_family_it_now_follows() {
+    let days = qb5000::FEATURE_WINDOW / MINUTES_PER_DAY + 4;
+    let is_day = |hour: i64| (8..18).contains(&(hour % 24));
+    let is_night = |hour: i64| !(6..20).contains(&(hour % 24));
+    // Day and night families of four, on disjoint hours. Template "day_0"
+    // follows the day family at a tenth of its siblings' volume until the
+    // last day, then the night family's last-day surge.
+    let last_day = (days - 1) * 24;
+    let count = |table: &str, hour: i64| -> u64 {
+        let surge = hour >= last_day;
+        match table {
+            "day_0" if surge => 50 * u64::from(is_night(hour)),
+            "day_0" => u64::from(is_day(hour)),
+            t if t.starts_with("day") => 10 * u64::from(is_day(hour)),
+            _ => u64::from(is_night(hour)) * if surge { 50 } else { 1 },
+        }
+    };
+    let tables = ["day_0", "day_1", "day_2", "day_3", "night_0", "night_1", "night_2", "night_3"];
+    let mut bot = QueryBot5000::new(Qb5000Config::default());
+    let mut ids = Vec::new();
+    let mut report = None;
+    for hour in 0..days * 24 {
+        let t = hour * 60;
+        if hour > 0 && hour % 24 == 0 {
+            report = Some(bot.update_clusters(t));
+        }
+        if hour == last_day {
+            let (moved, day, night) = (ids[0], ids[1], ids[4]);
+            assert_eq!(bot.clusterer().cluster_of(moved), bot.clusterer().cluster_of(day));
+            assert_ne!(bot.clusterer().cluster_of(moved), bot.clusterer().cluster_of(night));
+        }
+        for (i, table) in tables.iter().enumerate() {
+            let n = count(table, hour);
+            if n > 0 {
+                let sql = format!("SELECT v FROM {table} WHERE k = {hour}");
+                let id = bot.ingest_weighted(t, &sql, n).expect("valid SQL");
+                if ids.len() == i {
+                    ids.push(u64::from(id.0));
+                }
+            }
+        }
+    }
+    assert_eq!(bot.shift_triggers, 0, "eight templates never reach the trigger's floor");
+    let before = report.expect("daily updates ran");
+    assert_eq!(before.reassigned, 0, "{before:?}");
+
+    let report = bot.update_clusters(days * MINUTES_PER_DAY);
+    let (moved, day, night) = (ids[0], ids[1], ids[4]);
+    let c = bot.clusterer();
+    // Step 2 took it out of the day cluster; step 1 put it in the night one.
+    assert_eq!((report.reassigned, report.clusters_created, report.merges), (1, 0, 0));
+    assert_eq!(c.cluster_of(moved), c.cluster_of(night), "{report:?}");
+    assert_ne!(c.cluster_of(moved), c.cluster_of(day));
+    assert_eq!(c.num_clusters(), 2);
+    let state = c.export_state();
+    let feature = &state.templates.iter().find(|t| t.key == moved).expect("held").feature;
+    assert_eq!(feature.valid_from, 0, "older than the feature window");
+}
